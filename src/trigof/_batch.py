@@ -183,20 +183,11 @@ def _sigma_rows(fam, kind, mask, thetas) -> np.ndarray:
     """Stack of per-replication scaling covariances (constant families get
     a broadcast of the theta-invariant matrix)."""
     fam = get_family(fam)
-    reps = thetas.shape[0]
     if fam.name == "gamma":
-        out = np.empty((reps, 2, 2))
-        cache: dict = {}
-        for i in range(reps):
-            lam = float(thetas[i, 0])
-            got = cache.get(lam)
-            if got is None:
-                got = scaling.sigma_from("gamma", kind, (lam, 1.0), mask)
-                cache[lam] = got
-            out[i] = got
-        return out
+        return np.stack([scaling.sigma_from("gamma", kind, (float(lam), 1.0), mask)
+                         for lam in thetas[:, 0]])
     sig = scaling.sigma_from(fam, kind, tuple(thetas[0]), mask)
-    return np.broadcast_to(sig, (reps, 2, 2))
+    return np.broadcast_to(sig, (thetas.shape[0], 2, 2))
 
 
 def batch_tn(fam, kind, mask: KnownMask | None, X: np.ndarray):

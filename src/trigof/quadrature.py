@@ -2,15 +2,28 @@
 
 The integrator is an adaptive 15-point Gauss-Kronrod rule with worst-first
 interval bisection (max depth 60 per interval).  Infinite domains are reduced
-to (0, 1) by the fixed substitutions v = t/(1-t) for (0, inf) and
-v = 1 + t/(1-t) for (1, inf), so error behaviour is reproducible.  Known
-endpoint power singularities are removed up front by monomial substitutions
-driven by exponent hints on the integrand; the remaining logarithmic
-singularities converge under global bisection because Kronrod nodes are
-interior.
+to (0, 1) by the fixed substitutions v = a t/(1-t) for (0, inf) and
+v = 1 + a t/(1-t) for (1, inf), with a per-integrand length scale a, so error
+behaviour is reproducible.  Known endpoint power singularities are removed up
+front by monomial substitutions driven by exponent hints on the integrand;
+the remaining logarithmic singularities converge under global bisection
+because Kronrod nodes are interior.
 
 ``h(idx, *args)`` evaluates the 37 moment integrals h1..h37 that feed the
-scaling matrices; results are memoized (thread-safe) per rounded argument.
+scaling matrices, to absolute error 1e-10.  Eight of them are tabulated:
+
+* the gamma line h6, h7 at (lam, lam + 1, 1) and h10, h11 at lam, for
+  lam in [1/16, 128];
+* the inverse-Gaussian line h29..h32 at (mu, lam), through the exact scale
+  identity h(mu, lam) = mu * h(1, lam/mu), for lam/mu in [1/16, 1024]
+  (absolute error mu * 1e-10).
+
+There ``h`` evaluates committed piecewise Chebyshev coefficients (one piece
+per octave of the shape, 16 to 32 nodes) by Clenshaw's recurrence, within
+1e-11 of tight (1e-13) quadrature.  The tables live in ``_h_tables.py`` and
+are regenerated from this module's integrands with
+``python -m trigof.quadrature --tabulate``.  Every other argument is
+integrated and memoized (thread-safe, bounded LRU) per rounded argument.
 ``logistic_constants()`` recomputes the four logistic-family constants by
 quadrature rather than trusting hard-coded literals.
 """
@@ -20,12 +33,14 @@ from __future__ import annotations
 import heapq
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from . import specfun
+from . import _h_tables, specfun
 from .errors import DomainError, QuadratureError
 
 __all__ = ["Integrand", "integrate", "integrate_domain", "h", "h_arity",
@@ -101,18 +116,26 @@ class Integrand:
     (distance to endpoint)^p (possibly times logs) near the lower/upper
     endpoint; p > -1.  They default to 0 (regular up to logs) and trigger a
     monomial substitution that removes the power singularity.
+
+    ``scale`` is the length scale of the map of an infinite domain,
+    v = scale * t/(1-t) (shifted by 1 on (1, inf)).  It should be about where
+    the integrand's mass lies, e.g. the mean of a weighting density: with the
+    default 1 a narrow peak far from 1 falls between the sampled nodes.
     """
 
     domain: str
     evaluator: Callable[[np.ndarray], np.ndarray]
     pow_lo: float = 0.0
     pow_hi: float = 0.0
+    scale: float = 1.0
 
     def __post_init__(self):
         if self.domain not in _DOMAINS:
             raise DomainError(f"domain must be one of {_DOMAINS}, got {self.domain!r}")
         if self.pow_lo <= -1.0 or self.pow_hi <= -1.0:
             raise DomainError("endpoint exponents must be > -1 for integrability")
+        if not (math.isfinite(self.scale) and self.scale > 0.0):
+            raise DomainError(f"scale must be finite and > 0, got {self.scale}")
 
 
 def _eval_panels(f, lefts, rights):
@@ -227,24 +250,25 @@ def integrate_domain(g: Integrand,
                      rel_tol: float = DEFAULT_REL_TOL) -> float:
     """Integrate over one of the canonical open domains.
 
-    The domain is first mapped to (0, 1) (identity, v = t/(1-t), or
-    v = 1 + t/(1-t)); endpoint power singularities declared on the integrand
-    are then removed by splitting at 1/2 and substituting t = c s^k near the
-    offending endpoint.
+    The domain is first mapped to (0, 1) (identity, v = a t/(1-t), or
+    v = 1 + a t/(1-t) with a the integrand's ``scale``); endpoint power
+    singularities declared on the integrand are then removed by splitting at
+    1/2 and substituting t = c s^k near the offending endpoint.
     """
     f = g.evaluator
+    scale = g.scale
     if g.domain == "0,1":
         mapped = f
         p_lo, p_hi = g.pow_lo, g.pow_hi
     elif g.domain == "0,inf":
         def mapped(t):
             om = 1.0 - t
-            return f(t / om) / om ** 2
+            return f(scale * t / om) * scale / om ** 2
         p_lo, p_hi = g.pow_lo, 0.0  # exponential decay at infinity maps smoothly
     else:  # 1,inf
         def mapped(t):
             om = 1.0 - t
-            return f(1.0 + t / om) / om ** 2
+            return f(1.0 + scale * t / om) * scale / om ** 2
         p_lo, p_hi = g.pow_lo, 0.0
 
     k_lo = _substitution_order(p_lo)
@@ -334,38 +358,43 @@ def _h5(lam):
                      pow_lo=2.0 / lam - 1.0)
 
 
+# h6..h11 weight by a gamma density.  The map scale is its mean (b c or lam),
+# so that the peak of a large shape is sampled, but not below 1: for a mean
+# under 1 the unit map is already accurate, and a smaller scale loses
+# accuracy at the v^(lam-1) endpoint.
+
 def _h6(a, b, c):
     return Integrand("0,inf", lambda v: np.cos(2.0 * math.pi * _ga_cdf(v, a)) * _ga_pdf(v, b, c),
-                     pow_lo=b - 1.0)
+                     pow_lo=b - 1.0, scale=max(1.0, b * c))
 
 
 def _h7(a, b, c):
     return Integrand("0,inf", lambda v: np.sin(2.0 * math.pi * _ga_cdf(v, a)) * _ga_pdf(v, b, c),
-                     pow_lo=b - 1.0)
+                     pow_lo=b - 1.0, scale=max(1.0, b * c))
 
 
 def _h8(lam):
     return Integrand("0,inf", lambda v: (v - lam) * np.log(v)
                      * np.cos(2.0 * math.pi * _ga_cdf(v, lam)) * _ga_pdf(v, lam),
-                     pow_lo=lam - 1.0)
+                     pow_lo=lam - 1.0, scale=max(1.0, lam))
 
 
 def _h9(lam):
     return Integrand("0,inf", lambda v: (v - lam) * np.log(v)
                      * np.sin(2.0 * math.pi * _ga_cdf(v, lam)) * _ga_pdf(v, lam),
-                     pow_lo=lam - 1.0)
+                     pow_lo=lam - 1.0, scale=max(1.0, lam))
 
 
 def _h10(alpha):
     return Integrand("0,inf", lambda v: np.log(v)
                      * np.cos(2.0 * math.pi * _ga_cdf(v, alpha)) * _ga_pdf(v, alpha),
-                     pow_lo=alpha - 1.0)
+                     pow_lo=alpha - 1.0, scale=max(1.0, alpha))
 
 
 def _h11(alpha):
     return Integrand("0,inf", lambda v: np.log(v)
                      * np.sin(2.0 * math.pi * _ga_cdf(v, alpha)) * _ga_pdf(v, alpha),
-                     pow_lo=alpha - 1.0)
+                     pow_lo=alpha - 1.0, scale=max(1.0, alpha))
 
 
 def _t_angle(v, lam):
@@ -533,8 +562,10 @@ _H_ARITY = {idx: (3 if idx in (6, 7) else 2 if idx in (25, 26, 27, 28, 29, 30, 3
             for idx in _H_BUILDERS}
 
 H_ABS_TOL = 1e-10
+_H_REL_TOL = 1e-10
+_H_CACHE_SIZE = 1024  # entries kept by the LRU memo of quadrature results
 
-_h_cache: dict = {}
+_h_cache: OrderedDict = OrderedDict()
 _h_lock = threading.Lock()
 
 
@@ -551,11 +582,61 @@ def _round_sig(x: float, sig: int = 15) -> float:
     return round(x, sig - 1 - int(math.floor(math.log10(abs(x)))))
 
 
+def _h_quadrature(idx: int, args: tuple, abs_tol: float = H_ABS_TOL,
+                  rel_tol: float = _H_REL_TOL) -> float:
+    return integrate_domain(_H_BUILDERS[idx](*args), abs_tol=abs_tol, rel_tol=rel_tol)
+
+
+def _clenshaw(coeffs, y: float) -> float:
+    """Sum of coeffs[k] * T_k(y) by Clenshaw's recurrence."""
+    b1 = b2 = 0.0
+    y2 = 2.0 * y
+    for c in coeffs[:0:-1]:
+        b1, b2 = y2 * b1 - b2 + c, b1
+    return y * b1 - b2 + coeffs[0]
+
+
+def _from_table(idx: int, shape: float) -> float | None:
+    """Chebyshev surrogate of h_idx along its line, None outside the table."""
+    lo, pieces = _h_tables.TABLES[idx]
+    hi = lo + len(pieces)
+    if not 2.0 ** lo <= shape <= 2.0 ** hi:
+        return None
+    t = math.log2(shape)
+    k = min(math.floor(t), hi - 1)
+    return _clenshaw(pieces[k - lo], 2.0 * (t - k) - 1.0)
+
+
+def _tabulated(idx: int, args: tuple) -> float | None:
+    """h_idx from the committed tables when args lie on a tabulated line."""
+    if idx in (6, 7):
+        lam, b, c = args
+        return _from_table(idx, lam) if b == lam + 1.0 and c == 1.0 else None
+    if idx in (10, 11):
+        return _from_table(idx, args[0])
+    if idx in (29, 30, 31, 32):
+        mu, lam = args
+        value = _from_table(idx, lam / mu)
+        return None if value is None else mu * value
+    return None
+
+
 def h(idx: int, *args: float) -> float:
     """Evaluate the tabulated integral h_idx at the given arguments.
 
-    Absolute error <= 1e-10.  Results are memoized per (idx, args) with the
-    arguments rounded to 15 significant digits for key stability.
+    Absolute error <= 1e-10 (mu * 1e-10 for h29..h32).  Eight integrals are
+    read from piecewise Chebyshev tables (``_h_tables``) when their
+    arguments lie on a tabulated line:
+
+    * h6, h7 at (lam, lam + 1, 1) and h10, h11 at lam, for
+      lam in [1/16, 128] (the gamma line; ``b == lam + 1.0`` exactly);
+    * h29..h32 at (mu, lam) through h(mu, lam) = mu * h(1, lam/mu), for
+      lam/mu in [1/16, 1024] (the inverse-Gaussian line).
+
+    The tables are within 1e-11 of the integrals and give the same value in
+    every process whatever the call order.  Every other argument is
+    integrated by adaptive quadrature and memoized in a bounded LRU keyed by
+    (idx, args) with the arguments rounded to 15 significant digits.
     """
     if idx not in _H_BUILDERS:
         raise DomainError(f"h index must be in 1..37, got {idx}")
@@ -564,15 +645,21 @@ def h(idx: int, *args: float) -> float:
     for a in args:
         if not (np.isfinite(a) and a > 0.0):
             raise DomainError(f"h{idx} arguments must be finite and > 0, got {args}")
-    key = (idx,) + tuple(_round_sig(float(a)) for a in args)
+    args = tuple(float(a) for a in args)
+    value = _tabulated(idx, args)
+    if value is not None:
+        return value
+    key = (idx,) + tuple(_round_sig(a) for a in args)
     with _h_lock:
         if key in _h_cache:
+            _h_cache.move_to_end(key)
             return _h_cache[key]
-    value = integrate_domain(_H_BUILDERS[idx](*[float(a) for a in args]),
-                             abs_tol=H_ABS_TOL, rel_tol=1e-10)
+    value = _h_quadrature(idx, args)
     with _h_lock:
-        _h_cache.setdefault(key, value)
-        return _h_cache[key]
+        value = _h_cache.setdefault(key, value)
+        while len(_h_cache) > _H_CACHE_SIZE:
+            _h_cache.popitem(last=False)
+        return value
 
 
 def clear_h_cache() -> None:
@@ -601,3 +688,103 @@ def logistic_constants() -> tuple[float, float, float, float]:
     m_sin = 3.0 / math.pi ** 2 * integrate(
         lambda u: np.sin(two_pi * u) * q(u), 0.0, 1.0, **tols)
     return c_cos, c_sin, m_cos, m_sin
+
+
+# ---------------------------------------------------------------------------
+# Generator of ``_h_tables``: python -m trigof.quadrature --tabulate
+# ---------------------------------------------------------------------------
+
+# Tabulated lines: integral -> octaves [lo, hi) of log2(shape).  The gamma
+# line stops at 2^7: above it the quadrature that would supply the nodes is
+# checked against an independent (quantile) form at only a few shapes.
+_TABLE_OCTAVES = {6: (-4, 7), 7: (-4, 7), 10: (-4, 7), 11: (-4, 7),
+                  29: (-4, 10), 30: (-4, 10), 31: (-4, 10), 32: (-4, 10)}
+_TABLE_NODES = (16, 24, 32)  # node counts tried per octave, smallest first
+_TABLE_TOL = 1e-13           # quadrature tolerance of node and check values
+_TABLE_CHECK_TOL = 2e-12     # accepted interpolation error at the checks
+
+
+def _line_args(idx: int, shape: float) -> tuple:
+    """Arguments of h_idx at one shape of its tabulated line."""
+    if idx in (6, 7):
+        return (shape, shape + 1.0, 1.0)
+    if idx in (10, 11):
+        return (shape,)
+    return (1.0, shape)
+
+
+def _line_value(idx: int, shape: float) -> float:
+    return _h_quadrature(idx, _line_args(idx, shape), _TABLE_TOL, _TABLE_TOL)
+
+
+def _cheb_coeffs(values: np.ndarray) -> np.ndarray:
+    """Coefficients of the interpolant through values at cos(pi j/m), j=0..m."""
+    m = len(values) - 1
+    j = np.arange(m + 1)
+    w = np.full(m + 1, 2.0 / m)
+    w[[0, -1]] *= 0.5
+    c = np.cos(np.pi * np.outer(j, j) / m) @ (w * values)
+    c[[0, -1]] *= 0.5
+    return c
+
+
+def _fit_octave(idx: int, k: int) -> tuple:
+    """Chebyshev coefficients of h_idx over shapes [2^k, 2^(k+1)].
+
+    Takes the fewest nodes whose interpolant matches tight quadrature at the
+    angle midpoints between nodes, where interpolation error peaks.
+    """
+    def shape(y):
+        return 2.0 ** (k + 0.5 * (y + 1.0))
+
+    for n in _TABLE_NODES:
+        nodes = np.cos(np.pi * np.arange(n) / (n - 1))
+        coeffs = tuple(float(c) for c in _cheb_coeffs(
+            np.array([_line_value(idx, shape(y)) for y in nodes])))
+        checks = np.cos(np.pi * (np.arange(n - 1) + 0.5) / (n - 1))
+        err = max(abs(_clenshaw(coeffs, y) - _line_value(idx, shape(y))) for y in checks)
+        if err <= _TABLE_CHECK_TOL:
+            return coeffs
+    raise QuadratureError(f"h{idx} on [2^{k}, 2^{k + 1}]: interpolation error {err:.2e} "
+                          f"with {n} nodes", bound=err)
+
+
+def tabulate(path: Path | None = None) -> None:
+    """Write the Chebyshev tables of the tabulated h lines to ``_h_tables.py``.
+
+    Coefficients are written as text and parsed on import, which compiles
+    several times faster than the same numbers as float literals.
+    """
+    path = path or Path(__file__).with_name("_h_tables.py")
+    out = ['"""Chebyshev tables of h6, h7, h10, h11 and h29..h32; see ``quadrature.h``.',
+           "",
+           "Generated by ``python -m trigof.quadrature --tabulate``; do not edit.",
+           "TABLES[idx] = (lo, pieces): piece i holds the coefficients of",
+           "h_idx on shapes [2^(lo+i), 2^(lo+i+1)] in y = 2 (log2(shape) - lo - i) - 1.",
+           '"""', "", "",
+           "def _octaves(text):",
+           '    """One coefficient tuple per blank-line separated block of text."""',
+           '    return tuple(tuple(float(c) for c in block.split())',
+           '                 for block in text.strip().split("\\n\\n"))',
+           "", "", "TABLES = {"]
+    for idx, (lo, hi) in _TABLE_OCTAVES.items():
+        blocks = []
+        for k in range(lo, hi):
+            coeffs = [repr(c) for c in _fit_octave(idx, k)]
+            blocks.append("\n".join("        " + " ".join(coeffs[i:i + 4])
+                                    for i in range(0, len(coeffs), 4)))
+        out.append(f'    {idx}: ({lo}, _octaves("""')
+        out.append("\n\n".join(blocks))
+        out.append('    """)),')
+    out.append("}")
+    path.write_text("\n".join(out) + "\n")
+
+
+if __name__ == "__main__":
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="python -m trigof.quadrature")
+    parser.add_argument("--tabulate", action="store_true", required=True,
+                        help="regenerate src/trigof/_h_tables.py from tight quadrature")
+    parser.parse_args()
+    tabulate()

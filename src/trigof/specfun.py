@@ -30,14 +30,11 @@ __all__ = [
     "std_normal_quantile",
     "ln_std_normal_cdf",
     "noncentral_chi2_sf",
-    "zeta3",
     "EULER_GAMMA",
 ]
 
 #: Euler-Mascheroni constant gamma = -psi(1).
 EULER_GAMMA = 0.5772156649015328606
-
-_ZETA3 = 1.2020569031595942854
 
 
 def _require_positive(z, name: str) -> None:
@@ -119,11 +116,6 @@ def ln_std_normal_cdf(x):
     if not np.all(np.isfinite(x)):
         raise DomainError(f"x must be finite, got {x!r}")
     return sp.log_ndtr(x)
-
-
-def zeta3() -> float:
-    """Apery's constant zeta(3) = sum n^-3."""
-    return _ZETA3
 
 
 def noncentral_chi2_sf(df: int, ncp: float, t: float, rel_tol: float = 1e-12) -> float:
