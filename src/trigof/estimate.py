@@ -9,7 +9,8 @@ likelihood maximization over the free components.
 
 Shape-type roots are bracketed on a geometric grid over [1e-3, 1e3]
 (expanded geometrically when no sign change is found); scale-type roots use
-the same grid relative to a data-driven scale.
+the same grid relative to a data-driven scale.  The grid is searched outward
+from its centre, so the bracket nearest the centre wins.
 """
 
 from __future__ import annotations
@@ -113,31 +114,41 @@ def _scan_root(phi, scale: float = 1.0, lo: float = 1e-3, hi: float = 1e3,
                points: int = 41):
     """Find a root of phi on a geometric grid around ``scale``.
 
-    Returns (root, iterations, converged).  Expands the bracket
-    geometrically twice if no sign change is found; if there is still none,
-    returns the grid point of smallest |phi| with converged=False.
+    Returns (root, iterations, converged).  The grid is evaluated outward
+    from its centre point (c, c+1, c-1, c+2, ...) and the scan stops at the
+    first cell that the newest evaluation completes and that holds an exact
+    zero at its lower end or a sign change, which Brent's method then
+    refines: the bracket nearest the grid centre wins; ties go upward.
+    Expands the grid geometrically twice if no cell brackets a root; if
+    there is still none, returns the grid point of smallest |phi| with
+    converged=False.
     """
     spans = [(lo, hi), (lo * 1e-2, hi * 1e2), (lo * 1e-5, hi * 1e5)]
+    c = points // 2
+    order = sorted(range(points), key=lambda i: (abs(i - c), i < c))
     best_x, best_val = None, math.inf
     iters = 0
     with np.errstate(all="ignore"):
         for span_lo, span_hi in spans:
             grid = scale * np.geomspace(span_lo, span_hi, points)
             vals = np.full(points, math.nan)
-            for i, g in enumerate(grid):
+            for i in order:
                 try:
-                    vals[i] = phi(g)
+                    vals[i] = phi(grid[i])
                 except (FloatingPointError, OverflowError, DomainError, ValueError):
                     vals[i] = math.nan
                 iters += 1
                 if np.isfinite(vals[i]) and abs(vals[i]) < best_val:
                     best_val, best_x = abs(vals[i]), grid[i]
-            ok = np.isfinite(vals)
-            for i in range(points - 1):
-                if ok[i] and ok[i + 1] and vals[i] == 0.0:
-                    return grid[i], iters, True
-                if ok[i] and ok[i + 1] and np.sign(vals[i]) * np.sign(vals[i + 1]) < 0:
-                    root, res = opt.brentq(phi, grid[i], grid[i + 1], xtol=1e-13,
+                if i == c:
+                    continue
+                j = i - 1 if i > c else i  # the cell (j, j+1) this evaluation completes
+                if not (np.isfinite(vals[j]) and np.isfinite(vals[j + 1])):
+                    continue
+                if vals[j] == 0.0:
+                    return grid[j], iters, True
+                if np.sign(vals[j]) * np.sign(vals[j + 1]) < 0:
+                    root, res = opt.brentq(phi, grid[j], grid[j + 1], xtol=1e-13,
                                            rtol=8.9e-16, maxiter=_MAX_ITER,
                                            full_output=True)
                     return root, iters + res.iterations, res.converged

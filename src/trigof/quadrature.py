@@ -498,24 +498,30 @@ def _h28(a, b):
                      pow_lo=a - 1.0, pow_hi=b - 1.0)
 
 
+# h29..h32 weight by an inverse-Gaussian density of mean mu, the map scale:
+# for large lam/mu its peak at mu is narrow, and with the unit map it falls
+# between the sampled nodes once mu is far from 1.
+
 def _h29(mu, lam):
     return Integrand("0,inf", lambda v: v * np.cos(2.0 * math.pi * _ig_cdf(v, mu, lam))
-                     * _ig_pdf(v, mu, lam))
+                     * _ig_pdf(v, mu, lam), scale=mu)
 
 
 def _h30(mu, lam):
     return Integrand("0,inf", lambda v: v * np.sin(2.0 * math.pi * _ig_cdf(v, mu, lam))
-                     * _ig_pdf(v, mu, lam))
+                     * _ig_pdf(v, mu, lam), scale=mu)
 
 
 def _h31(mu, lam):
     return Integrand("0,inf", lambda v: (v ** 2 + mu ** 2) / v
-                     * np.cos(2.0 * math.pi * _ig_cdf(v, mu, lam)) * _ig_pdf(v, mu, lam))
+                     * np.cos(2.0 * math.pi * _ig_cdf(v, mu, lam)) * _ig_pdf(v, mu, lam),
+                     scale=mu)
 
 
 def _h32(mu, lam):
     return Integrand("0,inf", lambda v: (v ** 2 + mu ** 2) / v
-                     * np.sin(2.0 * math.pi * _ig_cdf(v, mu, lam)) * _ig_pdf(v, mu, lam))
+                     * np.sin(2.0 * math.pi * _ig_cdf(v, mu, lam)) * _ig_pdf(v, mu, lam),
+                     scale=mu)
 
 
 def _kuma_angle(v, beta):

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
+from trigof import estimate as E
 from trigof import families as F
 from trigof.errors import (ConfigurationError, DegenerateSampleError,
-                           DomainError)
+                           DomainError, EstimationError)
 from trigof.estimate import EstimatorKind, FitResult, KnownMask, fit
+from trigof.gof import run_test
 from conftest import FAMILY_THETAS, MM_REQUIRED_KNOWN
 
 
@@ -204,3 +207,153 @@ class TestShapeBelowOne:
         res = fit("epd", "ml", None, x)
         assert res.converged
         assert abs(res.theta[0] - 0.7) < 0.15
+
+
+def _scan_root_reference(phi, scale=1.0, lo=1e-3, hi=1e3, points=41):
+    """The full-grid scan that keeps the first bracket counted up from the
+    low end of the grid: the reference the centre-out scan is checked
+    against, bit for bit, wherever phi has one sign change."""
+    spans = [(lo, hi), (lo * 1e-2, hi * 1e2), (lo * 1e-5, hi * 1e5)]
+    best_x, best_val = None, math.inf
+    iters = 0
+    with np.errstate(all="ignore"):
+        for span_lo, span_hi in spans:
+            grid = scale * np.geomspace(span_lo, span_hi, points)
+            vals = np.full(points, math.nan)
+            for i, g in enumerate(grid):
+                try:
+                    vals[i] = phi(g)
+                except (FloatingPointError, OverflowError, DomainError, ValueError):
+                    vals[i] = math.nan
+                iters += 1
+                if np.isfinite(vals[i]) and abs(vals[i]) < best_val:
+                    best_val, best_x = abs(vals[i]), grid[i]
+            ok = np.isfinite(vals)
+            for i in range(points - 1):
+                if ok[i] and ok[i + 1] and vals[i] == 0.0:
+                    return grid[i], iters, True
+                if ok[i] and ok[i + 1] and np.sign(vals[i]) * np.sign(vals[i + 1]) < 0:
+                    root, res = optimize.brentq(phi, grid[i], grid[i + 1], xtol=1e-13,
+                                                rtol=8.9e-16, maxiter=E._MAX_ITER,
+                                                full_output=True)
+                    return root, iters + res.iterations, res.converged
+    if best_x is None:
+        raise EstimationError("score equation could not be evaluated on the bracket grid")
+    return best_x, iters, False
+
+
+def _loglik(name, theta, x):
+    return float(np.sum(F.get_family(name).logpdf(tuple(theta), x)))
+
+
+_GRID = np.geomspace(1e-3, 1e3, 41)  # the first span of _scan_root at scale 1
+
+
+class TestScanRoot:
+    @pytest.mark.parametrize("root,scale", [
+        (2.2e-3, 1.0), (0.05, 1.0), (0.7, 1.0), (1.3, 1.0), (37.0, 1.0),
+        (800.0, 1.0), (3.0, 0.01), (2.5e-5, 1.0), (4e6, 1.0), (1e-7, 1.0),
+        (_GRID[25], 1.0), (_GRID[12], 1.0),
+    ])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_single_root_matches_reference(self, root, scale, sign):
+        def phi(x):
+            return sign * (math.log(x) - math.log(root))
+
+        def linear(x):
+            return sign * (x - root)
+
+        for f in (phi, linear):
+            x, _, conv = E._scan_root(f, scale=scale)
+            x_ref, _, conv_ref = _scan_root_reference(f, scale=scale)
+            assert x == x_ref and conv == conv_ref
+            assert conv
+
+    @pytest.mark.parametrize("a,b,expect", [
+        (0.01, 3.0, 3.0),           # cell above the centre is nearer
+        (0.5, 30.0, 0.5),           # cell below the centre is nearer
+        (1.0 / 1.7, 1.7, 1.7),      # equally near: the upper cell wins
+    ])
+    def test_two_sign_changes_take_bracket_nearest_centre(self, a, b, expect):
+        def phi(x):
+            return (math.log(x) - math.log(a)) * (math.log(x) - math.log(b))
+
+        x, _, conv = E._scan_root(phi)
+        assert conv
+        assert x == pytest.approx(expect, rel=1e-12)
+
+    def test_no_sign_change_returns_best_point_unconverged(self):
+        def phi(x):
+            return (math.log(x) - math.log(5.0)) ** 2 + 1.0
+
+        x, iters, conv = E._scan_root(phi)
+        x_ref, iters_ref, _ = _scan_root_reference(phi)
+        assert not conv
+        assert x == x_ref and iters == iters_ref == 3 * 41
+
+    def test_never_finite_raises(self):
+        def raises(x):
+            raise ValueError("no value")
+
+        for phi in (lambda x: math.nan, raises):
+            with pytest.raises(EstimationError):
+                E._scan_root(phi)
+
+    @pytest.mark.parametrize("cell", [18, 19, 20, 21])
+    def test_few_evaluations_before_brent(self, cell, monkeypatch):
+        root = math.sqrt(_GRID[cell] * _GRID[cell + 1])
+        calls = []
+        before_brent = []
+        original = optimize.brentq
+
+        def phi(x):
+            calls.append(x)
+            return math.log(x) - math.log(root)
+
+        def brentq(*args, **kwargs):
+            before_brent.append(len(calls))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(E.opt, "brentq", brentq)
+        x, _, conv = E._scan_root(phi)
+        assert conv and x == pytest.approx(root, rel=1e-12)
+        assert len(before_brent) == 1 and before_brent[0] <= 6
+
+
+class TestScanRootInFitters:
+    @pytest.mark.parametrize("name", ["epd", "log-epd", "student-t", "logistic",
+                                      "weibull", "gompertz", "lomax",
+                                      "kumaraswamy", "half-epd"])
+    def test_fit_unchanged_against_reference_scan(self, name, monkeypatch):
+        x = F.sample(name, FAMILY_THETAS[name], 200, 31)
+        theta = fit(name, "ml", None, x).theta
+        monkeypatch.setattr(E, "_scan_root", _scan_root_reference)
+        theta_ref = fit(name, "ml", None, x).theta
+        assert np.array_equal(theta, theta_ref)
+
+    @pytest.mark.parametrize("name", ["exp-gamma", "gg"])
+    @pytest.mark.parametrize("n", [50, 200])
+    @pytest.mark.parametrize("seed", [1000, 1002])
+    def test_no_spurious_small_shape_root(self, name, n, seed, monkeypatch):
+        x = F.sample(name, FAMILY_THETAS[name], n, seed)
+        theta = fit(name, "ml", None, x).theta
+        assert theta[0] > 0.1
+        run_test(name, "ml", None, x)  # raised DomainError at the spurious root
+        monkeypatch.setattr(E, "_scan_root", _scan_root_reference)
+        theta_ref = fit(name, "ml", None, x).theta
+        assert _loglik(name, theta, x) > _loglik(name, theta_ref, x)
+
+    def test_epd_fit_makes_at_most_one_cusp_search(self, monkeypatch):
+        x = F.sample("epd", (1.5, 0.3, 2.0), 2_000, 41)
+        below_one = []
+        mu_hat = E._epd_mu_hat
+
+        def counting(x, lam):
+            if lam < 1.0:
+                below_one.append(lam)
+            return mu_hat(x, lam)
+
+        monkeypatch.setattr(E, "_epd_mu_hat", counting)
+        res = fit("epd", "ml", None, x)
+        assert res.converged
+        assert len(below_one) <= 1

@@ -191,6 +191,14 @@ class TestTables:
                                     abs_tol=mu * 1e-13, rel_tol=1e-13)
         assert Q.h(idx, mu, mu * phi) == pytest.approx(direct, abs=mu * 1e-10)
 
+    @pytest.mark.parametrize("mu", [0.01, 100.0])
+    @pytest.mark.parametrize("phi", [2000.0, 5000.0])
+    @pytest.mark.parametrize("idx", [29, 30, 31, 32])
+    def test_inverse_gaussian_off_table_scale_identity(self, idx, mu, phi):
+        # lam/mu above the table: both sides are integrated, the left one at mu
+        assert Q._tabulated(idx, (mu, mu * phi)) is None
+        assert Q.h(idx, mu, mu * phi) == pytest.approx(mu * Q.h(idx, 1.0, phi), abs=mu * 1e-10)
+
     @pytest.mark.parametrize("idx,args", [
         (10, (2.0 ** -4 * (1.0 - 1e-12),)),
         (11, (128.0 * (1.0 + 1e-12),)),
