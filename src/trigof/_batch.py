@@ -1,11 +1,10 @@
-"""Vectorized Monte-Carlo engines for the simulation harness.
+"""Vectorized kernels: fits, PIT values and T_n across replication blocks.
 
-Fits, PIT evaluation and the test statistic are computed across whole
-replication blocks at once for the family/estimator pairs that dominate the
-level and power studies.  The numeric answers agree with the scalar
-pipeline in ``gof.run_test`` (same estimating equations, solved to the same
-tolerances); combinations without a batch path fall back to the scalar
-pipeline per replication.
+X has one replication per row.  Each kernel works on the whole block at once
+for the family/estimator/mask rows that ``supports`` accepts, and agrees with
+the scalar pipeline in ``gof`` (same estimating equations, solved to the same
+tolerances).  A row whose fit fails comes back as NaN; what counts as a
+failed replication, and the loop over blocks, belong to ``gof.replicate``.
 """
 
 from __future__ import annotations
@@ -16,21 +15,11 @@ import numpy as np
 from scipy import special as sp
 
 from . import scaling
-from .errors import ConfigurationError, EstimationError, SingularityError
+from .errors import ConfigurationError
 from .estimate import EstimatorKind, KnownMask
 from .families import get_family
 
 _TWO_PI = 2.0 * math.pi
-
-
-def _mask_bound(mask: KnownMask | None, fam, name: str):
-    if mask is None:
-        return None
-    fam = get_family(fam)
-    if name not in fam.param_names:
-        return None
-    i = fam.param_names.index(name)
-    return mask.fixed_values[i] if mask.known[i] else None
 
 
 def _batch_key(fam_name: str, kind: EstimatorKind, mask: KnownMask | None):
@@ -42,6 +31,9 @@ def _batch_key(fam_name: str, kind: EstimatorKind, mask: KnownMask | None):
     if fam_name in ("gamma", "weibull") and kind is EstimatorKind.ML and n_known == 0:
         return fam_name
     if fam_name == "epd" and mask is not None and mask.known == (True, False, False):
+        # the bisection for the ML location needs a monotone score: lambda >= 1
+        if kind is EstimatorKind.ML and mask.fixed_values[0] < 1.0:
+            return None
         return "epd-lam-known"
     return None
 
@@ -58,23 +50,25 @@ def _fit_gamma_batch(X):
     xbar = X.mean(axis=1)
     mean_ln = np.log(X).mean(axis=1)
     s = np.log(xbar) - mean_ln
+    s = np.where((np.ptp(X, axis=1) > 0.0) & (s > 0.0), s, np.nan)  # s > 0 unless flat
     lam = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
     for _ in range(60):
         f = sp.digamma(lam) - np.log(lam) + s
         fp = sp.polygamma(1, lam) - 1.0 / lam
         step = f / fp
         lam_new = np.maximum(lam - step, 0.1 * lam)
-        done = np.max(np.abs(lam_new - lam) / lam_new) < 1e-13
+        rel = np.abs(lam_new - lam) / lam_new
         lam = lam_new
-        if done:
+        if not np.any(rel >= 1e-13):  # NaN rows (failed fits) do not hold up the block
             break
+    lam[~(rel <= 1e-8)] = np.nan
     return np.column_stack([lam, xbar / lam])
 
 
 def _fit_weibull_batch(X):
     lx = np.log(X)
     mean_lx = lx.mean(axis=1, keepdims=True)
-    sd_lx = np.maximum(lx.std(axis=1), 1e-12)
+    sd_lx = np.where(np.ptp(X, axis=1) > 0.0, np.maximum(lx.std(axis=1), 1e-12), np.nan)
     rho = (math.pi / math.sqrt(6.0)) / sd_lx
     shift = lx.max(axis=1, keepdims=True)
     for _ in range(80):
@@ -87,10 +81,11 @@ def _fit_weibull_batch(X):
         dphi = a2 / a0 - m1 ** 2 + 1.0 / rho ** 2
         step = phi / dphi
         rho_new = np.maximum(rho - step, 0.2 * rho)
-        done = np.max(np.abs(rho_new - rho) / rho_new) < 1e-13
+        rel = np.abs(rho_new - rho) / rho_new
         rho = rho_new
-        if done:
+        if not np.any(rel >= 1e-13):
             break
+    rho[~(rel <= 1e-8)] = np.nan
     w = np.exp(rho[:, None] * (lx - shift))
     beta = np.exp(shift[:, 0] + np.log(w.mean(axis=1)) / rho)
     return np.column_stack([beta, rho])
@@ -103,8 +98,6 @@ def _fit_epd_lam_known_batch(X, lam, kind):
         mu = X.mean(axis=1)
         sigma = np.sqrt(c2 * ((X - mu[:, None]) ** 2).mean(axis=1))
         return np.column_stack([np.full_like(mu, lam), mu, sigma])
-    if lam < 1.0:
-        raise ConfigurationError("batched EPD location solve needs lambda >= 1")
     lo = X.min(axis=1)
     hi = X.max(axis=1)
     for _ in range(90):
@@ -149,7 +142,7 @@ def batch_fit(fam, kind, mask: KnownMask | None, X) -> np.ndarray:
         return _fit_gamma_batch(X)
     if key == "weibull":
         return _fit_weibull_batch(X)
-    return _fit_epd_lam_known_batch(X, _mask_bound(mask, fam, "lambda"), kind)
+    return _fit_epd_lam_known_batch(X, mask.fixed_values[0], kind)
 
 
 def batch_pit(fam, thetas: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -181,13 +174,17 @@ def batch_pit(fam, thetas: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def _sigma_rows(fam, kind, mask, thetas) -> np.ndarray:
     """Stack of per-replication scaling covariances (constant families get
-    a broadcast of the theta-invariant matrix)."""
+    the theta-invariant matrix of their first fitted row); NaN for rows
+    whose fit failed."""
     fam = get_family(fam)
+    fitted = np.flatnonzero(np.all(np.isfinite(thetas), axis=1))
+    sig = np.full((thetas.shape[0], 2, 2), np.nan)
     if fam.name == "gamma":
-        return np.stack([scaling.sigma_from("gamma", kind, (float(lam), 1.0), mask)
-                         for lam in thetas[:, 0]])
-    sig = scaling.sigma_from(fam, kind, tuple(thetas[0]), mask)
-    return np.broadcast_to(sig, (thetas.shape[0], 2, 2))
+        for i in fitted:
+            sig[i] = scaling.sigma_from("gamma", kind, (float(thetas[i, 0]), 1.0), mask)
+    elif fitted.size:
+        sig[fitted] = scaling.sigma_from(fam, kind, tuple(thetas[fitted[0]]), mask)
+    return sig
 
 
 def batch_tn(fam, kind, mask: KnownMask | None, X: np.ndarray):
@@ -201,34 +198,3 @@ def batch_tn(fam, kind, mask: KnownMask | None, X: np.ndarray):
     det = a * c - b * b
     n = X.shape[1]
     return n * (c * cn ** 2 - 2.0 * b * cn * sn + a * sn ** 2) / det
-
-
-def rejection_rate(fam, kind, mask, q, sampler, reps, chunk: int = 256):
-    """Rejection proportion of T_n > q over ``reps`` replications.
-
-    ``sampler(r)`` returns the r-th replication sample; rows are processed
-    in blocks through the batch pipeline when supported, one by one through
-    the scalar pipeline otherwise.  Returns (rate, failed).
-    """
-    use_batch = supports(fam, kind, mask)
-    rejected = 0
-    failed = 0
-    if use_batch:
-        r = 0
-        while r < reps:
-            m = min(chunk, reps - r)
-            X = np.stack([sampler(r + j) for j in range(m)])
-            tn = batch_tn(fam, kind, mask, X)
-            rejected += int(np.sum(tn > q))
-            r += m
-    else:
-        from .gof import run_test
-        for r in range(reps):
-            x = sampler(r)
-            try:
-                res = run_test(fam, kind, mask, x)
-            except (EstimationError, SingularityError) as exc:  # noqa: F841
-                failed += 1
-                continue
-            rejected += res.tn > q
-    return rejected / max(reps - failed, 1), failed

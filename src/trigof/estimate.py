@@ -29,7 +29,7 @@ from .errors import (ConfigurationError, DegenerateSampleError, DomainError,
                      EstimationError)
 from .families import Family, get_family, score
 
-__all__ = ["EstimatorKind", "KnownMask", "FitResult", "fit", "mm_supported"]
+__all__ = ["EstimatorKind", "KnownMask", "FitResult", "fit"]
 
 _STEP_TOL = 1e-10
 _SCORE_TOL = 1e-8
@@ -100,10 +100,6 @@ class FitResult:
     iterations: int
     converged: bool
     residual: float
-
-
-def mm_supported(fam) -> bool:
-    return get_family(fam).has_mm
 
 
 # ---------------------------------------------------------------------------

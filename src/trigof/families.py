@@ -655,6 +655,7 @@ _register(Family(
 def _ig_cdf_fn(t, x):
     mu, lam = t
     s = np.sqrt(lam / x)
+    # exp(2 lam/mu) * Phi(-s(x/mu+1)) in log space to survive large lam/mu
     tail = np.exp(2.0 * lam / mu + specfun.ln_std_normal_cdf(-s * (x / mu + 1.0)))
     return specfun.std_normal_cdf(s * (x / mu - 1.0)) + tail
 

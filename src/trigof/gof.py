@@ -6,7 +6,8 @@ sample means of cos/sin(2 pi U_i) over the fitted probability integral
 transform U_i = F(x_i | theta_hat).  Under the null it is asymptotically
 chi-square with 2 degrees of freedom, so the asymptotic p-value has the
 closed form exp(-T_n / 2).  A parametric-bootstrap p-value (refit inside
-each replication) is available with add-one smoothing (r+1)/(R+1).
+each replication) is available with add-one smoothing (r+1)/(R+1);
+``replicate``, its loop, also serves empirical power and the studies.
 """
 
 from __future__ import annotations
@@ -17,14 +18,17 @@ from typing import Optional
 
 import numpy as np
 
-from . import families, scaling
+from . import _batch, families, scaling
 from .errors import DomainError, EstimationError, SamplingError, SingularityError
 from .estimate import EstimatorKind, FitResult, KnownMask, fit
 
 __all__ = ["TrigMoments", "TestResult", "Ellipse", "trig_moments", "run_test",
-           "statistic_from_moments", "ellipse"]
+           "replicate", "statistic_from_moments", "ellipse"]
 
 TWO_PI = 2.0 * math.pi
+
+# what a failed replication raises; anything else propagates
+REPLICATION_FAILURES = (EstimationError, SingularityError, SamplingError, DomainError)
 
 
 @dataclass(frozen=True)
@@ -93,9 +97,11 @@ def run_test(fam, kind=EstimatorKind.ML, mask: Optional[KnownMask] = None, x=Non
 
     ``mc`` may carry {"reps": int, "seed": int} to add a parametric-bootstrap
     p-value: each replication draws n points from the fitted model, refits
-    with the same estimator and mask, and recomputes the statistic.
+    with the same estimator and mask, and recomputes the statistic, through
+    ``replicate``.  Refits use the batch kernels where the (family,
+    estimator, mask) row has them, the scalar pipeline otherwise.
     Replications whose refit fails are skipped and counted; more than 1%
-    failures aborts with EstimationError.
+    failures (and more than one) aborts with EstimationError.
     """
     fam = families.get_family(fam)
     kind = EstimatorKind(kind)
@@ -112,25 +118,65 @@ def run_test(fam, kind=EstimatorKind.ML, mask: Optional[KnownMask] = None, x=Non
         seed = mc.get("seed", 0)
         if reps < 1:
             raise DomainError("mc reps must be >= 1")
-        exceed = 0
-        failed = 0
         n = len(x)
-        for r in range(reps):
-            xr = families.sample(fam, res.theta, n, np.random.SeedSequence([seed, r]))
-            try:
-                _, _, sig_r, tn_r = _single_test(fam, kind, mask, xr)
-            except (EstimationError, SingularityError, SamplingError, DomainError):
-                failed += 1
-                if failed > max(1, 0.01 * reps):
-                    raise EstimationError(
-                        f"more than 1% of bootstrap refits failed ({failed}/{r + 1})")
-                continue
-            if tn_r >= tn:
-                exceed += 1
+        tn_r = replicate(
+            fam, kind, mask,
+            lambda r: families.sample(fam, res.theta, n, np.random.SeedSequence([seed, r])),
+            range(reps), max_failed=max(1, 0.01 * reps))
+        failed = int(np.count_nonzero(np.isnan(tn_r)))
+        exceed = int(np.count_nonzero(tn_r >= tn))
         p_mc = (exceed + 1) / (reps - failed + 1)
 
     return TestResult(fam.name, kind.value, res, m, sig, tn, p_chi2, zc, zs,
                       p_mc, reps, exceed, failed)
+
+
+def _block_tn(fam, kind, mask, block, batch: bool) -> np.ndarray:
+    if batch:
+        try:
+            return _batch.batch_tn(fam, kind, mask, np.stack(block))
+        except REPLICATION_FAILURES:
+            pass  # redo the block one sample at a time to isolate the failures
+    tn = np.empty(len(block))
+    for j, x in enumerate(block):
+        try:
+            tn[j] = _single_test(fam, kind, mask, x)[3]
+        except REPLICATION_FAILURES:
+            tn[j] = np.nan
+    return tn
+
+
+def replicate(fam, kind, mask: Optional[KnownMask], sample, indices,
+              max_failed: Optional[float] = None) -> np.ndarray:
+    """T_n of the refitted sample ``sample(r)`` for each r in ``indices``.
+
+    Blocks of samples go through the batch kernels where ``_batch.supports``
+    the row, through the scalar pipeline one at a time otherwise (or when a
+    block raises).  A replication whose fit, Sigma or statistic raises one of
+    ``REPLICATION_FAILURES``, or whose T_n is not finite, fails and reads
+    NaN; errors from ``sample`` propagate.  More than ``max_failed``
+    failures abort with EstimationError.
+    """
+    fam = families.get_family(fam)
+    kind = EstimatorKind(kind)
+    indices = list(indices)
+    batch = _batch.supports(fam, kind, mask)
+    tn = np.empty(len(indices))
+    done = failed = 0
+    while done < len(indices):
+        block = [sample(indices[done])]
+        rows = min(256, max(1, 2 ** 18 // len(block[0]))) if batch else 1  # <= 2**18 values
+        stop = min(done + rows, len(indices))
+        block += [sample(r) for r in indices[done + 1:stop]]
+        tn_b = _block_tn(fam, kind, mask, block, batch)
+        tn_b[~np.isfinite(tn_b)] = np.nan
+        tn[done:stop] = tn_b
+        failed += int(np.count_nonzero(np.isnan(tn_b)))
+        done = stop
+        if max_failed is not None and failed > max_failed:
+            raise EstimationError(f"more than {max_failed:g} of {len(indices)} replications "
+                                  f"failed ({failed}/{done})")
+    return tn
 
 
 def ellipse(sig: np.ndarray, level: float, n_points: int = 256) -> Ellipse:

@@ -21,7 +21,7 @@ import numpy as np
 from . import families, scaling, specfun
 from .errors import ConfigurationError, DomainError
 from .estimate import EstimatorKind, KnownMask
-from .gof import run_test
+from .gof import replicate
 from .quadrature import h
 
 __all__ = ["AltCase", "LocalAlternative", "PowerPoint", "noncentrality",
@@ -226,32 +226,21 @@ def _null_test_config(alt: LocalAlternative):
     return "epd", alt.kind, KnownMask.from_names("epd", {"lambda": lam0})
 
 
-def empirical_power(alt: LocalAlternative, n: int, reps: int, seed: int,
-                    use_batch: bool = True) -> dict:
+def empirical_power(alt: LocalAlternative, n: int, reps: int, seed: int) -> dict:
     """Finite-n rejection rate sampling from the drifted alternative.
 
-    The drift is applied exactly as delta / sqrt(n).  Returns the rate, its
-    binomial standard error, and the failed-fit count.
+    The drift is applied exactly as delta / sqrt(n).  Every replication is
+    tested through ``gof.replicate`` (batch kernels where the null row has
+    them).  Returns the rate, its binomial standard error, and the
+    failed-fit count.
     """
     fam, kind, mask = _null_test_config(alt)
     q = -2.0 * math.log(alt.alpha)
-    if use_batch:
-        from . import _batch
-        rate, failed = _batch.rejection_rate(
-            fam, kind, mask, q,
-            lambda r: _sample_alternative(alt, n, np.random.SeedSequence([seed, r])),
-            reps)
-    else:
-        rejected = failed = 0
-        for r in range(reps):
-            x = _sample_alternative(alt, n, np.random.SeedSequence([seed, r]))
-            try:
-                res = run_test(fam, kind, mask, x)
-            except Exception:
-                failed += 1
-                continue
-            rejected += res.tn > q
-        rate = rejected / max(reps - failed, 1)
+    tn = replicate(fam, kind, mask,
+                   lambda r: _sample_alternative(alt, n, np.random.SeedSequence([seed, r])),
+                   range(reps))
+    failed = int(np.count_nonzero(np.isnan(tn)))
+    rate = int(np.count_nonzero(tn > q)) / max(reps - failed, 1)
     return {
         "rate": rate,
         "se": math.sqrt(max(rate * (1.0 - rate), 1e-12) / max(reps - failed, 1)),

@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import _h_tables, specfun
+from . import _h_tables, families, specfun
 from .errors import DomainError, QuadratureError
 
 __all__ = ["Integrand", "integrate", "integrate_domain", "h", "h_arity",
@@ -323,10 +323,7 @@ def _ig_pdf(v, mu, lam):
 
 
 def _ig_cdf(v, mu, lam):
-    s = np.sqrt(lam / v)
-    # exp(2 lam/mu) * Phi(-s(v/mu+1)) in log space to survive large lam/mu
-    tail = np.exp(2.0 * lam / mu + specfun.ln_std_normal_cdf(-s * (v / mu + 1.0)))
-    return np.clip(specfun.std_normal_cdf(s * (v / mu - 1.0)) + tail, 0.0, 1.0)
+    return np.clip(families._ig_cdf_fn((mu, lam), v), 0.0, 1.0)
 
 
 def _epd_angle(v, lam):

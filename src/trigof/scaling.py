@@ -26,11 +26,10 @@ import numpy as np
 
 from . import quadrature, specfun
 from .errors import ConfigurationError, DomainError, SingularityError
-from .estimate import EstimatorKind, KnownMask
+from .estimate import EstimatorKind, KnownMask, _epd_c1, _epd_c2, _student_c2
 from .families import get_family
 
-__all__ = ["MatrixSet", "matrices", "sigma", "sigma_from", "sigma_inverse_sqrt",
-           "solve_2x2", "COND_LIMIT"]
+__all__ = ["MatrixSet", "matrices", "sigma", "sigma_from", "solve_2x2", "COND_LIMIT"]
 
 COND_LIMIT = 1e12
 
@@ -71,15 +70,6 @@ def _psi1(z):
 
 def _gamma(z):
     return float(specfun.gamma_fn(z))
-
-
-def _epd_c1(lam):
-    return _psi(1.0 / lam + 1.0) + math.log(lam)
-
-
-def _epd_c2(lam):
-    return math.exp(float(specfun.ln_gamma(1.0 / lam)) - float(specfun.ln_gamma(3.0 / lam))
-                    - (2.0 / lam) * math.log(lam))
 
 
 def _epd_c3(lam):
@@ -210,11 +200,6 @@ def _m_logistic_mm(t):
 def _student_c1(lam):
     return math.exp(float(specfun.ln_gamma(0.5 * (lam + 1.0)))
                     - float(specfun.ln_gamma(0.5 * lam))) / math.sqrt(lam * math.pi)
-
-
-def _student_c2(lam):
-    return math.sqrt(lam) * math.exp(float(specfun.ln_gamma(0.5 * (lam - 1.0)))
-                                     - float(specfun.ln_gamma(0.5 * lam))) / math.sqrt(math.pi)
 
 
 def _m_student_ml(t):
@@ -708,17 +693,3 @@ def solve_2x2(S: np.ndarray, v: np.ndarray) -> np.ndarray:
         (S[1, 1] * v[0] - S[0, 1] * v[1]) / det,
         (S[0, 0] * v[1] - S[1, 0] * v[0]) / det,
     ])
-
-
-def sigma_inverse_sqrt(S: np.ndarray) -> np.ndarray:
-    """Symmetric inverse square root via the closed 2x2 eigendecomposition."""
-    S = np.asarray(S, dtype=float)
-    _check_pd(S)
-    a, b, c = S[0, 0], S[0, 1], S[1, 1]
-    if b == 0.0:
-        return np.diag([a ** -0.5, c ** -0.5])
-    l1, l2 = _eig2(S)
-    theta = 0.5 * math.atan2(2.0 * b, a - c)
-    ct, st = math.cos(theta), math.sin(theta)
-    Q = np.array([[ct, -st], [st, ct]])
-    return Q @ np.diag([l1 ** -0.5, l2 ** -0.5]) @ Q.T

@@ -4,7 +4,10 @@ A study is a list of cells, each naming a null family/estimator/mask, a
 sample size and (for power snapshots) the family actually generating the
 data.  Every replication draws its own generator from the key
 (seed, cell index, replication index), so results are bit-identical across
-reruns and independent of how replications are scheduled across workers.
+reruns.  A cell's replications run through ``gof.replicate``, in one call
+or, with ``workers > 1``, in blocks of at least 256 spread over a process
+pool; a failed replication counts toward ``failed``, and a cell with more
+than 1% failures, or whose run raised, is not ``ok``.
 """
 
 from __future__ import annotations
@@ -16,15 +19,15 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from . import _batch, families
-from .errors import (DomainError, EstimationError, SamplingError,
-                     SingularityError, TrigofError)
+from . import families
+from .errors import DomainError, TrigofError
 from .estimate import KnownMask
-from .gof import run_test
+from .gof import replicate
 
 __all__ = ["CellConfig", "StudyConfig", "CellReport", "StudyReport",
            "level_study", "power_snapshot", "run_study", "load_config",
@@ -100,33 +103,21 @@ def _draw(cell: CellConfig, seed: int, cell_index: int, rep: int) -> np.ndarray:
 def _run_cell(cell: CellConfig, cfg: StudyConfig, cell_index: int) -> CellReport:
     t0 = time.perf_counter()
     q = -2.0 * math.log(cfg.alpha)
-    mask = cell.mask()
+    # picklable, so that a process pool can run blocks of replications
+    run = partial(replicate, cell.family, cell.kind, cell.mask(),
+                  partial(_draw, cell, cfg.seed, cell_index))
     rejections = 0
     failed = 0
     ok = True
     try:
-        if _batch.supports(cell.family, cell.kind, mask):
-            blocks = _split(cfg.reps, cfg.workers)
-            if cfg.workers > 1 and len(blocks) > 1:
-                jobs = [(cell, cell_index, cfg.seed, cfg.alpha, lo, hi, q)
-                        for lo, hi in blocks]
-                with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                    parts = list(pool.map(_block_worker, jobs))
-            else:
-                parts = [_block_worker((cell, cell_index, cfg.seed, cfg.alpha, lo, hi, q))
-                         for lo, hi in blocks]
-            for rj, fl in parts:
-                rejections += rj
-                failed += fl
+        blocks = [range(lo, hi) for lo, hi in _split(cfg.reps, cfg.workers)]
+        if len(blocks) > 1:
+            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+                tn = np.concatenate(list(pool.map(run, blocks)))
         else:
-            for r in range(cfg.reps):
-                x = _draw(cell, cfg.seed, cell_index, r)
-                try:
-                    res = run_test(cell.family, cell.kind, mask, x)
-                except (EstimationError, SingularityError, SamplingError, DomainError):
-                    failed += 1
-                    continue
-                rejections += res.tn > q
+            tn = run(blocks[0])
+        failed = int(np.count_nonzero(np.isnan(tn)))
+        rejections = int(np.count_nonzero(tn > q))
     except TrigofError:
         ok = False
     done = cfg.reps - failed
@@ -144,22 +135,6 @@ def _split(reps: int, workers: int) -> list[tuple[int, int]]:
         return [(0, reps)]
     size = max(256, math.ceil(reps / (4 * workers)))
     return [(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
-
-
-def _block_worker(args):
-    cell, cell_index, seed, alpha, lo, hi, q = args
-    mask = cell.mask()
-    rejections = 0
-    failed = 0
-    chunk = 256
-    r = lo
-    while r < hi:
-        m = min(chunk, hi - r)
-        X = np.stack([_draw(cell, seed, cell_index, r + j) for j in range(m)])
-        tn = _batch.batch_tn(cell.family, cell.kind, mask, X)
-        rejections += int(np.sum(tn > q))
-        r += m
-    return rejections, failed
 
 
 def run_study(cfg: StudyConfig) -> StudyReport:
