@@ -1,8 +1,14 @@
-"""Vectorized kernels: fits, PIT values and T_n across replication blocks.
+"""Vectorized kernels: fits across replication blocks, and the one path from
+fitted theta rows to T_n.
 
-X has one replication per row.  Each kernel works on the whole block at once
+X has one replication per row.  ``statistic`` takes theta rows of shape
+(rows, p) and samples of shape (rows, n) and returns C_n, S_n, the Sigma rows
+and T_n = n [C_n, S_n] Sigma^-1 [C_n, S_n]^T; the PIT is the family's own
+``cdf_fn``, called once on the block.  ``batch_tn`` feeds it the batch fits
+and ``gof._single_test`` a single scalar fit, so the two pipelines share
+everything after the fit.  Each batch fit works on the whole block at once
 for the family/estimator/mask rows that ``supports`` accepts, and agrees with
-the scalar pipeline in ``gof`` (same estimating equations, solved to the same
+the scalar ``estimate.fit`` (same estimating equations, solved to the same
 tolerances).  A row whose fit fails comes back as NaN; what counts as a
 failed replication, and the loop over blocks, belong to ``gof.replicate``.
 """
@@ -16,7 +22,7 @@ from scipy import special as sp
 
 from . import scaling
 from .errors import ConfigurationError
-from .estimate import EstimatorKind, KnownMask
+from .estimate import EstimatorKind, KnownMask, _epd_c2
 from .families import get_family
 
 _TWO_PI = 2.0 * math.pi
@@ -93,10 +99,8 @@ def _fit_weibull_batch(X):
 
 def _fit_epd_lam_known_batch(X, lam, kind):
     if kind is EstimatorKind.MM:
-        c2 = math.exp(sp.gammaln(1.0 / lam) - sp.gammaln(3.0 / lam)
-                      - (2.0 / lam) * math.log(lam))
         mu = X.mean(axis=1)
-        sigma = np.sqrt(c2 * ((X - mu[:, None]) ** 2).mean(axis=1))
+        sigma = np.sqrt(_epd_c2(lam) * ((X - mu[:, None]) ** 2).mean(axis=1))
         return np.column_stack([np.full_like(mu, lam), mu, sigma])
     lo = X.min(axis=1)
     hi = X.max(axis=1)
@@ -113,11 +117,19 @@ def _fit_epd_lam_known_batch(X, lam, kind):
 
 
 def batch_fit(fam, kind, mask: KnownMask | None, X) -> np.ndarray:
+    """theta rows fitted to the rows of X; NaN rows where the fit fails."""
     fam = get_family(fam)
     kind = EstimatorKind(kind)
     key = _batch_key(fam.name, kind, mask)
     if key is None:
         raise ConfigurationError(f"no batch fit for ({fam.name}, {kind.value})")
+    thetas = _fit_rows(key, kind, mask, X)
+    if fam.n_params > 1:  # as estimate.fit, a flat sample has no spread to fit
+        thetas[np.ptp(X, axis=1) == 0.0] = np.nan
+    return thetas
+
+
+def _fit_rows(key, kind, mask, X):
     if key == "normal":
         mu = X.mean(axis=1)
         sd = np.sqrt(((X - mu[:, None]) ** 2).mean(axis=1))
@@ -145,33 +157,6 @@ def batch_fit(fam, kind, mask: KnownMask | None, X) -> np.ndarray:
     return _fit_epd_lam_known_batch(X, mask.fixed_values[0], kind)
 
 
-def batch_pit(fam, thetas: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Per-row PIT values F(X_ij | theta_i)."""
-    name = get_family(fam).name
-    if name == "normal":
-        return sp.ndtr((X - thetas[:, 0:1]) / thetas[:, 1:2])
-    if name == "laplace":
-        y = (X - thetas[:, 0:1]) / thetas[:, 1:2]
-        return 0.5 * (1.0 + np.sign(y) * -np.expm1(-np.abs(y)))
-    if name == "exponential":
-        return -np.expm1(-X / thetas[:, 0:1])
-    if name == "uniform":
-        a, b = thetas[:, 0:1], thetas[:, 1:2]
-        return (X - a) / (b - a)
-    if name == "logistic":
-        return sp.expit((X - thetas[:, 0:1]) / thetas[:, 1:2])
-    if name == "gamma":
-        return sp.gammainc(thetas[:, 0:1], X / thetas[:, 1:2])
-    if name == "weibull":
-        return -np.expm1(-(X / thetas[:, 0:1]) ** thetas[:, 1:2])
-    if name == "epd":
-        lam = thetas[:, 0:1]
-        y = (X - thetas[:, 1:2]) / thetas[:, 2:3]
-        g = sp.gammainc(1.0 / lam, np.abs(y) ** lam / lam)
-        return 0.5 * (1.0 + np.sign(y) * g)
-    raise ConfigurationError(f"no batch PIT for {name}")
-
-
 def _sigma_rows(fam, kind, mask, thetas) -> np.ndarray:
     """Stack of per-replication scaling covariances (constant families get
     the theta-invariant matrix of their first fitted row); NaN for rows
@@ -187,14 +172,37 @@ def _sigma_rows(fam, kind, mask, thetas) -> np.ndarray:
     return sig
 
 
-def batch_tn(fam, kind, mask: KnownMask | None, X: np.ndarray):
-    """Vector of test statistics for each replication row of X."""
-    thetas = batch_fit(fam, kind, mask, X)
-    u = _TWO_PI * batch_pit(fam, thetas, X)
-    cn = np.cos(u).mean(axis=1)
-    sn = np.sin(u).mean(axis=1)
+def moment_rows(fam, thetas: np.ndarray, X: np.ndarray):
+    """C_n and S_n of each row of X under its theta row; NaN where theta is not
+    finite.  The family's ``cdf_fn`` runs once, on the finite rows, with the
+    theta columns of shape (rows, 1), and is clipped to [0, 1] as
+    ``families.cdf`` does."""
+    fam = get_family(fam)
+    fitted = np.flatnonzero(np.all(np.isfinite(thetas), axis=1))
+    cn, sn = np.full(len(X), np.nan), np.full(len(X), np.nan)
+    if fitted.size:
+        cols = tuple(thetas[fitted, j, None] for j in range(thetas.shape[1]))
+        with np.errstate(over="ignore", under="ignore"):
+            u = np.clip(fam.cdf_fn(cols, X[fitted]), 0.0, 1.0)
+        u *= _TWO_PI
+        cn[fitted], sn[fitted] = np.cos(u).mean(axis=1), np.sin(u).mean(axis=1)
+    return cn, sn
+
+
+def statistic(fam, kind, mask: KnownMask | None, thetas: np.ndarray, X: np.ndarray):
+    """C_n, S_n, the Sigma rows and T_n of each row of X under its theta row.
+
+    Sigma follows ``_sigma_rows``: per row for gamma, the first fitted row's
+    for the whole block otherwise.  That holds for the batch rows, whose
+    Sigma does not move with the fitted theta, and for a single row.
+    """
+    cn, sn = moment_rows(fam, thetas, X)
     sig = _sigma_rows(fam, kind, mask, thetas)
     a, b, c = sig[:, 0, 0], sig[:, 0, 1], sig[:, 1, 1]
-    det = a * c - b * b
-    n = X.shape[1]
-    return n * (c * cn ** 2 - 2.0 * b * cn * sn + a * sn ** 2) / det
+    tn = X.shape[1] * (c * cn ** 2 - 2.0 * b * cn * sn + a * sn ** 2) / (a * c - b * b)
+    return cn, sn, sig, tn
+
+
+def batch_tn(fam, kind, mask: KnownMask | None, X: np.ndarray):
+    """Vector of test statistics for each replication row of X."""
+    return statistic(fam, kind, mask, batch_fit(fam, kind, mask, X), X)[3]

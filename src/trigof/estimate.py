@@ -27,7 +27,7 @@ from scipy.special import logsumexp
 from . import specfun
 from .errors import (ConfigurationError, DegenerateSampleError, DomainError,
                      EstimationError)
-from .families import Family, get_family, score
+from .families import Family, _epd_c1, get_family, score
 
 __all__ = ["EstimatorKind", "KnownMask", "FitResult", "fit"]
 
@@ -230,13 +230,14 @@ def _fit_laplace(fam, x, mask, kind):
     return (mu, sigma), 1, True
 
 
-def _epd_c1(lam):
-    return float(specfun.digamma(1.0 / lam + 1.0)) + math.log(lam)
-
-
 def _epd_c2(lam):
     return math.exp(float(specfun.ln_gamma(1.0 / lam)) - float(specfun.ln_gamma(3.0 / lam))
                     - (2.0 / lam) * math.log(lam))
+
+
+def _halfepd_c2(lam):
+    return math.exp(float(specfun.ln_gamma(1.0 / lam)) - float(specfun.ln_gamma(2.0 / lam))
+                    - math.log(lam) / lam)
 
 
 def _epd_mu_hat(x, lam):
@@ -271,13 +272,10 @@ def _epd_mu_hat(x, lam):
 
 
 def _fit_epd(fam, x, mask, kind):
-    lam_known = mask.is_known(fam, "lambda")
     mu_known = mask.is_known(fam, "mu")
     sigma_known = mask.is_known(fam, "sigma")
 
     if kind is EstimatorKind.MM:
-        if not lam_known:
-            raise ConfigurationError("EPD MM requires lambda to be known")
         lam = mask.value(fam, "lambda")
         mu = mask.value(fam, "mu") if mu_known else float(np.mean(x))
         if sigma_known:
@@ -311,7 +309,7 @@ def _fit_epd(fam, x, mask, kind):
             val += float(np.mean(w)) - 1.0
         return val
 
-    if lam_known:
+    if mask.is_known(fam, "lambda"):
         lam = mask.value(fam, "lambda")
         mu, sigma = inner(lam)
         return (lam, mu, sigma), iters + 1, True
@@ -319,14 +317,6 @@ def _fit_epd(fam, x, mask, kind):
     iters += it
     mu, sigma = inner(lam)
     return (lam, mu, sigma), iters, conv
-
-
-def _fit_logbase(base_fit, base_name):
-    def fitter(fam, x, mask, kind):
-        base = get_family(base_name)
-        theta, iters, conv = base_fit(base, np.log(x), mask, kind)
-        return theta, iters, conv
-    return fitter
 
 
 def _fit_expgamma(fam, x, mask, kind):
@@ -461,13 +451,10 @@ def _student_em(x, lam, mu0, sigma0, mu_fixed=None, sigma_fixed=None):
 
 
 def _fit_student(fam, x, mask, kind):
-    lam_known = mask.is_known(fam, "lambda")
     mu_fixed = mask.value(fam, "mu") if mask.is_known(fam, "mu") else None
     sigma_fixed = mask.value(fam, "sigma") if mask.is_known(fam, "sigma") else None
 
     if kind is EstimatorKind.MM:
-        if not lam_known:
-            raise ConfigurationError("Student-t MM requires lambda to be known")
         lam = mask.value(fam, "lambda")
         if lam <= 2.0:
             raise ConfigurationError("Student-t MM requires lambda > 2")
@@ -497,7 +484,7 @@ def _fit_student(fam, x, mask, kind):
             val += (q - 1.0) / lam
         return val
 
-    if lam_known:
+    if mask.is_known(fam, "lambda"):
         lam = mask.value(fam, "lambda")
         mu, sigma = inner(lam)
         return (lam, mu, sigma), iters + 1, True
@@ -510,19 +497,14 @@ def _fit_student(fam, x, mask, kind):
 
 
 def _fit_halfepd(fam, x, mask, kind):
-    lam_known = mask.is_known(fam, "lambda")
     sigma_known = mask.is_known(fam, "sigma")
 
     if kind is EstimatorKind.MM:
-        if not lam_known:
-            raise ConfigurationError("half-EPD MM requires lambda to be known")
         lam = mask.value(fam, "lambda")
         if sigma_known:
             sigma = mask.value(fam, "sigma")
         else:
-            c2 = math.exp(float(specfun.ln_gamma(1.0 / lam)) - float(specfun.ln_gamma(2.0 / lam))
-                          - math.log(lam) / lam)
-            sigma = c2 * float(np.mean(x))
+            sigma = _halfepd_c2(lam) * float(np.mean(x))
         return (lam, sigma), 1, True
 
     def sigma_hat(lam):
@@ -538,7 +520,7 @@ def _fit_halfepd(fam, x, mask, kind):
             val += float(np.mean(w)) - 1.0
         return val
 
-    if lam_known:
+    if mask.is_known(fam, "lambda"):
         lam = mask.value(fam, "lambda")
         return (lam, sigma_hat(lam)), 1, True
     lam, iters, conv = _scan_root(lam_eq)
@@ -816,9 +798,6 @@ _FITTERS = {
     "normal": _fit_normal,
     "laplace": _fit_laplace,
     "epd": _fit_epd,
-    "log-epd": _fit_logbase(_fit_epd, "epd"),
-    "log-laplace": _fit_logbase(_fit_laplace, "laplace"),
-    "log-normal": _fit_logbase(_fit_normal, "normal"),
     "exp-gamma": _fit_expgamma,
     "exp-weibull": _fit_expweibull,
     "gumbel": _fit_gumbel,
@@ -901,7 +880,7 @@ def _residual(fam: Family, theta, x, mask: KnownMask, kind: EstimatorKind) -> fl
         return 0.0
     if kind is EstimatorKind.MM:
         return _mm_residual(fam, theta, x, mask)
-    if fam.name in ("epd", "log-epd") and theta[0] < 1.0:
+    if fam.name == "epd" and theta[0] < 1.0:
         # the location score is unbounded at the cusp optimum; judge the
         # remaining components only
         free = [i for i in free if i != 1]
@@ -916,8 +895,6 @@ def _mm_residual(fam: Family, theta, x, mask: KnownMask) -> float:
     """Maximum mismatch between the matched sample and model moments."""
     name = fam.name
     t = tuple(theta)
-    if name in ("log-epd", "log-laplace", "log-normal"):
-        return _mm_residual(get_family(name[4:]), t, np.log(x), mask)
     if name == "log-logistic":
         lx = np.log(x)
         r1 = abs(float(np.mean(lx)) - math.log(t[0]))
@@ -942,9 +919,7 @@ def _mm_residual(fam: Family, theta, x, mask: KnownMask) -> float:
             float(np.mean(np.abs(x - mu))) - _student_c2(t[0]) * t[2])
         return max(r1, r2)
     if name == "half-epd":
-        c2 = math.exp(float(specfun.ln_gamma(1.0 / t[0])) - float(specfun.ln_gamma(2.0 / t[0]))
-                      - math.log(t[0]) / t[0])
-        return abs(float(np.mean(x)) - t[1] / c2)
+        return abs(float(np.mean(x)) - t[1] / _halfepd_c2(t[0]))
     if name == "exponential":
         return abs(float(np.mean(x)) - t[0])
     if name == "half-normal":
@@ -974,6 +949,10 @@ def fit(fam, kind, mask: Optional[KnownMask], x) -> FitResult:
         mask = KnownMask.none(fam.n_params)
     if len(mask.known) != fam.n_params:
         raise DomainError(f"mask arity {len(mask.known)} != {fam.n_params}")
+    if kind is EstimatorKind.MM:
+        unknown = [p for p in fam.mm_known if not mask.is_known(fam, p)]
+        if unknown:
+            raise ConfigurationError(f"{fam.name} MM requires {', '.join(unknown)} to be known")
 
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or len(x) < 1:
@@ -1001,12 +980,14 @@ def fit(fam, kind, mask: Optional[KnownMask], x) -> FitResult:
         fam.check(tuple(theta))
         return FitResult(theta, 0, True, 0.0)
 
-    out = _FITTERS[fam.name](fam, x, mask, kind)
+    # a log-delegating family is its base family fitted to ln x
+    base, xb = (fam.base, np.log(x)) if fam.base is not None else (fam, x)
+    out = _FITTERS[base.name](base, xb, mask, kind)
     if out is None:
         if kind is EstimatorKind.MM:
             raise ConfigurationError(
                 f"MM for {fam.name!r} does not support this known-parameter mask")
-        out = _generic_ml(fam, x, mask)
+        out = _generic_ml(base, xb, mask)
     theta, iterations, converged = out
     theta = np.asarray(theta, dtype=float)
     # known components are returned bit-identical
@@ -1014,7 +995,7 @@ def fit(fam, kind, mask: Optional[KnownMask], x) -> FitResult:
         if k:
             theta[i] = mask.fixed_values[i]
     fam.check(tuple(theta))
-    resid = _residual(fam, theta, x, mask, kind)
+    resid = _residual(base, theta, xb, mask, kind)
     # ML contract: |sum_i score| <= 1e-8 n, i.e. the mean score <= 1e-8
     if kind is EstimatorKind.ML and resid > _SCORE_TOL * max(1.0, float(np.max(np.abs(x)))):
         converged = False

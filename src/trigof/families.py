@@ -4,12 +4,15 @@ Each family carries its parameter names (in canonical order), parameter-space
 validation, support, density, CDF, quantile (closed form wherever one exists,
 numeric inversion otherwise), per-observation score function, and an
 inverse-CDF sampler.  Families are looked up by lowercase hyphenated name,
-e.g. ``get_family("inverse-gaussian")``.
+e.g. ``get_family("inverse-gaussian")``.  Every ``cdf_fn`` broadcasts over
+theta components given as columns of shape (rows, 1), which is how the batch
+PIT evaluates a block of fitted rows in one call.
 
 The log-{ EPD, Laplace, normal } families delegate to their real-line
-counterparts through x -> ln x; the asymmetric power distribution used for
-local-alternative sampling lives here as well (``apd_pdf`` / ``apd_cdf`` /
-``sample_apd``).
+counterparts through x -> ln x and record that counterpart as
+``Family.base``, through which the fitters and the matrices are found; the
+asymmetric power distribution used for local-alternative sampling lives here
+as well (``apd_pdf`` / ``apd_cdf`` / ``sample_apd``).
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ class Family:
     score_fn: Optional[Callable[[tuple, np.ndarray], np.ndarray]]
     has_mm: bool = False
     mm_known: tuple[str, ...] = field(default=())  # params the MM row requires known
+    base: Optional["Family"] = None  # a log-delegating family's real-line family
 
     @property
     def n_params(self) -> int:
@@ -235,6 +239,10 @@ def _epd_quantile(t, u):
     return mu + sigma * s * np.power(lam * g, 1.0 / lam)
 
 
+def _epd_c1(lam):
+    return float(specfun.digamma(1.0 / lam + 1.0)) + math.log(lam)
+
+
 def _epd_score(t, x):
     lam, mu, sigma = t
     y = (x - mu) / sigma
@@ -242,8 +250,7 @@ def _epd_score(t, x):
     w = np.power(ay, lam)
     with np.errstate(divide="ignore", invalid="ignore"):
         wlogw = np.where(ay > 0.0, w * lam * np.log(ay), 0.0)
-    c1 = float(specfun.digamma(1.0 / lam + 1.0)) + math.log(lam)
-    s_lam = (w - wlogw + c1 - 1.0) / lam ** 2
+    s_lam = (w - wlogw + _epd_c1(lam) - 1.0) / lam ** 2
     s_mu = np.power(ay, lam - 1.0) * np.sign(y) / sigma
     s_sigma = (w - 1.0) / sigma
     return np.vstack([s_lam, s_mu, s_sigma])
@@ -268,7 +275,8 @@ _register(Family(
     check=_pos(1),
     support=_REAL,
     logpdf=lambda t, x: -np.abs(x - t[0]) / t[1] - math.log(2.0 * t[1]),
-    cdf_fn=lambda t, x: _epd_cdf((1.0,) + t, x),
+    cdf_fn=lambda t, x: (lambda y: 0.5 * (1.0 + np.sign(y) * -np.expm1(-np.abs(y))))(
+        (x - t[0]) / t[1]),
     quantile_fn=lambda t, u: np.where(
         u < 0.5, t[0] + t[1] * np.log(2.0 * u), t[0] - t[1] * np.log(2.0 * (1.0 - u))),
     score_fn=lambda t, x: np.vstack([
@@ -425,7 +433,7 @@ _register(Family(
 # log-delegating families on (0, inf)
 # ---------------------------------------------------------------------------
 
-def _log_delegate(base_name: str, name: str, has_mm: bool, mm_known=()):
+def _log_delegate(base_name: str):
     base = _REGISTRY[base_name]
 
     def logpdf(t, x):
@@ -433,7 +441,7 @@ def _log_delegate(base_name: str, name: str, has_mm: bool, mm_known=()):
         return base.logpdf(t, lx) - lx
 
     _register(Family(
-        name=name,
+        name="log-" + base_name,
         param_names=base.param_names,
         check=base.check,
         support=_POSLINE,
@@ -441,14 +449,14 @@ def _log_delegate(base_name: str, name: str, has_mm: bool, mm_known=()):
         cdf_fn=lambda t, x: base.cdf_fn(t, np.log(x)),
         quantile_fn=lambda t, u: np.exp(base.quantile_fn(t, u)),
         score_fn=lambda t, x: base.score_fn(t, np.log(x)),
-        has_mm=has_mm,
-        mm_known=mm_known,
+        has_mm=base.has_mm,
+        mm_known=base.mm_known,
+        base=base,
     ))
 
 
-_log_delegate("epd", "log-epd", True, ("lambda",))
-_log_delegate("laplace", "log-laplace", True)
-_log_delegate("normal", "log-normal", True)
+for _base_name in ("epd", "laplace", "normal"):
+    _log_delegate(_base_name)
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +474,8 @@ def _halfepd_score(t, x):
     w = x / sigma
     wl = np.power(w, lam)
     logwl = lam * np.log(w)
-    c1 = float(specfun.digamma(1.0 / lam + 1.0)) + math.log(lam)
     return np.vstack([
-        (wl - wl * logwl + c1 - 1.0) / lam ** 2,
+        (wl - wl * logwl + _epd_c1(lam) - 1.0) / lam ** 2,
         (wl - 1.0) / sigma])
 
 

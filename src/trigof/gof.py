@@ -3,7 +3,10 @@ component Z-scores and confidence-ellipse geometry.
 
 The statistic is T_n = n [C_n, S_n] Sigma^-1 [C_n, S_n]^T with C_n, S_n the
 sample means of cos/sin(2 pi U_i) over the fitted probability integral
-transform U_i = F(x_i | theta_hat).  Under the null it is asymptotically
+transform U_i = F(x_i | theta_hat).  ``_single_test`` fits the sample and
+hands theta_hat to ``_batch.statistic`` as a single row, the path the batch
+replications take after their block fit, so the PIT, Sigma and T_n are
+computed in one place.  Under the null it is asymptotically
 chi-square with 2 degrees of freedom, so the asymptotic p-value has the
 closed form exp(-T_n / 2).  A parametric-bootstrap p-value (refit inside
 each replication) is available with add-one smoothing (r+1)/(R+1);
@@ -18,12 +21,12 @@ from typing import Optional
 
 import numpy as np
 
-from . import _batch, families, scaling
+from . import _batch, families
 from .errors import DomainError, EstimationError, SamplingError, SingularityError
 from .estimate import EstimatorKind, FitResult, KnownMask, fit
 
 __all__ = ["TrigMoments", "TestResult", "Ellipse", "trig_moments", "run_test",
-           "replicate", "statistic_from_moments", "ellipse"]
+           "replicate", "ellipse"]
 
 TWO_PI = 2.0 * math.pi
 
@@ -67,28 +70,29 @@ class Ellipse:
     boundary: np.ndarray  # (n_points, 2)
 
 
-def trig_moments(fam, theta, x) -> TrigMoments:
-    """Sample means of cos and sin of 2 pi times the PIT values."""
+def _one_row(fam, theta, x):
+    """theta and x as a (1, p) and a (1, n) row, with x inside the support."""
     fam = families.get_family(fam)
+    t = families._theta(fam, theta)
     x = np.asarray(x, dtype=float)
-    lo, hi = fam.support(tuple(np.atleast_1d(np.asarray(theta, float))))
+    lo, hi = fam.support(t)
     if np.any(x < lo) or np.any(x > hi):
         raise DomainError(f"data outside the support of {fam.name}")
-    u = TWO_PI * np.asarray(families.cdf(fam, theta, x))
-    return TrigMoments(float(np.mean(np.cos(u))), float(np.mean(np.sin(u))), len(x))
+    return np.array([t]), x[None, :]
 
 
-def statistic_from_moments(m: TrigMoments, sig: np.ndarray) -> float:
-    v = np.array([m.cn, m.sn])
-    return float(m.n * v @ scaling.solve_2x2(sig, v))
+def trig_moments(fam, theta, x) -> TrigMoments:
+    """Sample means of cos and sin of 2 pi times the PIT values."""
+    thetas, X = _one_row(fam, theta, x)
+    cn, sn = _batch.moment_rows(fam, thetas, X)
+    return TrigMoments(float(cn[0]), float(sn[0]), X.shape[1])
 
 
 def _single_test(fam, kind, mask, x):
     res = fit(fam, kind, mask, x)
-    m = trig_moments(fam, res.theta, x)
-    sig = scaling.sigma_from(fam, kind, res.theta, mask)
-    tn = statistic_from_moments(m, sig)
-    return res, m, sig, tn
+    thetas, X = _one_row(fam, res.theta, x)
+    cn, sn, sig, tn = _batch.statistic(fam, kind, mask, thetas, X)
+    return res, TrigMoments(float(cn[0]), float(sn[0]), X.shape[1]), sig[0], float(tn[0])
 
 
 def run_test(fam, kind=EstimatorKind.ML, mask: Optional[KnownMask] = None, x=None,

@@ -5,8 +5,10 @@ embedded in larger families (generalized gamma for the first two, the
 asymmetric power distribution for the third) whose extra parameters drift at
 rate delta / sqrt(n).  The statistic then converges to a noncentral
 chi-square(2); the noncentrality is delta^2 M^T Sigma^-1 M (scalar drift)
-or delta^T M^T Sigma^-1 M delta (two-dimensional drift), with M and Sigma
-given in closed form below in terms of the tabulated integrals.
+or delta^T M^T Sigma^-1 M delta (two-dimensional drift).  The drift
+direction M is given in closed form below in terms of the tabulated
+integrals; Sigma is the null row's own scaling covariance,
+``scaling.sigma_from`` at theta0, the matrix the test statistic uses.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ import numpy as np
 from . import families, scaling, specfun
 from .errors import ConfigurationError, DomainError
 from .estimate import EstimatorKind, KnownMask
+from .families import _epd_c1
 from .gof import replicate
 from .quadrature import h
 
 __all__ = ["AltCase", "LocalAlternative", "PowerPoint", "noncentrality",
-           "power_curve", "empirical_power", "epd_sigma", "epd_m",
-           "gamma_sigma", "gamma_m", "weibull_sigma", "weibull_m"]
+           "power_curve", "empirical_power", "epd_m", "gamma_m", "weibull_m"]
 
 
 class AltCase(str, Enum):
@@ -71,18 +73,6 @@ def _gamma_fn(z):
 # gamma null inside GG(lam, beta, rho), rho = 1 + delta/sqrt(n)
 # ---------------------------------------------------------------------------
 
-def gamma_sigma(lam: float) -> np.ndarray:
-    h6 = h(6, lam, lam + 1.0, 1.0)
-    h7 = h(7, lam, lam + 1.0, 1.0)
-    h10, h11 = h(10, lam), h(11, lam)
-    psi1 = float(specfun.trigamma(lam))
-    w = lam / (lam * psi1 - 1.0)
-    s11 = 0.5 - w * (lam * psi1 * h6 ** 2 + h10 ** 2 - 2.0 * h6 * h10)
-    s22 = 0.5 - w * (lam * psi1 * h7 ** 2 + h11 ** 2 - 2.0 * h7 * h11)
-    s12 = w * (h6 * (h11 - lam * psi1 * h7) + h10 * (h7 - h11))
-    return np.array([[s11, s12], [s12, s22]])
-
-
 def gamma_m(lam: float) -> np.ndarray:
     h6 = h(6, lam, lam + 1.0, 1.0)
     h7 = h(7, lam, lam + 1.0, 1.0)
@@ -100,19 +90,6 @@ def gamma_m(lam: float) -> np.ndarray:
 # Weibull null inside GG(lam, beta, rho), lam = 1 + delta/sqrt(n)
 # ---------------------------------------------------------------------------
 
-def weibull_sigma() -> np.ndarray:
-    h6s, h7s = h(6, 1.0, 2.0, 1.0), h(7, 1.0, 2.0, 1.0)
-    h8, h9 = h(8, 1.0), h(9, 1.0)
-    g = specfun.EULER_GAMMA
-    c = 6.0 / math.pi ** 2
-    a1 = (g - 1.0) * h6s + h8
-    a2 = (g - 1.0) * h7s + h9
-    s11 = 0.5 - h6s ** 2 - c * a1 ** 2
-    s22 = 0.5 - h7s ** 2 - c * a2 ** 2
-    s12 = -h6s * h7s - c * a1 * a2
-    return np.array([[s11, s12], [s12, s22]])
-
-
 def weibull_m() -> np.ndarray:
     h6s, h7s = h(6, 1.0, 2.0, 1.0), h(7, 1.0, 2.0, 1.0)
     g = specfun.EULER_GAMMA
@@ -129,29 +106,11 @@ def weibull_m() -> np.ndarray:
 # (alpha, rho) = (1/2, lam0) + delta/sqrt(n)
 # ---------------------------------------------------------------------------
 
-def epd_sigma(lam: float, kind: EstimatorKind) -> np.ndarray:
-    h1, h2 = h(1, lam), h(2, lam)
-    g1l = _gamma_fn(1.0 / lam)
-    if EstimatorKind(kind) is EstimatorKind.ML:
-        s11 = 0.5 - h1 ** 2 / lam
-        s22 = 0.5 - h2 ** 2 / (g1l * _gamma_fn(2.0 - 1.0 / lam))
-    else:
-        c2 = g1l / (lam ** (2.0 / lam) * _gamma_fn(3.0 / lam))
-        c3 = _gamma_fn(3.0 / lam) ** 2 / (g1l * _gamma_fn(5.0 / lam)
-                                          - _gamma_fn(3.0 / lam) ** 2)
-        d = h2 / (lam ** (1.0 / lam - 1.0) * g1l)
-        s11 = 0.5 - h1 * h(4, lam) + h1 ** 2 / (4.0 * c3)
-        s22 = 0.5 - (d / c2) * (2.0 * h(5, lam) * _gamma_fn(2.0 / lam)
-                                / (lam ** (1.0 / lam) * _gamma_fn(3.0 / lam)) - d)
-    return np.diag([s11, s22])
-
-
 def epd_m(lam: float, kind: EstimatorKind) -> np.ndarray:
     h1, h2, h3, h37 = h(1, lam), h(2, lam), h(3, lam), h(37, lam)
     g1l = _gamma_fn(1.0 / lam)
-    c1 = float(specfun.digamma(1.0 / lam + 1.0)) + math.log(lam)
     if EstimatorKind(kind) is EstimatorKind.ML:
-        m12 = -h3 / lam ** 2 + h1 * (c1 + 1.0) / lam ** 2
+        m12 = -h3 / lam ** 2 + h1 * (_epd_c1(lam) + 1.0) / lam ** 2
         m21 = -2.0 * h37 + 2.0 * lam * h2 / (g1l * _gamma_fn(2.0 - 1.0 / lam))
     else:
         m12 = -h3 / lam ** 2 + h1 / (2.0 * lam ** 2) * (
@@ -162,20 +121,14 @@ def epd_m(lam: float, kind: EstimatorKind) -> np.ndarray:
 
 
 def noncentrality(alt: LocalAlternative) -> float:
-    """delta^T M^T Sigma^-1 M delta, assembled from the closed forms."""
-    if alt.case is AltCase.GAMMA_VS_GG:
-        lam = alt.theta0[0]
-        sig, m = gamma_sigma(lam), gamma_m(lam)
-        d = alt.delta[0]
-        return float(d ** 2 * m @ scaling.solve_2x2(sig, m))
-    if alt.case is AltCase.WEIBULL_VS_GG:
-        sig, m = weibull_sigma(), weibull_m()
-        d = alt.delta[0]
-        return float(d ** 2 * m @ scaling.solve_2x2(sig, m))
-    lam = alt.theta0[0]
-    sig, m = epd_sigma(lam, alt.kind), epd_m(lam, alt.kind)
-    d = np.asarray(alt.delta, dtype=float)
-    v = m @ d
+    """delta^T M^T Sigma^-1 M delta, Sigma that of the null row at theta0."""
+    fam, kind, mask = _null_test_config(alt)
+    sig = scaling.sigma_from(fam, kind, alt.theta0, mask)
+    if alt.case is AltCase.EPD_VS_APD:
+        v = epd_m(alt.theta0[0], alt.kind) @ np.asarray(alt.delta, dtype=float)
+    else:
+        m = gamma_m(alt.theta0[0]) if alt.case is AltCase.GAMMA_VS_GG else weibull_m()
+        v = alt.delta[0] * m
     return float(v @ scaling.solve_2x2(sig, v))
 
 

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import quadrature, specfun
 from .errors import ConfigurationError, DomainError, SingularityError
-from .estimate import EstimatorKind, KnownMask, _epd_c1, _epd_c2, _student_c2
-from .families import get_family
+from .estimate import EstimatorKind, KnownMask, _epd_c2, _student_c2
+from .families import _epd_c1, get_family
 
 __all__ = ["MatrixSet", "matrices", "sigma", "sigma_from", "solve_2x2", "COND_LIMIT"]
 
@@ -560,13 +560,6 @@ _BUILDERS = {
     ("uniform", EstimatorKind.ML): (None, ()),
 }
 
-# the three log-delegating families reuse their base-family matrices verbatim
-for _base, _logname in (("epd", "log-epd"), ("laplace", "log-laplace"),
-                        ("normal", "log-normal")):
-    for _kind in (EstimatorKind.ML, EstimatorKind.MM):
-        if (_base, _kind) in _BUILDERS:
-            _BUILDERS[(_logname, _kind)] = _BUILDERS[(_base, _kind)]
-
 
 def matrices(fam, kind, theta) -> MatrixSet:
     """Evaluate G, R, J for the family/estimator at the parameter point.
@@ -577,7 +570,8 @@ def matrices(fam, kind, theta) -> MatrixSet:
     """
     fam = get_family(fam)
     kind = EstimatorKind(kind)
-    key = (fam.name, kind)
+    # a log-delegating family has its base family's matrices
+    key = ((fam.base or fam).name, kind)
     if key not in _BUILDERS:
         raise ConfigurationError(f"no {kind.value.upper()} matrices for {fam.name!r}")
     t = tuple(float(v) for v in np.atleast_1d(np.asarray(theta, dtype=float)))
@@ -588,7 +582,6 @@ def matrices(fam, kind, theta) -> MatrixSet:
     if builder is None:  # uniform: no estimating-equation matrices
         empty = np.zeros((2, 0))
         return MatrixSet(empty, np.zeros((0, 0)), empty.copy(), ())
-    # use the log-scale parameter vector for log-delegating families
     G, R, J = builder(t)
     if J is None:
         J = G.copy()

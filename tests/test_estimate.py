@@ -6,6 +6,7 @@ from scipy import optimize
 
 from trigof import estimate as E
 from trigof import families as F
+from trigof import scaling
 from trigof.errors import (ConfigurationError, DegenerateSampleError,
                            DomainError, EstimationError)
 from trigof.estimate import EstimatorKind, FitResult, KnownMask, fit
@@ -176,6 +177,35 @@ class TestMasks:
         x = F.sample("epd", (1.5, 0.0, 1.0), 500, 10)
         with pytest.raises(ConfigurationError):
             fit("epd", "mm", None, x)
+
+    @pytest.mark.parametrize("name", sorted(MM_REQUIRED_KNOWN))
+    def test_every_mm_known_parameter_is_enforced(self, name):
+        fam = F.get_family(name)
+        assert fam.mm_known == tuple(MM_REQUIRED_KNOWN[name])
+        x = F.sample(name, FAMILY_THETAS[name], 200, 12)
+        with pytest.raises(ConfigurationError, match="to be known"):
+            fit(name, "mm", None, x)
+        # fixing another parameter does not stand in for the shape
+        other = {fam.param_names[-1]: FAMILY_THETAS[name][-1]}
+        with pytest.raises(ConfigurationError, match="to be known"):
+            fit(name, "mm", KnownMask.from_names(name, other), x)
+        fit(name, "mm", KnownMask.from_names(name, MM_REQUIRED_KNOWN[name]), x)
+
+
+@pytest.mark.parametrize("name", ["log-epd", "log-laplace", "log-normal"])
+@pytest.mark.parametrize("kind", ["ml", "mm"])
+def test_log_family_is_its_base_on_log_data(name, kind):
+    fam = F.get_family(name)
+    assert fam.base is F.get_family(name[4:])
+    known = MM_REQUIRED_KNOWN.get(name, {}) if kind == "mm" else {}
+    mask = KnownMask.from_names(name, known) if known else None
+    x = F.sample(name, FAMILY_THETAS[name], 150, 21)
+    res, base = fit(name, kind, mask, x), fit(fam.base, kind, mask, np.log(x))
+    assert np.array_equal(res.theta, base.theta)
+    assert (res.iterations, res.residual) == (base.iterations, base.residual)
+    ms, ms_base = scaling.matrices(name, kind, res.theta), scaling.matrices(
+        fam.base, kind, res.theta)
+    assert np.array_equal(ms.G, ms_base.G) and np.array_equal(ms.R, ms_base.R)
 
 
 class TestErrors:

@@ -112,6 +112,18 @@ class TestEveryFamily:
             denom = np.maximum(np.abs(s[j]), 1.0)
             assert np.max(np.abs(fd - s[j]) / denom) < 2e-6
 
+    def test_cdf_fn_broadcasts_over_theta_rows(self, name):
+        # the batch PIT calls cdf_fn once with theta columns of shape (rows, 1)
+        fam = F.get_family(name)
+        rows = np.array([FAMILY_THETAS[name]]) * np.array([[1.0], [1.1], [0.9]])
+        X = np.stack([F.sample(fam, t, 40, np.random.SeedSequence([8, i]))
+                      for i, t in enumerate(rows)])
+        cols = tuple(rows[:, j, None] for j in range(fam.n_params))
+        got = np.clip(fam.cdf_fn(cols, X), 0.0, 1.0)
+        want = np.stack([F.cdf(fam, t, x) for t, x in zip(rows, X)])
+        assert got.shape == X.shape
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=2e-16)
+
 
 class TestSpecialCaseCollapses:
     def test_epd_one_is_laplace(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from trigof import _batch, gof
+from trigof import _batch, gof, scaling
 from trigof import families as F
 from trigof.errors import (ConfigurationError, DomainError, EstimationError,
                            SamplingError, SingularityError)
@@ -11,6 +11,10 @@ from trigof.estimate import KnownMask
 from trigof.gof import _single_test, replicate, run_test
 from trigof.power import AltCase, LocalAlternative, _sample_alternative, empirical_power
 from trigof.simharness import CellConfig, StudyConfig, report_rows, run_study
+from conftest import FAMILY_THETAS, MM_REQUIRED_KNOWN
+
+# a numpy warning escaping a replication is a defect, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _seeded(fam, theta, n, seed=0):
@@ -74,8 +78,40 @@ class TestBatchAgainstScalar:
         assert _batch.supports("epd", "ml", EPD_15)
 
 
+class TestOnePath:
+    """The scalar test reaches T_n through ``_batch.statistic``; check it
+    against its pieces computed the long way."""
+
+    ROWS = [(name, kind) for name in sorted(FAMILY_THETAS) for kind in ("ml", "mm")
+            if kind == "ml" or F.get_family(name).has_mm]
+
+    @pytest.mark.parametrize("name,kind", ROWS, ids=[f"{n}-{k}" for n, k in ROWS])
+    def test_single_test_against_cdf_and_sigma_from(self, name, kind):
+        known = MM_REQUIRED_KNOWN.get(name, {}) if kind == "mm" else {}
+        mask = KnownMask.from_names(name, known) if known else None
+        x = F.sample(name, FAMILY_THETAS[name], 120, np.random.SeedSequence([17, 1]))
+        res, m, sig, tn = _single_test(name, kind, mask, x)
+        u = 2.0 * math.pi * F.cdf(name, res.theta, x)
+        assert m.cn == pytest.approx(np.mean(np.cos(u)), rel=0.0, abs=1e-15)
+        assert m.sn == pytest.approx(np.mean(np.sin(u)), rel=0.0, abs=1e-15)
+        np.testing.assert_allclose(sig, scaling.sigma_from(name, kind, res.theta, mask),
+                                   rtol=1e-12, atol=1e-15)
+        v = np.array([m.cn, m.sn])
+        assert tn == pytest.approx(len(x) * v @ np.linalg.solve(sig, v), rel=1e-12)
+
+    def test_trig_moments_checks_theta_and_support(self):
+        with pytest.raises(DomainError):
+            gof.trig_moments("normal", (0.0, math.nan), [0.1, 0.2])
+        with pytest.raises(DomainError):
+            gof.trig_moments("uniform", (0.0, 1.0), [0.5, 1.5])
+        m = gof.trig_moments("uniform", (0.0, 1.0), [0.0, 0.25, 1.0])
+        assert (m.cn, m.sn, m.n) == pytest.approx((2.0 / 3.0, 1.0 / 3.0, 3), abs=1e-15)
+
+
 class TestFailedRows:
-    @pytest.mark.parametrize("fam,theta", [("gamma", (2.3, 1.4)), ("weibull", (2.0, 1.5))])
+    @pytest.mark.parametrize("fam,theta", [("gamma", (2.3, 1.4)), ("weibull", (2.0, 1.5)),
+                                           ("normal", (-0.2, 1.7)), ("laplace", (0.5, 1.3)),
+                                           ("uniform", (-1.0, 2.5))])
     def test_flat_row_is_the_only_failure(self, fam, theta):
         X = np.stack([_seeded(fam, theta, 50, seed=3)(r) for r in range(6)])
         flat = X.copy()
