@@ -6,11 +6,13 @@ X has one replication per row.  ``statistic`` takes theta rows of shape
 and T_n = n [C_n, S_n] Sigma^-1 [C_n, S_n]^T; the PIT is the family's own
 ``cdf_fn``, called once on the block.  ``batch_tn`` feeds it the batch fits
 and ``gof._single_test`` a single scalar fit, so the two pipelines share
-everything after the fit.  Each batch fit works on the whole block at once
-for the family/estimator/mask rows that ``supports`` accepts, and agrees with
-the scalar ``estimate.fit`` (same estimating equations, solved to the same
-tolerances).  A row whose fit fails comes back as NaN; what counts as a
-failed replication, and the loop over blocks, belong to ``gof.replicate``.
+everything after the fit.
+
+A row can batch when its estimator runs over rows: the closed forms of
+``estimate.rows_estimator``, which ``fit`` uses too, or three batch-only
+iterative ML kernels that solve the scalar estimating equations to the same
+tolerances.  Rows that ``fit`` rejects come back as NaN without reaching a
+kernel; failed replications and the loop over blocks are ``gof.replicate``'s.
 """
 
 from __future__ import annotations
@@ -22,30 +24,29 @@ from scipy import special as sp
 
 from . import scaling
 from .errors import ConfigurationError
-from .estimate import EstimatorKind, KnownMask, _epd_c2
+from .estimate import EstimatorKind, KnownMask, rejected_rows, rows_estimator
 from .families import get_family
 
 _TWO_PI = 2.0 * math.pi
 
 
-def _batch_key(fam_name: str, kind: EstimatorKind, mask: KnownMask | None):
-    n_known = 0 if mask is None else mask.n_known
-    if fam_name in ("normal", "laplace", "exponential", "uniform") and n_known == 0:
-        return fam_name
-    if fam_name == "logistic" and kind is EstimatorKind.MM and n_known == 0:
-        return "logistic-mm"
-    if fam_name in ("gamma", "weibull") and kind is EstimatorKind.ML and n_known == 0:
-        return fam_name
-    if fam_name == "epd" and mask is not None and mask.known == (True, False, False):
-        # the bisection for the ML location needs a monotone score: lambda >= 1
-        if kind is EstimatorKind.ML and mask.fixed_values[0] < 1.0:
-            return None
-        return "epd-lam-known"
+def _estimator(fam, kind, mask: KnownMask):
+    """X -> theta rows for the row, or None where it has no batch fit."""
+    rows = rows_estimator(fam, kind, mask)
+    if rows is not None or kind is not EstimatorKind.ML:
+        return rows
+    # the batch-only iterative ML kernels
+    if fam.name in ("gamma", "weibull") and mask.n_known == 0:
+        return _fit_gamma_batch if fam.name == "gamma" else _fit_weibull_batch
+    # the bisection for the ML location needs a monotone score: lambda >= 1
+    if fam.name == "epd" and mask.known == (True, False, False) and mask.fixed_values[0] >= 1.0:
+        return lambda X: _fit_epd_lam_known_batch(X, mask.fixed_values[0])
     return None
 
 
 def supports(fam, kind, mask: KnownMask | None) -> bool:
-    return _batch_key(get_family(fam).name, EstimatorKind(kind), mask) is not None
+    fam = get_family(fam)
+    return _estimator(fam, EstimatorKind(kind), mask or KnownMask.none(fam.n_params)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +57,7 @@ def _fit_gamma_batch(X):
     xbar = X.mean(axis=1)
     mean_ln = np.log(X).mean(axis=1)
     s = np.log(xbar) - mean_ln
-    s = np.where((np.ptp(X, axis=1) > 0.0) & (s > 0.0), s, np.nan)  # s > 0 unless flat
+    s = np.where(s > 0.0, s, np.nan)  # s > 0 by Jensen: a failed fit otherwise
     lam = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
     for _ in range(60):
         f = sp.digamma(lam) - np.log(lam) + s
@@ -74,8 +75,7 @@ def _fit_gamma_batch(X):
 def _fit_weibull_batch(X):
     lx = np.log(X)
     mean_lx = lx.mean(axis=1, keepdims=True)
-    sd_lx = np.where(np.ptp(X, axis=1) > 0.0, np.maximum(lx.std(axis=1), 1e-12), np.nan)
-    rho = (math.pi / math.sqrt(6.0)) / sd_lx
+    rho = (math.pi / math.sqrt(6.0)) / np.maximum(lx.std(axis=1), 1e-12)
     shift = lx.max(axis=1, keepdims=True)
     for _ in range(80):
         w = np.exp(rho[:, None] * (lx - shift))
@@ -97,11 +97,7 @@ def _fit_weibull_batch(X):
     return np.column_stack([beta, rho])
 
 
-def _fit_epd_lam_known_batch(X, lam, kind):
-    if kind is EstimatorKind.MM:
-        mu = X.mean(axis=1)
-        sigma = np.sqrt(_epd_c2(lam) * ((X - mu[:, None]) ** 2).mean(axis=1))
-        return np.column_stack([np.full_like(mu, lam), mu, sigma])
+def _fit_epd_lam_known_batch(X, lam):
     lo = X.min(axis=1)
     hi = X.max(axis=1)
     for _ in range(90):
@@ -120,55 +116,33 @@ def batch_fit(fam, kind, mask: KnownMask | None, X) -> np.ndarray:
     """theta rows fitted to the rows of X; NaN rows where the fit fails."""
     fam = get_family(fam)
     kind = EstimatorKind(kind)
-    key = _batch_key(fam.name, kind, mask)
-    if key is None:
+    mask = mask or KnownMask.none(fam.n_params)
+    est = _estimator(fam, kind, mask)
+    if est is None:
         raise ConfigurationError(f"no batch fit for ({fam.name}, {kind.value})")
-    thetas = _fit_rows(key, kind, mask, X)
-    if fam.n_params > 1:  # as estimate.fit, a flat sample has no spread to fit
-        thetas[np.ptp(X, axis=1) == 0.0] = np.nan
+    bad = np.logical_or(*rejected_rows(fam, mask, X))
+    if not bad.any():
+        return est(X)
+    thetas = np.full((len(X), fam.n_params), np.nan)
+    if not bad.all():
+        thetas[~bad] = est(X[~bad])
     return thetas
 
 
-def _fit_rows(key, kind, mask, X):
-    if key == "normal":
-        mu = X.mean(axis=1)
-        sd = np.sqrt(((X - mu[:, None]) ** 2).mean(axis=1))
-        return np.column_stack([mu, sd])
-    if key == "laplace":
-        if kind is EstimatorKind.MM:
-            mu = X.mean(axis=1)
-            sd = np.sqrt(0.5 * ((X - mu[:, None]) ** 2).mean(axis=1))
-        else:
-            mu = np.median(X, axis=1)
-            sd = np.abs(X - mu[:, None]).mean(axis=1)
-        return np.column_stack([mu, sd])
-    if key == "exponential":
-        return X.mean(axis=1)[:, None]
-    if key == "uniform":
-        return np.column_stack([X.min(axis=1), X.max(axis=1)])
-    if key == "logistic-mm":
-        mu = X.mean(axis=1)
-        sd = np.sqrt(3.0 / math.pi ** 2 * ((X - mu[:, None]) ** 2).mean(axis=1))
-        return np.column_stack([mu, sd])
-    if key == "gamma":
-        return _fit_gamma_batch(X)
-    if key == "weibull":
-        return _fit_weibull_batch(X)
-    return _fit_epd_lam_known_batch(X, mask.fixed_values[0], kind)
-
-
 def _sigma_rows(fam, kind, mask, thetas) -> np.ndarray:
-    """Stack of per-replication scaling covariances (constant families get
-    the theta-invariant matrix of their first fitted row); NaN for rows
-    whose fit failed."""
+    """Stack of per-replication scaling covariances, NaN for rows whose fit
+    failed.  Sigma depends on theta through ``fam.shapes`` only: when they
+    are all known the block shares the first fitted row's matrix, otherwise
+    each row gets its own."""
     fam = get_family(fam)
     fitted = np.flatnonzero(np.all(np.isfinite(thetas), axis=1))
     sig = np.full((thetas.shape[0], 2, 2), np.nan)
-    if fam.name == "gamma":
+    if all(mask is not None and mask.is_known(fam, s) for s in fam.shapes):
+        if fitted.size:
+            sig[fitted] = scaling.sigma_from(fam, kind, tuple(thetas[fitted[0]]), mask)
+    else:
         for i in fitted:
-            sig[i] = scaling.sigma_from("gamma", kind, (float(thetas[i, 0]), 1.0), mask)
-    elif fitted.size:
-        sig[fitted] = scaling.sigma_from(fam, kind, tuple(thetas[fitted[0]]), mask)
+            sig[i] = scaling.sigma_from(fam, kind, tuple(thetas[i]), mask)
     return sig
 
 
@@ -192,9 +166,8 @@ def moment_rows(fam, thetas: np.ndarray, X: np.ndarray):
 def statistic(fam, kind, mask: KnownMask | None, thetas: np.ndarray, X: np.ndarray):
     """C_n, S_n, the Sigma rows and T_n of each row of X under its theta row.
 
-    Sigma follows ``_sigma_rows``: per row for gamma, the first fitted row's
-    for the whole block otherwise.  That holds for the batch rows, whose
-    Sigma does not move with the fitted theta, and for a single row.
+    Sigma follows ``_sigma_rows``: one for the block when the family's
+    shapes are known, per row otherwise.
     """
     cn, sn = moment_rows(fam, thetas, X)
     sig = _sigma_rows(fam, kind, mask, thetas)

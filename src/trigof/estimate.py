@@ -1,10 +1,13 @@
 """ML and moment (MM) nuisance-parameter estimators for every family.
 
-Closed-form estimators are evaluated directly.  Implicit ML estimators are
-solved by safeguarded 1-D root-finding on profiled score equations, nested
-where a family requires it (shape root outermost, location/scale profiled
-inside).  Known parameter components are held bit-identical to their fixed
-values; configurations without a dedicated path fall back to direct numeric
+Closed-form estimators are written once, over sample rows
+(``rows_estimator``): every MM row, which solves the declared moment equation
+``Family.mm``, and eight families' ML rows.  ``fit`` runs them on a single
+row and ``_batch.batch_fit`` on a block.  Implicit ML estimators are solved
+by safeguarded 1-D root-finding on profiled score equations, nested where a
+family requires it (shape root outermost, location/scale profiled inside).
+Known parameter components are held bit-identical to their fixed values;
+configurations without a dedicated path fall back to direct numeric
 likelihood maximization over the free components.
 
 Shape-type roots are bracketed on a geometric grid over [1e-3, 1e3]
@@ -204,42 +207,6 @@ def _wmean_exp(values, logw):
 # generic likelihood maximizer.
 # ---------------------------------------------------------------------------
 
-def _fit_normal(fam, x, mask, kind):
-    mu_known = mask.is_known(fam, "mu")
-    mu = mask.value(fam, "mu") if mu_known else float(np.mean(x))
-    if mask.is_known(fam, "sigma"):
-        sigma = mask.value(fam, "sigma")
-    else:
-        sigma = float(np.sqrt(np.mean((x - mu) ** 2)))
-    return (mu, sigma), 1, True
-
-
-def _fit_laplace(fam, x, mask, kind):
-    if kind is EstimatorKind.MM:
-        mu = mask.value(fam, "mu") if mask.is_known(fam, "mu") else float(np.mean(x))
-        if mask.is_known(fam, "sigma"):
-            sigma = mask.value(fam, "sigma")
-        else:
-            sigma = float(np.sqrt(0.5 * np.mean((x - mu) ** 2)))
-    else:
-        mu = mask.value(fam, "mu") if mask.is_known(fam, "mu") else float(np.median(x))
-        if mask.is_known(fam, "sigma"):
-            sigma = mask.value(fam, "sigma")
-        else:
-            sigma = float(np.mean(np.abs(x - mu)))
-    return (mu, sigma), 1, True
-
-
-def _epd_c2(lam):
-    return math.exp(float(specfun.ln_gamma(1.0 / lam)) - float(specfun.ln_gamma(3.0 / lam))
-                    - (2.0 / lam) * math.log(lam))
-
-
-def _halfepd_c2(lam):
-    return math.exp(float(specfun.ln_gamma(1.0 / lam)) - float(specfun.ln_gamma(2.0 / lam))
-                    - math.log(lam) / lam)
-
-
 def _epd_mu_hat(x, lam):
     """Location solving sum sign(x-mu)|x-mu|^(lam-1) = 0 (the mu ML equation)."""
     lo, hi = float(np.min(x)), float(np.max(x))
@@ -271,19 +238,9 @@ def _epd_mu_hat(x, lam):
     return res[0], res[1].iterations + len(mids)
 
 
-def _fit_epd(fam, x, mask, kind):
+def _fit_epd(fam, x, mask):
     mu_known = mask.is_known(fam, "mu")
     sigma_known = mask.is_known(fam, "sigma")
-
-    if kind is EstimatorKind.MM:
-        lam = mask.value(fam, "lambda")
-        mu = mask.value(fam, "mu") if mu_known else float(np.mean(x))
-        if sigma_known:
-            sigma = mask.value(fam, "sigma")
-        else:
-            sigma = math.sqrt(_epd_c2(lam) * float(np.mean((x - mu) ** 2)))
-        return (lam, mu, sigma), 1, True
-
     iters = 0
 
     def inner(lam):
@@ -319,7 +276,7 @@ def _fit_epd(fam, x, mask, kind):
     return (lam, mu, sigma), iters, conv
 
 
-def _fit_expgamma(fam, x, mask, kind):
+def _fit_expgamma(fam, x, mask):
     if mask.n_known:
         return None  # generic path handles masked fits
     n = len(x)
@@ -355,7 +312,7 @@ def _fit_expgamma(fam, x, mask, kind):
     return (lam, mu, sigma), iters, conv and conv2
 
 
-def _fit_expweibull(fam, x, mask, kind):
+def _fit_expweibull(fam, x, mask):
     if mask.n_known:
         return None
     n = len(x)
@@ -371,7 +328,7 @@ def _fit_expweibull(fam, x, mask, kind):
     return (mu, sigma), iters, conv
 
 
-def _fit_gumbel(fam, x, mask, kind):
+def _fit_gumbel(fam, x, mask):
     if mask.n_known:
         return None
     n = len(x)
@@ -411,23 +368,11 @@ def _logistic_ml_core(x):
     return mu_hat(sigma), sigma, iters, conv
 
 
-def _fit_logistic(fam, x, mask, kind):
-    if kind is EstimatorKind.MM:
-        mu = mask.value(fam, "mu") if mask.is_known(fam, "mu") else float(np.mean(x))
-        if mask.is_known(fam, "sigma"):
-            sigma = mask.value(fam, "sigma")
-        else:
-            sigma = math.sqrt(3.0 / math.pi ** 2 * float(np.mean((x - mu) ** 2)))
-        return (mu, sigma), 1, True
+def _fit_logistic(fam, x, mask):
     if mask.n_known:
         return None
     mu, sigma, iters, conv = _logistic_ml_core(x)
     return (mu, sigma), iters, conv
-
-
-def _student_c2(lam):
-    return math.sqrt(lam) * math.exp(float(specfun.ln_gamma(0.5 * (lam - 1.0)))
-                                     - float(specfun.ln_gamma(0.5 * lam))) / math.sqrt(math.pi)
 
 
 def _student_em(x, lam, mu0, sigma0, mu_fixed=None, sigma_fixed=None):
@@ -450,21 +395,9 @@ def _student_em(x, lam, mu0, sigma0, mu_fixed=None, sigma_fixed=None):
     return mu, sigma, it
 
 
-def _fit_student(fam, x, mask, kind):
+def _fit_student(fam, x, mask):
     mu_fixed = mask.value(fam, "mu") if mask.is_known(fam, "mu") else None
     sigma_fixed = mask.value(fam, "sigma") if mask.is_known(fam, "sigma") else None
-
-    if kind is EstimatorKind.MM:
-        lam = mask.value(fam, "lambda")
-        if lam <= 2.0:
-            raise ConfigurationError("Student-t MM requires lambda > 2")
-        mu = mu_fixed if mu_fixed is not None else float(np.mean(x))
-        if sigma_fixed is not None:
-            sigma = sigma_fixed
-        else:
-            sigma = float(np.mean(np.abs(x - mu))) / _student_c2(lam)
-        return (lam, mu, sigma), 1, True
-
     mu0, s0 = float(np.median(x)), float(np.std(x))
     iters = 0
 
@@ -496,16 +429,8 @@ def _fit_student(fam, x, mask, kind):
     return (lam, mu, sigma), iters, conv
 
 
-def _fit_halfepd(fam, x, mask, kind):
+def _fit_halfepd(fam, x, mask):
     sigma_known = mask.is_known(fam, "sigma")
-
-    if kind is EstimatorKind.MM:
-        lam = mask.value(fam, "lambda")
-        if sigma_known:
-            sigma = mask.value(fam, "sigma")
-        else:
-            sigma = _halfepd_c2(lam) * float(np.mean(x))
-        return (lam, sigma), 1, True
 
     def sigma_hat(lam):
         if sigma_known:
@@ -541,7 +466,7 @@ def _weibull_rho_profile(x):
     return phi, rho0
 
 
-def _fit_weibull(fam, x, mask, kind):
+def _fit_weibull(fam, x, mask):
     if mask.n_known:
         return None
     phi, rho0 = _weibull_rho_profile(x)
@@ -551,24 +476,24 @@ def _fit_weibull(fam, x, mask, kind):
     return (beta, rho), iters, conv
 
 
-def _fit_frechet(fam, x, mask, kind):
+def _fit_frechet(fam, x, mask):
     if mask.n_known:
         return None
-    res = _fit_weibull(get_family("weibull"), 1.0 / x, KnownMask.none(2), EstimatorKind.ML)
+    res = _fit_weibull(get_family("weibull"), 1.0 / x, KnownMask.none(2))
     (beta_w, rho), iters, conv = res
     return (1.0 / beta_w, rho), iters, conv
 
 
-def _fit_gg(fam, x, mask, kind):
+def _fit_gg(fam, x, mask):
     # exact reparameterization: ln X ~ exp-gamma(lam, ln beta, 1/rho)
     if mask.n_known:
         return None
-    out = _fit_expgamma(get_family("exp-gamma"), np.log(x), KnownMask.none(3), kind)
+    out = _fit_expgamma(get_family("exp-gamma"), np.log(x), KnownMask.none(3))
     (lam, mu, sigma), iters, conv = out
     return (lam, math.exp(mu), 1.0 / sigma), iters, conv
 
 
-def _fit_gompertz(fam, x, mask, kind):
+def _fit_gompertz(fam, x, mask):
     if mask.n_known:
         return None
     xbar = float(np.mean(x))
@@ -585,24 +510,14 @@ def _fit_gompertz(fam, x, mask, kind):
     return (beta, rho), iters, conv
 
 
-def _fit_loglogistic(fam, x, mask, kind):
-    if kind is EstimatorKind.MM:
-        lx = np.log(x)
-        beta = math.exp(float(np.mean(lx))) if not mask.is_known(fam, "beta") \
-            else mask.value(fam, "beta")
-        if mask.is_known(fam, "rho"):
-            rho = mask.value(fam, "rho")
-        else:
-            rho = 1.0 / math.sqrt(3.0 / math.pi ** 2
-                                  * float(np.mean((lx - math.log(beta)) ** 2)))
-        return (beta, rho), 1, True
+def _fit_loglogistic(fam, x, mask):
     if mask.n_known:
         return None
     mu, sigma, iters, conv = _logistic_ml_core(np.log(x))
     return (math.exp(mu), 1.0 / sigma), iters, conv
 
 
-def _fit_gamma(fam, x, mask, kind):
+def _fit_gamma(fam, x, mask):
     lam_known = mask.is_known(fam, "lambda")
     beta_known = mask.is_known(fam, "beta")
     lx = np.log(x)
@@ -621,7 +536,7 @@ def _fit_gamma(fam, x, mask, kind):
     return (lam, float(np.mean(x)) / lam), iters, conv
 
 
-def _fit_invgamma(fam, x, mask, kind):
+def _fit_invgamma(fam, x, mask):
     if mask.is_known(fam, "beta"):
         beta = mask.value(fam, "beta")
         if mask.is_known(fam, "lambda"):
@@ -631,8 +546,7 @@ def _fit_invgamma(fam, x, mask, kind):
     if mask.is_known(fam, "lambda"):
         lam = mask.value(fam, "lambda")
         return (lam, lam / float(np.mean(1.0 / x))), 1, True
-    (lam, beta_g), iters, conv = _fit_gamma(get_family("gamma"), 1.0 / x,
-                                            KnownMask.none(2), kind)
+    (lam, beta_g), iters, conv = _fit_gamma(get_family("gamma"), 1.0 / x, KnownMask.none(2))
     return (lam, 1.0 / beta_g), iters, conv
 
 
@@ -660,7 +574,7 @@ def _beta_ml_system(s1, s2, a0, b0):
     return a, b, _MAX_ITER, False
 
 
-def _fit_beta(fam, x, mask, kind):
+def _fit_beta(fam, x, mask):
     if mask.n_known:
         return None
     m, v = float(np.mean(x)), float(np.var(x))
@@ -672,7 +586,7 @@ def _fit_beta(fam, x, mask, kind):
     return (a, b), iters, conv
 
 
-def _fit_betaprime(fam, x, mask, kind):
+def _fit_betaprime(fam, x, mask):
     if mask.n_known:
         return None
     v = x / (1.0 + x)
@@ -684,7 +598,7 @@ def _fit_betaprime(fam, x, mask, kind):
     return (a, b), iters, conv
 
 
-def _fit_lomax(fam, x, mask, kind):
+def _fit_lomax(fam, x, mask):
     if mask.n_known:
         return None
     xbar = float(np.mean(x))
@@ -699,7 +613,7 @@ def _fit_lomax(fam, x, mask, kind):
     return (alpha_hat(sigma), sigma), iters, conv
 
 
-def _fit_nakagami(fam, x, mask, kind):
+def _fit_nakagami(fam, x, mask):
     if mask.n_known:
         return None
     x2 = x ** 2
@@ -711,7 +625,7 @@ def _fit_nakagami(fam, x, mask, kind):
     return (lam, omega), iters, conv
 
 
-def _fit_invgauss(fam, x, mask, kind):
+def _fit_invgauss(fam, x, mask):
     mu_known = mask.is_known(fam, "mu")
     mu = mask.value(fam, "mu") if mu_known else float(np.mean(x))
     if mask.is_known(fam, "lambda"):
@@ -726,48 +640,12 @@ def _fit_invgauss(fam, x, mask, kind):
     return (mu, lam), 1, True
 
 
-def _fit_exponential(fam, x, mask, kind):
-    beta = mask.value(fam, "beta") if mask.is_known(fam, "beta") else float(np.mean(x))
-    return (beta,), 1, True
-
-
-def _scale_only(expr_ml, expr_mm):
-    def fitter(fam, x, mask, kind):
-        name = fam.param_names[0]
-        if mask.is_known(fam, name):
-            return (mask.value(fam, name),), 1, True
-        expr = expr_mm if kind is EstimatorKind.MM else expr_ml
-        return (expr(x),), 1, True
-    return fitter
-
-
-_fit_halfnormal = _scale_only(
-    lambda x: math.sqrt(float(np.mean(x ** 2))),
-    lambda x: math.sqrt(math.pi / 2.0) * float(np.mean(x)))
-_fit_rayleigh = _scale_only(
-    lambda x: math.sqrt(0.5 * float(np.mean(x ** 2))),
-    lambda x: math.sqrt(2.0 / math.pi) * float(np.mean(x)))
-_fit_maxwell = _scale_only(
-    lambda x: math.sqrt(float(np.mean(x ** 2)) / 3.0),
-    lambda x: math.sqrt(math.pi / 8.0) * float(np.mean(x)))
-
-
-def _fit_chi2(fam, x, mask, kind):
-    if mask.is_known(fam, "k"):
-        return (mask.value(fam, "k"),), 1, True
-    if kind is EstimatorKind.MM:
-        return (float(np.mean(x)),), 1, True
+def _fit_chi2(fam, x, mask):
     z, iters, conv = _solve_digamma(float(np.mean(np.log(0.5 * x))))
     return (2.0 * z,), iters, conv
 
 
-def _fit_pareto(fam, x, mask, kind):
-    if mask.is_known(fam, "alpha"):
-        return (mask.value(fam, "alpha"),), 1, True
-    return (1.0 / float(np.mean(np.log(x))),), 1, True
-
-
-def _fit_kumaraswamy(fam, x, mask, kind):
+def _fit_kumaraswamy(fam, x, mask):
     if mask.n_known:
         return None
     lx = np.log(x)
@@ -786,17 +664,7 @@ def _fit_kumaraswamy(fam, x, mask, kind):
     return (alpha, beta_hat(alpha)), iters, conv
 
 
-def _fit_uniform(fam, x, mask, kind):
-    a = mask.value(fam, "a") if mask.is_known(fam, "a") else float(np.min(x))
-    b = mask.value(fam, "b") if mask.is_known(fam, "b") else float(np.max(x))
-    if not a < b:
-        raise DegenerateSampleError("uniform fit needs min(x) < max(x)")
-    return (a, b), 1, True
-
-
 _FITTERS = {
-    "normal": _fit_normal,
-    "laplace": _fit_laplace,
     "epd": _fit_epd,
     "exp-gamma": _fit_expgamma,
     "exp-weibull": _fit_expweibull,
@@ -815,37 +683,141 @@ _FITTERS = {
     "lomax": _fit_lomax,
     "nakagami": _fit_nakagami,
     "inverse-gaussian": _fit_invgauss,
-    "exponential": _fit_exponential,
-    "half-normal": _fit_halfnormal,
-    "rayleigh": _fit_rayleigh,
-    "maxwell-boltzmann": _fit_maxwell,
     "chi-squared": _fit_chi2,
-    "pareto": _fit_pareto,
     "beta": _fit_beta,
     "kumaraswamy": _fit_kumaraswamy,
-    "uniform": _fit_uniform,
 }
+
+
+# ---------------------------------------------------------------------------
+# closed-form estimators over sample rows: X (rows, n) -> theta rows (rows, p),
+# the free components from the rows and the known ones from the mask
+# ---------------------------------------------------------------------------
+
+def _known_rows(mask: KnownMask, rows: int) -> np.ndarray:
+    """theta rows holding the known values, NaN at the free components."""
+    return np.tile(np.asarray(mask.fixed_values, dtype=float), (rows, 1))
+
+
+def _deviation(stat: str, X, loc) -> np.ndarray:
+    """Mean squared ("msd") or absolute ("mad") deviation of each row about loc."""
+    d = X - loc[:, None]
+    return (d ** 2).mean(axis=1) if stat == "msd" else np.abs(d).mean(axis=1)
+
+
+def _mm_rows(fam: Family, mask: KnownMask, X) -> np.ndarray:
+    """Solve the family's moment equation ``fam.mm`` on each row of X."""
+    eq, p = fam.mm, fam.n_params
+    theta = _known_rows(mask, len(X))
+    if eq.log is not None:
+        X, theta = np.log(X), np.column_stack(eq.log[0](theta.T))
+    num, den = eq.unit(*(mask.value(fam, g) for g in eq.given))
+    stat = X.mean(axis=1)
+    if eq.stat != "mean":
+        if not mask.known[p - 2]:
+            theta[:, p - 2] = stat
+        stat = _deviation(eq.stat, X, theta[:, p - 2])
+    if not mask.known[p - 1]:
+        s = stat * den / num
+        theta[:, p - 1] = np.sqrt(s) if eq.stat == "msd" else s
+    return theta if eq.log is None else np.column_stack(eq.log[1](theta.T))
+
+
+def _mm_gap(fam: Family, theta, x, mask: KnownMask) -> float:
+    """The MM residual: the largest mismatch between a matched sample
+    statistic and its model value at theta, over the free components."""
+    eq, p = fam.mm, fam.n_params
+    num, den = eq.unit(*(mask.value(fam, g) for g in eq.given))
+    t = np.asarray(theta, dtype=float)
+    if eq.log is not None:
+        x, t = np.log(x), np.array(eq.log[0](t))
+    stat, gaps = float(np.mean(x)), [0.0]
+    if eq.stat != "mean":
+        gaps.append(0.0 if mask.known[p - 2] else abs(stat - t[p - 2]))
+        stat = float(_deviation(eq.stat, x[None, :], t[p - 2:p - 1])[0])
+    if not mask.known[p - 1]:
+        gaps.append(abs(stat - t[p - 1] ** (2 if eq.stat == "msd" else 1) * num / den))
+    return max(gaps)
+
+
+def _columns(*exprs):
+    """The estimator that fills each free column j, in order, with exprs[j](X, theta)."""
+    def rows(fam, mask, X):
+        theta = _known_rows(mask, len(X))
+        for j, expr in enumerate(exprs):
+            if not mask.known[j]:
+                theta[:, j] = expr(X, theta)
+        return theta
+    return rows
+
+
+_ML_ROWS = {
+    "normal": _mm_rows,  # the normal and exponential ML estimators are their MM ones
+    "exponential": _mm_rows,
+    "laplace": _columns(lambda X, t: np.median(X, axis=1),
+                        lambda X, t: np.abs(X - t[:, :1]).mean(axis=1)),
+    "uniform": _columns(lambda X, t: X.min(axis=1), lambda X, t: X.max(axis=1)),
+    "half-normal": _columns(lambda X, t: np.sqrt((X ** 2).mean(axis=1))),
+    "rayleigh": _columns(lambda X, t: np.sqrt(0.5 * (X ** 2).mean(axis=1))),
+    "maxwell-boltzmann": _columns(lambda X, t: np.sqrt((X ** 2).mean(axis=1) / 3.0)),
+    "pareto": _columns(lambda X, t: 1.0 / np.log(X).mean(axis=1)),
+}
+
+
+def rows_estimator(fam, kind, mask: KnownMask):
+    """The estimator of a (family, estimator, mask) row as a map from sample
+    rows X to theta rows, or None where it has no closed form.
+
+    Every MM row has one, and so have the ML rows of the families in
+    ``_ML_ROWS`` (a log family through its base, on ln X).  Rows that
+    ``rejected_rows`` flags must be screened out first.
+    """
+    base = fam.base or fam
+    if kind is EstimatorKind.MM:
+        if not fam.has_mm or not all(mask.is_known(fam, g) for g in fam.mm_known):
+            return None
+        est = _mm_rows
+    elif base.name in _ML_ROWS:
+        est = _ML_ROWS[base.name]
+    else:
+        return None
+    known = list(mask.known)
+
+    def rows(X):
+        theta = est(base, mask, X if fam.base is None else np.log(X))
+        theta[:, known] = np.asarray(mask.fixed_values)[known]
+        return theta
+    return rows
+
+
+def rejected_rows(fam: Family, mask: KnownMask, X):
+    """Rows of X that ``fit`` rejects: (data outside the support, no spread
+    to fit).  Uniform's support is closed between its known ends."""
+    lo, hi = fam.support(mask.fixed_values)
+    if fam.name == "uniform":
+        outside = np.any((X < lo) | (X > hi), axis=1)
+    else:
+        outside = np.any((X <= lo) | (X >= hi), axis=1)
+    spread = fam.n_params > 1 and mask.n_known < fam.n_params
+    return outside, spread & (np.ptp(X, axis=1) == 0.0)
 
 
 # ---------------------------------------------------------------------------
 # generic masked likelihood maximization (fallback)
 # ---------------------------------------------------------------------------
 
-_POSITIVE_PARAMS = {"lambda", "sigma", "beta", "rho", "alpha", "omega", "delta", "k"}
-
-
 def _generic_ml(fam: Family, x, mask: KnownMask):
     free = [i for i, k in enumerate(mask.known) if not k]
     try:
-        base, _, _ = _FITTERS[fam.name](fam, x, KnownMask.none(fam.n_params),
-                                        EstimatorKind.ML)
+        base, _, _ = _FITTERS[fam.name](fam, x, KnownMask.none(fam.n_params))
     except (EstimationError, DomainError):
         base = None
     start = list(base) if base is not None else [1.0] * fam.n_params
     for i, k in enumerate(mask.known):
         if k:
             start[i] = mask.fixed_values[i]
-    logflag = [fam.param_names[i] in _POSITIVE_PARAMS for i in range(fam.n_params)]
+    # positive components are searched on the log scale
+    logflag = [i in fam.check.positive for i in range(fam.n_params)]
 
     def unpack(z):
         theta = list(start)
@@ -879,7 +851,7 @@ def _residual(fam: Family, theta, x, mask: KnownMask, kind: EstimatorKind) -> fl
     if not free:
         return 0.0
     if kind is EstimatorKind.MM:
-        return _mm_residual(fam, theta, x, mask)
+        return _mm_gap(fam, theta, x, mask)
     if fam.name == "epd" and theta[0] < 1.0:
         # the location score is unbounded at the cusp optimum; judge the
         # remaining components only
@@ -889,48 +861,6 @@ def _residual(fam: Family, theta, x, mask: KnownMask, kind: EstimatorKind) -> fl
     with np.errstate(all="ignore"):
         s = score(fam, theta, x)
     return float(np.max(np.abs(np.mean(s[free], axis=1))))
-
-
-def _mm_residual(fam: Family, theta, x, mask: KnownMask) -> float:
-    """Maximum mismatch between the matched sample and model moments."""
-    name = fam.name
-    t = tuple(theta)
-    if name == "log-logistic":
-        lx = np.log(x)
-        r1 = abs(float(np.mean(lx)) - math.log(t[0]))
-        r2 = abs(float(np.mean((lx - math.log(t[0])) ** 2)) - math.pi ** 2 / (3.0 * t[1] ** 2))
-        return max(r1, r2)
-    if name in ("epd", "laplace", "normal", "logistic"):
-        if name == "epd":
-            mu, sigma, var = t[1], t[2], t[2] ** 2 / _epd_c2(t[0])
-        elif name == "laplace":
-            mu, sigma, var = t[0], t[1], 2.0 * t[1] ** 2
-        elif name == "normal":
-            mu, sigma, var = t[0], t[1], t[1] ** 2
-        else:
-            mu, sigma, var = t[0], t[1], math.pi ** 2 * t[1] ** 2 / 3.0
-        r1 = 0.0 if mask.is_known(fam, "mu") else abs(float(np.mean(x)) - mu)
-        r2 = 0.0 if mask.is_known(fam, "sigma") else abs(float(np.mean((x - mu) ** 2)) - var)
-        return max(r1, r2)
-    if name == "student-t":
-        mu = t[1]
-        r1 = 0.0 if mask.is_known(fam, "mu") else abs(float(np.mean(x)) - mu)
-        r2 = 0.0 if mask.is_known(fam, "sigma") else abs(
-            float(np.mean(np.abs(x - mu))) - _student_c2(t[0]) * t[2])
-        return max(r1, r2)
-    if name == "half-epd":
-        return abs(float(np.mean(x)) - t[1] / _halfepd_c2(t[0]))
-    if name == "exponential":
-        return abs(float(np.mean(x)) - t[0])
-    if name == "half-normal":
-        return abs(float(np.mean(x)) - t[0] * math.sqrt(2.0 / math.pi))
-    if name == "rayleigh":
-        return abs(float(np.mean(x)) - t[0] * math.sqrt(math.pi / 2.0))
-    if name == "maxwell-boltzmann":
-        return abs(float(np.mean(x)) - t[0] * math.sqrt(8.0 / math.pi))
-    if name == "chi-squared":
-        return abs(float(np.mean(x)) - t[0])
-    raise ConfigurationError(f"no MM estimator for family {name!r}")
 
 
 def fit(fam, kind, mask: Optional[KnownMask], x) -> FitResult:
@@ -960,19 +890,10 @@ def fit(fam, kind, mask: Optional[KnownMask], x) -> FitResult:
     n_free = fam.n_params - mask.n_known
     if len(x) < n_free + 1:
         raise DomainError(f"need at least {n_free + 1} observations, got {len(x)}")
-
-    # support check (support is theta-free except for uniform)
-    if fam.name == "uniform":
-        if mask.n_known == 2:
-            lo, hi = mask.fixed_values
-            if np.any(x < lo) or np.any(x > hi):
-                raise DomainError("data outside the fixed uniform support")
-    else:
-        lo, hi = fam.support((1.0,) * fam.n_params)
-        if np.any(x <= lo) or np.any(x >= hi):
-            raise DomainError(f"data outside the support of {fam.name}")
-
-    if n_free > 0 and float(np.ptp(x)) == 0.0 and (fam.n_params > 1 or fam.name == "uniform"):
+    outside, flat = rejected_rows(fam, mask, x[None, :])
+    if outside[0]:
+        raise DomainError(f"data outside the support of {fam.name}")
+    if flat[0]:
         raise DegenerateSampleError("all observations are equal")
 
     if n_free == 0:
@@ -982,13 +903,12 @@ def fit(fam, kind, mask: Optional[KnownMask], x) -> FitResult:
 
     # a log-delegating family is its base family fitted to ln x
     base, xb = (fam.base, np.log(x)) if fam.base is not None else (fam, x)
-    out = _FITTERS[base.name](base, xb, mask, kind)
-    if out is None:
-        if kind is EstimatorKind.MM:
-            raise ConfigurationError(
-                f"MM for {fam.name!r} does not support this known-parameter mask")
-        out = _generic_ml(base, xb, mask)
-    theta, iterations, converged = out
+    rows = rows_estimator(fam, kind, mask)
+    if rows is not None:
+        theta, iterations, converged = rows(x[None, :])[0], 1, True
+    else:
+        out = _FITTERS[base.name](base, xb, mask)
+        theta, iterations, converged = out if out is not None else _generic_ml(base, xb, mask)
     theta = np.asarray(theta, dtype=float)
     # known components are returned bit-identical
     for i, k in enumerate(mask.known):

@@ -8,6 +8,12 @@ e.g. ``get_family("inverse-gaussian")``.  Every ``cdf_fn`` broadcasts over
 theta components given as columns of shape (rows, 1), which is how the batch
 PIT evaluates a block of fitted rows in one call.
 
+A family with an MM estimator declares its moment equation once, as
+``Family.mm`` (a ``MomentEq``); the estimator over sample rows, the MM
+residual, ``has_mm`` and ``mm_known`` all derive from it.  ``Family.shapes``
+names the parameters the scaling covariance Sigma depends on; it is invariant
+under the others, so a block whose shapes are all known shares one Sigma.
+
 The log-{ EPD, Laplace, normal } families delegate to their real-line
 counterparts through x -> ln x and record that counterpart as
 ``Family.base``, through which the fitters and the matrices are found; the
@@ -18,14 +24,14 @@ as well (``apd_pdf`` / ``apd_cdf`` / ``sample_apd``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy import special as sp
 
 from . import specfun
-from .errors import DomainError, SamplingError
+from .errors import ConfigurationError, DomainError, SamplingError
 
 __all__ = [
     "Family", "get_family", "family_names", "pdf", "cdf", "quantile",
@@ -40,6 +46,25 @@ _TINY_U = 1e-15
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class MomentEq:
+    """The moment equation of a family's MM estimator.
+
+    The sample ``stat``, "mean" or the mean squared ("msd") or absolute
+    ("mad") deviation about the location, is matched to its model value
+    s**q * num / den at scale s (the last parameter; q = 2 for "msd", else 1),
+    with (num, den) = unit(*given) for the shapes ``given``, which the MM row
+    requires known.  The location, the next-to-last parameter of an "msd" or
+    "mad" family, is matched to the sample mean.  With ``log`` = (to, back)
+    the equation holds for ln x in the parameters to(theta).
+    """
+
+    stat: str
+    unit: Callable[..., tuple[float, float]]
+    given: tuple[str, ...] = ()
+    log: Optional[tuple[Callable, Callable]] = None
+
+
+@dataclass(frozen=True)
 class Family:
     """One null family: parameter metadata plus distribution callables."""
 
@@ -51,13 +76,21 @@ class Family:
     cdf_fn: Callable[[tuple, np.ndarray], np.ndarray]
     quantile_fn: Optional[Callable[[tuple, np.ndarray], np.ndarray]]
     score_fn: Optional[Callable[[tuple, np.ndarray], np.ndarray]]
-    has_mm: bool = False
-    mm_known: tuple[str, ...] = field(default=())  # params the MM row requires known
+    mm: Optional[MomentEq] = None
+    shapes: tuple[str, ...] = ()  # the parameters the scaling covariance depends on
     base: Optional["Family"] = None  # a log-delegating family's real-line family
 
     @property
     def n_params(self) -> int:
         return len(self.param_names)
+
+    @property
+    def has_mm(self) -> bool:
+        return self.mm is not None
+
+    @property
+    def mm_known(self) -> tuple[str, ...]:  # the parameters the MM row requires known
+        return self.mm.given if self.mm is not None else ()
 
 
 _REGISTRY: dict[str, Family] = {}
@@ -197,6 +230,7 @@ def _pos(*idx):
         for i in idx:
             if t[i] <= 0.0:
                 raise DomainError(f"parameter {i} must be > 0, got {t[i]}")
+    check.positive = idx
     return check
 
 
@@ -243,6 +277,11 @@ def _epd_c1(lam):
     return float(specfun.digamma(1.0 / lam + 1.0)) + math.log(lam)
 
 
+def _epd_c2(lam):
+    return math.exp(float(specfun.ln_gamma(1.0 / lam)) - float(specfun.ln_gamma(3.0 / lam))
+                    - (2.0 / lam) * math.log(lam))
+
+
 def _epd_score(t, x):
     lam, mu, sigma = t
     y = (x - mu) / sigma
@@ -265,8 +304,8 @@ _register(Family(
     cdf_fn=_epd_cdf,
     quantile_fn=_epd_quantile,
     score_fn=_epd_score,
-    has_mm=True,
-    mm_known=("lambda",),
+    mm=MomentEq("msd", lambda lam: (1.0, _epd_c2(lam)), ("lambda",)),
+    shapes=("lambda",),
 ))
 
 _register(Family(
@@ -282,7 +321,7 @@ _register(Family(
     score_fn=lambda t, x: np.vstack([
         np.sign(x - t[0]) / t[1],
         (np.abs(x - t[0]) / t[1] - 1.0) / t[1]]),
-    has_mm=True,
+    mm=MomentEq("msd", lambda: (1.0, 0.5)),
 ))
 
 _register(Family(
@@ -297,7 +336,7 @@ _register(Family(
     score_fn=lambda t, x: np.vstack([
         (x - t[0]) / t[1] ** 2,
         (((x - t[0]) / t[1]) ** 2 - 1.0) / t[1]]),
-    has_mm=True,
+    mm=MomentEq("msd", lambda: (1.0, 1.0)),
 ))
 
 
@@ -331,6 +370,7 @@ _register(Family(
     cdf_fn=lambda t, x: specfun.reg_gamma_cdf(t[0], 1.0, np.exp((x - t[1]) / t[2])),
     quantile_fn=lambda t, u: t[1] + t[2] * np.log(sp.gammaincinv(t[0], u)),
     score_fn=_expgamma_score,
+    shapes=("lambda",),
 ))
 
 _register(Family(
@@ -375,7 +415,7 @@ _register(Family(
         (2.0 * F - 1.0) / t[1],
         (y * (2.0 * F - 1.0) - 1.0) / t[1]]))(
         (x - t[0]) / t[1], sp.expit((x - t[0]) / t[1])),
-    has_mm=True,
+    mm=MomentEq("msd", lambda: (1.0, 3.0 / math.pi ** 2)),
 ))
 
 
@@ -404,6 +444,14 @@ def _student_quantile(t, u):
     return mu + sigma * s * y
 
 
+def _student_c2(lam):
+    """E|T - mu| / sigma, the constant of the Student-t MM (which needs lambda > 2)."""
+    if lam <= 2.0:
+        raise ConfigurationError("Student-t MM requires lambda > 2")
+    return math.sqrt(lam) * math.exp(float(specfun.ln_gamma(0.5 * (lam - 1.0)))
+                                     - float(specfun.ln_gamma(0.5 * lam))) / math.sqrt(math.pi)
+
+
 def _student_score(t, x):
     lam, mu, sigma = t
     y = (x - mu) / sigma
@@ -424,8 +472,8 @@ _register(Family(
     cdf_fn=_student_cdf,
     quantile_fn=_student_quantile,
     score_fn=_student_score,
-    has_mm=True,
-    mm_known=("lambda",),
+    mm=MomentEq("mad", lambda lam: (_student_c2(lam), 1.0), ("lambda",)),
+    shapes=("lambda",),
 ))
 
 
@@ -449,8 +497,8 @@ def _log_delegate(base_name: str):
         cdf_fn=lambda t, x: base.cdf_fn(t, np.log(x)),
         quantile_fn=lambda t, u: np.exp(base.quantile_fn(t, u)),
         score_fn=lambda t, x: base.score_fn(t, np.log(x)),
-        has_mm=base.has_mm,
-        mm_known=base.mm_known,
+        mm=base.mm,
+        shapes=base.shapes,
         base=base,
     ))
 
@@ -467,6 +515,11 @@ def _halfepd_logpdf(t, x):
     lam, sigma = t
     w = x / sigma
     return -np.power(w, lam) / lam - math.log(sigma) - (_epd_lognorm(lam) - math.log(2.0))
+
+
+def _halfepd_c2(lam):
+    return math.exp(float(specfun.ln_gamma(1.0 / lam)) - float(specfun.ln_gamma(2.0 / lam))
+                    - math.log(lam) / lam)
 
 
 def _halfepd_score(t, x):
@@ -488,8 +541,8 @@ _register(Family(
     cdf_fn=lambda t, x: specfun.reg_gamma_cdf(1.0 / t[0], 1.0, np.power(x / t[1], t[0]) / t[0]),
     quantile_fn=lambda t, u: t[1] * np.power(t[0] * sp.gammaincinv(1.0 / t[0], u), 1.0 / t[0]),
     score_fn=_halfepd_score,
-    has_mm=True,
-    mm_known=("lambda",),
+    mm=MomentEq("mean", lambda lam: (1.0, _halfepd_c2(lam)), ("lambda",)),
+    shapes=("lambda",),
 ))
 
 
@@ -519,6 +572,7 @@ _register(Family(
     cdf_fn=lambda t, x: specfun.reg_gamma_cdf(t[0], 1.0, np.power(x / t[1], t[2])),
     quantile_fn=lambda t, u: t[1] * np.power(sp.gammaincinv(t[0], u), 1.0 / t[2]),
     score_fn=_gg_score,
+    shapes=("lambda",),
 ))
 
 _register(Family(
@@ -557,6 +611,7 @@ _register(Family(
     score_fn=lambda t, x: (lambda e: np.vstack([
         1.0 / t[0] + x - t[1] * x * e,
         1.0 / t[1] + 1.0 - e]))(np.exp(t[0] * x)),
+    shapes=("rho",),
 ))
 
 _register(Family(
@@ -572,7 +627,9 @@ _register(Family(
         (t[1] / t[0]) * (2.0 * F - 1.0),
         1.0 / t[1] + lx * (1.0 - 2.0 * F)]))(
         np.log(x / t[0]), sp.expit(t[1] * np.log(x / t[0]))),
-    has_mm=True,
+    # logistic on ln x, with beta = e^mu and rho = 1/sigma
+    mm=MomentEq("msd", lambda: (1.0, 3.0 / math.pi ** 2),
+                log=(lambda t: (np.log(t[0]), 1.0 / t[1]), lambda t: (np.exp(t[0]), 1.0 / t[1]))),
 ))
 
 
@@ -592,6 +649,7 @@ _register(Family(
     score_fn=lambda t, x: np.vstack([
         np.log(x / t[1]) - float(specfun.digamma(t[0])),
         (x / t[1] - t[0]) / t[1]]),
+    shapes=("lambda",),
 ))
 
 _register(Family(
@@ -606,6 +664,7 @@ _register(Family(
     score_fn=lambda t, x: np.vstack([
         np.log(t[1] / x) - float(specfun.digamma(t[0])),
         t[0] / t[1] - 1.0 / x]),
+    shapes=("lambda",),
 ))
 
 
@@ -627,6 +686,7 @@ _register(Family(
         psum - float(specfun.digamma(t[0])) + np.log(x) - np.log1p(x),
         psum - float(specfun.digamma(t[1])) - np.log1p(x)]))(
         float(specfun.digamma(t[0] + t[1]))),
+    shapes=("alpha", "beta"),
 ))
 
 _register(Family(
@@ -640,6 +700,7 @@ _register(Family(
     score_fn=lambda t, x: (lambda w: np.vstack([
         1.0 / t[0] - np.log1p(w),
         ((t[0] + 1.0) * w / (1.0 + w) - 1.0) / t[1]]))(x / t[1]),
+    shapes=("alpha",),
 ))
 
 _register(Family(
@@ -656,6 +717,7 @@ _register(Family(
         math.log(t[0] / t[1]) + 1.0 - float(specfun.digamma(t[0]))
         + np.log(x ** 2) - x ** 2 / t[1],
         (t[0] / t[1]) * (x ** 2 / t[1] - 1.0)]),
+    shapes=("lambda",),
 ))
 
 
@@ -679,6 +741,7 @@ _register(Family(
     score_fn=lambda t, x: np.vstack([
         t[1] * (x - t[0]) / t[0] ** 3,
         0.5 / t[1] - (x - t[0]) ** 2 / (2.0 * t[0] ** 2 * x)]),
+    shapes=("mu", "lambda"),  # through lambda / mu
 ))
 
 
@@ -695,7 +758,7 @@ _register(Family(
     cdf_fn=lambda t, x: -np.expm1(-x / t[0]),
     quantile_fn=lambda t, u: -t[0] * np.log1p(-u),
     score_fn=lambda t, x: (x / t[0] - 1.0)[None, :] / t[0],
-    has_mm=True,
+    mm=MomentEq("mean", lambda: (1.0, 1.0)),
 ))
 
 _register(Family(
@@ -708,7 +771,7 @@ _register(Family(
     cdf_fn=lambda t, x: 2.0 * specfun.std_normal_cdf(x / t[0]) - 1.0,
     quantile_fn=lambda t, u: t[0] * sp.ndtri(0.5 * (1.0 + u)),
     score_fn=lambda t, x: ((x / t[0]) ** 2 - 1.0)[None, :] / t[0],
-    has_mm=True,
+    mm=MomentEq("mean", lambda: (1.0, math.sqrt(math.pi / 2.0))),
 ))
 
 _register(Family(
@@ -720,7 +783,7 @@ _register(Family(
     cdf_fn=lambda t, x: -np.expm1(-0.5 * (x / t[0]) ** 2),
     quantile_fn=lambda t, u: t[0] * np.sqrt(-2.0 * np.log1p(-u)),
     score_fn=lambda t, x: ((x / t[0]) ** 2 - 2.0)[None, :] / t[0],
-    has_mm=True,
+    mm=MomentEq("mean", lambda: (1.0, math.sqrt(2.0 / math.pi))),
 ))
 
 _register(Family(
@@ -733,7 +796,7 @@ _register(Family(
     cdf_fn=lambda t, x: specfun.reg_gamma_cdf(1.5, 1.0, 0.5 * (x / t[0]) ** 2),
     quantile_fn=lambda t, u: t[0] * np.sqrt(2.0 * sp.gammaincinv(1.5, u)),
     score_fn=lambda t, x: ((x / t[0]) ** 2 - 3.0)[None, :] / t[0],
-    has_mm=True,
+    mm=MomentEq("mean", lambda: (1.0, math.sqrt(math.pi / 8.0))),
 ))
 
 _register(Family(
@@ -746,7 +809,8 @@ _register(Family(
     cdf_fn=lambda t, x: specfun.reg_gamma_cdf(0.5 * t[0], 1.0, 0.5 * x),
     quantile_fn=lambda t, u: 2.0 * sp.gammaincinv(0.5 * t[0], u),
     score_fn=lambda t, x: 0.5 * (np.log(0.5 * x) - float(specfun.digamma(0.5 * t[0])))[None, :],
-    has_mm=True,
+    mm=MomentEq("mean", lambda: (1.0, 1.0)),
+    shapes=("k",),
 ))
 
 
@@ -784,6 +848,7 @@ _register(Family(
         psum - float(specfun.digamma(t[0])) + np.log(x),
         psum - float(specfun.digamma(t[1])) + np.log1p(-x)]))(
         float(specfun.digamma(t[0] + t[1]))),
+    shapes=("alpha", "beta"),
 ))
 
 _register(Family(
@@ -798,6 +863,7 @@ _register(Family(
     score_fn=lambda t, x: (lambda xa, lx: np.vstack([
         1.0 / t[0] + lx - (t[1] - 1.0) * xa * lx / (1.0 - xa),
         1.0 / t[1] + np.log1p(-xa)]))(np.power(x, t[0]), np.log(x)),
+    shapes=("beta",),
 ))
 
 _register(Family(

@@ -24,6 +24,8 @@ import numpy as np
 from . import _batch, families
 from .errors import DomainError, EstimationError, SamplingError, SingularityError
 from .estimate import EstimatorKind, FitResult, KnownMask, fit
+from .scaling import _check_pd, _eig2
+from .specfun import std_normal_quantile
 
 __all__ = ["TrigMoments", "TestResult", "Ellipse", "trig_moments", "run_test",
            "replicate", "ellipse"]
@@ -193,12 +195,9 @@ def ellipse(sig: np.ndarray, level: float, n_points: int = 256) -> Ellipse:
         raise DomainError("level must lie in (0, 1)")
     sig = np.asarray(sig, dtype=float)
     q = -2.0 * math.log1p(-level)
+    _check_pd(sig)
     a, b, c = sig[0, 0], sig[0, 1], sig[1, 1]
-    half_tr = 0.5 * (a + c)
-    disc = math.hypot(0.5 * (a - c), b)
-    l1, l2 = half_tr + disc, half_tr - disc
-    if l2 <= 0.0:
-        raise SingularityError("covariance is not positive definite")
+    l1, l2 = _eig2(sig)
     rotation = 0.5 * math.atan2(2.0 * b, a - c) if b != 0.0 else (0.0 if a >= c else 0.5 * math.pi)
     phi = np.linspace(0.0, TWO_PI, n_points, endpoint=False)
     circle = np.column_stack([np.cos(phi), np.sin(phi)])
@@ -206,7 +205,6 @@ def ellipse(sig: np.ndarray, level: float, n_points: int = 256) -> Ellipse:
     Q = np.array([[ct, -st], [st, ct]])
     half = Q @ np.diag([math.sqrt(q * l1), math.sqrt(q * l2)])
     boundary = circle @ half.T
-    from .specfun import std_normal_quantile
     z = float(std_normal_quantile(0.5 * (1.0 + level)))
     return Ellipse(
         center=(0.0, 0.0),

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import quadrature, specfun
 from .errors import ConfigurationError, DomainError, SingularityError
-from .estimate import EstimatorKind, KnownMask, _epd_c2, _student_c2
-from .families import _epd_c1, get_family
+from .estimate import EstimatorKind, KnownMask
+from .families import _epd_c1, _epd_c2, _student_c2, get_family
 
 __all__ = ["MatrixSet", "matrices", "sigma", "sigma_from", "solve_2x2", "COND_LIMIT"]
 
@@ -221,8 +221,6 @@ def _m_student_ml(t):
 
 def _m_student_mm(t):
     lam, mu, sigma_ = t
-    if lam <= 2.0:
-        raise ConfigurationError("Student-t MM matrices require lambda > 2")
     c2 = _student_c2(lam)
     c3 = c2 / (lam / (lam - 2.0) - c2 ** 2)
     G = np.array([
@@ -489,10 +487,6 @@ def _m_pareto_ml(t):
     return G, R, None
 
 
-def _m_beta_ml(t):
-    return _m_betaprime_ml(t)
-
-
 def _m_kumaraswamy_ml(t):
     a, b = t
     G = b * np.array([
@@ -517,47 +511,47 @@ def _m_kumaraswamy_ml(t):
 
 
 _BUILDERS = {
-    ("epd", EstimatorKind.ML): (_m_epd_ml, ("lambda", "mu", "sigma")),
-    ("epd", EstimatorKind.MM): (_m_epd_mm, ("mu", "sigma")),
-    ("laplace", EstimatorKind.ML): (_m_laplace_ml, ("mu", "sigma")),
-    ("laplace", EstimatorKind.MM): (_m_laplace_mm, ("mu", "sigma")),
-    ("normal", EstimatorKind.ML): (_m_normal, ("mu", "sigma")),
-    ("normal", EstimatorKind.MM): (_m_normal, ("mu", "sigma")),
-    ("exp-gamma", EstimatorKind.ML): (_m_expgamma_ml, ("lambda", "mu", "sigma")),
-    ("exp-weibull", EstimatorKind.ML): (_m_expweibull_ml, ("mu", "sigma")),
-    ("gumbel", EstimatorKind.ML): (_m_gumbel_ml, ("mu", "sigma")),
-    ("logistic", EstimatorKind.ML): (_m_logistic_ml, ("mu", "sigma")),
-    ("logistic", EstimatorKind.MM): (_m_logistic_mm, ("mu", "sigma")),
-    ("student-t", EstimatorKind.ML): (_m_student_ml, ("lambda", "mu", "sigma")),
-    ("student-t", EstimatorKind.MM): (_m_student_mm, ("mu", "sigma")),
-    ("half-epd", EstimatorKind.ML): (_m_halfepd_ml, ("lambda", "sigma")),
-    ("half-epd", EstimatorKind.MM): (_m_halfepd_mm, ("sigma",)),
-    ("gg", EstimatorKind.ML): (_m_gg_ml, ("lambda", "beta", "rho")),
-    ("weibull", EstimatorKind.ML): (_m_weibull_ml, ("beta", "rho")),
-    ("frechet", EstimatorKind.ML): (_m_frechet_ml, ("beta", "rho")),
-    ("gompertz", EstimatorKind.ML): (_m_gompertz_ml, ("beta", "rho")),
-    ("log-logistic", EstimatorKind.ML): (_m_loglogistic_ml, ("beta", "rho")),
-    ("log-logistic", EstimatorKind.MM): (_m_loglogistic_mm, ("beta", "rho")),
-    ("gamma", EstimatorKind.ML): (_m_gamma_ml, ("lambda", "beta")),
-    ("inverse-gamma", EstimatorKind.ML): (_m_invgamma_ml, ("lambda", "beta")),
-    ("beta-prime", EstimatorKind.ML): (_m_betaprime_ml, ("alpha", "beta")),
-    ("lomax", EstimatorKind.ML): (_m_lomax_ml, ("alpha", "sigma")),
-    ("nakagami", EstimatorKind.ML): (_m_nakagami_ml, ("lambda", "omega")),
-    ("inverse-gaussian", EstimatorKind.ML): (_m_invgauss_ml, ("mu", "lambda")),
-    ("exponential", EstimatorKind.ML): (_m_exponential, ("beta",)),
-    ("exponential", EstimatorKind.MM): (_m_exponential, ("beta",)),
-    ("half-normal", EstimatorKind.ML): (_m_halfnormal_ml, ("delta",)),
-    ("half-normal", EstimatorKind.MM): (_m_halfnormal_mm, ("delta",)),
-    ("rayleigh", EstimatorKind.ML): (_m_rayleigh_ml, ("delta",)),
-    ("rayleigh", EstimatorKind.MM): (_m_rayleigh_mm, ("delta",)),
-    ("maxwell-boltzmann", EstimatorKind.ML): (_m_maxwell_ml, ("delta",)),
-    ("maxwell-boltzmann", EstimatorKind.MM): (_m_maxwell_mm, ("delta",)),
-    ("chi-squared", EstimatorKind.ML): (_m_chi2_ml, ("k",)),
-    ("chi-squared", EstimatorKind.MM): (_m_chi2_mm, ("k",)),
-    ("pareto", EstimatorKind.ML): (_m_pareto_ml, ("alpha",)),
-    ("beta", EstimatorKind.ML): (_m_beta_ml, ("alpha", "beta")),
-    ("kumaraswamy", EstimatorKind.ML): (_m_kumaraswamy_ml, ("alpha", "beta")),
-    ("uniform", EstimatorKind.ML): (None, ()),
+    ("epd", EstimatorKind.ML): _m_epd_ml,
+    ("epd", EstimatorKind.MM): _m_epd_mm,
+    ("laplace", EstimatorKind.ML): _m_laplace_ml,
+    ("laplace", EstimatorKind.MM): _m_laplace_mm,
+    ("normal", EstimatorKind.ML): _m_normal,
+    ("normal", EstimatorKind.MM): _m_normal,
+    ("exp-gamma", EstimatorKind.ML): _m_expgamma_ml,
+    ("exp-weibull", EstimatorKind.ML): _m_expweibull_ml,
+    ("gumbel", EstimatorKind.ML): _m_gumbel_ml,
+    ("logistic", EstimatorKind.ML): _m_logistic_ml,
+    ("logistic", EstimatorKind.MM): _m_logistic_mm,
+    ("student-t", EstimatorKind.ML): _m_student_ml,
+    ("student-t", EstimatorKind.MM): _m_student_mm,
+    ("half-epd", EstimatorKind.ML): _m_halfepd_ml,
+    ("half-epd", EstimatorKind.MM): _m_halfepd_mm,
+    ("gg", EstimatorKind.ML): _m_gg_ml,
+    ("weibull", EstimatorKind.ML): _m_weibull_ml,
+    ("frechet", EstimatorKind.ML): _m_frechet_ml,
+    ("gompertz", EstimatorKind.ML): _m_gompertz_ml,
+    ("log-logistic", EstimatorKind.ML): _m_loglogistic_ml,
+    ("log-logistic", EstimatorKind.MM): _m_loglogistic_mm,
+    ("gamma", EstimatorKind.ML): _m_gamma_ml,
+    ("inverse-gamma", EstimatorKind.ML): _m_invgamma_ml,
+    ("beta-prime", EstimatorKind.ML): _m_betaprime_ml,
+    ("lomax", EstimatorKind.ML): _m_lomax_ml,
+    ("nakagami", EstimatorKind.ML): _m_nakagami_ml,
+    ("inverse-gaussian", EstimatorKind.ML): _m_invgauss_ml,
+    ("exponential", EstimatorKind.ML): _m_exponential,
+    ("exponential", EstimatorKind.MM): _m_exponential,
+    ("half-normal", EstimatorKind.ML): _m_halfnormal_ml,
+    ("half-normal", EstimatorKind.MM): _m_halfnormal_mm,
+    ("rayleigh", EstimatorKind.ML): _m_rayleigh_ml,
+    ("rayleigh", EstimatorKind.MM): _m_rayleigh_mm,
+    ("maxwell-boltzmann", EstimatorKind.ML): _m_maxwell_ml,
+    ("maxwell-boltzmann", EstimatorKind.MM): _m_maxwell_mm,
+    ("chi-squared", EstimatorKind.ML): _m_chi2_ml,
+    ("chi-squared", EstimatorKind.MM): _m_chi2_mm,
+    ("pareto", EstimatorKind.ML): _m_pareto_ml,
+    ("beta", EstimatorKind.ML): _m_betaprime_ml,  # the same G and R in (alpha, beta)
+    ("kumaraswamy", EstimatorKind.ML): _m_kumaraswamy_ml,
+    ("uniform", EstimatorKind.ML): None,
 }
 
 
@@ -578,15 +572,17 @@ def matrices(fam, kind, theta) -> MatrixSet:
     if len(t) != fam.n_params:
         raise DomainError(f"{fam.name} takes {fam.n_params} parameters")
     fam.check(t)
-    builder, names = _BUILDERS[key]
+    builder = _BUILDERS[key]
     if builder is None:  # uniform: no estimating-equation matrices
         empty = np.zeros((2, 0))
         return MatrixSet(empty, np.zeros((0, 0)), empty.copy(), ())
     G, R, J = builder(t)
     if J is None:
         J = G.copy()
+    names = fam.param_names if kind is EstimatorKind.ML else tuple(
+        p for p in fam.param_names if p not in fam.mm_known)
     return MatrixSet(np.asarray(G, float), np.asarray(R, float),
-                     np.asarray(J, float), tuple(names))
+                     np.asarray(J, float), names)
 
 
 def _inv_small(A: np.ndarray) -> np.ndarray:

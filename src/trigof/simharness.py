@@ -7,7 +7,8 @@ data.  Every replication draws its own generator from the key
 reruns.  A cell's replications run through ``gof.replicate``, in one call
 or, with ``workers > 1``, in blocks of at least 256 spread over a process
 pool; a failed replication counts toward ``failed``, and a cell with more
-than 1% failures, or whose run raised, is not ``ok``.
+than 1% failures, or whose run raised, is not ``ok`` (one whose run raised
+has no rate: ``rate`` and ``se`` are NaN).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .estimate import KnownMask
 from .gof import replicate
 
 __all__ = ["CellConfig", "StudyConfig", "CellReport", "StudyReport",
-           "level_study", "power_snapshot", "run_study", "load_config",
+           "run_study", "load_config",
            "report_rows", "write_report"]
 
 
@@ -106,8 +107,7 @@ def _run_cell(cell: CellConfig, cfg: StudyConfig, cell_index: int) -> CellReport
     # picklable, so that a process pool can run blocks of replications
     run = partial(replicate, cell.family, cell.kind, cell.mask(),
                   partial(_draw, cell, cfg.seed, cell_index))
-    rejections = 0
-    failed = 0
+    rejections = failed = 0
     ok = True
     try:
         blocks = [range(lo, hi) for lo, hi in _split(cfg.reps, cfg.workers)]
@@ -118,9 +118,10 @@ def _run_cell(cell: CellConfig, cfg: StudyConfig, cell_index: int) -> CellReport
             tn = run(blocks[0])
         failed = int(np.count_nonzero(np.isnan(tn)))
         rejections = int(np.count_nonzero(tn > q))
-    except TrigofError:
+        done = cfg.reps - failed
+    except TrigofError:  # no rate to report: NaN, not "never rejects"
         ok = False
-    done = cfg.reps - failed
+        done = 0
     rate = rejections / done if done else math.nan
     se = math.sqrt(rate * (1.0 - rate) / done) if done else math.nan
     if failed > 0.01 * cfg.reps:
@@ -140,22 +141,6 @@ def _split(reps: int, workers: int) -> list[tuple[int, int]]:
 def run_study(cfg: StudyConfig) -> StudyReport:
     reports = tuple(_run_cell(cell, cfg, i) for i, cell in enumerate(cfg.cells))
     return StudyReport(reports, cfg.reps, cfg.alpha, cfg.seed)
-
-
-def level_study(cfg: StudyConfig) -> StudyReport:
-    """Null rejection rates: every cell must sample from its own null."""
-    for cell in cfg.cells:
-        if cell.is_alternative:
-            raise DomainError(f"cell {cell.name!r} carries an alternative; "
-                              "use power_snapshot")
-    return run_study(cfg)
-
-
-def power_snapshot(cfg: StudyConfig) -> StudyReport:
-    """Rejection rates of the null test against designated alternatives."""
-    if not any(cell.is_alternative for cell in cfg.cells):
-        raise DomainError("power_snapshot needs at least one alternative cell")
-    return run_study(cfg)
 
 
 # ---------------------------------------------------------------------------

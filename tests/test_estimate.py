@@ -139,6 +139,62 @@ class TestMomentMatch:
         assert res.residual <= 1e-10 * scale
 
 
+def _mm_reference(name, x, known):
+    """The per-family MM formulas the moment-equation estimator replaced: the
+    reference it is checked against, bit for bit."""
+    fam = F.get_family(name)
+    if fam.base is not None:
+        return _mm_reference(fam.base.name, np.log(x), known)
+    if name == "log-logistic":
+        lx = np.log(x)
+        beta = known.get("beta", math.exp(float(np.mean(lx))))
+        rho = known.get("rho", 1.0 / math.sqrt(3.0 / math.pi ** 2
+                                               * float(np.mean((lx - math.log(beta)) ** 2))))
+        return beta, rho
+    if fam.param_names[-2:] == ("mu", "sigma"):
+        lam = known.get("lambda")
+        mu = known.get("mu", float(np.mean(x)))
+        sigma = {
+            "normal": lambda: float(np.sqrt(np.mean((x - mu) ** 2))),
+            "laplace": lambda: float(np.sqrt(0.5 * np.mean((x - mu) ** 2))),
+            "logistic": lambda: math.sqrt(3.0 / math.pi ** 2 * float(np.mean((x - mu) ** 2))),
+            "epd": lambda: math.sqrt(F._epd_c2(lam) * float(np.mean((x - mu) ** 2))),
+            "student-t": lambda: float(np.mean(np.abs(x - mu))) / F._student_c2(lam),
+        }[name]
+        return (() if lam is None else (lam,)) + (mu, known.get("sigma") or sigma())
+    scale = {
+        "half-epd": lambda: F._halfepd_c2(known["lambda"]) * float(np.mean(x)),
+        "exponential": lambda: float(np.mean(x)),
+        "half-normal": lambda: math.sqrt(math.pi / 2.0) * float(np.mean(x)),
+        "rayleigh": lambda: math.sqrt(2.0 / math.pi) * float(np.mean(x)),
+        "maxwell-boltzmann": lambda: math.sqrt(math.pi / 8.0) * float(np.mean(x)),
+        "chi-squared": lambda: float(np.mean(x)),
+    }[name]
+    return tuple(known.values()) + (known.get(fam.param_names[-1]) or scale(),)
+
+
+MM_ROWS = [name for name in sorted(FAMILY_THETAS) if F.get_family(name).has_mm]
+
+
+@pytest.mark.parametrize("name", MM_ROWS)
+def test_mm_estimator_matches_the_per_family_formulas(name):
+    assert len(MM_ROWS) == 15
+    fam, theta = F.get_family(name), FAMILY_THETAS[name]
+    required = MM_REQUIRED_KNOWN.get(name, {})
+    masks = [required] + [{**required, p: v} for p, v in zip(fam.param_names, theta)
+                          if p not in required and fam.n_params - len(required) > 1]
+    for known in masks:
+        mask = KnownMask.from_names(name, known) if known else None
+        for seed, n in [(0, 30), (1, 200), (2, 1000)]:
+            x = F.sample(name, theta, n, np.random.SeedSequence([61, seed]))
+            got = fit(name, "mm", mask, x).theta
+            want = np.array(_mm_reference(name, x, known))
+            if name == "log-logistic":  # ln(e^mu) != mu
+                np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+            else:
+                assert np.array_equal(got, want), (known, seed)
+
+
 class TestMasks:
     def test_masked_components_bit_identical(self):
         x = F.sample("normal", (0.0, 1.0), 400, 1)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,9 +13,6 @@ from trigof.gof import _single_test, replicate, run_test
 from trigof.power import AltCase, LocalAlternative, _sample_alternative, empirical_power
 from trigof.simharness import CellConfig, StudyConfig, report_rows, run_study
 from conftest import FAMILY_THETAS, MM_REQUIRED_KNOWN
-
-# a numpy warning escaping a replication is a defect, not noise
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _seeded(fam, theta, n, seed=0):
@@ -43,30 +41,49 @@ def _bootstrap_reference(fam, kind, mask, x, reps, seed):
     return exceed, failed, np.array(tn_rows)
 
 
+def _supported_rows():
+    """(family, kind, known names) for every mask that leaves a parameter to
+    fit, on every FAMILY_THETAS row (MM rows keep the shape they require
+    known), that ``_batch.supports``."""
+    for name in sorted(FAMILY_THETAS):
+        fam = F.get_family(name)
+        for kind in ("ml", "mm") if fam.has_mm else ("ml",):
+            required = tuple(MM_REQUIRED_KNOWN.get(name, {})) if kind == "mm" else ()
+            others = [p for p in fam.param_names if p not in required]
+            for r in range(len(others)):
+                for extra in itertools.combinations(others, r):
+                    known = {p: v for p, v in zip(fam.param_names, FAMILY_THETAS[name])
+                             if p in required + extra}
+                    mask = KnownMask.from_names(name, known) if known else None
+                    if _batch.supports(name, kind, mask):
+                        yield name, kind, tuple(known)
+
+
+SUPPORTED = list(_supported_rows())
 EPD_15 = KnownMask.from_names("epd", {"lambda": 1.5})
 EPD_08 = KnownMask.from_names("epd", {"lambda": 0.8})
 
 BATCH_ROWS = [
-    # (batch key, family, kind, mask, theta)
-    ("normal", "normal", "ml", None, (-0.2, 1.7)),
-    ("laplace", "laplace", "ml", None, (0.5, 1.3)),
-    ("laplace", "laplace", "mm", None, (0.5, 1.3)),
-    ("exponential", "exponential", "ml", None, (1.7,)),
-    ("uniform", "uniform", "ml", None, (-1.0, 2.5)),
-    ("logistic-mm", "logistic", "mm", None, (0.2, 0.9)),
-    ("gamma", "gamma", "ml", None, (2.3, 1.4)),
-    ("weibull", "weibull", "ml", None, (2.0, 1.5)),
-    ("epd-lam-known", "epd", "ml", EPD_15, (1.5, 0.3, 2.0)),
-    ("epd-lam-known", "epd", "mm", EPD_15, (1.5, 0.3, 2.0)),
-    ("epd-lam-known", "epd", "mm", EPD_08, (0.8, 0.3, 2.0)),
+    # (family, kind, mask, theta)
+    ("normal", "ml", None, (-0.2, 1.7)),
+    ("laplace", "ml", None, (0.5, 1.3)),
+    ("laplace", "mm", None, (0.5, 1.3)),
+    ("exponential", "ml", None, (1.7,)),
+    ("uniform", "ml", None, (-1.0, 2.5)),
+    ("logistic", "mm", None, (0.2, 0.9)),
+    ("gamma", "ml", None, (2.3, 1.4)),
+    ("weibull", "ml", None, (2.0, 1.5)),
+    ("epd", "ml", EPD_15, (1.5, 0.3, 2.0)),
+    ("epd", "mm", EPD_15, (1.5, 0.3, 2.0)),
+    ("epd", "mm", EPD_08, (0.8, 0.3, 2.0)),
 ]
 
 
 class TestBatchAgainstScalar:
-    @pytest.mark.parametrize("key,fam,kind,mask,theta", BATCH_ROWS,
-                             ids=[f"{r[1]}-{r[2]}-{r[4][0]}" for r in BATCH_ROWS])
-    def test_row_by_row(self, key, fam, kind, mask, theta):
-        assert _batch._batch_key(fam, gof.EstimatorKind(kind), mask) == key
+    @pytest.mark.parametrize("fam,kind,mask,theta", BATCH_ROWS,
+                             ids=[f"{r[0]}-{r[1]}-{r[3][0]}" for r in BATCH_ROWS])
+    def test_row_by_row(self, fam, kind, mask, theta):
+        assert _batch.supports(fam, kind, mask)
         X = np.stack([_seeded(fam, theta, 80, seed=11)(r) for r in range(12)])
         tn_batch = _batch.batch_tn(fam, kind, mask, X)
         tn_scalar = np.array([_single_test(fam, kind, mask, x)[3] for x in X])
@@ -76,6 +93,66 @@ class TestBatchAgainstScalar:
         assert not _batch.supports("epd", "ml", EPD_08)
         assert _batch.supports("epd", "mm", EPD_08)
         assert _batch.supports("epd", "ml", EPD_15)
+
+    @pytest.mark.parametrize("fam,kind,known", SUPPORTED,
+                             ids=[f"{f}-{k}-{'-'.join(kn) or 'free'}" for f, k, kn in SUPPORTED])
+    def test_every_supported_row(self, fam, kind, known):
+        values = dict(zip(F.get_family(fam).param_names, FAMILY_THETAS[fam]))
+        mask = KnownMask.from_names(fam, {p: values[p] for p in known}) if known else None
+        X = np.stack([_seeded(fam, FAMILY_THETAS[fam], 80, seed=13)(r) for r in range(12)])
+        tn_batch = _batch.batch_tn(fam, kind, mask, X)
+        tn_scalar = np.array([_single_test(fam, kind, mask, x)[3] for x in X])
+        np.testing.assert_allclose(tn_batch, tn_scalar, rtol=1e-10, atol=0.0)
+
+    def test_supported_rows_include_every_mm_row(self):
+        rows = {(f, k, tuple(kn)) for f, k, kn in SUPPORTED}
+        mm = {(f, "mm", tuple(MM_REQUIRED_KNOWN.get(f, {}))) for f in FAMILY_THETAS
+              if F.get_family(f).has_mm}
+        assert len(mm) == 15 and mm <= rows
+        free = {(f, k) for f, k, kn in SUPPORTED if not kn}
+        assert {("normal", "ml"), ("laplace", "ml"), ("exponential", "ml"), ("uniform", "ml"),
+                ("gamma", "ml"), ("weibull", "ml")} <= free
+        assert {("normal", "ml", ("mu",)), ("epd", "ml", ("lambda",))} <= rows
+        assert not _batch.supports("uniform", "mm", None)  # uniform has no MM estimator
+
+
+class TestRowsOutsideTheSupport:
+    @pytest.mark.parametrize("fam,kind,mask,bad", [
+        ("exponential", "ml", None, -0.5), ("gamma", "ml", None, -0.5),
+        ("weibull", "ml", None, -0.5), ("log-normal", "mm", None, -0.5),
+        ("chi-squared", "mm", None, 0.0), ("pareto", "ml", None, 0.9),
+        ("uniform", "ml", KnownMask.from_names("uniform", {"a": -1.0}), -1.5)])
+    def test_row_fails_alone_and_silently(self, fam, kind, mask, bad):
+        X = np.stack([_seeded(fam, FAMILY_THETAS[fam], 50, seed=4)(r) for r in range(4)])
+        X[1, 7] = bad
+        tn = _batch.batch_tn(fam, kind, mask, X)
+        assert np.flatnonzero(~np.isfinite(tn)).tolist() == [1]
+        np.testing.assert_array_equal(np.delete(tn, 1),
+                                      _batch.batch_tn(fam, kind, mask, np.delete(X, 1, axis=0)))
+        with pytest.raises(DomainError):
+            _single_test(fam, kind, mask, X[1])
+
+    def test_power_cell_counts_such_rows_as_failed(self):
+        cell = CellConfig("exp-vs-normal", "exponential", "ml", (1.0,), 50,
+                          data_family="normal", data_theta=(2.0, 1.0))
+        report = run_study(StudyConfig((cell,), reps=400, seed=5)).cells[0]
+        q = -2.0 * math.log(0.05)
+        failed = rejected = 0
+        for r in range(400):
+            x = F.sample("normal", (2.0, 1.0), 50, np.random.SeedSequence([5, 0, r]))
+            try:
+                rejected += _single_test("exponential", "ml", None, x)[3] > q
+            except DomainError:
+                failed += 1
+        assert (report.failed, report.rejections) == (failed, rejected) == (273, 127)
+        assert not report.ok
+
+
+def test_cell_whose_run_raised_reports_no_rate():
+    cell = CellConfig("gamma-mm", "gamma", "mm", (2.0, 1.0), 50)
+    report = run_study(StudyConfig((cell,), reps=100, seed=1)).cells[0]
+    assert not report.ok and report.rejections == report.failed == 0
+    assert math.isnan(report.rate) and math.isnan(report.se)
 
 
 class TestOnePath:
