@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special as sp
 
 from . import scaling
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SingularityError
 from .estimate import EstimatorKind, KnownMask, rejected_rows, rows_estimator
 from .families import get_family
 
@@ -129,20 +129,26 @@ def batch_fit(fam, kind, mask: KnownMask | None, X) -> np.ndarray:
     return thetas
 
 
+def _sigma_at(fam, kind, theta, mask):
+    # R's condition depends on the data's units: retry with all but the shapes at 1
+    try:
+        return scaling.sigma_from(fam, kind, theta, mask)
+    except SingularityError:
+        unit = [v if p in fam.shapes else 1.0 for p, v in zip(fam.param_names, theta)]
+        return scaling.sigma_from(fam, kind, unit, mask)
+
+
 def _sigma_rows(fam, kind, mask, thetas) -> np.ndarray:
-    """Stack of per-replication scaling covariances, NaN for rows whose fit
-    failed.  Sigma depends on theta through ``fam.shapes`` only: when they
-    are all known the block shares the first fitted row's matrix, otherwise
-    each row gets its own."""
+    """Per-row scaling covariances, NaN where the fit failed; Sigma depends on
+    theta through ``fam.shapes`` only, so a block with them known shares one."""
     fam = get_family(fam)
     fitted = np.flatnonzero(np.all(np.isfinite(thetas), axis=1))
     sig = np.full((thetas.shape[0], 2, 2), np.nan)
-    if all(mask is not None and mask.is_known(fam, s) for s in fam.shapes):
-        if fitted.size:
-            sig[fitted] = scaling.sigma_from(fam, kind, tuple(thetas[fitted[0]]), mask)
-    else:
-        for i in fitted:
-            sig[i] = scaling.sigma_from(fam, kind, tuple(thetas[i]), mask)
+    shared = all(mask is not None and mask.is_known(fam, s) for s in fam.shapes)
+    for i in fitted[:1] if shared else fitted:
+        sig[i] = _sigma_at(fam, kind, tuple(thetas[i]), mask)
+    if shared:
+        sig[fitted] = sig[fitted[:1]]
     return sig
 
 
@@ -164,11 +170,7 @@ def moment_rows(fam, thetas: np.ndarray, X: np.ndarray):
 
 
 def statistic(fam, kind, mask: KnownMask | None, thetas: np.ndarray, X: np.ndarray):
-    """C_n, S_n, the Sigma rows and T_n of each row of X under its theta row.
-
-    Sigma follows ``_sigma_rows``: one for the block when the family's
-    shapes are known, per row otherwise.
-    """
+    """C_n, S_n, the Sigma rows (``_sigma_rows``) and T_n of each row of X under its theta row."""
     cn, sn = moment_rows(fam, thetas, X)
     sig = _sigma_rows(fam, kind, mask, thetas)
     a, b, c = sig[:, 0, 0], sig[:, 0, 1], sig[:, 1, 1]

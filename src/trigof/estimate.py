@@ -792,8 +792,8 @@ def rows_estimator(fam, kind, mask: KnownMask):
 
 def rejected_rows(fam: Family, mask: KnownMask, X):
     """Rows of X that ``fit`` rejects: (data outside the support, no spread
-    to fit).  Uniform's support is closed between its known ends."""
-    lo, hi = fam.support(mask.fixed_values)
+    to fit).  Uniform's support is closed between its known ends (NaN if free)."""
+    lo, hi = fam.support([v if k else math.nan for k, v in zip(mask.known, mask.fixed_values)])
     if fam.name == "uniform":
         outside = np.any((X < lo) | (X > hi), axis=1)
     else:
@@ -817,7 +817,7 @@ def _generic_ml(fam: Family, x, mask: KnownMask):
         if k:
             start[i] = mask.fixed_values[i]
     # positive components are searched on the log scale
-    logflag = [i in fam.check.positive for i in range(fam.n_params)]
+    logflag = [i in getattr(fam.check, "positive", ()) for i in range(fam.n_params)]
 
     def unpack(z):
         theta = list(start)

@@ -230,7 +230,7 @@ def _pos(*idx):
         for i in idx:
             if t[i] <= 0.0:
                 raise DomainError(f"parameter {i} must be > 0, got {t[i]}")
-    check.positive = idx
+    check.positive = idx  # searched on the log scale by estimate._generic_ml
     return check
 
 

@@ -234,6 +234,12 @@ class TestMasks:
         with pytest.raises(ConfigurationError):
             fit("epd", "mm", None, x)
 
+    def test_value_at_a_free_uniform_end_is_ignored(self):
+        x = np.array([[-3.0, 0.5, 2.0], [0.5, 1.0, 5.0]])
+        mask = KnownMask((False, True), (0.0, 4.0))  # a held, b = 4 known
+        outside, flat = E.rejected_rows(F.get_family("uniform"), mask, x)
+        assert outside.tolist() == [False, True] and not flat.any()
+
     @pytest.mark.parametrize("name", sorted(MM_REQUIRED_KNOWN))
     def test_every_mm_known_parameter_is_enforced(self, name):
         fam = F.get_family(name)

@@ -3,6 +3,7 @@ import pytest
 
 from trigof import families as F
 from trigof import scaling
+from trigof.gof import run_test
 from trigof.estimate import KnownMask
 from conftest import FAMILY_THETAS, MM_REQUIRED_KNOWN
 
@@ -63,3 +64,27 @@ def test_matrix_columns_follow_the_family(name, kind):
     else:
         required = MM_REQUIRED_KNOWN.get(name, {})
         assert names == tuple(p for p in fam.param_names if p not in required)
+
+
+UNIT_ROWS = [(n, k) for n, k in ROWS if n != "uniform"]  # (1, 1) is no uniform
+
+
+@pytest.mark.parametrize("name,kind", UNIT_ROWS, ids=[f"{n}-{k}" for n, k in UNIT_ROWS])
+def test_sigma_at_the_shapes_with_the_rest_at_one(name, kind):
+    # where _batch takes Sigma again when R at the fitted theta reads singular
+    fam, theta, mask = F.get_family(name), FAMILY_THETAS[name], _mask(name, kind)
+    unit = [v if p in fam.shapes else 1.0 for p, v in zip(fam.param_names, theta)]
+    np.testing.assert_allclose(scaling.sigma_from(name, kind, unit, mask),
+                               scaling.sigma_from(name, kind, theta, mask), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1e7])
+@pytest.mark.parametrize("name", ["epd", "exp-gamma", "frechet", "gamma", "gg", "gompertz",
+                                  "half-epd", "inverse-gamma", "log-logistic", "lomax",
+                                  "nakagami", "weibull"])
+def test_statistic_does_not_depend_on_the_units_of_the_data(name, scale):
+    # R's entries scale as 1/scale^2, and the condition estimate of R at the
+    # fitted theta of 1e7 x calls it singular; Sigma is taken at unit scale
+    x = F.sample(name, FAMILY_THETAS[name], 200, 3)
+    tn = run_test(name, "ml", None, x).tn
+    assert run_test(name, "ml", None, scale * x).tn == pytest.approx(tn, rel=1e-6)
