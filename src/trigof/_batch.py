@@ -11,8 +11,11 @@ everything after the fit.
 A row can batch when its estimator runs over rows: the closed forms of
 ``estimate.rows_estimator``, which ``fit`` uses too, or three batch-only
 iterative ML kernels that solve the scalar estimating equations to the same
-tolerances.  Rows that ``fit`` rejects come back as NaN without reaching a
-kernel; failed replications and the loop over blocks are ``gof.replicate``'s.
+tolerances (``_kernel``).  A derived family (``Family.derived``) batches as
+its base on the transformed block, so frechet and inverse-gamma reach the
+weibull and gamma kernels on 1/X and log-epd the EPD one on ln X.  Rows that
+``fit`` rejects come back as NaN without reaching a kernel; failed
+replications and the loop over blocks are ``gof.replicate``'s.
 """
 
 from __future__ import annotations
@@ -30,12 +33,8 @@ from .families import get_family
 _TWO_PI = 2.0 * math.pi
 
 
-def _estimator(fam, kind, mask: KnownMask):
-    """X -> theta rows for the row, or None where it has no batch fit."""
-    rows = rows_estimator(fam, kind, mask)
-    if rows is not None or kind is not EstimatorKind.ML:
-        return rows
-    # the batch-only iterative ML kernels
+def _kernel(fam, mask: KnownMask):
+    """The batch-only iterative ML kernel of a family's row, or None."""
     if fam.name in ("gamma", "weibull") and mask.n_known == 0:
         return _fit_gamma_batch if fam.name == "gamma" else _fit_weibull_batch
     # the bisection for the ML location needs a monotone score: lambda >= 1
@@ -46,7 +45,8 @@ def _estimator(fam, kind, mask: KnownMask):
 
 def supports(fam, kind, mask: KnownMask | None) -> bool:
     fam = get_family(fam)
-    return _estimator(fam, EstimatorKind(kind), mask or KnownMask.none(fam.n_params)) is not None
+    mask = mask or KnownMask.none(fam.n_params)
+    return rows_estimator(fam, EstimatorKind(kind), mask, _kernel) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +117,7 @@ def batch_fit(fam, kind, mask: KnownMask | None, X) -> np.ndarray:
     fam = get_family(fam)
     kind = EstimatorKind(kind)
     mask = mask or KnownMask.none(fam.n_params)
-    est = _estimator(fam, kind, mask)
+    est = rows_estimator(fam, kind, mask, _kernel)
     if est is None:
         raise ConfigurationError(f"no batch fit for ({fam.name}, {kind.value})")
     bad = np.logical_or(*rejected_rows(fam, mask, X))

@@ -1,14 +1,20 @@
 """ML and moment (MM) nuisance-parameter estimators for every family.
 
+A derived family (``Family.derived``) is fitted as its base on the
+transformed data, under a mask of its mapped known values and the fixed base
+components, and the base's theta is mapped back (an MM row on the family's
+own moment equation excepted); its ML residual is its own mean score.
+
 Closed-form estimators are written once, over sample rows
 (``rows_estimator``): every MM row, which solves the declared moment equation
-``Family.mm``, and eight families' ML rows.  ``fit`` runs them on a single
-row and ``_batch.batch_fit`` on a block.  Implicit ML estimators are solved
-by safeguarded 1-D root-finding on profiled score equations, nested where a
-family requires it (shape root outermost, location/scale profiled inside).
-Known parameter components are held bit-identical to their fixed values;
-configurations without a dedicated path fall back to direct numeric
-likelihood maximization over the free components.
+``Family.mm``, and the ML rows of normal, laplace, uniform and gamma with
+lambda known.  ``fit`` runs them on a single row and ``_batch.batch_fit`` on
+a block.  Implicit ML estimators are solved by safeguarded 1-D root-finding
+on profiled score equations, nested where a family requires it (shape root
+outermost, location/scale profiled inside).  Known parameter components are
+held bit-identical to their fixed values; configurations without a dedicated
+path fall back to direct numeric likelihood maximization of the family's own
+density over the free components.
 
 Shape-type roots are bracketed on a geometric grid over [1e-3, 1e3]
 (expanded geometrically when no sign change is found); scale-type roots use
@@ -30,7 +36,7 @@ from scipy.special import logsumexp
 from . import specfun
 from .errors import (ConfigurationError, DegenerateSampleError, DomainError,
                      EstimationError)
-from .families import Family, _epd_c1, get_family, score
+from .families import Derived, Family, _epd_c1, get_family, score
 
 __all__ = ["EstimatorKind", "KnownMask", "FitResult", "fit"]
 
@@ -277,8 +283,9 @@ def _fit_epd(fam, x, mask):
 
 
 def _fit_expgamma(fam, x, mask):
-    if mask.n_known:
-        return None  # generic path handles masked fits
+    lam_known = mask.is_known(fam, "lambda")
+    if mask.n_known > lam_known:
+        return None  # generic path handles the other masks
     n = len(x)
     xbar = float(np.mean(x))
     s0 = float(np.std(x))
@@ -302,8 +309,11 @@ def _fit_expgamma(fam, x, mask):
         g = float(logsumexp(a)) - math.log(n) - float(np.mean(a))
         return math.log(lam) - float(specfun.digamma(lam)) - g
 
-    lam, it, conv = _scan_root(outer)
-    iters += it
+    if lam_known:  # the scale root alone, at the known shape
+        lam, conv = mask.value(fam, "lambda"), True
+    else:
+        lam, it, conv = _scan_root(outer)
+        iters += it
     sigma, conv2 = sigma_hat(lam)
     a = x / sigma
     mu = sigma * (float(logsumexp(a)) - math.log(n) - math.log(lam))
@@ -312,39 +322,10 @@ def _fit_expgamma(fam, x, mask):
     return (lam, mu, sigma), iters, conv and conv2
 
 
-def _fit_expweibull(fam, x, mask):
-    if mask.n_known:
-        return None
-    n = len(x)
-    xbar = float(np.mean(x))
-
-    def phi(sigma):
-        a = x / sigma
-        return _wmean_exp(x, a) - xbar - sigma
-
-    s0 = float(np.std(x))
-    sigma, iters, conv = _scan_root(phi, scale=s0)
-    mu = sigma * (float(logsumexp(x / sigma)) - math.log(n))
-    return (mu, sigma), iters, conv
-
-
-def _fit_gumbel(fam, x, mask):
-    if mask.n_known:
-        return None
-    n = len(x)
-    xbar = float(np.mean(x))
-
-    def phi(sigma):
-        return xbar - _wmean_exp(x, -x / sigma) - sigma
-
-    s0 = float(np.std(x))
-    sigma, iters, conv = _scan_root(phi, scale=s0)
-    mu = -sigma * (float(logsumexp(-x / sigma)) - math.log(n))
-    return (mu, sigma), iters, conv
-
-
-def _logistic_ml_core(x):
+def _fit_logistic(fam, x, mask):
     """Profiled logistic ML: inner location root, outer scale root."""
+    if mask.n_known:
+        return None
     iters = 0
 
     def mu_hat(sigma):
@@ -365,14 +346,7 @@ def _logistic_ml_core(x):
     s0 = float(np.std(x)) * math.sqrt(3.0) / math.pi
     sigma, it, conv = _scan_root(phi, scale=s0)
     iters += it
-    return mu_hat(sigma), sigma, iters, conv
-
-
-def _fit_logistic(fam, x, mask):
-    if mask.n_known:
-        return None
-    mu, sigma, iters, conv = _logistic_ml_core(x)
-    return (mu, sigma), iters, conv
+    return (mu_hat(sigma), sigma), iters, conv
 
 
 def _student_em(x, lam, mu0, sigma0, mu_fixed=None, sigma_fixed=None):
@@ -390,7 +364,7 @@ def _student_em(x, lam, mu0, sigma0, mu_fixed=None, sigma_fixed=None):
             sigma_new = sigma_fixed
         step = max(abs(mu_new - mu), abs(sigma_new - sigma))
         mu, sigma = mu_new, sigma_new
-        if step <= _STEP_TOL * max(1.0, abs(mu), sigma):
+        if step <= _STEP_TOL * max(abs(mu), sigma):
             break
     return mu, sigma, it
 
@@ -476,23 +450,6 @@ def _fit_weibull(fam, x, mask):
     return (beta, rho), iters, conv
 
 
-def _fit_frechet(fam, x, mask):
-    if mask.n_known:
-        return None
-    res = _fit_weibull(get_family("weibull"), 1.0 / x, KnownMask.none(2))
-    (beta_w, rho), iters, conv = res
-    return (1.0 / beta_w, rho), iters, conv
-
-
-def _fit_gg(fam, x, mask):
-    # exact reparameterization: ln X ~ exp-gamma(lam, ln beta, 1/rho)
-    if mask.n_known:
-        return None
-    out = _fit_expgamma(get_family("exp-gamma"), np.log(x), KnownMask.none(3))
-    (lam, mu, sigma), iters, conv = out
-    return (lam, math.exp(mu), 1.0 / sigma), iters, conv
-
-
 def _fit_gompertz(fam, x, mask):
     if mask.n_known:
         return None
@@ -510,22 +467,9 @@ def _fit_gompertz(fam, x, mask):
     return (beta, rho), iters, conv
 
 
-def _fit_loglogistic(fam, x, mask):
-    if mask.n_known:
-        return None
-    mu, sigma, iters, conv = _logistic_ml_core(np.log(x))
-    return (math.exp(mu), 1.0 / sigma), iters, conv
-
-
-def _fit_gamma(fam, x, mask):
-    lam_known = mask.is_known(fam, "lambda")
-    beta_known = mask.is_known(fam, "beta")
+def _fit_gamma(fam, x, mask):  # lambda known is a closed form over rows
     lx = np.log(x)
-    if lam_known:
-        lam = mask.value(fam, "lambda")
-        beta = mask.value(fam, "beta") if beta_known else float(np.mean(x)) / lam
-        return (lam, beta), 1, True
-    if beta_known:
+    if mask.is_known(fam, "beta"):
         beta = mask.value(fam, "beta")
         lam, iters, conv = _solve_digamma(float(np.mean(lx)) - math.log(beta))
         return (lam, beta), iters, conv
@@ -534,20 +478,6 @@ def _fit_gamma(fam, x, mask):
     if lam >= _SHAPE_CAP:
         conv = False
     return (lam, float(np.mean(x)) / lam), iters, conv
-
-
-def _fit_invgamma(fam, x, mask):
-    if mask.is_known(fam, "beta"):
-        beta = mask.value(fam, "beta")
-        if mask.is_known(fam, "lambda"):
-            return (mask.value(fam, "lambda"), beta), 1, True
-        lam, iters, conv = _solve_digamma(math.log(beta) - float(np.mean(np.log(x))))
-        return (lam, beta), iters, conv
-    if mask.is_known(fam, "lambda"):
-        lam = mask.value(fam, "lambda")
-        return (lam, lam / float(np.mean(1.0 / x))), 1, True
-    (lam, beta_g), iters, conv = _fit_gamma(get_family("gamma"), 1.0 / x, KnownMask.none(2))
-    return (lam, 1.0 / beta_g), iters, conv
 
 
 def _beta_ml_system(s1, s2, a0, b0):
@@ -583,18 +513,6 @@ def _fit_beta(fam, x, mask):
     a0, b0 = max(m * c, 1e-2), max((1.0 - m) * c, 1e-2)
     a, b, iters, conv = _beta_ml_system(float(np.mean(np.log(x))),
                                         float(np.mean(np.log1p(-x))), a0, b0)
-    return (a, b), iters, conv
-
-
-def _fit_betaprime(fam, x, mask):
-    if mask.n_known:
-        return None
-    v = x / (1.0 + x)
-    m, var = float(np.mean(v)), max(float(np.var(v)), 1e-12)
-    c = m * (1.0 - m) / var - 1.0
-    a, b, iters, conv = _beta_ml_system(float(np.mean(np.log(v))),
-                                        float(np.mean(np.log1p(-v))),
-                                        max(m * c, 1e-2), max((1.0 - m) * c, 1e-2))
     return (a, b), iters, conv
 
 
@@ -640,11 +558,6 @@ def _fit_invgauss(fam, x, mask):
     return (mu, lam), 1, True
 
 
-def _fit_chi2(fam, x, mask):
-    z, iters, conv = _solve_digamma(float(np.mean(np.log(0.5 * x))))
-    return (2.0 * z,), iters, conv
-
-
 def _fit_kumaraswamy(fam, x, mask):
     if mask.n_known:
         return None
@@ -667,23 +580,15 @@ def _fit_kumaraswamy(fam, x, mask):
 _FITTERS = {
     "epd": _fit_epd,
     "exp-gamma": _fit_expgamma,
-    "exp-weibull": _fit_expweibull,
-    "gumbel": _fit_gumbel,
     "logistic": _fit_logistic,
     "student-t": _fit_student,
     "half-epd": _fit_halfepd,
-    "gg": _fit_gg,
     "weibull": _fit_weibull,
-    "frechet": _fit_frechet,
     "gompertz": _fit_gompertz,
-    "log-logistic": _fit_loglogistic,
     "gamma": _fit_gamma,
-    "inverse-gamma": _fit_invgamma,
-    "beta-prime": _fit_betaprime,
     "lomax": _fit_lomax,
     "nakagami": _fit_nakagami,
     "inverse-gaussian": _fit_invgauss,
-    "chi-squared": _fit_chi2,
     "beta": _fit_beta,
     "kumaraswamy": _fit_kumaraswamy,
 }
@@ -709,8 +614,6 @@ def _mm_rows(fam: Family, mask: KnownMask, X) -> np.ndarray:
     """Solve the family's moment equation ``fam.mm`` on each row of X."""
     eq, p = fam.mm, fam.n_params
     theta = _known_rows(mask, len(X))
-    if eq.log is not None:
-        X, theta = np.log(X), np.column_stack(eq.log[0](theta.T))
     num, den = eq.unit(*(mask.value(fam, g) for g in eq.given))
     stat = X.mean(axis=1)
     if eq.stat != "mean":
@@ -720,7 +623,7 @@ def _mm_rows(fam: Family, mask: KnownMask, X) -> np.ndarray:
     if not mask.known[p - 1]:
         s = stat * den / num
         theta[:, p - 1] = np.sqrt(s) if eq.stat == "msd" else s
-    return theta if eq.log is None else np.column_stack(eq.log[1](theta.T))
+    return theta
 
 
 def _mm_gap(fam: Family, theta, x, mask: KnownMask) -> float:
@@ -729,8 +632,6 @@ def _mm_gap(fam: Family, theta, x, mask: KnownMask) -> float:
     eq, p = fam.mm, fam.n_params
     num, den = eq.unit(*(mask.value(fam, g) for g in eq.given))
     t = np.asarray(theta, dtype=float)
-    if eq.log is not None:
-        x, t = np.log(x), np.array(eq.log[0](t))
     stat, gaps = float(np.mean(x)), [0.0]
     if eq.stat != "mean":
         gaps.append(0.0 if mask.known[p - 2] else abs(stat - t[p - 2]))
@@ -740,51 +641,64 @@ def _mm_gap(fam: Family, theta, x, mask: KnownMask) -> float:
     return max(gaps)
 
 
-def _columns(*exprs):
-    """The estimator that fills each free column j, in order, with exprs[j](X, theta)."""
-    def rows(fam, mask, X):
-        theta = _known_rows(mask, len(X))
-        for j, expr in enumerate(exprs):
-            if not mask.known[j]:
-                theta[:, j] = expr(X, theta)
-        return theta
-    return rows
+def _columns(exprs, mask: KnownMask, X) -> np.ndarray:
+    """theta rows whose free columns j are filled, in order, with exprs[j](X, theta)."""
+    theta = _known_rows(mask, len(X))
+    for j, expr in enumerate(exprs):
+        if not mask.known[j]:
+            theta[:, j] = expr(X, theta)
+    return theta
 
 
+# ML estimators as column expressions; None where a column has no closed form
 _ML_ROWS = {
-    "normal": _mm_rows,  # the normal and exponential ML estimators are their MM ones
-    "exponential": _mm_rows,
-    "laplace": _columns(lambda X, t: np.median(X, axis=1),
-                        lambda X, t: np.abs(X - t[:, :1]).mean(axis=1)),
-    "uniform": _columns(lambda X, t: X.min(axis=1), lambda X, t: X.max(axis=1)),
-    "half-normal": _columns(lambda X, t: np.sqrt((X ** 2).mean(axis=1))),
-    "rayleigh": _columns(lambda X, t: np.sqrt(0.5 * (X ** 2).mean(axis=1))),
-    "maxwell-boltzmann": _columns(lambda X, t: np.sqrt((X ** 2).mean(axis=1) / 3.0)),
-    "pareto": _columns(lambda X, t: 1.0 / np.log(X).mean(axis=1)),
+    "normal": (lambda X, t: X.mean(axis=1),
+               lambda X, t: np.sqrt(_deviation("msd", X, t[:, 0]))),
+    "laplace": (lambda X, t: np.median(X, axis=1),
+                lambda X, t: np.abs(X - t[:, :1]).mean(axis=1)),
+    "uniform": (lambda X, t: X.min(axis=1), lambda X, t: X.max(axis=1)),
+    "gamma": (None, lambda X, t: X.mean(axis=1) / t[:, 0]),
 }
 
 
-def rows_estimator(fam, kind, mask: KnownMask):
-    """The estimator of a (family, estimator, mask) row as a map from sample
-    rows X to theta rows, or None where it has no closed form.
+def base_mask(d: Derived, mask: Optional[KnownMask]) -> KnownMask:
+    """The base's mask of a derived family's row: its mapped known values and
+    the fixed base components."""
+    mask = mask or KnownMask.none(len(d.params))
+    if len(mask.known) != len(d.params):
+        raise DomainError("mask arity does not match the family")
+    return KnownMask.from_names(d.base, d.base_values(mask.fixed_values, mask.known))
 
-    Every MM row has one, and so have the ML rows of the families in
-    ``_ML_ROWS`` (a log family through its base, on ln X).  Rows that
-    ``rejected_rows`` flags must be screened out first.
+
+def rows_estimator(fam, kind, mask: KnownMask, kernel=None):
+    """The estimator of a (family, estimator, mask) row as a map from sample
+    rows X to theta rows, or None where it has none.
+
+    Every MM row has one, and so have the ML rows that ``_ML_ROWS`` covers,
+    and a derived family's rows whose base row has one.  ``kernel(fam, mask)``
+    may supply an iterative ML estimator over rows where a family has no
+    closed form.  Rows that ``rejected_rows`` flags must be screened out first.
     """
-    base = fam.base or fam
-    if kind is EstimatorKind.MM:
-        if not fam.has_mm or not all(mask.is_known(fam, g) for g in fam.mm_known):
-            return None
-        est = _mm_rows
-    elif base.name in _ML_ROWS:
-        est = _ML_ROWS[base.name]
-    else:
+    d = fam.through(kind)
+    exprs = _ML_ROWS.get(fam.name)
+    est = None
+    if d is not None:
+        base_rows = rows_estimator(d.base, kind, base_mask(d, mask), kernel)
+        if base_rows is not None:
+            est = lambda X: d.from_base(base_rows(d.data(X)))  # noqa: E731
+    elif kind is EstimatorKind.MM:
+        if fam.has_mm and all(mask.is_known(fam, g) for g in fam.mm_known):
+            est = lambda X: _mm_rows(fam, mask, X)  # noqa: E731
+    elif exprs is not None and all(k or e is not None for k, e in zip(mask.known, exprs)):
+        est = lambda X: _columns(exprs, mask, X)  # noqa: E731
+    elif kernel is not None:
+        est = kernel(fam, mask)
+    if est is None:
         return None
     known = list(mask.known)
 
     def rows(X):
-        theta = est(base, mask, X if fam.base is None else np.log(X))
+        theta = est(X)
         theta[:, known] = np.asarray(mask.fixed_values)[known]
         return theta
     return rows
@@ -806,13 +720,25 @@ def rejected_rows(fam: Family, mask: KnownMask, X):
 # generic masked likelihood maximization (fallback)
 # ---------------------------------------------------------------------------
 
+def _dedicated(fam: Family, x, mask: KnownMask):
+    """The family's ML fitter, through its base if it is derived: (theta,
+    iterations, converged), or None where there is none for the mask."""
+    d = fam.through(EstimatorKind.ML)
+    if d is None:
+        fitter = _FITTERS.get(fam.name)
+        return None if fitter is None else fitter(fam, x, mask)
+    out = _dedicated(d.base, d.data(x), base_mask(d, mask))
+    return None if out is None else (tuple(d.from_base(out[0])),) + out[1:]
+
+
 def _generic_ml(fam: Family, x, mask: KnownMask):
+    """Nelder-Mead on the family's own density, from its all-free fit."""
     free = [i for i, k in enumerate(mask.known) if not k]
     try:
-        base, _, _ = _FITTERS[fam.name](fam, x, KnownMask.none(fam.n_params))
+        out = _dedicated(fam, x, KnownMask.none(fam.n_params))
     except (EstimationError, DomainError):
-        base = None
-    start = list(base) if base is not None else [1.0] * fam.n_params
+        out = None
+    start = list(out[0]) if out is not None else [1.0] * fam.n_params
     for i, k in enumerate(mask.known):
         if k:
             start[i] = mask.fixed_values[i]
@@ -845,14 +771,15 @@ def _generic_ml(fam: Family, x, mask: KnownMask):
 # ---------------------------------------------------------------------------
 
 def _residual(fam: Family, theta, x, mask: KnownMask, kind: EstimatorKind) -> float:
-    if fam.score_fn is None:
-        return 0.0
     free = [i for i, k in enumerate(mask.known) if not k]
-    if not free:
+    if fam.score_fn is None or not free:
         return 0.0
     if kind is EstimatorKind.MM:
+        d = fam.through(kind)
+        if d is not None:
+            return _mm_gap(d.base, d.to_base(theta), d.data(x), base_mask(d, mask))
         return _mm_gap(fam, theta, x, mask)
-    if fam.name == "epd" and theta[0] < 1.0:
+    if fam.name in ("epd", "log-epd") and theta[0] < 1.0:
         # the location score is unbounded at the cusp optimum; judge the
         # remaining components only
         free = [i for i in free if i != 1]
@@ -901,21 +828,19 @@ def fit(fam, kind, mask: Optional[KnownMask], x) -> FitResult:
         fam.check(tuple(theta))
         return FitResult(theta, 0, True, 0.0)
 
-    # a log-delegating family is its base family fitted to ln x
-    base, xb = (fam.base, np.log(x)) if fam.base is not None else (fam, x)
     rows = rows_estimator(fam, kind, mask)
     if rows is not None:
         theta, iterations, converged = rows(x[None, :])[0], 1, True
     else:
-        out = _FITTERS[base.name](base, xb, mask)
-        theta, iterations, converged = out if out is not None else _generic_ml(base, xb, mask)
+        out = _dedicated(fam, x, mask)
+        theta, iterations, converged = out if out is not None else _generic_ml(fam, x, mask)
     theta = np.asarray(theta, dtype=float)
     # known components are returned bit-identical
     for i, k in enumerate(mask.known):
         if k:
             theta[i] = mask.fixed_values[i]
     fam.check(tuple(theta))
-    resid = _residual(base, theta, xb, mask, kind)
+    resid = _residual(fam, theta, x, mask, kind)
     # ML contract: |sum_i score| <= 1e-8 n, i.e. the mean score <= 1e-8
     if kind is EstimatorKind.ML and resid > _SCORE_TOL * max(1.0, float(np.max(np.abs(x)))):
         converged = False

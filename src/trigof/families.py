@@ -14,17 +14,22 @@ residual, ``has_mm`` and ``mm_known`` all derive from it.  ``Family.shapes``
 names the parameters the scaling covariance Sigma depends on; it is invariant
 under the others, so a block whose shapes are all known shares one Sigma.
 
-The log-{ EPD, Laplace, normal } families delegate to their real-line
-counterparts through x -> ln x and record that counterpart as
-``Family.base``, through which the fitters and the matrices are found; the
-asymmetric power distribution used for local-alternative sampling lives here
-as well (``apd_pdf`` / ``apd_cdf`` / ``sample_apd``).
+Sixteen families are a fixed monotone transform of another, their base, and
+declare it as ``Family.derived``: the data transform and its sign, the base
+component each parameter stands for through a shared table of maps
+(``_MAPS``), and the base components held fixed; gumbel is exp-gamma on -x
+with lambda = 1 and mu -> -mu.  Their ML fit, Sigma, matrices, ``shapes`` and,
+unless they declare their own moment equation, their MM rows come from the
+base; a base has no base of its own.  The asymmetric power distribution used
+for local-alternative sampling lives here as well (``apd_pdf`` / ``apd_cdf`` /
+``sample_apd``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -54,14 +59,12 @@ class MomentEq:
     s**q * num / den at scale s (the last parameter; q = 2 for "msd", else 1),
     with (num, den) = unit(*given) for the shapes ``given``, which the MM row
     requires known.  The location, the next-to-last parameter of an "msd" or
-    "mad" family, is matched to the sample mean.  With ``log`` = (to, back)
-    the equation holds for ln x in the parameters to(theta).
+    "mad" family, is matched to the sample mean.
     """
 
     stat: str
     unit: Callable[..., tuple[float, float]]
     given: tuple[str, ...] = ()
-    log: Optional[tuple[Callable, Callable]] = None
 
 
 @dataclass(frozen=True)
@@ -77,26 +80,94 @@ class Family:
     quantile_fn: Optional[Callable[[tuple, np.ndarray], np.ndarray]]
     score_fn: Optional[Callable[[tuple, np.ndarray], np.ndarray]]
     mm: Optional[MomentEq] = None
-    shapes: tuple[str, ...] = ()  # the parameters the scaling covariance depends on
-    base: Optional["Family"] = None  # a log-delegating family's real-line family
+    shapes: tuple[str, ...] = ()  # what Sigma depends on; derived: set by _register
+    derived: Optional["Derived"] = None  # the family this one transforms
 
     @property
     def n_params(self) -> int:
         return len(self.param_names)
 
+    def through(self, kind) -> Optional["Derived"]:
+        """The declaration an (estimator ``kind``) row is taken through: every
+        row of a derived family except an MM row on its own moment equation."""
+        return None if kind == "mm" and self.mm is not None else self.derived
+
     @property
     def has_mm(self) -> bool:
-        return self.mm is not None
+        d = self.through("mm")
+        return self.mm is not None if d is None else d.base.has_mm
 
     @property
     def mm_known(self) -> tuple[str, ...]:  # the parameters the MM row requires known
-        return self.mm.given if self.mm is not None else ()
+        d = self.through("mm")
+        if d is None:
+            return self.mm.given if self.mm is not None else ()
+        return tuple(p for p, (b, _) in zip(self.param_names, d.params) if b in d.base.mm_known)
+
+
+# a parameter -> the base component it stands for, its inverse and its derivative
+ComponentMap = namedtuple("ComponentMap", "to back slope")
+
+
+def _scalar_or_rows(scalar, rows):
+    # math on a scalar theta and numpy on theta rows: numpy's exp does not
+    # round as libm's does, and a scalar fit keeps libm's rounding
+    return lambda v: scalar(v) if np.ndim(v) == 0 else rows(v)
+
+
+_MAPS = {
+    "same": ComponentMap(lambda t: t, lambda u: u, lambda t: 1.0),
+    "neg": ComponentMap(lambda t: -t, lambda u: -u, lambda t: -1.0),
+    "log": ComponentMap(_scalar_or_rows(math.log, np.log), _scalar_or_rows(math.exp, np.exp),
+                        lambda t: 1.0 / t),
+    "inv": ComponentMap(lambda t: 1.0 / t, lambda u: 1.0 / u, lambda t: -1.0 / t ** 2),
+    "half": ComponentMap(lambda t: 0.5 * t, lambda u: 2.0 * u, lambda t: 0.5),
+    "2sq": ComponentMap(lambda t: 2.0 * t ** 2, lambda u: np.sqrt(0.5 * u), lambda t: 4.0 * t),
+}
+
+
+@dataclass(frozen=True)
+class Derived:
+    """A family that is a fixed monotone transform of its ``base``: X follows
+    it at theta iff data(X) follows the base at ``to_base(theta)``, where
+    parameter i stands for base component params[i][0] through the map
+    _MAPS[params[i][1]] and the components ``fixed`` hold their values.
+    ``sign`` is +1 when ``data`` increases and -1 when it decreases."""
+
+    base: Family
+    data: Callable[[np.ndarray], np.ndarray]
+    sign: int
+    params: tuple[tuple[str, str], ...]
+    fixed: tuple[tuple[str, float], ...] = ()
+
+    def base_values(self, values, known=None) -> dict:
+        """{base component: value} of the fixed components and of the mapped
+        ``values`` (aligned with the family's parameters) flagged ``known``."""
+        out = dict(self.fixed)
+        for i, (v, (b, m)) in enumerate(zip(values, self.params)):
+            if known is None or known[i]:
+                out[b] = _MAPS[m].to(v)
+        return out
+
+    def to_base(self, theta) -> tuple:
+        return tuple(map(self.base_values(theta).get, self.base.param_names))
+
+    def from_base(self, theta_b) -> np.ndarray:
+        """The family's theta from the base's, a vector or rows (last axis)."""
+        theta_b = np.asarray(theta_b, dtype=float)
+        return np.stack([_MAPS[m].back(theta_b[..., self.base.param_names.index(b)])
+                         for b, m in self.params], axis=-1)
+
 
 
 _REGISTRY: dict[str, Family] = {}
 
 
 def _register(fam: Family) -> Family:
+    d = fam.derived
+    if d is not None:  # its shapes stand for the base's
+        fam = replace(fam, shapes=tuple(
+            p for p, (b, _) in zip(fam.param_names, d.params) if b in d.base.shapes))
     _REGISTRY[fam.name] = fam
     return fam
 
@@ -382,6 +453,8 @@ _register(Family(
     cdf_fn=lambda t, x: -np.expm1(-np.exp((x - t[0]) / t[1])),
     quantile_fn=lambda t, u: t[0] + t[1] * np.log(-np.log1p(-u)),
     score_fn=lambda t, x: _expgamma_score((1.0,) + t, x)[1:],
+    derived=Derived(_REGISTRY["exp-gamma"], lambda x: x, 1, (("mu", "same"), ("sigma", "same")),
+                    (("lambda", 1.0),)),
 ))
 
 _register(Family(
@@ -395,6 +468,8 @@ _register(Family(
     score_fn=lambda t, x: (lambda y, ey: np.vstack([
         (1.0 - ey) / t[1],
         (y - y * ey - 1.0) / t[1]]))((x - t[0]) / t[1], np.exp(-(x - t[0]) / t[1])),
+    derived=Derived(_REGISTRY["exp-gamma"], np.negative, -1, (("mu", "neg"), ("sigma", "same")),
+                    (("lambda", 1.0),)),
 ))
 
 
@@ -497,9 +572,7 @@ def _log_delegate(base_name: str):
         cdf_fn=lambda t, x: base.cdf_fn(t, np.log(x)),
         quantile_fn=lambda t, u: np.exp(base.quantile_fn(t, u)),
         score_fn=lambda t, x: base.score_fn(t, np.log(x)),
-        mm=base.mm,
-        shapes=base.shapes,
-        base=base,
+        derived=Derived(base, np.log, 1, tuple((p, "same") for p in base.param_names)),
     ))
 
 
@@ -572,7 +645,8 @@ _register(Family(
     cdf_fn=lambda t, x: specfun.reg_gamma_cdf(t[0], 1.0, np.power(x / t[1], t[2])),
     quantile_fn=lambda t, u: t[1] * np.power(sp.gammaincinv(t[0], u), 1.0 / t[2]),
     score_fn=_gg_score,
-    shapes=("lambda",),
+    derived=Derived(_REGISTRY["exp-gamma"], np.log, 1,
+                    (("lambda", "same"), ("mu", "log"), ("sigma", "inv"))),
 ))
 
 _register(Family(
@@ -598,6 +672,8 @@ _register(Family(
     score_fn=lambda t, x: (lambda w, lx: np.vstack([
         (t[1] / t[0]) * (1.0 - w),
         1.0 / t[1] - (1.0 - w) * lx]))(np.power(x / t[0], -t[1]), np.log(x / t[0])),
+    derived=Derived(_REGISTRY["weibull"], lambda x: 1.0 / x, -1,
+                    (("beta", "inv"), ("rho", "same"))),
 ))
 
 _register(Family(
@@ -627,9 +703,7 @@ _register(Family(
         (t[1] / t[0]) * (2.0 * F - 1.0),
         1.0 / t[1] + lx * (1.0 - 2.0 * F)]))(
         np.log(x / t[0]), sp.expit(t[1] * np.log(x / t[0]))),
-    # logistic on ln x, with beta = e^mu and rho = 1/sigma
-    mm=MomentEq("msd", lambda: (1.0, 3.0 / math.pi ** 2),
-                log=(lambda t: (np.log(t[0]), 1.0 / t[1]), lambda t: (np.exp(t[0]), 1.0 / t[1]))),
+    derived=Derived(_REGISTRY["logistic"], np.log, 1, (("mu", "log"), ("sigma", "inv"))),
 ))
 
 
@@ -664,30 +738,10 @@ _register(Family(
     score_fn=lambda t, x: np.vstack([
         np.log(t[1] / x) - float(specfun.digamma(t[0])),
         t[0] / t[1] - 1.0 / x]),
-    shapes=("lambda",),
+    derived=Derived(_REGISTRY["gamma"], lambda x: 1.0 / x, -1,
+                    (("lambda", "same"), ("beta", "inv"))),
 ))
 
-
-def _betaprime_logpdf(t, x):
-    a, b = t
-    lnB = float(specfun.ln_gamma(a) + specfun.ln_gamma(b) - specfun.ln_gamma(a + b))
-    return (a - 1.0) * np.log(x) - (a + b) * np.log1p(x) - lnB
-
-
-_register(Family(
-    name="beta-prime",
-    param_names=("alpha", "beta"),
-    check=_pos(0, 1),
-    support=_POSLINE,
-    logpdf=_betaprime_logpdf,
-    cdf_fn=lambda t, x: specfun.reg_beta_cdf(t[0], t[1], x / (1.0 + x)),
-    quantile_fn=lambda t, u: (lambda w: w / (1.0 - w))(sp.betaincinv(t[0], t[1], u)),
-    score_fn=lambda t, x: (lambda psum: np.vstack([
-        psum - float(specfun.digamma(t[0])) + np.log(x) - np.log1p(x),
-        psum - float(specfun.digamma(t[1])) - np.log1p(x)]))(
-        float(specfun.digamma(t[0] + t[1]))),
-    shapes=("alpha", "beta"),
-))
 
 _register(Family(
     name="lomax",
@@ -759,6 +813,7 @@ _register(Family(
     quantile_fn=lambda t, u: -t[0] * np.log1p(-u),
     score_fn=lambda t, x: (x / t[0] - 1.0)[None, :] / t[0],
     mm=MomentEq("mean", lambda: (1.0, 1.0)),
+    derived=Derived(_REGISTRY["gamma"], lambda x: x, 1, (("beta", "same"),), (("lambda", 1.0),)),
 ))
 
 _register(Family(
@@ -772,6 +827,7 @@ _register(Family(
     quantile_fn=lambda t, u: t[0] * sp.ndtri(0.5 * (1.0 + u)),
     score_fn=lambda t, x: ((x / t[0]) ** 2 - 1.0)[None, :] / t[0],
     mm=MomentEq("mean", lambda: (1.0, math.sqrt(math.pi / 2.0))),
+    derived=Derived(_REGISTRY["gamma"], np.square, 1, (("beta", "2sq"),), (("lambda", 0.5),)),
 ))
 
 _register(Family(
@@ -784,6 +840,7 @@ _register(Family(
     quantile_fn=lambda t, u: t[0] * np.sqrt(-2.0 * np.log1p(-u)),
     score_fn=lambda t, x: ((x / t[0]) ** 2 - 2.0)[None, :] / t[0],
     mm=MomentEq("mean", lambda: (1.0, math.sqrt(2.0 / math.pi))),
+    derived=Derived(_REGISTRY["gamma"], np.square, 1, (("beta", "2sq"),), (("lambda", 1.0),)),
 ))
 
 _register(Family(
@@ -797,6 +854,7 @@ _register(Family(
     quantile_fn=lambda t, u: t[0] * np.sqrt(2.0 * sp.gammaincinv(1.5, u)),
     score_fn=lambda t, x: ((x / t[0]) ** 2 - 3.0)[None, :] / t[0],
     mm=MomentEq("mean", lambda: (1.0, math.sqrt(math.pi / 8.0))),
+    derived=Derived(_REGISTRY["gamma"], np.square, 1, (("beta", "2sq"),), (("lambda", 1.5),)),
 ))
 
 _register(Family(
@@ -810,12 +868,13 @@ _register(Family(
     quantile_fn=lambda t, u: 2.0 * sp.gammaincinv(0.5 * t[0], u),
     score_fn=lambda t, x: 0.5 * (np.log(0.5 * x) - float(specfun.digamma(0.5 * t[0])))[None, :],
     mm=MomentEq("mean", lambda: (1.0, 1.0)),
-    shapes=("k",),
+    derived=Derived(_REGISTRY["gamma"], lambda x: x, 1, (("lambda", "half"),), (("beta", 2.0),)),
 ))
 
 
 # ---------------------------------------------------------------------------
-# Pareto on (1, inf); beta and Kumaraswamy on (0, 1); uniform on (a, b)
+# Pareto on (1, inf); beta and Kumaraswamy on (0, 1), beta-prime (beta on
+# x / (1 + x)); uniform on (a, b)
 # ---------------------------------------------------------------------------
 
 _register(Family(
@@ -827,6 +886,7 @@ _register(Family(
     cdf_fn=lambda t, x: -np.expm1(-t[0] * np.log(x)),
     quantile_fn=lambda t, u: np.exp(-np.log1p(-u) / t[0]),
     score_fn=lambda t, x: (1.0 / t[0] - np.log(x))[None, :],
+    derived=Derived(_REGISTRY["gamma"], np.log, 1, (("beta", "inv"),), (("lambda", 1.0),)),
 ))
 
 
@@ -849,6 +909,28 @@ _register(Family(
         psum - float(specfun.digamma(t[1])) + np.log1p(-x)]))(
         float(specfun.digamma(t[0] + t[1]))),
     shapes=("alpha", "beta"),
+))
+
+def _betaprime_logpdf(t, x):
+    a, b = t
+    lnB = float(specfun.ln_gamma(a) + specfun.ln_gamma(b) - specfun.ln_gamma(a + b))
+    return (a - 1.0) * np.log(x) - (a + b) * np.log1p(x) - lnB
+
+
+_register(Family(
+    name="beta-prime",
+    param_names=("alpha", "beta"),
+    check=_pos(0, 1),
+    support=_POSLINE,
+    logpdf=_betaprime_logpdf,
+    cdf_fn=lambda t, x: specfun.reg_beta_cdf(t[0], t[1], x / (1.0 + x)),
+    quantile_fn=lambda t, u: (lambda w: w / (1.0 - w))(sp.betaincinv(t[0], t[1], u)),
+    score_fn=lambda t, x: (lambda psum: np.vstack([
+        psum - float(specfun.digamma(t[0])) + np.log(x) - np.log1p(x),
+        psum - float(specfun.digamma(t[1])) - np.log1p(x)]))(
+        float(specfun.digamma(t[0] + t[1]))),
+    derived=Derived(_REGISTRY["beta"], lambda x: x / (1.0 + x), 1,
+                    (("alpha", "same"), ("beta", "same"))),
 ))
 
 _register(Family(

@@ -14,6 +14,13 @@ which collapses to 1/2 I - G R^-1 G^T for ML and to exactly (1/2) I when
 every parameter is known.  The uniform family carries no matrices (its
 extreme-order estimators are super-efficient), which the same reduction
 handles as an empty parameter block.
+
+A derived family (``Family.derived``) has no builder: a monotone transform
+of the data leaves the PIT as it is or maps U to 1 - U, which negates S_n,
+so ``sigma_from`` takes the base's Sigma at the mapped point and mask and
+negates its off-diagonal for a decreasing transform.  Only the MM rows that
+match moments of x itself keep builders, which read G from the derived ML
+matrices.
 """
 
 from __future__ import annotations
@@ -26,8 +33,8 @@ import numpy as np
 
 from . import quadrature, specfun
 from .errors import ConfigurationError, DomainError, SingularityError
-from .estimate import EstimatorKind, KnownMask
-from .families import _epd_c1, _epd_c2, _student_c2, get_family
+from .estimate import EstimatorKind, KnownMask, base_mask
+from .families import _MAPS, _epd_c1, _epd_c2, _student_c2, _theta, get_family
 
 __all__ = ["MatrixSet", "matrices", "sigma", "sigma_from", "solve_2x2", "COND_LIMIT"]
 
@@ -154,32 +161,6 @@ def _m_expgamma_ml(t):
     return G, R, None
 
 
-def _m_expweibull_ml(t):
-    mu, sigma_ = t
-    G = np.array([
-        [_h(6, 1.0, 2.0, 1.0), _h(8, 1.0)],
-        [_h(7, 1.0, 2.0, 1.0), _h(9, 1.0)],
-    ]) / sigma_
-    R = np.array([
-        [1.0, 1.0 - _EG],
-        [1.0 - _EG, (_EG - 1.0) ** 2 + _PI2_6],
-    ]) / sigma_ ** 2
-    return G, R, None
-
-
-def _m_gumbel_ml(t):
-    mu, sigma_ = t
-    G = np.array([
-        [-_h(6, 1.0, 2.0, 1.0), _h(8, 1.0)],
-        [_h(7, 1.0, 2.0, 1.0), -_h(9, 1.0)],
-    ]) / sigma_
-    R = np.array([
-        [1.0, _EG - 1.0],
-        [_EG - 1.0, (_EG - 1.0) ** 2 + _PI2_6],
-    ]) / sigma_ ** 2
-    return G, R, None
-
-
 def _m_logistic_ml(t):
     mu, sigma_ = t
     c_cos, c_sin, _, _ = _logi()
@@ -264,24 +245,6 @@ def _m_halfepd_mm(t):
     return G, R, J
 
 
-def _m_gg_ml(t):
-    lam, beta, rho = t
-    h6 = _h(6, lam, lam + 1.0, 1.0)
-    h7 = _h(7, lam, lam + 1.0, 1.0)
-    G = np.array([
-        [_h(10, lam), rho * lam * h6 / beta, -_h(8, lam) / rho],
-        [_h(11, lam), rho * lam * h7 / beta, -_h(9, lam) / rho],
-    ])
-    ps = _psi(lam)
-    R = np.array([
-        [_psi1(lam), rho / beta, -ps / rho],
-        [rho / beta, rho ** 2 * lam / beta ** 2, -(lam * ps + 1.0) / beta],
-        [-ps / rho, -(lam * ps + 1.0) / beta,
-         (lam * ps ** 2 + 2.0 * ps + lam * _psi1(lam) + 1.0) / rho ** 2],
-    ])
-    return G, R, None
-
-
 def _m_weibull_ml(t):
     beta, rho = t
     G = np.array([
@@ -291,19 +254,6 @@ def _m_weibull_ml(t):
     R = np.array([
         [rho ** 2 / beta ** 2, (_EG - 1.0) / beta],
         [(_EG - 1.0) / beta, ((_EG - 1.0) ** 2 + _PI2_6) / rho ** 2],
-    ])
-    return G, R, None
-
-
-def _m_frechet_ml(t):
-    beta, rho = t
-    G = np.array([
-        [-rho * _h(6, 1.0, 2.0, 1.0) / beta, -_h(8, 1.0) / rho],
-        [rho * _h(7, 1.0, 2.0, 1.0) / beta, _h(9, 1.0) / rho],
-    ])
-    R = np.array([
-        [rho ** 2 / beta ** 2, (1.0 - _EG) / beta],
-        [(1.0 - _EG) / beta, ((_EG - 1.0) ** 2 + _PI2_6) / rho ** 2],
     ])
     return G, R, None
 
@@ -323,26 +273,6 @@ def _m_gompertz_ml(t):
     return G, R, None
 
 
-def _m_loglogistic_ml(t):
-    beta, rho = t
-    c_cos, c_sin, _, _ = _logi()
-    G = np.array([
-        [0.0, -c_cos / rho],
-        [c_sin * rho / beta, 0.0],
-    ])
-    R = np.diag([rho ** 2 / (3.0 * beta ** 2), (3.0 + math.pi ** 2) / (9.0 * rho ** 2)])
-    return G, R, None
-
-
-def _m_loglogistic_mm(t):
-    beta, rho = t
-    c_cos, c_sin, m_cos, m_sin = _logi()
-    G = np.array([[0.0, -c_cos / rho], [c_sin * rho / beta, 0.0]])
-    J = np.array([[0.0, -m_cos / rho], [m_sin * rho / beta, 0.0]])
-    R = np.diag([3.0 * rho ** 2 / (beta ** 2 * math.pi ** 2), 1.25 / rho ** 2])
-    return G, R, J
-
-
 def _m_gamma_ml(t):
     lam, beta = t
     G = np.array([
@@ -353,17 +283,7 @@ def _m_gamma_ml(t):
     return G, R, None
 
 
-def _m_invgamma_ml(t):
-    lam, beta = t
-    G = np.array([
-        [_h(10, lam), -lam * _h(6, lam, lam + 1.0, 1.0) / beta],
-        [-_h(11, lam), lam * _h(7, lam, lam + 1.0, 1.0) / beta],
-    ])
-    R = np.array([[_psi1(lam), -1.0 / beta], [-1.0 / beta, lam / beta ** 2]])
-    return G, R, None
-
-
-def _m_betaprime_ml(t):
+def _m_beta_ml(t):
     a, b = t
     G = np.array([
         [_h(25, a, b), _h(27, a, b)],
@@ -409,82 +329,32 @@ def _m_invgauss_ml(t):
     return G, R, None
 
 
-def _m_exponential(t):
-    beta, = t
-    G = np.array([[_h(6, 1.0, 2.0, 1.0)], [_h(7, 1.0, 2.0, 1.0)]]) / beta
-    R = np.array([[1.0 / beta ** 2]])
-    return G, R, None
+def _m_exponential_mm(t):
+    ms = matrices("exponential", EstimatorKind.ML, t)  # its MM estimator is the ML one
+    return ms.G, ms.R, None
 
 
-def _m_halfnormal_ml(t):
-    d, = t
-    G = np.array([[_h(6, 0.5, 1.5, 1.0)], [_h(7, 0.5, 1.5, 1.0)]]) / d
-    R = np.array([[2.0 / d ** 2]])
-    return G, R, None
+def _m_root_gamma_mm(name):
+    """The MM row of a family that is gamma(lam) on x**2 at a fixed lam
+    (half-normal, rayleigh, maxwell-boltzmann); c = Var x / (E x)**2."""
+    lam = dict(get_family(name).derived.fixed)["lambda"]
+    c = lam * (_gamma(lam) / _gamma(lam + 0.5)) ** 2 - 1.0
 
-
-def _m_halfnormal_mm(t):
-    d, = t
-    G, _, _ = _m_halfnormal_ml(t)
-    c = math.pi / 2.0 - 1.0
-    J = np.array([[_h(6, 0.5, 1.0, 1.0)], [_h(7, 0.5, 1.0, 1.0)]]) / (c * d)
-    R = np.array([[1.0 / (c * d ** 2)]])
-    return G, R, J
-
-
-def _m_rayleigh_ml(t):
-    d, = t
-    G = 2.0 * np.array([[_h(6, 1.0, 2.0, 1.0)], [_h(7, 1.0, 2.0, 1.0)]]) / d
-    R = np.array([[4.0 / d ** 2]])
-    return G, R, None
-
-
-def _m_rayleigh_mm(t):
-    d, = t
-    G, _, _ = _m_rayleigh_ml(t)
-    c = 4.0 / math.pi - 1.0
-    J = np.array([[_h(6, 1.0, 1.5, 1.0)], [_h(7, 1.0, 1.5, 1.0)]]) / (c * d)
-    R = np.array([[1.0 / (c * d ** 2)]])
-    return G, R, J
-
-
-def _m_maxwell_ml(t):
-    d, = t
-    G = 3.0 * np.array([[_h(6, 1.5, 2.5, 1.0)], [_h(7, 1.5, 2.5, 1.0)]]) / d
-    R = np.array([[6.0 / d ** 2]])
-    return G, R, None
-
-
-def _m_maxwell_mm(t):
-    d, = t
-    G, _, _ = _m_maxwell_ml(t)
-    c = 3.0 * math.pi / 8.0 - 1.0
-    J = np.array([[_h(6, 1.5, 2.0, 1.0)], [_h(7, 1.5, 2.0, 1.0)]]) / (c * d)
-    R = np.array([[1.0 / (c * d ** 2)]])
-    return G, R, J
-
-
-def _m_chi2_ml(t):
-    k, = t
-    G = 0.5 * np.array([[_h(10, 0.5 * k)], [_h(11, 0.5 * k)]])
-    R = np.array([[0.25 * _psi1(0.5 * k)]])
-    return G, R, None
+    def builder(t):
+        d, = t
+        J = np.array([[_h(6, lam, lam + 0.5, 1.0)], [_h(7, lam, lam + 0.5, 1.0)]]) / (c * d)
+        G = matrices(name, EstimatorKind.ML, t).G
+        return G, np.array([[1.0 / (c * d ** 2)]]), J
+    return builder
 
 
 def _m_chi2_mm(t):
     k, = t
-    G, _, _ = _m_chi2_ml(t)
+    G = matrices("chi-squared", EstimatorKind.ML, t).G
     J = 0.5 * np.array([[_h(6, 0.5 * k, 0.5 * k + 1.0, 1.0)],
                         [_h(7, 0.5 * k, 0.5 * k + 1.0, 1.0)]])
     R = np.array([[0.5 / k]])
     return G, R, J
-
-
-def _m_pareto_ml(t):
-    a, = t
-    G = -np.array([[_h(6, 1.0, 2.0, 1.0)], [_h(7, 1.0, 2.0, 1.0)]]) / a
-    R = np.array([[1.0 / a ** 2]])
-    return G, R, None
 
 
 def _m_kumaraswamy_ml(t):
@@ -518,38 +388,24 @@ _BUILDERS = {
     ("normal", EstimatorKind.ML): _m_normal,
     ("normal", EstimatorKind.MM): _m_normal,
     ("exp-gamma", EstimatorKind.ML): _m_expgamma_ml,
-    ("exp-weibull", EstimatorKind.ML): _m_expweibull_ml,
-    ("gumbel", EstimatorKind.ML): _m_gumbel_ml,
     ("logistic", EstimatorKind.ML): _m_logistic_ml,
     ("logistic", EstimatorKind.MM): _m_logistic_mm,
     ("student-t", EstimatorKind.ML): _m_student_ml,
     ("student-t", EstimatorKind.MM): _m_student_mm,
     ("half-epd", EstimatorKind.ML): _m_halfepd_ml,
     ("half-epd", EstimatorKind.MM): _m_halfepd_mm,
-    ("gg", EstimatorKind.ML): _m_gg_ml,
     ("weibull", EstimatorKind.ML): _m_weibull_ml,
-    ("frechet", EstimatorKind.ML): _m_frechet_ml,
     ("gompertz", EstimatorKind.ML): _m_gompertz_ml,
-    ("log-logistic", EstimatorKind.ML): _m_loglogistic_ml,
-    ("log-logistic", EstimatorKind.MM): _m_loglogistic_mm,
     ("gamma", EstimatorKind.ML): _m_gamma_ml,
-    ("inverse-gamma", EstimatorKind.ML): _m_invgamma_ml,
-    ("beta-prime", EstimatorKind.ML): _m_betaprime_ml,
     ("lomax", EstimatorKind.ML): _m_lomax_ml,
     ("nakagami", EstimatorKind.ML): _m_nakagami_ml,
     ("inverse-gaussian", EstimatorKind.ML): _m_invgauss_ml,
-    ("exponential", EstimatorKind.ML): _m_exponential,
-    ("exponential", EstimatorKind.MM): _m_exponential,
-    ("half-normal", EstimatorKind.ML): _m_halfnormal_ml,
-    ("half-normal", EstimatorKind.MM): _m_halfnormal_mm,
-    ("rayleigh", EstimatorKind.ML): _m_rayleigh_ml,
-    ("rayleigh", EstimatorKind.MM): _m_rayleigh_mm,
-    ("maxwell-boltzmann", EstimatorKind.ML): _m_maxwell_ml,
-    ("maxwell-boltzmann", EstimatorKind.MM): _m_maxwell_mm,
-    ("chi-squared", EstimatorKind.ML): _m_chi2_ml,
+    ("exponential", EstimatorKind.MM): _m_exponential_mm,
+    ("half-normal", EstimatorKind.MM): _m_root_gamma_mm("half-normal"),
+    ("rayleigh", EstimatorKind.MM): _m_root_gamma_mm("rayleigh"),
+    ("maxwell-boltzmann", EstimatorKind.MM): _m_root_gamma_mm("maxwell-boltzmann"),
     ("chi-squared", EstimatorKind.MM): _m_chi2_mm,
-    ("pareto", EstimatorKind.ML): _m_pareto_ml,
-    ("beta", EstimatorKind.ML): _m_betaprime_ml,  # the same G and R in (alpha, beta)
+    ("beta", EstimatorKind.ML): _m_beta_ml,
     ("kumaraswamy", EstimatorKind.ML): _m_kumaraswamy_ml,
     ("uniform", EstimatorKind.ML): None,
 }
@@ -560,19 +416,26 @@ def matrices(fam, kind, theta) -> MatrixSet:
 
     For MM estimators the matrices cover only the moment-estimated
     components (shape parameters the MM row requires known are excluded);
-    ``param_names`` records the column layout.
+    ``param_names`` records the column layout.  A derived family's are its
+    base's at the mapped point, in its own parameters: columns scaled by the
+    slopes of the maps (R on both sides), without the fixed base components,
+    and the sine row of G and J negated for a decreasing transform.
     """
     fam = get_family(fam)
     kind = EstimatorKind(kind)
-    # a log-delegating family has its base family's matrices
-    key = ((fam.base or fam).name, kind)
-    if key not in _BUILDERS:
+    d = fam.through(kind)
+    if ((d.base if d is not None else fam).name, kind) not in _BUILDERS:
         raise ConfigurationError(f"no {kind.value.upper()} matrices for {fam.name!r}")
-    t = tuple(float(v) for v in np.atleast_1d(np.asarray(theta, dtype=float)))
-    if len(t) != fam.n_params:
-        raise DomainError(f"{fam.name} takes {fam.n_params} parameters")
-    fam.check(t)
-    builder = _BUILDERS[key]
+    t = _theta(fam, theta)
+    if d is not None:
+        ms = matrices(d.base, kind, d.to_base(t))
+        own = [i for i, (b, _) in enumerate(d.params) if b in ms.param_names]
+        cols = [ms.param_names.index(d.params[i][0]) for i in own]
+        D = np.array([_MAPS[d.params[i][1]].slope(t[i]) for i in own])  # the Jacobian
+        sign = np.array([[1.0], [float(d.sign)]])
+        return MatrixSet(sign * ms.G[:, cols] * D, ms.R[np.ix_(cols, cols)] * np.outer(D, D),
+                         sign * ms.J[:, cols] * D, tuple(fam.param_names[i] for i in own))
+    builder = _BUILDERS[(fam.name, kind)]
     if builder is None:  # uniform: no estimating-equation matrices
         empty = np.zeros((2, 0))
         return MatrixSet(empty, np.zeros((0, 0)), empty.copy(), ())
@@ -654,8 +517,16 @@ def sigma(ms: MatrixSet, mask: KnownMask | None, kind, fam) -> np.ndarray:
 
 
 def sigma_from(fam, kind, theta, mask: KnownMask | None = None) -> np.ndarray:
-    """Convenience: matrices + reduction + assembly in one call."""
-    return sigma(matrices(fam, kind, theta), mask, kind, fam)
+    """Matrices + reduction + assembly in one call.  A derived family's Sigma
+    is its base's at the mapped point and mask, with the off-diagonal negated
+    for a decreasing transform (S_n changes sign)."""
+    fam = get_family(fam)
+    d = fam.through(kind)
+    if d is None:
+        return sigma(matrices(fam, kind, theta), mask, kind, fam)
+    ms = matrices(d.base, kind, d.to_base(_theta(fam, theta)))  # a base has no base
+    S = sigma(ms, base_mask(d, mask), kind, d.base)
+    return S if d.sign > 0 else S * np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def _eig2(S: np.ndarray):

@@ -51,6 +51,8 @@ class TestMatricesVerify:
         ("--family", "epd", "--theta", "1.5,0.3,2.0", "--estimator", "mm",
          "--known", "lambda=1.5"),
         ("--family", "log-normal", "--theta", "0.1,0.7"),
+        ("--family", "frechet", "--theta", "1.2,2.2", "--known", "rho=2.2"),
+        ("--family", "half-normal", "--theta", "1.2"),
     ])
     def test_dump_round_trips(self, tmp_path, capsys, args):
         path = self._dump(tmp_path, capsys, *args)

@@ -113,6 +113,9 @@ class TestBatchAgainstScalar:
         assert {("normal", "ml"), ("laplace", "ml"), ("exponential", "ml"), ("uniform", "ml"),
                 ("gamma", "ml"), ("weibull", "ml")} <= free
         assert {("normal", "ml", ("mu",)), ("epd", "ml", ("lambda",))} <= rows
+        # derived families batch through their base's kernels
+        assert {("log-epd", "ml", ("lambda",)), ("frechet", "ml", ()),
+                ("inverse-gamma", "ml", ())} <= rows
         assert not _batch.supports("uniform", "mm", None)  # uniform has no MM estimator
 
 
