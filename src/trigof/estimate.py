@@ -779,7 +779,7 @@ def _residual(fam: Family, theta, x, mask: KnownMask, kind: EstimatorKind) -> fl
         if d is not None:
             return _mm_gap(d.base, d.to_base(theta), d.data(x), base_mask(d, mask))
         return _mm_gap(fam, theta, x, mask)
-    if fam.name in ("epd", "log-epd") and theta[0] < 1.0:
+    if (fam.derived.base if fam.derived else fam).name == "epd" and theta[0] < 1.0:
         # the location score is unbounded at the cusp optimum; judge the
         # remaining components only
         free = [i for i in free if i != 1]

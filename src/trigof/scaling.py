@@ -17,10 +17,12 @@ handles as an empty parameter block.
 
 A derived family (``Family.derived``) has no builder: a monotone transform
 of the data leaves the PIT as it is or maps U to 1 - U, which negates S_n,
-so ``sigma_from`` takes the base's Sigma at the mapped point and mask and
-negates its off-diagonal for a decreasing transform.  Only the MM rows that
-match moments of x itself keep builders, which read G from the derived ML
-matrices.
+so ``matrices`` takes the base's G, R and J at the mapped point and carries
+them into the family's own parameters through the slopes of the maps,
+negating the sine row for a decreasing transform.  Its Sigma is then the
+base's at the mapped mask with the off-diagonal negated.  Only the MM rows
+that match moments of x itself keep builders, which read G from the derived
+ML matrices.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import quadrature, specfun
 from .errors import ConfigurationError, DomainError, SingularityError
-from .estimate import EstimatorKind, KnownMask, base_mask
+from .estimate import EstimatorKind, KnownMask
 from .families import _MAPS, _epd_c1, _epd_c2, _student_c2, _theta, get_family
 
 __all__ = ["MatrixSet", "matrices", "sigma", "sigma_from", "solve_2x2", "COND_LIMIT"]
@@ -517,16 +519,8 @@ def sigma(ms: MatrixSet, mask: KnownMask | None, kind, fam) -> np.ndarray:
 
 
 def sigma_from(fam, kind, theta, mask: KnownMask | None = None) -> np.ndarray:
-    """Matrices + reduction + assembly in one call.  A derived family's Sigma
-    is its base's at the mapped point and mask, with the off-diagonal negated
-    for a decreasing transform (S_n changes sign)."""
-    fam = get_family(fam)
-    d = fam.through(kind)
-    if d is None:
-        return sigma(matrices(fam, kind, theta), mask, kind, fam)
-    ms = matrices(d.base, kind, d.to_base(_theta(fam, theta)))  # a base has no base
-    S = sigma(ms, base_mask(d, mask), kind, d.base)
-    return S if d.sign > 0 else S * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    """Convenience: matrices + reduction + assembly in one call."""
+    return sigma(matrices(fam, kind, theta), mask, kind, fam)
 
 
 def _eig2(S: np.ndarray):
