@@ -685,7 +685,7 @@ def rows_estimator(fam, kind, mask: KnownMask, kernel=None):
     if d is not None:
         base_rows = rows_estimator(d.base, kind, base_mask(d, mask), kernel)
         if base_rows is not None:
-            est = lambda X: d.from_base(base_rows(d.data(X)))  # noqa: E731
+            est = lambda X: d.from_base(base_rows(d.data.to(X)))  # noqa: E731
     elif kind is EstimatorKind.MM:
         if fam.has_mm and all(mask.is_known(fam, g) for g in fam.mm_known):
             est = lambda X: _mm_rows(fam, mask, X)  # noqa: E731
@@ -727,7 +727,7 @@ def _dedicated(fam: Family, x, mask: KnownMask):
     if d is None:
         fitter = _FITTERS.get(fam.name)
         return None if fitter is None else fitter(fam, x, mask)
-    out = _dedicated(d.base, d.data(x), base_mask(d, mask))
+    out = _dedicated(d.base, d.data.to(x), base_mask(d, mask))
     return None if out is None else (tuple(d.from_base(out[0])),) + out[1:]
 
 
@@ -777,7 +777,7 @@ def _residual(fam: Family, theta, x, mask: KnownMask, kind: EstimatorKind) -> fl
     if kind is EstimatorKind.MM:
         d = fam.through(kind)
         if d is not None:
-            return _mm_gap(d.base, d.to_base(theta), d.data(x), base_mask(d, mask))
+            return _mm_gap(d.base, d.to_base(theta), d.data.to(x), base_mask(d, mask))
         return _mm_gap(fam, theta, x, mask)
     if (fam.derived.base if fam.derived else fam).name == "epd" and theta[0] < 1.0:
         # the location score is unbounded at the cusp optimum; judge the

@@ -15,14 +15,16 @@ names the parameters the scaling covariance Sigma depends on; it is invariant
 under the others, so a block whose shapes are all known shares one Sigma.
 
 Sixteen families are a fixed monotone transform of another, their base, and
-declare it as ``Family.derived``: the data transform and its sign, the base
-component each parameter stands for through a shared table of maps
+declare it as ``Family.derived``: the data transform (one of ``_DATA``), the
+base component each parameter stands for through a shared table of maps
 (``_MAPS``), and the base components held fixed; gumbel is exp-gamma on -x
-with lambda = 1 and mu -> -mu.  Their ML fit, Sigma, matrices, ``shapes`` and,
-unless they declare their own moment equation, their MM rows come from the
-base; a base has no base of its own.  The asymmetric power distribution used
-for local-alternative sampling lives here as well (``apd_pdf`` / ``apd_cdf`` /
-``sample_apd``).
+with lambda = 1 and mu -> -mu.  Their density, CDF, quantile and score, ML fit,
+Sigma, matrices, ``shapes`` and, unless they declare their own moment
+equation, their MM rows come from the base; a base has no base of its own.
+A derived family shares its transform's range: its callables fail where
+data(x) does (x / (1 + x) rounds to 1 above 2**53, x**2 underflows below
+about 1e-162).  The asymmetric power distribution used for local-alternative
+sampling lives here as well (``apd_pdf`` / ``apd_cdf`` / ``sample_apd``).
 """
 
 from __future__ import annotations
@@ -69,16 +71,17 @@ class MomentEq:
 
 @dataclass(frozen=True)
 class Family:
-    """One null family: parameter metadata plus distribution callables."""
+    """One null family: parameter metadata plus distribution callables (a
+    derived family's four are set by ``_register``)."""
 
     name: str
     param_names: tuple[str, ...]
     check: Callable[[tuple], None]
     support: Callable[[tuple], tuple[float, float]]
-    logpdf: Callable[[tuple, np.ndarray], np.ndarray]
-    cdf_fn: Callable[[tuple, np.ndarray], np.ndarray]
-    quantile_fn: Optional[Callable[[tuple, np.ndarray], np.ndarray]]
-    score_fn: Optional[Callable[[tuple, np.ndarray], np.ndarray]]
+    logpdf: Optional[Callable[[tuple, np.ndarray], np.ndarray]] = None
+    cdf_fn: Optional[Callable[[tuple, np.ndarray], np.ndarray]] = None
+    quantile_fn: Optional[Callable[[tuple, np.ndarray], np.ndarray]] = None
+    score_fn: Optional[Callable[[tuple, np.ndarray], np.ndarray]] = None
     mm: Optional[MomentEq] = None
     shapes: tuple[str, ...] = ()  # what Sigma depends on; derived: set by _register
     derived: Optional["Derived"] = None  # the family this one transforms
@@ -107,6 +110,8 @@ class Family:
 
 # a parameter -> the base component it stands for, its inverse and its derivative
 ComponentMap = namedtuple("ComponentMap", "to back slope")
+# data -> the base's data, its inverse, its sign and ln|d to / dx| in closed form
+Transform = namedtuple("Transform", "to back sign log_slope")
 
 
 def _scalar_or_rows(scalar, rows):
@@ -125,18 +130,29 @@ _MAPS = {
     "2sq": ComponentMap(lambda t: 2.0 * t ** 2, lambda u: np.sqrt(0.5 * u), lambda t: 4.0 * t),
 }
 
+_DATA = {
+    "x": Transform(lambda x: x, lambda y: y, 1, lambda x: 0.0),
+    "-x": Transform(np.negative, np.negative, -1, lambda x: 0.0),
+    "ln x": Transform(np.log, np.exp, 1, lambda x: -np.log(x)),
+    "1/x": Transform(lambda x: 1.0 / x, lambda y: 1.0 / y, -1, lambda x: -2.0 * np.log(x)),
+    "x^2": Transform(np.square, np.sqrt, 1, lambda x: math.log(2.0) + np.log(x)),
+    "x/(1+x)": Transform(lambda x: x / (1.0 + x), lambda y: y / (1.0 - y), 1,
+                         lambda x: -2.0 * np.log1p(x)),
+}
+
 
 @dataclass(frozen=True)
 class Derived:
     """A family that is a fixed monotone transform of its ``base``: X follows
-    it at theta iff data(X) follows the base at ``to_base(theta)``, where
+    it at theta iff data.to(X) follows the base at ``to_base(theta)``, where
     parameter i stands for base component params[i][0] through the map
     _MAPS[params[i][1]] and the components ``fixed`` hold their values.
-    ``sign`` is +1 when ``data`` increases and -1 when it decreases."""
+    ``data`` is an entry of ``_DATA``; its sign is -1 when it decreases.  The
+    family's density, CDF, quantile and score are the base's through both
+    (``_through``), so it shares the transform's range."""
 
     base: Family
-    data: Callable[[np.ndarray], np.ndarray]
-    sign: int
+    data: Transform
     params: tuple[tuple[str, str], ...]
     fixed: tuple[tuple[str, float], ...] = ()
 
@@ -159,15 +175,34 @@ class Derived:
                          for b, m in self.params], axis=-1)
 
 
+def _through(d: Derived) -> dict:
+    """The density, CDF, quantile and score of a derived family: its base's
+    at data.to(x), the CDF and quantile mirrored for a decreasing transform,
+    the density times |data'(x)|, and score row i the slope of parameter i's
+    map times the base's row of the component it stands for."""
+    b, tr = d.base, d.data
+    flip = (lambda u: u) if tr.sign > 0 else (lambda u: 1.0 - u)
+    rows = [(b.param_names.index(c), _MAPS[m].slope) for c, m in d.params]
+
+    def score_fn(t, x):
+        s = b.score_fn(d.to_base(t), tr.to(x))
+        return np.vstack([slope(v) * s[j] for v, (j, slope) in zip(t, rows)])
+
+    return dict(
+        logpdf=lambda t, x: b.logpdf(d.to_base(t), tr.to(x)) + tr.log_slope(x),
+        cdf_fn=lambda t, x: flip(b.cdf_fn(d.to_base(t), tr.to(x))),
+        quantile_fn=lambda t, u: tr.back(b.quantile_fn(d.to_base(t), flip(u))),
+        score_fn=score_fn)
+
 
 _REGISTRY: dict[str, Family] = {}
 
 
 def _register(fam: Family) -> Family:
     d = fam.derived
-    if d is not None:  # its shapes stand for the base's
+    if d is not None:  # its shapes stand for the base's, its callables are the base's
         fam = replace(fam, shapes=tuple(
-            p for p, (b, _) in zip(fam.param_names, d.params) if b in d.base.shapes))
+            p for p, (b, _) in zip(fam.param_names, d.params) if b in d.base.shapes), **_through(d))
     _REGISTRY[fam.name] = fam
     return fam
 
@@ -449,11 +484,7 @@ _register(Family(
     param_names=("mu", "sigma"),
     check=_pos(1),
     support=_REAL,
-    logpdf=lambda t, x: _expgamma_logpdf((1.0,) + t, x),
-    cdf_fn=lambda t, x: -np.expm1(-np.exp((x - t[0]) / t[1])),
-    quantile_fn=lambda t, u: t[0] + t[1] * np.log(-np.log1p(-u)),
-    score_fn=lambda t, x: _expgamma_score((1.0,) + t, x)[1:],
-    derived=Derived(_REGISTRY["exp-gamma"], lambda x: x, 1, (("mu", "same"), ("sigma", "same")),
+    derived=Derived(_REGISTRY["exp-gamma"], _DATA["x"], (("mu", "same"), ("sigma", "same")),
                     (("lambda", 1.0),)),
 ))
 
@@ -462,13 +493,7 @@ _register(Family(
     param_names=("mu", "sigma"),
     check=_pos(1),
     support=_REAL,
-    logpdf=lambda t, x: (lambda y: -y - np.exp(-y) - math.log(t[1]))((x - t[0]) / t[1]),
-    cdf_fn=lambda t, x: np.exp(-np.exp(-(x - t[0]) / t[1])),
-    quantile_fn=lambda t, u: t[0] - t[1] * np.log(-np.log(u)),
-    score_fn=lambda t, x: (lambda y, ey: np.vstack([
-        (1.0 - ey) / t[1],
-        (y - y * ey - 1.0) / t[1]]))((x - t[0]) / t[1], np.exp(-(x - t[0]) / t[1])),
-    derived=Derived(_REGISTRY["exp-gamma"], np.negative, -1, (("mu", "neg"), ("sigma", "same")),
+    derived=Derived(_REGISTRY["exp-gamma"], _DATA["-x"], (("mu", "neg"), ("sigma", "same")),
                     (("lambda", 1.0),)),
 ))
 
@@ -556,28 +581,14 @@ _register(Family(
 # log-delegating families on (0, inf)
 # ---------------------------------------------------------------------------
 
-def _log_delegate(base_name: str):
-    base = _REGISTRY[base_name]
-
-    def logpdf(t, x):
-        lx = np.log(x)
-        return base.logpdf(t, lx) - lx
-
+for _base in map(_REGISTRY.get, ("epd", "laplace", "normal")):
     _register(Family(
-        name="log-" + base_name,
-        param_names=base.param_names,
-        check=base.check,
+        name="log-" + _base.name,
+        param_names=_base.param_names,
+        check=_base.check,
         support=_POSLINE,
-        logpdf=logpdf,
-        cdf_fn=lambda t, x: base.cdf_fn(t, np.log(x)),
-        quantile_fn=lambda t, u: np.exp(base.quantile_fn(t, u)),
-        score_fn=lambda t, x: base.score_fn(t, np.log(x)),
-        derived=Derived(base, np.log, 1, tuple((p, "same") for p in base.param_names)),
+        derived=Derived(_base, _DATA["ln x"], tuple((p, "same") for p in _base.param_names)),
     ))
-
-
-for _base_name in ("epd", "laplace", "normal"):
-    _log_delegate(_base_name)
 
 
 # ---------------------------------------------------------------------------
@@ -619,33 +630,12 @@ _register(Family(
 ))
 
 
-def _gg_logpdf(t, x):
-    lam, beta, rho = t
-    lx = np.log(x / beta)
-    return (math.log(rho) - np.log(x) + lam * rho * lx - np.exp(rho * lx)
-            - float(specfun.ln_gamma(lam)))
-
-
-def _gg_score(t, x):
-    lam, beta, rho = t
-    lx = np.log(x / beta)
-    w = np.exp(rho * lx)
-    return np.vstack([
-        rho * lx - float(specfun.digamma(lam)),
-        (rho / beta) * (w - lam),
-        1.0 / rho - (w - lam) * lx])
-
-
 _register(Family(
     name="gg",
     param_names=("lambda", "beta", "rho"),
     check=_pos(0, 1, 2),
     support=_POSLINE,
-    logpdf=_gg_logpdf,
-    cdf_fn=lambda t, x: specfun.reg_gamma_cdf(t[0], 1.0, np.power(x / t[1], t[2])),
-    quantile_fn=lambda t, u: t[1] * np.power(sp.gammaincinv(t[0], u), 1.0 / t[2]),
-    score_fn=_gg_score,
-    derived=Derived(_REGISTRY["exp-gamma"], np.log, 1,
+    derived=Derived(_REGISTRY["exp-gamma"], _DATA["ln x"],
                     (("lambda", "same"), ("mu", "log"), ("sigma", "inv"))),
 ))
 
@@ -654,10 +644,10 @@ _register(Family(
     param_names=("beta", "rho"),
     check=_pos(0, 1),
     support=_POSLINE,
-    logpdf=lambda t, x: _gg_logpdf((1.0,) + t, x),
+    logpdf=lambda t, x: _REGISTRY["gg"].logpdf((1.0,) + t, x),
     cdf_fn=lambda t, x: -np.expm1(-np.power(x / t[0], t[1])),
     quantile_fn=lambda t, u: t[0] * np.power(-np.log1p(-u), 1.0 / t[1]),
-    score_fn=lambda t, x: _gg_score((1.0,) + t, x)[1:],
+    score_fn=lambda t, x: _REGISTRY["gg"].score_fn((1.0,) + t, x)[1:],
 ))
 
 _register(Family(
@@ -665,15 +655,7 @@ _register(Family(
     param_names=("beta", "rho"),
     check=_pos(0, 1),
     support=_POSLINE,
-    logpdf=lambda t, x: (lambda w: math.log(t[1]) - np.log(x) + np.log(w) - w)(
-        np.power(x / t[0], -t[1])),
-    cdf_fn=lambda t, x: np.exp(-np.power(x / t[0], -t[1])),
-    quantile_fn=lambda t, u: t[0] * np.power(-np.log(u), -1.0 / t[1]),
-    score_fn=lambda t, x: (lambda w, lx: np.vstack([
-        (t[1] / t[0]) * (1.0 - w),
-        1.0 / t[1] - (1.0 - w) * lx]))(np.power(x / t[0], -t[1]), np.log(x / t[0])),
-    derived=Derived(_REGISTRY["weibull"], lambda x: 1.0 / x, -1,
-                    (("beta", "inv"), ("rho", "same"))),
+    derived=Derived(_REGISTRY["weibull"], _DATA["1/x"], (("beta", "inv"), ("rho", "same"))),
 ))
 
 _register(Family(
@@ -695,15 +677,7 @@ _register(Family(
     param_names=("beta", "rho"),
     check=_pos(0, 1),
     support=_POSLINE,
-    logpdf=lambda t, x: (lambda lw: math.log(t[1]) - np.log(x) + lw - 2.0 * np.log1p(np.exp(lw)))(
-        t[1] * np.log(x / t[0])),
-    cdf_fn=lambda t, x: sp.expit(t[1] * np.log(x / t[0])),
-    quantile_fn=lambda t, u: t[0] * np.power(u / (1.0 - u), 1.0 / t[1]),
-    score_fn=lambda t, x: (lambda lx, F: np.vstack([
-        (t[1] / t[0]) * (2.0 * F - 1.0),
-        1.0 / t[1] + lx * (1.0 - 2.0 * F)]))(
-        np.log(x / t[0]), sp.expit(t[1] * np.log(x / t[0]))),
-    derived=Derived(_REGISTRY["logistic"], np.log, 1, (("mu", "log"), ("sigma", "inv"))),
+    derived=Derived(_REGISTRY["logistic"], _DATA["ln x"], (("mu", "log"), ("sigma", "inv"))),
 ))
 
 
@@ -731,15 +705,7 @@ _register(Family(
     param_names=("lambda", "beta"),
     check=_pos(0, 1),
     support=_POSLINE,
-    logpdf=lambda t, x: (t[0] * math.log(t[1]) - (t[0] + 1.0) * np.log(x) - t[1] / x
-                         - float(specfun.ln_gamma(t[0]))),
-    cdf_fn=lambda t, x: 1.0 - specfun.reg_gamma_cdf(t[0], 1.0, t[1] / x),
-    quantile_fn=lambda t, u: t[1] / sp.gammaincinv(t[0], 1.0 - u),
-    score_fn=lambda t, x: np.vstack([
-        np.log(t[1] / x) - float(specfun.digamma(t[0])),
-        t[0] / t[1] - 1.0 / x]),
-    derived=Derived(_REGISTRY["gamma"], lambda x: 1.0 / x, -1,
-                    (("lambda", "same"), ("beta", "inv"))),
+    derived=Derived(_REGISTRY["gamma"], _DATA["1/x"], (("lambda", "same"), ("beta", "inv"))),
 ))
 
 
@@ -808,12 +774,8 @@ _register(Family(
     param_names=("beta",),
     check=_pos(0),
     support=_POSLINE,
-    logpdf=lambda t, x: -x / t[0] - math.log(t[0]),
-    cdf_fn=lambda t, x: -np.expm1(-x / t[0]),
-    quantile_fn=lambda t, u: -t[0] * np.log1p(-u),
-    score_fn=lambda t, x: (x / t[0] - 1.0)[None, :] / t[0],
     mm=MomentEq("mean", lambda: (1.0, 1.0)),
-    derived=Derived(_REGISTRY["gamma"], lambda x: x, 1, (("beta", "same"),), (("lambda", 1.0),)),
+    derived=Derived(_REGISTRY["gamma"], _DATA["x"], (("beta", "same"),), (("lambda", 1.0),)),
 ))
 
 _register(Family(
@@ -821,13 +783,8 @@ _register(Family(
     param_names=("delta",),
     check=_pos(0),
     support=_POSLINE,
-    logpdf=lambda t, x: (0.5 * math.log(2.0 / math.pi) - math.log(t[0])
-                         - 0.5 * (x / t[0]) ** 2),
-    cdf_fn=lambda t, x: 2.0 * specfun.std_normal_cdf(x / t[0]) - 1.0,
-    quantile_fn=lambda t, u: t[0] * sp.ndtri(0.5 * (1.0 + u)),
-    score_fn=lambda t, x: ((x / t[0]) ** 2 - 1.0)[None, :] / t[0],
     mm=MomentEq("mean", lambda: (1.0, math.sqrt(math.pi / 2.0))),
-    derived=Derived(_REGISTRY["gamma"], np.square, 1, (("beta", "2sq"),), (("lambda", 0.5),)),
+    derived=Derived(_REGISTRY["gamma"], _DATA["x^2"], (("beta", "2sq"),), (("lambda", 0.5),)),
 ))
 
 _register(Family(
@@ -835,12 +792,8 @@ _register(Family(
     param_names=("delta",),
     check=_pos(0),
     support=_POSLINE,
-    logpdf=lambda t, x: np.log(x) - 2.0 * math.log(t[0]) - 0.5 * (x / t[0]) ** 2,
-    cdf_fn=lambda t, x: -np.expm1(-0.5 * (x / t[0]) ** 2),
-    quantile_fn=lambda t, u: t[0] * np.sqrt(-2.0 * np.log1p(-u)),
-    score_fn=lambda t, x: ((x / t[0]) ** 2 - 2.0)[None, :] / t[0],
     mm=MomentEq("mean", lambda: (1.0, math.sqrt(2.0 / math.pi))),
-    derived=Derived(_REGISTRY["gamma"], np.square, 1, (("beta", "2sq"),), (("lambda", 1.0),)),
+    derived=Derived(_REGISTRY["gamma"], _DATA["x^2"], (("beta", "2sq"),), (("lambda", 1.0),)),
 ))
 
 _register(Family(
@@ -848,13 +801,8 @@ _register(Family(
     param_names=("delta",),
     check=_pos(0),
     support=_POSLINE,
-    logpdf=lambda t, x: (0.5 * math.log(2.0 / math.pi) + 2.0 * np.log(x)
-                         - 3.0 * math.log(t[0]) - 0.5 * (x / t[0]) ** 2),
-    cdf_fn=lambda t, x: specfun.reg_gamma_cdf(1.5, 1.0, 0.5 * (x / t[0]) ** 2),
-    quantile_fn=lambda t, u: t[0] * np.sqrt(2.0 * sp.gammaincinv(1.5, u)),
-    score_fn=lambda t, x: ((x / t[0]) ** 2 - 3.0)[None, :] / t[0],
     mm=MomentEq("mean", lambda: (1.0, math.sqrt(math.pi / 8.0))),
-    derived=Derived(_REGISTRY["gamma"], np.square, 1, (("beta", "2sq"),), (("lambda", 1.5),)),
+    derived=Derived(_REGISTRY["gamma"], _DATA["x^2"], (("beta", "2sq"),), (("lambda", 1.5),)),
 ))
 
 _register(Family(
@@ -862,13 +810,8 @@ _register(Family(
     param_names=("k",),
     check=_pos(0),
     support=_POSLINE,
-    logpdf=lambda t, x: ((0.5 * t[0] - 1.0) * np.log(x) - 0.5 * x
-                         - float(specfun.ln_gamma(0.5 * t[0])) - 0.5 * t[0] * math.log(2.0)),
-    cdf_fn=lambda t, x: specfun.reg_gamma_cdf(0.5 * t[0], 1.0, 0.5 * x),
-    quantile_fn=lambda t, u: 2.0 * sp.gammaincinv(0.5 * t[0], u),
-    score_fn=lambda t, x: 0.5 * (np.log(0.5 * x) - float(specfun.digamma(0.5 * t[0])))[None, :],
     mm=MomentEq("mean", lambda: (1.0, 1.0)),
-    derived=Derived(_REGISTRY["gamma"], lambda x: x, 1, (("lambda", "half"),), (("beta", 2.0),)),
+    derived=Derived(_REGISTRY["gamma"], _DATA["x"], (("lambda", "half"),), (("beta", 2.0),)),
 ))
 
 
@@ -882,11 +825,7 @@ _register(Family(
     param_names=("alpha",),
     check=_pos(0),
     support=lambda t: (1.0, math.inf),
-    logpdf=lambda t, x: math.log(t[0]) - (t[0] + 1.0) * np.log(x),
-    cdf_fn=lambda t, x: -np.expm1(-t[0] * np.log(x)),
-    quantile_fn=lambda t, u: np.exp(-np.log1p(-u) / t[0]),
-    score_fn=lambda t, x: (1.0 / t[0] - np.log(x))[None, :],
-    derived=Derived(_REGISTRY["gamma"], np.log, 1, (("beta", "inv"),), (("lambda", 1.0),)),
+    derived=Derived(_REGISTRY["gamma"], _DATA["ln x"], (("beta", "inv"),), (("lambda", 1.0),)),
 ))
 
 
@@ -911,26 +850,12 @@ _register(Family(
     shapes=("alpha", "beta"),
 ))
 
-def _betaprime_logpdf(t, x):
-    a, b = t
-    lnB = float(specfun.ln_gamma(a) + specfun.ln_gamma(b) - specfun.ln_gamma(a + b))
-    return (a - 1.0) * np.log(x) - (a + b) * np.log1p(x) - lnB
-
-
 _register(Family(
     name="beta-prime",
     param_names=("alpha", "beta"),
     check=_pos(0, 1),
     support=_POSLINE,
-    logpdf=_betaprime_logpdf,
-    cdf_fn=lambda t, x: specfun.reg_beta_cdf(t[0], t[1], x / (1.0 + x)),
-    quantile_fn=lambda t, u: (lambda w: w / (1.0 - w))(sp.betaincinv(t[0], t[1], u)),
-    score_fn=lambda t, x: (lambda psum: np.vstack([
-        psum - float(specfun.digamma(t[0])) + np.log(x) - np.log1p(x),
-        psum - float(specfun.digamma(t[1])) - np.log1p(x)]))(
-        float(specfun.digamma(t[0] + t[1]))),
-    derived=Derived(_REGISTRY["beta"], lambda x: x / (1.0 + x), 1,
-                    (("alpha", "same"), ("beta", "same"))),
+    derived=Derived(_REGISTRY["beta"], _DATA["x/(1+x)"], (("alpha", "same"), ("beta", "same"))),
 ))
 
 _register(Family(

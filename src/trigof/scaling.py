@@ -434,7 +434,7 @@ def matrices(fam, kind, theta) -> MatrixSet:
         own = [i for i, (b, _) in enumerate(d.params) if b in ms.param_names]
         cols = [ms.param_names.index(d.params[i][0]) for i in own]
         D = np.array([_MAPS[d.params[i][1]].slope(t[i]) for i in own])  # the Jacobian
-        sign = np.array([[1.0], [float(d.sign)]])
+        sign = np.array([[1.0], [float(d.data.sign)]])
         return MatrixSet(sign * ms.G[:, cols] * D, ms.R[np.ix_(cols, cols)] * np.outer(D, D),
                          sign * ms.J[:, cols] * D, tuple(fam.param_names[i] for i in own))
     builder = _BUILDERS[(fam.name, kind)]

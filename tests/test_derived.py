@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as sp
 from scipy.special import logsumexp
 
 from trigof import estimate as E
@@ -343,6 +344,135 @@ def _former_fit(name, x, mask, monkeypatch):
     return np.array(out[0], dtype=float)
 
 
+# ---------------------------------------------------------------------------
+# Reference: the closed-form density, CDF, quantile and score that the
+# derived families carried before their declarations supplied them, as they
+# were: {family: (logpdf, cdf_fn, quantile_fn, score_fn)}.
+# ---------------------------------------------------------------------------
+
+def _former_gg_logpdf(t, x):
+    lam, beta, rho = t
+    lx = np.log(x / beta)
+    return (math.log(rho) - np.log(x) + lam * rho * lx - np.exp(rho * lx)
+            - float(specfun.ln_gamma(lam)))
+
+
+def _former_gg_score(t, x):
+    lam, beta, rho = t
+    lx = np.log(x / beta)
+    w = np.exp(rho * lx)
+    return np.vstack([
+        rho * lx - float(specfun.digamma(lam)),
+        (rho / beta) * (w - lam),
+        1.0 / rho - (w - lam) * lx])
+
+
+def _former_log(base_name):
+    base = F.get_family(base_name)
+    return (lambda t, x: base.logpdf(t, np.log(x)) - np.log(x),
+            lambda t, x: base.cdf_fn(t, np.log(x)),
+            lambda t, u: np.exp(base.quantile_fn(t, u)),
+            lambda t, x: base.score_fn(t, np.log(x)))
+
+
+def _lnB(a, b):
+    return float(specfun.ln_gamma(a) + specfun.ln_gamma(b) - specfun.ln_gamma(a + b))
+
+
+_FORMER_CALLABLES = {
+    "exp-weibull": (
+        lambda t, x: F.get_family("exp-gamma").logpdf((1.0,) + t, x),
+        lambda t, x: -np.expm1(-np.exp((x - t[0]) / t[1])),
+        lambda t, u: t[0] + t[1] * np.log(-np.log1p(-u)),
+        lambda t, x: F.get_family("exp-gamma").score_fn((1.0,) + t, x)[1:]),
+    "gumbel": (
+        lambda t, x: (lambda y: -y - np.exp(-y) - math.log(t[1]))((x - t[0]) / t[1]),
+        lambda t, x: np.exp(-np.exp(-(x - t[0]) / t[1])),
+        lambda t, u: t[0] - t[1] * np.log(-np.log(u)),
+        lambda t, x: (lambda y, ey: np.vstack([
+            (1.0 - ey) / t[1],
+            (y - y * ey - 1.0) / t[1]]))((x - t[0]) / t[1], np.exp(-(x - t[0]) / t[1]))),
+    "log-epd": _former_log("epd"),
+    "log-laplace": _former_log("laplace"),
+    "log-normal": _former_log("normal"),
+    "gg": (
+        _former_gg_logpdf,
+        lambda t, x: specfun.reg_gamma_cdf(t[0], 1.0, np.power(x / t[1], t[2])),
+        lambda t, u: t[1] * np.power(sp.gammaincinv(t[0], u), 1.0 / t[2]),
+        _former_gg_score),
+    "weibull": (
+        lambda t, x: _former_gg_logpdf((1.0,) + t, x),
+        lambda t, x: -np.expm1(-np.power(x / t[0], t[1])),
+        lambda t, u: t[0] * np.power(-np.log1p(-u), 1.0 / t[1]),
+        lambda t, x: _former_gg_score((1.0,) + t, x)[1:]),
+    "frechet": (
+        lambda t, x: (lambda w: math.log(t[1]) - np.log(x) + np.log(w) - w)(
+            np.power(x / t[0], -t[1])),
+        lambda t, x: np.exp(-np.power(x / t[0], -t[1])),
+        lambda t, u: t[0] * np.power(-np.log(u), -1.0 / t[1]),
+        lambda t, x: (lambda w, lx: np.vstack([
+            (t[1] / t[0]) * (1.0 - w),
+            1.0 / t[1] - (1.0 - w) * lx]))(np.power(x / t[0], -t[1]), np.log(x / t[0]))),
+    "log-logistic": (
+        lambda t, x: (lambda lw: math.log(t[1]) - np.log(x) + lw - 2.0 * np.log1p(np.exp(lw)))(
+            t[1] * np.log(x / t[0])),
+        lambda t, x: sp.expit(t[1] * np.log(x / t[0])),
+        lambda t, u: t[0] * np.power(u / (1.0 - u), 1.0 / t[1]),
+        lambda t, x: (lambda lx, Fx: np.vstack([
+            (t[1] / t[0]) * (2.0 * Fx - 1.0),
+            1.0 / t[1] + lx * (1.0 - 2.0 * Fx)]))(
+            np.log(x / t[0]), sp.expit(t[1] * np.log(x / t[0])))),
+    "inverse-gamma": (
+        lambda t, x: (t[0] * math.log(t[1]) - (t[0] + 1.0) * np.log(x) - t[1] / x
+                      - float(specfun.ln_gamma(t[0]))),
+        lambda t, x: 1.0 - specfun.reg_gamma_cdf(t[0], 1.0, t[1] / x),
+        lambda t, u: t[1] / sp.gammaincinv(t[0], 1.0 - u),
+        lambda t, x: np.vstack([
+            np.log(t[1] / x) - float(specfun.digamma(t[0])),
+            t[0] / t[1] - 1.0 / x])),
+    "exponential": (
+        lambda t, x: -x / t[0] - math.log(t[0]),
+        lambda t, x: -np.expm1(-x / t[0]),
+        lambda t, u: -t[0] * np.log1p(-u),
+        lambda t, x: (x / t[0] - 1.0)[None, :] / t[0]),
+    "half-normal": (
+        lambda t, x: 0.5 * math.log(2.0 / math.pi) - math.log(t[0]) - 0.5 * (x / t[0]) ** 2,
+        lambda t, x: 2.0 * specfun.std_normal_cdf(x / t[0]) - 1.0,
+        lambda t, u: t[0] * sp.ndtri(0.5 * (1.0 + u)),
+        lambda t, x: ((x / t[0]) ** 2 - 1.0)[None, :] / t[0]),
+    "rayleigh": (
+        lambda t, x: np.log(x) - 2.0 * math.log(t[0]) - 0.5 * (x / t[0]) ** 2,
+        lambda t, x: -np.expm1(-0.5 * (x / t[0]) ** 2),
+        lambda t, u: t[0] * np.sqrt(-2.0 * np.log1p(-u)),
+        lambda t, x: ((x / t[0]) ** 2 - 2.0)[None, :] / t[0]),
+    "maxwell-boltzmann": (
+        lambda t, x: (0.5 * math.log(2.0 / math.pi) + 2.0 * np.log(x)
+                      - 3.0 * math.log(t[0]) - 0.5 * (x / t[0]) ** 2),
+        lambda t, x: specfun.reg_gamma_cdf(1.5, 1.0, 0.5 * (x / t[0]) ** 2),
+        lambda t, u: t[0] * np.sqrt(2.0 * sp.gammaincinv(1.5, u)),
+        lambda t, x: ((x / t[0]) ** 2 - 3.0)[None, :] / t[0]),
+    "chi-squared": (
+        lambda t, x: ((0.5 * t[0] - 1.0) * np.log(x) - 0.5 * x
+                      - float(specfun.ln_gamma(0.5 * t[0])) - 0.5 * t[0] * math.log(2.0)),
+        lambda t, x: specfun.reg_gamma_cdf(0.5 * t[0], 1.0, 0.5 * x),
+        lambda t, u: 2.0 * sp.gammaincinv(0.5 * t[0], u),
+        lambda t, x: 0.5 * (np.log(0.5 * x) - float(specfun.digamma(0.5 * t[0])))[None, :]),
+    "pareto": (
+        lambda t, x: math.log(t[0]) - (t[0] + 1.0) * np.log(x),
+        lambda t, x: -np.expm1(-t[0] * np.log(x)),
+        lambda t, u: np.exp(-np.log1p(-u) / t[0]),
+        lambda t, x: (1.0 / t[0] - np.log(x))[None, :]),
+    "beta-prime": (
+        lambda t, x: (t[0] - 1.0) * np.log(x) - (t[0] + t[1]) * np.log1p(x) - _lnB(*t),
+        lambda t, x: specfun.reg_beta_cdf(t[0], t[1], x / (1.0 + x)),
+        lambda t, u: (lambda w: w / (1.0 - w))(sp.betaincinv(t[0], t[1], u)),
+        lambda t, x: (lambda psum: np.vstack([
+            psum - float(specfun.digamma(t[0])) + np.log(x) - np.log1p(x),
+            psum - float(specfun.digamma(t[1])) - np.log1p(x)]))(
+            float(specfun.digamma(t[0] + t[1])))),
+}
+
+
 DERIVED = [name for name in sorted(FAMILY_THETAS) if F.get_family(name).derived is not None]
 LOG = ["log-epd", "log-laplace", "log-normal"]
 # every (family, estimator) row of a derived family
@@ -370,19 +500,29 @@ def test_sixteen_families_are_derived_from_a_base_without_one():
     assert len(DERIVED) == 16
     for name in DERIVED:
         d = F.get_family(name).derived
-        assert d.base.derived is None and d.sign in (1, -1)
+        assert d.base.derived is None and d.data in F._DATA.values()
         assert set(d.base.param_names) == {b for b, _ in d.params} | {b for b, _ in d.fixed}
+
+
+POINTS = {name: (FAMILY_THETAS[name], tuple(1.3 * v + 0.2 for v in FAMILY_THETAS[name]))
+          for name in DERIVED + ["weibull"]}
+# PIT values from 1e-15 to 1 - 1e-15, dense in both tails
+_U = np.concatenate([np.logspace(-15, -1, 29), np.linspace(0.1, 0.9, 17),
+                     1.0 - np.logspace(-1, -15, 29)])
+
+
+def _close(got, want, rtol):
+    np.testing.assert_array_less(np.abs(got - want), rtol * np.maximum(1.0, np.abs(want)))
 
 
 @pytest.mark.parametrize("name", DERIVED)
 def test_declaration_carries_the_pit(name):
-    # F(x | theta) is the base's CDF at data(x), or 1 minus it when data decreases
+    # the CDF read through the declaration is the former closed form's
     fam, theta = F.get_family(name), FAMILY_THETAS[name]
     d = fam.derived
-    x = F.sample(name, theta, 50, 3)
-    u_base = F.cdf(d.base, d.to_base(theta), d.data(x))
-    np.testing.assert_allclose(F.cdf(name, theta, x), u_base if d.sign > 0 else 1.0 - u_base,
-                               rtol=0.0, atol=1e-13)
+    for t in POINTS[name]:
+        x = _FORMER_CALLABLES[name][2](t, _U)
+        _close(fam.cdf_fn(t, x), _FORMER_CALLABLES[name][1](t, x), 1e-14)
     np.testing.assert_allclose(d.from_base(d.to_base(theta)), theta, rtol=1e-15, atol=0.0)
     # the slopes are the derivatives of the maps
     step = 1e-6 * np.asarray(theta)
@@ -395,8 +535,18 @@ def test_declaration_carries_the_pit(name):
         assert diff[j] == pytest.approx(F._MAPS[d.params[i][1]].slope(theta[i]), rel=1e-8)
 
 
-POINTS = {name: (FAMILY_THETAS[name], tuple(1.3 * v + 0.2 for v in FAMILY_THETAS[name]))
-          for name in DERIVED}
+@pytest.mark.parametrize("name", DERIVED + ["weibull"])
+def test_density_score_and_quantile_are_the_former_closed_forms(name):
+    fam = F.get_family(name)
+    logpdf, _, quantile, score_fn = _FORMER_CALLABLES[name]
+    for t in POINTS[name]:
+        x = quantile(t, _U)
+        _close(fam.logpdf(t, x), logpdf(t, x), 1e-14)
+        _close(fam.score_fn(t, x), score_fn(t, x), 1e-14)
+        # the quantile is ill-conditioned in the far tails (its slope grows
+        # like 1/u), so it is compared on [1e-6, 1 - 1e-6] only
+        u = _U[(_U >= 1e-6) & (_U <= 1.0 - 1e-6)]
+        _close(fam.quantile_fn(t, u), quantile(t, u), 1e-11)
 
 
 @pytest.mark.parametrize("name,kind", ROWS, ids=[f"{n}-{k}" for n, k in ROWS])
@@ -414,7 +564,7 @@ def test_matrices_match_the_former_builders(name, kind):
 @pytest.mark.parametrize("name,kind", ROWS, ids=[f"{n}-{k}" for n, k in ROWS])
 def test_sigma_is_the_sign_flipped_base_sigma(name, kind):
     d = F.get_family(name).derived
-    flip = np.array([[1.0, float(d.sign)], [float(d.sign), 1.0]])
+    flip = np.array([[1.0, float(d.data.sign)], [float(d.data.sign), 1.0]])
     own = kind == "mm" and F.get_family(name).mm is not None
     for theta in POINTS[name]:
         for known in _masks(name, kind, every=True):

@@ -14,6 +14,8 @@ TWO_PI = 2.0 * math.pi
 # frozen independent oracles (mpmath, 25 digits)
 EPD_PDF_15_AT_07 = 0.2860513996118291   # EPD(1.5, 0, 1) density at x = 0.7
 IG_CDF_1_2_AT_13 = 0.76339573878718383  # inverse-Gaussian(1, 2) CDF at 1.3
+HALFNORMAL_Q_12 = 2.045597785055104e-06  # half-normal(1.2) quantile at u = HALFNORMAL_U
+HALFNORMAL_U = 1.3601257419226798e-06
 
 
 def test_registry_has_32_families():
@@ -46,6 +48,17 @@ class TestPointValues:
     def test_inverse_gaussian_cdf_oracle(self):
         assert F.cdf("inverse-gaussian", (1.0, 2.0), 1.3) == pytest.approx(
             IG_CDF_1_2_AT_13, rel=1e-12)
+
+    def test_half_normal_quantile_oracle(self):
+        # delta * ndtri((1 + u) / 2) loses relative accuracy at small u
+        assert F.quantile("half-normal", (1.2,), HALFNORMAL_U) == pytest.approx(
+            HALFNORMAL_Q_12, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("x", [1e-200, 1e-300])
+    def test_frechet_density_vanishes_in_its_left_tail(self, x):
+        assert F.pdf("frechet", (1.0, 2.0), x) == 0.0
+        with np.errstate(over="ignore"):
+            assert F.get_family("frechet").logpdf((1.0, 2.0), np.array([x]))[0] == -math.inf
 
     def test_support_enforcement(self):
         assert F.cdf("beta", (2.0, 3.0), -0.2) == 0.0
