@@ -13,7 +13,6 @@ from .errors import (
     DegenerateSampleError,
     DomainError,
     EstimationError,
-    QuadratureError,
     SamplingError,
     SingularityError,
     TrigofError,
@@ -25,7 +24,6 @@ __all__ = [
     "TrigofError",
     "DomainError",
     "ConfigurationError",
-    "QuadratureError",
     "EstimationError",
     "DegenerateSampleError",
     "SamplingError",

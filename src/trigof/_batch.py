@@ -26,7 +26,7 @@ import numpy as np
 from scipy import special as sp
 
 from . import scaling
-from .errors import ConfigurationError, SingularityError
+from .errors import ConfigurationError
 from .estimate import EstimatorKind, KnownMask, rejected_rows, rows_estimator
 from .families import get_family
 
@@ -129,26 +129,25 @@ def batch_fit(fam, kind, mask: KnownMask | None, X) -> np.ndarray:
     return thetas
 
 
-def _sigma_at(fam, kind, theta, mask):
-    # R's condition depends on the data's units: retry with all but the shapes at 1
-    try:
-        return scaling.sigma_from(fam, kind, theta, mask)
-    except SingularityError:
-        unit = [v if p in fam.shapes else 1.0 for p, v in zip(fam.param_names, theta)]
-        return scaling.sigma_from(fam, kind, unit, mask)
-
-
 def _sigma_rows(fam, kind, mask, thetas) -> np.ndarray:
-    """Per-row scaling covariances, NaN where the fit failed; Sigma depends on
-    theta through ``fam.shapes`` only, so a block with them known shares one."""
+    """Per-row scaling covariances, NaN where the fit failed, from one call of
+    the rule for all fitted rows.  Sigma depends on theta through
+    ``fam.shapes`` only, so a block with them known shares one; and R's
+    condition depends on the data's units, so a row that reads singular is
+    taken again with all but the shapes at 1 (SingularityError if it still does)."""
     fam = get_family(fam)
     fitted = np.flatnonzero(np.all(np.isfinite(thetas), axis=1))
     sig = np.full((thetas.shape[0], 2, 2), np.nan)
+    if not fitted.size:
+        return sig
     shared = all(mask is not None and mask.is_known(fam, s) for s in fam.shapes)
-    for i in fitted[:1] if shared else fitted:
-        sig[i] = _sigma_at(fam, kind, tuple(thetas[i]), mask)
-    if shared:
-        sig[fitted] = sig[fitted[:1]]
+    rows = thetas[fitted[:1] if shared else fitted]
+    S, ok = scaling._assemble(scaling.matrices(fam, kind, rows), mask, kind, fam)
+    if not ok.all():
+        unit = rows[~ok]
+        unit[:, [p not in fam.shapes for p in fam.param_names]] = 1.0
+        S[~ok] = scaling.sigma(scaling.matrices(fam, kind, unit), mask, kind, fam)
+    sig[fitted] = S
     return sig
 
 

@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: ``test`` (test a data file against a null family),
-``constants`` (evaluate tabulated integrals), ``matrices`` (dump G/R/J and
-the scaling covariance as JSON), ``power`` (asymptotic power curves, with
-optional finite-n validation), ``ellipse`` (confidence-ellipse boundary
-points as CSV) and ``study`` (run a declarative Monte-Carlo study).
+``matrices`` (dump G/R/J and the scaling covariance as JSON; every entry is
+an expectation over the PIT u summed by the tanh-sinh rule of
+``quadrature``, with R = C^T B^-1 C and J = K B^-1 C for the row's
+estimating function psi, see ``scaling``), ``power`` (asymptotic power
+curves, with optional finite-n validation), ``ellipse`` (confidence-ellipse
+boundary points as CSV) and ``study`` (run a declarative Monte-Carlo study).
 
 Exit codes: 0 success, 2 data or numeric failure, 64 usage error.  The
 environment variable TRIGOF_SEED supplies the default seed.
@@ -21,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import families, gof, power, quadrature, scaling, simharness
+from . import families, gof, power, scaling, simharness
 from .errors import TrigofError
 from .estimate import EstimatorKind, KnownMask
 
@@ -148,22 +150,6 @@ def cmd_test(args) -> int:
         payload.update({"p_mc": res.p_mc, "mc_reps": res.mc_reps,
                         "mc_exceed": res.mc_exceed, "mc_failed": res.mc_failed})
     _emit(json.dumps(_round_obj(payload, args.digits), indent=2), args.output)
-    return 0
-
-
-def cmd_constants(args) -> int:
-    digits = args.digits
-    if args.logistic:
-        c_cos, c_sin, m_cos, m_sin = quadrature.logistic_constants()
-        _emit(json.dumps(_round_obj({
-            "c_cos": c_cos, "c_sin": c_sin, "m_cos": m_cos, "m_sin": m_sin,
-        }, digits), indent=2), args.output)
-        return 0
-    if args.h is None:
-        raise ValueError("constants needs --h IDX or --logistic")
-    h_args = [float(v) for v in args.args.split(",")] if args.args else []
-    value = quadrature.h(args.h, *h_args)
-    _emit(f"{value:.{digits}g}", args.output)
     return 0
 
 
@@ -320,14 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(0 = asymptotic only; 10000 is a desk-scale choice)")
     add_common(p)
     p.set_defaults(func=cmd_test)
-
-    p = sub.add_parser("constants", help="evaluate tabulated integral constants")
-    p.add_argument("--h", type=int, help="index of the integral (1..37)")
-    p.add_argument("--args", help="comma-separated arguments for the integral")
-    p.add_argument("--logistic", action="store_true",
-                   help="recompute the four logistic matrix constants")
-    add_common(p)
-    p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("matrices", help="dump G/R/J and the scaling covariance")
     p.add_argument("--family")

@@ -17,18 +17,6 @@ class ConfigurationError(TrigofError, ValueError):
     """An unsupported (family, estimator, mask) combination was requested."""
 
 
-class QuadratureError(TrigofError, RuntimeError):
-    """Adaptive quadrature failed to converge.
-
-    Carries the last estimate and the error bound at the point of failure.
-    """
-
-    def __init__(self, message, estimate=None, bound=None):
-        super().__init__(message)
-        self.estimate = estimate
-        self.bound = bound
-
-
 class EstimationError(TrigofError, RuntimeError):
     """Parameter estimation failed to converge; carries the last residual."""
 

@@ -42,7 +42,7 @@ from .errors import ConfigurationError, DomainError, SamplingError
 
 __all__ = [
     "Family", "get_family", "family_names", "pdf", "cdf", "quantile",
-    "score", "sample", "apd_pdf", "apd_cdf", "sample_apd",
+    "score", "sample", "apd_pdf", "apd_cdf", "apd_score", "sample_apd",
 ]
 
 _TINY_U = 1e-15
@@ -84,6 +84,7 @@ class Family:
     score_fn: Optional[Callable[[tuple, np.ndarray], np.ndarray]] = None
     mm: Optional[MomentEq] = None
     shapes: tuple[str, ...] = ()  # what Sigma depends on; derived: set by _register
+    upper: Optional[Callable[[tuple, np.ndarray], tuple]] = None  # see "Upper tails"
     derived: Optional["Derived"] = None  # the family this one transforms
 
     @property
@@ -186,7 +187,7 @@ def _through(d: Derived) -> dict:
 
     def score_fn(t, x):
         s = b.score_fn(d.to_base(t), tr.to(x))
-        return np.vstack([slope(v) * s[j] for v, (j, slope) in zip(t, rows)])
+        return np.stack([slope(v) * s[j] for v, (j, slope) in zip(t, rows)])
 
     return dict(
         logpdf=lambda t, x: b.logpdf(d.to_base(t), tr.to(x)) + tr.log_slope(x),
@@ -264,17 +265,13 @@ def cdf(fam, theta, x):
 
 
 def quantile(fam, theta, u):
-    """Quantile function; numeric bracketed inversion when no closed form."""
+    """Quantile function, with u clipped to [1e-15, 1 - 1e-15]."""
     fam = get_family(fam)
     t = _theta(fam, theta)
     u = np.asarray(u, dtype=float)
     us = np.clip(np.atleast_1d(u), _TINY_U, 1.0 - _TINY_U)
-    if fam.quantile_fn is not None:
-        with np.errstate(over="ignore", under="ignore"):
-            q = fam.quantile_fn(t, us)
-    else:
-        q = _numeric_quantile(fam, t, us)
-    q = np.asarray(q, dtype=float)
+    with np.errstate(over="ignore", under="ignore"):
+        q = np.asarray(fam.quantile_fn(t, us), dtype=float)
     return q if u.shape else float(q[0])
 
 
@@ -299,32 +296,6 @@ def sample(fam, theta, n: int, seed) -> np.ndarray:
         raise DomainError("n must be >= 1")
     rng = np.random.default_rng(seed)
     return quantile(fam, t, rng.random(n))
-
-
-def _numeric_quantile(fam: Family, t: tuple, us: np.ndarray) -> np.ndarray:
-    """Bracketed bisection of the CDF to relative tolerance 1e-12, vectorized."""
-    lo, hi = fam.support(t)
-    a = np.full_like(us, lo + 1e-12 if np.isfinite(lo) else -1.0)
-    if np.isfinite(hi):
-        b = np.full_like(us, hi - 1e-12)
-    else:
-        b = a + 1.0
-        for _ in range(200):
-            short = cdf(fam, t, b) <= us
-            if not short.any():
-                break
-            a[short] = b[short]
-            b[short] = np.where(b[short] > 0, 2.0 * b[short], b[short] + 1.0)
-        else:
-            raise SamplingError(f"could not bracket quantiles for {fam.name}")
-    for _ in range(120):
-        m = 0.5 * (a + b)
-        low = cdf(fam, t, m) < us
-        a = np.where(low, m, a)
-        b = np.where(low, b, m)
-        if np.max(b - a) <= 1e-12 * max(1.0, float(np.max(np.abs(b)))):
-            break
-    return 0.5 * (a + b)
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +343,26 @@ def _epd_cdf(t, x):
     return 0.5 * (1.0 + np.sign(y) * g)
 
 
-def _epd_quantile(t, u):
+def _gamma_upper_inv(a, p):
+    """g with P(G > g) = p for G ~ gamma(a), inverting whichever of p and
+    1 - p is the smaller, so that neither tail is read through a rounded 1 - p."""
+    a, p = np.broadcast_arrays(a, p)
+    g = np.empty(p.shape)
+    tail = p < 0.5
+    g[tail] = sp.gammainccinv(a[tail], p[tail])
+    g[~tail] = sp.gammaincinv(a[~tail], 1.0 - p[~tail])
+    return g
+
+
+def _epd_point(t, p, side):
+    """The EPD point on ``side`` (+1 above mu, -1 below) whose two-sided tail
+    probability P(|X - mu| > |x - mu|) is p."""
     lam, mu, sigma = t
-    s = np.sign(u - 0.5)
-    g = sp.gammaincinv(1.0 / lam, np.abs(2.0 * u - 1.0))
-    return mu + sigma * s * np.power(lam * g, 1.0 / lam)
+    return mu + sigma * side * np.power(lam * _gamma_upper_inv(1.0 / lam, p), 1.0 / lam)
+
+
+def _epd_quantile(t, u):
+    return _epd_point(t, 2.0 * np.minimum(u, 1.0 - u), np.sign(u - 0.5))
 
 
 def _epd_c1(lam):
@@ -395,10 +381,20 @@ def _epd_score(t, x):
     w = np.power(ay, lam)
     with np.errstate(divide="ignore", invalid="ignore"):
         wlogw = np.where(ay > 0.0, w * lam * np.log(ay), 0.0)
-    s_lam = (w - wlogw + _epd_c1(lam) - 1.0) / lam ** 2
+    c1 = specfun.digamma(1.0 / lam + 1.0) + np.log(lam)
+    s_lam = (w - wlogw + c1 - 1.0) / lam ** 2
     s_mu = np.power(ay, lam - 1.0) * np.sign(y) / sigma
     s_sigma = (w - 1.0) / sigma
-    return np.vstack([s_lam, s_mu, s_sigma])
+    return np.stack([s_lam, s_mu, s_sigma])
+
+
+def _mirrored(point, score_fn):
+    """The upper tail of a family symmetric about mu: the point whose
+    two-sided tail probability is 2 v, above mu."""
+    def upper(t, v):
+        x = point(t, 2.0 * v, 1.0)
+        return x, score_fn(t, x)
+    return upper
 
 
 _register(Family(
@@ -412,6 +408,7 @@ _register(Family(
     score_fn=_epd_score,
     mm=MomentEq("msd", lambda lam: (1.0, _epd_c2(lam)), ("lambda",)),
     shapes=("lambda",),
+    upper=_mirrored(_epd_point, _epd_score),
 ))
 
 _register(Family(
@@ -424,7 +421,7 @@ _register(Family(
         (x - t[0]) / t[1]),
     quantile_fn=lambda t, u: np.where(
         u < 0.5, t[0] + t[1] * np.log(2.0 * u), t[0] - t[1] * np.log(2.0 * (1.0 - u))),
-    score_fn=lambda t, x: np.vstack([
+    score_fn=lambda t, x: np.stack([
         np.sign(x - t[0]) / t[1],
         (np.abs(x - t[0]) / t[1] - 1.0) / t[1]]),
     mm=MomentEq("msd", lambda: (1.0, 0.5)),
@@ -439,7 +436,7 @@ _register(Family(
         t[1] * math.sqrt(2.0 * math.pi)),
     cdf_fn=lambda t, x: specfun.std_normal_cdf((x - t[0]) / t[1]),
     quantile_fn=lambda t, u: t[0] + t[1] * sp.ndtri(u),
-    score_fn=lambda t, x: np.vstack([
+    score_fn=lambda t, x: np.stack([
         (x - t[0]) / t[1] ** 2,
         (((x - t[0]) / t[1]) ** 2 - 1.0) / t[1]]),
     mm=MomentEq("msd", lambda: (1.0, 1.0)),
@@ -461,8 +458,8 @@ def _expgamma_score(t, x):
     lam, mu, sigma = t
     y = (x - mu) / sigma
     ey = np.exp(y)
-    return np.vstack([
-        y - float(specfun.digamma(lam)),
+    return np.stack([
+        y - specfun.digamma(lam),
         (ey - lam) / sigma,
         (y * ey - lam * y - 1.0) / sigma])
 
@@ -511,7 +508,7 @@ _register(Family(
         (x - t[0]) / t[1]),
     cdf_fn=lambda t, x: sp.expit((x - t[0]) / t[1]),
     quantile_fn=lambda t, u: t[0] + t[1] * (np.log(u) - np.log1p(-u)),
-    score_fn=lambda t, x: (lambda y, F: np.vstack([
+    score_fn=lambda t, x: (lambda y, F: np.stack([
         (2.0 * F - 1.0) / t[1],
         (y * (2.0 * F - 1.0) - 1.0) / t[1]]))(
         (x - t[0]) / t[1], sp.expit((x - t[0]) / t[1])),
@@ -536,12 +533,16 @@ def _student_cdf(t, x):
     return 0.5 * (1.0 + np.sign(y) * tail)
 
 
-def _student_quantile(t, u):
+def _student_point(t, p, side):
+    """The Student-t point on ``side`` (+1 above mu, -1 below) whose two-sided
+    tail probability P(|X - mu| > |x - mu|) = I_w(lam/2, 1/2) is p."""
     lam, mu, sigma = t
-    s = np.sign(u - 0.5)
-    w = sp.betaincinv(lam / 2.0, 0.5, 1.0 - np.abs(2.0 * u - 1.0))
-    y = np.sqrt(np.maximum(lam * (1.0 / w - 1.0), 0.0))
-    return mu + sigma * s * y
+    w = sp.betaincinv(lam / 2.0, 0.5, p)
+    return mu + sigma * side * np.sqrt(np.maximum(lam * (1.0 / w - 1.0), 0.0))
+
+
+def _student_quantile(t, u):
+    return _student_point(t, 2.0 * np.minimum(u, 1.0 - u), np.sign(u - 0.5))
 
 
 def _student_c2(lam):
@@ -556,11 +557,11 @@ def _student_score(t, x):
     lam, mu, sigma = t
     y = (x - mu) / sigma
     y2 = y ** 2
-    s_lam = 0.5 * (float(specfun.digamma((lam + 1.0) / 2.0)) - float(specfun.digamma(lam / 2.0))
+    s_lam = 0.5 * (specfun.digamma((lam + 1.0) / 2.0) - specfun.digamma(lam / 2.0)
                    - 1.0 / lam - np.log1p(y2 / lam) + (lam + 1.0) * y2 / (lam * (lam + y2)))
     s_mu = (lam + 1.0) * y / (sigma * (lam + y2))
     s_sigma = ((lam + 1.0) * y2 / (lam + y2) - 1.0) / sigma
-    return np.vstack([s_lam, s_mu, s_sigma])
+    return np.stack([s_lam, s_mu, s_sigma])
 
 
 _register(Family(
@@ -574,6 +575,7 @@ _register(Family(
     score_fn=_student_score,
     mm=MomentEq("mad", lambda lam: (_student_c2(lam), 1.0), ("lambda",)),
     shapes=("lambda",),
+    upper=_mirrored(_student_point, _student_score),
 ))
 
 
@@ -611,8 +613,9 @@ def _halfepd_score(t, x):
     w = x / sigma
     wl = np.power(w, lam)
     logwl = lam * np.log(w)
-    return np.vstack([
-        (wl - wl * logwl + _epd_c1(lam) - 1.0) / lam ** 2,
+    c1 = specfun.digamma(1.0 / lam + 1.0) + np.log(lam)
+    return np.stack([
+        (wl - wl * logwl + c1 - 1.0) / lam ** 2,
         (wl - 1.0) / sigma])
 
 
@@ -666,7 +669,7 @@ _register(Family(
     logpdf=lambda t, x: math.log(t[0] * t[1]) + t[1] + t[0] * x - t[1] * np.exp(t[0] * x),
     cdf_fn=lambda t, x: -np.expm1(-t[1] * np.expm1(t[0] * x)),
     quantile_fn=lambda t, u: np.log1p(-np.log1p(-u) / t[1]) / t[0],
-    score_fn=lambda t, x: (lambda e: np.vstack([
+    score_fn=lambda t, x: (lambda e: np.stack([
         1.0 / t[0] + x - t[1] * x * e,
         1.0 / t[1] + 1.0 - e]))(np.exp(t[0] * x)),
     shapes=("rho",),
@@ -694,8 +697,8 @@ _register(Family(
                          - float(specfun.ln_gamma(t[0])) - t[0] * math.log(t[1])),
     cdf_fn=lambda t, x: specfun.reg_gamma_cdf(t[0], t[1], x),
     quantile_fn=lambda t, u: t[1] * sp.gammaincinv(t[0], u),
-    score_fn=lambda t, x: np.vstack([
-        np.log(x / t[1]) - float(specfun.digamma(t[0])),
+    score_fn=lambda t, x: np.stack([
+        np.log(x / t[1]) - specfun.digamma(t[0]),
         (x / t[1] - t[0]) / t[1]]),
     shapes=("lambda",),
 ))
@@ -717,7 +720,7 @@ _register(Family(
     logpdf=lambda t, x: math.log(t[0] / t[1]) - (t[0] + 1.0) * np.log1p(x / t[1]),
     cdf_fn=lambda t, x: -np.expm1(-t[0] * np.log1p(x / t[1])),
     quantile_fn=lambda t, u: t[1] * np.expm1(-np.log1p(-u) / t[0]),
-    score_fn=lambda t, x: (lambda w: np.vstack([
+    score_fn=lambda t, x: (lambda w: np.stack([
         1.0 / t[0] - np.log1p(w),
         ((t[0] + 1.0) * w / (1.0 + w) - 1.0) / t[1]]))(x / t[1]),
     shapes=("alpha",),
@@ -733,8 +736,8 @@ _register(Family(
                          - t[0] * x ** 2 / t[1]),
     cdf_fn=lambda t, x: specfun.reg_gamma_cdf(t[0], 1.0, t[0] * x ** 2 / t[1]),
     quantile_fn=lambda t, u: np.sqrt(t[1] * sp.gammaincinv(t[0], u) / t[0]),
-    score_fn=lambda t, x: np.vstack([
-        math.log(t[0] / t[1]) + 1.0 - float(specfun.digamma(t[0]))
+    score_fn=lambda t, x: np.stack([
+        np.log(t[0] / t[1]) + 1.0 - specfun.digamma(t[0])
         + np.log(x ** 2) - x ** 2 / t[1],
         (t[0] / t[1]) * (x ** 2 / t[1] - 1.0)]),
     shapes=("lambda",),
@@ -749,16 +752,75 @@ def _ig_cdf_fn(t, x):
     return specfun.std_normal_cdf(s * (x / mu - 1.0)) + tail
 
 
+def _ig_logpdf(t, x):
+    return (0.5 * np.log(t[1] / (2.0 * math.pi)) - 1.5 * np.log(x)
+            - t[1] * (x - t[0]) ** 2 / (2.0 * t[0] ** 2 * x))
+
+
+def _ig_log_cdfs(t, x):
+    """ln F(x) and ln(1 - F(x)), each without the other's rounding."""
+    mu, lam = t
+    s = np.sqrt(lam / x)
+    mirror = 2.0 * lam / mu + sp.log_ndtr(-s * (x / mu + 1.0))
+    above = sp.log_ndtr(-s * (x / mu - 1.0))
+    return (np.logaddexp(sp.log_ndtr(s * (x / mu - 1.0)), mirror),
+            above + np.log1p(-np.exp(mirror - above)))
+
+
+def _ig_quantile(t, u):
+    """Newton's method on ln F (ln(1 - F) above the median) in ln x, at most 8
+    CDF evaluations per value.  ln X is log-concave, so from below the root
+    the steps never overshoot; a step that leaves the bracket of the points
+    seen so far bisects it instead.  The start is the normal approximation
+    to ln(X / mu), or in a tail the asymptote of the CDF there when that is
+    nearer: F ~ 2 e^phi Phi(-sqrt(lam/x)), phi = lam / mu, as x -> 0, and
+    1 - F ~ f(x) 2 mu^2 / lam as x -> inf."""
+    mu, lam = t
+    phi = lam / mu
+    s2 = np.log1p(1.0 / phi)
+    upper = u > 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        target = np.where(upper, np.log1p(-u), np.log(u))
+        y = np.log(mu) - 0.5 * s2 + np.sqrt(s2) * sp.ndtri(u)
+        # as x -> inf, ln(1 - F) -> ln f(x) + ln(2 mu^2 / lam), which lies above
+        # it: the root of the limit, by fixed-point steps, is past the quantile
+        k = 2.0 * mu ** 2 / lam
+        x = np.exp(y)
+        for _ in range(3):
+            x = k * (0.5 * np.log(lam / (2.0 * math.pi)) + np.log(k) + phi - target
+                     - 1.5 * np.log(x))
+        far = x > 2.0 * mu  # where the limit holds
+        y = np.where(upper, np.where(far, np.fmin(y, np.log(x)), y), np.maximum(
+            y, np.log(lam) - 2.0 * np.log(-sp.ndtri(0.5 * u * np.exp(-phi)))))
+        lo, hi = np.full(y.shape, -np.inf), np.full(y.shape, np.inf)
+        for _ in range(8):
+            x = np.exp(y)
+            lcdf = np.where(upper, *_ig_log_cdfs(t, x)[::-1])
+            gap = lcdf - target
+            high = (gap > 0.0) != upper  # x above the root
+            hi = np.where(high, y, hi)
+            lo = np.where(high, lo, y)
+            step = gap * np.exp(lcdf - y - _ig_logpdf(t, x)) * np.where(upper, -1.0, 1.0)
+            new = y - step
+            inside = (new >= lo) & (new <= hi)
+            new = np.where(inside, new, np.where(np.isfinite(lo) & np.isfinite(hi), 0.5 * (lo + hi),
+                                                 y + np.where(high, -1.0, 1.0)))
+            done = not np.any(np.abs(new - y) > 1e-9)
+            y = new
+            if done:
+                break
+    return np.where(np.isfinite(target), np.exp(y), np.where(upper, np.inf, 0.0))
+
+
 _register(Family(
     name="inverse-gaussian",
     param_names=("mu", "lambda"),
     check=_pos(0, 1),
     support=_POSLINE,
-    logpdf=lambda t, x: (0.5 * math.log(t[1] / (2.0 * math.pi)) - 1.5 * np.log(x)
-                         - t[1] * (x - t[0]) ** 2 / (2.0 * t[0] ** 2 * x)),
+    logpdf=_ig_logpdf,
     cdf_fn=_ig_cdf_fn,
-    quantile_fn=None,
-    score_fn=lambda t, x: np.vstack([
+    quantile_fn=_ig_quantile,
+    score_fn=lambda t, x: np.stack([
         t[1] * (x - t[0]) / t[0] ** 3,
         0.5 / t[1] - (x - t[0]) ** 2 / (2.0 * t[0] ** 2 * x)]),
     shapes=("mu", "lambda"),  # through lambda / mu
@@ -835,6 +897,28 @@ def _beta_logpdf(t, x):
     return (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - lnB
 
 
+def _beta_score(t, lx, l1x):
+    """The beta score from ln x and ln(1 - x)."""
+    psum = specfun.digamma(t[0] + t[1])
+    return np.stack([psum - specfun.digamma(t[0]) + lx, psum - specfun.digamma(t[1]) + l1x])
+
+
+def _beta_upper(t, v):
+    y = sp.betaincinv(t[1], t[0], v)  # 1 - x: 1 - X is beta(beta, alpha)
+    return 1.0 - y, _beta_score(t, np.log1p(-y), np.log(y))
+
+
+def _kumaraswamy_score(t, lx, xa, w, lw):
+    """The Kumaraswamy score from ln x, x**alpha, w = 1 - x**alpha and ln w."""
+    return np.stack([1.0 / t[0] + lx - (t[1] - 1.0) * xa * lx / w, 1.0 / t[1] + lw])
+
+
+def _kumaraswamy_upper(t, v):
+    lw = np.log(v) / t[1]  # ln(1 - x**alpha) = ln(1 - u) / beta
+    lx = np.log1p(-np.exp(lw)) / t[0]
+    return np.exp(lx), _kumaraswamy_score(t, lx, -np.expm1(lw), np.exp(lw), lw)
+
+
 _register(Family(
     name="beta",
     param_names=("alpha", "beta"),
@@ -843,11 +927,9 @@ _register(Family(
     logpdf=_beta_logpdf,
     cdf_fn=lambda t, x: specfun.reg_beta_cdf(t[0], t[1], x),
     quantile_fn=lambda t, u: sp.betaincinv(t[0], t[1], u),
-    score_fn=lambda t, x: (lambda psum: np.vstack([
-        psum - float(specfun.digamma(t[0])) + np.log(x),
-        psum - float(specfun.digamma(t[1])) + np.log1p(-x)]))(
-        float(specfun.digamma(t[0] + t[1]))),
+    score_fn=lambda t, x: _beta_score(t, np.log(x), np.log1p(-x)),
     shapes=("alpha", "beta"),
+    upper=_beta_upper,
 ))
 
 _register(Family(
@@ -867,10 +949,10 @@ _register(Family(
                          + (t[1] - 1.0) * np.log1p(-np.power(x, t[0]))),
     cdf_fn=lambda t, x: -np.expm1(t[1] * np.log1p(-np.power(x, t[0]))),
     quantile_fn=lambda t, u: np.power(-np.expm1(np.log1p(-u) / t[1]), 1.0 / t[0]),
-    score_fn=lambda t, x: (lambda xa, lx: np.vstack([
-        1.0 / t[0] + lx - (t[1] - 1.0) * xa * lx / (1.0 - xa),
-        1.0 / t[1] + np.log1p(-xa)]))(np.power(x, t[0]), np.log(x)),
+    score_fn=lambda t, x: (lambda alx: _kumaraswamy_score(
+        t, np.log(x), np.exp(alx), -np.expm1(alx), np.log(-np.expm1(alx))))(t[0] * np.log(x)),
     shapes=("beta",),
+    upper=_kumaraswamy_upper,
 ))
 
 _register(Family(
@@ -909,6 +991,30 @@ def apd_pdf(x, lam, alpha, rho, mu, sigma):
     lognorm = (math.log(rho) + math.log(delta / lam) / rho
                - math.log(sigma) - float(specfun.ln_gamma(1.0 / rho)))
     return np.exp(lognorm - (delta / (lam * a_side)) * np.abs(y) ** rho)
+
+
+def apd_score(x, lam, alpha, rho, mu, sigma):
+    """The APD's score in (alpha, rho), shape (2,) + x.shape: the extra score
+    by which the APD embeds EPD(rho) at alpha = 1/2, rho = lam."""
+    _apd_check(lam, alpha, rho, mu, sigma)
+    y = (np.asarray(x, dtype=float) - mu) / sigma
+    la, lb = math.log(alpha), math.log1p(-alpha)
+    p, q = alpha ** rho, (1.0 - alpha) ** rho
+    delta = 2.0 * p * q / (p + q)
+    dlnd_a = rho * (alpha ** (rho - 1.0) - (1.0 - alpha) ** (rho - 1.0)) / (p + q)  # of ln(p + q)
+    dlnd_r = (p * la + q * lb) / (p + q)
+    neg = y < 0.0
+    # the exponent is c |y|^rho, c = delta / (lam * side) = 2 (q or p) / (lam (p + q))
+    c = np.where(neg, 2.0 * q, 2.0 * p) / (lam * (p + q))
+    w = np.abs(y) ** rho
+    with np.errstate(divide="ignore", invalid="ignore"):
+        wlog = np.where(y != 0.0, w * np.log(np.abs(y)), 0.0)
+    s_alpha = ((rho / alpha - rho / (1.0 - alpha) - dlnd_a) / rho
+               - c * w * (np.where(neg, -rho / (1.0 - alpha), rho / alpha) - dlnd_a))
+    s_rho = (1.0 / rho - (math.log(delta / lam) - rho * (la + lb - dlnd_r)) / rho ** 2
+             + float(specfun.digamma(1.0 / rho)) / rho ** 2
+             - c * (w * (np.where(neg, lb, la) - dlnd_r) + wlog))
+    return np.stack(np.broadcast_arrays(s_alpha, s_rho))
 
 
 def apd_cdf(x, lam, alpha, rho, mu, sigma):

@@ -23,9 +23,7 @@ import numpy as np
 from . import families, scaling, specfun
 from .errors import ConfigurationError, DomainError
 from .estimate import EstimatorKind, KnownMask
-from .families import _epd_c1
 from .gof import replicate
-from .quadrature import h
 
 __all__ = ["AltCase", "LocalAlternative", "PowerPoint", "noncentrality",
            "power_curve", "empirical_power", "epd_m", "gamma_m", "weibull_m"]
@@ -65,59 +63,29 @@ class PowerPoint:
     power: float
 
 
-def _gamma_fn(z):
-    return float(specfun.gamma_fn(z))
-
-
-# ---------------------------------------------------------------------------
-# gamma null inside GG(lam, beta, rho), rho = 1 + delta/sqrt(n)
-# ---------------------------------------------------------------------------
-
 def gamma_m(lam: float) -> np.ndarray:
-    h6 = h(6, lam, lam + 1.0, 1.0)
-    h7 = h(7, lam, lam + 1.0, 1.0)
-    psi = float(specfun.digamma(lam))
-    psi1 = float(specfun.trigamma(lam))
-    a = lam * psi - lam * psi1 * (lam * psi + 1.0)
-    w = 1.0 / (lam * psi1 - 1.0)
-    return np.array([
-        -h(8, lam) - w * (h(10, lam) + h6 * a),
-        -h(9, lam) - w * (h(11, lam) + h7 * a),
-    ])
+    """Drift of the gamma(lam) ML row inside GG(lam, beta, rho), rho = 1 + delta/sqrt(n):
+    the extra score is GG's rho row at rho = 1."""
+    gg = families.get_family("gg")
+    return scaling.drift("gamma", EstimatorKind.ML, (lam, 1.0), None,
+                         lambda t, x: gg.score_fn((t[0], t[1], 1.0), x)[2:])[:, 0]
 
-
-# ---------------------------------------------------------------------------
-# Weibull null inside GG(lam, beta, rho), lam = 1 + delta/sqrt(n)
-# ---------------------------------------------------------------------------
 
 def weibull_m() -> np.ndarray:
-    h6s, h7s = h(6, 1.0, 2.0, 1.0), h(7, 1.0, 2.0, 1.0)
-    g = specfun.EULER_GAMMA
-    c = 6.0 / math.pi ** 2
-    b = 1.0 - g + math.pi ** 2 / 6.0
-    return np.array([
-        h(10, 1.0) - c * (b * h6s - h(8, 1.0)),
-        h(11, 1.0) - c * (b * h7s - h(9, 1.0)),
-    ])
+    """Drift of the Weibull ML row inside GG(lam, beta, rho), lam = 1 + delta/sqrt(n):
+    the extra score is GG's lambda row at lambda = 1."""
+    gg = families.get_family("gg")
+    return scaling.drift("weibull", EstimatorKind.ML, (1.0, 1.0), None,
+                         lambda t, x: gg.score_fn((1.0, t[0], t[1]), x)[:1])[:, 0]
 
-
-# ---------------------------------------------------------------------------
-# EPD null inside APD(lam0, alpha, rho, mu, sigma),
-# (alpha, rho) = (1/2, lam0) + delta/sqrt(n)
-# ---------------------------------------------------------------------------
 
 def epd_m(lam: float, kind: EstimatorKind) -> np.ndarray:
-    h1, h2, h3, h37 = h(1, lam), h(2, lam), h(3, lam), h(37, lam)
-    g1l = _gamma_fn(1.0 / lam)
-    if EstimatorKind(kind) is EstimatorKind.ML:
-        m12 = -h3 / lam ** 2 + h1 * (_epd_c1(lam) + 1.0) / lam ** 2
-        m21 = -2.0 * h37 + 2.0 * lam * h2 / (g1l * _gamma_fn(2.0 - 1.0 / lam))
-    else:
-        m12 = -h3 / lam ** 2 + h1 / (2.0 * lam ** 2) * (
-            2.0 * math.log(lam) + 3.0 * float(specfun.digamma(3.0 / lam))
-            - float(specfun.digamma(1.0 / lam)))
-        m21 = -2.0 * h37 + 4.0 * lam * h2 * _gamma_fn(2.0 / lam) / g1l ** 2
-    return np.array([[0.0, m12], [m21, 0.0]])
+    """Drift of the EPD(lam) row, lam known, inside APD(lam, alpha, rho, mu, sigma),
+    (alpha, rho) = (1/2, lam) + delta/sqrt(n): the extra score is the APD's
+    (alpha, rho) score there, one column per drift coordinate."""
+    mask = KnownMask.from_names("epd", {"lambda": lam})
+    return scaling.drift("epd", kind, (lam, 0.0, 1.0), mask,
+                         lambda t, x: families.apd_score(x, lam, 0.5, lam, 0.0, 1.0))
 
 
 def noncentrality(alt: LocalAlternative) -> float:

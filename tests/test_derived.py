@@ -8,11 +8,11 @@ from scipy.special import logsumexp
 
 from trigof import estimate as E
 from trigof import families as F
-from trigof import quadrature, scaling, specfun
+from trigof import scaling, specfun
 from trigof.estimate import KnownMask, fit
 from conftest import FAMILY_THETAS, MM_REQUIRED_KNOWN
+from former_scaling import h as _h, logistic_constants
 
-_h = quadrature.h
 _EG = specfun.EULER_GAMMA
 _PI2_6 = math.pi ** 2 / 6.0
 
@@ -26,7 +26,7 @@ def _psi1(z):
 
 
 def _logi():
-    return quadrature.logistic_constants()
+    return logistic_constants()
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +551,7 @@ def test_density_score_and_quantile_are_the_former_closed_forms(name):
 
 @pytest.mark.parametrize("name,kind", ROWS, ids=[f"{n}-{k}" for n, k in ROWS])
 def test_matrices_match_the_former_builders(name, kind):
+    # the builders' h integrals hold 1e-10, and so does the rule against them
     for theta in POINTS[name]:
         ms = scaling.matrices(name, kind, theta)
         for got, want in zip((ms.G, ms.R, ms.J), _former_matrices(name, kind, theta)):
@@ -558,7 +559,39 @@ def test_matrices_match_the_former_builders(name, kind):
                 assert np.array_equal(got, want)
             else:
                 np.testing.assert_allclose(got, want, rtol=0.0,
-                                           atol=1e-13 * float(np.max(np.abs(want))))
+                                           atol=1e-10 * max(1.0, float(np.max(np.abs(want)))))
+
+
+# each parameter's range for the random points, log-uniform (uniform where it
+# can be negative), inside the ranges of the base's random points in test_scaling
+RANGES = {
+    "exp-weibull": [(-2.0, 2.0), (0.2, 5.0)], "gumbel": [(-2.0, 2.0), (0.2, 5.0)],
+    "gg": [(0.05, 20.0), (0.2, 5.0), (0.2, 5.0)], "frechet": [(0.2, 5.0), (0.2, 5.0)],
+    "log-logistic": [(0.2, 5.0), (0.2, 5.0)], "inverse-gamma": [(0.05, 200.0), (0.2, 5.0)],
+    "beta-prime": [(0.3, 30.0), (1.0, 30.0)], "exponential": [(0.2, 5.0)],
+    "half-normal": [(0.2, 5.0)], "rayleigh": [(0.2, 5.0)], "maxwell-boltzmann": [(0.2, 5.0)],
+    "chi-squared": [(0.1, 400.0)], "pareto": [(0.2, 5.0)],
+}
+
+
+@pytest.mark.parametrize("name,kind", [r for r in ROWS if r[0] in RANGES],
+                         ids=[f"{n}-{k}" for n, k in ROWS if n in RANGES])
+def test_matrices_match_the_former_builders_at_random_points(name, kind):
+    rng = np.random.default_rng([2508, sorted(RANGES).index(name)])
+    for _ in range(20):
+        theta = tuple(float(rng.uniform(lo, hi)) if lo < 0.0 else
+                      float(np.exp(rng.uniform(np.log(lo), np.log(hi)))) for lo, hi in RANGES[name])
+        ms = scaling.matrices(name, kind, theta)
+        G, R, J = _former_matrices(name, kind, theta)
+        np.testing.assert_allclose(ms.G, G, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(ms.R, R, rtol=0.0, atol=1e-10 * max(1.0, float(np.max(np.abs(R)))))
+        np.testing.assert_allclose(ms.J, J, rtol=0.0, atol=1e-10)
+        former = scaling.MatrixSet(G, R, J, ms.param_names)
+        values = dict(zip(F.get_family(name).param_names, theta))
+        for known in _masks(name, kind):
+            mask = KnownMask.from_names(name, {p: values[p] for p in known}) if known else None
+            np.testing.assert_allclose(scaling.sigma(ms, mask, kind, name),
+                                       scaling.sigma(former, mask, kind, name), rtol=0.0, atol=1e-10)
 
 
 @pytest.mark.parametrize("name,kind", ROWS, ids=[f"{n}-{k}" for n, k in ROWS])
@@ -573,7 +606,7 @@ def test_sigma_is_the_sign_flipped_base_sigma(name, kind):
             former = scaling.MatrixSet(*_former_matrices(name, kind, theta),
                                        scaling.matrices(name, kind, theta).param_names)
             np.testing.assert_allclose(sig, scaling.sigma(former, mask, kind, name),
-                                       rtol=0.0, atol=1e-13)
+                                       rtol=0.0, atol=1e-10)
             if not own:  # an MM row on the family's own moment equation has no base
                 base = scaling.sigma_from(d.base, kind, d.to_base(theta), E.base_mask(d, mask))
                 np.testing.assert_allclose(sig, flip * base, rtol=0.0, atol=1e-13)

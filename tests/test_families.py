@@ -17,6 +17,21 @@ IG_CDF_1_2_AT_13 = 0.76339573878718383  # inverse-Gaussian(1, 2) CDF at 1.3
 HALFNORMAL_Q_12 = 2.045597785055104e-06  # half-normal(1.2) quantile at u = HALFNORMAL_U
 HALFNORMAL_U = 1.3601257419226798e-06
 
+# Quantiles in the tails, mpmath at 50 digits (the inverse regularized
+# incomplete gamma / beta by a relative root search): {u: x at u, x at 1 - u}
+# at the test point; 1 - u is the float's own complement, and the upper value
+# of the u that 1 - u does not hold is read through ``Family.upper``.
+TAIL_QUANTILES = {
+    "epd": {1e-300: (-203.86525670362856883, 204.46525670362856881),
+            1e-30: (-42.792883500576652338, 43.392883500576652315),
+            1e-12: (-22.42978727463682793, 23.029800235720560195),
+            0.3: (-0.74344790114011141682, 1.3434479011401110569)},
+    "student-t": {1e-300: (-1.9741110194287386789e+75, 1.9741110194287386789e+75),
+                  1e-30: (-62426871.654317196829, 62426871.854317196829),
+                  1e-12: (-1974.0091198388848136, 1974.220037683206799),
+                  0.3: (-0.75297359457455822032, 0.95297359457455798015)},
+}
+
 
 def test_registry_has_32_families():
     assert len(F.family_names()) == 32
@@ -125,6 +140,22 @@ class TestEveryFamily:
             denom = np.maximum(np.abs(s[j]), 1.0)
             assert np.max(np.abs(fd - s[j]) / denom) < 2e-6
 
+    def test_score_fn_broadcasts_over_theta_rows(self, name):
+        # the rule calls score_fn once with theta columns of shape (rows, 1);
+        # numpy's pow rounds a per-row exponent apart from a scalar one (epd,
+        # log-epd), hence two ulps rather than one
+        fam = F.get_family(name)
+        if fam.score_fn is None:
+            return
+        rows = np.array([FAMILY_THETAS[name]]) * np.array([[1.0], [1.1], [0.9]])
+        X = np.stack([F.sample(fam, t, 40, np.random.SeedSequence([8, i]))
+                      for i, t in enumerate(rows)])
+        cols = tuple(rows[:, j, None] for j in range(fam.n_params))
+        got = fam.score_fn(cols, X)
+        want = np.stack([F.score(fam, t, x) for t, x in zip(rows, X)], axis=1)
+        assert got.shape == (fam.n_params,) + X.shape
+        np.testing.assert_array_less(np.abs(got - want), 4.5e-16 * np.maximum(1.0, np.abs(want)))
+
     def test_cdf_fn_broadcasts_over_theta_rows(self, name):
         # the batch PIT calls cdf_fn once with theta columns of shape (rows, 1)
         fam = F.get_family(name)
@@ -136,6 +167,88 @@ class TestEveryFamily:
         want = np.stack([F.cdf(fam, t, x) for t, x in zip(rows, X)])
         assert got.shape == X.shape
         np.testing.assert_allclose(got, want, rtol=0.0, atol=2e-16)
+
+
+@pytest.mark.parametrize("name", sorted(TAIL_QUANTILES))
+@pytest.mark.parametrize("u", [1e-300, 1e-30, 1e-12, 0.3])
+def test_symmetric_quantiles_hold_both_tails(name, u):
+    # each side is read from its own tail probability 2 min(u, 1 - u)
+    fam, theta = F.get_family(name), FAMILY_THETAS[name]
+    lower, upper = TAIL_QUANTILES[name][u]
+    assert fam.quantile_fn(theta, np.array([u]))[0] == pytest.approx(lower, rel=1e-13, abs=0.0)
+    if 1.0 - u < 1.0:
+        got = fam.quantile_fn(theta, np.array([1.0 - u]))[0]
+    else:
+        got = fam.upper(theta, np.array([u]))[0][0]
+    assert got == pytest.approx(upper, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("name", ["epd", "student-t", "beta", "kumaraswamy"])
+def test_upper_tail_declaration_is_the_quantile_and_score(name):
+    # read from v = 1 - u, the same point and score where 1 - v and x still hold
+    fam, theta = F.get_family(name), FAMILY_THETAS[name]
+    v = np.array([1e-3, 0.01, 0.1, 0.3, 0.5])
+    x, s = fam.upper(theta, v)
+    want = fam.quantile_fn(theta, 1.0 - v)
+    np.testing.assert_allclose(x, want, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(s, fam.score_fn(theta, want), rtol=1e-9, atol=1e-12)
+    # and on past where 1 - v rounds to 1
+    x, s = fam.upper(theta, np.array([1e-30, 1e-200]))
+    assert np.all(np.isfinite(s))
+
+
+def _former_bisection(fam, t, us):
+    """The inverse-Gaussian quantile as it was: bracketed bisection of the CDF
+    to relative tolerance 1e-12, vectorized."""
+    lo, hi = fam.support(t)
+    a = np.full_like(us, lo + 1e-12 if np.isfinite(lo) else -1.0)
+    b = a + 1.0
+    for _ in range(200):
+        short = F.cdf(fam, t, b) <= us
+        if not short.any():
+            break
+        a[short] = b[short]
+        b[short] = np.where(b[short] > 0, 2.0 * b[short], b[short] + 1.0)
+    for _ in range(120):
+        m = 0.5 * (a + b)
+        low = F.cdf(fam, t, m) < us
+        a = np.where(low, m, a)
+        b = np.where(low, b, m)
+        if np.max(b - a) <= 1e-12 * max(1.0, float(np.max(np.abs(b)))):
+            break
+    return 0.5 * (a + b)
+
+
+class TestInverseGaussianQuantile:
+    @pytest.mark.parametrize("theta", [(1.0, 2.0), (0.3, 5.0), (2.0, 0.2), (1.0, 300.0)])
+    def test_draws_match_the_former_bisection(self, theta):
+        # within the bisection's own stopping width, 1e-12 max(1, max x)
+        fam = F.get_family("inverse-gaussian")
+        u = np.random.default_rng(41).random(400)
+        ref = _former_bisection(fam, theta, u)
+        got = F.sample(fam, theta, 400, 41)
+        np.testing.assert_array_less(np.abs(got - ref), 1e-12 * max(1.0, np.max(ref)))
+
+    @pytest.mark.parametrize("phi", [0.01, 0.1, 2.0, 50.0, 1e4])
+    def test_at_most_eight_cdf_evaluations(self, phi, monkeypatch):
+        calls = []
+        log_cdfs = F._ig_log_cdfs
+        monkeypatch.setattr(F, "_ig_log_cdfs", lambda t, x: calls.append(1) or log_cdfs(t, x))
+        u = np.concatenate([10.0 ** -np.arange(300, 0, -7), np.linspace(0.01, 0.99, 99),
+                            1.0 - 10.0 ** -np.arange(2.0, 16.0)])
+        x = F.get_family("inverse-gaussian").quantile_fn((1.0, phi), u)
+        assert len(calls) <= 8
+        lf, ls = log_cdfs((1.0, phi), x)
+        np.testing.assert_allclose(np.where(u > 0.5, ls, lf),
+                                   np.where(u > 0.5, np.log1p(-u), np.log(u)), rtol=0.0, atol=1e-10)
+
+    def test_broadcasts_over_theta_rows(self):
+        fam = F.get_family("inverse-gaussian")
+        rows = np.array([[1.0, 2.0], [0.5, 7.0], [3.0, 0.4]])
+        u = np.linspace(0.001, 0.999, 50)
+        got = fam.quantile_fn((rows[:, :1], rows[:, 1:]), u)
+        want = np.stack([fam.quantile_fn(tuple(t), u) for t in rows])
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 class TestSpecialCaseCollapses:
@@ -225,6 +338,16 @@ class TestAPD:
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             F.sample_apd(1.0, 1.2, 1.0, 0.0, 1.0, 10, 1)
+
+    @pytest.mark.parametrize("lam,alpha,rho", [(1.5, 0.5, 1.5), (2.0, 0.3, 1.2), (0.8, 0.6, 2.5)])
+    def test_score_is_the_log_density_gradient(self, lam, alpha, rho):
+        x = np.linspace(-3.0, 4.0, 15)
+        s = F.apd_score(x, lam, alpha, rho, 0.2, 1.3)
+        h = 1e-6
+        for i, (da, dr) in enumerate([(h, 0.0), (0.0, h)]):
+            fd = (np.log(F.apd_pdf(x, lam, alpha + da, rho + dr, 0.2, 1.3))
+                  - np.log(F.apd_pdf(x, lam, alpha - da, rho - dr, 0.2, 1.3))) / (2.0 * h)
+            np.testing.assert_allclose(s[i], fd, rtol=0.0, atol=1e-8)
 
 
 def test_score_not_defined_for_uniform():

@@ -5,10 +5,11 @@ import pytest
 
 from trigof import specfun
 from trigof.estimate import EstimatorKind
-from trigof.power import (AltCase, LocalAlternative, epd_m, gamma_m, noncentrality,
-                          power_curve, weibull_m)
-from trigof.quadrature import h
+from trigof.families import _epd_c1
+from trigof.power import (AltCase, LocalAlternative, empirical_power, epd_m, gamma_m,
+                          noncentrality, power_curve, weibull_m)
 from trigof.scaling import solve_2x2
+from former_scaling import h
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +63,64 @@ def epd_sigma(lam, kind):
     return np.diag([s11, s22])
 
 
+# ---------------------------------------------------------------------------
+# Reference: the closed-form drift directions M that power used before it
+# summed them by the rule.
+# ---------------------------------------------------------------------------
+
+def former_gamma_m(lam):
+    h6 = h(6, lam, lam + 1.0, 1.0)
+    h7 = h(7, lam, lam + 1.0, 1.0)
+    psi = float(specfun.digamma(lam))
+    psi1 = float(specfun.trigamma(lam))
+    a = lam * psi - lam * psi1 * (lam * psi + 1.0)
+    w = 1.0 / (lam * psi1 - 1.0)
+    return np.array([
+        -h(8, lam) - w * (h(10, lam) + h6 * a),
+        -h(9, lam) - w * (h(11, lam) + h7 * a),
+    ])
+
+
+def former_weibull_m():
+    h6s, h7s = h(6, 1.0, 2.0, 1.0), h(7, 1.0, 2.0, 1.0)
+    g = specfun.EULER_GAMMA
+    c = 6.0 / math.pi ** 2
+    b = 1.0 - g + math.pi ** 2 / 6.0
+    return np.array([
+        h(10, 1.0) - c * (b * h6s - h(8, 1.0)),
+        h(11, 1.0) - c * (b * h7s - h(9, 1.0)),
+    ])
+
+
+def former_epd_m(lam, kind):
+    h1, h2, h3, h37 = h(1, lam), h(2, lam), h(3, lam), h(37, lam)
+    g1l = _gamma_fn(1.0 / lam)
+    if EstimatorKind(kind) is EstimatorKind.ML:
+        m12 = -h3 / lam ** 2 + h1 * (_epd_c1(lam) + 1.0) / lam ** 2
+        m21 = -2.0 * h37 + 2.0 * lam * h2 / (g1l * _gamma_fn(2.0 - 1.0 / lam))
+    else:
+        m12 = -h3 / lam ** 2 + h1 / (2.0 * lam ** 2) * (
+            2.0 * math.log(lam) + 3.0 * float(specfun.digamma(3.0 / lam))
+            - float(specfun.digamma(1.0 / lam)))
+        m21 = -2.0 * h37 + 4.0 * lam * h2 * _gamma_fn(2.0 / lam) / g1l ** 2
+    return np.array([[0.0, m12], [m21, 0.0]])
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0, 10.0, 100.0])
+def test_gamma_drift_matches_closed_form(lam):
+    np.testing.assert_allclose(gamma_m(lam), former_gamma_m(lam), rtol=0.0, atol=1e-10)
+
+
+def test_weibull_drift_matches_closed_form():
+    np.testing.assert_allclose(weibull_m(), former_weibull_m(), rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("lam", [0.8, 1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("kind", ["ml", "mm"])
+def test_epd_drift_matches_closed_form(lam, kind):
+    np.testing.assert_allclose(epd_m(lam, kind), former_epd_m(lam, kind), rtol=0.0, atol=1e-10)
+
+
 def _closed_form_ncp(sig, m, d):
     v = m @ np.atleast_1d(np.asarray(d, dtype=float))
     return float(v @ solve_2x2(sig, v))
@@ -71,15 +130,15 @@ def _closed_form_ncp(sig, m, d):
 @pytest.mark.parametrize("beta", [1.0, 3.0])
 def test_gamma_noncentrality_matches_closed_form(lam, beta):
     alt = LocalAlternative(AltCase.GAMMA_VS_GG, (lam, beta), (4.0,))
-    want = _closed_form_ncp(gamma_sigma(lam), gamma_m(lam)[:, None], alt.delta)
-    assert noncentrality(alt) == pytest.approx(want, rel=1e-13)
+    want = _closed_form_ncp(gamma_sigma(lam), former_gamma_m(lam)[:, None], alt.delta)
+    assert noncentrality(alt) == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("theta0", [(1.0, 1.0), (2.5, 0.7)])
 def test_weibull_noncentrality_matches_closed_form(theta0):
     alt = LocalAlternative(AltCase.WEIBULL_VS_GG, theta0, (7.0,))
-    want = _closed_form_ncp(weibull_sigma(), weibull_m()[:, None], alt.delta)
-    assert noncentrality(alt) == pytest.approx(want, rel=1e-13)
+    want = _closed_form_ncp(weibull_sigma(), former_weibull_m()[:, None], alt.delta)
+    assert noncentrality(alt) == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("lam", [0.8, 1.0, 1.5, 2.0, 3.0])
@@ -87,11 +146,33 @@ def test_weibull_noncentrality_matches_closed_form(theta0):
 @pytest.mark.parametrize("delta", [(1.0, 0.0), (0.0, 2.0), (1.5, -0.5)])
 def test_epd_noncentrality_matches_closed_form(lam, kind, delta):
     alt = LocalAlternative(AltCase.EPD_VS_APD, (lam, 0.3, 1.7), delta, EstimatorKind(kind))
-    want = _closed_form_ncp(epd_sigma(lam, kind), epd_m(lam, kind), delta)
-    assert noncentrality(alt) == pytest.approx(want, rel=1e-13)
+    want = _closed_form_ncp(epd_sigma(lam, kind), former_epd_m(lam, kind), delta)
+    assert noncentrality(alt) == pytest.approx(want, rel=1e-9)
 
 
 def test_power_is_alpha_at_zero_drift_and_grows():
     pts = power_curve("weibull", (1.0, 1.0), [0.0, 10.0, 20.0], alpha=0.05)
     assert pts[0].ncp == 0.0 and pts[0].power == pytest.approx(0.05, abs=1e-15)
     assert pts[0].power < pts[1].power < pts[2].power
+
+
+# The drifts meet the simulation only at large n: sampled at rho = 1 + delta/sqrt(n)
+# the gamma and Weibull rates trail the asymptote by about 0.19 at n = 1000,
+# 0.11 at 4000 and 0.07 at 16000, and the EPD rate with a rho drift by 0.07 at
+# n = 1000 and 0.05 at 4000.
+POWER_CHECKS = [
+    ("gamma", (2.0, 1.0), (10.0,), 16000, 200),
+    ("weibull", (1.0, 1.0), (12.0,), 16000, 200),
+    ("epd", (2.0, 0.0, 1.0), (1.5, 6.0), 4000, 300),
+]
+
+
+@pytest.mark.parametrize("case,theta0,delta,n,reps", POWER_CHECKS, ids=[c[0] for c in POWER_CHECKS])
+def test_power_curve_meets_empirical_power(case, theta0, delta, n, reps):
+    # the only check of the drift M that does not go through the same algebra
+    asymptotic = power_curve(case, theta0, [delta])[0].power
+    assert 0.3 <= asymptotic <= 0.7
+    emp = empirical_power(LocalAlternative(AltCase(case), theta0, delta), n, reps, 7)
+    assert emp["failed"] == 0
+    se = math.sqrt(asymptotic * (1.0 - asymptotic) / reps)
+    assert abs(emp["rate"] - asymptotic) <= 4.0 * se

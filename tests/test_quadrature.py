@@ -1,17 +1,72 @@
 import dataclasses
-import importlib.util
 import math
-import threading
 
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 from scipy.special import gammaincinv
 
-from trigof import quadrature as Q
-from trigof.errors import DomainError, QuadratureError
+import former_scaling as Q
+from former_scaling import QuadratureError
+from trigof import quadrature
+from trigof.errors import DomainError
 
 TWO_PI = 2.0 * math.pi
+
+
+def _moments(g):
+    """E[g(U)] and E[g(U)^2] by the rule, for g(u, p, upper) given u's
+    distance p from the end of its half."""
+    m = quadrature.gram(lambda p, upper: np.stack(np.broadcast_arrays(
+        1.0, g(1.0 - p if upper else p, p, upper))))
+    return m[0, 1], m[1, 1]
+
+
+class TestRule:
+    def test_nodes_reach_both_ends_of_each_half(self):
+        assert quadrature.NODES == 148
+        assert quadrature._P.min() < 1e-270 and 0.5 - quadrature._P.max() < 2e-16
+        assert quadrature._P.max() < 0.5
+        mass = quadrature.gram(lambda p, upper: np.ones((1, len(p))))
+        assert mass[0, 0] == pytest.approx(1.0, rel=0.0, abs=5e-16)
+
+    @pytest.mark.parametrize("g,first,second", [
+        (lambda u, p, upper: u, 0.5, 1.0 / 3.0),
+        (lambda u, p, upper: np.cos(TWO_PI * u), 0.0, 0.5),
+        # log singularities at both ends, each read from p on its own half
+        (lambda u, p, upper: np.log1p(-p) if upper else np.log(p), -1.0, 2.0),
+        (lambda u, p, upper: np.log(p) if upper else np.log1p(-p), -1.0, 2.0),
+        # a power singularity of a heavy tail: u^-0.4, and u^-0.8 for the square
+        (lambda u, p, upper: (1.0 - p if upper else p) ** -0.4, 1.0 / 0.6, 5.0),
+        # the cusp of a symmetric family at 1/2: |u - 1/2|^0.5
+        (lambda u, p, upper: np.sqrt(0.5 - p), 2.0 / 3.0 * 0.5 ** 0.5, 0.25),
+    ])
+    def test_known_expectations(self, g, first, second):
+        m1, m2 = _moments(g)
+        assert m1 == pytest.approx(first, rel=1e-13, abs=1e-15)
+        assert m2 == pytest.approx(second, rel=1e-13, abs=1e-15)
+
+    def test_rows_between_first_and_last_axis_are_carried(self):
+        c = np.array([[1.0], [2.0], [3.0]])
+        m = quadrature.gram(lambda p, upper: np.stack(np.broadcast_arrays(c, c * p)))
+        assert m.shape == (3, 2, 2)
+        for i, ci in enumerate(c[:, 0]):
+            single = quadrature.gram(lambda p, upper: np.stack(np.broadcast_arrays(ci, ci * p)))
+            np.testing.assert_allclose(m[i], single, rtol=1e-15, atol=0.0)
+
+    def test_nonfinite_far_tail_is_left_out(self):
+        # a quantile that underflows below u = 1e-20, as a small gamma shape's does
+        inside = quadrature.gram(lambda p, upper: np.stack(np.broadcast_arrays(
+            1.0, np.where(p < 1e-20, 0.0, np.log(p)))))
+        left_out = quadrature.gram(lambda p, upper: np.stack(np.broadcast_arrays(
+            1.0, np.where(p < 1e-20, -np.inf, np.log(p)))))
+        np.testing.assert_allclose(left_out, inside, rtol=0.0, atol=1e-17)
+
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_nonfinite_inside_raises(self, upper):
+        with pytest.raises(DomainError, match="1 - 0.0" if upper else "u = 0.0"):
+            quadrature.gram(lambda p, up: np.stack(np.broadcast_arrays(
+                1.0, np.where((p > 1e-3) & (p < 1e-2) & (up == upper), np.nan, p))))
 
 
 class TestIntegrate:
@@ -102,26 +157,6 @@ class TestHValues:
         assert Q.h(1, 1e6) == pytest.approx(1.0, abs=1e-3)
         assert Q.h(2, 1e6) == pytest.approx(0.0, abs=1e-3)
 
-    def test_memoization_bit_identical(self):
-        Q.clear_h_cache()
-        a = Q.h(6, 1.3, 2.3, 1.0)
-        b = Q.h(6, 1.3, 2.3, 1.0)
-        assert a == b and np.float64(a).tobytes() == np.float64(b).tobytes()
-
-    def test_memo_thread_safety(self):
-        Q.clear_h_cache()
-        results = []
-
-        def worker():
-            results.append(Q.h(8, 2.7))
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(set(results)) == 1
-
     def test_student_integrals_small_shape_bound(self):
         # documented viability bound: shape >= 0.2 works, far below errors out
         assert np.isfinite(Q.h(12, 0.2))
@@ -129,20 +164,6 @@ class TestHValues:
             Q.h(12, 0.05)
         with pytest.raises(DomainError):
             Q.h(16, 0.8)  # needs shape > 1
-
-    def test_cache_is_bounded_lru(self, monkeypatch):
-        monkeypatch.setattr(Q, "_H_CACHE_SIZE", 3)
-        Q.clear_h_cache()
-        rhos = [0.4, 0.5, 0.6, 0.7, 0.8]
-        first = {rho: Q.h(19, rho) for rho in rhos}
-        assert len(Q._h_cache) == 3
-        assert (19, 0.4) not in Q._h_cache
-        Q.h(19, 0.6)  # most recently used again, so 0.7 is evicted next
-        Q.h(19, 0.4)  # recomputed
-        assert list(Q._h_cache) == [(19, 0.8), (19, 0.6), (19, 0.4)]
-        for rho in rhos:
-            assert np.float64(Q.h(19, rho)).tobytes() == np.float64(first[rho]).tobytes()
-            assert len(Q._h_cache) == 3
 
     @pytest.mark.parametrize("idx,args", [
         (3, (1.7,)), (8, (0.6,)), (19, (0.4,)), (25, (0.4, 0.3)),
@@ -152,35 +173,9 @@ class TestHValues:
         assert np.isfinite(Q.h(idx, *args))
 
 
-def _table_points():
-    """(idx, shape) at 3 random shapes in every tabulated octave."""
-    rng = np.random.default_rng(2507)
-    return [(idx, 2.0 ** (lo + k + u))
-            for idx, (lo, pieces) in Q._h_tables.TABLES.items()
-            for k in range(len(pieces)) for u in rng.random(3)]
-
-
 class TestTables:
-    def test_table_matches_tight_quadrature(self):
-        Q.clear_h_cache()
-        # plus shapes where the default-tolerance quadrature misses 1e-10
-        for idx, shape in _table_points() + [(6, 0.131), (7, 0.073), (10, 0.304)]:
-            value = Q.h(idx, *Q._line_args(idx, shape))
-            assert value == pytest.approx(Q._line_value(idx, shape), abs=1e-11), (idx, shape)
-        assert len(Q._h_cache) == 0
-
-    def test_generator_reproduces_committed_table(self, tmp_path, monkeypatch):
-        for idx, (lo, pieces) in Q._h_tables.TABLES.items():
-            assert (lo, lo + len(pieces)) == Q._TABLE_OCTAVES[idx]
-        monkeypatch.setattr(Q, "_TABLE_OCTAVES", {10: (-4, -3), 31: (9, 10)})
-        Q.tabulate(tmp_path / "tables.py")
-        spec = importlib.util.spec_from_file_location("tables", tmp_path / "tables.py")
-        fresh = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(fresh)
-        for idx, piece in ((10, 0), (31, -1)):
-            got = fresh.TABLES[idx][1][0]
-            want = Q._h_tables.TABLES[idx][1][piece]
-            assert got == pytest.approx(want, abs=1e-14)
+    """Properties of the inverse-Gaussian and gamma-line integrals, which the
+    reference integrates directly."""
 
     @pytest.mark.parametrize("mu", [0.01, 1000.0])
     @pytest.mark.parametrize("phi", [0.1, 3.0, 500.0])
@@ -195,36 +190,12 @@ class TestTables:
     @pytest.mark.parametrize("phi", [2000.0, 5000.0])
     @pytest.mark.parametrize("idx", [29, 30, 31, 32])
     def test_inverse_gaussian_off_table_scale_identity(self, idx, mu, phi):
-        # lam/mu above the table: both sides are integrated, the left one at mu
-        assert Q._tabulated(idx, (mu, mu * phi)) is None
+        # both sides are integrated, the left one with the map scaled to mu
         assert Q.h(idx, mu, mu * phi) == pytest.approx(mu * Q.h(idx, 1.0, phi), abs=mu * 1e-10)
-
-    @pytest.mark.parametrize("idx,args", [
-        (10, (2.0 ** -4 * (1.0 - 1e-12),)),
-        (11, (128.0 * (1.0 + 1e-12),)),
-        (6, (128.0 * (1.0 + 1e-12), 128.0 * (1.0 + 1e-12) + 1.0, 1.0)),
-        (7, (2.0 ** -4 * (1.0 - 1e-12), 2.0 ** -4 * (1.0 - 1e-12) + 1.0, 1.0)),
-        (29, (2.0, 2.0 ** 11 * (1.0 + 1e-12))),
-        (32, (2.0, 2.0 ** -3 * (1.0 - 1e-12))),
-    ])
-    def test_outside_range_is_quadrature(self, idx, args):
-        Q.clear_h_cache()
-        assert Q._tabulated(idx, args) is None
-        value = Q.h(idx, *args)
-        assert np.float64(value).tobytes() == np.float64(Q._h_quadrature(idx, args)).tobytes()
-        assert len(Q._h_cache) == 1
 
     def test_outside_range_keeps_domain_error(self):
         with pytest.raises(DomainError):
             Q.h(10, 0.02)
-
-    @pytest.mark.parametrize("args", [(1.0, 1.0, 0.5), (2.0, 3.0, 1.5), (2.0, 2.5, 1.0)])
-    def test_off_line_arguments_are_quadrature(self, args):
-        Q.clear_h_cache()
-        assert Q._tabulated(6, args) is None
-        value = Q.h(6, *args)
-        assert np.float64(value).tobytes() == np.float64(Q._h_quadrature(6, args)).tobytes()
-        assert len(Q._h_cache) == 1
 
 
 class TestLogisticConstants:
