@@ -1,12 +1,18 @@
 """Registry of the 32 null distribution families.
 
 Each family carries its parameter names (in canonical order), parameter-space
-validation, support, density, CDF, quantile (closed form wherever one exists,
-numeric inversion otherwise), per-observation score function, and an
-inverse-CDF sampler.  Families are looked up by lowercase hyphenated name,
-e.g. ``get_family("inverse-gaussian")``.  Every ``cdf_fn`` broadcasts over
-theta components given as columns of shape (rows, 1), which is how the batch
-PIT evaluates a block of fitted rows in one call.
+validation, support, density, CDF, quantile, per-observation score function,
+and an inverse-CDF sampler.  Families are looked up by lowercase hyphenated
+name, e.g. ``get_family("inverse-gaussian")``.  Every ``cdf_fn``,
+``quantile_fn`` and ``score_fn`` broadcasts over theta components given as
+columns of shape (rows, 1) (the score then has shape (p, rows, n)), which is
+how the batch PIT and the scaling matrices evaluate a block of fitted rows in
+one call; ``logpdf`` takes a single theta.  Every quantile is a closed form
+but the inverse Gaussian's, a safeguarded Newton iteration on its CDF.  The
+symmetric families read each side of their quantile from its own tail
+probability 2 min(u, 1 - u), so neither tail passes through a rounded 1 - u;
+``Family.upper`` (see "Upper tails") does the same for the upper half of u
+where the scaling matrices need it.
 
 A family with an MM estimator declares its moment equation once, as
 ``Family.mm`` (a ``MomentEq``); the estimator over sample rows, the MM
@@ -24,7 +30,8 @@ equation, their MM rows come from the base; a base has no base of its own.
 A derived family shares its transform's range: its callables fail where
 data(x) does (x / (1 + x) rounds to 1 above 2**53, x**2 underflows below
 about 1e-162).  The asymmetric power distribution used for local-alternative
-sampling lives here as well (``apd_pdf`` / ``apd_cdf`` / ``sample_apd``).
+sampling lives here as well (``apd_pdf`` / ``apd_cdf`` / ``sample_apd``), with
+the score ``apd_score`` by which it embeds the EPD.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ import numpy as np
 from scipy import special as sp
 
 from . import specfun
-from .errors import ConfigurationError, DomainError, SamplingError
+from .errors import ConfigurationError, DomainError
 
 __all__ = [
     "Family", "get_family", "family_names", "pdf", "cdf", "quantile",
@@ -196,6 +203,25 @@ def _through(d: Derived) -> dict:
         score_fn=score_fn)
 
 
+# ---------------------------------------------------------------------------
+# Upper tails.  The scaling matrices are integrals over the PIT u whose upper
+# half is handed over as v = 1 - u (``quadrature``).  Where Q(1 - v) or the
+# score there lose v (1 - v rounds to 1 below v = 2**-53, and a quantile that
+# nears a finite upper end rounds to it) a family declares
+# ``Family.upper(theta, v) -> (x, score at x)``, read from v itself: epd and
+# student-t mirror their lower tail, and beta and kumaraswamy write the point
+# and the score in 1 - x.  Every other family is read at Q(1 - v).
+# ---------------------------------------------------------------------------
+
+def _mirrored(point, score_fn):
+    """The upper tail of a family symmetric about mu: the point whose
+    two-sided tail probability is 2 v, above mu."""
+    def upper(t, v):
+        x = point(t, 2.0 * v, 1.0)
+        return x, score_fn(t, x)
+    return upper
+
+
 _REGISTRY: dict[str, Family] = {}
 
 
@@ -344,13 +370,14 @@ def _epd_cdf(t, x):
 
 
 def _gamma_upper_inv(a, p):
-    """g with P(G > g) = p for G ~ gamma(a), inverting whichever of p and
-    1 - p is the smaller, so that neither tail is read through a rounded 1 - p."""
-    a, p = np.broadcast_arrays(a, p)
-    g = np.empty(p.shape)
-    tail = p < 0.5
-    g[tail] = sp.gammainccinv(a[tail], p[tail])
-    g[~tail] = sp.gammaincinv(a[~tail], 1.0 - p[~tail])
+    """g with P(G > g) = p for G ~ gamma(a).  Below p = 1e-3 it inverts p
+    itself; above, the lower probability 1 - p, which holds p to 6e-14 and
+    costs a third of what inverting p does."""
+    g = np.asarray(sp.gammaincinv(a, 1.0 - p), dtype=float)
+    tail = p < 1e-3
+    if np.any(tail):
+        a, p, tail = np.broadcast_arrays(a, p, tail)
+        g[tail] = sp.gammainccinv(a[tail], p[tail])
     return g
 
 
@@ -369,6 +396,10 @@ def _epd_c1(lam):
     return float(specfun.digamma(1.0 / lam + 1.0)) + math.log(lam)
 
 
+def _epd_c1_rows(lam):  # _epd_c1 over theta rows; the fits keep libm's rounding
+    return specfun.digamma(1.0 / lam + 1.0) + np.log(lam)
+
+
 def _epd_c2(lam):
     return math.exp(float(specfun.ln_gamma(1.0 / lam)) - float(specfun.ln_gamma(3.0 / lam))
                     - (2.0 / lam) * math.log(lam))
@@ -381,20 +412,10 @@ def _epd_score(t, x):
     w = np.power(ay, lam)
     with np.errstate(divide="ignore", invalid="ignore"):
         wlogw = np.where(ay > 0.0, w * lam * np.log(ay), 0.0)
-    c1 = specfun.digamma(1.0 / lam + 1.0) + np.log(lam)
-    s_lam = (w - wlogw + c1 - 1.0) / lam ** 2
+    s_lam = (w - wlogw + _epd_c1_rows(lam) - 1.0) / lam ** 2
     s_mu = np.power(ay, lam - 1.0) * np.sign(y) / sigma
     s_sigma = (w - 1.0) / sigma
     return np.stack([s_lam, s_mu, s_sigma])
-
-
-def _mirrored(point, score_fn):
-    """The upper tail of a family symmetric about mu: the point whose
-    two-sided tail probability is 2 v, above mu."""
-    def upper(t, v):
-        x = point(t, 2.0 * v, 1.0)
-        return x, score_fn(t, x)
-    return upper
 
 
 _register(Family(
@@ -613,9 +634,8 @@ def _halfepd_score(t, x):
     w = x / sigma
     wl = np.power(w, lam)
     logwl = lam * np.log(w)
-    c1 = specfun.digamma(1.0 / lam + 1.0) + np.log(lam)
     return np.stack([
-        (wl - wl * logwl + c1 - 1.0) / lam ** 2,
+        (wl - wl * logwl + _epd_c1_rows(lam) - 1.0) / lam ** 2,
         (wl - 1.0) / sigma])
 
 
@@ -769,10 +789,11 @@ def _ig_log_cdfs(t, x):
 
 def _ig_quantile(t, u):
     """Newton's method on ln F (ln(1 - F) above the median) in ln x, at most 8
-    CDF evaluations per value.  ln X is log-concave, so from below the root
-    the steps never overshoot; a step that leaves the bracket of the points
-    seen so far bisects it instead.  The start is the normal approximation
-    to ln(X / mu), or in a tail the asymptote of the CDF there when that is
+    CDF evaluations per value.  Both are concave in ln x (ln X has a
+    log-concave density), so after its first step the iteration closes in on
+    the root from one side; a step that leaves the bracket of the points seen
+    so far bisects it instead.  The start is the normal approximation to
+    ln(X / mu), or in a tail the asymptote of the CDF there when that is
     nearer: F ~ 2 e^phi Phi(-sqrt(lam/x)), phi = lam / mu, as x -> 0, and
     1 - F ~ f(x) 2 mu^2 / lam as x -> inf."""
     mu, lam = t

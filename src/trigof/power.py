@@ -5,10 +5,16 @@ embedded in larger families (generalized gamma for the first two, the
 asymmetric power distribution for the third) whose extra parameters drift at
 rate delta / sqrt(n).  The statistic then converges to a noncentral
 chi-square(2); the noncentrality is delta^2 M^T Sigma^-1 M (scalar drift)
-or delta^T M^T Sigma^-1 M delta (two-dimensional drift).  The drift
-direction M is given in closed form below in terms of the tabulated
-integrals; Sigma is the null row's own scaling covariance,
-``scaling.sigma_from`` at theta0, the matrix the test statistic uses.
+or delta^T M^T Sigma^-1 M delta (two-dimensional drift).  Sigma is the null
+row's own scaling covariance, ``scaling.sigma_from`` at theta0, the matrix
+the test statistic uses.  The drift direction is
+
+    M = E[tau e^T] - G C^-1 E[psi e^T],
+
+with e the embedding family's extra score at the null (GG's rho or lambda
+row, the APD's (alpha, rho) score) and G, C, psi the null row's as in
+``scaling``: the first term moves the PIT, the second the fitted theta.
+``scaling.drift`` sums it by the same tanh-sinh rule over u as Sigma.
 """
 
 from __future__ import annotations

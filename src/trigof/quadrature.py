@@ -1,23 +1,23 @@
 """The tanh-sinh rule over the probability integral transform u in (0, 1).
 
-Every expectation under a fitted null that the scaling matrices and the power
-drift need is E[f(U) f(U)^T] for U uniform on (0, 1) and f a vector of
-functions of u (``gram``).  The integrands are functions of the quantile
-x = Q(u): a score, a moment function, the trig pair (cos, sin)(2 pi u).  They
-are smooth inside (0, 1/2) and (1/2, 1) but may be singular at 0 and 1 (a
-score grows like ln u, a heavy tail's moment like a power of u) and at 1/2
-(the cusp of a symmetric family at its centre, |u - 1/2|^(lambda - 1)).
+Every expectation under a fitted null that the scaling matrices and the
+power drift need is an entry of E[f(U) f(U)^T] for U uniform on (0, 1) and f
+a vector of functions of u (``gram``): the trig pair (cos, sin)(2 pi u), and
+a score or a moment function at the quantile x = Q(u).  These are smooth
+inside (0, 1/2) and (1/2, 1) but may be singular at 0 and 1 (a score grows
+like ln u, a heavy tail's moment like a power of u) and at 1/2 (the cusp of
+a symmetric family at its centre, |u - 1/2|^(lambda - 1)).
 
 So (0, 1) is split at 1/2 and each half is summed by the tanh-sinh rule of
-Takahasi & Mori (1974, Publ. RIMS 9): its distance p from the outer end is
-p(t) = expit(pi sinh t) / 2 on a grid of t with step 1/8, whose nodes crowd
-double-exponentially into both ends of the half, from p = 3e-276 to
-1/2 - 1.5e-16, the last node short of 1/2.  On the lower half u = p; on the upper half u = 1 - p, and f is
-handed p itself, so that a family can read its upper tail without the
-rounding of 1 - p.  The rule is fixed, 148 nodes in all, with no error
-estimate and no cache: on integrands that are analytic inside each half it
-converges to about 1e-14, and halving the step changes the scaling matrices
-of every family at its test points by less than 1e-12.
+Takahasi & Mori (1974, Publ. RIMS 9): a node's distance p from the outer end
+of its half is p(t) = expit(pi sinh t) / 2 on a grid of t with step 1/8,
+which crowds the nodes double-exponentially into both ends of the half, from
+p = 3e-276 to 1/2 - 1.1e-16, the last node short of 1/2.  On the lower half
+u = p; on the upper half u = 1 - p, and f is handed p itself, so that a
+family can read its upper tail without the rounding of 1 - p.  The rule is
+fixed, 148 nodes in all, with no error estimate and no cache.  On integrands
+analytic inside each half it converges to about 1e-14; halving the step
+moves no family's scaling matrices at its test point by more than 1e-12.
 
 A node where f is not finite (a quantile that under- or overflows in the
 far tails) is left out when p <= 1e-15, where its share of the sum is below
@@ -30,17 +30,15 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["gram", "NODES"]
+__all__ = ["gram"]
 
 _STEP = 0.125
-_T = np.arange(-48, 26) * _STEP  # p from 3e-276 to 1/2 - 1.5e-16
+_T = np.arange(-48, 26) * _STEP  # p from 3e-276 to 1/2 - 1.1e-16
 _E = np.exp(-np.pi * np.abs(np.sinh(_T)))
 # each node's distance p from the outer end of its half, and its weight dp/dt * step
 _P = np.where(_T < 0.0, 0.5 * _E / (1.0 + _E), 0.5 / (1.0 + _E))
 _W = 0.5 * _STEP * np.pi * np.cosh(_T) * _E / (1.0 + _E) ** 2
 _DROP = 1e-15  # p below which a non-finite node is left out
-
-NODES = 2 * len(_P)
 
 
 def gram(f) -> np.ndarray:

@@ -172,8 +172,10 @@ def test_rule_matches_the_former_builders(name, kind, monkeypatch):
     parts from them by more than 1e-12, a tight value sides with the rule."""
     p = scaling.matrices(name, kind, FAMILY_THETAS[name]).p
     for theta in [FAMILY_THETAS[name]] + _random_thetas(name):
-        if kind == "mm" and name == "student-t" and theta[0] <= 2.5:
-            continue  # its MM needs lambda > 2, and E X^2 a thick margin
+        if kind == "mm" and name == "student-t" and theta[0] <= 2.1:
+            # its MM needs lambda > 2, and below 2.1 E X^2 converges too slowly
+            # for the rule's last node at u = 3e-276 (Sigma is 7e-7 off at 2.05)
+            continue
         ms = scaling.matrices(name, kind, theta)
         G, R, J = former.former_matrices(name, kind, theta)
         np.testing.assert_allclose(ms.G, G, rtol=0.0, atol=1e-10)
