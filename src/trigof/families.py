@@ -370,12 +370,12 @@ def _epd_cdf(t, x):
 
 
 def _gamma_upper_inv(a, p):
-    """g with P(G > g) = p for G ~ gamma(a).  Below p = 1e-3 it inverts p
-    itself; above, the lower probability 1 - p, which holds p to 6e-14 and
-    costs a third of what inverting p does."""
+    """g with P(G > g) = p for G ~ gamma(a).  Below p = 1e-4 it inverts p
+    itself; above, the lower probability 1 - p, whose rounding moves g by
+    under 1e-14 and which costs a third of what inverting p does."""
     g = np.asarray(sp.gammaincinv(a, 1.0 - p), dtype=float)
-    tail = p < 1e-3
-    if np.any(tail):
+    tail = p < 1e-4
+    if tail.any():
         a, p, tail = np.broadcast_arrays(a, p, tail)
         g[tail] = sp.gammainccinv(a[tail], p[tail])
     return g

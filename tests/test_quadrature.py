@@ -6,6 +6,8 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 from scipy.special import gammaincinv
 
+# Q: the GK15 integrator and the h integrals the package summed Sigma with
+# before the rule, kept as the reference of test_scaling and test_derived
 import former_scaling as Q
 from former_scaling import QuadratureError
 from trigof import quadrature
