@@ -11,8 +11,8 @@ one call; ``logpdf`` takes a single theta.  Every quantile is a closed form
 but the inverse Gaussian's, a safeguarded Newton iteration on its CDF.  The
 symmetric families read each side of their quantile from its own tail
 probability 2 min(u, 1 - u), so neither tail passes through a rounded 1 - u;
-``Family.upper`` (see "Upper tails") does the same for the upper half of u
-where the scaling matrices need it.
+``Family.node`` (see "Nodes of the rule") does the same, and keeps the
+centre, where the scaling matrices need it.
 
 A family with an MM estimator declares its moment equation once, as
 ``Family.mm`` (a ``MomentEq``); the estimator over sample rows, the MM
@@ -91,7 +91,7 @@ class Family:
     score_fn: Optional[Callable[[tuple, np.ndarray], np.ndarray]] = None
     mm: Optional[MomentEq] = None
     shapes: tuple[str, ...] = ()  # what Sigma depends on; derived: set by _register
-    upper: Optional[Callable[[tuple, np.ndarray], tuple]] = None  # see "Upper tails"
+    node: Optional[Callable[..., tuple]] = None  # see "Nodes of the rule"
     derived: Optional["Derived"] = None  # the family this one transforms
 
     @property
@@ -204,22 +204,37 @@ def _through(d: Derived) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Upper tails.  The scaling matrices are integrals over the PIT u whose upper
-# half is handed over as v = 1 - u (``quadrature``).  Where Q(1 - v) or the
-# score there lose v (1 - v rounds to 1 below v = 2**-53, and a quantile that
-# nears a finite upper end rounds to it) a family declares
-# ``Family.upper(theta, v) -> (x, score at x)``, read from v itself: epd and
-# student-t mirror their lower tail, and beta and kumaraswamy write the point
-# and the score in 1 - x.  Every other family is read at Q(1 - v).
+# Nodes of the rule.  The scaling matrices are integrals over the PIT u, whose
+# nodes ``quadrature`` hands over as the distance p of u from the outer end of
+# its half (u = p, or 1 - p on the upper half) and q from 1/2.  Where Q(u) or
+# the score there lose p or q (1 - p rounds to 1 below p = 2**-53, a quantile
+# that nears a finite upper end rounds to it, and x - mu rounds at a cusp
+# where the score is singular) a family declares
+# ``Family.node(theta, p, q, upper) -> (x, score at x)``, read from p and q
+# themselves: epd and student-t mirror their two sides about mu, and beta and
+# kumaraswamy write the upper half's point and score in 1 - x.  Every other
+# family is read at Q(u).
 # ---------------------------------------------------------------------------
 
-def _mirrored(point, score_fn):
-    """The upper tail of a family symmetric about mu: the point whose
-    two-sided tail probability is 2 v, above mu."""
-    def upper(t, v):
-        x = point(t, 2.0 * v, 1.0)
-        return x, score_fn(t, x)
-    return upper
+def _mirrored(offset, score_fn):
+    """The nodes of a family symmetric about mu: the point on u's side of mu
+    at the distance offset(t, 2 p, 2 q), whose two-sided tail probability is
+    2 p and central probability 2 q.  The score is taken at that distance
+    from mu itself, which x - mu would round near the centre."""
+    def node(t, p, q, upper):
+        d = offset(t, 2.0 * p, 2.0 * q)
+        d = d if upper else -d
+        return t[1] + d, score_fn((t[0], 0.0, t[2]), d)
+    return node
+
+
+def _symmetric_quantile(offset):
+    """Q(u) of a family symmetric about mu, each side read from its own tail
+    probability 2 min(u, 1 - u)."""
+    def quantile(t, u):
+        p = 2.0 * np.minimum(u, 1.0 - u)
+        return t[1] + np.sign(u - 0.5) * offset(t, p, 1.0 - p)
+    return quantile
 
 
 _REGISTRY: dict[str, Family] = {}
@@ -369,11 +384,12 @@ def _epd_cdf(t, x):
     return 0.5 * (1.0 + np.sign(y) * g)
 
 
-def _gamma_upper_inv(a, p):
-    """g with P(G > g) = p for G ~ gamma(a).  Below p = 1e-4 it inverts p
-    itself; above, the lower probability 1 - p, whose rounding moves g by
-    under 1e-14 and which costs a third of what inverting p does."""
-    g = np.asarray(sp.gammaincinv(a, 1.0 - p), dtype=float)
+def _gamma_upper_inv(a, p, c):
+    """g with P(G > g) = p and P(G < g) = c = 1 - p for G ~ gamma(a).  Below
+    p = 1e-4 it inverts p itself; above, c, which holds g at the centre and
+    costs a third of what inverting p does (given as 1 - p, its rounding moves
+    g by under 1e-14 there)."""
+    g = np.asarray(sp.gammaincinv(a, c), dtype=float)
     tail = p < 1e-4
     if tail.any():
         a, p, tail = np.broadcast_arrays(a, p, tail)
@@ -381,22 +397,23 @@ def _gamma_upper_inv(a, p):
     return g
 
 
-def _epd_point(t, p, side):
-    """The EPD point on ``side`` (+1 above mu, -1 below) whose two-sided tail
-    probability P(|X - mu| > |x - mu|) is p."""
+def _epd_offset(t, p, c):
+    """The distance |x - mu| of the EPD points whose two-sided tail probability
+    P(|X - mu| > |x - mu|) is p and central probability c = 1 - p."""
     lam, mu, sigma = t
-    return mu + sigma * side * np.power(lam * _gamma_upper_inv(1.0 / lam, p), 1.0 / lam)
-
-
-def _epd_quantile(t, u):
-    return _epd_point(t, 2.0 * np.minimum(u, 1.0 - u), np.sign(u - 0.5))
+    return sigma * np.power(lam * _gamma_upper_inv(1.0 / lam, p, c), 1.0 / lam)
 
 
 def _epd_c1(lam):
+    """c1 = psi(1/lam + 1) + ln lam at a scalar lam, for the fits.
+    ``_epd_c1_rows`` is the same over theta rows, for the score.  They are
+    kept apart because numpy's log and libm's differ in the last bit at about
+    one argument in 2,000, and the fits keep libm's, so that seeded results
+    stay as they are."""
     return float(specfun.digamma(1.0 / lam + 1.0)) + math.log(lam)
 
 
-def _epd_c1_rows(lam):  # _epd_c1 over theta rows; the fits keep libm's rounding
+def _epd_c1_rows(lam):
     return specfun.digamma(1.0 / lam + 1.0) + np.log(lam)
 
 
@@ -425,11 +442,11 @@ _register(Family(
     support=_REAL,
     logpdf=_epd_logpdf,
     cdf_fn=_epd_cdf,
-    quantile_fn=_epd_quantile,
+    quantile_fn=_symmetric_quantile(_epd_offset),
     score_fn=_epd_score,
     mm=MomentEq("msd", lambda lam: (1.0, _epd_c2(lam)), ("lambda",)),
     shapes=("lambda",),
-    upper=_mirrored(_epd_point, _epd_score),
+    node=_mirrored(_epd_offset, _epd_score),
 ))
 
 _register(Family(
@@ -554,16 +571,13 @@ def _student_cdf(t, x):
     return 0.5 * (1.0 + np.sign(y) * tail)
 
 
-def _student_point(t, p, side):
-    """The Student-t point on ``side`` (+1 above mu, -1 below) whose two-sided
-    tail probability P(|X - mu| > |x - mu|) = I_w(lam/2, 1/2) is p."""
+def _student_offset(t, p, c):
+    """The distance |x - mu| of the Student-t points whose two-sided tail
+    probability P(|X - mu| > |x - mu|) = I_w(lam/2, 1/2) is p.  The score is
+    smooth at mu, so the central probability c is not read."""
     lam, mu, sigma = t
     w = sp.betaincinv(lam / 2.0, 0.5, p)
-    return mu + sigma * side * np.sqrt(np.maximum(lam * (1.0 / w - 1.0), 0.0))
-
-
-def _student_quantile(t, u):
-    return _student_point(t, 2.0 * np.minimum(u, 1.0 - u), np.sign(u - 0.5))
+    return sigma * np.sqrt(np.maximum(lam * (1.0 / w - 1.0), 0.0))
 
 
 def _student_c2(lam):
@@ -592,11 +606,11 @@ _register(Family(
     support=_REAL,
     logpdf=_student_logpdf,
     cdf_fn=_student_cdf,
-    quantile_fn=_student_quantile,
+    quantile_fn=_symmetric_quantile(_student_offset),
     score_fn=_student_score,
     mm=MomentEq("mad", lambda lam: (_student_c2(lam), 1.0), ("lambda",)),
     shapes=("lambda",),
-    upper=_mirrored(_student_point, _student_score),
+    node=_mirrored(_student_offset, _student_score),
 ))
 
 
@@ -924,9 +938,13 @@ def _beta_score(t, lx, l1x):
     return np.stack([psum - specfun.digamma(t[0]) + lx, psum - specfun.digamma(t[1]) + l1x])
 
 
-def _beta_upper(t, v):
-    y = sp.betaincinv(t[1], t[0], v)  # 1 - x: 1 - X is beta(beta, alpha)
-    return 1.0 - y, _beta_score(t, np.log1p(-y), np.log(y))
+def _beta_node(t, p, q, upper):
+    # on the upper half, y = 1 - x: 1 - X is beta(beta, alpha)
+    y = sp.betaincinv(*((t[1], t[0]) if upper else t[:2]), p)
+    ly, l1y = np.log(y), np.log1p(-y)
+    if upper:
+        return 1.0 - y, _beta_score(t, l1y, ly)
+    return y, _beta_score(t, ly, l1y)
 
 
 def _kumaraswamy_score(t, lx, xa, w, lw):
@@ -934,10 +952,11 @@ def _kumaraswamy_score(t, lx, xa, w, lw):
     return np.stack([1.0 / t[0] + lx - (t[1] - 1.0) * xa * lx / w, 1.0 / t[1] + lw])
 
 
-def _kumaraswamy_upper(t, v):
-    lw = np.log(v) / t[1]  # ln(1 - x**alpha) = ln(1 - u) / beta
-    lx = np.log1p(-np.exp(lw)) / t[0]
-    return np.exp(lx), _kumaraswamy_score(t, lx, -np.expm1(lw), np.exp(lw), lw)
+def _kumaraswamy_node(t, p, q, upper):
+    lw = (np.log(p) if upper else np.log1p(-p)) / t[1]  # ln(1 - x**alpha) = ln(1 - u) / beta
+    xa, w = -np.expm1(lw), np.exp(lw)
+    lx = (np.log1p(-w) if upper else np.log(xa)) / t[0]  # from the smaller of w and x**alpha
+    return np.exp(lx), _kumaraswamy_score(t, lx, xa, w, lw)
 
 
 _register(Family(
@@ -950,7 +969,7 @@ _register(Family(
     quantile_fn=lambda t, u: sp.betaincinv(t[0], t[1], u),
     score_fn=lambda t, x: _beta_score(t, np.log(x), np.log1p(-x)),
     shapes=("alpha", "beta"),
-    upper=_beta_upper,
+    node=_beta_node,
 ))
 
 _register(Family(
@@ -973,7 +992,7 @@ _register(Family(
     score_fn=lambda t, x: (lambda alx: _kumaraswamy_score(
         t, np.log(x), np.exp(alx), -np.expm1(alx), np.log(-np.expm1(alx))))(t[0] * np.log(x)),
     shapes=("beta",),
-    upper=_kumaraswamy_upper,
+    node=_kumaraswamy_node,
 ))
 
 _register(Family(

@@ -30,7 +30,7 @@ theta_hat - theta ~ C^-1 mean(psi), and
 so that for ML, where psi = s, R is the Fisher information and J = G.  All of
 them come from one call of ``quadrature.gram`` on f = (tau, s, psi), which
 covers a single theta or every theta row of a batch block; a family that
-declares ``Family.upper`` is read on the upper half of u through it.  The
+declares ``Family.node`` is read at the nodes of the rule through it.  The
 same sums give the drift of power's local alternatives (``drift``).
 
 A derived family (``Family.derived``) takes its base's G, R and J at the
@@ -107,12 +107,13 @@ def _gram(fam, kind, thetas, extra=None) -> np.ndarray:
     t = tuple(thetas[:, j, None] for j in range(fam.n_params))
     cols = [fam.param_names.index(p) for p in _names(fam, kind)]
 
-    def f(p, upper):
-        if upper and fam.upper is not None:
-            x, s = fam.upper(t, p)
-        else:
-            x = fam.quantile_fn(t, 1.0 - p if upper else p)
-            s = fam.score_fn(t, x)
+    def f(p, q, upper):
+        if fam.node is not None:
+            x, s = fam.node(t, p, q, upper)
+        else:  # once per distinct u: the nodes nearest 1/2, or 1, share one
+            u, back = np.unique(1.0 - p if upper else p, return_inverse=True)
+            x = fam.quantile_fn(t, u)
+            x, s = x[..., back], fam.score_fn(t, x)[..., back]
         angle = _TWO_PI * p
         parts = [np.cos(angle), -np.sin(angle) if upper else np.sin(angle)]
         parts += [s[j] for j in cols]

@@ -20,7 +20,7 @@ HALFNORMAL_U = 1.3601257419226798e-06
 # Quantiles in the tails, mpmath at 50 digits (the inverse regularized
 # incomplete gamma / beta by a relative root search): {u: x at u, x at 1 - u}
 # at the test point; 1 - u is the float's own complement, and the upper value
-# of the u that 1 - u does not hold is read through ``Family.upper``.
+# of the u that 1 - u does not hold is read through ``Family.node``.
 TAIL_QUANTILES = {
     "epd": {1e-300: (-203.86525670362856883, 204.46525670362856881),
             1e-30: (-42.792883500576652338, 43.392883500576652315),
@@ -179,22 +179,39 @@ def test_symmetric_quantiles_hold_both_tails(name, u):
     if 1.0 - u < 1.0:
         got = fam.quantile_fn(theta, np.array([1.0 - u]))[0]
     else:
-        got = fam.upper(theta, np.array([u]))[0][0]
+        got = fam.node(theta, np.array([u]), np.array([0.5 - u]), True)[0][0]
     assert got == pytest.approx(upper, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("name", ["epd", "student-t", "beta", "kumaraswamy"])
-def test_upper_tail_declaration_is_the_quantile_and_score(name):
-    # read from v = 1 - u, the same point and score where 1 - v and x still hold
+@pytest.mark.parametrize("upper", [False, True])
+def test_node_declaration_is_the_quantile_and_score(name, upper):
+    # read from p and q = 1/2 - p, the same point and score where u and x still hold
     fam, theta = F.get_family(name), FAMILY_THETAS[name]
-    v = np.array([1e-3, 0.01, 0.1, 0.3, 0.5])
-    x, s = fam.upper(theta, v)
-    want = fam.quantile_fn(theta, 1.0 - v)
+    p = np.array([1e-3, 0.01, 0.1, 0.3, 0.49])
+    x, s = fam.node(theta, p, 0.5 - p, upper)
+    want = fam.quantile_fn(theta, 1.0 - p if upper else p)
     np.testing.assert_allclose(x, want, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(s, fam.score_fn(theta, want), rtol=1e-9, atol=1e-12)
-    # and on past where 1 - v rounds to 1
-    x, s = fam.upper(theta, np.array([1e-30, 1e-200]))
-    assert np.all(np.isfinite(s))
+    # and on past where 1 - p rounds to 1 or 1/2 - q to 1/2
+    tiny = np.array([1e-30, 1e-200])
+    assert np.all(np.isfinite(fam.node(theta, tiny, 0.5 - tiny, upper)[1]))
+    assert np.all(np.isfinite(fam.node(theta, 0.5 - tiny, tiny, upper)[1]))
+
+
+@pytest.mark.parametrize("lam", [0.6, 0.9])
+@pytest.mark.parametrize("upper", [False, True])
+def test_epd_node_keeps_the_centre(lam, upper):
+    # |x - mu| is read from the central probability 2 q and the score from
+    # |x - mu| itself, where mu + (x - mu) rounds to mu: s_mu = +-|y|^(lam - 1) / sigma
+    # is singular at the centre for lam < 1.  Near 0, P(|Y| < y) = 2 q has
+    # y = lam^(1/lam) Gamma(1 + 1/lam) 2 q (1 + O(q^lam)).
+    theta, side = (lam, 3.0, 1.5), (1.0 if upper else -1.0)
+    q = np.array([1e-250, 1e-120, 1e-60])
+    x, s = F.get_family("epd").node(theta, 0.5 - q, q, upper)
+    y = lam ** (1.0 / lam) * math.gamma(1.0 + 1.0 / lam) * 2.0 * q
+    np.testing.assert_allclose(x, 3.0 + side * 1.5 * y, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(s[1], side * y ** (lam - 1.0) / 1.5, rtol=1e-13, atol=0.0)
 
 
 def _former_bisection(fam, t, us):

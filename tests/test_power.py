@@ -115,12 +115,15 @@ def test_weibull_drift_matches_closed_form():
     np.testing.assert_allclose(weibull_m(), former_weibull_m(), rtol=0.0, atol=1e-10)
 
 
-@pytest.mark.parametrize("lam", [0.8, 1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("lam", [0.6, 0.8, 1.0, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize("kind", ["ml", "mm"])
 def test_epd_drift_matches_closed_form(lam, kind):
     np.testing.assert_allclose(epd_m(lam, kind), former_epd_m(lam, kind), rtol=0.0, atol=1e-10)
 
 
+# noncentrality assembles delta^T M^T Sigma^-1 M delta from the rule's Sigma;
+# against the closed-form Sigma, whose G came from h integrals at 1e-12, with
+# the drift M its own (checked against the closed form above)
 def _closed_form_ncp(sig, m, d):
     v = m @ np.atleast_1d(np.asarray(d, dtype=float))
     return float(v @ solve_2x2(sig, v))
@@ -130,24 +133,24 @@ def _closed_form_ncp(sig, m, d):
 @pytest.mark.parametrize("beta", [1.0, 3.0])
 def test_gamma_noncentrality_matches_closed_form(lam, beta):
     alt = LocalAlternative(AltCase.GAMMA_VS_GG, (lam, beta), (4.0,))
-    want = _closed_form_ncp(gamma_sigma(lam), former_gamma_m(lam)[:, None], alt.delta)
-    assert noncentrality(alt) == pytest.approx(want, rel=1e-9)
+    want = _closed_form_ncp(gamma_sigma(lam), gamma_m(lam)[:, None], alt.delta)
+    assert noncentrality(alt) == pytest.approx(want, rel=1e-11)
 
 
 @pytest.mark.parametrize("theta0", [(1.0, 1.0), (2.5, 0.7)])
 def test_weibull_noncentrality_matches_closed_form(theta0):
     alt = LocalAlternative(AltCase.WEIBULL_VS_GG, theta0, (7.0,))
-    want = _closed_form_ncp(weibull_sigma(), former_weibull_m()[:, None], alt.delta)
-    assert noncentrality(alt) == pytest.approx(want, rel=1e-9)
+    want = _closed_form_ncp(weibull_sigma(), weibull_m()[:, None], alt.delta)
+    assert noncentrality(alt) == pytest.approx(want, rel=1e-11)
 
 
-@pytest.mark.parametrize("lam", [0.8, 1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("lam", [0.6, 0.8, 1.0, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize("kind", ["ml", "mm"])
 @pytest.mark.parametrize("delta", [(1.0, 0.0), (0.0, 2.0), (1.5, -0.5)])
 def test_epd_noncentrality_matches_closed_form(lam, kind, delta):
     alt = LocalAlternative(AltCase.EPD_VS_APD, (lam, 0.3, 1.7), delta, EstimatorKind(kind))
-    want = _closed_form_ncp(epd_sigma(lam, kind), former_epd_m(lam, kind), delta)
-    assert noncentrality(alt) == pytest.approx(want, rel=1e-9)
+    want = _closed_form_ncp(epd_sigma(lam, kind), epd_m(lam, kind), delta)
+    assert noncentrality(alt) == pytest.approx(want, rel=1e-11)
 
 
 def test_power_is_alpha_at_zero_drift_and_grows():

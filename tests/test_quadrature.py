@@ -17,31 +17,37 @@ TWO_PI = 2.0 * math.pi
 
 
 def _moments(g):
-    """E[g(U)] and E[g(U)^2] by the rule, for g(u, p, upper) given u's
-    distance p from the end of its half."""
-    m = quadrature.gram(lambda p, upper: np.stack(np.broadcast_arrays(
-        1.0, g(1.0 - p if upper else p, p, upper))))
+    """E[g(U)] and E[g(U)^2] by the rule, for g(u, p, q, upper) given u's
+    distances p from the outer end of its half and q from 1/2."""
+    m = quadrature.gram(lambda p, q, upper: np.stack(np.broadcast_arrays(
+        1.0, g(1.0 - p if upper else p, p, q, upper))))
     return m[0, 1], m[1, 1]
 
 
 class TestRule:
     def test_nodes_reach_both_ends_of_each_half(self):
-        assert 2 * len(quadrature._P) == 148
-        assert quadrature._P.min() < 1e-270 and 0.5 - quadrature._P.max() < 2e-16
-        assert quadrature._P.max() < 0.5
-        mass = quadrature.gram(lambda p, upper: np.ones((1, len(p))))
+        assert 2 * len(quadrature._P) == 194
+        assert quadrature._P.min() < 1e-270 and quadrature._Q.min() < 1e-270
+        # each distance is 1/2 less the other, and is read where it is small
+        np.testing.assert_array_equal(quadrature._P, quadrature._Q[::-1])
+        np.testing.assert_allclose(quadrature._P + quadrature._Q, 0.5, rtol=2.3e-16, atol=0.0)
+        mass = quadrature.gram(lambda p, q, upper: np.ones((1, len(p))))
         assert mass[0, 0] == pytest.approx(1.0, rel=0.0, abs=5e-16)
 
     @pytest.mark.parametrize("g,first,second", [
-        (lambda u, p, upper: u, 0.5, 1.0 / 3.0),
-        (lambda u, p, upper: np.cos(TWO_PI * u), 0.0, 0.5),
+        (lambda u, p, q, upper: u, 0.5, 1.0 / 3.0),
+        (lambda u, p, q, upper: np.cos(TWO_PI * u), 0.0, 0.5),
         # log singularities at both ends, each read from p on its own half
-        (lambda u, p, upper: np.log1p(-p) if upper else np.log(p), -1.0, 2.0),
-        (lambda u, p, upper: np.log(p) if upper else np.log1p(-p), -1.0, 2.0),
+        (lambda u, p, q, upper: np.log1p(-p) if upper else np.log(p), -1.0, 2.0),
+        (lambda u, p, q, upper: np.log(p) if upper else np.log1p(-p), -1.0, 2.0),
         # a power singularity of a heavy tail: u^-0.4, and u^-0.8 for the square
-        (lambda u, p, upper: (1.0 - p if upper else p) ** -0.4, 1.0 / 0.6, 5.0),
+        (lambda u, p, q, upper: (1.0 - p if upper else p) ** -0.4, 1.0 / 0.6, 5.0),
         # the cusp of a symmetric family at 1/2: |u - 1/2|^0.5
-        (lambda u, p, upper: np.sqrt(0.5 - p), 2.0 / 3.0 * 0.5 ** 0.5, 0.25),
+        (lambda u, p, q, upper: np.sqrt(q), 2.0 / 3.0 * 0.5 ** 0.5, 0.25),
+        # powers whose square is only just integrable, which the rule carries
+        # on past its last node: u^-0.495 in a tail, |u - 1/2|^-0.49 at 1/2
+        (lambda u, p, q, upper: (1.0 - p if upper else p) ** -0.495, 1.0 / 0.505, 100.0),
+        (lambda u, p, q, upper: q ** -0.49, 2.0 * 0.5 ** 0.51 / 0.51, 2.0 * 0.5 ** 0.02 / 0.02),
     ])
     def test_known_expectations(self, g, first, second):
         m1, m2 = _moments(g)
@@ -50,24 +56,24 @@ class TestRule:
 
     def test_rows_between_first_and_last_axis_are_carried(self):
         c = np.array([[1.0], [2.0], [3.0]])
-        m = quadrature.gram(lambda p, upper: np.stack(np.broadcast_arrays(c, c * p)))
+        m = quadrature.gram(lambda p, q, upper: np.stack(np.broadcast_arrays(c, c * p)))
         assert m.shape == (3, 2, 2)
         for i, ci in enumerate(c[:, 0]):
-            single = quadrature.gram(lambda p, upper: np.stack(np.broadcast_arrays(ci, ci * p)))
+            single = quadrature.gram(lambda p, q, upper: np.stack(np.broadcast_arrays(ci, ci * p)))
             np.testing.assert_allclose(m[i], single, rtol=1e-15, atol=0.0)
 
     def test_nonfinite_far_tail_is_left_out(self):
         # a quantile that underflows below u = 1e-20, as a small gamma shape's does
-        inside = quadrature.gram(lambda p, upper: np.stack(np.broadcast_arrays(
+        inside = quadrature.gram(lambda p, q, upper: np.stack(np.broadcast_arrays(
             1.0, np.where(p < 1e-20, 0.0, np.log(p)))))
-        left_out = quadrature.gram(lambda p, upper: np.stack(np.broadcast_arrays(
+        left_out = quadrature.gram(lambda p, q, upper: np.stack(np.broadcast_arrays(
             1.0, np.where(p < 1e-20, -np.inf, np.log(p)))))
         np.testing.assert_allclose(left_out, inside, rtol=0.0, atol=1e-17)
 
     @pytest.mark.parametrize("upper", [False, True])
     def test_nonfinite_inside_raises(self, upper):
         with pytest.raises(DomainError, match="1 - 0.0" if upper else "u = 0.0"):
-            quadrature.gram(lambda p, up: np.stack(np.broadcast_arrays(
+            quadrature.gram(lambda p, q, up: np.stack(np.broadcast_arrays(
                 1.0, np.where((p > 1e-3) & (p < 1e-2) & (up == upper), np.nan, p))))
 
 

@@ -1,8 +1,9 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad as scipy_quad
+from scipy.integrate import IntegrationWarning, quad as scipy_quad
 
 import former_scaling as former
 from trigof import _batch, quadrature, scaling
@@ -107,9 +108,10 @@ BASES = [n for n in sorted(FAMILY_THETAS) if F.get_family(n).derived is None and
 # can be negative; the builders hold their 1e-10 on these (their h integrals
 # miss it for kumaraswamy at beta/alpha > 4, gompertz at rho > 5 and beta and
 # kumaraswamy at beta < 1, and exp-gamma's R is too ill-conditioned beyond
-# lambda = 20; HARD_SPOTS covers beta and kumaraswamy there)
+# lambda = 20; HARD_SPOTS covers beta and kumaraswamy there).  epd starts at
+# lambda = 0.55: at 1/2 its Fisher information for mu becomes infinite.
 RANGES = {
-    "epd": [(1.0, 10.0), (-2.0, 2.0), (0.2, 5.0)],
+    "epd": [(0.55, 10.0), (-2.0, 2.0), (0.2, 5.0)],
     "laplace": [(-2.0, 2.0), (0.2, 5.0)],
     "normal": [(-2.0, 2.0), (0.2, 5.0)],
     "exp-gamma": [(0.05, 20.0), (-2.0, 2.0), (0.2, 5.0)],
@@ -145,7 +147,7 @@ def _all_masks(name, kind, theta):
 
 
 def _integrand(name, kind, theta, monkeypatch):
-    """The rule's f(p, upper) for one theta, caught on its way to quadrature.gram."""
+    """The rule's f(p, q, upper) for one theta, caught on its way to quadrature.gram."""
     caught = []
     with monkeypatch.context() as m:
         m.setattr(quadrature, "gram", lambda f: caught.append(f) or np.zeros((1, 0, 0)))
@@ -154,13 +156,19 @@ def _integrand(name, kind, theta, monkeypatch):
 
 
 def _tight(f, i, j):
-    """E[f_i f_j] by adaptive Gauss-Kronrod (QUADPACK) on each half of u."""
-    def g(p, upper):
+    """E[f_i f_j] by adaptive Gauss-Kronrod (QUADPACK) on each quarter of u,
+    in the distance d from its nearer end of (0, 1/2) or (1/2, 1)."""
+    def g(d, upper, inner):
+        p, q = (0.5 - d, d) if inner else (d, 0.5 - d)
         with np.errstate(all="ignore"):
-            v = f(np.array([p]), upper)[:, 0, 0]
+            v = f(np.array([p]), np.array([q]), upper)[:, 0, 0]
         return v[i] * v[j] if np.all(np.isfinite(v)) else 0.0
-    return sum(scipy_quad(g, 0.0, 0.5, args=(upper,), epsabs=1e-14, epsrel=1e-13, limit=400)[0]
-               for upper in (False, True))
+    with warnings.catch_warnings():
+        # a far upper tail read at Q(1 - p) carries the rounding of 1 - p,
+        # which QUADPACK can report as roundoff at this tolerance
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return sum(scipy_quad(g, 0.0, 0.25, args=(upper, inner), epsabs=1e-14, epsrel=1e-13, limit=400)[0]
+                   for upper in (False, True) for inner in (False, True))
 
 
 BUILDER_ROWS = [(n, k) for n in BASES for k in ("ml", "mm") if k == "ml" or F.get_family(n).has_mm]
@@ -171,11 +179,10 @@ def test_rule_matches_the_former_builders(name, kind, monkeypatch):
     """G, R, J and every mask's Sigma within the builders' 1e-10; where G or J
     parts from them by more than 1e-12, a tight value sides with the rule."""
     p = scaling.matrices(name, kind, FAMILY_THETAS[name]).p
-    for theta in [FAMILY_THETAS[name]] + _random_thetas(name):
-        if kind == "mm" and name == "student-t" and theta[0] <= 2.1:
-            # its MM needs lambda > 2, and below 2.1 E X^2 converges too slowly
-            # for the rule's last node at u = 3e-276 (Sigma is 7e-7 off at 2.05)
-            continue
+    near = [(lam, 0.3, 1.2) for lam in (2.01, 2.05, 2.1)] if (name, kind) == ("student-t", "mm") else []
+    for theta in [FAMILY_THETAS[name]] + _random_thetas(name) + near:
+        if kind == "mm" and name == "student-t" and theta[0] <= 2.0:
+            continue  # its MM needs lambda > 2
         ms = scaling.matrices(name, kind, theta)
         G, R, J = former.former_matrices(name, kind, theta)
         np.testing.assert_allclose(ms.G, G, rtol=0.0, atol=1e-10)
@@ -204,8 +211,10 @@ def test_rule_matches_the_former_builders(name, kind, monkeypatch):
 # Sigma at points where the former builders miss it, by mpmath at 30 digits:
 # the quantile-form integrals for kumaraswamy; the x-form ones, with the
 # regularized incomplete beta, for beta (x = 1 - t^(1/b) on the upper half,
-# which takes out the (1 - x)^(b - 1) singularity) and for the Student-t MM
-# row, whose B, C and E|X| are closed forms.  (s11, s12, s22).
+# which takes out the (1 - x)^(b - 1) singularity), for the Student-t MM
+# row, whose B, C and E|X| are closed forms (near lambda = 2, E X^2 is barely
+# finite), and for the EPD ML row below lambda = 1, whose R is a closed form
+# (its mu score is singular at the centre).  (s11, s12, s22).
 HARD_SPOTS = {
     ("beta", "ml", (0.5, 0.3)): (0.1961978062874329392, 0.026358286833627626845, 0.34336314392974791429),
     ("beta", "ml", (0.5, 0.5)): (0.1960364490729868381, 3.3483929603176083593e-17, 0.33574428392505063697),
@@ -222,6 +231,10 @@ HARD_SPOTS = {
     ("student-t", "mm", (2.5, 0.0, 1.0)): (0.70925917495876095017, 0.0, 1.2070509990342604607),
     ("student-t", "mm", (3.0, 0.0, 1.0)): (0.3642361640718115152, 0.0, 0.70225338339366779448),
     ("student-t", "mm", (4.0, 0.0, 1.0)): (0.20646867417290884038, 0.0, 0.46707201434287036782),
+    ("student-t", "mm", (2.01, 0.0, 1.0)): (36.886906567701025133, 0.0, 53.126734471347346032),
+    ("student-t", "mm", (2.05, 0.0, 1.0)): (7.3251939524194589087, 0.0, 10.714640516093826013),
+    ("epd", "ml", (0.6, 0.0, 1.0)): (0.020038185956396298091, 0.0, 0.38613239356832475699),
+    ("epd", "ml", (0.8, 0.0, 1.0)): (0.015125868608858600291, 0.0, 0.17017047783167067906),
 }
 
 
