@@ -1,39 +1,35 @@
-"""ML and moment (MM) nuisance-parameter estimators for every family.
+"""ML and moment (MM) nuisance-parameter estimators for every family,
+written once over sample rows.
 
+``rows_estimator(fam, kind, mask)`` maps sample rows X (rows, n) to theta
+rows with per-row iteration counts and converged flags; ``fit`` runs it on a
+single row and ``_batch.batch_fit`` on a block, so both return the same bits.
 A derived family (``Family.derived``) is fitted as its base on the
 transformed data, under a mask of its mapped known values and the fixed base
 components, and the base's theta is mapped back (an MM row on the family's
 own moment equation excepted); its ML residual is its own mean score.
 
-Closed-form estimators are written once, over sample rows
-(``rows_estimator``): every MM row, which solves the declared moment equation
-``Family.mm``, and the ML rows of normal, laplace, uniform and gamma with
-lambda known.  ``fit`` runs them on a single row and ``_batch.batch_fit`` on
-a block.  Implicit ML estimators are solved by safeguarded 1-D root-finding
-on profiled score equations, nested where a family requires it (shape root
-outermost, location/scale profiled inside).  Known parameter components are
-held bit-identical to their fixed values; configurations without a dedicated
-path fall back to direct numeric likelihood maximization of the family's own
-density over the free components.
-
-Shape-type roots are bracketed on a geometric grid over [1e-3, 1e3]
-(expanded geometrically when no sign change is found); scale-type roots use
-the same grid relative to a data-driven scale.  The grid is searched outward
-from its centre, so the bracket nearest the centre wins.
+Every MM row (the declared moment equation ``Family.mm``) and the ML rows of
+``_ML_ROWS`` are closed forms.  Every other ML row solves its family's score
+equations through the family's profile (``_ML_PROFILES``): a shape root with
+location and scale profiled out in closed form, by an inner root or by EM,
+and the known components held at their values.  Shape roots are bracketed on
+a geometric grid searched outward from its centre, so the bracket nearest the
+centre wins, and refined by Brent's method (``_roots``); inner location and
+scale roots take safeguarded Newton steps from the row's last root.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy import optimize as opt
-from scipy.special import logsumexp
+from scipy import special as sp
 
-from . import specfun
 from .errors import (ConfigurationError, DegenerateSampleError, DomainError,
                      EstimationError)
 from .families import Derived, Family, _epd_c1, get_family, score
@@ -44,6 +40,7 @@ _STEP_TOL = 1e-10
 _SCORE_TOL = 1e-8
 _MAX_ITER = 200
 _SHAPE_CAP = 1e6
+_XTOL, _RTOL = 1e-13, 8.9e-16
 
 
 class EstimatorKind(str, Enum):
@@ -112,485 +109,523 @@ class FitResult:
 
 
 # ---------------------------------------------------------------------------
-# root-finding helpers
+# the root solver over rows.  phi(z, j) takes trial values z for the rows j
+# (sorted indices into the rows of the problem) and returns phi there.
 # ---------------------------------------------------------------------------
 
-def _scan_root(phi, scale: float = 1.0, lo: float = 1e-3, hi: float = 1e3,
-               points: int = 41):
-    """Find a root of phi on a geometric grid around ``scale``.
+def _take(a, j):
+    """a[j] for sorted, distinct row indices j; a itself where j covers it."""
+    return a if len(j) == len(a) else a[j]
 
-    Returns (root, iterations, converged).  The grid is evaluated outward
-    from its centre point (c, c+1, c-1, c+2, ...) and the scan stops at the
-    first cell that the newest evaluation completes and that holds an exact
-    zero at its lower end or a sign change, which Brent's method then
-    refines: the bracket nearest the grid centre wins; ties go upward.
-    Expands the grid geometrically twice if no cell brackets a root; if
-    there is still none, returns the grid point of smallest |phi| with
-    converged=False.
-    """
-    spans = [(lo, hi), (lo * 1e-2, hi * 1e2), (lo * 1e-5, hi * 1e5)]
-    c = points // 2
-    order = sorted(range(points), key=lambda i: (abs(i - c), i < c))
-    best_x, best_val = None, math.inf
-    iters = 0
+
+def _brent(phi, a, b, fa, fb, xtol=_XTOL, rtol=_RTOL):
+    """Brent's method on each row's bracket [a, b], with phi(a) = fa and
+    phi(b) = fb: scipy's brentq step for step, over the rows still running.
+    Returns (root, iterations, converged); NaN where [a, b] brackets no sign
+    change."""
+    m, hr = len(a), 0.5 * rtol
+    htol = np.broadcast_to(0.5 * np.asarray(xtol, dtype=float), (m,))
+    root, iters, conv = np.where(fa == 0.0, a, b), np.zeros(m, dtype=int), (fa == 0.0) | (fb == 0.0)
+    signed = np.isfinite(fa) & np.isfinite(fb) & (np.signbit(fa) != np.signbit(fb))
+    root[~(conv | signed)] = np.nan
+    live = np.flatnonzero(signed & ~conv)
+    xpre, xcur, fpre, fcur, htol = a[live], b[live], fa[live], fb[live], htol[live]
+    xblk = fblk = spre = scur = np.zeros(len(live))
     with np.errstate(all="ignore"):
-        for span_lo, span_hi in spans:
-            grid = scale * np.geomspace(span_lo, span_hi, points)
-            vals = np.full(points, math.nan)
+        for k in range(1, _MAX_ITER + 1):
+            if not live.size:
+                break
+            flip = np.signbit(fpre) != np.signbit(fcur)
+            xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+            spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                                np.where(swap, xcur, xblk))
+            fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                                np.where(swap, fcur, fblk))
+            delta = htol + hr * np.abs(xcur)
+            sbis = (xblk - xcur) * 0.5
+            done = (fcur == 0.0) | (np.abs(sbis) < delta)
+            if np.count_nonzero(done):
+                root[live[done]], iters[live[done]], conv[live[done]] = xcur[done], k, True
+                keep = ~done
+                live = live[keep]
+                xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, htol, delta, sbis = (
+                    v[keep] for v in (xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, htol,
+                                      delta, sbis))
+                if not live.size:
+                    break
+            # interpolate where xpre == xblk, extrapolate (inverse quadratic) elsewhere
+            dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+            stry = np.where(xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),
+                            -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
+            aspre = np.abs(spre)
+            short = ((aspre > delta) & (np.abs(fcur) < np.abs(fpre))
+                     & (2.0 * np.abs(stry) < np.minimum(aspre, 3.0 * np.abs(sbis) - delta)))
+            spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(np.abs(scur) > delta, scur, np.copysign(delta, sbis))
+            fcur = phi(xcur, live)
+    root[live], iters[live] = xcur, _MAX_ITER
+    return root, iters, conv
+
+
+@functools.lru_cache(maxsize=None)
+def _grid(lo: float, hi: float, points: int):
+    """The grid's three spans, [lo, hi] and two geometric expansions, and the
+    order of its points outward from the centre c: c, c+1, c-1, c+2, ..."""
+    return ([np.geomspace(a, b, points) for a, b in ((lo, hi), (lo * 1e-2, hi * 1e2),
+                                                      (lo * 1e-5, hi * 1e5))],
+            sorted(range(points), key=lambda i: (abs(i - points // 2), i < points // 2)))
+
+
+def _roots(phi, scale, lo: float = 1e-3, hi: float = 1e3, points: int = 41):
+    """A root of phi for each row on a geometric grid around its ``scale``:
+    (root, iterations, converged).  The grid (``_grid``) is evaluated outward
+    from its centre for the rows still without a bracket; a row stops at the
+    first cell the newest evaluation completes that holds an exact zero at
+    its lower end or a sign change, which ``_brent`` refines, so the bracket
+    nearest the centre wins and ties go upward.  A row with no bracket on any
+    span gets the grid point of smallest |phi|, unconverged (NaN if phi was
+    never finite)."""
+    (m, c), (grids, order) = (len(scale), points // 2), _grid(lo, hi, points)
+    root, iters, conv = np.full(m, np.nan), np.zeros(m, dtype=int), np.zeros(m, dtype=bool)
+    best = np.full(m, np.inf)  # |phi| at root, the best grid point of a row without a bracket
+    cells = []  # (rows, lower end, upper end, phi there)
+    live = np.arange(m)
+    with np.errstate(all="ignore"):
+        for grid in grids:
+            vals = np.full((m, points), np.nan)
             for i in order:
-                try:
-                    vals[i] = phi(grid[i])
-                except (FloatingPointError, OverflowError, DomainError, ValueError):
-                    vals[i] = math.nan
-                iters += 1
-                if np.isfinite(vals[i]) and abs(vals[i]) < best_val:
-                    best_val, best_x = abs(vals[i]), grid[i]
+                if not live.size:
+                    break
+                z = scale[live] * grid[i]
+                vals[live, i] = v = phi(z, live)
+                iters[live] += 1
+                better = np.abs(v) < best[live]  # False where v is NaN
+                best[live[better]], root[live[better]] = np.abs(v[better]), z[better]
                 if i == c:
                     continue
                 j = i - 1 if i > c else i  # the cell (j, j+1) this evaluation completes
-                if not (np.isfinite(vals[j]) and np.isfinite(vals[j + 1])):
-                    continue
-                if vals[j] == 0.0:
-                    return grid[j], iters, True
-                if np.sign(vals[j]) * np.sign(vals[j + 1]) < 0:
-                    root, res = opt.brentq(phi, grid[j], grid[j + 1], xtol=1e-13,
-                                           rtol=8.9e-16, maxiter=_MAX_ITER,
-                                           full_output=True)
-                    return root, iters + res.iterations, res.converged
-    if best_x is None:
-        raise EstimationError("score equation could not be evaluated on the bracket grid")
-    return best_x, iters, False
+                f0, f1 = vals[live, j], vals[live, j + 1]
+                ok = np.isfinite(f0) & np.isfinite(f1)
+                zero, cell = ok & (f0 == 0.0), ok & (np.sign(f0) * np.sign(f1) < 0.0)
+                if np.count_nonzero(zero | cell):
+                    root[live[zero]], conv[live[zero]] = scale[live[zero]] * grid[j], True
+                    cells.append((live[cell], scale[live[cell]] * grid[j],
+                                  scale[live[cell]] * grid[j + 1], f0[cell], f1[cell]))
+                    live = live[~(zero | cell)]
+    if cells:
+        rows, a, b, fa, fb = map(np.concatenate, zip(*cells))
+        k = np.argsort(rows)  # _brent's rows, like phi's, are sorted
+        rows, a, b, fa, fb = rows[k], a[k], b[k], fa[k], fb[k]
+        root[rows], it, conv[rows] = _brent(lambda z, j: phi(z, rows[j]), a, b, fa, fb)
+        iters[rows] += it
+    return root, iters, conv
 
 
-def _solve_digamma_minus_log(target: float):
-    """Solve psi(z) - ln(z) = target (target < 0); monotone increasing in z."""
-    if target >= 0.0:
-        return _SHAPE_CAP, 0, False
-
-    def phi(z):
-        return float(specfun.digamma(z)) - math.log(z) - target
-
-    # psi(z)-ln(z) ~ -1/(2z) large z; ~ -1/z small z: analytic starting bracket
-    lo = min(0.5 / -target, 1e-8)
-    hi = max(1.0 / -target, 1.0)
-    while phi(hi) < 0.0 and hi < 1e15:
-        hi *= 4.0
-    while phi(lo) > 0.0 and lo > 1e-300:
-        lo /= 4.0
-    if phi(hi) < 0.0:
-        return _SHAPE_CAP, 0, False
-    root, res = opt.brentq(phi, lo, hi, xtol=1e-13, rtol=8.9e-16, full_output=True)
-    return root, res.iterations, res.converged
-
-
-def _solve_digamma(target: float):
-    """Solve psi(z) = target over z > 0 (monotone increasing)."""
-    def phi(z):
-        return float(specfun.digamma(z)) - target
-
-    hi = max(math.exp(target) + 1.0, 1.0)
-    while phi(hi) < 0.0 and hi < 1e300:
-        hi *= 4.0
-    lo = min(1.0, 1.0 / (1.0 - target)) if target < 0 else 1.0
-    while phi(lo) > 0.0 and lo > 1e-300:
-        lo /= 4.0
-    root, res = opt.brentq(phi, lo, hi, xtol=1e-13, rtol=8.9e-16, full_output=True)
-    return root, res.iterations, res.converged
+def _newton(fd, x, lo, hi, xtol, rtol=_RTOL):
+    """The root of each row's increasing f inside its bracket (lo, hi), by
+    Newton's method from x: a step that leaves the bracket of the points seen
+    so far bisects it instead, and a row stops once its step is below
+    xtol + rtol |x|.  fd(z, j) returns f and f' at z for the rows j.
+    Returns (root, iterations)."""
+    root, iters = x.copy(), np.full(len(x), _MAX_ITER)
+    lo, hi, tol = lo.copy(), hi.copy(), np.broadcast_to(xtol, x.shape)
+    live = np.arange(len(x))
+    with np.errstate(all="ignore"):
+        for k in range(1, _MAX_ITER + 1):
+            f, d = fd(x, live)
+            above = f > 0.0
+            hi, lo = np.where(above, x, hi), np.where(above, lo, x)
+            new = x - f / d
+            new = np.where(f == 0.0, x, np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi)))
+            done = np.abs(new - x) <= tol + rtol * np.abs(new)
+            root[live] = new
+            if np.count_nonzero(done):
+                iters[live[done]] = k
+                keep = ~done
+                live, new, lo, hi, tol = live[keep], new[keep], lo[keep], hi[keep], tol[keep]
+                if not live.size:
+                    break
+            x = new
+    return root, iters
 
 
-def _wmean_exp(values, logw):
-    """Weighted mean of ``values`` with weights exp(logw), overflow-safe."""
-    m = np.max(logw)
-    w = np.exp(logw - m)
-    return float(np.sum(values * w) / np.sum(w))
+def _pow(A, e):
+    """A ** e with one exponent per row, spread over the row first: numpy
+    squares, roots or inverts a one-row block whose column exponent is 2, 1/2
+    or -1 but calls pow on a block of several rows, so a row's bits would
+    depend on its block."""
+    return np.power(A, np.repeat(_col(e), A.shape[1], axis=1))
+
+
+def _mean(A):
+    """Row means of A: A.mean(axis=1) without its Python-level overhead."""
+    return np.add.reduce(A, axis=1) / A.shape[1]
+
+
+def _wmean_exp(V, L):
+    """Row means of V weighted by exp(L), overflow-safe."""
+    w = np.exp(L - L.max(axis=1, keepdims=True))
+    return (V * w).sum(axis=1) / w.sum(axis=1)
+
+
+def _log_mean_exp(L):
+    """ln mean(exp(L)) of each row, overflow-safe."""
+    top = L.max(axis=1)
+    return top + np.log(_mean(np.exp(L - _col(top))))
+
+
+def _col(v):
+    return v[:, None]
 
 
 # ---------------------------------------------------------------------------
-# per-family fitting routines
-#
-# Each routine receives the data and the mask and returns
-# (theta tuple, iterations, converged) or None to fall through to the
-# generic likelihood maximizer.
+# ML profiles over rows: profile(known, values, X, iters) -> (theta rows,
+# converged), for every mask that leaves a parameter free, adding each row's
+# solver iterations to iters.  A shape root is solved with the other
+# components profiled out at the trial shape and the known ones held, so a
+# masked row solves the score equations of its free components.
 # ---------------------------------------------------------------------------
 
-def _epd_mu_hat(x, lam):
-    """Location solving sum sign(x-mu)|x-mu|^(lam-1) = 0 (the mu ML equation)."""
-    lo, hi = float(np.min(x)), float(np.max(x))
-
-    def g(mu):
-        d = x - mu
-        return float(np.sum(np.sign(d) * np.abs(d) ** (lam - 1.0)))
-
-    if lam >= 1.0:
-        # g is continuous and strictly decreasing: a single bracketed root
-        res = opt.brentq(g, lo, hi, xtol=1e-12 * max(1.0, abs(hi - lo)), full_output=True)
-        return res[0], res[1].iterations
-    # lam < 1: g blows up at every observation, with one root per gap; take
-    # the consistent root of the estimating equation in the gap with the
-    # smallest profiled objective (global maximization is degenerate here)
-    xs = np.unique(x)
-    if len(xs) == 1:
-        return float(xs[0]), 1
-    mids = 0.5 * (xs[:-1] + xs[1:])
-    obj = np.array([float(np.sum(np.abs(x - m) ** lam)) for m in mids])
-    best = int(np.argmin(obj))
-    a = np.nextafter(xs[best], xs[best + 1])
-    b = np.nextafter(xs[best + 1], xs[best])
-    if g(a) <= 0.0:
-        return float(a), len(mids)
-    if g(b) >= 0.0:
-        return float(b), len(mids)
-    res = opt.brentq(g, a, b, xtol=1e-13 * max(1.0, hi - lo), full_output=True)
-    return res[0], res[1].iterations + len(mids)
-
-
-def _fit_epd(fam, x, mask):
-    mu_known = mask.is_known(fam, "mu")
-    sigma_known = mask.is_known(fam, "sigma")
-    iters = 0
-
-    def inner(lam):
-        nonlocal iters
-        if mu_known:
-            mu = mask.value(fam, "mu")
-        else:
-            mu, it = _epd_mu_hat(x, lam)
-            iters += it
-        a = np.abs(x - mu)
-        if sigma_known:
-            sigma = mask.value(fam, "sigma")
-        else:
-            sigma = float(np.mean(a ** lam)) ** (1.0 / lam)
-        return mu, sigma
-
-    def lam_eq(lam):
-        mu, sigma = inner(lam)
-        w = (np.abs(x - mu) / sigma) ** lam
-        pos = w > 0.0
-        val = _epd_c1(lam) - float(np.mean(np.where(pos, w * np.log(np.where(pos, w, 1.0)), 0.0)))
-        if sigma_known:
-            val += float(np.mean(w)) - 1.0
-        return val
-
-    if mask.is_known(fam, "lambda"):
-        lam = mask.value(fam, "lambda")
-        mu, sigma = inner(lam)
-        return (lam, mu, sigma), iters + 1, True
-    lam, it, conv = _scan_root(lam_eq)
+def _shape(eq, known: bool, value: float, iters, scale=None, **grid):
+    """The shape of each row: its known value, or the root of eq on the grid
+    (``_roots``) around ``scale`` (1 by default)."""
+    m = len(iters)
+    if known:
+        return np.full(m, value), np.ones(m, dtype=bool)
+    z, it, conv = _roots(eq, np.ones(m) if scale is None else scale, **grid)
     iters += it
-    mu, sigma = inner(lam)
-    return (lam, mu, sigma), iters, conv
+    return z, conv
 
 
-def _fit_expgamma(fam, x, mask):
-    lam_known = mask.is_known(fam, "lambda")
-    if mask.n_known > lam_known:
-        return None  # generic path handles the other masks
-    n = len(x)
-    xbar = float(np.mean(x))
-    s0 = float(np.std(x))
-    iters = 0
+def _epd_mu_hat(X, lam, start):
+    """(mu, iterations): the location solving sum sign(x-mu)|x-mu|^(lam-1) = 0
+    on each row at its lam.  In d = mu - x it reads sum |d|^(lam-2) d = 0."""
+    mu, iters, lo, hi = np.empty(len(X)), np.zeros(len(X), dtype=int), X.min(axis=1), X.max(axis=1)
+    # lam >= 1: one root, where the left side rises with slope (lam-1) sum |d|^(lam-2)
+    up = np.flatnonzero(lam >= 1.0)
+    if up.size:
+        def fd(z, j):
+            d = _col(z) - _take(X, up[j])
+            p = _pow(np.abs(d), lam[up[j]] - 2.0)
+            return np.add.reduce(p * d, axis=1), (lam[up[j]] - 1.0) * p.sum(axis=1)
 
-    def sigma_hat(lam):
-        # scale equation at fixed shape: goes from +lam(max - mean) at 0+
-        # to -inf, so the bracket scan is safe
-        nonlocal iters
+        mu[up], iters[up] = _newton(fd, start[up], lo[up], hi[up],
+                                    1e-12 * np.maximum(1.0, hi[up] - lo[up]))
+    # lam < 1: the equation blows up at every observation, with one root per
+    # gap; take the consistent root in the gap with the smallest profiled
+    # objective (global maximization is degenerate here), or the gap's end
+    # where the equation has no sign change inside it
+    down = np.flatnonzero(lam < 1.0)
+    if down.size:
+        a, b = np.empty(down.size), np.empty(down.size)
+        for k, r in enumerate(down):
+            xs = np.unique(X[r])
+            mids = 0.5 * (xs[:-1] + xs[1:])
+            best = int(np.argmin([float(np.sum(np.abs(X[r] - c) ** lam[r])) for c in mids]))
+            a[k], b[k] = np.nextafter(xs[best], xs[best + 1]), np.nextafter(xs[best + 1], xs[best])
+            iters[r] = len(mids)
 
-        def phi(sigma):
-            return lam * (_wmean_exp(x, x / sigma) - xbar) - sigma
+        def g(z, j):
+            d = _take(X, down[j]) - _col(z)
+            return (np.sign(d) * _pow(np.abs(d), lam[down[j]] - 1.0)).sum(axis=1)
 
-        sig, it, conv = _scan_root(phi, scale=s0)
-        iters += it
-        return sig, conv
-
-    def outer(lam):
-        sigma, _ = sigma_hat(lam)
-        a = x / sigma
-        g = float(logsumexp(a)) - math.log(n) - float(np.mean(a))
-        return math.log(lam) - float(specfun.digamma(lam)) - g
-
-    if lam_known:  # the scale root alone, at the known shape
-        lam, conv = mask.value(fam, "lambda"), True
-    else:
-        lam, it, conv = _scan_root(outer)
-        iters += it
-    sigma, conv2 = sigma_hat(lam)
-    a = x / sigma
-    mu = sigma * (float(logsumexp(a)) - math.log(n) - math.log(lam))
-    if lam >= _SHAPE_CAP:
-        conv = False
-    return (lam, mu, sigma), iters, conv and conv2
+        ga, gb = g(a, np.arange(down.size)), g(b, np.arange(down.size))
+        root, it, _ = _brent(g, a, b, ga, gb, xtol=1e-13 * np.maximum(1.0, hi[down] - lo[down]),
+                             rtol=4.0 * np.finfo(float).eps)
+        mu[down] = np.where(ga <= 0.0, a, np.where(gb >= 0.0, b, root))
+        iters[down] += np.where((ga <= 0.0) | (gb >= 0.0), 0, it)
+    return mu, iters
 
 
-def _fit_logistic(fam, x, mask):
+def _epd_rows(kn, kv, X, iters):
+    last_mu = _mean(X)  # each row's latest location: the next one's start
+
+    def inner(lam, j):
+        Xj = _take(X, j)
+        if kn[1]:
+            mu = np.full(len(j), kv[1])
+        else:
+            mu, it = _epd_mu_hat(Xj, lam, last_mu[j])
+            last_mu[j], iters[j] = mu, iters[j] + it
+        a = np.abs(Xj - _col(mu))
+        return mu, np.full(len(j), kv[2]) if kn[2] else _mean(_pow(a, lam)) ** (1.0 / lam), a
+
+    def lam_eq(lam, j):
+        _, sigma, a = inner(lam, j)
+        w = _pow(a / _col(sigma), lam)
+        val = _epd_c1(lam) - _mean(w * np.log(np.where(w > 0.0, w, 1.0)))
+        return val + (_mean(w) - 1.0 if kn[2] else 0.0)
+
+    lam, conv = _shape(lam_eq, kn[0], kv[0], iters)
+    mu, sigma, _ = inner(lam, np.arange(len(X)))
+    return np.column_stack([lam, mu, sigma]), conv
+
+
+def _expgamma_rows(kn, kv, X, iters):
+    xbar, s0 = _mean(X), X.std(axis=1)
+    D = X - _col(xbar)  # the scale equation with mu profiled out is free of shifts
+    top, last_sigma = D.max(axis=1), s0.copy()  # a row's latest scale: the next one's start
+
+    def sigma_hat(lam, j):
+        if kn[2]:
+            return np.full(len(j), kv[2])
+        if kn[1]:  # the scale score at the known location
+            Xj = _take(X, j)
+
+            def phi(s, k):
+                y = (_take(Xj, k) - kv[1]) / _col(s)
+                return _mean(y * np.exp(y)) - lam[k] * _mean(y) - 1.0
+
+            sigma, it, _ = _roots(phi, s0[j])
+        else:
+            # s - lam E_w[D] with weights exp(D / s): it rises from -lam max(D)
+            # at 0+ with slope 1 + lam var_w(D) / s^2 and is >= 0 at lam max(D)
+            Dj, hi = _take(D, j), lam * top[j]
+
+            def fd(s, k):
+                Dk = _take(Dj, k)
+                w = np.exp((Dk - _col(top[j][k])) / _col(s))
+                sw = w.sum(axis=1)
+                m1 = (w * Dk).sum(axis=1) / sw
+                v = (w * (Dk - _col(m1)) ** 2).sum(axis=1) / sw
+                return s - lam[k] * m1, 1.0 + lam[k] * v / s ** 2
+
+            sigma, it = _newton(fd, np.minimum(last_sigma[j], hi), np.zeros(len(j)), hi, _XTOL)
+        last_sigma[j], iters[j] = sigma, iters[j] + it
+        return sigma
+
+    def lam_eq(lam, j):
+        sigma = sigma_hat(lam, j)
+        a = _take(X, j) / _col(sigma)
+        if kn[1]:
+            return _mean(a) - kv[1] / sigma - sp.digamma(lam)
+        return np.log(lam) - sp.digamma(lam) - (_log_mean_exp(a) - _mean(a))
+
+    lam, conv = _shape(lam_eq, kn[0], kv[0], iters)
+    sigma = sigma_hat(lam, np.arange(len(X)))
+    mu = sigma * (_log_mean_exp(X / _col(sigma)) - np.log(lam))
+    return np.column_stack([lam, mu, sigma]), conv & np.isfinite(sigma) & (lam < _SHAPE_CAP)
+
+
+def _logistic_rows(kn, kv, X, iters):
     """Profiled logistic ML: inner location root, outer scale root."""
-    if mask.n_known:
-        return None
-    iters = 0
+    lo, hi = X.min(axis=1), X.max(axis=1)
+    last_mu = np.median(X, axis=1)  # each row's latest location: the next one's start
 
-    def mu_hat(sigma):
-        nonlocal iters
+    def mu_hat(sigma, j):
+        if kn[0]:
+            return np.full(len(j), kv[0])
+        Xj = _take(X, j)
 
-        def g(mu):
-            return float(np.mean(2.0 / (1.0 + np.exp((x - mu) / sigma)))) - 1.0
+        def fd(z, k):  # the location score, increasing in mu, and its slope
+            t = 2.0 / (1.0 + np.exp((_take(Xj, k) - _col(z)) / _col(sigma[k])))
+            return _mean(t) - 1.0, _mean(t * (2.0 - t)) / (2.0 * sigma[k])
 
-        lo, hi = float(np.min(x)), float(np.max(x))
-        root, res = opt.brentq(g, lo, hi, xtol=1e-13 * max(1.0, hi - lo), full_output=True)
-        iters += res.iterations
-        return root
+        mu, it = _newton(fd, last_mu[j], lo[j], hi[j], 1e-13 * np.maximum(1.0, hi[j] - lo[j]))
+        last_mu[j], iters[j] = mu, iters[j] + it
+        return mu
 
-    def phi(sigma):
-        y = (x - mu_hat(sigma)) / sigma
-        return float(np.mean(y * np.tanh(0.5 * y))) - 1.0
+    def phi(sigma, j):
+        y = (_take(X, j) - _col(mu_hat(sigma, j))) / _col(sigma)
+        return _mean(y * np.tanh(0.5 * y)) - 1.0
 
-    s0 = float(np.std(x)) * math.sqrt(3.0) / math.pi
-    sigma, it, conv = _scan_root(phi, scale=s0)
-    iters += it
-    return (mu_hat(sigma), sigma), iters, conv
+    sigma, conv = _shape(phi, kn[1], kv[1], iters, X.std(axis=1) * math.sqrt(3.0) / math.pi)
+    return np.column_stack([mu_hat(sigma, np.arange(len(X))), sigma]), conv
 
 
-def _student_em(x, lam, mu0, sigma0, mu_fixed=None, sigma_fixed=None):
-    mu = mu0 if mu_fixed is None else mu_fixed
-    sigma = sigma0 if sigma_fixed is None else sigma_fixed
-    it = 0
+def _student_em(X, lam, mu, sigma, mu_known: bool, sigma_known: bool):
+    """EM for (mu, sigma) on each row at its lam, from (mu, sigma), the known
+    one held; each row stops on its own step.  Returns (mu, sigma, iterations)."""
+    mu, sigma, iters = mu.copy(), sigma.copy(), np.full(len(X), 500)
+    live, lam_c, ratio, m, s = np.arange(len(X)), _col(lam), (lam + 1.0) / lam, mu, sigma
     for it in range(1, 501):
-        y = (x - mu) / sigma
-        w = lam / (lam + y ** 2)
-        mu_new = float(np.sum(w * x) / np.sum(w)) if mu_fixed is None else mu_fixed
-        if sigma_fixed is None:
-            s2 = (lam + 1.0) / lam * float(np.mean(w * (x - mu_new) ** 2))
-            sigma_new = math.sqrt(s2)
-        else:
-            sigma_new = sigma_fixed
-        step = max(abs(mu_new - mu), abs(sigma_new - sigma))
-        mu, sigma = mu_new, sigma_new
-        if step <= _STEP_TOL * max(abs(mu), sigma):
-            break
-    return mu, sigma, it
+        w = lam_c / (lam_c + ((X - _col(m)) / _col(s)) ** 2)
+        m_new = m if mu_known else np.add.reduce(w * X, axis=1) / np.add.reduce(w, axis=1)
+        s_new = s if sigma_known else np.sqrt(ratio * _mean(w * (X - _col(m_new)) ** 2))
+        stop = (np.maximum(np.abs(m_new - m), np.abs(s_new - s))
+                <= _STEP_TOL * np.maximum(np.abs(m_new), s_new))
+        m, s = m_new, s_new
+        if np.count_nonzero(stop):  # rows that stop leave the loop
+            mu[live[stop]], sigma[live[stop]], iters[live[stop]] = m[stop], s[stop], it
+            keep = ~stop
+            live, X, lam_c, ratio, m, s = (v[keep] for v in (live, X, lam_c, ratio, m, s))
+            if not live.size:
+                break
+    mu[live], sigma[live] = m, s
+    return mu, sigma, iters
 
 
-def _fit_student(fam, x, mask):
-    mu_fixed = mask.value(fam, "mu") if mask.is_known(fam, "mu") else None
-    sigma_fixed = mask.value(fam, "sigma") if mask.is_known(fam, "sigma") else None
-    mu0, s0 = float(np.median(x)), float(np.std(x))
-    iters = 0
+def _student_rows(kn, kv, X, iters):
+    # every EM starts from the median and the standard deviation: a start
+    # carried over from the last lam would move theta by the EM's own
+    # stopping error, about 1e-10
+    mu0 = np.full(len(X), kv[1]) if kn[1] else np.median(X, axis=1)
+    s0 = np.full(len(X), kv[2]) if kn[2] else X.std(axis=1)
 
-    def inner(lam):
-        nonlocal iters
-        mu, sigma, it = _student_em(x, lam, mu0, s0, mu_fixed, sigma_fixed)
-        iters += it
+    def inner(lam, j):
+        mu, sigma, it = _student_em(_take(X, j), lam, mu0[j], s0[j], kn[1], kn[2])
+        iters[j] += it
         return mu, sigma
 
-    def lam_eq(lam):
-        mu, sigma = inner(lam)
-        y = (x - mu) / sigma
-        val = (float(specfun.digamma(0.5 * (lam + 1.0))) - float(specfun.digamma(0.5 * lam))
-               - float(np.mean(np.log1p(y ** 2 / lam))))
-        if sigma_fixed is not None:
-            q = (lam + 1.0) / lam * float(np.mean(y ** 2 / (1.0 + y ** 2 / lam)))
-            val += (q - 1.0) / lam
+    def lam_eq(lam, j):
+        mu, sigma = inner(lam, j)
+        y2 = ((_take(X, j) - _col(mu)) / _col(sigma)) ** 2
+        val = (sp.digamma(0.5 * (lam + 1.0)) - sp.digamma(0.5 * lam)
+               - _mean(np.log1p(y2 / _col(lam))))
+        if kn[2]:
+            val += ((lam + 1.0) / lam * _mean(y2 / (1.0 + y2 / _col(lam))) - 1.0) / lam
         return val
 
-    if mask.is_known(fam, "lambda"):
-        lam = mask.value(fam, "lambda")
-        mu, sigma = inner(lam)
-        return (lam, mu, sigma), iters + 1, True
-    lam, it, conv = _scan_root(lam_eq, lo=1e-2)
-    iters += it
-    if lam >= 1e3 * 0.99:
-        conv = False
-    mu, sigma = inner(lam)
-    return (lam, mu, sigma), iters, conv
+    lam, conv = _shape(lam_eq, kn[0], kv[0], iters, lo=1e-2)
+    mu, sigma = inner(lam, np.arange(len(X)))
+    return np.column_stack([lam, mu, sigma]), conv & (lam < 1e3 * 0.99)
 
 
-def _fit_halfepd(fam, x, mask):
-    sigma_known = mask.is_known(fam, "sigma")
+def _halfepd_rows(kn, kv, X, iters):
+    def sigma_hat(lam, Xj):
+        return np.full(len(Xj), kv[1]) if kn[1] else _mean(_pow(Xj, lam)) ** (1.0 / lam)
 
-    def sigma_hat(lam):
-        if sigma_known:
-            return mask.value(fam, "sigma")
-        return float(np.mean(x ** lam)) ** (1.0 / lam)
+    def lam_eq(lam, j):
+        Xj = _take(X, j)
+        w = _pow(Xj / _col(sigma_hat(lam, Xj)), lam)
+        return _epd_c1(lam) - _mean(w * np.log(w)) + (_mean(w) - 1.0 if kn[1] else 0.0)
 
-    def lam_eq(lam):
-        sigma = sigma_hat(lam)
-        w = (x / sigma) ** lam
-        val = _epd_c1(lam) - float(np.mean(w * np.log(w)))
-        if sigma_known:
-            val += float(np.mean(w)) - 1.0
-        return val
-
-    if mask.is_known(fam, "lambda"):
-        lam = mask.value(fam, "lambda")
-        return (lam, sigma_hat(lam)), 1, True
-    lam, iters, conv = _scan_root(lam_eq)
-    return (lam, sigma_hat(lam)), iters, conv
+    lam, conv = _shape(lam_eq, kn[0], kv[0], iters)
+    return np.column_stack([lam, sigma_hat(lam, X)]), conv
 
 
-def _weibull_rho_profile(x):
-    lx = np.log(x)
-    mean_lx = float(np.mean(lx))
+def _weibull_rows(kn, kv, X, iters):
+    lx = np.log(X)
+    if kn[0]:
+        lx -= math.log(kv[0])  # ln(x / beta)
+    top = lx.max(axis=1)
+    D = lx - _col(top)  # exp(rho D) <= 1
+    mean_d = _mean(D)
 
-    def m_ln(rho):
-        return _wmean_exp(lx, rho * lx)
+    def phi(rho, j):
+        Dj = _take(D, j)
+        if kn[0]:  # the rho score at the known scale
+            L = Dj + _col(top[j])
+            return _mean(np.exp(_col(rho) * L) * L) - _mean(L) - 1.0 / rho
+        # beta profiled out: the mean of ln x weighted by x^rho, less its mean
+        w = _col(rho) * Dj
+        np.exp(w, out=w)
+        return np.einsum("ij,ij->i", w, Dj) / np.add.reduce(w, axis=1) - mean_d[j] - 1.0 / rho
 
-    def phi(rho):
-        return m_ln(rho) - mean_lx - 1.0 / rho
-
-    rho0 = math.pi / math.sqrt(6.0) / max(float(np.std(lx)), 1e-12)
-    return phi, rho0
-
-
-def _fit_weibull(fam, x, mask):
-    if mask.n_known:
-        return None
-    phi, rho0 = _weibull_rho_profile(x)
-    rho, iters, conv = _scan_root(phi, scale=rho0, lo=1e-2, hi=1e2)
-    lx = np.log(x)
-    beta = math.exp((float(logsumexp(rho * lx)) - math.log(len(x))) / rho)
-    return (beta, rho), iters, conv
+    rho0 = math.pi / math.sqrt(6.0) / np.maximum(lx.std(axis=1), 1e-12)
+    rho, conv = _shape(phi, kn[1], kv[1], iters, rho0, lo=1e-2, hi=1e2)
+    w = _col(rho) * D
+    np.exp(w, out=w)
+    return np.column_stack([np.exp(top + np.log(_mean(w)) / rho), rho]), conv
 
 
-def _fit_gompertz(fam, x, mask):
-    if mask.n_known:
-        return None
-    xbar = float(np.mean(x))
+def _gompertz_rows(kn, kv, X, iters):
+    xbar = _mean(X)
 
-    def phi(beta):
-        t = beta * x
-        big = float(logsumexp(t)) - math.log(len(x))
-        xt = _wmean_exp(x, t)
+    def phi(beta, j):
+        Xj = _take(X, j)
+        t = _col(beta) * Xj
+        if kn[1]:  # the beta score at the known rho
+            return 1.0 / beta + xbar[j] - kv[1] * _mean(Xj * np.exp(t))
         # rho_hat * mean(x e^(beta x)) with rho_hat = 1/(mean e^(beta x) - 1)
-        return 1.0 / beta + xbar - xt / -math.expm1(-big)
+        return 1.0 / beta + xbar[j] - _wmean_exp(Xj, t) / -np.expm1(-_log_mean_exp(t))
 
-    beta, iters, conv = _scan_root(phi, scale=1.0 / xbar)
-    rho = 1.0 / math.expm1(float(logsumexp(beta * x)) - math.log(len(x)))
-    return (beta, rho), iters, conv
-
-
-def _fit_gamma(fam, x, mask):  # lambda known is a closed form over rows
-    lx = np.log(x)
-    if mask.is_known(fam, "beta"):
-        beta = mask.value(fam, "beta")
-        lam, iters, conv = _solve_digamma(float(np.mean(lx)) - math.log(beta))
-        return (lam, beta), iters, conv
-    s = math.log(float(np.mean(x))) - float(np.mean(lx))
-    lam, iters, conv = _solve_digamma_minus_log(-s)
-    if lam >= _SHAPE_CAP:
-        conv = False
-    return (lam, float(np.mean(x)) / lam), iters, conv
+    beta, conv = _shape(phi, kn[0], kv[0], iters, 1.0 / xbar)
+    return np.column_stack([beta, 1.0 / np.expm1(_log_mean_exp(_col(beta) * X))]), conv
 
 
-def _beta_ml_system(s1, s2, a0, b0):
-    """Newton iterations for psi(a)-psi(a+b)=s1, psi(b)-psi(a+b)=s2."""
-    a, b = max(a0, 1e-3), max(b0, 1e-3)
-    for it in range(1, _MAX_ITER + 1):
-        pab = float(specfun.digamma(a + b))
-        f1 = float(specfun.digamma(a)) - pab - s1
-        f2 = float(specfun.digamma(b)) - pab - s2
-        tab = float(specfun.trigamma(a + b))
-        j11 = float(specfun.trigamma(a)) - tab
-        j22 = float(specfun.trigamma(b)) - tab
-        det = j11 * j22 - tab * tab
-        if det <= 0.0:
-            break
-        da = (-f1 * j22 - f2 * tab) / det
-        db = (-f2 * j11 - f1 * tab) / det
-        step = 1.0
-        while (a + step * da <= 0.0 or b + step * db <= 0.0) and step > 1e-8:
-            step *= 0.5
-        a, b = a + step * da, b + step * db
-        if max(abs(da), abs(db)) <= _STEP_TOL * max(1.0, a, b):
-            return a, b, it, True
-    return a, b, _MAX_ITER, False
+def _lomax_rows(kn, kv, X, iters):
+    def alpha_hat(sigma, Xj):
+        return np.full(len(Xj), kv[0]) if kn[0] else 1.0 / _mean(np.log1p(Xj / _col(sigma)))
+
+    def phi(sigma, j):
+        Xj = _take(X, j)
+        return (1.0 + alpha_hat(sigma, Xj)) * _mean(Xj / (1.0 + Xj / _col(sigma))) - sigma
+
+    sigma, conv = _shape(phi, kn[1], kv[1], iters, _mean(X))
+    return np.column_stack([alpha_hat(sigma, X), sigma]), conv
 
 
-def _fit_beta(fam, x, mask):
-    if mask.n_known:
-        return None
-    m, v = float(np.mean(x)), float(np.var(x))
-    v = max(v, 1e-12)
+def _kumaraswamy_rows(kn, kv, X, iters):
+    n, lx = X.shape[1], np.log(X)
+    sum_lx = lx.sum(axis=1)
+
+    def beta_hat(alpha, Xj):
+        return np.full(len(Xj), kv[1]) if kn[1] else -n / np.log1p(-_pow(Xj, alpha)).sum(axis=1)
+
+    def phi(alpha, j):
+        Xj = _take(X, j)
+        xa = _pow(Xj, alpha)
+        denom = (xa / (1.0 - xa) * _take(lx, j)).sum(axis=1)
+        return 1.0 - beta_hat(alpha, Xj) + (n / alpha + sum_lx[j]) / denom
+
+    alpha, conv = _shape(phi, kn[0], kv[0], iters)
+    return np.column_stack([alpha, beta_hat(alpha, X)]), conv
+
+
+def _gamma_rows(kn, kv, X, iters):  # lambda free; lambda known is a closed form
+    mean_lx, xbar = _mean(np.log(X)), _mean(X)
+    # the lambda score psi(lambda) - ln beta = mean ln x, at the known beta
+    # or with beta = xbar / lambda profiled out
+    target = mean_lx - (math.log(kv[1]) if kn[1] else np.log(xbar))
+    lam, conv = _shape(lambda z, j: sp.digamma(z) - (0.0 if kn[1] else np.log(z)) - target[j],
+                       False, 0.0, iters)
+    return np.column_stack([lam, xbar / lam]), conv & (lam < _SHAPE_CAP)
+
+
+def _nakagami_rows(kn, kv, X, iters):
+    """Nakagami is gamma(lambda, omega / lambda) in x**2: the lambda score
+    psi(lambda) - ln lambda = mean ln x**2 - ln omega + 1 - mean x**2 / omega."""
+    x2 = X ** 2
+    m2 = _mean(x2)
+    omega = np.full(len(X), kv[1]) if kn[1] else m2
+    target = (_mean(np.log(x2)) - np.log(omega)) + (1.0 - m2 / omega)
+    lam, conv = _shape(lambda z, j: sp.digamma(z) - np.log(z) - target[j], kn[0], kv[0], iters)
+    return np.column_stack([lam, omega]), conv & (lam < _SHAPE_CAP)
+
+
+def _beta_rows(kn, kv, X, iters):
+    """Newton's method on psi(a) - psi(a+b) = mean ln x and psi(b) - psi(a+b)
+    = mean ln(1 - x) in the free components, from the moment estimates; each
+    row stops on its own step, and one whose system turns singular where it
+    is, unconverged."""
+    m, v = _mean(X), np.maximum(X.var(axis=1), 1e-12)
     c = m * (1.0 - m) / v - 1.0
-    a0, b0 = max(m * c, 1e-2), max((1.0 - m) * c, 1e-2)
-    a, b, iters, conv = _beta_ml_system(float(np.mean(np.log(x))),
-                                        float(np.mean(np.log1p(-x))), a0, b0)
-    return (a, b), iters, conv
+    a = np.full(len(X), kv[0]) if kn[0] else np.maximum(m * c, 1e-2)
+    b = np.full(len(X), kv[1]) if kn[1] else np.maximum((1.0 - m) * c, 1e-2)
+    s1, s2 = _mean(np.log(X)), _mean(np.log1p(-X))
+    iters += _MAX_ITER
+    conv, live = np.zeros(len(X), dtype=bool), np.arange(len(X))
+    for it in range(1, _MAX_ITER + 1):
+        al, bl = a[live], b[live]
+        pab, tab = sp.digamma(al + bl), sp.polygamma(1, al + bl)
+        f1, f2 = sp.digamma(al) - pab - s1[live], sp.digamma(bl) - pab - s2[live]
+        j11, j22 = sp.polygamma(1, al) - tab, sp.polygamma(1, bl) - tab
+        det = j11 * j22 - tab * tab if not (kn[0] or kn[1]) else (j22 if kn[0] else j11)
+        da = 0.0 * f1 if kn[0] else -f1 / j11 if kn[1] else (-f1 * j22 - f2 * tab) / det
+        db = 0.0 * f2 if kn[1] else -f2 / j22 if kn[0] else (-f2 * j11 - f1 * tab) / det
+        step = np.ones(len(live))
+        while (short := ((al + step * da <= 0.0) | (bl + step * db <= 0.0)) & (step > 1e-8)).any():
+            step[short] *= 0.5
+        ok = det > 0.0
+        a[live], b[live] = np.where(ok, al + step * da, al), np.where(ok, bl + step * db, bl)
+        done = ok & (np.maximum(np.abs(da), np.abs(db))
+                     <= _STEP_TOL * np.maximum(np.maximum(1.0, a[live]), b[live]))
+        iters[live[done]], conv[live[done]] = it, True
+        live = live[ok & ~done]
+        if not live.size:
+            break
+    return np.column_stack([a, b]), conv
 
 
-def _fit_lomax(fam, x, mask):
-    if mask.n_known:
-        return None
-    xbar = float(np.mean(x))
-
-    def alpha_hat(sigma):
-        return 1.0 / float(np.mean(np.log1p(x / sigma)))
-
-    def phi(sigma):
-        return (1.0 + alpha_hat(sigma)) * float(np.mean(x / (1.0 + x / sigma))) - sigma
-
-    sigma, iters, conv = _scan_root(phi, scale=xbar)
-    return (alpha_hat(sigma), sigma), iters, conv
-
-
-def _fit_nakagami(fam, x, mask):
-    if mask.n_known:
-        return None
-    x2 = x ** 2
-    omega = float(np.mean(x2))
-    s = math.log(omega) - float(np.mean(np.log(x2)))
-    lam, iters, conv = _solve_digamma_minus_log(-s)
-    if lam >= _SHAPE_CAP:
-        conv = False
-    return (lam, omega), iters, conv
-
-
-def _fit_invgauss(fam, x, mask):
-    mu_known = mask.is_known(fam, "mu")
-    mu = mask.value(fam, "mu") if mu_known else float(np.mean(x))
-    if mask.is_known(fam, "lambda"):
-        lam = mask.value(fam, "lambda")
-    else:
-        xbar = float(np.mean(x))
-        denom = float(np.mean(1.0 / x)) - (2.0 - xbar / mu) / mu
-        if denom <= 0.0:
-            raise EstimationError("inverse-Gaussian precision estimate is not positive",
-                                  residual=denom)
-        lam = 1.0 / denom
-    return (mu, lam), 1, True
-
-
-def _fit_kumaraswamy(fam, x, mask):
-    if mask.n_known:
-        return None
-    lx = np.log(x)
-    sum_lx = float(np.sum(lx))
-    n = len(x)
-
-    def beta_hat(alpha):
-        return -n / float(np.sum(np.log1p(-x ** alpha)))
-
-    def phi(alpha):
-        xa = x ** alpha
-        denom = float(np.sum(xa / (1.0 - xa) * lx))
-        return 1.0 - beta_hat(alpha) + (n / alpha + sum_lx) / denom
-
-    alpha, iters, conv = _scan_root(phi)
-    return (alpha, beta_hat(alpha)), iters, conv
-
-
-_FITTERS = {
-    "epd": _fit_epd,
-    "exp-gamma": _fit_expgamma,
-    "logistic": _fit_logistic,
-    "student-t": _fit_student,
-    "half-epd": _fit_halfepd,
-    "weibull": _fit_weibull,
-    "gompertz": _fit_gompertz,
-    "gamma": _fit_gamma,
-    "lomax": _fit_lomax,
-    "nakagami": _fit_nakagami,
-    "inverse-gaussian": _fit_invgauss,
-    "beta": _fit_beta,
-    "kumaraswamy": _fit_kumaraswamy,
+_ML_PROFILES = {
+    "epd": _epd_rows, "exp-gamma": _expgamma_rows, "logistic": _logistic_rows,
+    "student-t": _student_rows, "half-epd": _halfepd_rows, "weibull": _weibull_rows,
+    "gompertz": _gompertz_rows, "gamma": _gamma_rows, "lomax": _lomax_rows,
+    "nakagami": _nakagami_rows, "beta": _beta_rows, "kumaraswamy": _kumaraswamy_rows,
 }
 
 
@@ -607,7 +642,7 @@ def _known_rows(mask: KnownMask, rows: int) -> np.ndarray:
 def _deviation(stat: str, X, loc) -> np.ndarray:
     """Mean squared ("msd") or absolute ("mad") deviation of each row about loc."""
     d = X - loc[:, None]
-    return (d ** 2).mean(axis=1) if stat == "msd" else np.abs(d).mean(axis=1)
+    return _mean(d ** 2) if stat == "msd" else _mean(np.abs(d))
 
 
 def _mm_rows(fam: Family, mask: KnownMask, X) -> np.ndarray:
@@ -615,7 +650,7 @@ def _mm_rows(fam: Family, mask: KnownMask, X) -> np.ndarray:
     eq, p = fam.mm, fam.n_params
     theta = _known_rows(mask, len(X))
     num, den = eq.unit(*(mask.value(fam, g) for g in eq.given))
-    stat = X.mean(axis=1)
+    stat = _mean(X)
     if eq.stat != "mean":
         if not mask.known[p - 2]:
             theta[:, p - 2] = stat
@@ -652,13 +687,20 @@ def _columns(exprs, mask: KnownMask, X) -> np.ndarray:
 
 # ML estimators as column expressions; None where a column has no closed form
 _ML_ROWS = {
-    "normal": (lambda X, t: X.mean(axis=1),
+    "normal": (lambda X, t: _mean(X),
                lambda X, t: np.sqrt(_deviation("msd", X, t[:, 0]))),
     "laplace": (lambda X, t: np.median(X, axis=1),
-                lambda X, t: np.abs(X - t[:, :1]).mean(axis=1)),
+                lambda X, t: _mean(np.abs(X - t[:, :1]))),
     "uniform": (lambda X, t: X.min(axis=1), lambda X, t: X.max(axis=1)),
-    "gamma": (None, lambda X, t: X.mean(axis=1) / t[:, 0]),
+    "gamma": (None, lambda X, t: _mean(X) / t[:, 0]),
+    "inverse-gaussian": (lambda X, t: _mean(X), lambda X, t: _ig_lambda(X, t[:, 0])),
 }
+
+
+def _ig_lambda(X, mu):
+    """The inverse-Gaussian precision ML estimate at mu; NaN where it is not positive."""
+    lam = 1.0 / (_mean(1.0 / X) - (2.0 - _mean(X) / mu) / mu)
+    return np.where(lam > 0.0, lam, np.nan)
 
 
 def base_mask(d: Derived, mask: Optional[KnownMask]) -> KnownMask:
@@ -670,37 +712,43 @@ def base_mask(d: Derived, mask: Optional[KnownMask]) -> KnownMask:
     return KnownMask.from_names(d.base, d.base_values(mask.fixed_values, mask.known))
 
 
-def rows_estimator(fam, kind, mask: KnownMask, kernel=None):
-    """The estimator of a (family, estimator, mask) row as a map from sample
-    rows X to theta rows, or None where it has none.
+def _closed(theta_rows):
+    """A closed-form estimator: one iteration, converged, on every row."""
+    return lambda X: (theta_rows(X), np.ones(len(X), dtype=int), np.ones(len(X), dtype=bool))
 
-    Every MM row has one, and so have the ML rows that ``_ML_ROWS`` covers,
-    and a derived family's rows whose base row has one.  ``kernel(fam, mask)``
-    may supply an iterative ML estimator over rows where a family has no
-    closed form.  Rows that ``rejected_rows`` flags must be screened out first.
+
+def rows_estimator(fam, kind, mask: KnownMask):
+    """The estimator of a (family, estimator, mask) row as a map from sample
+    rows X to (theta rows, iterations, converged), or None where it has none
+    (an MM row the family does not declare, or whose required shapes are
+    free).  A row whose fit fails has NaN theta.  Rows that ``rejected_rows``
+    flags must be screened out first.
     """
     d = fam.through(kind)
     exprs = _ML_ROWS.get(fam.name)
-    est = None
     if d is not None:
-        base_rows = rows_estimator(d.base, kind, base_mask(d, mask), kernel)
-        if base_rows is not None:
-            est = lambda X: d.from_base(base_rows(d.data.to(X)))  # noqa: E731
+        base_rows = rows_estimator(d.base, kind, base_mask(d, mask))
+        if base_rows is None:
+            return None
+        est = lambda X: (lambda t, i, c: (d.from_base(t), i, c))(*base_rows(d.data.to(X)))  # noqa: E731
     elif kind is EstimatorKind.MM:
-        if fam.has_mm and all(mask.is_known(fam, g) for g in fam.mm_known):
-            est = lambda X: _mm_rows(fam, mask, X)  # noqa: E731
+        if not (fam.has_mm and all(mask.is_known(fam, g) for g in fam.mm_known)):
+            return None
+        est = _closed(lambda X: _mm_rows(fam, mask, X))
     elif exprs is not None and all(k or e is not None for k, e in zip(mask.known, exprs)):
-        est = lambda X: _columns(exprs, mask, X)  # noqa: E731
-    elif kernel is not None:
-        est = kernel(fam, mask)
-    if est is None:
-        return None
+        est = _closed(lambda X: _columns(exprs, mask, X))
+    else:
+        def est(X):
+            iters = np.zeros(len(X), dtype=int)
+            theta, converged = _ML_PROFILES[fam.name](mask.known, mask.fixed_values, X, iters)
+            return theta, iters, converged
     known = list(mask.known)
 
     def rows(X):
-        theta = est(X)
+        with np.errstate(all="ignore"):
+            theta, iterations, converged = est(X)
         theta[:, known] = np.asarray(mask.fixed_values)[known]
-        return theta
+        return theta, np.maximum(iterations, 1), converged
     return rows
 
 
@@ -714,56 +762,6 @@ def rejected_rows(fam: Family, mask: KnownMask, X):
         outside = np.any((X <= lo) | (X >= hi), axis=1)
     spread = fam.n_params > 1 and mask.n_known < fam.n_params
     return outside, spread & (np.ptp(X, axis=1) == 0.0)
-
-
-# ---------------------------------------------------------------------------
-# generic masked likelihood maximization (fallback)
-# ---------------------------------------------------------------------------
-
-def _dedicated(fam: Family, x, mask: KnownMask):
-    """The family's ML fitter, through its base if it is derived: (theta,
-    iterations, converged), or None where there is none for the mask."""
-    d = fam.through(EstimatorKind.ML)
-    if d is None:
-        fitter = _FITTERS.get(fam.name)
-        return None if fitter is None else fitter(fam, x, mask)
-    out = _dedicated(d.base, d.data.to(x), base_mask(d, mask))
-    return None if out is None else (tuple(d.from_base(out[0])),) + out[1:]
-
-
-def _generic_ml(fam: Family, x, mask: KnownMask):
-    """Nelder-Mead on the family's own density, from its all-free fit."""
-    free = [i for i, k in enumerate(mask.known) if not k]
-    try:
-        out = _dedicated(fam, x, KnownMask.none(fam.n_params))
-    except (EstimationError, DomainError):
-        out = None
-    start = list(out[0]) if out is not None else [1.0] * fam.n_params
-    for i, k in enumerate(mask.known):
-        if k:
-            start[i] = mask.fixed_values[i]
-    # positive components are searched on the log scale
-    logflag = [i in getattr(fam.check, "positive", ()) for i in range(fam.n_params)]
-
-    def unpack(z):
-        theta = list(start)
-        for j, i in enumerate(free):
-            theta[i] = math.exp(z[j]) if logflag[i] else z[j]
-        return tuple(theta)
-
-    def nll(z):
-        theta = unpack(z)
-        try:
-            fam.check(theta)
-            return -float(np.sum(fam.logpdf(theta, x)))
-        except (DomainError, FloatingPointError):
-            return math.inf
-
-    z0 = np.array([math.log(start[i]) if logflag[i] else start[i] for i in free])
-    res = opt.minimize(nll, z0, method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-12, "maxiter": 20000})
-    theta = unpack(res.x)
-    return theta, int(res.nit), bool(res.success)
 
 
 # ---------------------------------------------------------------------------
@@ -791,12 +789,12 @@ def _residual(fam: Family, theta, x, mask: KnownMask, kind: EstimatorKind) -> fl
 
 
 def fit(fam, kind, mask: Optional[KnownMask], x) -> FitResult:
-    """Fit the family's nuisance parameters on the sample.
+    """Fit the family's nuisance parameters on the sample: ``rows_estimator``
+    on it as a single row, with its checks and residual.
 
-    Raises EstimationError when an implicit solver cannot locate a root
-    (the returned residual is attached), DegenerateSampleError for samples
-    without usable spread, and ConfigurationError for unsupported
-    (family, estimator, mask) combinations.
+    Raises EstimationError when the estimating equations have no finite
+    solution, DegenerateSampleError for samples without usable spread, and
+    ConfigurationError for unsupported (family, estimator, mask) combinations.
     """
     fam = get_family(fam)
     kind = EstimatorKind(kind)
@@ -828,20 +826,14 @@ def fit(fam, kind, mask: Optional[KnownMask], x) -> FitResult:
         fam.check(tuple(theta))
         return FitResult(theta, 0, True, 0.0)
 
-    rows = rows_estimator(fam, kind, mask)
-    if rows is not None:
-        theta, iterations, converged = rows(x[None, :])[0], 1, True
-    else:
-        out = _dedicated(fam, x, mask)
-        theta, iterations, converged = out if out is not None else _generic_ml(fam, x, mask)
-    theta = np.asarray(theta, dtype=float)
-    # known components are returned bit-identical
-    for i, k in enumerate(mask.known):
-        if k:
-            theta[i] = mask.fixed_values[i]
+    thetas, iterations, converged = rows_estimator(fam, kind, mask)(x[None, :])
+    theta = thetas[0]
+    if not np.all(np.isfinite(theta)):
+        raise EstimationError(f"the {fam.name} {kind.value} estimating equations have no "
+                              "finite solution on this sample")
     fam.check(tuple(theta))
     resid = _residual(fam, theta, x, mask, kind)
     # ML contract: |sum_i score| <= 1e-8 n, i.e. the mean score <= 1e-8
-    if kind is EstimatorKind.ML and resid > _SCORE_TOL * max(1.0, float(np.max(np.abs(x)))):
-        converged = False
-    return FitResult(theta, iterations, bool(converged), resid)
+    converged = bool(converged[0]) and not (
+        kind is EstimatorKind.ML and resid > _SCORE_TOL * max(1.0, float(np.max(np.abs(x)))))
+    return FitResult(theta, int(iterations[0]), converged, resid)

@@ -3,12 +3,12 @@
 Each family carries its parameter names (in canonical order), parameter-space
 validation, support, density, CDF, quantile, per-observation score function,
 and an inverse-CDF sampler.  Families are looked up by lowercase hyphenated
-name, e.g. ``get_family("inverse-gaussian")``.  Every ``cdf_fn``,
-``quantile_fn`` and ``score_fn`` broadcasts over theta components given as
-columns of shape (rows, 1) (the score then has shape (p, rows, n)), which is
-how the batch PIT and the scaling matrices evaluate a block of fitted rows in
-one call; ``logpdf`` takes a single theta.  Every quantile is a closed form
-but the inverse Gaussian's, a safeguarded Newton iteration on its CDF.  The
+name, e.g. ``get_family("inverse-gaussian")``.  Every ``logpdf``,
+``cdf_fn``, ``quantile_fn`` and ``score_fn`` broadcasts over theta components
+given as columns of shape (rows, 1) (the score then has shape (p, rows, n)),
+which is how the batch PIT and the scaling matrices evaluate a block of
+fitted rows in one call.  Every quantile is a closed form but the inverse
+Gaussian's, a safeguarded Newton iteration on its CDF.  The
 symmetric families read each side of their quantile from its own tail
 probability 2 min(u, 1 - u), so neither tail passes through a rounded 1 - u;
 ``Family.node`` (see "Nodes of the rule") does the same, and keeps the
@@ -122,17 +122,10 @@ ComponentMap = namedtuple("ComponentMap", "to back slope")
 Transform = namedtuple("Transform", "to back sign log_slope")
 
 
-def _scalar_or_rows(scalar, rows):
-    # math on a scalar theta and numpy on theta rows: numpy's exp does not
-    # round as libm's does, and a scalar fit keeps libm's rounding
-    return lambda v: scalar(v) if np.ndim(v) == 0 else rows(v)
-
-
 _MAPS = {
     "same": ComponentMap(lambda t: t, lambda u: u, lambda t: 1.0),
     "neg": ComponentMap(lambda t: -t, lambda u: -u, lambda t: -1.0),
-    "log": ComponentMap(_scalar_or_rows(math.log, np.log), _scalar_or_rows(math.exp, np.exp),
-                        lambda t: 1.0 / t),
+    "log": ComponentMap(np.log, np.exp, lambda t: 1.0 / t),
     "inv": ComponentMap(lambda t: 1.0 / t, lambda u: 1.0 / u, lambda t: -1.0 / t ** 2),
     "half": ComponentMap(lambda t: 0.5 * t, lambda u: 2.0 * u, lambda t: 0.5),
     "2sq": ComponentMap(lambda t: 2.0 * t ** 2, lambda u: np.sqrt(0.5 * u), lambda t: 4.0 * t),
@@ -348,7 +341,6 @@ def _pos(*idx):
         for i in idx:
             if t[i] <= 0.0:
                 raise DomainError(f"parameter {i} must be > 0, got {t[i]}")
-    check.positive = idx  # searched on the log scale by estimate._generic_ml
     return check
 
 
@@ -368,13 +360,13 @@ _UNIT = lambda t: (0.0, 1.0)
 
 def _epd_lognorm(lam):
     # log of 2*lam^(1/lam-1)*Gamma(1/lam)
-    return math.log(2.0) + (1.0 / lam - 1.0) * math.log(lam) + float(specfun.ln_gamma(1.0 / lam))
+    return math.log(2.0) + (1.0 / lam - 1.0) * np.log(lam) + specfun.ln_gamma(1.0 / lam)
 
 
 def _epd_logpdf(t, x):
     lam, mu, sigma = t
     y = np.abs(x - mu) / sigma
-    return -np.power(y, lam) / lam - math.log(sigma) - _epd_lognorm(lam)
+    return -np.power(y, lam) / lam - np.log(sigma) - _epd_lognorm(lam)
 
 
 def _epd_cdf(t, x):
@@ -384,16 +376,17 @@ def _epd_cdf(t, x):
     return 0.5 * (1.0 + np.sign(y) * g)
 
 
-def _gamma_upper_inv(a, p, c):
-    """g with P(G > g) = p and P(G < g) = c = 1 - p for G ~ gamma(a).  Below
-    p = 1e-4 it inverts p itself; above, c, which holds g at the centre and
-    costs a third of what inverting p does (given as 1 - p, its rounding moves
-    g by under 1e-14 there)."""
-    g = np.asarray(sp.gammaincinv(a, c), dtype=float)
-    tail = p < 1e-4
-    if tail.any():
-        a, p, tail = np.broadcast_arrays(a, p, tail)
-        g[tail] = sp.gammainccinv(a[tail], p[tail])
+def _from_tail_or_centre(central, upper, params, p, c, tail):
+    """A function of the probability beyond a point: central(*params, c) from
+    the central probability c = 1 - p, and upper(*params, p) from the tail
+    probability p itself where ``tail``, on the points where c would round."""
+    shape = np.broadcast_shapes(*map(np.shape, params), np.shape(p))
+    p, c, tail = (np.broadcast_to(v, shape) for v in (p, c, tail))
+    g = np.empty(shape)
+    for sel, f, prob in ((~tail, central, c), (tail, upper, p)):
+        if sel.any():
+            g[sel] = f(*(np.broadcast_to(v, shape)[sel] if np.ndim(v) else v for v in params),
+                       prob[sel])
     return g
 
 
@@ -401,19 +394,14 @@ def _epd_offset(t, p, c):
     """The distance |x - mu| of the EPD points whose two-sided tail probability
     P(|X - mu| > |x - mu|) is p and central probability c = 1 - p."""
     lam, mu, sigma = t
-    return sigma * np.power(lam * _gamma_upper_inv(1.0 / lam, p, c), 1.0 / lam)
+    # inverting c holds the centre and costs a third of what inverting p does;
+    # above p = 1e-4 its rounding as 1 - p moves |x - mu| by under 1e-14
+    g = _from_tail_or_centre(sp.gammaincinv, sp.gammainccinv, (1.0 / lam,), p, c, p < 1e-4)
+    return sigma * np.power(lam * g, 1.0 / lam)
 
 
 def _epd_c1(lam):
-    """c1 = psi(1/lam + 1) + ln lam at a scalar lam, for the fits.
-    ``_epd_c1_rows`` is the same over theta rows, for the score.  They are
-    kept apart because numpy's log and libm's differ in the last bit at about
-    one argument in 2,000, and the fits keep libm's, so that seeded results
-    stay as they are."""
-    return float(specfun.digamma(1.0 / lam + 1.0)) + math.log(lam)
-
-
-def _epd_c1_rows(lam):
+    """c1 = psi(1/lam + 1) + ln lam, at a scalar lam or over theta rows."""
     return specfun.digamma(1.0 / lam + 1.0) + np.log(lam)
 
 
@@ -429,7 +417,7 @@ def _epd_score(t, x):
     w = np.power(ay, lam)
     with np.errstate(divide="ignore", invalid="ignore"):
         wlogw = np.where(ay > 0.0, w * lam * np.log(ay), 0.0)
-    s_lam = (w - wlogw + _epd_c1_rows(lam) - 1.0) / lam ** 2
+    s_lam = (w - wlogw + _epd_c1(lam) - 1.0) / lam ** 2
     s_mu = np.power(ay, lam - 1.0) * np.sign(y) / sigma
     s_sigma = (w - 1.0) / sigma
     return np.stack([s_lam, s_mu, s_sigma])
@@ -454,7 +442,7 @@ _register(Family(
     param_names=("mu", "sigma"),
     check=_pos(1),
     support=_REAL,
-    logpdf=lambda t, x: -np.abs(x - t[0]) / t[1] - math.log(2.0 * t[1]),
+    logpdf=lambda t, x: -np.abs(x - t[0]) / t[1] - np.log(2.0 * t[1]),
     cdf_fn=lambda t, x: (lambda y: 0.5 * (1.0 + np.sign(y) * -np.expm1(-np.abs(y))))(
         (x - t[0]) / t[1]),
     quantile_fn=lambda t, u: np.where(
@@ -470,7 +458,7 @@ _register(Family(
     param_names=("mu", "sigma"),
     check=_pos(1),
     support=_REAL,
-    logpdf=lambda t, x: -0.5 * ((x - t[0]) / t[1]) ** 2 - math.log(
+    logpdf=lambda t, x: -0.5 * ((x - t[0]) / t[1]) ** 2 - np.log(
         t[1] * math.sqrt(2.0 * math.pi)),
     cdf_fn=lambda t, x: specfun.std_normal_cdf((x - t[0]) / t[1]),
     quantile_fn=lambda t, u: t[0] + t[1] * sp.ndtri(u),
@@ -489,7 +477,7 @@ _register(Family(
 def _expgamma_logpdf(t, x):
     lam, mu, sigma = t
     y = (x - mu) / sigma
-    return lam * y - np.exp(y) - math.log(sigma) - float(specfun.ln_gamma(lam))
+    return lam * y - np.exp(y) - np.log(sigma) - specfun.ln_gamma(lam)
 
 
 def _expgamma_score(t, x):
@@ -542,7 +530,7 @@ _register(Family(
     param_names=("mu", "sigma"),
     check=_pos(1),
     support=_REAL,
-    logpdf=lambda t, x: (lambda y: -y - 2.0 * np.log1p(np.exp(-y)) - math.log(t[1]))(
+    logpdf=lambda t, x: (lambda y: -y - 2.0 * np.log1p(np.exp(-y)) - np.log(t[1]))(
         (x - t[0]) / t[1]),
     cdf_fn=lambda t, x: sp.expit((x - t[0]) / t[1]),
     quantile_fn=lambda t, u: t[0] + t[1] * (np.log(u) - np.log1p(-u)),
@@ -557,9 +545,9 @@ _register(Family(
 def _student_logpdf(t, x):
     lam, mu, sigma = t
     y = (x - mu) / sigma
-    lnc = (float(specfun.ln_gamma((lam + 1.0) / 2.0)) - float(specfun.ln_gamma(lam / 2.0))
-           - 0.5 * math.log(lam * math.pi))
-    return lnc - math.log(sigma) - 0.5 * (lam + 1.0) * np.log1p(y ** 2 / lam)
+    lnc = (specfun.ln_gamma((lam + 1.0) / 2.0) - specfun.ln_gamma(lam / 2.0)
+           - 0.5 * np.log(lam * math.pi))
+    return lnc - np.log(sigma) - 0.5 * (lam + 1.0) * np.log1p(y ** 2 / lam)
 
 
 def _student_cdf(t, x):
@@ -573,11 +561,15 @@ def _student_cdf(t, x):
 
 def _student_offset(t, p, c):
     """The distance |x - mu| of the Student-t points whose two-sided tail
-    probability P(|X - mu| > |x - mu|) = I_w(lam/2, 1/2) is p.  The score is
-    smooth at mu, so the central probability c is not read."""
+    probability P(|X - mu| > |x - mu|) = I_w(lam/2, 1/2) is p and central
+    probability I_(1-w)(1/2, lam/2) is c = 1 - p, w = lam / (lam + y^2):
+    y^2 / lam = (1 - w) / w, read from c where w >= 1/2 (|y| <= sqrt(lam))
+    and from p beyond, where 1 - w would round."""
     lam, mu, sigma = t
-    w = sp.betaincinv(lam / 2.0, 0.5, p)
-    return sigma * np.sqrt(np.maximum(lam * (1.0 / w - 1.0), 0.0))
+    r = _from_tail_or_centre(lambda a, c: (lambda v: v / (1.0 - v))(sp.betaincinv(0.5, a, c)),
+                             lambda a, p: 1.0 / sp.betaincinv(a, 0.5, p) - 1.0,
+                             (lam / 2.0,), p, c, p < sp.betainc(lam / 2.0, 0.5, 0.5))
+    return sigma * np.sqrt(lam * r)
 
 
 def _student_c2(lam):
@@ -635,7 +627,7 @@ for _base in map(_REGISTRY.get, ("epd", "laplace", "normal")):
 def _halfepd_logpdf(t, x):
     lam, sigma = t
     w = x / sigma
-    return -np.power(w, lam) / lam - math.log(sigma) - (_epd_lognorm(lam) - math.log(2.0))
+    return -np.power(w, lam) / lam - np.log(sigma) - (_epd_lognorm(lam) - math.log(2.0))
 
 
 def _halfepd_c2(lam):
@@ -649,7 +641,7 @@ def _halfepd_score(t, x):
     wl = np.power(w, lam)
     logwl = lam * np.log(w)
     return np.stack([
-        (wl - wl * logwl + _epd_c1_rows(lam) - 1.0) / lam ** 2,
+        (wl - wl * logwl + _epd_c1(lam) - 1.0) / lam ** 2,
         (wl - 1.0) / sigma])
 
 
@@ -700,7 +692,7 @@ _register(Family(
     param_names=("beta", "rho"),
     check=_pos(0, 1),
     support=_POSLINE,
-    logpdf=lambda t, x: math.log(t[0] * t[1]) + t[1] + t[0] * x - t[1] * np.exp(t[0] * x),
+    logpdf=lambda t, x: np.log(t[0] * t[1]) + t[1] + t[0] * x - t[1] * np.exp(t[0] * x),
     cdf_fn=lambda t, x: -np.expm1(-t[1] * np.expm1(t[0] * x)),
     quantile_fn=lambda t, u: np.log1p(-np.log1p(-u) / t[1]) / t[0],
     score_fn=lambda t, x: (lambda e: np.stack([
@@ -728,7 +720,7 @@ _register(Family(
     check=_pos(0, 1),
     support=_POSLINE,
     logpdf=lambda t, x: ((t[0] - 1.0) * np.log(x) - x / t[1]
-                         - float(specfun.ln_gamma(t[0])) - t[0] * math.log(t[1])),
+                         - specfun.ln_gamma(t[0]) - t[0] * np.log(t[1])),
     cdf_fn=lambda t, x: specfun.reg_gamma_cdf(t[0], t[1], x),
     quantile_fn=lambda t, u: t[1] * sp.gammaincinv(t[0], u),
     score_fn=lambda t, x: np.stack([
@@ -751,7 +743,7 @@ _register(Family(
     param_names=("alpha", "sigma"),
     check=_pos(0, 1),
     support=_POSLINE,
-    logpdf=lambda t, x: math.log(t[0] / t[1]) - (t[0] + 1.0) * np.log1p(x / t[1]),
+    logpdf=lambda t, x: np.log(t[0] / t[1]) - (t[0] + 1.0) * np.log1p(x / t[1]),
     cdf_fn=lambda t, x: -np.expm1(-t[0] * np.log1p(x / t[1])),
     quantile_fn=lambda t, u: t[1] * np.expm1(-np.log1p(-u) / t[0]),
     score_fn=lambda t, x: (lambda w: np.stack([
@@ -765,8 +757,8 @@ _register(Family(
     param_names=("lambda", "omega"),
     check=_pos(0, 1),
     support=_POSLINE,
-    logpdf=lambda t, x: (math.log(2.0) - float(specfun.ln_gamma(t[0]))
-                         + t[0] * math.log(t[0] / t[1]) + (2.0 * t[0] - 1.0) * np.log(x)
+    logpdf=lambda t, x: (math.log(2.0) - specfun.ln_gamma(t[0])
+                         + t[0] * np.log(t[0] / t[1]) + (2.0 * t[0] - 1.0) * np.log(x)
                          - t[0] * x ** 2 / t[1]),
     cdf_fn=lambda t, x: specfun.reg_gamma_cdf(t[0], 1.0, t[0] * x ** 2 / t[1]),
     quantile_fn=lambda t, u: np.sqrt(t[1] * sp.gammaincinv(t[0], u) / t[0]),
@@ -928,7 +920,7 @@ _register(Family(
 
 def _beta_logpdf(t, x):
     a, b = t
-    lnB = float(specfun.ln_gamma(a) + specfun.ln_gamma(b) - specfun.ln_gamma(a + b))
+    lnB = specfun.ln_gamma(a) + specfun.ln_gamma(b) - specfun.ln_gamma(a + b)
     return (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - lnB
 
 
@@ -985,8 +977,10 @@ _register(Family(
     param_names=("alpha", "beta"),
     check=_pos(0, 1),
     support=_UNIT,
-    logpdf=lambda t, x: (math.log(t[0] * t[1]) + (t[0] - 1.0) * np.log(x)
-                         + (t[1] - 1.0) * np.log1p(-np.power(x, t[0]))),
+    # x**alpha as exp(alpha ln x), as the score has it: numpy's power rounds
+    # a per-row exponent of 2 apart from a scalar one
+    logpdf=lambda t, x: (np.log(t[0] * t[1]) + (t[0] - 1.0) * np.log(x)
+                         + (t[1] - 1.0) * np.log(-np.expm1(t[0] * np.log(x)))),
     cdf_fn=lambda t, x: -np.expm1(t[1] * np.log1p(-np.power(x, t[0]))),
     quantile_fn=lambda t, u: np.power(-np.expm1(np.log1p(-u) / t[1]), 1.0 / t[0]),
     score_fn=lambda t, x: (lambda alx: _kumaraswamy_score(
@@ -1000,7 +994,7 @@ _register(Family(
     param_names=("a", "b"),
     check=_check_uniform,
     support=lambda t: (t[0], t[1]),
-    logpdf=lambda t, x: np.full_like(x, -math.log(t[1] - t[0])),
+    logpdf=lambda t, x: np.zeros_like(x) - np.log(t[1] - t[0]),
     cdf_fn=lambda t, x: (x - t[0]) / (t[1] - t[0]),
     quantile_fn=lambda t, u: t[0] + (t[1] - t[0]) * u,
     score_fn=None,

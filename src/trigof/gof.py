@@ -104,8 +104,7 @@ def run_test(fam, kind=EstimatorKind.ML, mask: Optional[KnownMask] = None, x=Non
     ``mc`` may carry {"reps": int, "seed": int} to add a parametric-bootstrap
     p-value: each replication draws n points from the fitted model, refits
     with the same estimator and mask, and recomputes the statistic, through
-    ``replicate``.  Refits use the batch kernels where the (family,
-    estimator, mask) row has them, the scalar pipeline otherwise.
+    ``replicate``, which refits blocks of replications at once.
     Replications whose refit fails are skipped and counted; more than 1%
     failures (and more than one) aborts with EstimationError.
     """
@@ -137,12 +136,11 @@ def run_test(fam, kind=EstimatorKind.ML, mask: Optional[KnownMask] = None, x=Non
                       p_mc, reps, exceed, failed)
 
 
-def _block_tn(fam, kind, mask, block, batch: bool) -> np.ndarray:
-    if batch:
-        try:
-            return _batch.batch_tn(fam, kind, mask, np.stack(block))
-        except REPLICATION_FAILURES:
-            pass  # redo the block one sample at a time to isolate the failures
+def _block_tn(fam, kind, mask, block) -> np.ndarray:
+    try:
+        return _batch.batch_tn(fam, kind, mask, np.stack(block))
+    except REPLICATION_FAILURES:
+        pass  # redo the block one sample at a time to isolate the failures
     tn = np.empty(len(block))
     for j, x in enumerate(block):
         try:
@@ -156,9 +154,9 @@ def replicate(fam, kind, mask: Optional[KnownMask], sample, indices,
               max_failed: Optional[float] = None) -> np.ndarray:
     """T_n of the refitted sample ``sample(r)`` for each r in ``indices``.
 
-    Blocks of samples go through the batch kernels where ``_batch.supports``
-    the row, through the scalar pipeline one at a time otherwise (or when a
-    block raises).  A replication whose fit, Sigma or statistic raises one of
+    Blocks of samples (at most 256 rows and 2**18 values) are fitted and
+    tested at once by ``_batch.batch_tn``; a block that raises is redone one
+    sample at a time to isolate the failures.  A replication whose fit, Sigma or statistic raises one of
     ``REPLICATION_FAILURES``, or whose T_n is not finite, fails and reads
     NaN; errors from ``sample`` propagate.  More than ``max_failed``
     failures abort with EstimationError.
@@ -166,15 +164,14 @@ def replicate(fam, kind, mask: Optional[KnownMask], sample, indices,
     fam = families.get_family(fam)
     kind = EstimatorKind(kind)
     indices = list(indices)
-    batch = _batch.supports(fam, kind, mask)
     tn = np.empty(len(indices))
     done = failed = 0
     while done < len(indices):
         block = [sample(indices[done])]
-        rows = min(256, max(1, 2 ** 18 // len(block[0]))) if batch else 1  # <= 2**18 values
+        rows = min(256, max(1, 2 ** 18 // len(block[0])))
         stop = min(done + rows, len(indices))
         block += [sample(r) for r in indices[done + 1:stop]]
-        tn_b = _block_tn(fam, kind, mask, block, batch)
+        tn_b = _block_tn(fam, kind, mask, block)
         tn_b[~np.isfinite(tn_b)] = np.nan
         tn[done:stop] = tn_b
         failed += int(np.count_nonzero(np.isnan(tn_b)))

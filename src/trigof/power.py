@@ -157,8 +157,8 @@ def empirical_power(alt: LocalAlternative, n: int, reps: int, seed: int) -> dict
     """Finite-n rejection rate sampling from the drifted alternative.
 
     The drift is applied exactly as delta / sqrt(n).  Every replication is
-    tested through ``gof.replicate`` (batch kernels where the null row has
-    them).  Returns the rate, its binomial standard error, and the
+    tested through ``gof.replicate``, a block of replications at a time.
+    Returns the rate, its binomial standard error, and the
     failed-fit count.
     """
     fam, kind, mask = _null_test_config(alt)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,3 +70,13 @@ class TestMatricesVerify:
         path.write_text(json.dumps(stored))
         assert cli.main(["matrices", "--verify", str(path)]) == 2
         assert json.loads(capsys.readouterr().out)["matches_stored"] is False
+
+
+def test_importing_the_cli_leaves_scipy_optimize_out():
+    # every fit runs on the package's own root solver over rows
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", "import sys, trigof.cli; "
+                          "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -11,6 +11,7 @@ from trigof import families as F
 from trigof import scaling, specfun
 from trigof.estimate import KnownMask, fit
 from conftest import FAMILY_THETAS, MM_REQUIRED_KNOWN
+import former_estimate as FE
 from former_scaling import h as _h, logistic_constants
 
 _EG = specfun.EULER_GAMMA
@@ -238,9 +239,9 @@ def _former_fit_expweibull(fam, x, mask):
     xbar = float(np.mean(x))
 
     def phi(sigma):
-        return E._wmean_exp(x, x / sigma) - xbar - sigma
+        return FE._wmean_exp(x, x / sigma) - xbar - sigma
 
-    sigma, iters, conv = E._scan_root(phi, scale=float(np.std(x)))
+    sigma, iters, conv = FE._scan_root(phi, scale=float(np.std(x)))
     return (sigma * (float(logsumexp(x / sigma)) - math.log(n)), sigma), iters, conv
 
 
@@ -251,16 +252,16 @@ def _former_fit_gumbel(fam, x, mask):
     xbar = float(np.mean(x))
 
     def phi(sigma):
-        return xbar - E._wmean_exp(x, -x / sigma) - sigma
+        return xbar - FE._wmean_exp(x, -x / sigma) - sigma
 
-    sigma, iters, conv = E._scan_root(phi, scale=float(np.std(x)))
+    sigma, iters, conv = FE._scan_root(phi, scale=float(np.std(x)))
     return (-sigma * (float(logsumexp(-x / sigma)) - math.log(n)), sigma), iters, conv
 
 
 def _former_fit_gg(fam, x, mask):
     if mask.n_known:
         return None
-    (lam, mu, sigma), iters, conv = E._fit_expgamma(F.get_family("exp-gamma"), np.log(x),
+    (lam, mu, sigma), iters, conv = FE._fit_expgamma(F.get_family("exp-gamma"), np.log(x),
                                                     KnownMask.none(3))
     return (lam, math.exp(mu), 1.0 / sigma), iters, conv
 
@@ -268,7 +269,7 @@ def _former_fit_gg(fam, x, mask):
 def _former_fit_loglogistic(fam, x, mask):
     if mask.n_known:
         return None
-    (mu, sigma), iters, conv = E._fit_logistic(F.get_family("logistic"), np.log(x),
+    (mu, sigma), iters, conv = FE._fit_logistic(F.get_family("logistic"), np.log(x),
                                                KnownMask.none(2))
     return (math.exp(mu), 1.0 / sigma), iters, conv
 
@@ -276,7 +277,7 @@ def _former_fit_loglogistic(fam, x, mask):
 def _former_fit_frechet(fam, x, mask):
     if mask.n_known:
         return None
-    (beta_w, rho), iters, conv = E._fit_weibull(F.get_family("weibull"), 1.0 / x,
+    (beta_w, rho), iters, conv = FE._fit_weibull(F.get_family("weibull"), 1.0 / x,
                                                 KnownMask.none(2))
     return (1.0 / beta_w, rho), iters, conv
 
@@ -284,12 +285,12 @@ def _former_fit_frechet(fam, x, mask):
 def _former_fit_invgamma(fam, x, mask):
     if mask.is_known(fam, "beta"):
         beta = mask.value(fam, "beta")
-        lam, iters, conv = E._solve_digamma(math.log(beta) - float(np.mean(np.log(x))))
+        lam, iters, conv = FE._solve_digamma(math.log(beta) - float(np.mean(np.log(x))))
         return (lam, beta), iters, conv
     if mask.is_known(fam, "lambda"):
         lam = mask.value(fam, "lambda")
         return (lam, lam / float(np.mean(1.0 / x))), 1, True
-    (lam, beta_g), iters, conv = E._fit_gamma(F.get_family("gamma"), 1.0 / x, KnownMask.none(2))
+    (lam, beta_g), iters, conv = FE._fit_gamma(F.get_family("gamma"), 1.0 / x, KnownMask.none(2))
     return (lam, 1.0 / beta_g), iters, conv
 
 
@@ -299,14 +300,14 @@ def _former_fit_betaprime(fam, x, mask):
     v = x / (1.0 + x)
     m, var = float(np.mean(v)), max(float(np.var(v)), 1e-12)
     c = m * (1.0 - m) / var - 1.0
-    a, b, iters, conv = E._beta_ml_system(float(np.mean(np.log(v))),
+    a, b, iters, conv = FE._beta_ml_system(float(np.mean(np.log(v))),
                                           float(np.mean(np.log1p(-v))),
                                           max(m * c, 1e-2), max((1.0 - m) * c, 1e-2))
     return (a, b), iters, conv
 
 
 def _former_fit_chi2(fam, x, mask):
-    z, iters, conv = E._solve_digamma(float(np.mean(np.log(0.5 * x))))
+    z, iters, conv = FE._solve_digamma(float(np.mean(np.log(0.5 * x))))
     return (2.0 * z,), iters, conv
 
 
@@ -339,8 +340,8 @@ def _former_fit(name, x, mask, monkeypatch):
     out = _FORMER_FITTERS[name](fam, x, mask)
     if out is None:
         with monkeypatch.context() as m:
-            m.setattr(E, "_dedicated", lambda f, x, mask: _FORMER_FITTERS[f.name](f, x, mask))
-            out = E._generic_ml(fam, x, mask)
+            m.setattr(FE, "_dedicated", lambda f, x, mask: _FORMER_FITTERS[f.name](f, x, mask))
+            out = FE._generic_ml(fam, x, mask)
     return np.array(out[0], dtype=float)
 
 
@@ -612,11 +613,6 @@ def test_sigma_is_the_sign_flipped_base_sigma(name, kind):
                 np.testing.assert_allclose(sig, flip * base, rtol=0.0, atol=1e-13)
 
 
-# rows whose fit moved: the base's estimating equation rounds differently
-# (chi-squared's ln(x/2) against ln x - ln 2; inverse-gamma's ln(1/x) against
-# -ln x), and the profiled scale root replaced the generic maximization
-# where only lambda is known
-_MOVED = {("chi-squared", ()), ("inverse-gamma", ("lambda",)), ("inverse-gamma", ("beta",))}
 FITS = [(name, "ml", known) for name in DERIVED for known in _masks(name, "ml")
         if (name, known) != ("gg", ("lambda",))] + [
     (name, "mm", known) for name in LOG for known in _masks(name, "mm")]
@@ -625,6 +621,9 @@ FITS = [(name, "ml", known) for name in DERIVED for known in _masks(name, "ml")
 @pytest.mark.parametrize("name,kind,known", FITS,
                          ids=[f"{n}-{k}-{'-'.join(kn) or 'free'}" for n, k, kn in FITS])
 def test_fit_matches_the_former_fit(name, kind, known, monkeypatch):
+    # the former fit: the former fitter of the family, or Nelder-Mead where
+    # it had none; the profiles over rows solve the same estimating
+    # equations, to within 1e-10, and beat Nelder-Mead's likelihood
     mask = _mask(name, known)
     for n, seed in ((30, 0), (200, 1)):
         x = F.sample(name, FAMILY_THETAS[name], n, np.random.SeedSequence([71, seed]))
@@ -634,9 +633,15 @@ def test_fit_matches_the_former_fit(name, kind, known, monkeypatch):
             assert np.array_equal(res.theta, base.theta)
             assert (res.iterations, res.residual) == (base.iterations, base.residual)
             continue
+        fam = F.get_family(name)
         want = _former_fit(name, x, mask, monkeypatch)
-        rtol = 3e-16 if (name, known) in _MOVED else 0.0
-        np.testing.assert_allclose(res.theta, want, rtol=rtol, atol=0.0)
+        if _FORMER_FITTERS[name](fam, x, mask or KnownMask.none(fam.n_params)) is None:
+            ll = _loglik(name, want, x)
+            assert _loglik(name, res.theta, x) >= ll - 1e-12 * abs(ll)
+            assert res.residual <= E._residual(fam, want, x, mask or KnownMask.none(fam.n_params),
+                                               E.EstimatorKind.ML)
+        else:
+            np.testing.assert_allclose(res.theta, want, rtol=1e-10, atol=0.0)
 
 
 def _loglik(name, theta, x):
@@ -646,15 +651,15 @@ def _loglik(name, theta, x):
 @pytest.mark.parametrize("name", ["exp-gamma", "gg"])
 @pytest.mark.parametrize("n,seed", [(30, 0), (200, 1), (200, 2)])
 def test_known_shape_takes_the_profiled_scale_root(name, n, seed, monkeypatch):
-    # exp-gamma with lambda known (gg through it) solves its scale equation
-    # instead of running the generic likelihood maximization
+    # exp-gamma with lambda known (gg through it) solves its scale equation:
+    # checked against the generic likelihood maximization it replaced
     theta = FAMILY_THETAS[name]
     mask = _mask(name, ("lambda",))
     x = F.sample(name, theta, n, np.random.SeedSequence([73, seed]))
     res = fit(name, "ml", mask, x)
     assert res.converged and res.residual <= 1e-12
-    monkeypatch.setattr(E, "_dedicated", lambda fam, x, mask: None)
-    generic = fit(name, "ml", mask, x)
+    monkeypatch.setattr(FE, "_dedicated", lambda fam, x, mask: None)
+    generic = FE.former_fit(name, mask, x)
     assert res.theta[0] == generic.theta[0] == theta[0]
     assert _loglik(name, res.theta, x) >= _loglik(name, generic.theta, x) - 1e-9
     np.testing.assert_allclose(res.theta, generic.theta, rtol=1e-6)

@@ -8,8 +8,10 @@ from trigof import estimate as E
 from trigof import families as F
 from trigof.errors import (ConfigurationError, DegenerateSampleError,
                            DomainError, EstimationError)
+from trigof._batch import batch_fit
 from trigof.estimate import EstimatorKind, FitResult, KnownMask, fit
 from trigof.gof import run_test
+import former_estimate as FE
 from conftest import FAMILY_THETAS, MM_REQUIRED_KNOWN
 
 
@@ -49,6 +51,19 @@ class TestClosedForms:
         assert res.theta[0] == np.mean(x)
         assert res.theta[1] == pytest.approx(
             1.0 / (np.mean(1.0 / x) - 1.0 / np.mean(x)), rel=1e-12)
+
+
+    def test_inverse_gaussian_precision_that_is_not_positive_fails(self):
+        # at a known mu, mean(1/x) - (2 - xbar/mu)/mu = mean((x - mu)^2 / (x mu^2))
+        # rounds below zero on data within 1e-9 of mu
+        mask = KnownMask.from_names("inverse-gaussian", {"mu": 1.0})
+        x = 1.0 + 1e-9 * np.random.default_rng(3).standard_normal(50)
+        good = F.sample("inverse-gaussian", (1.0, 2.0), 50, 8)
+        thetas = batch_fit("inverse-gaussian", "ml", mask, np.stack([good, x]))
+        assert np.isfinite(thetas[0]).all() and np.isnan(thetas[1, 1])
+        assert thetas[0, 1] == fit("inverse-gaussian", "ml", mask, good).theta[1]
+        with pytest.raises(EstimationError):
+            fit("inverse-gaussian", "ml", mask, x)
 
 
 class TestConsistency:
@@ -284,10 +299,119 @@ class TestShapeBelowOne:
         assert abs(res.theta[0] - 0.7) < 0.15
 
 
-def _scan_root_reference(phi, scale=1.0, lo=1e-3, hi=1e3, points=41):
+def _loglik(name, theta, x):
+    return float(np.sum(F.get_family(name).logpdf(tuple(theta), x)))
+
+
+_GRID = np.geomspace(1e-3, 1e3, 41)  # the first span of the grid at scale 1
+
+
+def _one_row(phi):
+    """phi of a scalar, from a phi over rows called on one row: the reference
+    scans evaluate the very same values."""
+    return lambda x: float(phi(np.array([x]), np.arange(1))[0])
+
+
+class TestScanRoot:
+    """``_roots`` against the former scalar scan (``former_estimate._scan_root``,
+    refined by scipy's brentq), on single rows and on mixed blocks."""
+
+    ROOTS = [(2.2e-3, 1.0), (0.05, 1.0), (0.7, 1.0), (1.3, 1.0), (37.0, 1.0),
+             (800.0, 1.0), (3.0, 0.01), (2.5e-5, 1.0), (4e6, 1.0), (1e-7, 1.0),
+             (_GRID[25], 1.0), (_GRID[12], 1.0)]
+
+    @pytest.mark.parametrize("root,scale", ROOTS)
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_single_root_matches_reference(self, root, scale, sign):
+        def phi(z, j):
+            return sign * (np.log(z) - math.log(root))
+
+        def linear(z, j):
+            return sign * (z - root)
+
+        for f in (phi, linear):
+            x, _, conv = E._roots(f, np.array([scale]))
+            x_ref, _, conv_ref = FE._scan_root(_one_row(f), scale=scale)
+            assert x[0] == x_ref and conv[0] == conv_ref
+            assert conv[0]
+
+    def test_a_mixed_block_gives_each_row_its_single_row_result(self):
+        # rows with a root in every span, one with no sign change (its best
+        # grid point, unconverged) and one never finite (NaN)
+        roots = np.array([r for r, _ in self.ROOTS] + [5.0, 1.0])
+        scales = np.array([s for _, s in self.ROOTS] + [1.0, 1.0])
+        kinds = np.array([0] * len(self.ROOTS) + [1, 2])
+
+        def phi(z, j):
+            v = np.log(z) - np.log(roots[j])
+            return np.where(kinds[j] == 0, v, np.where(kinds[j] == 1, v ** 2 + 1.0, np.nan))
+
+        x, iters, conv = E._roots(phi, scales)
+        for r in range(len(roots)):
+            one = E._roots(lambda z, j: phi(z, np.full(len(j), r)), scales[r:r + 1])
+            assert (x[r], iters[r], conv[r]) == (one[0][0], one[1][0], one[2][0]) or (
+                np.isnan(x[r]) and np.isnan(one[0][0]))
+        assert conv[:-2].all() and not conv[-2:].any()
+        assert np.isnan(x[-1]) and not np.isnan(x[-2])
+
+    @pytest.mark.parametrize("a,b,expect", [
+        (0.01, 3.0, 3.0),           # cell above the centre is nearer
+        (0.5, 30.0, 0.5),           # cell below the centre is nearer
+        (1.0 / 1.7, 1.7, 1.7),      # equally near: the upper cell wins
+    ])
+    def test_two_sign_changes_take_bracket_nearest_centre(self, a, b, expect):
+        def phi(z, j):
+            return (np.log(z) - math.log(a)) * (np.log(z) - math.log(b))
+
+        x, _, conv = E._roots(phi, np.ones(1))
+        assert conv[0]
+        assert x[0] == pytest.approx(expect, rel=1e-12)
+
+    def test_no_sign_change_returns_best_point_unconverged(self):
+        def phi(z, j):
+            return (np.log(z) - math.log(5.0)) ** 2 + 1.0
+
+        x, iters, conv = E._roots(phi, np.ones(1))
+        x_ref, iters_ref, _ = FE._scan_root(_one_row(phi))
+        assert not conv[0]
+        assert x[0] == x_ref and iters[0] == iters_ref == 3 * 41
+
+    def test_never_finite_raises(self, monkeypatch):
+        x, _, conv = E._roots(lambda z, j: np.full(len(j), np.nan), np.ones(1))
+        assert np.isnan(x[0]) and not conv[0]
+        # a row without a finite estimate: fit raises, batch_fit gives NaN
+        monkeypatch.setitem(E._ML_PROFILES, "weibull", lambda known, values, X, iters: (
+            np.full((len(X), 2), np.nan), np.zeros(len(X), dtype=bool)))
+        sample = F.sample("weibull", (2.0, 1.5), 50, 1)
+        with pytest.raises(EstimationError):
+            fit("weibull", "ml", None, sample)
+        assert np.isnan(batch_fit("weibull", "ml", None, sample[None, :])).all()
+
+    @pytest.mark.parametrize("cell", [18, 19, 20, 21])
+    def test_few_evaluations_before_brent(self, cell, monkeypatch):
+        root = math.sqrt(_GRID[cell] * _GRID[cell + 1])
+        calls = []
+        before_brent = []
+        original = E._brent
+
+        def phi(z, j):
+            calls.append(z)
+            return np.log(z) - math.log(root)
+
+        def brent(*args, **kwargs):
+            before_brent.append(len(calls))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(E, "_brent", brent)
+        x, _, conv = E._roots(phi, np.ones(1))
+        assert conv[0] and x[0] == pytest.approx(root, rel=1e-12)
+        assert len(before_brent) == 1 and before_brent[0] <= 6
+
+
+def _scan_root_low_first(phi, scale=1.0, lo=1e-3, hi=1e3, points=41):
     """The full-grid scan that keeps the first bracket counted up from the
-    low end of the grid: the reference the centre-out scan is checked
-    against, bit for bit, wherever phi has one sign change."""
+    low end of the grid, as the fitters' scan did before it searched outward
+    from the centre."""
     spans = [(lo, hi), (lo * 1e-2, hi * 1e2), (lo * 1e-5, hi * 1e5)]
     best_x, best_val = None, math.inf
     iters = 0
@@ -317,94 +441,15 @@ def _scan_root_reference(phi, scale=1.0, lo=1e-3, hi=1e3, points=41):
     return best_x, iters, False
 
 
-def _loglik(name, theta, x):
-    return float(np.sum(F.get_family(name).logpdf(tuple(theta), x)))
-
-
-_GRID = np.geomspace(1e-3, 1e3, 41)  # the first span of _scan_root at scale 1
-
-
-class TestScanRoot:
-    @pytest.mark.parametrize("root,scale", [
-        (2.2e-3, 1.0), (0.05, 1.0), (0.7, 1.0), (1.3, 1.0), (37.0, 1.0),
-        (800.0, 1.0), (3.0, 0.01), (2.5e-5, 1.0), (4e6, 1.0), (1e-7, 1.0),
-        (_GRID[25], 1.0), (_GRID[12], 1.0),
-    ])
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_single_root_matches_reference(self, root, scale, sign):
-        def phi(x):
-            return sign * (math.log(x) - math.log(root))
-
-        def linear(x):
-            return sign * (x - root)
-
-        for f in (phi, linear):
-            x, _, conv = E._scan_root(f, scale=scale)
-            x_ref, _, conv_ref = _scan_root_reference(f, scale=scale)
-            assert x == x_ref and conv == conv_ref
-            assert conv
-
-    @pytest.mark.parametrize("a,b,expect", [
-        (0.01, 3.0, 3.0),           # cell above the centre is nearer
-        (0.5, 30.0, 0.5),           # cell below the centre is nearer
-        (1.0 / 1.7, 1.7, 1.7),      # equally near: the upper cell wins
-    ])
-    def test_two_sign_changes_take_bracket_nearest_centre(self, a, b, expect):
-        def phi(x):
-            return (math.log(x) - math.log(a)) * (math.log(x) - math.log(b))
-
-        x, _, conv = E._scan_root(phi)
-        assert conv
-        assert x == pytest.approx(expect, rel=1e-12)
-
-    def test_no_sign_change_returns_best_point_unconverged(self):
-        def phi(x):
-            return (math.log(x) - math.log(5.0)) ** 2 + 1.0
-
-        x, iters, conv = E._scan_root(phi)
-        x_ref, iters_ref, _ = _scan_root_reference(phi)
-        assert not conv
-        assert x == x_ref and iters == iters_ref == 3 * 41
-
-    def test_never_finite_raises(self):
-        def raises(x):
-            raise ValueError("no value")
-
-        for phi in (lambda x: math.nan, raises):
-            with pytest.raises(EstimationError):
-                E._scan_root(phi)
-
-    @pytest.mark.parametrize("cell", [18, 19, 20, 21])
-    def test_few_evaluations_before_brent(self, cell, monkeypatch):
-        root = math.sqrt(_GRID[cell] * _GRID[cell + 1])
-        calls = []
-        before_brent = []
-        original = optimize.brentq
-
-        def phi(x):
-            calls.append(x)
-            return math.log(x) - math.log(root)
-
-        def brentq(*args, **kwargs):
-            before_brent.append(len(calls))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(E.opt, "brentq", brentq)
-        x, _, conv = E._scan_root(phi)
-        assert conv and x == pytest.approx(root, rel=1e-12)
-        assert len(before_brent) == 1 and before_brent[0] <= 6
-
-
 class TestScanRootInFitters:
     @pytest.mark.parametrize("name", ["epd", "log-epd", "student-t", "logistic",
                                       "weibull", "gompertz", "lomax",
                                       "kumaraswamy", "half-epd"])
-    def test_fit_unchanged_against_reference_scan(self, name, monkeypatch):
+    def test_fit_unchanged_against_reference_scan(self, name):
+        # the former scalar fitter, whose scan and brentq _roots replaced
         x = F.sample(name, FAMILY_THETAS[name], 200, 31)
-        theta = fit(name, "ml", None, x).theta
-        monkeypatch.setattr(E, "_scan_root", _scan_root_reference)
-        theta_ref = fit(name, "ml", None, x).theta
-        assert np.array_equal(theta, theta_ref)
+        np.testing.assert_allclose(fit(name, "ml", None, x).theta,
+                                   FE.former_fit(name, None, x).theta, rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("name", ["exp-gamma", "gg"])
     @pytest.mark.parametrize("n", [50, 200])
@@ -414,8 +459,8 @@ class TestScanRootInFitters:
         theta = fit(name, "ml", None, x).theta
         assert theta[0] > 0.1
         run_test(name, "ml", None, x)  # raised DomainError at the spurious root
-        monkeypatch.setattr(E, "_scan_root", _scan_root_reference)
-        theta_ref = fit(name, "ml", None, x).theta
+        monkeypatch.setattr(FE, "_scan_root", _scan_root_low_first)
+        theta_ref = FE.former_fit(name, None, x).theta
         assert _loglik(name, theta, x) > _loglik(name, theta_ref, x)
 
     def test_epd_fit_makes_at_most_one_cusp_search(self, monkeypatch):
@@ -423,10 +468,9 @@ class TestScanRootInFitters:
         below_one = []
         mu_hat = E._epd_mu_hat
 
-        def counting(x, lam):
-            if lam < 1.0:
-                below_one.append(lam)
-            return mu_hat(x, lam)
+        def counting(X, lam, start):
+            below_one.extend(lam[lam < 1.0])
+            return mu_hat(X, lam, start)
 
         monkeypatch.setattr(E, "_epd_mu_hat", counting)
         res = fit("epd", "ml", None, x)

@@ -156,6 +156,18 @@ class TestEveryFamily:
         assert got.shape == (fam.n_params,) + X.shape
         np.testing.assert_array_less(np.abs(got - want), 4.5e-16 * np.maximum(1.0, np.abs(want)))
 
+    def test_logpdf_broadcasts_over_theta_rows(self, name):
+        # as cdf_fn: three theta rows in one call against per-row calls
+        fam = F.get_family(name)
+        rows = np.array([FAMILY_THETAS[name]]) * np.array([[1.0], [1.1], [0.9]])
+        X = np.stack([F.sample(fam, t, 40, np.random.SeedSequence([8, i]))
+                      for i, t in enumerate(rows)])
+        cols = tuple(rows[:, j, None] for j in range(fam.n_params))
+        got = fam.logpdf(cols, X)
+        want = np.stack([fam.logpdf(tuple(t), x) for t, x in zip(rows, X)])
+        assert got.shape == X.shape
+        np.testing.assert_array_less(np.abs(got - want), 2e-16 * np.maximum(1.0, np.abs(want)))
+
     def test_cdf_fn_broadcasts_over_theta_rows(self, name):
         # the batch PIT calls cdf_fn once with theta columns of shape (rows, 1)
         fam = F.get_family(name)
@@ -197,6 +209,21 @@ def test_node_declaration_is_the_quantile_and_score(name, upper):
     tiny = np.array([1e-30, 1e-200])
     assert np.all(np.isfinite(fam.node(theta, tiny, 0.5 - tiny, upper)[1]))
     assert np.all(np.isfinite(fam.node(theta, 0.5 - tiny, tiny, upper)[1]))
+
+
+# Student-t(5, 0, 1) quantiles at the doubles u = 1/2 + d, by mpmath at 50
+# digits (the root of I_(x^2/(5+x^2))(1/2, 5/2) = 2u - 1)
+STUDENT_CENTRE = [(0.51, 0.026346712342273263), (0.5001, 0.0002634305560701855),
+                  (0.500001, 2.6343055242196797e-06), (0.50000001, 2.634305537377024e-08),
+                  (0.5000000001, 2.6343057421036885e-10)]
+
+
+@pytest.mark.parametrize("u,x", STUDENT_CENTRE)
+def test_student_quantile_holds_the_centre(u, x):
+    # read from the central probability 2u - 1, not from a rounded 1 - p
+    got = F.get_family("student-t").quantile_fn((5.0, 0.0, 1.0), np.array([u, 1.0 - u]))
+    assert got[0] == pytest.approx(x, rel=1e-13, abs=0.0)
+    assert got[1] == pytest.approx(-x, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("lam", [0.6, 0.9])

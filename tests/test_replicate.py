@@ -8,7 +8,7 @@ from trigof import _batch, gof, scaling
 from trigof import families as F
 from trigof.errors import (ConfigurationError, DomainError, EstimationError,
                            SamplingError, SingularityError)
-from trigof.estimate import KnownMask
+from trigof.estimate import EstimatorKind, KnownMask, fit, rows_estimator
 from trigof.gof import _single_test, replicate, run_test
 from trigof.power import AltCase, LocalAlternative, _sample_alternative, empirical_power
 from trigof.simharness import CellConfig, StudyConfig, report_rows, run_study
@@ -44,7 +44,7 @@ def _bootstrap_reference(fam, kind, mask, x, reps, seed):
 def _supported_rows():
     """(family, kind, known names) for every mask that leaves a parameter to
     fit, on every FAMILY_THETAS row (MM rows keep the shape they require
-    known), that ``_batch.supports``."""
+    known): every one has an estimator over rows."""
     for name in sorted(FAMILY_THETAS):
         fam = F.get_family(name)
         for kind in ("ml", "mm") if fam.has_mm else ("ml",):
@@ -54,9 +54,10 @@ def _supported_rows():
                 for extra in itertools.combinations(others, r):
                     known = {p: v for p, v in zip(fam.param_names, FAMILY_THETAS[name])
                              if p in required + extra}
-                    mask = KnownMask.from_names(name, known) if known else None
-                    if _batch.supports(name, kind, mask):
-                        yield name, kind, tuple(known)
+                    mask = KnownMask.from_names(name, known) if known else KnownMask.none(
+                        fam.n_params)
+                    assert rows_estimator(fam, EstimatorKind(kind), mask) is not None
+                    yield name, kind, tuple(known)
 
 
 SUPPORTED = list(_supported_rows())
@@ -83,16 +84,17 @@ class TestBatchAgainstScalar:
     @pytest.mark.parametrize("fam,kind,mask,theta", BATCH_ROWS,
                              ids=[f"{r[0]}-{r[1]}-{r[3][0]}" for r in BATCH_ROWS])
     def test_row_by_row(self, fam, kind, mask, theta):
-        assert _batch.supports(fam, kind, mask)
         X = np.stack([_seeded(fam, theta, 80, seed=11)(r) for r in range(12)])
         tn_batch = _batch.batch_tn(fam, kind, mask, X)
         tn_scalar = np.array([_single_test(fam, kind, mask, x)[3] for x in X])
         np.testing.assert_allclose(tn_batch, tn_scalar, rtol=1e-10, atol=0.0)
 
-    def test_epd_ml_with_known_lambda_below_one_has_no_batch_path(self):
-        assert not _batch.supports("epd", "ml", EPD_08)
-        assert _batch.supports("epd", "mm", EPD_08)
-        assert _batch.supports("epd", "ml", EPD_15)
+    def test_epd_ml_with_known_lambda_below_one_batches(self):
+        # its location is searched gap by gap on each row of the block
+        X = np.stack([_seeded("epd", (0.8, 0.3, 2.0), 60, seed=12)(r) for r in range(5)])
+        thetas = _batch.batch_fit("epd", "ml", EPD_08, X)
+        for theta, x in zip(thetas, X):
+            assert np.array_equal(theta, fit("epd", "ml", EPD_08, x).theta)
 
     @pytest.mark.parametrize("fam,kind,known", SUPPORTED,
                              ids=[f"{f}-{k}-{'-'.join(kn) or 'free'}" for f, k, kn in SUPPORTED])
@@ -100,23 +102,22 @@ class TestBatchAgainstScalar:
         values = dict(zip(F.get_family(fam).param_names, FAMILY_THETAS[fam]))
         mask = KnownMask.from_names(fam, {p: values[p] for p in known}) if known else None
         X = np.stack([_seeded(fam, FAMILY_THETAS[fam], 80, seed=13)(r) for r in range(12)])
-        tn_batch = _batch.batch_tn(fam, kind, mask, X)
-        tn_scalar = np.array([_single_test(fam, kind, mask, x)[3] for x in X])
-        np.testing.assert_allclose(tn_batch, tn_scalar, rtol=1e-10, atol=0.0)
+        thetas = _batch.batch_fit(fam, kind, mask, X)
+        fits = [_single_test(fam, kind, mask, x) for x in X]
+        # the block fit is the single-row fit, bit for bit
+        np.testing.assert_array_equal(thetas, np.array([f[0].theta for f in fits]))
+        tn_batch = _batch.statistic(fam, kind, mask, thetas, X)[3]
+        np.testing.assert_allclose(tn_batch, [f[3] for f in fits], rtol=1e-10, atol=0.0)
 
     def test_supported_rows_include_every_mm_row(self):
         rows = {(f, k, tuple(kn)) for f, k, kn in SUPPORTED}
         mm = {(f, "mm", tuple(MM_REQUIRED_KNOWN.get(f, {}))) for f in FAMILY_THETAS
               if F.get_family(f).has_mm}
         assert len(mm) == 15 and mm <= rows
-        free = {(f, k) for f, k, kn in SUPPORTED if not kn}
-        assert {("normal", "ml"), ("laplace", "ml"), ("exponential", "ml"), ("uniform", "ml"),
-                ("gamma", "ml"), ("weibull", "ml")} <= free
-        assert {("normal", "ml", ("mu",)), ("epd", "ml", ("lambda",))} <= rows
-        # derived families batch through their base's kernels
-        assert {("log-epd", "ml", ("lambda",)), ("frechet", "ml", ()),
-                ("inverse-gamma", "ml", ())} <= rows
-        assert not _batch.supports("uniform", "mm", None)  # uniform has no MM estimator
+        # every ML row with a free parameter, all-free and masked, batches
+        assert sum(k == "ml" for _, k, _ in SUPPORTED) == 104
+        with pytest.raises(ConfigurationError):  # uniform has no MM estimator
+            _batch.batch_fit("uniform", "mm", None, np.ones((2, 5)))
 
 
 class TestRowsOutsideTheSupport:
@@ -203,28 +204,10 @@ class TestFailedRows:
         out = replicate(fam, "ml", None, lambda r: flat[r], range(6))
         assert np.count_nonzero(np.isnan(out)) == 1 and np.isnan(out[2])
 
-    def test_flat_row_does_not_hold_up_the_gamma_newton_loop(self, monkeypatch):
-        from scipy import special
-        calls = []
-
-        class Counting:
-            def __getattr__(self, name):
-                if name == "polygamma":
-                    calls.append(name)
-                return getattr(special, name)
-
-        X = np.stack([_seeded("gamma", (2.3, 1.4), 50, seed=3)(r) for r in range(6)])
-        monkeypatch.setattr(_batch, "sp", Counting())
-        _batch.batch_tn("gamma", "ml", None, X)
-        clean = len(calls)
-        X[2] = 1.5
-        _batch.batch_tn("gamma", "ml", None, X)
-        assert len(calls) == 2 * clean and clean < 60
-
 
 class TestReplicate:
     def test_failures_are_nan_and_counted_against_the_limit(self):
-        # logistic ML has no batch kernels: a flat sample fails its scalar fit
+        # a flat sample fails its fit: a NaN row of the block
         draw = _seeded("logistic", (0.2, 0.9), 40)
 
         def sample(r):
@@ -297,24 +280,23 @@ class TestBootstrap:
 
     def test_more_than_one_percent_failures_abort(self, monkeypatch):
         x = F.sample("logistic", (0.2, 0.9), 60, 5)
-        real = gof._single_test
-        calls = []
+        blocks = []
 
-        def fails_after_the_first(*args):
-            calls.append(args)
-            if len(calls) == 1:
-                return real(*args)
-            raise EstimationError("refit failed")
+        def fails(fam, kind, mask, X):
+            blocks.append(len(X))
+            return np.full(len(X), np.nan)
 
-        monkeypatch.setattr(gof, "_single_test", fails_after_the_first)
+        monkeypatch.setattr(_batch, "batch_tn", fails)
         with pytest.raises(EstimationError, match="more than 1 of 100"):
             run_test("logistic", "ml", None, x, mc={"reps": 100, "seed": 0})
-        # the test itself, then two failed refits: the abort does not wait for the rest
-        assert len(calls) == 3
+        # the abort does not wait for the rest: one block of 256 of 1000 replications
+        with pytest.raises(EstimationError, match=r"more than 10 of 1000 .* \(256/256\)"):
+            run_test("logistic", "ml", None, x, mc={"reps": 1000, "seed": 0})
+        assert blocks == [100, 256]
 
 
 class TestEpdLambdaBelowOne:
-    def test_empirical_power_runs_on_the_scalar_path(self):
+    def test_empirical_power_matches_the_single_tests(self):
         alt = LocalAlternative(AltCase.EPD_VS_APD, (0.8, 0.0, 1.0), (1.0, 0.0))
         out = empirical_power(alt, 40, 20, seed=3)
         assert out["failed"] == 0 and out["reps"] == 20
