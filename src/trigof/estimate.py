@@ -135,14 +135,17 @@ def _brent(phi, a, b, fa, fb, xtol=_XTOL, rtol=_RTOL):
         for k in range(1, _MAX_ITER + 1):
             if not live.size:
                 break
+            # each step skips the selections that no row takes (one row: all but one)
             flip = np.signbit(fpre) != np.signbit(fcur)
-            xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
-            spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
+            if np.count_nonzero(flip):
+                xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+                spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
             swap = np.abs(fblk) < np.abs(fcur)
-            xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
-                                np.where(swap, xcur, xblk))
-            fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
-                                np.where(swap, fcur, fblk))
+            if np.count_nonzero(swap):
+                xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                                    np.where(swap, xcur, xblk))
+                fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                                    np.where(swap, fcur, fblk))
             delta = htol + hr * np.abs(xcur)
             sbis = (xblk - xcur) * 0.5
             done = (fcur == 0.0) | (np.abs(sbis) < delta)
@@ -156,9 +159,12 @@ def _brent(phi, a, b, fa, fb, xtol=_XTOL, rtol=_RTOL):
                 if not live.size:
                     break
             # interpolate where xpre == xblk, extrapolate (inverse quadratic) elsewhere
-            dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
-            stry = np.where(xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),
-                            -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
+            interp = xpre == xblk
+            stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            if np.count_nonzero(interp) < interp.size:
+                dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                stry = np.where(interp, stry,
+                                -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
             aspre = np.abs(spre)
             short = ((aspre > delta) & (np.abs(fcur) < np.abs(fpre))
                      & (2.0 * np.abs(stry) < np.minimum(aspre, 3.0 * np.abs(sbis) - delta)))
