@@ -36,7 +36,6 @@ def _epd_c1(lam):
     return float(specfun.digamma(1.0 / lam + 1.0)) + math.log(lam)
 
 
-
 def _scan_root(phi, scale: float = 1.0, lo: float = 1e-3, hi: float = 1e3,
                points: int = 41):
     """Find a root of phi on a geometric grid around ``scale``.

@@ -12,6 +12,7 @@ from trigof.estimate import EstimatorKind, KnownMask, fit, rows_estimator
 from trigof.gof import _single_test, replicate, run_test
 from trigof.power import AltCase, LocalAlternative, _sample_alternative, empirical_power
 from trigof.simharness import CellConfig, StudyConfig, report_rows, run_study
+import former_estimate as FE
 from conftest import FAMILY_THETAS, MM_REQUIRED_KNOWN
 
 
@@ -108,6 +109,15 @@ class TestBatchAgainstScalar:
         np.testing.assert_array_equal(thetas, np.array([f[0].theta for f in fits]))
         tn_batch = _batch.statistic(fam, kind, mask, thetas, X)[3]
         np.testing.assert_allclose(tn_batch, [f[3] for f in fits], rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("fam,mask,theta,kernel", [
+        ("gamma", None, (2.3, 1.4), FE._fit_gamma_batch),
+        ("weibull", None, (2.0, 1.5), FE._fit_weibull_batch),
+        ("epd", EPD_15, (1.5, 0.3, 2.0), lambda X: FE._fit_epd_lam_known_batch(X, 1.5))])
+    def test_block_fits_match_the_former_kernels(self, fam, mask, theta, kernel):
+        X = np.stack([_seeded(fam, theta, 80, seed=14)(r) for r in range(40)])
+        np.testing.assert_allclose(_batch.batch_fit(fam, "ml", mask, X), kernel(X),
+                                   rtol=1e-12, atol=0.0)
 
     def test_supported_rows_include_every_mm_row(self):
         rows = {(f, k, tuple(kn)) for f, k, kn in SUPPORTED}
