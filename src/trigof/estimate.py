@@ -491,16 +491,9 @@ def _student_rows(kn, kv, X, iters):
 
 
 def _halfepd_rows(kn, kv, X, iters):
-    def sigma_hat(lam, Xj):
-        return np.full(len(Xj), kv[1]) if kn[1] else _mean(_pow(Xj, lam)) ** (1.0 / lam)
-
-    def lam_eq(lam, j):
-        Xj = _take(X, j)
-        w = _pow(Xj / _col(sigma_hat(lam, Xj)), lam)
-        return _epd_c1(lam) - _mean(w * np.log(w)) + (_mean(w) - 1.0 if kn[1] else 0.0)
-
-    lam, conv = _shape(lam_eq, kn[0], kv[0], iters)
-    return np.column_stack([lam, sigma_hat(lam, X)]), conv
+    """Half-EPD ML is EPD ML at the known location 0 (x = |x - 0| on x > 0)."""
+    theta, conv = _epd_rows((kn[0], True, kn[1]), (kv[0], 0.0, kv[1]), X, iters)
+    return theta[:, [0, 2]], conv
 
 
 def _weibull_rows(kn, kv, X, iters):
