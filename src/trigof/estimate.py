@@ -233,9 +233,9 @@ def _roots(phi, scale, lo: float = 1e-3, hi: float = 1e3, points: int = 41):
 def _newton(fd, x, lo, hi, xtol, rtol=_RTOL):
     """The root of each row's increasing f inside its bracket (lo, hi), by
     Newton's method from x: a step that leaves the bracket of the points seen
-    so far bisects it instead, and a row stops once its step is below
-    xtol + rtol |x|.  fd(z, j) returns f and f' at z for the rows j.
-    Returns (root, iterations)."""
+    so far, or whose slope is not finite, bisects it instead, and a row stops
+    once its step is below xtol + rtol |x|.  fd(z, j) returns f and f' at z
+    for the rows j.  Returns (root, iterations)."""
     root, iters = x.copy(), np.full(len(x), _MAX_ITER)
     lo, hi, tol = lo.copy(), hi.copy(), np.broadcast_to(xtol, x.shape)
     live = np.arange(len(x))
@@ -245,7 +245,8 @@ def _newton(fd, x, lo, hi, xtol, rtol=_RTOL):
             above = f > 0.0
             hi, lo = np.where(above, x, hi), np.where(above, lo, x)
             new = x - f / d
-            new = np.where(f == 0.0, x, np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi)))
+            inside = (new >= lo) & (new <= hi) & np.isfinite(d)
+            new = np.where(f == 0.0, x, np.where(inside, new, 0.5 * (lo + hi)))
             done = np.abs(new - x) <= tol + rtol * np.abs(new)
             root[live] = new
             if np.count_nonzero(done):
@@ -308,15 +309,16 @@ def _shape(eq, known: bool, value: float, iters, scale=None, **grid):
 
 def _epd_mu_hat(X, lam, start):
     """(mu, iterations): the location solving sum sign(x-mu)|x-mu|^(lam-1) = 0
-    on each row at its lam.  In d = mu - x it reads sum |d|^(lam-2) d = 0."""
+    on each row at its lam."""
     mu, iters, lo, hi = np.empty(len(X)), np.zeros(len(X), dtype=int), X.min(axis=1), X.max(axis=1)
-    # lam >= 1: one root, where the left side rises with slope (lam-1) sum |d|^(lam-2)
+    # lam >= 1: one root of sum sign(d)|d|^(lam-1) in d = mu - x, which rises
+    # with slope (lam-1) sum |d|^(lam-2) (not finite at a tie when lam < 2)
     up = np.flatnonzero(lam >= 1.0)
     if up.size:
         def fd(z, j):
             d = _col(z) - _take(X, up[j])
-            p = _pow(np.abs(d), lam[up[j]] - 2.0)
-            return np.add.reduce(p * d, axis=1), (lam[up[j]] - 1.0) * p.sum(axis=1)
+            q = np.sign(d) * _pow(np.abs(d), lam[up[j]] - 1.0)
+            return np.add.reduce(q, axis=1), (lam[up[j]] - 1.0) * np.add.reduce(q / d, axis=1)
 
         mu[up], iters[up] = _newton(fd, start[up], lo[up], hi[up],
                                     1e-12 * np.maximum(1.0, hi[up] - lo[up]))
@@ -503,19 +505,32 @@ def _weibull_rows(kn, kv, X, iters):
     top = lx.max(axis=1)
     D = lx - _col(top)  # exp(rho D) <= 1
     mean_d = _mean(D)
-
-    def phi(rho, j):
-        Dj = _take(D, j)
-        if kn[0]:  # the rho score at the known scale
-            L = Dj + _col(top[j])
+    if kn[1]:
+        rho, conv = np.full(len(X), kv[1]), np.ones(len(X), dtype=bool)
+    elif kn[0]:
+        def phi(rho, j):  # the rho score at the known scale
+            L = _take(D, j) + _col(top[j])
             return _mean(np.exp(_col(rho) * L) * L) - _mean(L) - 1.0 / rho
-        # beta profiled out: the mean of ln x weighted by x^rho, less its mean
-        w = _col(rho) * Dj
-        np.exp(w, out=w)
-        return np.einsum("ij,ij->i", w, Dj) / np.add.reduce(w, axis=1) - mean_d[j] - 1.0 / rho
 
-    rho0 = math.pi / math.sqrt(6.0) / np.maximum(lx.std(axis=1), 1e-12)
-    rho, conv = _shape(phi, kn[1], kv[1], iters, rho0, lo=1e-2, hi=1e2)
+        rho0 = math.pi / math.sqrt(6.0) / np.maximum(lx.std(axis=1), 1e-12)
+        rho, conv = _shape(phi, False, 0.0, iters, rho0, lo=1e-2, hi=1e2)
+    else:
+        # beta profiled out, in s = 1/rho: s + mean D - E_w[D] with weights
+        # exp(D / s) rises with slope 1 + var_w(D) / s^2 from mean D - max D < 0
+        # at 0+ and is > 0 at s = -mean D
+        def fd(s, j):
+            Dj = _take(D, j)
+            w = Dj * _col(1.0 / s)
+            np.exp(w, out=w)
+            wd, sw = w * Dj, np.add.reduce(w, axis=1)
+            m1 = np.add.reduce(wd, axis=1) / sw
+            return s + mean_d[j] - m1, 1.0 + (np.einsum("ij,ij->i", wd, Dj) / sw - m1 ** 2) / s ** 2
+
+        # from the moment estimate, s = sd(ln x) sqrt(6) / pi
+        s0 = np.sqrt(np.maximum(np.einsum("ij,ij->i", D, D) / D.shape[1] - mean_d ** 2, 0.0))
+        s, it = _newton(fd, s0 * (math.sqrt(6.0) / math.pi), np.zeros(len(X)), -mean_d, 0.0, 1e-13)
+        iters += it
+        rho, conv = 1.0 / s, it < _MAX_ITER
     w = _col(rho) * D
     np.exp(w, out=w)
     return np.column_stack([np.exp(top + np.log(_mean(w)) / rho), rho]), conv
@@ -565,14 +580,35 @@ def _kumaraswamy_rows(kn, kv, X, iters):
     return np.column_stack([alpha, beta_hat(alpha, X)]), conv
 
 
+def _digamma_root(t, minus_log: bool, iters):
+    """(lam, converged): the root of psi(lam) - ln lam = t if minus_log (none
+    where t >= 0, which gives _SHAPE_CAP), or else of psi(lam) = t, by
+    ``_newton`` from Minka's starts inside the brackets that
+    ln z - 1/z < psi(z) < ln z - 1/(2z) gives: (-1/(2t), -1/t), and (e^t, e^t + 1)."""
+    if minus_log:
+        s = np.where(t < 0.0, -t, 1.0)
+        lo, x = 0.5 / s, (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+        lam, it = _newton(lambda z, j: (sp.digamma(z) - np.log(z) + s[j],
+                                        sp.polygamma(1, z) - 1.0 / z), x, lo, 2.0 * lo, 0.0, 1e-13)
+        lam = np.where(t < 0.0, lam, _SHAPE_CAP)
+    else:
+        lo, x = np.exp(t), np.where(t >= -2.22, np.exp(t) + 0.5, -1.0 / (t + np.euler_gamma))
+        lam, it = _newton(lambda z, j: (sp.digamma(z) - t[j], sp.polygamma(1, z)),
+                          x, lo, lo + 1.0, 0.0, 1e-13)
+    iters += it
+    return lam, it < _MAX_ITER
+
+
 def _gamma_rows(kn, kv, X, iters):  # lambda free; lambda known is a closed form
     mean_lx, xbar = _mean(np.log(X)), _mean(X)
     # the lambda score psi(lambda) - ln beta = mean ln x, at the known beta
     # or with beta = xbar / lambda profiled out
-    target = mean_lx - (math.log(kv[1]) if kn[1] else np.log(xbar))
-    lam, conv = _shape(lambda z, j: sp.digamma(z) - (0.0 if kn[1] else np.log(z)) - target[j],
-                       False, 0.0, iters)
-    return np.column_stack([lam, xbar / lam]), conv & (lam < _SHAPE_CAP)
+    if kn[1]:
+        lam, conv = _digamma_root(mean_lx - math.log(kv[1]), False, iters)
+    else:
+        lam, conv = _digamma_root(mean_lx - np.log(xbar), True, iters)
+        conv &= lam < _SHAPE_CAP
+    return np.column_stack([lam, xbar / lam]), conv
 
 
 def _nakagami_rows(kn, kv, X, iters):
@@ -581,8 +617,9 @@ def _nakagami_rows(kn, kv, X, iters):
     x2 = X ** 2
     m2 = _mean(x2)
     omega = np.full(len(X), kv[1]) if kn[1] else m2
-    target = (_mean(np.log(x2)) - np.log(omega)) + (1.0 - m2 / omega)
-    lam, conv = _shape(lambda z, j: sp.digamma(z) - np.log(z) - target[j], kn[0], kv[0], iters)
+    if kn[0]:
+        return np.column_stack([np.full(len(X), kv[0]), omega]), np.ones(len(X), dtype=bool)
+    lam, conv = _digamma_root((_mean(np.log(x2)) - np.log(omega)) + (1.0 - m2 / omega), True, iters)
     return np.column_stack([lam, omega]), conv & (lam < _SHAPE_CAP)
 
 
@@ -641,7 +678,7 @@ def _known_rows(mask: KnownMask, rows: int) -> np.ndarray:
 def _deviation(stat: str, X, loc) -> np.ndarray:
     """Mean squared ("msd") or absolute ("mad") deviation of each row about loc."""
     d = X - loc[:, None]
-    return _mean(d ** 2) if stat == "msd" else _mean(np.abs(d))
+    return (d ** 2).mean(axis=1) if stat == "msd" else np.abs(d).mean(axis=1)
 
 
 def _mm_rows(fam: Family, mask: KnownMask, X) -> np.ndarray:
@@ -649,7 +686,7 @@ def _mm_rows(fam: Family, mask: KnownMask, X) -> np.ndarray:
     eq, p = fam.mm, fam.n_params
     theta = _known_rows(mask, len(X))
     num, den = eq.unit(*(mask.value(fam, g) for g in eq.given))
-    stat = _mean(X)
+    stat = X.mean(axis=1)
     if eq.stat != "mean":
         if not mask.known[p - 2]:
             theta[:, p - 2] = stat
@@ -686,19 +723,19 @@ def _columns(exprs, mask: KnownMask, X) -> np.ndarray:
 
 # ML estimators as column expressions; None where a column has no closed form
 _ML_ROWS = {
-    "normal": (lambda X, t: _mean(X),
+    "normal": (lambda X, t: X.mean(axis=1),
                lambda X, t: np.sqrt(_deviation("msd", X, t[:, 0]))),
     "laplace": (lambda X, t: np.median(X, axis=1),
-                lambda X, t: _mean(np.abs(X - t[:, :1]))),
+                lambda X, t: np.abs(X - t[:, :1]).mean(axis=1)),
     "uniform": (lambda X, t: X.min(axis=1), lambda X, t: X.max(axis=1)),
-    "gamma": (None, lambda X, t: _mean(X) / t[:, 0]),
+    "gamma": (None, lambda X, t: X.mean(axis=1) / t[:, 0]),
     "inverse-gaussian": (lambda X, t: _mean(X), lambda X, t: _ig_lambda(X, t[:, 0])),
 }
 
 
 def _ig_lambda(X, mu):
     """The inverse-Gaussian precision ML estimate at mu; NaN where it is not positive."""
-    lam = 1.0 / (_mean(1.0 / X) - (2.0 - _mean(X) / mu) / mu)
+    lam = 1.0 / ((1.0 / X).mean(axis=1) - (2.0 - X.mean(axis=1) / mu) / mu)
     return np.where(lam > 0.0, lam, np.nan)
 
 

@@ -463,6 +463,32 @@ class TestScanRootInFitters:
         theta_ref = FE.former_fit(name, None, x).theta
         assert _loglik(name, theta, x) > _loglik(name, theta_ref, x)
 
+    _INTEGERS = np.round(3.0 * np.random.default_rng(5).standard_normal(200))
+
+    @pytest.mark.parametrize("x, lam", [
+        (np.array([0.0, 0.1, 1.0, 2.9]), 1.5),  # its mean, the first start, is an observation
+        (_INTEGERS, 1.0), (_INTEGERS, 1.5), (_INTEGERS, None)])
+    def test_epd_location_on_tied_data(self, x, lam):
+        # the location equation's slope is not finite at an observation when lam < 2
+        mask = None if lam is None else KnownMask((True, False, False), (lam, math.nan, math.nan))
+        res, ref = fit("epd", "ml", mask, x), FE.former_fit("epd", mask, x)
+        assert res.converged == ref.converged
+        ll, ll_ref = _loglik("epd", res.theta, x), _loglik("epd", ref.theta, x)
+        assert ll >= ll_ref - 1e-12 * abs(ll_ref)
+        if lam != 1.0:  # at lam = 1 the location is any point of the median's flat
+            np.testing.assert_allclose(res.theta, ref.theta, rtol=1e-10, atol=0.0)
+        np.testing.assert_array_equal(batch_fit("epd", "ml", mask, np.vstack([x, x[::-1]]))[0],
+                                      res.theta)
+
+    @pytest.mark.parametrize("mask", [None, KnownMask((False, True), (math.nan, 1e-10))])
+    def test_gamma_shape_far_beyond_the_grid(self, mask):
+        # the digamma equations have analytic brackets: a shape of 1e10 is
+        # reached, and one past the cap of 1e6 is flagged with beta free only
+        x = 1.0 + 1e-9 * np.random.default_rng(3).standard_normal(50)
+        res, ref = fit("gamma", "ml", mask, x), FE.former_fit("gamma", mask, x)
+        assert res.converged == ref.converged == (mask is not None)
+        np.testing.assert_allclose(res.theta, ref.theta, rtol=1e-10, atol=0.0)
+
     def test_epd_fit_makes_at_most_one_cusp_search(self, monkeypatch):
         x = F.sample("epd", (1.5, 0.3, 2.0), 2_000, 41)
         below_one = []
