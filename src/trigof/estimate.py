@@ -15,8 +15,10 @@ equations through the family's profile (``_ML_PROFILES``): a shape root with
 location and scale profiled out in closed form, by an inner root or by EM,
 and the known components held at their values.  Shape roots are bracketed on
 a geometric grid searched outward from its centre, so the bracket nearest the
-centre wins, and refined by Brent's method (``_roots``); inner location and
-scale roots take safeguarded Newton steps from the row's last root.
+centre wins, and refined by Brent's method (``_roots``).  Roots that rise
+monotonically with a cheap slope take safeguarded Newton steps (``_newton``)
+inside a known bracket: the inner location and scale roots from the row's last
+root, and the gamma, nakagami and profiled weibull shapes from closed-form starts.
 """
 
 from __future__ import annotations
@@ -589,11 +591,11 @@ def _digamma_root(t, minus_log: bool, iters):
         s = np.where(t < 0.0, -t, 1.0)
         lo, x = 0.5 / s, (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
         lam, it = _newton(lambda z, j: (sp.digamma(z) - np.log(z) + s[j],
-                                        sp.polygamma(1, z) - 1.0 / z), x, lo, 2.0 * lo, 0.0, 1e-13)
+                                        sp.zeta(2.0, z) - 1.0 / z), x, lo, 2.0 * lo, 0.0, 1e-13)
         lam = np.where(t < 0.0, lam, _SHAPE_CAP)
     else:
         lo, x = np.exp(t), np.where(t >= -2.22, np.exp(t) + 0.5, -1.0 / (t + np.euler_gamma))
-        lam, it = _newton(lambda z, j: (sp.digamma(z) - t[j], sp.polygamma(1, z)),
+        lam, it = _newton(lambda z, j: (sp.digamma(z) - t[j], sp.zeta(2.0, z)),
                           x, lo, lo + 1.0, 0.0, 1e-13)
     iters += it
     return lam, it < _MAX_ITER
