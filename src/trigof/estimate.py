@@ -731,7 +731,7 @@ _ML_ROWS = {
                 lambda X, t: np.abs(X - t[:, :1]).mean(axis=1)),
     "uniform": (lambda X, t: X.min(axis=1), lambda X, t: X.max(axis=1)),
     "gamma": (None, lambda X, t: X.mean(axis=1) / t[:, 0]),
-    "inverse-gaussian": (lambda X, t: _mean(X), lambda X, t: _ig_lambda(X, t[:, 0])),
+    "inverse-gaussian": (lambda X, t: X.mean(axis=1), lambda X, t: _ig_lambda(X, t[:, 0])),
 }
 
 
