@@ -475,7 +475,7 @@ class TestScanRootInFitters:
         assert res.converged == ref.converged
         ll, ll_ref = _loglik("epd", res.theta, x), _loglik("epd", ref.theta, x)
         assert ll >= ll_ref - 1e-12 * abs(ll_ref)
-        if lam != 1.0:  # at lam = 1 the location is any point of the median's flat
+        if lam != 1.0:  # at lam = 1 the equation steps: mu is its jump within xtol only
             np.testing.assert_allclose(res.theta, ref.theta, rtol=1e-10, atol=0.0)
         np.testing.assert_array_equal(batch_fit("epd", "ml", mask, np.vstack([x, x[::-1]]))[0],
                                       res.theta)
