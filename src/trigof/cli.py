@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -51,7 +52,11 @@ def _resolve_family(name, theta_text=None):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("TRIGOF_SEED", "0"))
+    text = os.environ.get("TRIGOF_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise _UsageError(f"TRIGOF_SEED must be an integer, got {text!r}")
 
 
 def _fmt(value, digits):
@@ -291,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--digits", type=int, default=17,
                        help="significant digits in numeric output (default 17)")
         p.add_argument("--output", help="write output to this file instead of stdout")
-        p.add_argument("--seed", type=int, default=_default_seed(),
+        p.add_argument("--seed", type=int,
                        help="RNG seed (default: TRIGOF_SEED or 0)")
 
     p = sub.add_parser("test", help="test a data file against a null family")
@@ -349,13 +354,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_EXIT if exc.code not in (0, None) else 0
     try:
+        if args.seed is None and args.command != "study":  # a study keeps its config's seed
+            args.seed = _default_seed()
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

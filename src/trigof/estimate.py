@@ -24,6 +24,7 @@ root, and the gamma, nakagami and profiled weibull shapes from closed-form start
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -309,9 +310,87 @@ def _shape(eq, known: bool, value: float, iters, scale=None, **grid):
     return z, conv
 
 
+_CHUNK = 2 ** 14  # elements in one temporary of the gap search
+_LEAF = 16  # a block of more midpoints is split again, not evaluated
+
+
+def _gap_sums(x, c, lam):
+    """sum |x - c_j|^lam at each c_j, in the bits np.sum gives each c_j alone,
+    over chunks of at most _CHUNK elements."""
+    step = max(1, _CHUNK // len(x))
+    return np.concatenate([(np.abs(x - _col(c[i:i + step])) ** lam).sum(axis=1)
+                           for i in range(0, len(c), step)])
+
+
+def _outside(xs, cnt, inner, c, lam):
+    """sum cnt_t |xs_t - c_b|^lam over the t outside each block b."""
+    p = np.abs(xs - _col(c)) ** lam
+    p *= cnt
+    p[inner] = 0.0
+    return p.sum(axis=1)
+
+
+def _epd_gap(x, lam):
+    """(xs, j): the distinct values xs of the row x and the gap (xs[j],
+    xs[j+1]) whose midpoint gives the smallest sum |x_i - c|^lam of all gap
+    midpoints c, the first on ties; an exact branch-and-bound over blocks of
+    consecutive midpoints, see ``_epd_mu_hat``."""
+    xs, cnt = np.unique(x, return_counts=True)
+    mids = 0.5 * (xs[:-1] + xs[1:])
+    near = np.minimum(xs[1:-1] - mids[:-1], mids[1:] - xs[1:-1]) ** lam
+    inside = np.concatenate([[0.0], np.cumsum(cnt[1:-1] * near)])  # over xs[1 .. t]
+    t, step = np.arange(len(xs)), max(1, _CHUNK // len(xs))
+
+    def blocks(first, last):
+        """mids[first .. last] in blocks of about sqrt(last - first + 1), as
+        (bound, lo, hi): the block mids[lo .. hi] holds xs[lo+1 .. hi] inside."""
+        k = math.isqrt(last - first) + 1
+        lo = np.arange(first, last + 1, k)
+        hi = np.minimum(lo + k, last + 1) - 1
+        bound = inside[hi] - inside[lo]
+        for i in range(0, len(lo), step):
+            b = slice(i, i + step)
+            inner = (t > _col(lo[b])) & (t <= _col(hi[b]))
+            bound[b] += np.minimum(_outside(xs, cnt, inner, mids[lo[b]], lam),
+                                   _outside(xs, cnt, inner, mids[hi[b]], lam))
+        return zip(bound.tolist(), lo.tolist(), hi.tolist())
+
+    heap = list(blocks(0, len(mids) - 1))
+    heapq.heapify(heap)
+    best, val = 0, np.inf
+    while heap and heap[0][0] <= val * (1.0 + 1e-9):
+        _, lo, hi = heapq.heappop(heap)
+        if hi - lo >= _LEAF:
+            for block in blocks(lo, hi):
+                heapq.heappush(heap, block)
+            continue
+        f = _gap_sums(x, mids[lo:hi + 1], lam)
+        j = int(np.argmin(f))
+        if f[j] < val or (f[j] == val and lo + j < best):
+            best, val = lo + j, f[j]
+    return xs, best
+
+
 def _epd_mu_hat(X, lam, start):
     """(mu, iterations): the location solving sum sign(x-mu)|x-mu|^(lam-1) = 0
-    on each row at its lam."""
+    on each row at its lam.
+
+    For lam < 1 the root lies in the gap of the row's distinct values whose
+    midpoint c minimizes f(c) = sum |x_i - c|^lam, first on ties; ``_epd_gap``
+    finds it without evaluating f at every midpoint.  On a block of
+    consecutive midpoints spanning [c_lo, c_hi], the points outside the span
+    add a sum that is concave in c (|x - c| is linear there and t^lam is
+    concave), so at least the smaller of its values at c_lo and c_hi; a point
+    xs[t] inside the span is no closer to any of the block's midpoints than to
+    the nearer of mids[t-1] and mids[t], on either side of it.  The two parts
+    bound f from below on the block.  The m midpoints start as blocks of
+    about sqrt(m); the block of lowest bound is split the same way while it
+    holds more than _LEAF midpoints, and otherwise f is evaluated on it as the
+    full scan did, np.sum over the row at one midpoint.  The search stops once
+    the lowest bound exceeds the best f by more than the rounding of either
+    sum (relative 1e-9), so no block left over holds the minimum or a tie with
+    it: the gap, and mu, are the scan's to the bit.  The iterations count
+    every gap, as the scan did."""
     mu, iters, lo, hi = np.empty(len(X)), np.zeros(len(X), dtype=int), X.min(axis=1), X.max(axis=1)
     # lam >= 1: one root of sum sign(d)|d|^(lam-1) in d = mu - x, which rises
     # with slope (lam-1) sum |d|^(lam-2) (not finite at a tie when lam < 2)
@@ -326,17 +405,16 @@ def _epd_mu_hat(X, lam, start):
                                     1e-12 * np.maximum(1.0, hi[up] - lo[up]))
     # lam < 1: the equation blows up at every observation, with one root per
     # gap; take the consistent root in the gap with the smallest profiled
-    # objective (global maximization is degenerate here), or the gap's end
-    # where the equation has no sign change inside it
+    # objective at its midpoint (``_epd_gap``; global maximization is
+    # degenerate here), or the gap's end where the equation has no sign
+    # change inside it
     down = np.flatnonzero(lam < 1.0)
     if down.size:
         a, b = np.empty(down.size), np.empty(down.size)
         for k, r in enumerate(down):
-            xs = np.unique(X[r])
-            mids = 0.5 * (xs[:-1] + xs[1:])
-            best = int(np.argmin([float(np.sum(np.abs(X[r] - c) ** lam[r])) for c in mids]))
+            xs, best = _epd_gap(X[r], lam[r])
             a[k], b[k] = np.nextafter(xs[best], xs[best + 1]), np.nextafter(xs[best + 1], xs[best])
-            iters[r] = len(mids)
+            iters[r] = len(xs) - 1
 
         def g(z, j):
             d = _take(X, down[j]) - _col(z)

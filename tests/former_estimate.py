@@ -6,7 +6,8 @@ checked against.
 ``_FITTERS`` holds the 13 per-family fitters on one sample, ``_dedicated``
 reaches them through a derived family's base and ``_generic_ml`` is the
 Nelder-Mead maximization the masks without a fitter fell back to.
-``former_fit`` is the former ``estimate.fit`` on an ML row.  The three
+``former_fit`` is the former ``estimate.fit`` on an ML row, and ``scan_gap``
+the former gap search of the EPD location below lam = 1.  The three
 batch-only kernels the block fits used (``_fit_gamma_batch``,
 ``_fit_weibull_batch``, ``_fit_epd_lam_known_batch``) are at the end.
 """
@@ -133,6 +134,16 @@ def _wmean_exp(values, logw):
 # (theta tuple, iterations, converged) or None to fall through to the
 # generic likelihood maximizer.
 # ---------------------------------------------------------------------------
+
+def scan_gap(x, lam):
+    """The gap search that ``estimate._epd_mu_hat`` ran for lam < 1 before
+    its branch-and-bound: the index j of the gap (xs[j], xs[j+1]) of the
+    distinct values whose midpoint gives the smallest sum |x - c|^lam, the
+    first on ties, from the objective at every midpoint."""
+    xs = np.unique(x)
+    mids = 0.5 * (xs[:-1] + xs[1:])
+    return int(np.argmin([float(np.sum(np.abs(x - c) ** lam)) for c in mids]))
+
 
 def _epd_mu_hat(x, lam):
     """Location solving sum sign(x-mu)|x-mu|^(lam-1) = 0 (the mu ML equation)."""

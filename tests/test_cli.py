@@ -80,3 +80,28 @@ def test_importing_the_cli_leaves_scipy_optimize_out():
                           "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"],
                          env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_seed_default_is_read_at_each_call(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process; TRIGOF_SEED still counts per call
+    path = _data_file(tmp_path, F.sample("gamma", (2.3, 1.4), 40, 5))
+    seeds = []
+    run_test = cli.gof.run_test
+
+    def recording(*args, mc=None, **kw):
+        seeds.append(mc["seed"])
+        return run_test(*args, mc=mc, **kw)
+
+    monkeypatch.setattr(cli.gof, "run_test", recording)
+    for seed in ("3", "7"):
+        monkeypatch.setenv("TRIGOF_SEED", seed)
+        assert cli.main(["test", path, "--family", "gamma", "--mc-reps", "5"]) == 0
+    assert cli.main(["test", path, "--family", "gamma", "--mc-reps", "5", "--seed", "11"]) == 0
+    monkeypatch.delenv("TRIGOF_SEED")
+    assert cli.main(["test", path, "--family", "gamma", "--mc-reps", "5"]) == 0
+    assert seeds == [3, 7, 11, 0]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setenv("TRIGOF_SEED", "abc")
+    capsys.readouterr()
+    assert cli.main(["test", path, "--family", "gamma"]) == cli.USAGE_EXIT
+    assert "TRIGOF_SEED" in capsys.readouterr().err

@@ -1,7 +1,12 @@
+import importlib.util
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from trigof import estimate as E
@@ -502,3 +507,99 @@ class TestScanRootInFitters:
         res = fit("epd", "ml", None, x)
         assert res.converged
         assert len(below_one) <= 1
+
+
+def _desk_workloads():
+    """The benchmark's input generator (numpy only), loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("desk_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _row(values, shape):
+    x = np.array(values)
+    if shape == "rounded":  # ties
+        return np.round(x)
+    if shape == "mirrored":
+        return np.concatenate([x[: len(x) // 2], -x[: len(x) // 2]])
+    return x
+
+
+class TestEpdGap:
+    """``_epd_gap``'s branch-and-bound against the scan of every gap midpoint
+    (``former_estimate.scan_gap``), which it replaced."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(values=st.lists(st.floats(-50.0, 50.0, allow_nan=False), min_size=2, max_size=60),
+           shape=st.sampled_from(["plain", "rounded", "mirrored"]),
+           lam=st.floats(0.05, 0.999))
+    def test_same_gap_as_the_scan(self, values, shape, lam):
+        x, lam = _row(values, shape), np.float64(lam)
+        if len(np.unique(x)) < 2:
+            return  # no gap: the fit rejects a constant row before
+        assert E._epd_gap(x, lam)[1] == FE.scan_gap(x, lam)
+
+    @pytest.mark.parametrize("name", ["epd", "log-epd"])
+    def test_same_gap_on_the_desk_data(self, name):
+        wl = _desk_workloads()
+        lam = np.float64(0.7079457843841379)  # the grid point the fits reach below 1
+        for ds in range(wl.POOL["desk-test"]):
+            x = wl.desk_data(f"{name}/2000", ds)
+            x = np.log(x) if name == "log-epd" else x
+            assert E._epd_gap(x, lam)[1] == FE.scan_gap(x, lam)
+
+    @staticmethod
+    def _scanning(monkeypatch):
+        """Route the fits through the scan; returns the list of its calls."""
+        calls = []
+
+        def scan(x, lam):
+            calls.append(lam)
+            return np.unique(x), FE.scan_gap(x, lam)
+
+        monkeypatch.setattr(E, "_epd_gap", scan)
+        return calls
+
+    @pytest.mark.parametrize("name", ["epd", "log-epd"])
+    @pytest.mark.parametrize("n", [30, 200, 2000])
+    @pytest.mark.parametrize("lam0", [1.5, 0.7])
+    def test_fit_is_the_scans_to_the_bit(self, name, n, lam0, monkeypatch):
+        theta = (lam0,) + FAMILY_THETAS[name][1:]
+        x = F.sample(name, theta, n, 17)
+        X = np.stack([x, F.sample(name, theta, n, 18)])
+        est = E.rows_estimator(F.get_family(name), EstimatorKind.ML, KnownMask.none(3))
+        res, rows = fit(name, "ml", None, x), est(X)
+        calls = self._scanning(monkeypatch)
+        ref, ref_rows = fit(name, "ml", None, x), est(X)
+        assert calls  # the fits reach lam < 1
+        assert res.theta.tobytes() == ref.theta.tobytes()
+        assert (res.iterations, res.converged, res.residual) == (
+            ref.iterations, ref.converged, ref.residual)
+        for got, want in zip(rows, ref_rows):
+            assert got.tobytes() == want.tobytes()
+
+    def test_known_lambda_block_is_the_scans_to_the_bit(self, monkeypatch):
+        mask = KnownMask.from_names("epd", {"lambda": 0.8})
+        X = np.stack([F.sample("epd", (0.8, 0.3, 2.0), 60, np.random.SeedSequence([12, r]))
+                      for r in range(5)])
+        est = E.rows_estimator(F.get_family("epd"), EstimatorKind.ML, mask)
+        rows, thetas = est(X), batch_fit("epd", "ml", mask, X)
+        calls = self._scanning(monkeypatch)
+        ref_rows, ref_thetas = est(X), batch_fit("epd", "ml", mask, X)
+        assert len(calls) == 10
+        assert thetas.tobytes() == ref_thetas.tobytes()
+        for got, want in zip(rows, ref_rows):
+            assert got.tobytes() == want.tobytes()
+
+    def test_memory_stays_bounded_at_n_2e4(self):
+        x = np.random.default_rng(23).standard_normal(20_000)
+        tracemalloc.start()
+        try:
+            mu, iters = E._epd_mu_hat(x[None, :], np.array([0.7]), x[None, :].mean(axis=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(mu[0]) and iters[0] >= 19_999
+        assert peak < 8 * 2**20
