@@ -10,6 +10,12 @@ returns C_n, S_n, the Sigma rows and T_n = n [C_n, S_n] Sigma^-1 [C_n, S_n]^T;
 the PIT is the family's own ``cdf_fn``, called once on the block.
 ``batch_tn`` feeds it the block's fits and ``gof._single_test`` a single
 fit.  Failed replications and the loop over blocks are ``gof.replicate``'s.
+
+Each row fails alone: whatever goes wrong on one row (its fit, its
+parameter check, its PIT, its integrand or its Sigma) makes that row's
+values NaN and leaves the others' bits as they would be without it.  Only a
+cause common to every row raises: an unsupported (family, estimator, mask)
+row, or a known shape at which a constant cannot be formed.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import math
 import numpy as np
 
 from . import scaling
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 from .estimate import EstimatorKind, KnownMask, rejected_rows, rows_estimator
 from .families import get_family
 
@@ -27,8 +33,9 @@ _TWO_PI = 2.0 * math.pi
 
 
 def batch_fit(fam, kind, mask: KnownMask | None, X) -> np.ndarray:
-    """theta rows fitted to the rows of X; NaN rows where the fit fails.  A
-    row whose root search did not converge keeps its theta, as ``fit`` does."""
+    """theta rows fitted to the rows of X; NaN rows where the fit fails or
+    its theta fails ``fam.check``, as ``fit`` would raise.  A row whose root
+    search did not converge keeps its theta, as ``fit`` does."""
     fam = get_family(fam)
     kind = EstimatorKind(kind)
     mask = mask or KnownMask.none(fam.n_params)
@@ -37,19 +44,26 @@ def batch_fit(fam, kind, mask: KnownMask | None, X) -> np.ndarray:
         raise ConfigurationError(f"no estimator for ({fam.name}, {kind.value})")
     bad = np.logical_or(*rejected_rows(fam, mask, X))
     if not bad.any():
-        return est(X)[0]
-    thetas = np.full((len(X), fam.n_params), np.nan)
-    if not bad.all():
-        thetas[~bad] = est(X[~bad])[0]
+        thetas = est(X)[0]
+    else:
+        thetas = np.full((len(X), fam.n_params), np.nan)
+        if not bad.all():
+            thetas[~bad] = est(X[~bad])[0]
+    for j, row in enumerate(thetas.tolist()):  # a NaN row passes the check
+        try:
+            fam.check(row)
+        except DomainError:
+            thetas[j] = np.nan
     return thetas
 
 
 def _sigma_rows(fam, kind, mask, thetas) -> np.ndarray:
-    """Per-row scaling covariances, NaN where the fit failed, from one call of
-    the rule for all fitted rows.  Sigma depends on theta through
-    ``fam.shapes`` only, so a block with them known shares one; and R's
-    condition depends on the data's units, so a row that reads singular is
-    taken again with all but the shapes at 1 (SingularityError if it still does)."""
+    """Per-row scaling covariances from one call of the rule for all fitted
+    rows; NaN where the fit failed, the integrand is not finite or Sigma does
+    not hold.  Sigma depends on theta through ``fam.shapes`` only, so a block
+    with them known shares one; and R's condition depends on the data's
+    units, so a row that reads singular is taken again with all but the
+    shapes at 1."""
     fam = get_family(fam)
     fitted = np.flatnonzero(np.all(np.isfinite(thetas), axis=1))
     sig = np.full((thetas.shape[0], 2, 2), np.nan)
@@ -57,11 +71,13 @@ def _sigma_rows(fam, kind, mask, thetas) -> np.ndarray:
         return sig
     shared = all(mask is not None and mask.is_known(fam, s) for s in fam.shapes)
     rows = thetas[fitted[:1] if shared else fitted]
-    S, ok = scaling._assemble(scaling.matrices(fam, kind, rows), mask, kind, fam)
-    if not ok.all():
-        unit = rows[~ok]
+    ms = scaling.matrices(fam, kind, rows)
+    S = scaling.sigma(ms, mask, kind, fam)
+    retry = np.isnan(S[:, 0, 0]) & ~scaling._failed(ms)
+    if retry.any():
+        unit = rows[retry]
         unit[:, [p not in fam.shapes for p in fam.param_names]] = 1.0
-        S[~ok] = scaling.sigma(scaling.matrices(fam, kind, unit), mask, kind, fam)
+        S[retry] = scaling.sigma(scaling.matrices(fam, kind, unit), mask, kind, fam)
     sig[fitted] = S
     return sig
 

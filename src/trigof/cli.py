@@ -92,23 +92,35 @@ def read_data(path) -> np.ndarray:
     return np.asarray(values)
 
 
-def _parse_known(pairs):
+def _parse_known(fam, pairs):
+    """The --known bindings and their mask (None without any); a malformed
+    pair or a name the family does not have is a usage error."""
     out = {}
     for chunk in pairs or []:
-        name, sep, value = chunk.partition("=")
-        if not sep:
-            raise ValueError(f"--known expects name=value, got {chunk!r}")
-        out[name.strip()] = float(value)
-    return out
+        name, _, value = chunk.partition("=")
+        try:
+            out[name.strip()] = float(value)
+        except ValueError:
+            raise _UsageError(f"--known expects name=value, got {chunk!r}")
+    try:
+        return out, KnownMask.from_names(fam, out) if out else None
+    except TrigofError as exc:
+        raise _UsageError(str(exc))
 
 
-def _parse_grid(text):
-    """'lo:hi:step' or a comma list."""
-    if ":" in text:
-        lo, hi, step = (float(v) for v in text.split(":"))
-        n = int(round((hi - lo) / step)) + 1
-        return [lo + i * step for i in range(n)]
-    return [float(v) for v in text.split(",") if v.strip()]
+def _parse_grid(text, option):
+    """'lo:hi:step' or a comma list, of one value at least."""
+    try:
+        if ":" in text:
+            lo, hi, step = (float(v) for v in text.split(":"))
+            grid = [lo + i * step for i in range(int(round((hi - lo) / step)) + 1)]
+        else:
+            grid = [float(v) for v in text.split(",") if v.strip()]
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise _UsageError(f"{option} expects 'lo:hi:step' or a comma list, got {text!r}")
+    if not grid:
+        raise _UsageError(f"{option} {text!r} holds no grid point")
+    return grid
 
 
 def _emit(text, path=None):
@@ -125,9 +137,8 @@ def _emit(text, path=None):
 
 def cmd_test(args) -> int:
     fam = _resolve_family(args.family)
+    bindings, mask = _parse_known(fam, args.known)
     x = read_data(args.data)
-    bindings = _parse_known(args.known)
-    mask = KnownMask.from_names(fam, bindings) if bindings else None
     mc = {"reps": args.mc_reps, "seed": args.seed} if args.mc_reps else None
     res = gof.run_test(fam, args.estimator, mask, x, mc=mc)
     payload = {
@@ -158,8 +169,8 @@ def cmd_test(args) -> int:
     return 0
 
 
-def _matrix_payload(fam, kind, theta, bindings, digits):
-    mask = KnownMask.from_names(fam, bindings) if bindings else None
+def _matrix_payload(fam, kind, theta, known, digits):
+    bindings, mask = _parse_known(fam, known)
     ms = scaling.matrices(fam, kind, theta)
     sig = scaling.sigma(ms, mask, kind, fam)
     return {
@@ -192,8 +203,7 @@ def cmd_matrices(args) -> int:
         raise _UsageError("matrices needs --family and --theta")
     fam = _resolve_family(args.family, args.theta)
     theta = [float(v) for v in args.theta.split(",")]
-    payload = _matrix_payload(fam, args.estimator, theta,
-                              _parse_known(args.known), args.digits)
+    payload = _matrix_payload(fam, args.estimator, theta, args.known, args.digits)
     _emit(json.dumps(payload, indent=2), args.output)
     return 0
 
@@ -201,20 +211,26 @@ def cmd_matrices(args) -> int:
 def cmd_power(args) -> int:
     case = power.AltCase(args.case)
     kind = EstimatorKind(args.estimator)
+    if args.empirical:
+        try:
+            n, reps = (int(v) for v in args.empirical.split(","))
+            if n < 1 or reps < 1:
+                raise ValueError
+        except ValueError:
+            raise _UsageError(f"--empirical expects N,REPS, two positive integers, "
+                              f"got {args.empirical!r}")
     if case is power.AltCase.GAMMA_VS_GG:
         theta0 = (args.lambda0, 1.0)
-        deltas = _parse_grid(args.delta or "0:30:0.5")
-        grid = [(d,) for d in deltas]
+        grid = [(d,) for d in _parse_grid(args.delta or "0:30:0.5", "--delta")]
     elif case is power.AltCase.WEIBULL_VS_GG:
         theta0 = (1.0, 1.0)
-        deltas = _parse_grid(args.delta or "0:40:0.5")
-        grid = [(d,) for d in deltas]
+        grid = [(d,) for d in _parse_grid(args.delta or "0:40:0.5", "--delta")]
     else:
         theta0 = (args.lambda0, 0.0, 1.0)
         if args.delta2 is not None:
-            grid = [(0.0, d) for d in _parse_grid(args.delta2)]
+            grid = [(0.0, d) for d in _parse_grid(args.delta2, "--delta2")]
         else:
-            grid = [(d, 0.0) for d in _parse_grid(args.delta or "0:3.5:0.05")]
+            grid = [(d, 0.0) for d in _parse_grid(args.delta or "0:3.5:0.05", "--delta")]
     points = power.power_curve(case, theta0, grid, args.alpha, kind)
     rows = []
     for pt in points:
@@ -224,7 +240,6 @@ def cmd_power(args) -> int:
         else:
             row = {"delta": pt.delta[0], **row}
         if args.empirical:
-            n, reps = (int(v) for v in args.empirical.split(","))
             alt = power.LocalAlternative(case, theta0, pt.delta, kind, args.alpha)
             emp = power.empirical_power(alt, n, reps, args.seed)
             row.update({"empirical": emp["rate"], "asymptotic": pt.power,
@@ -241,8 +256,9 @@ def cmd_power(args) -> int:
 
 def cmd_ellipse(args) -> int:
     fam = _resolve_family(args.family, args.theta if args.theta else None)
-    bindings = _parse_known(args.known)
-    mask = KnownMask.from_names(fam, bindings) if bindings else None
+    mask = _parse_known(fam, args.known)[1]
+    if not (args.theta or args.input):
+        raise _UsageError("ellipse needs --theta or --input")
     point = None
     if args.input:
         x = read_data(args.input)
@@ -251,8 +267,6 @@ def cmd_ellipse(args) -> int:
         point = (math.sqrt(res.moments.n) * res.moments.cn,
                  math.sqrt(res.moments.n) * res.moments.sn)
     else:
-        if not args.theta:
-            raise ValueError("ellipse needs --theta or --input")
         theta = [float(v) for v in args.theta.split(",")]
         sig = scaling.sigma_from(fam, args.estimator, theta, mask)
     geom = gof.ellipse(sig, args.level)

@@ -1,7 +1,9 @@
 """Typed errors raised across the package.
 
-Numerical routines raise instead of propagating NaNs so that callers
-(root-finders, Monte-Carlo loops) can fail hard or isolate the failure.
+A call on one sample or one theta raises instead of returning NaN, so that
+its caller can fail hard; a function over theta rows (a block of
+Monte-Carlo replications) returns NaN on a row that fails instead, so that
+the other rows go on.
 """
 
 

@@ -7,7 +7,10 @@ name, e.g. ``get_family("inverse-gaussian")``.  Every ``logpdf``,
 ``cdf_fn``, ``quantile_fn`` and ``score_fn`` broadcasts over theta components
 given as columns of shape (rows, 1) (the score then has shape (p, rows, n)),
 which is how the batch PIT and the scaling matrices evaluate a block of
-fitted rows in one call.  Every quantile is a closed form but the inverse
+fitted rows in one call.  They call ``scipy.special`` directly and raise
+nothing for a row outside a function's domain, which reads NaN; the point
+functions (``pdf``, ``cdf``, ``quantile``, ``score``, ``sample``) check
+theta first.  Every quantile is a closed form but the inverse
 Gaussian's, a safeguarded Newton iteration on its CDF.  The
 symmetric families read each side of their quantile from its own tail
 probability 2 min(u, 1 - u), so neither tail passes through a rounded 1 - u;
@@ -44,7 +47,6 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special as sp
 
-from . import specfun
 from .errors import ConfigurationError, DomainError
 
 __all__ = [
@@ -360,7 +362,7 @@ _UNIT = lambda t: (0.0, 1.0)
 
 def _epd_lognorm(lam):
     # log of 2*lam^(1/lam-1)*Gamma(1/lam)
-    return math.log(2.0) + (1.0 / lam - 1.0) * np.log(lam) + specfun.ln_gamma(1.0 / lam)
+    return math.log(2.0) + (1.0 / lam - 1.0) * np.log(lam) + sp.gammaln(1.0 / lam)
 
 
 def _epd_logpdf(t, x):
@@ -372,7 +374,7 @@ def _epd_logpdf(t, x):
 def _epd_cdf(t, x):
     lam, mu, sigma = t
     y = (x - mu) / sigma
-    g = specfun.reg_gamma_cdf(1.0 / lam, 1.0, np.power(np.abs(y), lam) / lam)
+    g = sp.gammainc(1.0 / lam, np.power(np.abs(y), lam) / lam)
     return 0.5 * (1.0 + np.sign(y) * g)
 
 
@@ -402,11 +404,11 @@ def _epd_offset(t, p, c):
 
 def _epd_c1(lam):
     """c1 = psi(1/lam + 1) + ln lam, at a scalar lam or over theta rows."""
-    return specfun.digamma(1.0 / lam + 1.0) + np.log(lam)
+    return sp.digamma(1.0 / lam + 1.0) + np.log(lam)
 
 
 def _epd_c2(lam):
-    return math.exp(float(specfun.ln_gamma(1.0 / lam)) - float(specfun.ln_gamma(3.0 / lam))
+    return math.exp(float(sp.gammaln(1.0 / lam)) - float(sp.gammaln(3.0 / lam))
                     - (2.0 / lam) * math.log(lam))
 
 
@@ -460,7 +462,7 @@ _register(Family(
     support=_REAL,
     logpdf=lambda t, x: -0.5 * ((x - t[0]) / t[1]) ** 2 - np.log(
         t[1] * math.sqrt(2.0 * math.pi)),
-    cdf_fn=lambda t, x: specfun.std_normal_cdf((x - t[0]) / t[1]),
+    cdf_fn=lambda t, x: sp.ndtr((x - t[0]) / t[1]),
     quantile_fn=lambda t, u: t[0] + t[1] * sp.ndtri(u),
     score_fn=lambda t, x: np.stack([
         (x - t[0]) / t[1] ** 2,
@@ -477,7 +479,7 @@ _register(Family(
 def _expgamma_logpdf(t, x):
     lam, mu, sigma = t
     y = (x - mu) / sigma
-    return lam * y - np.exp(y) - np.log(sigma) - specfun.ln_gamma(lam)
+    return lam * y - np.exp(y) - np.log(sigma) - sp.gammaln(lam)
 
 
 def _expgamma_score(t, x):
@@ -485,7 +487,7 @@ def _expgamma_score(t, x):
     y = (x - mu) / sigma
     ey = np.exp(y)
     return np.stack([
-        y - specfun.digamma(lam),
+        y - sp.digamma(lam),
         (ey - lam) / sigma,
         (y * ey - lam * y - 1.0) / sigma])
 
@@ -496,7 +498,7 @@ _register(Family(
     check=_pos(0, 2),
     support=_REAL,
     logpdf=_expgamma_logpdf,
-    cdf_fn=lambda t, x: specfun.reg_gamma_cdf(t[0], 1.0, np.exp((x - t[1]) / t[2])),
+    cdf_fn=lambda t, x: sp.gammainc(t[0], np.exp((x - t[1]) / t[2])),
     quantile_fn=lambda t, u: t[1] + t[2] * np.log(sp.gammaincinv(t[0], u)),
     score_fn=_expgamma_score,
     shapes=("lambda",),
@@ -545,7 +547,7 @@ _register(Family(
 def _student_logpdf(t, x):
     lam, mu, sigma = t
     y = (x - mu) / sigma
-    lnc = (specfun.ln_gamma((lam + 1.0) / 2.0) - specfun.ln_gamma(lam / 2.0)
+    lnc = (sp.gammaln((lam + 1.0) / 2.0) - sp.gammaln(lam / 2.0)
            - 0.5 * np.log(lam * math.pi))
     return lnc - np.log(sigma) - 0.5 * (lam + 1.0) * np.log1p(y ** 2 / lam)
 
@@ -555,7 +557,7 @@ def _student_cdf(t, x):
     y = (x - mu) / sigma
     # 1 - I_w(lam/2, 1/2) at w = (1 + y^2/lam)^-1, computed without
     # cancellation through the symmetry of the incomplete beta.
-    tail = specfun.reg_beta_cdf(0.5, lam / 2.0, y ** 2 / (lam + y ** 2))
+    tail = sp.betainc(0.5, lam / 2.0, y ** 2 / (lam + y ** 2))
     return 0.5 * (1.0 + np.sign(y) * tail)
 
 
@@ -576,15 +578,15 @@ def _student_c2(lam):
     """E|T - mu| / sigma, the constant of the Student-t MM (which needs lambda > 2)."""
     if lam <= 2.0:
         raise ConfigurationError("Student-t MM requires lambda > 2")
-    return math.sqrt(lam) * math.exp(float(specfun.ln_gamma(0.5 * (lam - 1.0)))
-                                     - float(specfun.ln_gamma(0.5 * lam))) / math.sqrt(math.pi)
+    return math.sqrt(lam) * math.exp(float(sp.gammaln(0.5 * (lam - 1.0)))
+                                     - float(sp.gammaln(0.5 * lam))) / math.sqrt(math.pi)
 
 
 def _student_score(t, x):
     lam, mu, sigma = t
     y = (x - mu) / sigma
     y2 = y ** 2
-    s_lam = 0.5 * (specfun.digamma((lam + 1.0) / 2.0) - specfun.digamma(lam / 2.0)
+    s_lam = 0.5 * (sp.digamma((lam + 1.0) / 2.0) - sp.digamma(lam / 2.0)
                    - 1.0 / lam - np.log1p(y2 / lam) + (lam + 1.0) * y2 / (lam * (lam + y2)))
     s_mu = (lam + 1.0) * y / (sigma * (lam + y2))
     s_sigma = ((lam + 1.0) * y2 / (lam + y2) - 1.0) / sigma
@@ -631,7 +633,7 @@ def _halfepd_logpdf(t, x):
 
 
 def _halfepd_c2(lam):
-    return math.exp(float(specfun.ln_gamma(1.0 / lam)) - float(specfun.ln_gamma(2.0 / lam))
+    return math.exp(float(sp.gammaln(1.0 / lam)) - float(sp.gammaln(2.0 / lam))
                     - math.log(lam) / lam)
 
 
@@ -651,7 +653,7 @@ _register(Family(
     check=_pos(0, 1),
     support=_POSLINE,
     logpdf=_halfepd_logpdf,
-    cdf_fn=lambda t, x: specfun.reg_gamma_cdf(1.0 / t[0], 1.0, np.power(x / t[1], t[0]) / t[0]),
+    cdf_fn=lambda t, x: sp.gammainc(1.0 / t[0], np.power(x / t[1], t[0]) / t[0]),
     quantile_fn=lambda t, u: t[1] * np.power(t[0] * sp.gammaincinv(1.0 / t[0], u), 1.0 / t[0]),
     score_fn=_halfepd_score,
     mm=MomentEq("mean", lambda lam: (1.0, _halfepd_c2(lam)), ("lambda",)),
@@ -720,11 +722,11 @@ _register(Family(
     check=_pos(0, 1),
     support=_POSLINE,
     logpdf=lambda t, x: ((t[0] - 1.0) * np.log(x) - x / t[1]
-                         - specfun.ln_gamma(t[0]) - t[0] * np.log(t[1])),
-    cdf_fn=lambda t, x: specfun.reg_gamma_cdf(t[0], t[1], x),
+                         - sp.gammaln(t[0]) - t[0] * np.log(t[1])),
+    cdf_fn=lambda t, x: sp.gammainc(t[0], x / t[1]),
     quantile_fn=lambda t, u: t[1] * sp.gammaincinv(t[0], u),
     score_fn=lambda t, x: np.stack([
-        np.log(x / t[1]) - specfun.digamma(t[0]),
+        np.log(x / t[1]) - sp.digamma(t[0]),
         (x / t[1] - t[0]) / t[1]]),
     shapes=("lambda",),
 ))
@@ -757,13 +759,13 @@ _register(Family(
     param_names=("lambda", "omega"),
     check=_pos(0, 1),
     support=_POSLINE,
-    logpdf=lambda t, x: (math.log(2.0) - specfun.ln_gamma(t[0])
+    logpdf=lambda t, x: (math.log(2.0) - sp.gammaln(t[0])
                          + t[0] * np.log(t[0] / t[1]) + (2.0 * t[0] - 1.0) * np.log(x)
                          - t[0] * x ** 2 / t[1]),
-    cdf_fn=lambda t, x: specfun.reg_gamma_cdf(t[0], 1.0, t[0] * x ** 2 / t[1]),
+    cdf_fn=lambda t, x: sp.gammainc(t[0], t[0] * x ** 2 / t[1]),
     quantile_fn=lambda t, u: np.sqrt(t[1] * sp.gammaincinv(t[0], u) / t[0]),
     score_fn=lambda t, x: np.stack([
-        np.log(t[0] / t[1]) + 1.0 - specfun.digamma(t[0])
+        np.log(t[0] / t[1]) + 1.0 - sp.digamma(t[0])
         + np.log(x ** 2) - x ** 2 / t[1],
         (t[0] / t[1]) * (x ** 2 / t[1] - 1.0)]),
     shapes=("lambda",),
@@ -774,8 +776,8 @@ def _ig_cdf_fn(t, x):
     mu, lam = t
     s = np.sqrt(lam / x)
     # exp(2 lam/mu) * Phi(-s(x/mu+1)) in log space to survive large lam/mu
-    tail = np.exp(2.0 * lam / mu + specfun.ln_std_normal_cdf(-s * (x / mu + 1.0)))
-    return specfun.std_normal_cdf(s * (x / mu - 1.0)) + tail
+    tail = np.exp(2.0 * lam / mu + sp.log_ndtr(-s * (x / mu + 1.0)))
+    return sp.ndtr(s * (x / mu - 1.0)) + tail
 
 
 def _ig_logpdf(t, x):
@@ -920,14 +922,14 @@ _register(Family(
 
 def _beta_logpdf(t, x):
     a, b = t
-    lnB = specfun.ln_gamma(a) + specfun.ln_gamma(b) - specfun.ln_gamma(a + b)
+    lnB = sp.gammaln(a) + sp.gammaln(b) - sp.gammaln(a + b)
     return (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - lnB
 
 
 def _beta_score(t, lx, l1x):
     """The beta score from ln x and ln(1 - x)."""
-    psum = specfun.digamma(t[0] + t[1])
-    return np.stack([psum - specfun.digamma(t[0]) + lx, psum - specfun.digamma(t[1]) + l1x])
+    psum = sp.digamma(t[0] + t[1])
+    return np.stack([psum - sp.digamma(t[0]) + lx, psum - sp.digamma(t[1]) + l1x])
 
 
 def _beta_node(t, p, q, upper):
@@ -957,7 +959,7 @@ _register(Family(
     check=_pos(0, 1),
     support=_UNIT,
     logpdf=_beta_logpdf,
-    cdf_fn=lambda t, x: specfun.reg_beta_cdf(t[0], t[1], x),
+    cdf_fn=lambda t, x: sp.betainc(t[0], t[1], x),
     quantile_fn=lambda t, u: sp.betaincinv(t[0], t[1], u),
     score_fn=lambda t, x: _beta_score(t, np.log(x), np.log1p(-x)),
     shapes=("alpha", "beta"),
@@ -1023,7 +1025,7 @@ def apd_pdf(x, lam, alpha, rho, mu, sigma):
     a_side = np.where(y < 0, alpha ** rho, (1.0 - alpha) ** rho)
     a_side = np.where(y == 0, 0.5 ** rho, a_side)
     lognorm = (math.log(rho) + math.log(delta / lam) / rho
-               - math.log(sigma) - float(specfun.ln_gamma(1.0 / rho)))
+               - math.log(sigma) - float(sp.gammaln(1.0 / rho)))
     return np.exp(lognorm - (delta / (lam * a_side)) * np.abs(y) ** rho)
 
 
@@ -1046,7 +1048,7 @@ def apd_score(x, lam, alpha, rho, mu, sigma):
     s_alpha = ((rho / alpha - rho / (1.0 - alpha) - dlnd_a) / rho
                - c * w * (np.where(neg, -rho / (1.0 - alpha), rho / alpha) - dlnd_a))
     s_rho = (1.0 / rho - (math.log(delta / lam) - rho * (la + lb - dlnd_r)) / rho ** 2
-             + float(specfun.digamma(1.0 / rho)) / rho ** 2
+             + float(sp.digamma(1.0 / rho)) / rho ** 2
              - c * (w * (np.where(neg, lb, la) - dlnd_r) + wlog))
     return np.stack(np.broadcast_arrays(s_alpha, s_rho))
 
@@ -1060,11 +1062,11 @@ def apd_cdf(x, lam, alpha, rho, mu, sigma):
     neg = y < 0
     out = np.empty_like(y)
     gy = np.abs(y) ** rho * delta / lam
-    out[neg] = alpha * (1.0 - specfun.reg_gamma_cdf(
-        1.0 / rho, 1.0, gy[neg] / alpha ** rho))
+    out[neg] = alpha * (1.0 - sp.gammainc(
+        1.0 / rho, gy[neg] / alpha ** rho))
     pos = ~neg
-    out[pos] = alpha + (1.0 - alpha) * specfun.reg_gamma_cdf(
-        1.0 / rho, 1.0, gy[pos] / (1.0 - alpha) ** rho)
+    out[pos] = alpha + (1.0 - alpha) * sp.gammainc(
+        1.0 / rho, gy[pos] / (1.0 - alpha) ** rho)
     return out
 
 

@@ -6,7 +6,8 @@ sample means of cos/sin(2 pi U_i) over the fitted probability integral
 transform U_i = F(x_i | theta_hat).  ``_single_test`` fits the sample and
 hands theta_hat to ``_batch.statistic`` as a single row, the path the batch
 replications take after their block fit, so the PIT, Sigma and T_n are
-computed in one place.  Under the null it is asymptotically
+computed in one place; where that row comes back NaN it raises the typed
+error of its cause.  Under the null it is asymptotically
 chi-square with 2 degrees of freedom, so the asymptotic p-value has the
 closed form exp(-T_n / 2).  A parametric-bootstrap p-value (refit inside
 each replication) is available with add-one smoothing (r+1)/(R+1);
@@ -21,18 +22,19 @@ from typing import Optional
 
 import numpy as np
 
-from . import _batch, families
+from . import _batch, families, scaling
 from .errors import DomainError, EstimationError, SamplingError, SingularityError
 from .estimate import EstimatorKind, FitResult, KnownMask, fit
 from .scaling import _check_pd, _eig2
 from .specfun import std_normal_quantile
 
 __all__ = ["TrigMoments", "TestResult", "Ellipse", "trig_moments", "run_test",
-           "replicate", "ellipse"]
+           "replicate", "rejection_rate", "ellipse"]
 
 TWO_PI = 2.0 * math.pi
 
-# what a failed replication raises; anything else propagates
+# what a block raises for a cause common to its rows, which fails them all;
+# anything else propagates
 REPLICATION_FAILURES = (EstimationError, SingularityError, SamplingError, DomainError)
 
 
@@ -73,12 +75,12 @@ class Ellipse:
 
 
 def _one_row(fam, theta, x):
-    """theta and x as a (1, p) and a (1, n) row, with x inside the support."""
+    """theta and x as a (1, p) and a (1, n) row, with x finite and inside the support."""
     fam = families.get_family(fam)
     t = families._theta(fam, theta)
     x = np.asarray(x, dtype=float)
     lo, hi = fam.support(t)
-    if np.any(x < lo) or np.any(x > hi):
+    if not np.all((x >= lo) & (x <= hi) & np.isfinite(x)):
         raise DomainError(f"data outside the support of {fam.name}")
     return np.array([t]), x[None, :]
 
@@ -91,9 +93,17 @@ def trig_moments(fam, theta, x) -> TrigMoments:
 
 
 def _single_test(fam, kind, mask, x):
+    """Fit, moments, Sigma and T_n of one sample; DomainError where its PIT or
+    an integrand of Sigma's matrices is not finite, SingularityError where
+    Sigma does not hold."""
     res = fit(fam, kind, mask, x)
     thetas, X = _one_row(fam, res.theta, x)
     cn, sn, sig, tn = _batch.statistic(fam, kind, mask, thetas, X)
+    if np.isnan(cn[0]):
+        raise DomainError(f"the {fam.name} PIT is not finite on this sample")
+    if np.isnan(sig[0]).any():
+        scaling.matrices(fam, kind, res.theta)  # raises where an integrand is not finite
+        raise SingularityError("R is numerically singular or Sigma is not positive definite")
     return res, TrigMoments(float(cn[0]), float(sn[0]), X.shape[1]), sig[0], float(tn[0])
 
 
@@ -136,29 +146,16 @@ def run_test(fam, kind=EstimatorKind.ML, mask: Optional[KnownMask] = None, x=Non
                       p_mc, reps, exceed, failed)
 
 
-def _block_tn(fam, kind, mask, block) -> np.ndarray:
-    try:
-        return _batch.batch_tn(fam, kind, mask, np.stack(block))
-    except REPLICATION_FAILURES:
-        pass  # redo the block one sample at a time to isolate the failures
-    tn = np.empty(len(block))
-    for j, x in enumerate(block):
-        try:
-            tn[j] = _single_test(fam, kind, mask, x)[3]
-        except REPLICATION_FAILURES:
-            tn[j] = np.nan
-    return tn
-
-
 def replicate(fam, kind, mask: Optional[KnownMask], sample, indices,
               max_failed: Optional[float] = None) -> np.ndarray:
     """T_n of the refitted sample ``sample(r)`` for each r in ``indices``.
 
     Blocks of samples (at most 256 rows and 2**18 values) are fitted and
-    tested at once by ``_batch.batch_tn``; a block that raises is redone one
-    sample at a time to isolate the failures.  A replication whose fit, Sigma or statistic raises one of
-    ``REPLICATION_FAILURES``, or whose T_n is not finite, fails and reads
-    NaN; errors from ``sample`` propagate.  More than ``max_failed``
+    tested at once by ``_batch.batch_tn``, once each, in which every row
+    fails alone.  A replication whose fit, PIT, Sigma or statistic fails, or
+    whose T_n is not finite, reads NaN; a block that raises one of
+    ``REPLICATION_FAILURES`` (a cause common to all its rows) reads NaN
+    throughout.  Errors from ``sample`` propagate.  More than ``max_failed``
     failures abort with EstimationError.
     """
     fam = families.get_family(fam)
@@ -171,7 +168,10 @@ def replicate(fam, kind, mask: Optional[KnownMask], sample, indices,
         rows = min(256, max(1, 2 ** 18 // len(block[0])))
         stop = min(done + rows, len(indices))
         block += [sample(r) for r in indices[done + 1:stop]]
-        tn_b = _block_tn(fam, kind, mask, block)
+        try:
+            tn_b = _batch.batch_tn(fam, kind, mask, np.stack(block))
+        except REPLICATION_FAILURES:
+            tn_b = np.full(len(block), np.nan)
         tn_b[~np.isfinite(tn_b)] = np.nan
         tn[done:stop] = tn_b
         failed += int(np.count_nonzero(np.isnan(tn_b)))
@@ -180,6 +180,15 @@ def replicate(fam, kind, mask: Optional[KnownMask], sample, indices,
             raise EstimationError(f"more than {max_failed:g} of {len(indices)} replications "
                                   f"failed ({failed}/{done})")
     return tn
+
+
+def rejection_rate(rejections: int, done: int) -> tuple[float, float]:
+    """The rejection rate over the ``done`` replications that did not fail and
+    its binomial standard error; both NaN where none is left to count."""
+    if done < 1:
+        return math.nan, math.nan
+    rate = rejections / done
+    return rate, math.sqrt(rate * (1.0 - rate) / done)
 
 
 def ellipse(sig: np.ndarray, level: float, n_points: int = 256) -> Ellipse:

@@ -29,7 +29,7 @@ import numpy as np
 from . import families, scaling, specfun
 from .errors import ConfigurationError, DomainError
 from .estimate import EstimatorKind, KnownMask
-from .gof import replicate
+from .gof import rejection_rate, replicate
 
 __all__ = ["AltCase", "LocalAlternative", "PowerPoint", "noncentrality",
            "power_curve", "empirical_power", "epd_m", "gamma_m", "weibull_m"]
@@ -158,8 +158,9 @@ def empirical_power(alt: LocalAlternative, n: int, reps: int, seed: int) -> dict
 
     The drift is applied exactly as delta / sqrt(n).  Every replication is
     tested through ``gof.replicate``, a block of replications at a time.
-    Returns the rate, its binomial standard error, and the
-    failed-fit count.
+    Returns the rate and its binomial standard error over the replications
+    that did not fail (``gof.rejection_rate``: NaN if every one failed), and
+    the failed-fit count.
     """
     fam, kind, mask = _null_test_config(alt)
     q = -2.0 * math.log(alt.alpha)
@@ -167,10 +168,5 @@ def empirical_power(alt: LocalAlternative, n: int, reps: int, seed: int) -> dict
                    lambda r: _sample_alternative(alt, n, np.random.SeedSequence([seed, r])),
                    range(reps))
     failed = int(np.count_nonzero(np.isnan(tn)))
-    rate = int(np.count_nonzero(tn > q)) / max(reps - failed, 1)
-    return {
-        "rate": rate,
-        "se": math.sqrt(max(rate * (1.0 - rate), 1e-12) / max(reps - failed, 1)),
-        "reps": reps,
-        "failed": failed,
-    }
+    rate, se = rejection_rate(int(np.count_nonzero(tn > q)), reps - failed)
+    return {"rate": rate, "se": se, "reps": reps, "failed": failed}

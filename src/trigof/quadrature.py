@@ -32,14 +32,15 @@ lies beyond 3e-276 is under 1e-26 of the entry's scale and is left out.
 
 A node where f is not finite (a quantile that under- or overflows in the
 far tails) is left out when it is within 1e-15 of an end, where its share
-of the sum is below the rule's accuracy; anywhere else it raises DomainError.
+of the sum is below the rule's accuracy.  Anywhere else it fails its row:
+every entry of that row is NaN, and the other rows are summed as if it were
+not there.  Each caller decides what a failed row means (``scaling`` raises
+DomainError for a single theta, and a batch row reads NaN).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import DomainError
 
 __all__ = ["gram"]
 
@@ -88,19 +89,19 @@ def gram(f) -> np.ndarray:
     and q = 1/2 - p from the inner one: u = p on the lower half (``upper``
     False) and u = 1 - p on the upper one.  Any axes between the first and
     the last are carried through, so one call covers every theta row of a
-    block.  Returns shape (..., k, k).
+    block.  Returns shape (..., k, k), NaN throughout on a row where f is
+    not finite at a node farther than 1e-15 from an end.
     """
-    total = 0.0
+    total, failed = 0.0, False
     for upper in (False, True):
         with np.errstate(all="ignore"):
             F = np.asarray(f(_P, _Q, upper), dtype=float)
         bad = ~np.all(np.isfinite(F), axis=0)
         if bad.any():
-            inside = bad.reshape(-1, len(_P)).any(axis=0) & (np.minimum(_P, _Q) > _DROP)
-            if inside.any():
-                raise DomainError(f"integrand is not finite at u = "
-                                  f"{'1 - ' if upper else ''}{_P[inside].max():.3g}")
+            failed = failed | np.any(bad & (np.minimum(_P, _Q) > _DROP), axis=-1)
             F = np.where(bad, 0.0, F)
         total = total + np.moveaxis(F * _W, 0, -2) @ np.moveaxis(F, 0, -1)
         total = total + _beyond(F)
+    if np.any(failed):
+        total[failed] = np.nan
     return total

@@ -33,6 +33,13 @@ covers a single theta or every theta row of a batch block; a family that
 declares ``Family.node`` is read at the nodes of the rule through it.  The
 same sums give the drift of power's local alternatives (``drift``).
 
+A call at one theta (a point, shape (p,)) raises: DomainError where an
+integrand is not finite inside (0, 1), SingularityError where R reads
+singular or Sigma is not positive definite.  A call over theta rows (shape
+(rows, p), a batch block) does not raise for what one row does: that row's
+G, R and J are NaN where its integrand is not finite, and its Sigma is NaN
+where either happens.
+
 A derived family (``Family.derived``) takes its base's G, R and J at the
 mapped point: a monotone transform of the data leaves the PIT as it is or
 maps U to 1 - U, which negates S_n, so they are carried into the family's
@@ -166,9 +173,15 @@ def _matrices(fam, kind, thetas) -> MatrixSet:
     return MatrixSet(G, C.transpose(0, 2, 1) @ BC, K @ BC, names)
 
 
+def _failed(ms: MatrixSet) -> np.ndarray:
+    """Rows on which ``quadrature.gram`` found the integrand not finite: G is NaN there."""
+    return np.isnan(ms.G).any(axis=(-2, -1))
+
+
 def matrices(fam, kind, theta) -> MatrixSet:
     """Evaluate G, R, J for the family/estimator at theta, a point (p,) or
-    theta rows (rows, p) of finite fitted values.
+    theta rows (rows, p) of finite fitted values.  A point whose integrand
+    is not finite raises DomainError; such a row of theta rows is NaN.
 
     For MM estimators the matrices cover only the moment-estimated
     components (shape parameters the MM row requires known are excluded);
@@ -185,6 +198,9 @@ def matrices(fam, kind, theta) -> MatrixSet:
         ms = _matrices(fam, kind, rows)
     if theta.ndim == 2:
         return ms
+    if _failed(ms)[0]:
+        raise DomainError(f"the integrand of the {fam.name} matrices is not finite "
+                          f"inside (0, 1) at {rows[0].tolist()}")
     return MatrixSet(ms.G[0], ms.R[0], ms.J[0], ms.param_names)
 
 
@@ -260,11 +276,13 @@ def _assemble(ms: MatrixSet, mask: KnownMask | None, kind, fam):
 
 
 def sigma(ms: MatrixSet, mask: KnownMask | None, kind, fam) -> np.ndarray:
-    """Assemble the 2x2 scaling covariance after the known-parameter reduction,
-    on each theta row when ``ms`` has rows; SingularityError where R reads
-    singular or Sigma is not finite and positive definite."""
+    """Assemble the 2x2 scaling covariance after the known-parameter reduction.
+    Where R reads singular or Sigma is not finite and positive definite, a
+    point raises SingularityError and a theta row of ``ms`` reads NaN."""
     S, ok = _assemble(ms, mask, kind, fam)
-    if not np.all(ok):
+    if ok.ndim:
+        S[~ok] = np.nan
+    elif not ok:
         raise SingularityError("R is numerically singular or Sigma is not positive definite")
     return S
 
@@ -289,6 +307,9 @@ def drift(fam, kind, theta, mask: KnownMask | None, extra) -> np.ndarray:
     p = len(names)
     with np.errstate(all="ignore"):
         M = _gram(fam, kind, t, extra)[0]
+    if np.isnan(M[0, 0]):  # E[cos^2 2 pi U] itself is finite unless gram failed the row
+        raise DomainError(f"the integrand of the {fam.name} drift is not finite "
+                          f"inside (0, 1) at {t[0].tolist()}")
     s = [2 + i for i in free]
     psi = s if kind is EstimatorKind.ML else [2 + p + i for i in free]
     e = list(range(2 + p if kind is EstimatorKind.ML else 2 + 2 * p, len(M)))

@@ -26,9 +26,9 @@ from typing import Optional
 import numpy as np
 
 from . import families
-from .errors import DomainError, TrigofError
-from .estimate import KnownMask
-from .gof import replicate
+from .errors import ConfigurationError, DomainError, TrigofError
+from .estimate import EstimatorKind, KnownMask, rows_estimator
+from .gof import rejection_rate, replicate
 
 __all__ = ["CellConfig", "StudyConfig", "CellReport", "StudyReport",
            "run_study", "load_config",
@@ -122,8 +122,7 @@ def _run_cell(cell: CellConfig, cfg: StudyConfig, cell_index: int) -> CellReport
     except TrigofError:  # no rate to report: NaN, not "never rejects"
         ok = False
         done = 0
-    rate = rejections / done if done else math.nan
-    se = math.sqrt(rate * (1.0 - rate) / done) if done else math.nan
+    rate, se = rejection_rate(rejections, done)
     if failed > 0.01 * cfg.reps:
         ok = False
     return CellReport(cell.name, cell.family, cell.kind, cell.n, cfg.reps,
@@ -162,7 +161,27 @@ def _parse_known(text: str) -> tuple:
     return tuple(out)
 
 
+def _checked(cell: CellConfig) -> CellConfig:
+    """A cell read from a file, checked before it runs: its family and
+    estimator, the arity and parameter space of theta (which an alternative
+    cell may leave out) and data_theta, the names in ``known`` and n >= 1."""
+    fam = families.get_family(cell.family)
+    kind = EstimatorKind(cell.kind)
+    if cell.theta or not cell.is_alternative:
+        families._theta(fam, cell.theta)
+    if rows_estimator(fam, kind, cell.mask() or KnownMask.none(fam.n_params)) is None:
+        raise ConfigurationError(f"{fam.name} has no {kind.value} estimator with "
+                                 f"{dict(cell.known) or 'nothing'} known")
+    if cell.is_alternative:
+        families._theta(families.get_family(cell.data_family), cell.data_theta)
+    if cell.n < 1:
+        raise DomainError(f"n must be >= 1, got {cell.n}")
+    return cell
+
+
 def load_config(path) -> StudyConfig:
+    """The study an INI file declares; DomainError, naming the section, for a
+    cell that ``_checked`` refuses."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -175,16 +194,19 @@ def load_config(path) -> StudyConfig:
         raw = parser[section]
         if "family" not in raw:
             raise DomainError(f"section [{section}] needs a family")
-        cells.append(CellConfig(
-            name=section.split(":", 1)[1],
-            family=raw["family"].strip(),
-            kind=raw.get("estimator", "ml").strip().lower(),
-            theta=_parse_theta(raw.get("theta", "")),
-            n=int(raw.get("n", 100)),
-            known=_parse_known(raw.get("known", "")),
-            data_family=(raw.get("data_family") or None),
-            data_theta=_parse_theta(raw.get("data_theta", "")),
-        ))
+        try:
+            cells.append(_checked(CellConfig(
+                name=section.split(":", 1)[1],
+                family=raw["family"].strip(),
+                kind=raw.get("estimator", "ml").strip().lower(),
+                theta=_parse_theta(raw.get("theta", "")),
+                n=int(raw.get("n", 100)),
+                known=_parse_known(raw.get("known", "")),
+                data_family=(raw.get("data_family") or None),
+                data_theta=_parse_theta(raw.get("data_theta", "")),
+            )))
+        except (TrigofError, ValueError) as exc:
+            raise DomainError(f"section [{section}]: {exc}") from None
     if not cells:
         raise DomainError("study config defines no cells")
     return StudyConfig(

@@ -1,12 +1,12 @@
-"""Special functions used throughout the package.
+"""The standard normal quantile and the noncentral chi-square tail.
 
-Gamma-family functions, regularized incomplete gamma/beta, the standard
-normal CDF and the noncentral chi-square survival function.  The classical
-functions are delegated to scipy.special behind strict domain validation;
-every function raises a typed :class:`~trigof.errors.DomainError` on invalid
-input rather than returning NaN.  The noncentral chi-square tail is computed
-here by a Poisson-mixture series started at the modal Poisson index and
-expanded in both directions, which stays accurate for large noncentrality.
+The family callables call ``scipy.special`` directly, so that a theta row
+outside a function's domain reads NaN and fails alone.  The two functions
+here serve single points (the ellipse's thresholds and the asymptotic power)
+and raise a typed :class:`~trigof.errors.DomainError` on invalid input
+rather than returning NaN.  The noncentral chi-square tail is computed here
+by a Poisson-mixture series started at the modal Poisson index and expanded
+in both directions, which stays accurate for large noncentrality.
 """
 
 from __future__ import annotations
@@ -18,88 +18,7 @@ from scipy import special as sp
 
 from .errors import DomainError
 
-__all__ = [
-    "ln_gamma",
-    "gamma_fn",
-    "digamma",
-    "trigamma",
-    "polygamma",
-    "reg_gamma_cdf",
-    "reg_beta_cdf",
-    "std_normal_cdf",
-    "std_normal_quantile",
-    "ln_std_normal_cdf",
-    "noncentral_chi2_sf",
-    "EULER_GAMMA",
-]
-
-#: Euler-Mascheroni constant gamma = -psi(1).
-EULER_GAMMA = 0.5772156649015328606
-
-
-def _require_positive(z, name: str) -> None:
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)) or np.any(z <= 0.0):
-        raise DomainError(f"{name} must be finite and > 0, got {z!r}")
-
-
-def ln_gamma(z):
-    """Natural log of the gamma function for z > 0 (scalar or array)."""
-    _require_positive(z, "z")
-    return sp.gammaln(z)
-
-
-def gamma_fn(z):
-    """Gamma function for z > 0."""
-    _require_positive(z, "z")
-    return sp.gamma(z)
-
-
-def digamma(z):
-    """Digamma function psi(z) for z > 0."""
-    _require_positive(z, "z")
-    return sp.digamma(z)
-
-
-def trigamma(z):
-    """Trigamma function psi'(z) for z > 0."""
-    _require_positive(z, "z")
-    return sp.polygamma(1, z)
-
-
-def polygamma(n: int, z):
-    """n-th derivative of the digamma function for z > 0."""
-    _require_positive(z, "z")
-    return sp.polygamma(n, z)
-
-
-def reg_gamma_cdf(a, b, x):
-    """CDF of a gamma(a, b) at x >= 0: the regularized lower incomplete gamma
-    of (a, x/b).  Clamped to [0, 1]."""
-    _require_positive(a, "a")
-    _require_positive(b, "b")
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)) or np.any(x < 0.0):
-        raise DomainError(f"x must be finite and >= 0, got {x!r}")
-    return np.clip(sp.gammainc(a, x / b), 0.0, 1.0)
-
-
-def reg_beta_cdf(a, b, x):
-    """CDF of a beta(a, b) at x in [0, 1]: the regularized incomplete beta."""
-    _require_positive(a, "a")
-    _require_positive(b, "b")
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)) or np.any(x < 0.0) or np.any(x > 1.0):
-        raise DomainError(f"x must lie in [0, 1], got {x!r}")
-    return np.clip(sp.betainc(a, b, x), 0.0, 1.0)
-
-
-def std_normal_cdf(x):
-    """Standard normal CDF Phi(x) for finite x."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise DomainError(f"x must be finite, got {x!r}")
-    return sp.ndtr(x)
+__all__ = ["std_normal_quantile", "noncentral_chi2_sf"]
 
 
 def std_normal_quantile(p):
@@ -108,14 +27,6 @@ def std_normal_quantile(p):
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise DomainError(f"p must lie in (0, 1), got {p!r}")
     return sp.ndtri(p)
-
-
-def ln_std_normal_cdf(x):
-    """log Phi(x), accurate far into the lower tail."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise DomainError(f"x must be finite, got {x!r}")
-    return sp.log_ndtr(x)
 
 
 def noncentral_chi2_sf(df: int, ncp: float, t: float, rel_tol: float = 1e-12) -> float:

@@ -21,7 +21,6 @@ from scipy import optimize as opt
 from scipy import special as sp
 from scipy.special import logsumexp
 
-from trigof import specfun
 from trigof.errors import DomainError, EstimationError
 from trigof.estimate import (_ML_ROWS, _SCORE_TOL, EstimatorKind, FitResult, KnownMask,
                              _columns, _residual, base_mask, rejected_rows)
@@ -34,7 +33,7 @@ _SHAPE_CAP = 1e6
 
 def _epd_c1(lam):
     """c1 = psi(1/lam + 1) + ln lam at a scalar lam, with libm's log."""
-    return float(specfun.digamma(1.0 / lam + 1.0)) + math.log(lam)
+    return float(sp.digamma(1.0 / lam + 1.0)) + math.log(lam)
 
 
 def _scan_root(phi, scale: float = 1.0, lo: float = 1e-3, hi: float = 1e3,
@@ -90,7 +89,7 @@ def _solve_digamma_minus_log(target: float):
         return _SHAPE_CAP, 0, False
 
     def phi(z):
-        return float(specfun.digamma(z)) - math.log(z) - target
+        return float(sp.digamma(z)) - math.log(z) - target
 
     # psi(z)-ln(z) ~ -1/(2z) large z; ~ -1/z small z: analytic starting bracket
     lo = min(0.5 / -target, 1e-8)
@@ -108,7 +107,7 @@ def _solve_digamma_minus_log(target: float):
 def _solve_digamma(target: float):
     """Solve psi(z) = target over z > 0 (monotone increasing)."""
     def phi(z):
-        return float(specfun.digamma(z)) - target
+        return float(sp.digamma(z)) - target
 
     hi = max(math.exp(target) + 1.0, 1.0)
     while phi(hi) < 0.0 and hi < 1e300:
@@ -239,7 +238,7 @@ def _fit_expgamma(fam, x, mask):
         sigma, _ = sigma_hat(lam)
         a = x / sigma
         g = float(logsumexp(a)) - math.log(n) - float(np.mean(a))
-        return math.log(lam) - float(specfun.digamma(lam)) - g
+        return math.log(lam) - float(sp.digamma(lam)) - g
 
     if lam_known:  # the scale root alone, at the known shape
         lam, conv = mask.value(fam, "lambda"), True
@@ -316,7 +315,7 @@ def _fit_student(fam, x, mask):
     def lam_eq(lam):
         mu, sigma = inner(lam)
         y = (x - mu) / sigma
-        val = (float(specfun.digamma(0.5 * (lam + 1.0))) - float(specfun.digamma(0.5 * lam))
+        val = (float(sp.digamma(0.5 * (lam + 1.0))) - float(sp.digamma(0.5 * lam))
                - float(np.mean(np.log1p(y ** 2 / lam))))
         if sigma_fixed is not None:
             q = (lam + 1.0) / lam * float(np.mean(y ** 2 / (1.0 + y ** 2 / lam)))
@@ -416,12 +415,12 @@ def _beta_ml_system(s1, s2, a0, b0):
     """Newton iterations for psi(a)-psi(a+b)=s1, psi(b)-psi(a+b)=s2."""
     a, b = max(a0, 1e-3), max(b0, 1e-3)
     for it in range(1, _MAX_ITER + 1):
-        pab = float(specfun.digamma(a + b))
-        f1 = float(specfun.digamma(a)) - pab - s1
-        f2 = float(specfun.digamma(b)) - pab - s2
-        tab = float(specfun.trigamma(a + b))
-        j11 = float(specfun.trigamma(a)) - tab
-        j22 = float(specfun.trigamma(b)) - tab
+        pab = float(sp.digamma(a + b))
+        f1 = float(sp.digamma(a)) - pab - s1
+        f2 = float(sp.digamma(b)) - pab - s2
+        tab = float(sp.polygamma(1, a + b))
+        j11 = float(sp.polygamma(1, a)) - tab
+        j22 = float(sp.polygamma(1, b)) - tab
         det = j11 * j22 - tab * tab
         if det <= 0.0:
             break

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import special as sp
 
-from trigof import families, specfun
+from trigof import families
 from trigof.errors import DomainError
 from trigof.families import _epd_c1, _epd_c2, _student_c2
 
@@ -292,20 +293,20 @@ def integrate_domain(g: Integrand,
 # ---------------------------------------------------------------------------
 
 def _ga_pdf(v, a, b=1.0):
-    return np.exp((a - 1.0) * np.log(v) - v / b - specfun.ln_gamma(a) - a * math.log(b))
+    return np.exp((a - 1.0) * np.log(v) - v / b - sp.gammaln(a) - a * math.log(b))
 
 
 def _ga_cdf(v, a):
-    return specfun.reg_gamma_cdf(a, 1.0, v)
+    return sp.gammainc(a, v)
 
 
 def _be_pdf(v, a, b):
-    lnB = specfun.ln_gamma(a) + specfun.ln_gamma(b) - specfun.ln_gamma(a + b)
+    lnB = sp.gammaln(a) + sp.gammaln(b) - sp.gammaln(a + b)
     return np.exp((a - 1.0) * np.log(v) + (b - 1.0) * np.log1p(-v) - lnB)
 
 
 def _be_cdf(v, a, b):
-    return specfun.reg_beta_cdf(a, b, v)
+    return sp.betainc(a, b, v)
 
 
 def _ig_pdf(v, mu, lam):
@@ -620,22 +621,22 @@ def logistic_constants() -> tuple[float, float, float, float]:
 # per-family builders: return (G, R, J_or_None); J None means "equals G" (ML)
 # ---------------------------------------------------------------------------
 
-_EG = specfun.EULER_GAMMA
+_EG = np.euler_gamma
 _PI2_6 = math.pi ** 2 / 6.0
 _h = h
 _logi = functools.lru_cache(maxsize=1)(logistic_constants)
 
 
 def _psi(z):
-    return float(specfun.digamma(z))
+    return float(sp.digamma(z))
 
 
 def _psi1(z):
-    return float(specfun.trigamma(z))
+    return float(sp.polygamma(1, z))
 
 
 def _gamma(z):
-    return float(specfun.gamma_fn(z))
+    return float(sp.gamma(z))
 
 
 def _epd_c3(lam):
@@ -734,8 +735,8 @@ def _m_logistic_mm(t):
 
 
 def _student_c1(lam):
-    return math.exp(float(specfun.ln_gamma(0.5 * (lam + 1.0)))
-                    - float(specfun.ln_gamma(0.5 * lam))) / math.sqrt(lam * math.pi)
+    return math.exp(float(sp.gammaln(0.5 * (lam + 1.0)))
+                    - float(sp.gammaln(0.5 * lam))) / math.sqrt(lam * math.pi)
 
 
 def _m_student_ml(t):
@@ -894,7 +895,7 @@ def _m_kumaraswamy_ml(t):
     # R11 and R12 have removable singularities at b = 2 and b = 1; switch to
     # the derivative limits inside a small window
     if abs(b - 2.0) < 1e-7:
-        qp = 2.0 * (psb + _EG - 1.0) * _psi1(b) - float(specfun.polygamma(2, b))
+        qp = 2.0 * (psb + _EG - 1.0) * _psi1(b) - float(sp.polygamma(2, b))
         r11 = (1.0 + b * qp) / a ** 2
     else:
         q = (psb + _EG - 1.0) ** 2 - _psi1(b) + _PI2_6 - 1.0

@@ -105,3 +105,39 @@ def test_seed_default_is_read_at_each_call(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert cli.main(["test", path, "--family", "gamma"]) == cli.USAGE_EXIT
     assert "TRIGOF_SEED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ellipse", "--family", "normal"],
+    ["ellipse", "--family", "normal", "--theta", "0,1", "--known", "mu"],
+    ["ellipse", "--family", "normal", "--theta", "0,1", "--known", "mu=abc"],
+    ["ellipse", "--family", "normal", "--theta", "0,1", "--known", "nu=1"],
+    ["matrices", "--family", "gamma", "--theta", "2,1", "--known", "shape=2"],
+    ["power", "--case", "gamma", "--delta", "0:1:0"],
+    ["power", "--case", "gamma", "--delta", "0:1:-1"],
+    ["power", "--case", "gamma", "--delta", ","],
+    ["power", "--case", "epd", "--delta2", "0:x:1"],
+    ["power", "--case", "weibull", "--delta", "0,5", "--empirical", "50"],
+    ["power", "--case", "weibull", "--delta", "0,5", "--empirical", "50,many"],
+], ids=["ellipse-no-theta-or-input", "known-without-value", "known-not-a-number",
+        "known-unknown-name", "matrices-known-unknown-name", "grid-zero-step",
+        "grid-empty-range", "grid-empty-list", "grid-malformed", "empirical-one-value",
+        "empirical-not-a-number"])
+def test_usage_mistakes_are_64(argv, capsys):
+    assert cli.main(argv) == cli.USAGE_EXIT
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_test_with_an_unknown_known_name_is_64(tmp_path, capsys):
+    path = _data_file(tmp_path, F.sample("gamma", (2.3, 1.4), 40, 5))
+    assert cli.main(["test", path, "--family", "gamma", "--known", "alpha=2"]) == 64
+    assert "has no parameter 'alpha'" in capsys.readouterr().err
+
+
+def test_study_config_with_a_misspelled_family_is_2(tmp_path, capsys):
+    path = tmp_path / "study.ini"
+    path.write_text("[study]\nreps = 100\n\n[cell:c]\nfamily = gamm\ntheta = 2.0, 1.0\n")
+    assert cli.main(["study", "--config", str(path), "--output-prefix",
+                     str(tmp_path / "out")]) == cli.DATA_EXIT
+    assert "section [cell:c]" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()

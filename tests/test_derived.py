@@ -8,22 +8,22 @@ from scipy.special import logsumexp
 
 from trigof import estimate as E
 from trigof import families as F
-from trigof import scaling, specfun
+from trigof import scaling
 from trigof.estimate import KnownMask, fit
 from conftest import FAMILY_THETAS, MM_REQUIRED_KNOWN
 import former_estimate as FE
 from former_scaling import h as _h, logistic_constants
 
-_EG = specfun.EULER_GAMMA
+_EG = np.euler_gamma
 _PI2_6 = math.pi ** 2 / 6.0
 
 
 def _psi(z):
-    return float(specfun.digamma(z))
+    return float(sp.digamma(z))
 
 
 def _psi1(z):
-    return float(specfun.trigamma(z))
+    return float(sp.polygamma(1, z))
 
 
 def _logi():
@@ -355,7 +355,7 @@ def _former_gg_logpdf(t, x):
     lam, beta, rho = t
     lx = np.log(x / beta)
     return (math.log(rho) - np.log(x) + lam * rho * lx - np.exp(rho * lx)
-            - float(specfun.ln_gamma(lam)))
+            - float(sp.gammaln(lam)))
 
 
 def _former_gg_score(t, x):
@@ -363,7 +363,7 @@ def _former_gg_score(t, x):
     lx = np.log(x / beta)
     w = np.exp(rho * lx)
     return np.vstack([
-        rho * lx - float(specfun.digamma(lam)),
+        rho * lx - float(sp.digamma(lam)),
         (rho / beta) * (w - lam),
         1.0 / rho - (w - lam) * lx])
 
@@ -377,7 +377,7 @@ def _former_log(base_name):
 
 
 def _lnB(a, b):
-    return float(specfun.ln_gamma(a) + specfun.ln_gamma(b) - specfun.ln_gamma(a + b))
+    return float(sp.gammaln(a) + sp.gammaln(b) - sp.gammaln(a + b))
 
 
 _FORMER_CALLABLES = {
@@ -398,7 +398,7 @@ _FORMER_CALLABLES = {
     "log-normal": _former_log("normal"),
     "gg": (
         _former_gg_logpdf,
-        lambda t, x: specfun.reg_gamma_cdf(t[0], 1.0, np.power(x / t[1], t[2])),
+        lambda t, x: sp.gammainc(t[0], np.power(x / t[1], t[2])),
         lambda t, u: t[1] * np.power(sp.gammaincinv(t[0], u), 1.0 / t[2]),
         _former_gg_score),
     "weibull": (
@@ -425,11 +425,11 @@ _FORMER_CALLABLES = {
             np.log(x / t[0]), sp.expit(t[1] * np.log(x / t[0])))),
     "inverse-gamma": (
         lambda t, x: (t[0] * math.log(t[1]) - (t[0] + 1.0) * np.log(x) - t[1] / x
-                      - float(specfun.ln_gamma(t[0]))),
-        lambda t, x: 1.0 - specfun.reg_gamma_cdf(t[0], 1.0, t[1] / x),
+                      - float(sp.gammaln(t[0]))),
+        lambda t, x: 1.0 - sp.gammainc(t[0], t[1] / x),
         lambda t, u: t[1] / sp.gammaincinv(t[0], 1.0 - u),
         lambda t, x: np.vstack([
-            np.log(t[1] / x) - float(specfun.digamma(t[0])),
+            np.log(t[1] / x) - float(sp.digamma(t[0])),
             t[0] / t[1] - 1.0 / x])),
     "exponential": (
         lambda t, x: -x / t[0] - math.log(t[0]),
@@ -438,7 +438,7 @@ _FORMER_CALLABLES = {
         lambda t, x: (x / t[0] - 1.0)[None, :] / t[0]),
     "half-normal": (
         lambda t, x: 0.5 * math.log(2.0 / math.pi) - math.log(t[0]) - 0.5 * (x / t[0]) ** 2,
-        lambda t, x: 2.0 * specfun.std_normal_cdf(x / t[0]) - 1.0,
+        lambda t, x: 2.0 * sp.ndtr(x / t[0]) - 1.0,
         lambda t, u: t[0] * sp.ndtri(0.5 * (1.0 + u)),
         lambda t, x: ((x / t[0]) ** 2 - 1.0)[None, :] / t[0]),
     "rayleigh": (
@@ -449,15 +449,15 @@ _FORMER_CALLABLES = {
     "maxwell-boltzmann": (
         lambda t, x: (0.5 * math.log(2.0 / math.pi) + 2.0 * np.log(x)
                       - 3.0 * math.log(t[0]) - 0.5 * (x / t[0]) ** 2),
-        lambda t, x: specfun.reg_gamma_cdf(1.5, 1.0, 0.5 * (x / t[0]) ** 2),
+        lambda t, x: sp.gammainc(1.5, 0.5 * (x / t[0]) ** 2),
         lambda t, u: t[0] * np.sqrt(2.0 * sp.gammaincinv(1.5, u)),
         lambda t, x: ((x / t[0]) ** 2 - 3.0)[None, :] / t[0]),
     "chi-squared": (
         lambda t, x: ((0.5 * t[0] - 1.0) * np.log(x) - 0.5 * x
-                      - float(specfun.ln_gamma(0.5 * t[0])) - 0.5 * t[0] * math.log(2.0)),
-        lambda t, x: specfun.reg_gamma_cdf(0.5 * t[0], 1.0, 0.5 * x),
+                      - float(sp.gammaln(0.5 * t[0])) - 0.5 * t[0] * math.log(2.0)),
+        lambda t, x: sp.gammainc(0.5 * t[0], 0.5 * x),
         lambda t, u: 2.0 * sp.gammaincinv(0.5 * t[0], u),
-        lambda t, x: 0.5 * (np.log(0.5 * x) - float(specfun.digamma(0.5 * t[0])))[None, :]),
+        lambda t, x: 0.5 * (np.log(0.5 * x) - float(sp.digamma(0.5 * t[0])))[None, :]),
     "pareto": (
         lambda t, x: math.log(t[0]) - (t[0] + 1.0) * np.log(x),
         lambda t, x: -np.expm1(-t[0] * np.log(x)),
@@ -465,12 +465,12 @@ _FORMER_CALLABLES = {
         lambda t, x: (1.0 / t[0] - np.log(x))[None, :]),
     "beta-prime": (
         lambda t, x: (t[0] - 1.0) * np.log(x) - (t[0] + t[1]) * np.log1p(x) - _lnB(*t),
-        lambda t, x: specfun.reg_beta_cdf(t[0], t[1], x / (1.0 + x)),
+        lambda t, x: sp.betainc(t[0], t[1], x / (1.0 + x)),
         lambda t, u: (lambda w: w / (1.0 - w))(sp.betaincinv(t[0], t[1], u)),
         lambda t, x: (lambda psum: np.vstack([
-            psum - float(specfun.digamma(t[0])) + np.log(x) - np.log1p(x),
-            psum - float(specfun.digamma(t[1])) - np.log1p(x)]))(
-            float(specfun.digamma(t[0] + t[1])))),
+            psum - float(sp.digamma(t[0])) + np.log(x) - np.log1p(x),
+            psum - float(sp.digamma(t[1])) - np.log1p(x)]))(
+            float(sp.digamma(t[0] + t[1])))),
 }
 
 

@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
-from trigof import specfun
 from trigof.estimate import EstimatorKind
 from trigof.families import _epd_c1
 from trigof.power import (AltCase, LocalAlternative, empirical_power, epd_m, gamma_m,
@@ -18,14 +18,14 @@ from former_scaling import h
 # ---------------------------------------------------------------------------
 
 def _gamma_fn(z):
-    return float(specfun.gamma_fn(z))
+    return float(sp.gamma(z))
 
 
 def gamma_sigma(lam):
     h6 = h(6, lam, lam + 1.0, 1.0)
     h7 = h(7, lam, lam + 1.0, 1.0)
     h10, h11 = h(10, lam), h(11, lam)
-    psi1 = float(specfun.trigamma(lam))
+    psi1 = float(sp.polygamma(1, lam))
     w = lam / (lam * psi1 - 1.0)
     s11 = 0.5 - w * (lam * psi1 * h6 ** 2 + h10 ** 2 - 2.0 * h6 * h10)
     s22 = 0.5 - w * (lam * psi1 * h7 ** 2 + h11 ** 2 - 2.0 * h7 * h11)
@@ -36,7 +36,7 @@ def gamma_sigma(lam):
 def weibull_sigma():
     h6s, h7s = h(6, 1.0, 2.0, 1.0), h(7, 1.0, 2.0, 1.0)
     h8, h9 = h(8, 1.0), h(9, 1.0)
-    g = specfun.EULER_GAMMA
+    g = np.euler_gamma
     c = 6.0 / math.pi ** 2
     a1 = (g - 1.0) * h6s + h8
     a2 = (g - 1.0) * h7s + h9
@@ -71,8 +71,8 @@ def epd_sigma(lam, kind):
 def former_gamma_m(lam):
     h6 = h(6, lam, lam + 1.0, 1.0)
     h7 = h(7, lam, lam + 1.0, 1.0)
-    psi = float(specfun.digamma(lam))
-    psi1 = float(specfun.trigamma(lam))
+    psi = float(sp.digamma(lam))
+    psi1 = float(sp.polygamma(1, lam))
     a = lam * psi - lam * psi1 * (lam * psi + 1.0)
     w = 1.0 / (lam * psi1 - 1.0)
     return np.array([
@@ -83,7 +83,7 @@ def former_gamma_m(lam):
 
 def former_weibull_m():
     h6s, h7s = h(6, 1.0, 2.0, 1.0), h(7, 1.0, 2.0, 1.0)
-    g = specfun.EULER_GAMMA
+    g = np.euler_gamma
     c = 6.0 / math.pi ** 2
     b = 1.0 - g + math.pi ** 2 / 6.0
     return np.array([
@@ -100,8 +100,8 @@ def former_epd_m(lam, kind):
         m21 = -2.0 * h37 + 2.0 * lam * h2 / (g1l * _gamma_fn(2.0 - 1.0 / lam))
     else:
         m12 = -h3 / lam ** 2 + h1 / (2.0 * lam ** 2) * (
-            2.0 * math.log(lam) + 3.0 * float(specfun.digamma(3.0 / lam))
-            - float(specfun.digamma(1.0 / lam)))
+            2.0 * math.log(lam) + 3.0 * float(sp.digamma(3.0 / lam))
+            - float(sp.digamma(1.0 / lam)))
         m21 = -2.0 * h37 + 4.0 * lam * h2 * _gamma_fn(2.0 / lam) / g1l ** 2
     return np.array([[0.0, m12], [m21, 0.0]])
 

@@ -71,10 +71,21 @@ class TestRule:
         np.testing.assert_allclose(left_out, inside, rtol=0.0, atol=1e-17)
 
     @pytest.mark.parametrize("upper", [False, True])
-    def test_nonfinite_inside_raises(self, upper):
-        with pytest.raises(DomainError, match="1 - 0.0" if upper else "u = 0.0"):
-            quadrature.gram(lambda p, q, up: np.stack(np.broadcast_arrays(
-                1.0, np.where((p > 1e-3) & (p < 1e-2) & (up == upper), np.nan, p))))
+    def test_nonfinite_inside_fails_its_row(self, upper):
+        # row 1 is not finite inside one half: it reads NaN, and the other
+        # rows are summed as if it were not there
+        c = np.array([[1.0], [2.0], [3.0]])
+
+        def f(p, q, up):
+            g = c * p
+            if up == upper:
+                g[1, (p > 1e-3) & (p < 1e-2)] = np.nan
+            return np.stack(np.broadcast_arrays(1.0, g))
+
+        m = quadrature.gram(f)
+        assert np.isnan(m[1]).all()
+        alone = quadrature.gram(lambda p, q, up: np.stack(np.broadcast_arrays(1.0, c[[0, 2]] * p)))
+        np.testing.assert_array_equal(m[[0, 2]], alone)
 
 
 class TestIntegrate:

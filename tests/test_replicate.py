@@ -11,7 +11,7 @@ from trigof.errors import (ConfigurationError, DomainError, EstimationError,
 from trigof.estimate import EstimatorKind, KnownMask, fit, rows_estimator
 from trigof.gof import _single_test, replicate, run_test
 from trigof.power import AltCase, LocalAlternative, _sample_alternative, empirical_power
-from trigof.simharness import CellConfig, StudyConfig, report_rows, run_study
+from trigof.simharness import CellConfig, StudyConfig, load_config, report_rows, run_study
 import former_estimate as FE
 from conftest import FAMILY_THETAS, MM_REQUIRED_KNOWN
 
@@ -162,6 +162,49 @@ class TestRowsOutsideTheSupport:
         assert not report.ok
 
 
+def test_batch_module_keeps_the_functions_the_benchmark_wraps():
+    # perfbench/worker.py wraps trigof._batch.batch_tn by module and name to
+    # count non-finite T_n (and traces batch_fit): without them every
+    # montecarlo run fails, so _batch stays until the benchmark is retargeted
+    assert callable(_batch.batch_fit) and callable(_batch.batch_tn)
+
+
+class TestRowsThatFail:
+    """A row that fails anywhere between its fit and its T_n reads NaN alone:
+    the other rows keep the bits they have without it, and the single test
+    of that sample raises the type of its cause."""
+
+    GOOD = [3, 4, 5, 6, 8, 9]
+
+    @pytest.mark.parametrize("fam,r,error", [
+        ("epd", 1, DomainError),  # lambda-hat at the grid floor: a quantile overflows
+        ("epd", 20, SingularityError),
+        ("student-t", 0, SingularityError),  # nu-hat = 1e8: Sigma does not hold
+        ("gg", 34, DomainError)])  # beta-hat = 0 fails the family's check
+    def test_block_with_one_failing_sample(self, fam, r, error):
+        draw = _seeded(fam, FAMILY_THETAS[fam], 30, seed=777)
+        X = np.stack([draw(s) for s in self.GOOD[:3] + [r] + self.GOOD[3:]])
+        tn = _batch.batch_tn(fam, "ml", None, X)
+        assert np.flatnonzero(np.isnan(tn)).tolist() == [3]
+        np.testing.assert_array_equal(np.delete(tn, 3),
+                                      _batch.batch_tn(fam, "ml", None, np.delete(X, 3, axis=0)))
+        assert np.isnan(_batch.batch_fit(fam, "ml", None, X)[3]).all() == (fam == "gg")
+        with pytest.raises(error):
+            _single_test(fam, "ml", None, X[3])
+        np.testing.assert_array_equal(replicate(fam, "ml", None, lambda s: X[s], range(7)), tn)
+
+    def test_row_with_a_nonfinite_pit(self):
+        X = np.stack([_seeded("gamma", (2.3, 1.4), 50, seed=6)(r) for r in range(4)])
+        thetas = _batch.batch_fit("gamma", "ml", None, X)
+        X[2, 5] = np.nan
+        cn, sn, sig, tn = _batch.statistic("gamma", "ml", None, thetas, X)
+        assert np.flatnonzero(np.isnan(tn)).tolist() == [2] and np.isnan(cn[2])
+        assert np.isfinite(sig).all()
+        rest = _batch.statistic("gamma", "ml", None, np.delete(thetas, 2, axis=0),
+                                np.delete(X, 2, axis=0))
+        np.testing.assert_array_equal(np.delete(tn, 2), rest[3])
+
+
 def test_cell_whose_run_raised_reports_no_rate():
     cell = CellConfig("gamma-mm", "gamma", "mm", (2.0, 1.0), 50)
     report = run_study(StudyConfig((cell,), reps=100, seed=1)).cells[0]
@@ -195,6 +238,8 @@ class TestOnePath:
             gof.trig_moments("normal", (0.0, math.nan), [0.1, 0.2])
         with pytest.raises(DomainError):
             gof.trig_moments("uniform", (0.0, 1.0), [0.5, 1.5])
+        with pytest.raises(DomainError):
+            gof.trig_moments("gamma", (2.0, 1.0), [0.5, math.nan])
         m = gof.trig_moments("uniform", (0.0, 1.0), [0.0, 0.25, 1.0])
         assert (m.cn, m.sn, m.n) == pytest.approx((2.0 / 3.0, 1.0 / 3.0, 3), abs=1e-15)
 
@@ -241,14 +286,20 @@ class TestReplicate:
         with pytest.raises(ConfigurationError):
             replicate("gumbel", "mm", None, _seeded("gumbel", (0.4, 1.1), 30), range(3))
 
-    def test_batch_block_that_raises_is_redone_sample_by_sample(self, monkeypatch):
-        def broken(*args):
-            raise SingularityError("broken kernel")
+    def test_block_that_raises_reads_nan_throughout(self, monkeypatch):
+        # only a cause common to every row raises for the block; it is not redone
+        calls = []
 
-        sample = _seeded("normal", (0.0, 1.0), 60)
-        want = np.array([_single_test("normal", "ml", None, sample(r))[3] for r in range(5)])
+        def broken(fam, kind, mask, X):
+            calls.append(len(X))
+            raise SingularityError("a known shape without a Sigma")
+
         monkeypatch.setattr(_batch, "batch_tn", broken)
-        np.testing.assert_array_equal(replicate("normal", "ml", None, sample, range(5)), want)
+        tn = replicate("normal", "ml", None, _seeded("normal", (0.0, 1.0), 60), range(5))
+        assert np.isnan(tn).all() and calls == [5]
+        with pytest.raises(EstimationError, match="replications failed"):
+            replicate("normal", "ml", None, _seeded("normal", (0.0, 1.0), 60), range(5),
+                      max_failed=4)
 
     def _record_blocks(self, monkeypatch):
         shapes = []
@@ -352,3 +403,35 @@ class TestStudyDeterminism:
         assert serial == self._rows(2)
         assert all(row["ok"] for row in serial)
         assert serial != self._rows(1, seed=10)
+
+
+class TestStudyConfigFile:
+    GOOD = {"family": "gamma", "theta": "2.0, 1.0", "n": "60"}
+
+    @staticmethod
+    def _write(tmp_path, **cell):
+        body = "".join(f"{k} = {v}\n" for k, v in cell.items())
+        path = tmp_path / "study.ini"
+        path.write_text(f"[study]\nreps = 100\nseed = 3\n\n[cell:c]\n{body}")
+        return str(path)
+
+    def test_a_good_cell_loads(self, tmp_path):
+        cfg = load_config(self._write(tmp_path, **self.GOOD, known="beta=1.0"))
+        assert cfg.cells == (CellConfig("c", "gamma", "ml", (2.0, 1.0), 60, (("beta", 1.0),)),)
+        # an alternative cell may leave the null theta out
+        alt = load_config(self._write(tmp_path, family="gamma", data_family="weibull",
+                                      data_theta="1.0, 1.3"))
+        assert alt.cells[0].theta == () and alt.cells[0].is_alternative
+
+    @pytest.mark.parametrize("change", [
+        {"family": "gamm"}, {"estimator": "mle"}, {"estimator": "mm"}, {"theta": "2.0"},
+        {"theta": "-2.0, 1.0"}, {"known": "shape=2.0"}, {"known": "beta"}, {"n": "0"},
+        {"data_family": "weibul", "data_theta": "1.0, 1.3"},
+        {"data_family": "weibull", "data_theta": "1.0"},
+        {"data_family": "weibull", "data_theta": "1.0, -1.3"}],
+        ids=["family", "estimator", "no-mm-estimator", "theta-arity", "theta-space",
+             "known-name", "known-value", "n", "data-family", "data-theta-arity",
+             "data-theta-space"])
+    def test_a_mistake_is_an_error_naming_its_section(self, tmp_path, change):
+        with pytest.raises(DomainError, match=r"section \[cell:c\]"):
+            load_config(self._write(tmp_path, **{**self.GOOD, **change}))

@@ -8,7 +8,7 @@ from scipy.integrate import IntegrationWarning, quad as scipy_quad
 import former_scaling as former
 from trigof import _batch, quadrature, scaling
 from trigof import families as F
-from trigof.errors import ConfigurationError
+from trigof.errors import ConfigurationError, DomainError, SingularityError
 from trigof.estimate import EstimatorKind, KnownMask, fit
 from trigof.gof import REPLICATION_FAILURES, run_test
 from conftest import FAMILY_THETAS, MM_REQUIRED_KNOWN
@@ -282,3 +282,26 @@ def test_block_sigma_is_one_call_of_the_rule(monkeypatch):
     assert np.all(np.isnan(sig[3]))
     for i in [0, 1, 2, 39]:
         np.testing.assert_allclose(sig[i], scaling.sigma_from(fam, "ml", thetas[i]), rtol=1e-14, atol=0.0)
+
+
+def test_a_point_call_raises_where_its_row_reads_nan():
+    # EPD at lambda = 1e-8 has a quantile that overflows next to its centre
+    rows = np.array([[1.5, 0.3, 2.0], [1e-8, 0.0, 1.0], [2.0, 0.0, 1.0]])
+    with pytest.raises(DomainError, match="not finite"):
+        scaling.matrices("epd", "ml", rows[1])
+    with pytest.raises(DomainError, match="not finite"):
+        scaling.sigma_from("epd", "ml", rows[1])
+    with pytest.raises(DomainError, match="not finite"):
+        scaling.drift("epd", "ml", rows[1], None, lambda t, x: [np.ones_like(x)])
+    ms = scaling.matrices("epd", "ml", rows)
+    assert np.isnan(ms.G[1]).all() and np.isnan(ms.R[1]).all() and np.isnan(ms.J[1]).all()
+    alone = scaling.matrices("epd", "ml", rows[[0, 2]])
+    for got, want in zip((ms.G, ms.R, ms.J), (alone.G, alone.R, alone.J)):
+        np.testing.assert_array_equal(got[[0, 2]], want)
+    # a Sigma that does not hold: student-t at the top of its shape grid
+    rows = np.array([[4.0, 0.1, 1.5], [1e8, 0.0, 1.0]])
+    with pytest.raises(SingularityError):
+        scaling.sigma_from("student-t", "ml", rows[1])
+    sig = scaling.sigma_from("student-t", "ml", rows)
+    assert np.isnan(sig[1]).all()
+    np.testing.assert_array_equal(sig[0], scaling.sigma_from("student-t", "ml", rows[:1])[0])

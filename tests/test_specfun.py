@@ -1,3 +1,13 @@
+"""The special functions the package reads.
+
+The family callables call ``scipy.special`` directly (log-gamma, digamma,
+the regularized incomplete gamma and beta, Phi); they are checked here at
+frozen oracles through the families that read them.  A single point is
+checked by the family's theta check, and a theta row outside a function's
+domain reads NaN.  ``specfun`` holds the normal quantile and the noncentral
+chi-square tail.
+"""
+
 import math
 
 import numpy as np
@@ -5,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trigof import specfun
+from trigof import families as F
+from trigof import scaling, specfun
 from trigof.errors import DomainError
 
 # frozen oracle values (mpmath, 25 digits working precision)
@@ -15,89 +26,105 @@ REG_BETA_3_05_07 = 0.15993052742645147349
 PHI_M3 = 0.0013498980316300945267
 NCX2_SF_5_5991 = 0.50370613134701298324
 
+GAMMA = F.get_family("gamma")
+
 
 class TestGammaFamily:
+    """ln Gamma in the gamma density, psi in its score and psi' in its information."""
+
     def test_ln_gamma_trivials(self):
-        assert specfun.ln_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert specfun.ln_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)),
-                                                      rel=1e-13, abs=0.0)
+        x = np.array([0.3, 1.0, 4.0])
+        # ln Gamma(1) = 0 and ln Gamma(1/2) = ln sqrt(pi)
+        np.testing.assert_allclose(F.pdf("gamma", (1.0, 1.0), x), np.exp(-x), rtol=1e-15)
+        np.testing.assert_allclose(F.pdf("gamma", (0.5, 1.0), x),
+                                   np.exp(-x) / np.sqrt(math.pi * x), rtol=1e-13)
 
     def test_ln_gamma_oracle(self):
-        assert specfun.ln_gamma(7.3) == pytest.approx(LGAMMA_7_3, rel=1e-13, abs=0.0)
+        # the gamma(7.3, 1) density at 1 is exp(-1 - ln Gamma(7.3))
+        assert GAMMA.logpdf((7.3, 1.0), 1.0) == pytest.approx(-1.0 - LGAMMA_7_3,
+                                                               rel=1e-13, abs=0.0)
 
     def test_digamma_trigamma_at_one(self):
-        assert specfun.digamma(1.0) == pytest.approx(-0.57721566490153, abs=1e-12)
-        assert specfun.trigamma(1.0) == pytest.approx(math.pi ** 2 / 6.0, abs=1e-12)
+        # the shape score at (1, 1) and x = 1 is -psi(1); its variance is psi'(1)
+        assert F.score("gamma", (1.0, 1.0), [1.0])[0, 0] == pytest.approx(
+            0.57721566490153, abs=1e-12)
+        assert scaling.matrices("gamma", "ml", (1.0, 1.0)).R[0, 0] == pytest.approx(
+            math.pi ** 2 / 6.0, abs=1e-12)
 
     @pytest.mark.parametrize("z", [0.5, 2.0, 10.0])
     def test_digamma_recurrence(self, z):
-        assert specfun.digamma(z + 1.0) - specfun.digamma(z) == pytest.approx(
-            1.0 / z, abs=1e-12)
+        x = np.array([0.4, 3.0])
+        s = F.score("gamma", (z, 1.0), x)[0] - F.score("gamma", (z + 1.0, 1.0), x)[0]
+        np.testing.assert_allclose(s, 1.0 / z, rtol=0.0, atol=1e-12)
 
     def test_recurrences_on_log_grid(self):
         z = np.logspace(-3, 3, 61)
-        lg = specfun.ln_gamma(1.0 + z) - (np.log(z) + specfun.ln_gamma(z))
+        one = np.ones_like(z)
+        # at x = 1: ln f(z) - ln f(1 + z) = ln Gamma(1 + z) - ln Gamma(z) = ln z
+        lg = GAMMA.logpdf((z, one), one) - GAMMA.logpdf((1.0 + z, one), one) - np.log(z)
         assert np.max(np.abs(lg)) < 1e-11
-        dg = specfun.digamma(1.0 + z) - specfun.digamma(z) - 1.0 / z
+        dg = GAMMA.score_fn((z, one), one)[0] - GAMMA.score_fn((1.0 + z, one), one)[0] - 1.0 / z
         assert np.max(np.abs(dg) / np.maximum(1.0 / z, 1.0)) < 1e-11
-        tg = specfun.trigamma(1.0 + z) - specfun.trigamma(z) + 1.0 / z ** 2
-        assert np.max(np.abs(tg) / np.maximum(1.0 / z ** 2, 1.0)) < 1e-11
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_domain_errors(self, bad):
-        for fn in (specfun.ln_gamma, specfun.digamma, specfun.trigamma):
+        # a single point is checked by the family; a theta row reads NaN
+        for fn in (F.pdf, F.cdf, F.score):
             with pytest.raises(DomainError):
-                fn(bad)
+                fn("gamma", (bad, 1.0), [1.0])
+        if bad < 0.0 or math.isnan(bad):
+            assert np.isnan(GAMMA.cdf_fn((np.array([[bad]]), 1.0), np.array([1.0]))).all()
 
 
 class TestIncompleteGamma:
+    """The regularized lower incomplete gamma, as the gamma family's CDF."""
+
     def test_exponential_special_case(self):
         t = np.array([0.1, 1.0, 3.0, 10.0])
-        assert specfun.reg_gamma_cdf(1.0, 1.0, t) == pytest.approx(
-            1.0 - np.exp(-t), abs=1e-14)
+        assert F.cdf("gamma", (1.0, 1.0), t) == pytest.approx(1.0 - np.exp(-t), abs=1e-14)
 
     def test_at_zero(self):
-        assert specfun.reg_gamma_cdf(2.5, 1.0, 0.0) == 0.0
+        assert F.cdf("gamma", (2.5, 1.0), 0.0) == 0.0
 
     def test_oracle(self):
-        assert specfun.reg_gamma_cdf(2.5, 1.0, 3.0) == pytest.approx(
-            REG_GAMMA_2_5_3, rel=1e-13, abs=0.0)
+        assert F.cdf("gamma", (2.5, 1.0), 3.0) == pytest.approx(REG_GAMMA_2_5_3, rel=1e-13, abs=0.0)
 
     def test_monotone_and_clamped(self):
         x = np.linspace(0.0, 40.0, 400)
-        u = specfun.reg_gamma_cdf(1.7, 0.5, x)
+        u = F.cdf("gamma", (1.7, 0.5), x)
         assert np.all(np.diff(u) >= 0.0)
         assert np.all((u >= 0.0) & (u <= 1.0))
-        assert specfun.reg_gamma_cdf(1.7, 0.5, 1e6) == pytest.approx(1.0, abs=1e-15)
+        assert F.cdf("gamma", (1.7, 0.5), 1e6) == pytest.approx(1.0, abs=1e-15)
 
     def test_derivative_matches_density(self):
-        a, b = 2.2, 1.4
+        theta = (2.2, 1.4)
         x = np.linspace(0.3, 12.0, 25)
         h = 1e-6 * np.maximum(x, 1.0)
-        fd = (specfun.reg_gamma_cdf(a, b, x + h)
-              - specfun.reg_gamma_cdf(a, b, x - h)) / (2.0 * h)
-        dens = np.exp((a - 1.0) * np.log(x / b) - x / b
-                      - specfun.ln_gamma(a)) / b
+        fd = (F.cdf("gamma", theta, x + h) - F.cdf("gamma", theta, x - h)) / (2.0 * h)
+        dens = F.pdf("gamma", theta, x)
         assert np.max(np.abs(fd - dens) / dens) < 1e-6
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            specfun.reg_gamma_cdf(-1.0, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            specfun.reg_gamma_cdf(1.0, 1.0, -0.5)
+            F.cdf("gamma", (-1.0, 1.0), 1.0)
+        assert F.cdf("gamma", (1.0, 1.0), -0.5) == 0.0  # below the support
+        # over rows, a PIT past the representable range is 1, not an error
+        assert GAMMA.cdf_fn((2.0, 1.0), np.array([np.inf]))[0] == 1.0
 
 
 class TestIncompleteBeta:
+    """The regularized incomplete beta, as the beta family's CDF."""
+
     def test_uniform_special_case(self):
         x = np.linspace(0.0, 1.0, 11)
-        assert specfun.reg_beta_cdf(1.0, 1.0, x) == pytest.approx(x, abs=1e-14)
+        assert F.cdf("beta", (1.0, 1.0), x) == pytest.approx(x, abs=1e-14)
 
     def test_endpoints(self):
-        assert specfun.reg_beta_cdf(3.0, 0.5, 1.0) == 1.0
-        assert specfun.reg_beta_cdf(3.0, 0.5, 0.0) == 0.0
+        assert F.cdf("beta", (3.0, 0.5), 1.0) == 1.0
+        assert F.cdf("beta", (3.0, 0.5), 0.0) == 0.0
 
     def test_oracle(self):
-        assert specfun.reg_beta_cdf(3.0, 0.5, 0.7) == pytest.approx(
+        assert F.cdf("beta", (3.0, 0.5), 0.7) == pytest.approx(
             REG_BETA_3_05_07, rel=1e-13, abs=0.0)
 
     @settings(max_examples=50, deadline=None)
@@ -108,39 +135,43 @@ class TestIncompleteBeta:
         # to 1), so move x to the nearest such point; Sterbenz makes
         # 1 - (1 - x) exact.
         x = 1.0 - (1.0 - x)
-        lhs = specfun.reg_beta_cdf(a, b, x)
-        rhs = 1.0 - specfun.reg_beta_cdf(b, a, 1.0 - x)
+        lhs = F.cdf("beta", (a, b), x)
+        rhs = 1.0 - F.cdf("beta", (b, a), 1.0 - x)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_monotone(self):
         x = np.linspace(0.0, 1.0, 200)
-        u = specfun.reg_beta_cdf(0.4, 2.7, x)
+        u = F.cdf("beta", (0.4, 2.7), x)
         assert np.all(np.diff(u) >= 0.0)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            specfun.reg_beta_cdf(1.0, 1.0, 1.5)
+            F.cdf("beta", (0.0, 1.0), 0.5)
+        assert F.cdf("beta", (1.0, 1.0), 1.5) == 1.0  # above the support
 
 
 class TestNormalCdf:
+    """Phi, as the normal family's CDF, and specfun's quantile."""
+
     def test_center(self):
-        assert specfun.std_normal_cdf(0.0) == 0.5
+        assert F.cdf("normal", (0.0, 1.0), 0.0) == 0.5
 
     def test_quantile_identity(self):
-        assert specfun.std_normal_cdf(1.959963985) == pytest.approx(0.975, abs=1e-9)
+        assert F.cdf("normal", (0.0, 1.0), 1.959963985) == pytest.approx(0.975, abs=1e-9)
         assert specfun.std_normal_quantile(0.975) == pytest.approx(1.959963985, abs=1e-8)
 
     def test_tail_oracle(self):
-        assert specfun.std_normal_cdf(-3.0) == pytest.approx(PHI_M3, rel=1e-13, abs=0.0)
+        assert F.cdf("normal", (0.0, 1.0), -3.0) == pytest.approx(PHI_M3, rel=1e-13, abs=0.0)
 
     def test_reflection(self):
         x = np.linspace(-5.0, 5.0, 41)
-        assert specfun.std_normal_cdf(-x) == pytest.approx(
-            1.0 - specfun.std_normal_cdf(x), abs=1e-15)
+        assert F.cdf("normal", (0.0, 1.0), -x) == pytest.approx(
+            1.0 - F.cdf("normal", (0.0, 1.0), x), abs=1e-15)
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
-            specfun.std_normal_cdf(math.nan)
+        for p in (0.0, 1.0, 1.5):
+            with pytest.raises(DomainError):
+                specfun.std_normal_quantile(p)
 
 
 class TestNoncentralChi2:
