@@ -37,18 +37,24 @@ class _UsageError(Exception):
 
 
 def _resolve_family(name, theta_text=None):
-    """Family lookup and arity validation are usage errors, not data errors."""
+    """The family and the theta of ``theta_text`` (comma-separated; None
+    without it).  An unknown family, or a theta of the wrong arity or that is
+    not a number, is a usage error, not a data error."""
     try:
         fam = families.get_family(name)
     except TrigofError as exc:
         raise _UsageError(str(exc))
-    if theta_text is not None:
-        values = [v for v in theta_text.split(",") if v.strip()]
-        if len(values) != fam.n_params:
-            raise _UsageError(
-                f"{fam.name} takes {fam.n_params} parameter(s) "
-                f"{fam.param_names}, got {len(values)}")
-    return fam
+    if theta_text is None:
+        return fam, None
+    values = [v for v in theta_text.split(",") if v.strip()]
+    if len(values) != fam.n_params:
+        raise _UsageError(
+            f"{fam.name} takes {fam.n_params} parameter(s) "
+            f"{fam.param_names}, got {len(values)}")
+    try:
+        return fam, [float(v) for v in values]
+    except ValueError:
+        raise _UsageError(f"--theta expects numbers, got {theta_text!r}")
 
 
 def _default_seed() -> int:
@@ -136,7 +142,7 @@ def _emit(text, path=None):
 # ---------------------------------------------------------------------------
 
 def cmd_test(args) -> int:
-    fam = _resolve_family(args.family)
+    fam, _ = _resolve_family(args.family)
     bindings, mask = _parse_known(fam, args.known)
     x = read_data(args.data)
     mc = {"reps": args.mc_reps, "seed": args.seed} if args.mc_reps else None
@@ -201,8 +207,7 @@ def cmd_matrices(args) -> int:
         return 0 if same else DATA_EXIT
     if not args.family or not args.theta:
         raise _UsageError("matrices needs --family and --theta")
-    fam = _resolve_family(args.family, args.theta)
-    theta = [float(v) for v in args.theta.split(",")]
+    fam, theta = _resolve_family(args.family, args.theta)
     payload = _matrix_payload(fam, args.estimator, theta, args.known, args.digits)
     _emit(json.dumps(payload, indent=2), args.output)
     return 0
@@ -255,7 +260,7 @@ def cmd_power(args) -> int:
 
 
 def cmd_ellipse(args) -> int:
-    fam = _resolve_family(args.family, args.theta if args.theta else None)
+    fam, theta = _resolve_family(args.family, args.theta or None)
     mask = _parse_known(fam, args.known)[1]
     if not (args.theta or args.input):
         raise _UsageError("ellipse needs --theta or --input")
@@ -267,7 +272,6 @@ def cmd_ellipse(args) -> int:
         point = (math.sqrt(res.moments.n) * res.moments.cn,
                  math.sqrt(res.moments.n) * res.moments.sn)
     else:
-        theta = [float(v) for v in args.theta.split(",")]
         sig = scaling.sigma_from(fam, args.estimator, theta, mask)
     geom = gof.ellipse(sig, args.level)
     lines = ["kind,x,y"]

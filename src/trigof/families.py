@@ -2,7 +2,9 @@
 
 Each family carries its parameter names (in canonical order), parameter-space
 validation, support, density, CDF, quantile, per-observation score function,
-and an inverse-CDF sampler.  Families are looked up by lowercase hyphenated
+and an inverse-CDF sampler: ``_draws`` fills a block of samples, each row
+from its own seed, with one quantile call per chunk of rows, and ``sample``
+is its one-row case.  Families are looked up by lowercase hyphenated
 name, e.g. ``get_family("inverse-gaussian")``.  Every ``logpdf``,
 ``cdf_fn``, ``quantile_fn`` and ``score_fn`` broadcasts over theta components
 given as columns of shape (rows, 1) (the score then has shape (p, rows, n)),
@@ -55,6 +57,9 @@ __all__ = [
 ]
 
 _TINY_U = 1e-15
+# values per call of an inverse CDF in a block of draws: its temporaries stay
+# at 64 KiB, under glibc's 128 KiB threshold for serving them by mmap
+_CHUNK = 2 ** 13
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +274,14 @@ def _theta(fam: Family, theta) -> tuple:
 
 
 def pdf(fam, theta, x):
-    """Density, vectorized in x; 0 outside the support."""
+    """Density, vectorized in x; 0 outside the support, NaN at a NaN x."""
     fam = get_family(fam)
     t = _theta(fam, theta)
     x = np.asarray(x, dtype=float)
     lo, hi = fam.support(t)
-    inside = (x > lo) & (x < hi)
-    out = np.zeros(x.shape if x.shape else (1,))
     xs = np.atleast_1d(x)
-    m = np.atleast_1d(inside)
+    out = np.where(np.isnan(xs), np.nan, 0.0)
+    m = (xs > lo) & (xs < hi)
     if m.any():
         with np.errstate(over="ignore", under="ignore"):
             out[m] = np.exp(fam.logpdf(t, xs[m]))
@@ -285,14 +289,13 @@ def pdf(fam, theta, x):
 
 
 def cdf(fam, theta, x):
-    """CDF, vectorized in x; clamped to 0/1 outside the support."""
+    """CDF, vectorized in x; clamped to 0/1 outside the support, NaN at a NaN x."""
     fam = get_family(fam)
     t = _theta(fam, theta)
     x = np.asarray(x, dtype=float)
     lo, hi = fam.support(t)
-    xs = np.atleast_1d(x).copy()
-    out = np.zeros_like(xs)
-    out[xs >= hi] = 1.0
+    xs = np.atleast_1d(x)
+    out = np.where(np.isnan(xs), np.nan, np.where(xs >= hi, 1.0, 0.0))
     m = (xs > lo) & (xs < hi)
     if m.any():
         with np.errstate(over="ignore", under="ignore"):
@@ -324,14 +327,42 @@ def score(fam, theta, x):
     return np.asarray(fam.score_fn(t, x), dtype=float)
 
 
-def sample(fam, theta, n: int, seed) -> np.ndarray:
-    """n i.i.d. inverse-CDF draws, deterministic for a fixed seed."""
-    fam = get_family(fam)
-    t = _theta(fam, theta)
+def _draws(inverse, n: int, seeds) -> np.ndarray:
+    """The (len(seeds), n) block of inverse-CDF draws whose row r maps the
+    uniforms np.random.default_rng(seeds[r]).random(n), clipped to
+    [1e-15, 1 - 1e-15] as ``quantile`` clips them, through ``inverse``.
+
+    ``inverse`` maps a (rows, n) array of u elementwise, each row on its
+    own; it runs on chunks of whole rows of at most _CHUNK values (one row
+    where n is larger), written back into the block, so a row's draws are
+    the same bits in any block.  ``sample`` and ``sample_apd`` are its
+    one-row case."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    return quantile(fam, t, rng.random(n))
+    block = np.empty((len(seeds), n))
+    for row, seed in zip(block, seeds):
+        np.random.default_rng(seed).random(n, out=row)
+    np.clip(block, _TINY_U, 1.0 - _TINY_U, out=block)
+    step = max(1, _CHUNK // n)
+    with np.errstate(over="ignore", under="ignore"):
+        for lo in range(0, len(block), step):
+            chunk = block[lo:lo + step]
+            chunk[...] = inverse(chunk)
+    return block
+
+
+def _quantile_of(fam, theta):
+    """The family's quantile at a checked theta, as a function of u."""
+    fam = get_family(fam)
+    t = _theta(fam, theta)
+    return lambda u: fam.quantile_fn(t, u)
+
+
+def sample(fam, theta, n: int, seed) -> np.ndarray:
+    """n i.i.d. inverse-CDF draws, deterministic for a fixed seed: the
+    one-row case of ``_draws``, whose row drawn from ``seed`` in any block is
+    this sample, bit for bit."""
+    return _draws(_quantile_of(fam, theta), n, (seed,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -797,8 +828,9 @@ def _ig_log_cdfs(t, x):
 
 def _ig_quantile(t, u):
     """Newton's method on ln F (ln(1 - F) above the median) in ln x, at most 8
-    CDF evaluations per value.  Both are concave in ln x (ln X has a
-    log-concave density), so after its first step the iteration closes in on
+    CDF evaluations per value, until every step of a row (the last axis of
+    the broadcast theta and u) is within 1e-9.  Both are concave in ln x (ln X
+    has a log-concave density), so after its first step the iteration closes in on
     the root from one side; a step that leaves the bracket of the points seen
     so far bisects it instead.  The start is the normal approximation to
     ln(X / mu), or in a tail the asymptote of the CDF there when that is
@@ -822,6 +854,7 @@ def _ig_quantile(t, u):
         y = np.where(upper, np.where(far, np.fmin(y, np.log(x)), y), np.maximum(
             y, np.log(lam) - 2.0 * np.log(-sp.ndtri(0.5 * u * np.exp(-phi)))))
         lo, hi = np.full(y.shape, -np.inf), np.full(y.shape, np.inf)
+        moving = np.ones(y.shape[:-1] + (1,), dtype=bool)
         for _ in range(8):
             x = np.exp(y)
             lcdf = np.where(upper, *_ig_log_cdfs(t, x)[::-1])
@@ -834,9 +867,11 @@ def _ig_quantile(t, u):
             inside = (new >= lo) & (new <= hi)
             new = np.where(inside, new, np.where(np.isfinite(lo) & np.isfinite(hi), 0.5 * (lo + hi),
                                                  y + np.where(high, -1.0, 1.0)))
-            done = not np.any(np.abs(new - y) > 1e-9)
-            y = new
-            if done:
+            # each row (last axis) takes the step on which it closes and stops
+            # there, so a row reads the same bits in any block
+            y, moving = (np.where(moving, new, y),
+                         moving & np.any(np.abs(new - y) > 1e-9, axis=-1, keepdims=True))
+            if not moving.any():
                 break
     return np.where(np.isfinite(target), np.exp(y), np.where(upper, np.inf, 0.0))
 
@@ -1070,25 +1105,25 @@ def apd_cdf(x, lam, alpha, rho, mu, sigma):
     return out
 
 
-def sample_apd(lam, alpha, rho, mu, sigma, n: int, seed) -> np.ndarray:
-    """n i.i.d. draws from APD(lam, alpha, rho, mu, sigma).
-
-    Uses the exact mixture representation: the sign is negative with
-    probability alpha, and |Y| / side-scale transforms to a gamma(1/rho)
-    variate, inverted in closed form.
-    """
+def _apd_quantile(lam, alpha, rho, mu, sigma):
+    """The APD's quantile, as a function of u, from its exact mixture
+    representation: the sign is negative with probability alpha, and
+    |Y| / side-scale transforms to a gamma(1/rho) variate, inverted in
+    closed form."""
     _apd_check(lam, alpha, rho, mu, sigma)
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    u = np.clip(rng.random(n), _TINY_U, 1.0 - _TINY_U)
     delta = _apd_delta(alpha, rho)
-    neg = u < alpha
-    v = np.empty(n)
-    # conditional PIT within each side keeps the draw a pure inverse-CDF map
-    v[neg] = 1.0 - u[neg] / alpha
-    v[~neg] = (u[~neg] - alpha) / (1.0 - alpha)
-    g = sp.gammaincinv(1.0 / rho, v)
-    scale = np.where(neg, -alpha, 1.0 - alpha)
-    y = scale * np.power(lam * g / delta, 1.0 / rho)
-    return mu + sigma * y
+
+    def quantile(u):
+        neg = u < alpha
+        # conditional PIT within each side keeps the draw a pure inverse-CDF map
+        v = np.where(neg, 1.0 - u / alpha, (u - alpha) / (1.0 - alpha))
+        g = sp.gammaincinv(1.0 / rho, v)
+        scale = np.where(neg, -alpha, 1.0 - alpha)
+        return mu + sigma * (scale * np.power(lam * g / delta, 1.0 / rho))
+    return quantile
+
+
+def sample_apd(lam, alpha, rho, mu, sigma, n: int, seed) -> np.ndarray:
+    """n i.i.d. inverse-CDF draws from APD(lam, alpha, rho, mu, sigma): the
+    one-row case of ``_draws`` through ``_apd_quantile``."""
+    return _draws(_apd_quantile(lam, alpha, rho, mu, sigma), n, (seed,))[0]

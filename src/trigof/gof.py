@@ -11,7 +11,9 @@ error of its cause.  Under the null it is asymptotically
 chi-square with 2 degrees of freedom, so the asymptotic p-value has the
 closed form exp(-T_n / 2).  A parametric-bootstrap p-value (refit inside
 each replication) is available with add-one smoothing (r+1)/(R+1);
-``replicate``, its loop, also serves empirical power and the studies.
+``replicate``, its loop, also serves empirical power and the studies.  It
+asks its sampler for a block of replications at a time, which
+``families._draws`` fills in one pass, each row from its own seed.
 """
 
 from __future__ import annotations
@@ -112,9 +114,10 @@ def run_test(fam, kind=EstimatorKind.ML, mask: Optional[KnownMask] = None, x=Non
     """Fit, scale and test the sample against the null family.
 
     ``mc`` may carry {"reps": int, "seed": int} to add a parametric-bootstrap
-    p-value: each replication draws n points from the fitted model, refits
-    with the same estimator and mask, and recomputes the statistic, through
-    ``replicate``, which refits blocks of replications at once.
+    p-value: each replication r draws n points from the fitted model, from
+    the key (seed, r), refits with the same estimator and mask, and
+    recomputes the statistic, through ``replicate``, which draws and refits
+    blocks of replications at once.
     Replications whose refit fails are skipped and counted; more than 1%
     failures (and more than one) aborts with EstimationError.
     """
@@ -133,10 +136,11 @@ def run_test(fam, kind=EstimatorKind.ML, mask: Optional[KnownMask] = None, x=Non
         seed = mc.get("seed", 0)
         if reps < 1:
             raise DomainError("mc reps must be >= 1")
-        n = len(x)
+        fitted = families._quantile_of(fam, res.theta)
         tn_r = replicate(
-            fam, kind, mask,
-            lambda r: families.sample(fam, res.theta, n, np.random.SeedSequence([seed, r])),
+            fam, kind, mask, len(x),
+            lambda rs: families._draws(fitted, len(x),
+                                       [np.random.SeedSequence([seed, r]) for r in rs]),
             range(reps), max_failed=max(1, 0.01 * reps))
         failed = int(np.count_nonzero(np.isnan(tn_r)))
         exceed = int(np.count_nonzero(tn_r >= tn))
@@ -146,13 +150,15 @@ def run_test(fam, kind=EstimatorKind.ML, mask: Optional[KnownMask] = None, x=Non
                       p_mc, reps, exceed, failed)
 
 
-def replicate(fam, kind, mask: Optional[KnownMask], sample, indices,
+def replicate(fam, kind, mask: Optional[KnownMask], n: int, sample, indices,
               max_failed: Optional[float] = None) -> np.ndarray:
-    """T_n of the refitted sample ``sample(r)`` for each r in ``indices``.
+    """T_n of the refitted sample of each replication in ``indices``.
 
-    Blocks of samples (at most 256 rows and 2**18 values) are fitted and
-    tested at once by ``_batch.batch_tn``, once each, in which every row
-    fails alone.  A replication whose fit, PIT, Sigma or statistic fails, or
+    ``sample(rs)`` returns the samples of the replications ``rs`` as one
+    (len(rs), n) block, row i that of rs[i]; ``rs`` is a list of at most 256
+    consecutive entries of ``indices`` and 2**18 values.  Each block is
+    fitted and tested at once by ``_batch.batch_tn``, once, in which every
+    row fails alone.  A replication whose fit, PIT, Sigma or statistic fails, or
     whose T_n is not finite, reads NaN; a block that raises one of
     ``REPLICATION_FAILURES`` (a cause common to all its rows) reads NaN
     throughout.  Errors from ``sample`` propagate.  More than ``max_failed``
@@ -162,23 +168,21 @@ def replicate(fam, kind, mask: Optional[KnownMask], sample, indices,
     kind = EstimatorKind(kind)
     indices = list(indices)
     tn = np.empty(len(indices))
-    done = failed = 0
-    while done < len(indices):
-        block = [sample(indices[done])]
-        rows = min(256, max(1, 2 ** 18 // len(block[0])))
+    rows = min(256, max(1, 2 ** 18 // max(1, n)))  # n < 1: the sampler raises
+    failed = 0
+    for done in range(0, len(indices), rows):
         stop = min(done + rows, len(indices))
-        block += [sample(r) for r in indices[done + 1:stop]]
+        X = sample(indices[done:stop])
         try:
-            tn_b = _batch.batch_tn(fam, kind, mask, np.stack(block))
+            tn_b = _batch.batch_tn(fam, kind, mask, X)
         except REPLICATION_FAILURES:
-            tn_b = np.full(len(block), np.nan)
+            tn_b = np.full(len(X), np.nan)
         tn_b[~np.isfinite(tn_b)] = np.nan
         tn[done:stop] = tn_b
         failed += int(np.count_nonzero(np.isnan(tn_b)))
-        done = stop
         if max_failed is not None and failed > max_failed:
             raise EstimationError(f"more than {max_failed:g} of {len(indices)} replications "
-                                  f"failed ({failed}/{done})")
+                                  f"failed ({failed}/{stop})")
     return tn
 
 

@@ -125,23 +125,27 @@ def power_curve(case, theta0, deltas: Sequence, alpha: float = 0.05,
     return out
 
 
-def _sample_alternative(alt: LocalAlternative, n: int, seed) -> np.ndarray:
+def _sample_alternative(alt: LocalAlternative, n: int, seeds) -> np.ndarray:
+    """The (len(seeds), n) block of samples from the alternative drifted at n,
+    row r drawn from seeds[r]."""
     if alt.case is AltCase.GAMMA_VS_GG:
         lam0, beta0 = alt.theta0
         rho = 1.0 + alt.delta[0] / math.sqrt(n)
-        return families.sample("gg", (lam0, beta0, rho), n, seed)
-    if alt.case is AltCase.WEIBULL_VS_GG:
+        inverse = families._quantile_of("gg", (lam0, beta0, rho))
+    elif alt.case is AltCase.WEIBULL_VS_GG:
         beta0, rho0 = alt.theta0
         lam = 1.0 + alt.delta[0] / math.sqrt(n)
         if lam <= 0.0:
             raise DomainError("drifted GG shape must stay positive")
-        return families.sample("gg", (lam, beta0, rho0), n, seed)
-    lam0, mu0, sigma0 = alt.theta0
-    alpha_par = 0.5 + alt.delta[0] / math.sqrt(n)
-    rho = lam0 + alt.delta[1] / math.sqrt(n)
-    if not (0.0 < alpha_par < 1.0 and rho > 0.0):
-        raise DomainError("drifted APD parameters left their space")
-    return families.sample_apd(lam0, alpha_par, rho, mu0, sigma0, n, seed)
+        inverse = families._quantile_of("gg", (lam, beta0, rho0))
+    else:
+        lam0, mu0, sigma0 = alt.theta0
+        alpha_par = 0.5 + alt.delta[0] / math.sqrt(n)
+        rho = lam0 + alt.delta[1] / math.sqrt(n)
+        if not (0.0 < alpha_par < 1.0 and rho > 0.0):
+            raise DomainError("drifted APD parameters left their space")
+        inverse = families._apd_quantile(lam0, alpha_par, rho, mu0, sigma0)
+    return families._draws(inverse, n, seeds)
 
 
 def _null_test_config(alt: LocalAlternative):
@@ -156,16 +160,18 @@ def _null_test_config(alt: LocalAlternative):
 def empirical_power(alt: LocalAlternative, n: int, reps: int, seed: int) -> dict:
     """Finite-n rejection rate sampling from the drifted alternative.
 
-    The drift is applied exactly as delta / sqrt(n).  Every replication is
-    tested through ``gof.replicate``, a block of replications at a time.
+    The drift is applied exactly as delta / sqrt(n).  Replication r draws
+    its sample from the key (seed, r); ``gof.replicate`` draws and tests
+    them a block of replications at a time.
     Returns the rate and its binomial standard error over the replications
     that did not fail (``gof.rejection_rate``: NaN if every one failed), and
     the failed-fit count.
     """
     fam, kind, mask = _null_test_config(alt)
     q = -2.0 * math.log(alt.alpha)
-    tn = replicate(fam, kind, mask,
-                   lambda r: _sample_alternative(alt, n, np.random.SeedSequence([seed, r])),
+    tn = replicate(fam, kind, mask, n,
+                   lambda rs: _sample_alternative(
+                       alt, n, [np.random.SeedSequence([seed, r]) for r in rs]),
                    range(reps))
     failed = int(np.count_nonzero(np.isnan(tn)))
     rate, se = rejection_rate(int(np.count_nonzero(tn > q)), reps - failed)

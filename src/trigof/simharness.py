@@ -5,8 +5,9 @@ sample size and (for power snapshots) the family actually generating the
 data.  Every replication draws its own generator from the key
 (seed, cell index, replication index), so results are bit-identical across
 reruns.  A cell's replications run through ``gof.replicate``, in one call
-or, with ``workers > 1``, in blocks of at least 256 spread over a process
-pool; a failed replication counts toward ``failed``, and a cell with more
+or, with ``workers > 1``, in runs of at least 256 spread over a process
+pool; either way ``gof.replicate`` draws each of its blocks of samples with
+one call of ``_draw``.  A failed replication counts toward ``failed``, and a cell with more
 than 1% failures, or whose run raised, is not ``ok`` (one whose run raised
 has no rate: ``rate`` and ``se`` are NaN).
 """
@@ -94,18 +95,19 @@ class StudyReport:
     seed: int
 
 
-def _draw(cell: CellConfig, seed: int, cell_index: int, rep: int) -> np.ndarray:
+def _draw(cell: CellConfig, seed: int, cell_index: int, reps) -> np.ndarray:
+    """The (len(reps), n) block of the cell's samples of replications ``reps``."""
     fam = cell.data_family if cell.is_alternative else cell.family
     theta = cell.data_theta if cell.is_alternative else cell.theta
-    ss = np.random.SeedSequence([seed, cell_index, rep])
-    return families.sample(fam, theta, cell.n, ss)
+    return families._draws(families._quantile_of(fam, theta), cell.n,
+                           [np.random.SeedSequence([seed, cell_index, r]) for r in reps])
 
 
 def _run_cell(cell: CellConfig, cfg: StudyConfig, cell_index: int) -> CellReport:
     t0 = time.perf_counter()
     q = -2.0 * math.log(cfg.alpha)
     # picklable, so that a process pool can run blocks of replications
-    run = partial(replicate, cell.family, cell.kind, cell.mask(),
+    run = partial(replicate, cell.family, cell.kind, cell.mask(), cell.n,
                   partial(_draw, cell, cfg.seed, cell_index))
     rejections = failed = 0
     ok = True

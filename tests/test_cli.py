@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from trigof import cli
 from trigof import families as F
+from trigof.errors import TrigofError
 
 
 def _data_file(tmp_path, values, name="data.txt"):
@@ -119,10 +121,12 @@ def test_seed_default_is_read_at_each_call(tmp_path, monkeypatch, capsys):
     ["power", "--case", "epd", "--delta2", "0:x:1"],
     ["power", "--case", "weibull", "--delta", "0,5", "--empirical", "50"],
     ["power", "--case", "weibull", "--delta", "0,5", "--empirical", "50,many"],
+    ["matrices", "--family", "normal", "--theta", "a,b"],
+    ["ellipse", "--family", "normal", "--theta", "0,b"],
 ], ids=["ellipse-no-theta-or-input", "known-without-value", "known-not-a-number",
         "known-unknown-name", "matrices-known-unknown-name", "grid-zero-step",
         "grid-empty-range", "grid-empty-list", "grid-malformed", "empirical-one-value",
-        "empirical-not-a-number"])
+        "empirical-not-a-number", "matrices-theta-not-a-number", "ellipse-theta-not-a-number"])
 def test_usage_mistakes_are_64(argv, capsys):
     assert cli.main(argv) == cli.USAGE_EXIT
     assert "usage error" in capsys.readouterr().err
@@ -141,3 +145,33 @@ def test_study_config_with_a_misspelled_family_is_2(tmp_path, capsys):
                      str(tmp_path / "out")]) == cli.DATA_EXIT
     assert "section [cell:c]" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+class TestReadData:
+    def test_comments_and_blank_lines_are_skipped(self, tmp_path, capsys):
+        path = tmp_path / "data.txt"
+        values = F.sample("gamma", (2.3, 1.4), 30, 5)
+        lines = [repr(float(v)) for v in values]
+        lines[15] = f"  {lines[15]}  # trailing note"
+        lines[16:16] = ["   ", "#", ""]
+        path.write_text("\n".join(["# header", ""] + lines) + "\n")
+        assert np.array_equal(cli.read_data(path), values)
+        assert cli.main(["test", str(path), "--family", "gamma"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 30
+
+    def test_a_bad_value_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "data.txt"
+        path.write_text("# values\n1.5\n\n2.5 # ok\nthree\n4.0\n")
+        with pytest.raises(TrigofError, match=rf"^{re.escape(str(path))}:5: not a number: 'three'$"):
+            cli.read_data(path)
+        assert cli.main(["test", str(path), "--family", "gamma"]) == cli.DATA_EXIT
+        assert f"{path}:5: not a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", ["", "# only a comment\n\n   \n"], ids=["empty", "comments"])
+    def test_a_file_without_values_is_an_error(self, tmp_path, capsys, body):
+        path = tmp_path / "data.txt"
+        path.write_text(body)
+        with pytest.raises(TrigofError, match="no data values found"):
+            cli.read_data(path)
+        assert cli.main(["test", str(path), "--family", "gamma"]) == cli.DATA_EXIT
+        assert "no data values found" in capsys.readouterr().err

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import special as sp
 from scipy.integrate import quad as scipy_quad
 from scipy.stats import kstest
 
@@ -123,6 +125,30 @@ class TestEveryFamily:
         a = F.sample(name, th, 50, 7)
         b = F.sample(name, th, 50, 7)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [5, 200, 2000])
+    def test_block_rows_are_the_per_row_draws(self, name, n):
+        # two rows past the first chunk edge; a row is the former sample, the
+        # quantile of that row's own uniforms, to the bit (at n = 5 every 41st
+        # row and those at the edge are checked)
+        th = FAMILY_THETAS[name]
+        edge = F._CHUNK // n
+        seeds = [np.random.SeedSequence([29, r]) for r in range(edge + 2)]
+        block = F._draws(F._quantile_of(name, th), n, seeds)
+        assert block.shape == (len(seeds), n)
+        for r in sorted({*range(0, len(seeds), max(1, len(seeds) // 40)), edge - 1, edge}):
+            u = np.random.default_rng(seeds[r]).random(n)
+            assert np.array_equal(block[r], F.quantile(name, th, u))
+        for r in (0, len(seeds) - 1):
+            assert np.array_equal(block[r], F.sample(name, th, n, seeds[r]))
+
+    def test_a_nan_point_reads_nan(self, name):
+        th = FAMILY_THETAS[name]
+        x = F.quantile(name, th, 0.3)
+        for f in (F.pdf, F.cdf):
+            out = f(name, th, [math.nan, x])
+            assert math.isnan(out[0]) and out[1] == f(name, th, x) > 0.0
+            assert math.isnan(f(name, th, math.nan))
 
     def test_score_matches_log_density_gradient(self, name):
         fam = F.get_family(name)
@@ -286,6 +312,31 @@ class TestInverseGaussianQuantile:
         np.testing.assert_allclose(np.where(u > 0.5, ls, lf),
                                    np.where(u > 0.5, np.log1p(-u), np.log(u)), rtol=0.0, atol=1e-10)
 
+    @pytest.mark.parametrize("theta", [(6.551024405480829, 168.60450626773505),
+                                       (1.8961294078764357, 26.97648632826582),
+                                       (6.6533555722302085, 0.018824143613710903)])
+    def test_each_row_stops_at_its_own_convergence(self, theta):
+        # rows that close on different steps: a row of a block reads the bits
+        # it reads alone
+        u = np.random.default_rng(43).random((64, 200))
+        block = F.get_family("inverse-gaussian").quantile_fn(theta, u)
+        for row, ur in zip(block, u):
+            assert np.array_equal(row, F.get_family("inverse-gaussian").quantile_fn(theta, ur))
+
+    def test_a_block_of_draws_keeps_its_temporaries_to_a_chunk(self):
+        # 256 x 200 draws: one inverse-CDF call over the whole block would
+        # hold its Newton temporaries at 51,200 values each
+        seeds = [np.random.SeedSequence([47, r]) for r in range(256)]
+        inverse = F._quantile_of("inverse-gaussian", (1.0, 2.0))
+        tracemalloc.start()
+        try:
+            block = F._draws(inverse, 200, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(block).all()
+        assert peak < 2 * 2**20
+
     def test_broadcasts_over_theta_rows(self):
         fam = F.get_family("inverse-gaussian")
         rows = np.array([[1.0, 2.0], [0.5, 7.0], [3.0, 0.4]])
@@ -342,6 +393,19 @@ class TestSampling:
             F.sample("normal", (0.0, 1.0), 0, 1)
 
 
+def _former_sample_apd(lam, alpha, rho, mu, sigma, n, seed):
+    """The per-sample APD sampler the block draws replaced."""
+    u = np.clip(np.random.default_rng(seed).random(n), 1e-15, 1.0 - 1e-15)
+    delta = 2.0 * alpha ** rho * (1.0 - alpha) ** rho / (alpha ** rho + (1.0 - alpha) ** rho)
+    neg = u < alpha
+    v = np.empty(n)
+    v[neg] = 1.0 - u[neg] / alpha
+    v[~neg] = (u[~neg] - alpha) / (1.0 - alpha)
+    g = sp.gammaincinv(1.0 / rho, v)
+    y = np.where(neg, -alpha, 1.0 - alpha) * np.power(lam * g / delta, 1.0 / rho)
+    return mu + sigma * y
+
+
 class TestAPD:
     def test_reduces_to_epd(self):
         xs = F.sample_apd(1.5, 0.5, 1.5, 0.3, 2.0, 100_000, 42)
@@ -382,6 +446,17 @@ class TestAPD:
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             F.sample_apd(1.0, 1.2, 1.0, 0.0, 1.0, 10, 1)
+
+    @pytest.mark.parametrize("apd", [(1.5, 0.5, 1.5, 0.3, 2.0), (0.8, 0.6, 2.5, 0.0, 1.0),
+                                     (2.0, 0.3, 1.2, -1.0, 0.5)])
+    @pytest.mark.parametrize("n", [5, 200, 2000])
+    def test_block_rows_are_the_former_draws(self, apd, n):
+        edge = F._CHUNK // n
+        seeds = [np.random.SeedSequence([31, r]) for r in range(edge + 2)]
+        block = F._draws(F._apd_quantile(*apd), n, seeds)
+        for r in sorted({*range(0, len(seeds), max(1, len(seeds) // 40)), edge - 1, edge}):
+            assert np.array_equal(block[r], _former_sample_apd(*apd, n, seeds[r]))
+        assert np.array_equal(block[-1], F.sample_apd(*apd, n, seeds[-1]))
 
     @pytest.mark.parametrize("lam,alpha,rho", [(1.5, 0.5, 1.5), (2.0, 0.3, 1.2), (0.8, 0.6, 2.5)])
     def test_score_is_the_log_density_gradient(self, lam, alpha, rho):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -17,7 +18,10 @@ from conftest import FAMILY_THETAS, MM_REQUIRED_KNOWN
 
 
 def _seeded(fam, theta, n, seed=0):
-    return lambda r: F.sample(fam, theta, n, np.random.SeedSequence([seed, r]))
+    """The block sampler of ``replicate``: row i of a block is the sample of
+    replication rs[i], drawn from the key (seed, rs[i])."""
+    return lambda rs: F._draws(F._quantile_of(fam, theta), n,
+                               [np.random.SeedSequence([seed, r]) for r in rs])
 
 
 def _bootstrap_reference(fam, kind, mask, x, reps, seed):
@@ -85,14 +89,14 @@ class TestBatchAgainstScalar:
     @pytest.mark.parametrize("fam,kind,mask,theta", BATCH_ROWS,
                              ids=[f"{r[0]}-{r[1]}-{r[3][0]}" for r in BATCH_ROWS])
     def test_row_by_row(self, fam, kind, mask, theta):
-        X = np.stack([_seeded(fam, theta, 80, seed=11)(r) for r in range(12)])
+        X = _seeded(fam, theta, 80, seed=11)(range(12))
         tn_batch = _batch.batch_tn(fam, kind, mask, X)
         tn_scalar = np.array([_single_test(fam, kind, mask, x)[3] for x in X])
         np.testing.assert_allclose(tn_batch, tn_scalar, rtol=1e-10, atol=0.0)
 
     def test_epd_ml_with_known_lambda_below_one_batches(self):
         # its location is searched gap by gap on each row of the block
-        X = np.stack([_seeded("epd", (0.8, 0.3, 2.0), 60, seed=12)(r) for r in range(5)])
+        X = _seeded("epd", (0.8, 0.3, 2.0), 60, seed=12)(range(5))
         thetas = _batch.batch_fit("epd", "ml", EPD_08, X)
         for theta, x in zip(thetas, X):
             assert np.array_equal(theta, fit("epd", "ml", EPD_08, x).theta)
@@ -102,7 +106,7 @@ class TestBatchAgainstScalar:
     def test_every_supported_row(self, fam, kind, known):
         values = dict(zip(F.get_family(fam).param_names, FAMILY_THETAS[fam]))
         mask = KnownMask.from_names(fam, {p: values[p] for p in known}) if known else None
-        X = np.stack([_seeded(fam, FAMILY_THETAS[fam], 80, seed=13)(r) for r in range(12)])
+        X = _seeded(fam, FAMILY_THETAS[fam], 80, seed=13)(range(12))
         thetas = _batch.batch_fit(fam, kind, mask, X)
         fits = [_single_test(fam, kind, mask, x) for x in X]
         # the block fit is the single-row fit, bit for bit
@@ -115,7 +119,7 @@ class TestBatchAgainstScalar:
         ("weibull", None, (2.0, 1.5), FE._fit_weibull_batch),
         ("epd", EPD_15, (1.5, 0.3, 2.0), lambda X: FE._fit_epd_lam_known_batch(X, 1.5))])
     def test_block_fits_match_the_former_kernels(self, fam, mask, theta, kernel):
-        X = np.stack([_seeded(fam, theta, 80, seed=14)(r) for r in range(40)])
+        X = _seeded(fam, theta, 80, seed=14)(range(40))
         np.testing.assert_allclose(_batch.batch_fit(fam, "ml", mask, X), kernel(X),
                                    rtol=1e-12, atol=0.0)
 
@@ -137,7 +141,7 @@ class TestRowsOutsideTheSupport:
         ("chi-squared", "mm", None, 0.0), ("pareto", "ml", None, 0.9),
         ("uniform", "ml", KnownMask.from_names("uniform", {"a": -1.0}), -1.5)])
     def test_row_fails_alone_and_silently(self, fam, kind, mask, bad):
-        X = np.stack([_seeded(fam, FAMILY_THETAS[fam], 50, seed=4)(r) for r in range(4)])
+        X = _seeded(fam, FAMILY_THETAS[fam], 50, seed=4)(range(4))
         X[1, 7] = bad
         tn = _batch.batch_tn(fam, kind, mask, X)
         assert np.flatnonzero(~np.isfinite(tn)).tolist() == [1]
@@ -183,7 +187,7 @@ class TestRowsThatFail:
         ("gg", 34, DomainError)])  # beta-hat = 0 fails the family's check
     def test_block_with_one_failing_sample(self, fam, r, error):
         draw = _seeded(fam, FAMILY_THETAS[fam], 30, seed=777)
-        X = np.stack([draw(s) for s in self.GOOD[:3] + [r] + self.GOOD[3:]])
+        X = draw(self.GOOD[:3] + [r] + self.GOOD[3:])
         tn = _batch.batch_tn(fam, "ml", None, X)
         assert np.flatnonzero(np.isnan(tn)).tolist() == [3]
         np.testing.assert_array_equal(np.delete(tn, 3),
@@ -191,10 +195,11 @@ class TestRowsThatFail:
         assert np.isnan(_batch.batch_fit(fam, "ml", None, X)[3]).all() == (fam == "gg")
         with pytest.raises(error):
             _single_test(fam, "ml", None, X[3])
-        np.testing.assert_array_equal(replicate(fam, "ml", None, lambda s: X[s], range(7)), tn)
+        np.testing.assert_array_equal(replicate(fam, "ml", None, 30, lambda rs: X[rs], range(7)),
+                                      tn)
 
     def test_row_with_a_nonfinite_pit(self):
-        X = np.stack([_seeded("gamma", (2.3, 1.4), 50, seed=6)(r) for r in range(4)])
+        X = _seeded("gamma", (2.3, 1.4), 50, seed=6)(range(4))
         thetas = _batch.batch_fit("gamma", "ml", None, X)
         X[2, 5] = np.nan
         cn, sn, sig, tn = _batch.statistic("gamma", "ml", None, thetas, X)
@@ -249,14 +254,14 @@ class TestFailedRows:
                                            ("normal", (-0.2, 1.7)), ("laplace", (0.5, 1.3)),
                                            ("uniform", (-1.0, 2.5))])
     def test_flat_row_is_the_only_failure(self, fam, theta):
-        X = np.stack([_seeded(fam, theta, 50, seed=3)(r) for r in range(6)])
+        X = _seeded(fam, theta, 50, seed=3)(range(6))
         flat = X.copy()
         flat[2] = 1.5
         tn = _batch.batch_tn(fam, "ml", None, flat)
         assert np.flatnonzero(~np.isfinite(tn)).tolist() == [2]
         np.testing.assert_array_equal(np.delete(tn, 2),
                                       _batch.batch_tn(fam, "ml", None, np.delete(X, 2, axis=0)))
-        out = replicate(fam, "ml", None, lambda r: flat[r], range(6))
+        out = replicate(fam, "ml", None, 50, lambda rs: flat[rs], range(6))
         assert np.count_nonzero(np.isnan(out)) == 1 and np.isnan(out[2])
 
 
@@ -265,26 +270,28 @@ class TestReplicate:
         # a flat sample fails its fit: a NaN row of the block
         draw = _seeded("logistic", (0.2, 0.9), 40)
 
-        def sample(r):
-            return np.full(40, 1.0) if r in (1, 4) else draw(r)
+        def sample(rs):
+            X = draw(rs)
+            X[[i for i, r in enumerate(rs) if r in (1, 4)]] = 1.0
+            return X
 
-        tn = replicate("logistic", "ml", None, sample, range(6))
+        tn = replicate("logistic", "ml", None, 40, sample, range(6))
         assert np.flatnonzero(np.isnan(tn)).tolist() == [1, 4]
         assert np.all(np.isfinite(np.delete(tn, [1, 4])))
-        replicate("logistic", "ml", None, sample, range(6), max_failed=2)
+        replicate("logistic", "ml", None, 40, sample, range(6), max_failed=2)
         with pytest.raises(EstimationError, match="replications failed"):
-            replicate("logistic", "ml", None, sample, range(6), max_failed=1)
+            replicate("logistic", "ml", None, 40, sample, range(6), max_failed=1)
 
     def test_sampler_errors_propagate(self):
-        def sample(r):
+        def sample(rs):
             raise SamplingError("inversion did not bracket")
 
         with pytest.raises(SamplingError):
-            replicate("normal", "ml", None, sample, range(3))
+            replicate("normal", "ml", None, 30, sample, range(3))
 
     def test_configuration_errors_propagate(self):
         with pytest.raises(ConfigurationError):
-            replicate("gumbel", "mm", None, _seeded("gumbel", (0.4, 1.1), 30), range(3))
+            replicate("gumbel", "mm", None, 30, _seeded("gumbel", (0.4, 1.1), 30), range(3))
 
     def test_block_that_raises_reads_nan_throughout(self, monkeypatch):
         # only a cause common to every row raises for the block; it is not redone
@@ -295,10 +302,10 @@ class TestReplicate:
             raise SingularityError("a known shape without a Sigma")
 
         monkeypatch.setattr(_batch, "batch_tn", broken)
-        tn = replicate("normal", "ml", None, _seeded("normal", (0.0, 1.0), 60), range(5))
+        tn = replicate("normal", "ml", None, 60, _seeded("normal", (0.0, 1.0), 60), range(5))
         assert np.isnan(tn).all() and calls == [5]
         with pytest.raises(EstimationError, match="replications failed"):
-            replicate("normal", "ml", None, _seeded("normal", (0.0, 1.0), 60), range(5),
+            replicate("normal", "ml", None, 60, _seeded("normal", (0.0, 1.0), 60), range(5),
                       max_failed=4)
 
     def _record_blocks(self, monkeypatch):
@@ -314,14 +321,15 @@ class TestReplicate:
 
     def test_blocks_stay_under_2_18_values_at_large_n(self, monkeypatch):
         shapes = self._record_blocks(monkeypatch)
-        tn = replicate("normal", "ml", None, _seeded("normal", (0.0, 1.0), 100_000), range(5))
+        tn = replicate("normal", "ml", None, 100_000, _seeded("normal", (0.0, 1.0), 100_000),
+                       range(5))
         assert shapes == [(2, 100_000), (2, 100_000), (1, 100_000)]
         assert all(rows * n <= 2 ** 18 for rows, n in shapes)
         assert np.all(np.isfinite(tn))
 
     def test_blocks_of_256_rows_at_n_200(self, monkeypatch):
         shapes = self._record_blocks(monkeypatch)
-        replicate("normal", "ml", None, _seeded("normal", (0.0, 1.0), 200), range(300))
+        replicate("normal", "ml", None, 200, _seeded("normal", (0.0, 1.0), 200), range(300))
         assert shapes == [(256, 200), (44, 200)]
 
 
@@ -335,8 +343,8 @@ class TestBootstrap:
         exceed, failed, tn_rows = _bootstrap_reference(fam, "ml", None, x, 120, seed)
         assert (res.mc_exceed, res.mc_failed) == (exceed, failed)
         assert res.p_mc == (exceed + 1) / (120 - failed + 1)
-        sample = lambda r: F.sample(fam, res.fit.theta, 150, np.random.SeedSequence([seed, r]))
-        np.testing.assert_allclose(replicate(fam, "ml", None, sample, range(120)), tn_rows,
+        sample = _seeded(fam, res.fit.theta, 150, seed)
+        np.testing.assert_allclose(replicate(fam, "ml", None, 150, sample, range(120)), tn_rows,
                                    rtol=1e-10, atol=0.0)
 
     def test_more_than_one_percent_failures_abort(self, monkeypatch):
@@ -362,10 +370,8 @@ class TestEpdLambdaBelowOne:
         out = empirical_power(alt, 40, 20, seed=3)
         assert out["failed"] == 0 and out["reps"] == 20
         q = -2.0 * math.log(alt.alpha)
-        rejected = sum(
-            run_test("epd", "ml", EPD_08,
-                     _sample_alternative(alt, 40, np.random.SeedSequence([3, r]))).tn > q
-            for r in range(20))
+        X = _sample_alternative(alt, 40, [np.random.SeedSequence([3, r]) for r in range(20)])
+        rejected = sum(run_test("epd", "ml", EPD_08, x).tn > q for x in X)
         assert out["rate"] == rejected / 20
 
     def test_study_cell_is_ok(self):
@@ -378,6 +384,28 @@ class TestEpdLambdaBelowOne:
                      F.sample("epd", (0.8, 0.0, 1.0), 40, np.random.SeedSequence([2, 0, r]))).tn > q
             for r in range(100))
         assert report.rejections == rejected
+
+
+def test_a_study_calls_the_quantile_once_per_chunk(monkeypatch):
+    # 1000 replications at n = 200: blocks of 256, 256, 256 and 232 rows, each
+    # drawn in chunks of _CHUNK // 200 = 40 rows, one quantile call apiece
+    fam = F.get_family("normal")
+    shapes = []
+
+    def counting(t, u):
+        shapes.append(np.shape(u))
+        return fam.quantile_fn(t, u)
+
+    monkeypatch.setitem(F._REGISTRY, "normal", dataclasses.replace(fam, quantile_fn=counting))
+    cell = CellConfig("normal", "normal", "ml", (0.0, 1.0), 200)
+    report = run_study(StudyConfig((cell,), reps=1000, seed=4)).cells[0]
+    assert report.ok
+    chunk = F._CHUNK // 200
+    # Sigma reads the quantile at the rule's nodes, a vector of u
+    assert [s for s in shapes if len(s) == 2] == [
+        (min(chunk, rows - lo), 200) for rows in (256, 256, 256, 232)
+        for lo in range(0, rows, chunk)]
+    assert chunk == 40
 
 
 class TestStudyDeterminism:
