@@ -7,7 +7,10 @@ on a single row, so each row gets the bits ``fit`` would return, and a row
 whose fit fails, or that ``fit`` rejects, comes back as NaN.  ``statistic``
 takes theta rows of shape (rows, p) and samples of shape (rows, n) and
 returns C_n, S_n, the Sigma rows and T_n = n [C_n, S_n] Sigma^-1 [C_n, S_n]^T;
-the PIT is the family's own ``cdf_fn``, called once on the block.
+the PIT is the family's own ``cdf_fn``, called once on the block, and the
+Sigma rows are ``scaling.sigma_from``'s, which takes each row's at its
+shapes alone, so a row's T_n has the same bits whichever rows share its
+block.
 ``batch_tn`` feeds it the block's fits and ``gof._single_test`` a single
 fit.  Failed replications and the loop over blocks are ``gof.replicate``'s.
 
@@ -57,31 +60,6 @@ def batch_fit(fam, kind, mask: KnownMask | None, X) -> np.ndarray:
     return thetas
 
 
-def _sigma_rows(fam, kind, mask, thetas) -> np.ndarray:
-    """Per-row scaling covariances from one call of the rule for all fitted
-    rows; NaN where the fit failed, the integrand is not finite or Sigma does
-    not hold.  Sigma depends on theta through ``fam.shapes`` only, so a block
-    with them known shares one; and R's condition depends on the data's
-    units, so a row that reads singular is taken again with all but the
-    shapes at 1."""
-    fam = get_family(fam)
-    fitted = np.flatnonzero(np.all(np.isfinite(thetas), axis=1))
-    sig = np.full((thetas.shape[0], 2, 2), np.nan)
-    if not fitted.size:
-        return sig
-    shared = all(mask is not None and mask.is_known(fam, s) for s in fam.shapes)
-    rows = thetas[fitted[:1] if shared else fitted]
-    ms = scaling.matrices(fam, kind, rows)
-    S = scaling.sigma(ms, mask, kind, fam)
-    retry = np.isnan(S[:, 0, 0]) & ~scaling._failed(ms)
-    if retry.any():
-        unit = rows[retry]
-        unit[:, [p not in fam.shapes for p in fam.param_names]] = 1.0
-        S[retry] = scaling.sigma(scaling.matrices(fam, kind, unit), mask, kind, fam)
-    sig[fitted] = S
-    return sig
-
-
 def moment_rows(fam, thetas: np.ndarray, X: np.ndarray):
     """C_n and S_n of each row of X under its theta row; NaN where theta is not
     finite.  The family's ``cdf_fn`` runs once, on the finite rows, with the
@@ -100,9 +78,10 @@ def moment_rows(fam, thetas: np.ndarray, X: np.ndarray):
 
 
 def statistic(fam, kind, mask: KnownMask | None, thetas: np.ndarray, X: np.ndarray):
-    """C_n, S_n, the Sigma rows (``_sigma_rows``) and T_n of each row of X under its theta row."""
+    """C_n, S_n, the Sigma rows (``scaling.sigma_from``) and T_n of each row
+    of X under its theta row."""
     cn, sn = moment_rows(fam, thetas, X)
-    sig = _sigma_rows(fam, kind, mask, thetas)
+    sig = scaling.sigma_from(fam, kind, thetas, mask)
     a, b, c = sig[:, 0, 0], sig[:, 0, 1], sig[:, 1, 1]
     tn = X.shape[1] * (c * cn ** 2 - 2.0 * b * cn * sn + a * sn ** 2) / (a * c - b * b)
     return cn, sn, sig, tn

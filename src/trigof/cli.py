@@ -8,14 +8,14 @@ estimating function psi, see ``scaling``), ``power`` (asymptotic power
 curves, with optional finite-n validation), ``ellipse`` (confidence-ellipse
 boundary points as CSV) and ``study`` (run a declarative Monte-Carlo study).
 
-Exit codes: 0 success, 2 data or numeric failure, 64 usage error.  The
+Exit codes: 0 success, 2 data or numeric failure, 64 usage error (an
+unknown option, family or parameter, or an option value out of its range).  The
 environment variable TRIGOF_SEED supplies the default seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -55,6 +55,22 @@ def _resolve_family(name, theta_text=None):
         return fam, [float(v) for v in values]
     except ValueError:
         raise _UsageError(f"--theta expects numbers, got {theta_text!r}")
+
+
+def _ranged(convert, ok, expects):
+    """An argparse ``type=``: the option value as ``convert`` reads it, where ``ok`` holds."""
+    def parse(text):
+        try:
+            if ok(convert(text)):
+                return convert(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expects {expects}, got {text!r}")
+    return parse
+
+
+_fraction = _ranged(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+_count = _ranged(int, lambda v: v >= 0, "an integer >= 0")
 
 
 def _default_seed() -> int:
@@ -311,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--digits", type=int, default=17,
+        p.add_argument("--digits", type=_count, default=17,
                        help="significant digits in numeric output (default 17)")
         p.add_argument("--output", help="write output to this file instead of stdout")
         p.add_argument("--seed", type=int,
@@ -323,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimator", choices=["ml", "mm"], default="ml")
     p.add_argument("--known", action="append", metavar="NAME=VALUE",
                    help="fix a parameter at a known value (repeatable)")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--mc-reps", type=int, default=0,
+    p.add_argument("--alpha", type=_fraction, default=0.05)
+    p.add_argument("--mc-reps", type=_count, default=0,
                    help="bootstrap replications for the Monte-Carlo p-value "
                         "(0 = asymptotic only; 10000 is a desk-scale choice)")
     add_common(p)
@@ -348,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", help="drift grid 'lo:hi:step' or comma list")
     p.add_argument("--delta2", help="EPD case: grid over the second drift "
                                     "coordinate with the first fixed at 0")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_fraction, default=0.05)
     p.add_argument("--empirical", metavar="N,REPS",
                    help="append finite-n empirical power at each grid point")
     add_common(p)
@@ -360,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="data file: fit first, also emit the observed point")
     p.add_argument("--estimator", choices=["ml", "mm"], default="ml")
     p.add_argument("--known", action="append", metavar="NAME=VALUE")
-    p.add_argument("--level", type=float, default=0.95)
+    p.add_argument("--level", type=_fraction, default=0.95)
     add_common(p)
     p.set_defaults(func=cmd_ellipse)
 

@@ -74,11 +74,6 @@ class KnownMask:
         return cls((False,) * p, (math.nan,) * p)
 
     @classmethod
-    def all_fixed(cls, values) -> "KnownMask":
-        values = tuple(float(v) for v in values)
-        return cls((True,) * len(values), values)
-
-    @classmethod
     def from_names(cls, fam, bindings: dict) -> "KnownMask":
         fam = get_family(fam)
         known = [False] * fam.n_params
@@ -193,10 +188,11 @@ def _roots(phi, scale, lo: float = 1e-3, hi: float = 1e3, points: int = 41):
     (root, iterations, converged).  The grid (``_grid``) is evaluated outward
     from its centre for the rows still without a bracket; a row stops at the
     first cell the newest evaluation completes that holds an exact zero at
-    its lower end or a sign change, which ``_brent`` refines, so the bracket
-    nearest the centre wins and ties go upward.  A row with no bracket on any
-    span gets the grid point of smallest |phi|, unconverged (NaN if phi was
-    never finite)."""
+    its lower end or a sign change, which ``_brent`` refines to within _XTOL
+    times the row's scale, so the bracket nearest the centre wins, ties go
+    upward and a root moves with the row's units.  A row with no bracket on
+    any span gets the grid point of smallest |phi|, unconverged (NaN if phi
+    was never finite)."""
     (m, c), (grids, order) = (len(scale), points // 2), _grid(lo, hi, points)
     root, iters, conv = np.full(m, np.nan), np.zeros(m, dtype=int), np.zeros(m, dtype=bool)
     best = np.full(m, np.inf)  # |phi| at root, the best grid point of a row without a bracket
@@ -228,7 +224,8 @@ def _roots(phi, scale, lo: float = 1e-3, hi: float = 1e3, points: int = 41):
         rows, a, b, fa, fb = map(np.concatenate, zip(*cells))
         k = np.argsort(rows)  # _brent's rows, like phi's, are sorted
         rows, a, b, fa, fb = rows[k], a[k], b[k], fa[k], fb[k]
-        root[rows], it, conv[rows] = _brent(lambda z, j: phi(z, rows[j]), a, b, fa, fb)
+        root[rows], it, conv[rows] = _brent(lambda z, j: phi(z, rows[j]), a, b, fa, fb,
+                                             xtol=_XTOL * scale[rows])
         iters[rows] += it
     return root, iters, conv
 
@@ -512,7 +509,7 @@ def _logistic_rows(kn, kv, X, iters):
             t = 2.0 / (1.0 + np.exp((_take(Xj, k) - _col(z)) / _col(sigma[k])))
             return _mean(t) - 1.0, _mean(t * (2.0 - t)) / (2.0 * sigma[k])
 
-        mu, it = _newton(fd, last_mu[j], lo[j], hi[j], 1e-13 * np.maximum(1.0, hi[j] - lo[j]))
+        mu, it = _newton(fd, last_mu[j], lo[j], hi[j], _XTOL * (hi[j] - lo[j]))
         last_mu[j], iters[j] = mu, iters[j] + it
         return mu
 

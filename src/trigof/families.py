@@ -23,7 +23,8 @@ A family with an MM estimator declares its moment equation once, as
 ``Family.mm`` (a ``MomentEq``); the estimator over sample rows, the MM
 residual, ``has_mm`` and ``mm_known`` all derive from it.  ``Family.shapes``
 names the parameters the scaling covariance Sigma depends on; it is invariant
-under the others, so a block whose shapes are all known shares one Sigma.
+under the others, so ``scaling.sigma_from`` takes it with every other
+parameter at 1, and a block whose shapes are all known shares one Sigma.
 
 Sixteen families are a fixed monotone transform of another, their base, and
 declare it as ``Family.derived``: the data transform (one of ``_DATA``), the
@@ -97,7 +98,7 @@ class Family:
     quantile_fn: Optional[Callable[[tuple, np.ndarray], np.ndarray]] = None
     score_fn: Optional[Callable[[tuple, np.ndarray], np.ndarray]] = None
     mm: Optional[MomentEq] = None
-    shapes: tuple[str, ...] = ()  # what Sigma depends on; derived: set by _register
+    shapes: tuple[str, ...] = ()  # all Sigma depends on; derived: set by _register
     node: Optional[Callable[..., tuple]] = None  # see "Nodes of the rule"
     derived: Optional["Derived"] = None  # the family this one transforms
 

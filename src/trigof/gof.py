@@ -103,9 +103,8 @@ def _single_test(fam, kind, mask, x):
     cn, sn, sig, tn = _batch.statistic(fam, kind, mask, thetas, X)
     if np.isnan(cn[0]):
         raise DomainError(f"the {fam.name} PIT is not finite on this sample")
-    if np.isnan(sig[0]).any():
-        scaling.matrices(fam, kind, res.theta)  # raises where an integrand is not finite
-        raise SingularityError("R is numerically singular or Sigma is not positive definite")
+    if np.isnan(sig[0]).any():  # the point call raises the row's cause
+        scaling.sigma_from(fam, kind, res.theta, mask)
     return res, TrigMoments(float(cn[0]), float(sn[0]), X.shape[1]), sig[0], float(tn[0])
 
 

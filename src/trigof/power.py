@@ -6,8 +6,9 @@ asymmetric power distribution for the third) whose extra parameters drift at
 rate delta / sqrt(n).  The statistic then converges to a noncentral
 chi-square(2); the noncentrality is delta^2 M^T Sigma^-1 M (scalar drift)
 or delta^T M^T Sigma^-1 M delta (two-dimensional drift).  Sigma is the null
-row's own scaling covariance, ``scaling.sigma_from`` at theta0, the matrix
-the test statistic uses.  The drift direction is
+row's own scaling covariance, ``scaling.sigma_from`` at theta0 (taken at
+its shapes, and checked positive definite there), the matrix the test
+statistic uses.  The drift direction is
 
     M = E[tau e^T] - G C^-1 E[psi e^T],
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -103,7 +104,7 @@ def noncentrality(alt: LocalAlternative) -> float:
     else:
         m = gamma_m(alt.theta0[0]) if alt.case is AltCase.GAMMA_VS_GG else weibull_m()
         v = alt.delta[0] * m
-    return float(v @ scaling.solve_2x2(sig, v))
+    return float(v @ np.linalg.solve(sig, v))
 
 
 def power_curve(case, theta0, deltas: Sequence, alpha: float = 0.05,

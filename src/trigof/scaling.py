@@ -40,6 +40,12 @@ singular or Sigma is not positive definite.  A call over theta rows (shape
 G, R and J are NaN where its integrand is not finite, and its Sigma is NaN
 where either happens.
 
+On PIT values Sigma depends on theta only through ``Family.shapes``, though
+G, R and J scale with the rest.  ``matrices`` and ``sigma`` read them at the
+theta given; ``sigma_from``, the one path from fitted theta to Sigma, reads
+them with every component but the shapes at 1, so R's condition is free of
+the data's units.
+
 A derived family (``Family.derived``) takes its base's G, R and J at the
 mapped point: a monotone transform of the data leaves the PIT as it is or
 maps U to 1 - U, which negates S_n, so they are carried into the family's
@@ -60,7 +66,7 @@ from .errors import ConfigurationError, DomainError, SingularityError
 from .estimate import EstimatorKind, KnownMask
 from .families import _MAPS, _theta, get_family
 
-__all__ = ["MatrixSet", "matrices", "sigma", "sigma_from", "drift", "solve_2x2", "COND_LIMIT"]
+__all__ = ["MatrixSet", "matrices", "sigma", "sigma_from", "drift", "COND_LIMIT"]
 
 COND_LIMIT = 1e12
 
@@ -173,11 +179,6 @@ def _matrices(fam, kind, thetas) -> MatrixSet:
     return MatrixSet(G, C.transpose(0, 2, 1) @ BC, K @ BC, names)
 
 
-def _failed(ms: MatrixSet) -> np.ndarray:
-    """Rows on which ``quadrature.gram`` found the integrand not finite: G is NaN there."""
-    return np.isnan(ms.G).any(axis=(-2, -1))
-
-
 def matrices(fam, kind, theta) -> MatrixSet:
     """Evaluate G, R, J for the family/estimator at theta, a point (p,) or
     theta rows (rows, p) of finite fitted values.  A point whose integrand
@@ -196,11 +197,15 @@ def matrices(fam, kind, theta) -> MatrixSet:
     rows = theta if theta.ndim == 2 else np.array([_theta(fam, theta)])
     with np.errstate(all="ignore"):
         ms = _matrices(fam, kind, rows)
-    if theta.ndim == 2:
-        return ms
-    if _failed(ms)[0]:
+    return ms if theta.ndim == 2 else _point(fam, ms, rows[0])
+
+
+def _point(fam, ms: MatrixSet, theta) -> MatrixSet:
+    """The one row of ``ms`` as a point's matrices; DomainError, naming theta,
+    where ``quadrature.gram`` found its integrand not finite (G is NaN)."""
+    if np.isnan(ms.G[0]).any():
         raise DomainError(f"the integrand of the {fam.name} matrices is not finite "
-                          f"inside (0, 1) at {rows[0].tolist()}")
+                          f"inside (0, 1) at {theta.tolist()}")
     return MatrixSet(ms.G[0], ms.R[0], ms.J[0], ms.param_names)
 
 
@@ -256,30 +261,21 @@ def _reduce(ms: MatrixSet, mask: KnownMask, fam) -> tuple[np.ndarray, np.ndarray
     return ms.G[..., keep], ms.R[..., keep, :][..., keep], ms.J[..., keep]
 
 
-def _assemble(ms: MatrixSet, mask: KnownMask | None, kind, fam):
-    """Sigma on each theta row of ``ms`` and whether it holds there: R well
-    conditioned and Sigma finite and positive definite."""
-    kind = EstimatorKind(kind)
+def sigma(ms: MatrixSet, mask: KnownMask | None, kind, fam) -> np.ndarray:
+    """Assemble the 2x2 scaling covariance after the known-parameter reduction
+    (exactly I/2 where no parameter is left).  Where R reads singular or
+    Sigma is not finite and positive definite, a point raises
+    SingularityError and a theta row of ``ms`` reads NaN."""
     G, R, J = _reduce(ms, mask, fam)
-    if G.shape[-1] == 0:
-        return np.broadcast_to(0.5 * np.eye(2), G.shape[:-1] + (2,)).copy(), np.ones(G.shape[:-2], bool)
     Rinv, cond = _inverse(R)
     Gt, Jt = np.swapaxes(G, -1, -2), np.swapaxes(J, -1, -2)
     with np.errstate(all="ignore"):
-        if kind is EstimatorKind.ML:
+        if EstimatorKind(kind) is EstimatorKind.ML:
             S = 0.5 * np.eye(2) - G @ Rinv @ Gt
         else:
             S = 0.5 * np.eye(2) - G @ Rinv @ Jt - J @ Rinv @ Gt + G @ Rinv @ Gt
         S = 0.5 * (S + np.swapaxes(S, -1, -2))
-        small = _eig2(S)[1]
-    return S, (cond <= COND_LIMIT) & np.all(np.isfinite(S), axis=(-2, -1)) & (small > 0.0)
-
-
-def sigma(ms: MatrixSet, mask: KnownMask | None, kind, fam) -> np.ndarray:
-    """Assemble the 2x2 scaling covariance after the known-parameter reduction.
-    Where R reads singular or Sigma is not finite and positive definite, a
-    point raises SingularityError and a theta row of ``ms`` reads NaN."""
-    S, ok = _assemble(ms, mask, kind, fam)
+        ok = (cond <= COND_LIMIT) & np.all(np.isfinite(S), axis=(-2, -1)) & (_eig2(S)[1] > 0.0)
     if ok.ndim:
         S[~ok] = np.nan
     elif not ok:
@@ -288,8 +284,26 @@ def sigma(ms: MatrixSet, mask: KnownMask | None, kind, fam) -> np.ndarray:
 
 
 def sigma_from(fam, kind, theta, mask: KnownMask | None = None) -> np.ndarray:
-    """Convenience: matrices + reduction + assembly in one call."""
-    return sigma(matrices(fam, kind, theta), mask, kind, fam)
+    """Sigma at theta, a point (p,) or theta rows (rows, p), taken with every
+    component but ``fam.shapes`` at 1: once where the mask knows every shape
+    (or there is none), else on each fitted row alone, so that no row
+    depends on the others.  A point is checked as given and raises as
+    ``matrices`` and ``sigma`` do; a row that is not finite or whose Sigma
+    fails reads NaN."""
+    fam = get_family(fam)
+    theta = np.asarray(theta, dtype=float)
+    rows = theta if theta.ndim == 2 else np.array([_theta(fam, theta)])
+    fitted = np.flatnonzero(np.all(np.isfinite(rows), axis=1))
+    sig = np.full((len(rows), 2, 2), np.nan)
+    if fitted.size:
+        shared = all(mask is not None and mask.is_known(fam, s) for s in fam.shapes)
+        unit = rows[fitted[:1] if shared else fitted]
+        unit[:, [p not in fam.shapes for p in fam.param_names]] = 1.0
+        ms = matrices(fam, kind, unit)
+        if theta.ndim == 1:
+            return sigma(_point(fam, ms, rows[0]), mask, kind, fam)
+        sig[fitted] = sigma(ms, mask, kind, fam)
+    return sig
 
 
 def drift(fam, kind, theta, mask: KnownMask | None, extra) -> np.ndarray:
@@ -330,13 +344,3 @@ def _check_pd(S: np.ndarray) -> None:
     if l2 <= 0.0:
         raise SingularityError(f"scaling covariance is not positive definite "
                                f"(eigenvalues {l1:.3e}, {l2:.3e})")
-
-
-def solve_2x2(S: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """S^-1 v for symmetric positive definite 2x2 S."""
-    _check_pd(S)
-    det = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
-    return np.array([
-        (S[1, 1] * v[0] - S[0, 1] * v[1]) / det,
-        (S[0, 0] * v[1] - S[1, 0] * v[0]) / det,
-    ])

@@ -132,6 +132,24 @@ def test_usage_mistakes_are_64(argv, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,option", [
+    (["test", "DATA", "--family", "normal", "--alpha", "1.5"], "--alpha"),
+    (["test", "DATA", "--family", "normal", "--alpha", "-0.1"], "--alpha"),
+    (["test", "DATA", "--family", "normal", "--alpha", "nan"], "--alpha"),
+    (["test", "DATA", "--family", "normal", "--mc-reps", "-3"], "--mc-reps"),
+    (["test", "DATA", "--family", "normal", "--digits", "-1"], "--digits"),
+    (["power", "--case", "gamma", "--delta", "0,1", "--alpha", "0"], "--alpha"),
+    (["ellipse", "--family", "normal", "--theta", "0,1", "--level", "1.5"], "--level"),
+    (["ellipse", "--family", "normal", "--theta", "0,1", "--level", "x"], "--level"),
+], ids=["alpha-above-1", "alpha-negative", "alpha-nan", "mc-reps-negative", "digits-negative",
+        "power-alpha-0", "level-above-1", "level-not-a-number"])
+def test_option_values_out_of_range_are_64(tmp_path, capsys, argv, option):
+    path = _data_file(tmp_path, F.sample("normal", (0.0, 1.0), 40, 5))
+    assert cli.main([path if a == "DATA" else a for a in argv]) == cli.USAGE_EXIT
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"argument {option}" in captured.err
+
+
 def test_test_with_an_unknown_known_name_is_64(tmp_path, capsys):
     path = _data_file(tmp_path, F.sample("gamma", (2.3, 1.4), 40, 5))
     assert cli.main(["test", path, "--family", "gamma", "--known", "alpha=2"]) == 64

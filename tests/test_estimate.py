@@ -225,7 +225,7 @@ class TestMasks:
 
     def test_all_known_returns_fixed_values(self):
         x = F.sample("gamma", (2.0, 1.0), 50, 2)
-        res = fit("gamma", "ml", KnownMask.all_fixed((2.0, 1.0)), x)
+        res = fit("gamma", "ml", KnownMask((True, True), (2.0, 1.0)), x)
         assert tuple(res.theta) == (2.0, 1.0)
         assert res.iterations == 0 and res.converged
 

@@ -83,16 +83,22 @@ BATCH_ROWS = [
     ("epd", "mm", EPD_15, (1.5, 0.3, 2.0)),
     ("epd", "mm", EPD_08, (0.8, 0.3, 2.0)),
 ]
+BATCH_IDS = [f"{r[0]}-{r[1]}-{r[3][0]}" for r in BATCH_ROWS]
+# and every other family, all free
+for name in sorted(FAMILY_THETAS):
+    if (name, "ml", None, FAMILY_THETAS[name]) not in BATCH_ROWS:
+        BATCH_ROWS.append((name, "ml", None, FAMILY_THETAS[name]))
+        BATCH_IDS.append(f"{name}-ml-free")
 
 
 class TestBatchAgainstScalar:
-    @pytest.mark.parametrize("fam,kind,mask,theta", BATCH_ROWS,
-                             ids=[f"{r[0]}-{r[1]}-{r[3][0]}" for r in BATCH_ROWS])
+    @pytest.mark.parametrize("fam,kind,mask,theta", BATCH_ROWS, ids=BATCH_IDS)
     def test_row_by_row(self, fam, kind, mask, theta):
+        # each row's Sigma is taken at its own shapes, so the bits are the scalar test's
         X = _seeded(fam, theta, 80, seed=11)(range(12))
         tn_batch = _batch.batch_tn(fam, kind, mask, X)
         tn_scalar = np.array([_single_test(fam, kind, mask, x)[3] for x in X])
-        np.testing.assert_allclose(tn_batch, tn_scalar, rtol=1e-10, atol=0.0)
+        np.testing.assert_array_equal(tn_batch, tn_scalar)
 
     def test_epd_ml_with_known_lambda_below_one_batches(self):
         # its location is searched gap by gap on each row of the block
@@ -281,6 +287,17 @@ class TestReplicate:
         replicate("logistic", "ml", None, 40, sample, range(6), max_failed=2)
         with pytest.raises(EstimationError, match="replications failed"):
             replicate("logistic", "ml", None, 40, sample, range(6), max_failed=1)
+
+    @pytest.mark.parametrize("fam,mask,theta", [("normal", None, (-0.2, 1.7)),
+                                                ("epd", EPD_15, (1.5, 0.3, 2.0)),
+                                                ("gamma", None, (2.3, 1.4))])
+    def test_a_replication_does_not_depend_on_its_block(self, fam, mask, theta):
+        # blocks of 256 rows: range(600) and its two halves split the rows differently
+        sample = _seeded(fam, theta, 50, seed=21)
+        whole = replicate(fam, "ml", mask, 50, sample, range(600))
+        halves = [replicate(fam, "ml", mask, 50, sample, range(300)),
+                  replicate(fam, "ml", mask, 50, sample, range(300, 600))]
+        np.testing.assert_array_equal(whole, np.concatenate(halves))
 
     def test_sampler_errors_propagate(self):
         def sample(rs):

@@ -23,14 +23,19 @@ def _mask(name, kind):
     return KnownMask.from_names(name, known) if known else None
 
 
+def _raw_sigma(name, kind, theta, mask):
+    """Sigma assembled from the matrices at theta itself, as given."""
+    return scaling.sigma(scaling.matrices(name, kind, theta), mask, kind, name)
+
+
 @pytest.mark.parametrize("name,kind", ROWS, ids=[f"{n}-{k}" for n, k in ROWS])
 def test_sigma_moves_with_the_declared_shapes_only(name, kind):
     fam, theta, mask = F.get_family(name), FAMILY_THETAS[name], _mask(name, kind)
-    sig = scaling.sigma_from(name, kind, theta, mask)
+    sig = _raw_sigma(name, kind, theta, mask)
     for i, p in enumerate(fam.param_names):
         moved = list(theta)
         moved[i] = 1.3 * theta[i] + 0.2
-        change = np.max(np.abs(scaling.sigma_from(name, kind, moved, mask) - sig))
+        change = np.max(np.abs(_raw_sigma(name, kind, moved, mask) - sig))
         if p in fam.shapes:
             assert change > 1e-9, p
         else:
@@ -79,23 +84,26 @@ UNIT_ROWS = [(n, k) for n, k in ROWS if n != "uniform"]  # (1, 1) is no uniform
 
 @pytest.mark.parametrize("name,kind", UNIT_ROWS, ids=[f"{n}-{k}" for n, k in UNIT_ROWS])
 def test_sigma_at_the_shapes_with_the_rest_at_one(name, kind):
-    # where _batch takes Sigma again when R at the fitted theta reads singular
-    fam, theta, mask = F.get_family(name), FAMILY_THETAS[name], _mask(name, kind)
+    # sigma_from takes Sigma there, for a point and for every row of a block
+    fam, theta = F.get_family(name), FAMILY_THETAS[name]
     unit = [v if p in fam.shapes else 1.0 for p, v in zip(fam.param_names, theta)]
-    np.testing.assert_allclose(scaling.sigma_from(name, kind, unit, mask),
-                               scaling.sigma_from(name, kind, theta, mask), rtol=0.0, atol=1e-12)
+    for mask in _all_masks(name, kind, theta):
+        sig = _raw_sigma(name, kind, unit, mask)
+        np.testing.assert_allclose(sig, _raw_sigma(name, kind, theta, mask), rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(scaling.sigma_from(name, kind, theta, mask), sig)
+        np.testing.assert_array_equal(scaling.sigma_from(name, kind, np.array([theta]), mask)[0], sig)
 
 
 @pytest.mark.parametrize("scale", [1e-7, 1e7])
 @pytest.mark.parametrize("name", ["epd", "exp-gamma", "frechet", "gamma", "gg", "gompertz",
-                                  "half-epd", "inverse-gamma", "log-logistic", "lomax",
-                                  "nakagami", "student-t", "weibull"])
+                                  "half-epd", "inverse-gamma", "log-logistic", "logistic",
+                                  "lomax", "nakagami", "student-t", "weibull"])
 def test_statistic_does_not_depend_on_the_units_of_the_data(name, scale):
-    # R's entries scale as 1/scale^2, and the condition estimate of R at the
-    # fitted theta of 1e7 x calls it singular; Sigma is taken at unit scale
+    # R's entries scale as 1/scale^2, so Sigma is taken with the scale at 1,
+    # and the fits stop on tolerances relative to the data's scale
     x = F.sample(name, FAMILY_THETAS[name], 200, 3)
     tn = run_test(name, "ml", None, x).tn
-    assert run_test(name, "ml", None, scale * x).tn == pytest.approx(tn, rel=1e-6)
+    assert run_test(name, "ml", None, scale * x).tn == pytest.approx(tn, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -270,18 +278,21 @@ def test_sigma_at_an_extreme_shape_is_spd_or_a_typed_failure(name, kind, shape, 
 
 
 def test_block_sigma_is_one_call_of_the_rule(monkeypatch):
+    # on every fitted row, or on one row where the mask knows the shapes
     fam = F.get_family("gamma")
     X = np.stack([F.sample(fam, (2.3, 1.4), 200, np.random.SeedSequence([29, r])) for r in range(40)])
-    thetas = _batch.batch_fit(fam, "ml", None, X)
-    thetas[3] = np.nan  # a failed fit
-    calls = []
     gram = quadrature.gram
-    monkeypatch.setattr(quadrature, "gram", lambda f: calls.append(1) or gram(f))
-    sig = _batch._sigma_rows(fam, EstimatorKind.ML, None, thetas)
-    assert len(calls) == 1
-    assert np.all(np.isnan(sig[3]))
-    for i in [0, 1, 2, 39]:
-        np.testing.assert_allclose(sig[i], scaling.sigma_from(fam, "ml", thetas[i]), rtol=1e-14, atol=0.0)
+    for mask, rows in [(None, 39), (KnownMask.from_names(fam, {"lambda": 2.3}), 1)]:
+        thetas = _batch.batch_fit(fam, "ml", mask, X)
+        thetas[3] = np.nan  # a failed fit
+        calls = []
+        monkeypatch.setattr(quadrature, "gram", lambda f: calls.append(gram(f)) or calls[-1])
+        sig = scaling.sigma_from(fam, "ml", thetas, mask)
+        monkeypatch.setattr(quadrature, "gram", gram)
+        assert [len(M) for M in calls] == [rows]
+        assert np.all(np.isnan(sig[3]))
+        for i in [0, 1, 2, 39]:
+            np.testing.assert_array_equal(sig[i], scaling.sigma_from(fam, "ml", thetas[i], mask))
 
 
 def test_a_point_call_raises_where_its_row_reads_nan():
