@@ -5,8 +5,10 @@ Subcommands: ``test`` (test a data file against a null family),
 an expectation over the PIT u summed by the tanh-sinh rule of
 ``quadrature``, with R = C^T B^-1 C and J = K B^-1 C for the row's
 estimating function psi, see ``scaling``), ``power`` (asymptotic power
-curves, with optional finite-n validation), ``ellipse`` (confidence-ellipse
-boundary points as CSV) and ``study`` (run a declarative Monte-Carlo study).
+curves of an embedding in ``power.EMBEDDINGS``, whose cases, default grids
+and drift dimensions it reads, with optional finite-n validation),
+``ellipse`` (confidence-ellipse boundary points as CSV) and ``study`` (run a
+declarative Monte-Carlo study).
 
 Exit codes: 0 success, 2 data or numeric failure, 64 usage error (an
 unknown option, family or parameter, or an option value out of its range).  The
@@ -230,7 +232,7 @@ def cmd_matrices(args) -> int:
 
 
 def cmd_power(args) -> int:
-    case = power.AltCase(args.case)
+    emb = power.EMBEDDINGS[args.case]
     kind = EstimatorKind(args.estimator)
     if args.empirical:
         try:
@@ -240,28 +242,20 @@ def cmd_power(args) -> int:
         except ValueError:
             raise _UsageError(f"--empirical expects N,REPS, two positive integers, "
                               f"got {args.empirical!r}")
-    if case is power.AltCase.GAMMA_VS_GG:
-        theta0 = (args.lambda0, 1.0)
-        grid = [(d,) for d in _parse_grid(args.delta or "0:30:0.5", "--delta")]
-    elif case is power.AltCase.WEIBULL_VS_GG:
-        theta0 = (1.0, 1.0)
-        grid = [(d,) for d in _parse_grid(args.delta or "0:40:0.5", "--delta")]
+    theta0 = power.at_shapes(args.case, [args.lambda0] * len(emb.theta0))  # shapes at lambda0
+    if args.delta2 is not None:
+        if emb.dim != 2:
+            raise _UsageError(f"--delta2 needs a two-dimensional drift; {args.case} has one")
+        grid = [(0.0, d) for d in _parse_grid(args.delta2, "--delta2")]
     else:
-        theta0 = (args.lambda0, 0.0, 1.0)
-        if args.delta2 is not None:
-            grid = [(0.0, d) for d in _parse_grid(args.delta2, "--delta2")]
-        else:
-            grid = [(d, 0.0) for d in _parse_grid(args.delta or "0:3.5:0.05", "--delta")]
-    points = power.power_curve(case, theta0, grid, args.alpha, kind)
+        grid = [(d,) + (0.0,) * (emb.dim - 1)
+                for d in _parse_grid(args.delta or emb.grid, "--delta")]
+    names = ["delta"] if emb.dim == 1 else [f"delta{i + 1}" for i in range(emb.dim)]
     rows = []
-    for pt in points:
-        row = {"ncp": pt.ncp, "power": pt.power}
-        if case is power.AltCase.EPD_VS_APD:
-            row = {"delta1": pt.delta[0], "delta2": pt.delta[1], **row}
-        else:
-            row = {"delta": pt.delta[0], **row}
+    for pt in power.power_curve(args.case, theta0, grid, args.alpha, kind):
+        row = {**dict(zip(names, pt.delta)), "ncp": pt.ncp, "power": pt.power}
         if args.empirical:
-            alt = power.LocalAlternative(case, theta0, pt.delta, kind, args.alpha)
+            alt = power.LocalAlternative(args.case, theta0, pt.delta, kind, args.alpha)
             emp = power.empirical_power(alt, n, reps, args.seed)
             row.update({"empirical": emp["rate"], "asymptotic": pt.power,
                         "failed": emp["failed"]})
@@ -357,12 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_matrices)
 
     p = sub.add_parser("power", help="asymptotic power under local alternatives")
-    p.add_argument("--case", choices=["gamma", "weibull", "epd"], required=True)
+    p.add_argument("--case", choices=list(power.EMBEDDINGS), required=True)
+    shaped = [k for k, e in power.EMBEDDINGS.items() if families.get_family(e.null).shapes]
     p.add_argument("--lambda0", type=float, default=1.0,
-                   help="null shape (gamma and epd cases)")
+                   help=f"null shape ({' and '.join(shaped)} cases)")
     p.add_argument("--estimator", choices=["ml", "mm"], default="ml")
     p.add_argument("--delta", help="drift grid 'lo:hi:step' or comma list")
-    p.add_argument("--delta2", help="EPD case: grid over the second drift "
+    p.add_argument("--delta2", help="a two-dimensional drift: grid over its second "
                                     "coordinate with the first fixed at 0")
     p.add_argument("--alpha", type=_fraction, default=0.05)
     p.add_argument("--empirical", metavar="N,REPS",

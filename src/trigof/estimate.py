@@ -35,7 +35,7 @@ from scipy import special as sp
 
 from .errors import (ConfigurationError, DegenerateSampleError, DomainError,
                      EstimationError)
-from .families import Derived, Family, _epd_c1, get_family, score
+from .families import Derived, Family, _epd_c1, _pow, get_family, score
 
 __all__ = ["EstimatorKind", "KnownMask", "FitResult", "fit"]
 
@@ -257,14 +257,6 @@ def _newton(fd, x, lo, hi, xtol, rtol=_RTOL):
                     break
             x = new
     return root, iters
-
-
-def _pow(A, e):
-    """A ** e with one exponent per row, spread over the row first: numpy
-    squares, roots or inverts a one-row block whose column exponent is 2, 1/2
-    or -1 but calls pow on a block of several rows, so a row's bits would
-    depend on its block."""
-    return np.power(A, np.repeat(_col(e), A.shape[1], axis=1))
 
 
 def _mean(A):

@@ -352,6 +352,16 @@ def _draws(inverse, n: int, seeds) -> np.ndarray:
     return block
 
 
+def _pow(A, e):
+    """A ** e with one exponent per row of A (a vector or a column), spread
+    over the row first: numpy squares, roots or inverts a one-row block whose
+    column exponent is 2, 1/2 or -1 but calls pow on a block of several rows,
+    so a row's bits would depend on its block.  A float e is used as it is."""
+    if isinstance(e, float):
+        return np.power(A, e)
+    return np.power(A, np.repeat(e.reshape(-1, 1), A.shape[1], axis=1))
+
+
 def _quantile_of(fam, theta):
     """The family's quantile at a checked theta, as a function of u."""
     fam = get_family(fam)
@@ -1019,7 +1029,7 @@ _register(Family(
     # a per-row exponent of 2 apart from a scalar one
     logpdf=lambda t, x: (np.log(t[0] * t[1]) + (t[0] - 1.0) * np.log(x)
                          + (t[1] - 1.0) * np.log(-np.expm1(t[0] * np.log(x)))),
-    cdf_fn=lambda t, x: -np.expm1(t[1] * np.log1p(-np.power(x, t[0]))),
+    cdf_fn=lambda t, x: -np.expm1(t[1] * np.log1p(-_pow(x, t[0]))),
     quantile_fn=lambda t, u: np.power(-np.expm1(np.log1p(-u) / t[1]), 1.0 / t[0]),
     score_fn=lambda t, x: (lambda alx: _kumaraswamy_score(
         t, np.log(x), np.exp(alx), -np.expm1(alx), np.log(-np.expm1(alx))))(t[0] * np.log(x)),

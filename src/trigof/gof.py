@@ -23,12 +23,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import special as sp
 
 from . import _batch, families, scaling
 from .errors import DomainError, EstimationError, SamplingError, SingularityError
 from .estimate import EstimatorKind, FitResult, KnownMask, fit
 from .scaling import _check_pd, _eig2
-from .specfun import std_normal_quantile
 
 __all__ = ["TrigMoments", "TestResult", "Ellipse", "trig_moments", "run_test",
            "replicate", "rejection_rate", "ellipse"]
@@ -214,7 +214,7 @@ def ellipse(sig: np.ndarray, level: float, n_points: int = 256) -> Ellipse:
     Q = np.array([[ct, -st], [st, ct]])
     half = Q @ np.diag([math.sqrt(q * l1), math.sqrt(q * l2)])
     boundary = circle @ half.T
-    z = float(std_normal_quantile(0.5 * (1.0 + level)))
+    z = float(sp.ndtri(0.5 * (1.0 + level)))
     return Ellipse(
         center=(0.0, 0.0),
         semi_axes=(math.sqrt(q * l1), math.sqrt(q * l2)),

@@ -1,21 +1,18 @@
-"""Asymptotic power under local alternatives for three worked cases.
+"""Asymptotic and empirical power under local alternatives, from one
+registry of embeddings.
 
-The null families gamma, Weibull and the exponential-power family are
-embedded in larger families (generalized gamma for the first two, the
-asymmetric power distribution for the third) whose extra parameters drift at
-rate delta / sqrt(n).  The statistic then converges to a noncentral
-chi-square(2); the noncentrality is delta^2 M^T Sigma^-1 M (scalar drift)
-or delta^T M^T Sigma^-1 M delta (two-dimensional drift).  Sigma is the null
-row's own scaling covariance, ``scaling.sigma_from`` at theta0 (taken at
-its shapes, and checked positive definite there), the matrix the test
-statistic uses.  The drift direction is
+Each entry of ``EMBEDDINGS`` embeds a null row in a larger family whose
+extra parameters drift at rate delta / sqrt(n).  The statistic then
+converges to a noncentral chi-square(2) with noncentrality
+delta^T M^T Sigma^-1 M delta: Sigma is the null row's own scaling
+covariance (``scaling.sigma_from`` at theta0), and the drift direction
 
-    M = E[tau e^T] - G C^-1 E[psi e^T],
+    M = E[tau e^T] - G C^-1 E[psi e^T]
 
-with e the embedding family's extra score at the null (GG's rho or lambda
-row, the APD's (alpha, rho) score) and G, C, psi the null row's as in
-``scaling``: the first term moves the PIT, the second the fitted theta.
-``scaling.drift`` sums it by the same tanh-sinh rule over u as Sigma.
+(Le Cam's third lemma) sums, by ``scaling.drift``, the embedding's extra
+score e at the null against the null row's G, C and psi: the first term
+moves the PIT, the second the fitted theta.  A curve takes Sigma and M once;
+an empirical power draws every replication from one drifted quantile.
 """
 
 from __future__ import annotations
@@ -23,44 +20,92 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy import special as sp
 
-from . import families, scaling, specfun
+from . import families, scaling
 from .errors import ConfigurationError, DomainError
 from .estimate import EstimatorKind, KnownMask
 from .gof import rejection_rate, replicate
 
-__all__ = ["AltCase", "LocalAlternative", "PowerPoint", "noncentrality",
-           "power_curve", "empirical_power", "epd_m", "gamma_m", "weibull_m"]
+__all__ = ["EMBEDDINGS", "Embedding", "AltCase", "LocalAlternative", "PowerPoint",
+           "at_shapes", "sigma_and_drift", "noncentrality", "noncentral_chi2_sf",
+           "power_curve", "empirical_power"]
 
 
-class AltCase(str, Enum):
-    GAMMA_VS_GG = "gamma"
-    WEIBULL_VS_GG = "weibull"
-    EPD_VS_APD = "epd"
+@dataclass(frozen=True)
+class Embedding:
+    """A null row inside a larger family, declared as data."""
+    null: str  # the null family
+    kinds: tuple  # the estimators its row may use
+    known: tuple  # null parameters held known at theta0's values
+    score: Callable  # e(theta, x): the embedding's extra score at delta = 0, rows
+    drifted: Callable  # (theta, delta / sqrt(n)) -> the embedding's quantile there
+    theta0: tuple  # where M is taken, its shapes read from the given theta0
+    grid: str  # the CLI's default --delta grid
+    dim: int = 1  # the drift's dimension
+
+
+def _score(fam, theta, x):
+    return families.get_family(fam).score_fn(theta, x)
+
+
+# The paper's three examples, then three nestings that need no family code.
+EMBEDDINGS = {
+    # gamma(lambda, beta) = GG(lambda, beta, 1), rho = 1 + delta/sqrt(n)
+    "gamma": Embedding("gamma", ("ml",), (), lambda t, x: _score("gg", t + (1.0,), x)[2:],
+                       lambda t, s: families._quantile_of("gg", t + (1.0 + s[0],)),
+                       (1.0, 1.0), "0:30:0.5"),
+    # Weibull(beta, rho) = GG(1, beta, rho), lambda = 1 + delta/sqrt(n)
+    "weibull": Embedding("weibull", ("ml",), (), lambda t, x: _score("gg", (1.0,) + t, x)[:1],
+                         lambda t, s: families._quantile_of("gg", (1.0 + s[0],) + t),
+                         (1.0, 1.0), "0:40:0.5"),
+    # EPD(lambda, mu, sigma), lambda known, = APD(lambda, 1/2, lambda, mu, sigma),
+    # (alpha, rho) = (1/2, lambda) + delta/sqrt(n)
+    "epd": Embedding("epd", ("ml", "mm"), ("lambda",),
+                     lambda t, x: families.apd_score(x, t[0], 0.5, t[0], t[1], t[2]),
+                     lambda t, s: families._apd_quantile(t[0], 0.5 + s[0], t[0] + s[1], *t[1:]),
+                     (1.0, 0.0, 1.0), "0:3.5:0.05", dim=2),
+    # exponential(beta) = Weibull(beta, 1), rho = 1 + delta/sqrt(n)
+    "exponential-in-weibull": Embedding(
+        "exponential", ("ml",), (), lambda t, x: _score("weibull", t + (1.0,), x)[1:],
+        lambda t, s: families._quantile_of("weibull", t + (1.0 + s[0],)), (1.0,), "0:5:0.1"),
+    # exponential(beta) = gamma(1, beta), lambda = 1 + delta/sqrt(n)
+    "exponential-in-gamma": Embedding(
+        "exponential", ("ml",), (), lambda t, x: _score("gamma", (1.0,) + t, x)[:1],
+        lambda t, s: families._quantile_of("gamma", (1.0 + s[0],) + t), (1.0,), "0:8:0.2"),
+    # normal(mu, sigma) = EPD(2, mu, sigma), lambda = 2 + delta/sqrt(n)
+    "normal-in-epd": Embedding(
+        "normal", ("ml",), (), lambda t, x: _score("epd", (2.0,) + t, x)[:1],
+        lambda t, s: families._quantile_of("epd", (2.0 + s[0],) + t), (0.0, 1.0), "0:24:0.5"),
+}
+
+AltCase = Enum("AltCase", [(k.upper().replace("-", "_"), k) for k in EMBEDDINGS], type=str)
+
+
+def _entry(case) -> Embedding:
+    return EMBEDDINGS[AltCase(case).value]
 
 
 @dataclass(frozen=True)
 class LocalAlternative:
     case: AltCase
     theta0: tuple
-    delta: tuple  # 1-tuple for the scalar cases, (delta1, delta2) for EPD
+    delta: tuple  # one coordinate per drifted parameter of the embedding
     kind: EstimatorKind = EstimatorKind.ML
     alpha: float = 0.05
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise DomainError("alpha must lie in (0, 1)")
-        if self.case is AltCase.EPD_VS_APD:
-            if len(self.delta) != 2:
-                raise DomainError("EPD case takes a (delta1, delta2) pair")
-        else:
-            if len(self.delta) != 1:
-                raise DomainError("scalar cases take a single delta")
-            if self.kind is not EstimatorKind.ML:
-                raise ConfigurationError("gamma/Weibull cases are ML-only")
+        case = AltCase(self.case).value
+        e = EMBEDDINGS[case]
+        if len(self.delta) != e.dim:
+            raise DomainError(f"the {case} case takes {e.dim} drift coordinate(s)")
+        if EstimatorKind(self.kind).value not in e.kinds:
+            raise ConfigurationError(f"the {case} case is {'/'.join(e.kinds).upper()}-only")
 
 
 @dataclass(frozen=True)
@@ -70,109 +115,128 @@ class PowerPoint:
     power: float
 
 
-def gamma_m(lam: float) -> np.ndarray:
-    """Drift of the gamma(lam) ML row inside GG(lam, beta, rho), rho = 1 + delta/sqrt(n):
-    the extra score is GG's rho row at rho = 1."""
-    gg = families.get_family("gg")
-    return scaling.drift("gamma", EstimatorKind.ML, (lam, 1.0), None,
-                         lambda t, x: gg.score_fn((t[0], t[1], 1.0), x)[2:])[:, 0]
+def _mask(e: Embedding, theta0) -> Optional[KnownMask]:
+    values = dict(zip(families.get_family(e.null).param_names, theta0))
+    return KnownMask.from_names(e.null, {k: values[k] for k in e.known}) if e.known else None
 
 
-def weibull_m() -> np.ndarray:
-    """Drift of the Weibull ML row inside GG(lam, beta, rho), lam = 1 + delta/sqrt(n):
-    the extra score is GG's lambda row at lambda = 1."""
-    gg = families.get_family("gg")
-    return scaling.drift("weibull", EstimatorKind.ML, (1.0, 1.0), None,
-                         lambda t, x: gg.score_fn((1.0, t[0], t[1]), x)[:1])[:, 0]
+def at_shapes(case, theta0) -> tuple:
+    """The entry's theta0 with the null's shapes read from ``theta0``."""
+    e = _entry(case)
+    fam = families.get_family(e.null)
+    return tuple(float(v if p in fam.shapes else u)
+                 for p, v, u in zip(fam.param_names, theta0, e.theta0))
 
 
-def epd_m(lam: float, kind: EstimatorKind) -> np.ndarray:
-    """Drift of the EPD(lam) row, lam known, inside APD(lam, alpha, rho, mu, sigma),
-    (alpha, rho) = (1/2, lam) + delta/sqrt(n): the extra score is the APD's
-    (alpha, rho) score there, one column per drift coordinate."""
-    mask = KnownMask.from_names("epd", {"lambda": lam})
-    return scaling.drift("epd", kind, (lam, 0.0, 1.0), mask,
-                         lambda t, x: families.apd_score(x, lam, 0.5, lam, 0.0, 1.0))
+def sigma_and_drift(case, theta0, kind=EstimatorKind.ML):
+    """Sigma of the null row at theta0 and the drift M, 2 x dim.  Both depend
+    on theta0 only through the null's shapes; M is taken at ``at_shapes``."""
+    e, at = _entry(case), at_shapes(case, theta0)
+    mask = _mask(e, at)
+    return (scaling.sigma_from(e.null, kind, theta0, mask),
+            scaling.drift(e.null, kind, at, mask, lambda _, x: e.score(at, x)))
+
+
+def _ncp(sig, m, delta) -> float:
+    v = m @ np.asarray(delta, dtype=float)
+    return float(v @ np.linalg.solve(sig, v))
 
 
 def noncentrality(alt: LocalAlternative) -> float:
     """delta^T M^T Sigma^-1 M delta, Sigma that of the null row at theta0."""
-    fam, kind, mask = _null_test_config(alt)
-    sig = scaling.sigma_from(fam, kind, alt.theta0, mask)
-    if alt.case is AltCase.EPD_VS_APD:
-        v = epd_m(alt.theta0[0], alt.kind) @ np.asarray(alt.delta, dtype=float)
-    else:
-        m = gamma_m(alt.theta0[0]) if alt.case is AltCase.GAMMA_VS_GG else weibull_m()
-        v = alt.delta[0] * m
-    return float(v @ np.linalg.solve(sig, v))
+    return _ncp(*sigma_and_drift(alt.case, alt.theta0, alt.kind), alt.delta)
+
+
+def noncentral_chi2_sf(df: int, ncp: float, t: float, rel_tol: float = 1e-12) -> float:
+    """Survival function P(X > t) of a noncentral chi-square.
+
+    X ~ chi2_df(ncp).  Uses the Poisson mixture
+    P(X > t) = sum_k pois(k; ncp/2) * Q(df/2 + k, t/2),
+    with Q the regularized upper incomplete gamma.  The sum starts at the
+    Poisson modal index and expands outward until the remaining mass bounds
+    fall below ``rel_tol`` relative to the accumulated value, which avoids
+    underflow of the leading terms for large ncp.
+    """
+    if not (isinstance(df, (int, np.integer)) and df >= 1):
+        raise DomainError(f"df must be a positive integer, got {df!r}")
+    if not (np.isfinite(ncp) and ncp >= 0.0):
+        raise DomainError(f"ncp must be finite and >= 0, got {ncp!r}")
+    if not (np.isfinite(t) and t >= 0.0):
+        raise DomainError(f"t must be finite and >= 0, got {t!r}")
+    if t == 0.0:
+        return 1.0
+    half_t = 0.5 * t
+    half_ncp = 0.5 * ncp
+    if half_ncp == 0.0:
+        return float(sp.gammaincc(0.5 * df, half_t))
+
+    k0 = int(half_ncp)  # Poisson mode (floor)
+    log_w0 = k0 * math.log(half_ncp) - half_ncp - math.lgamma(k0 + 1)
+    w0 = math.exp(log_w0)
+    a0 = 0.5 * df + k0
+    q0 = float(sp.gammaincc(a0, half_t))
+    total = w0 * q0
+
+    # Upward sweep: w_{k+1} = w_k * half_ncp/(k+1); Q(a+1,x) = Q(a,x) + x^a e^-x / Gamma(a+1).
+    w, q, a = w0, q0, a0
+    k = k0
+    while True:
+        delta = math.exp(a * math.log(half_t) - half_t - math.lgamma(a + 1.0))
+        q = min(q + delta, 1.0)
+        w = w * half_ncp / (k + 1)
+        total += w * q
+        k += 1
+        a += 1.0
+        if k > half_ncp:
+            # Weights now decay at least geometrically with ratio < 1 and q <= 1,
+            # so the remaining sum is bounded by w * ratio / (1 - ratio).
+            ratio = half_ncp / (k + 1)
+            if w * ratio / (1.0 - ratio) <= rel_tol * total:
+                break
+
+    # Downward sweep from the mode.
+    w, q, a = w0, q0, a0
+    for k in range(k0, 0, -1):
+        delta = math.exp((a - 1.0) * math.log(half_t) - half_t - math.lgamma(a))
+        q = max(q - delta, 0.0)
+        w = w * k / half_ncp
+        a -= 1.0
+        term = w * q
+        total += term
+        if term <= rel_tol * total:
+            break
+
+    return float(min(max(total, 0.0), 1.0))
 
 
 def power_curve(case, theta0, deltas: Sequence, alpha: float = 0.05,
                 kind=EstimatorKind.ML) -> list[PowerPoint]:
-    """Asymptotic power along a drift grid at significance level alpha.
-
-    For the EPD case each grid entry is a (delta1, delta2) pair; for the
-    scalar cases a real number.  The rejection threshold is the central
-    chi-square(2) quantile q = -2 ln(alpha).
-    """
-    case = AltCase(case)
+    """Asymptotic power along a drift grid (each entry the drift's
+    coordinates, or a real number) at the chi-square(2) level-alpha
+    threshold q = -2 ln(alpha)."""
+    alts = [LocalAlternative(AltCase(case), tuple(theta0),
+                             tuple(np.atleast_1d(np.asarray(d, dtype=float))),
+                             EstimatorKind(kind), alpha) for d in deltas]
+    sig, m = sigma_and_drift(case, theta0, kind)
     q = -2.0 * math.log(alpha)
-    out = []
-    for d in deltas:
-        dt = tuple(np.atleast_1d(np.asarray(d, dtype=float)))
-        alt = LocalAlternative(case, tuple(theta0), dt, EstimatorKind(kind), alpha)
-        ncp = noncentrality(alt)
-        out.append(PowerPoint(dt, ncp, specfun.noncentral_chi2_sf(2, ncp, q)))
-    return out
-
-
-def _sample_alternative(alt: LocalAlternative, n: int, seeds) -> np.ndarray:
-    """The (len(seeds), n) block of samples from the alternative drifted at n,
-    row r drawn from seeds[r]."""
-    if alt.case is AltCase.GAMMA_VS_GG:
-        lam0, beta0 = alt.theta0
-        rho = 1.0 + alt.delta[0] / math.sqrt(n)
-        inverse = families._quantile_of("gg", (lam0, beta0, rho))
-    elif alt.case is AltCase.WEIBULL_VS_GG:
-        beta0, rho0 = alt.theta0
-        lam = 1.0 + alt.delta[0] / math.sqrt(n)
-        if lam <= 0.0:
-            raise DomainError("drifted GG shape must stay positive")
-        inverse = families._quantile_of("gg", (lam, beta0, rho0))
-    else:
-        lam0, mu0, sigma0 = alt.theta0
-        alpha_par = 0.5 + alt.delta[0] / math.sqrt(n)
-        rho = lam0 + alt.delta[1] / math.sqrt(n)
-        if not (0.0 < alpha_par < 1.0 and rho > 0.0):
-            raise DomainError("drifted APD parameters left their space")
-        inverse = families._apd_quantile(lam0, alpha_par, rho, mu0, sigma0)
-    return families._draws(inverse, n, seeds)
-
-
-def _null_test_config(alt: LocalAlternative):
-    if alt.case is AltCase.GAMMA_VS_GG:
-        return "gamma", EstimatorKind.ML, None
-    if alt.case is AltCase.WEIBULL_VS_GG:
-        return "weibull", EstimatorKind.ML, None
-    lam0 = alt.theta0[0]
-    return "epd", alt.kind, KnownMask.from_names("epd", {"lambda": lam0})
+    ncps = [_ncp(sig, m, alt.delta) for alt in alts]
+    return [PowerPoint(alt.delta, ncp, noncentral_chi2_sf(2, ncp, q))
+            for alt, ncp in zip(alts, ncps)]
 
 
 def empirical_power(alt: LocalAlternative, n: int, reps: int, seed: int) -> dict:
-    """Finite-n rejection rate sampling from the drifted alternative.
-
-    The drift is applied exactly as delta / sqrt(n).  Replication r draws
-    its sample from the key (seed, r); ``gof.replicate`` draws and tests
-    them a block of replications at a time.
+    """Finite-n rejection rate sampling from the alternative drifted by
+    exactly delta / sqrt(n).  Replication r draws its sample from the key
+    (seed, r); ``gof.replicate`` draws and tests a block of them at a time.
     Returns the rate and its binomial standard error over the replications
     that did not fail (``gof.rejection_rate``: NaN if every one failed), and
-    the failed-fit count.
-    """
-    fam, kind, mask = _null_test_config(alt)
+    the failed count."""
+    e = _entry(alt.case)
+    inverse = e.drifted(tuple(alt.theta0), tuple(d / math.sqrt(n) for d in alt.delta))
     q = -2.0 * math.log(alt.alpha)
-    tn = replicate(fam, kind, mask, n,
-                   lambda rs: _sample_alternative(
-                       alt, n, [np.random.SeedSequence([seed, r]) for r in rs]),
+    tn = replicate(e.null, alt.kind, _mask(e, alt.theta0), n,
+                   lambda rs: families._draws(
+                       inverse, n, [np.random.SeedSequence([seed, r]) for r in rs]),
                    range(reps))
     failed = int(np.count_nonzero(np.isnan(tn)))
     rate, se = rejection_rate(int(np.count_nonzero(tn > q)), reps - failed)

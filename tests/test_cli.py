@@ -123,13 +123,51 @@ def test_seed_default_is_read_at_each_call(tmp_path, monkeypatch, capsys):
     ["power", "--case", "weibull", "--delta", "0,5", "--empirical", "50,many"],
     ["matrices", "--family", "normal", "--theta", "a,b"],
     ["ellipse", "--family", "normal", "--theta", "0,b"],
+    ["power", "--case", "gamma", "--delta2", "0,1"],
 ], ids=["ellipse-no-theta-or-input", "known-without-value", "known-not-a-number",
         "known-unknown-name", "matrices-known-unknown-name", "grid-zero-step",
         "grid-empty-range", "grid-empty-list", "grid-malformed", "empirical-one-value",
-        "empirical-not-a-number", "matrices-theta-not-a-number", "ellipse-theta-not-a-number"])
+        "empirical-not-a-number", "matrices-theta-not-a-number", "ellipse-theta-not-a-number",
+        "delta2-on-a-scalar-drift"])
 def test_usage_mistakes_are_64(argv, capsys):
     assert cli.main(argv) == cli.USAGE_EXIT
     assert "usage error" in capsys.readouterr().err
+
+
+# the CSV of `trigof power` as the hand-coded cases wrote it, frozen bit for bit
+POWER_CSV = [
+    (["--case", "gamma", "--lambda0", "2", "--delta", "0,5,10"],
+     ["delta,ncp,power",
+      "0.0,0.0,0.05000000000000002",
+      "5.0,0.8567896337027988,0.12005880637755369",
+      "10.0,3.4271585348111953,0.3621331691395224"]),
+    (["--case", "weibull", "--delta", "0,12"],
+     ["delta,ncp,power",
+      "0.0,0.0,0.05000000000000002",
+      "12.0,2.9794409186247703,0.319556731193408"]),
+    *[(["--case", "epd", "--lambda0", "2", "--delta", "0,1.5", "--estimator", kind],
+       ["delta1,delta2,ncp,power",
+        "0.0,0.0,0.0,0.05000000000000002",
+        "1.5,0.0,2.88248192938341,0.3102672344886932"]) for kind in ("ml", "mm")],
+    (["--case", "epd", "--lambda0", "2", "--delta2", "0,2", "--estimator", "ml"],
+     ["delta1,delta2,ncp,power",
+      "0.0,0.0,0.0,0.05000000000000002",
+      "0.0,2.0,0.17593746523934328,0.06345663397386764"]),
+    (["--case", "epd", "--lambda0", "2", "--delta2", "0,2", "--estimator", "mm"],
+     ["delta1,delta2,ncp,power",
+      "0.0,0.0,0.0,0.05000000000000002",
+      "0.0,2.0,0.17593746523934367,0.06345663397386767"]),
+    (["--case", "epd", "--lambda0", "2", "--delta", "1.5", "--empirical", "50,20"],
+     ["delta1,delta2,ncp,power,empirical,asymptotic,failed",
+      "1.5,0.0,2.88248192938341,0.3102672344886932,0.35,0.3102672344886932,0"]),
+]
+
+
+@pytest.mark.parametrize("argv,lines", POWER_CSV, ids=[
+    "gamma", "weibull", "epd-ml", "epd-mm", "epd-delta2-ml", "epd-delta2-mm", "epd-empirical"])
+def test_power_csv_is_frozen(argv, lines, capsys):
+    assert cli.main(["power", *argv, "--seed", "0"]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
 
 
 @pytest.mark.parametrize("argv,option", [

@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
+from trigof.errors import ConfigurationError, DomainError
 from trigof.estimate import EstimatorKind
 from trigof.families import _epd_c1
-from trigof.power import (AltCase, LocalAlternative, empirical_power, epd_m, gamma_m,
-                          noncentrality, power_curve, weibull_m)
+from trigof.power import (EMBEDDINGS, AltCase, LocalAlternative, empirical_power,
+                          noncentrality, power_curve, sigma_and_drift)
 from former_scaling import h
+
+
+def _m(case, theta0, kind="ml"):
+    """The registry's drift M of the case at theta0."""
+    return sigma_and_drift(case, theta0, kind)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -107,17 +113,20 @@ def former_epd_m(lam, kind):
 
 @pytest.mark.parametrize("lam", [0.5, 2.0, 10.0, 100.0])
 def test_gamma_drift_matches_closed_form(lam):
-    np.testing.assert_allclose(gamma_m(lam), former_gamma_m(lam), rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(_m("gamma", (lam, 1.0))[:, 0], former_gamma_m(lam),
+                               rtol=0.0, atol=1e-10)
 
 
 def test_weibull_drift_matches_closed_form():
-    np.testing.assert_allclose(weibull_m(), former_weibull_m(), rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(_m("weibull", (1.0, 1.0))[:, 0], former_weibull_m(),
+                               rtol=0.0, atol=1e-10)
 
 
 @pytest.mark.parametrize("lam", [0.6, 0.8, 1.0, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize("kind", ["ml", "mm"])
 def test_epd_drift_matches_closed_form(lam, kind):
-    np.testing.assert_allclose(epd_m(lam, kind), former_epd_m(lam, kind), rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(_m("epd", (lam, 0.0, 1.0), kind), former_epd_m(lam, kind),
+                               rtol=0.0, atol=1e-10)
 
 
 # noncentrality assembles delta^T M^T Sigma^-1 M delta from the rule's Sigma;
@@ -131,15 +140,15 @@ def _closed_form_ncp(sig, m, d):
 @pytest.mark.parametrize("lam", [0.5, 2.0, 10.0, 100.0])
 @pytest.mark.parametrize("beta", [1.0, 3.0])
 def test_gamma_noncentrality_matches_closed_form(lam, beta):
-    alt = LocalAlternative(AltCase.GAMMA_VS_GG, (lam, beta), (4.0,))
-    want = _closed_form_ncp(gamma_sigma(lam), gamma_m(lam)[:, None], alt.delta)
+    alt = LocalAlternative(AltCase.GAMMA, (lam, beta), (4.0,))
+    want = _closed_form_ncp(gamma_sigma(lam), _m("gamma", (lam, 1.0)), alt.delta)
     assert noncentrality(alt) == pytest.approx(want, rel=1e-11)
 
 
 @pytest.mark.parametrize("theta0", [(1.0, 1.0), (2.5, 0.7)])
 def test_weibull_noncentrality_matches_closed_form(theta0):
-    alt = LocalAlternative(AltCase.WEIBULL_VS_GG, theta0, (7.0,))
-    want = _closed_form_ncp(weibull_sigma(), weibull_m()[:, None], alt.delta)
+    alt = LocalAlternative(AltCase.WEIBULL, theta0, (7.0,))
+    want = _closed_form_ncp(weibull_sigma(), _m("weibull", (1.0, 1.0)), alt.delta)
     assert noncentrality(alt) == pytest.approx(want, rel=1e-11)
 
 
@@ -147,9 +156,17 @@ def test_weibull_noncentrality_matches_closed_form(theta0):
 @pytest.mark.parametrize("kind", ["ml", "mm"])
 @pytest.mark.parametrize("delta", [(1.0, 0.0), (0.0, 2.0), (1.5, -0.5)])
 def test_epd_noncentrality_matches_closed_form(lam, kind, delta):
-    alt = LocalAlternative(AltCase.EPD_VS_APD, (lam, 0.3, 1.7), delta, EstimatorKind(kind))
-    want = _closed_form_ncp(epd_sigma(lam, kind), epd_m(lam, kind), delta)
+    alt = LocalAlternative(AltCase.EPD, (lam, 0.3, 1.7), delta, EstimatorKind(kind))
+    want = _closed_form_ncp(epd_sigma(lam, kind), _m("epd", (lam, 0.0, 1.0), kind), delta)
     assert noncentrality(alt) == pytest.approx(want, rel=1e-11)
+
+
+def test_an_alternative_is_checked_against_its_entry():
+    assert [case.value for case in AltCase] == list(EMBEDDINGS)
+    with pytest.raises(DomainError, match="takes 2 drift"):
+        LocalAlternative(AltCase.EPD, (2.0, 0.0, 1.0), (1.0,))
+    with pytest.raises(ConfigurationError, match="ML-only"):
+        LocalAlternative("exponential-in-gamma", (1.0,), (1.0,), EstimatorKind.MM)
 
 
 def test_power_is_alpha_at_zero_drift_and_grows():
@@ -161,11 +178,15 @@ def test_power_is_alpha_at_zero_drift_and_grows():
 # The drifts meet the simulation only at large n: sampled at rho = 1 + delta/sqrt(n)
 # the gamma and Weibull rates trail the asymptote by about 0.19 at n = 1000,
 # 0.11 at 4000 and 0.07 at 16000, and the EPD rate with a rho drift by 0.07 at
-# n = 1000 and 0.05 at 4000.
+# n = 1000 and 0.05 at 4000.  The exponential nestings meet it at n = 1000;
+# the normal in EPD reads 2.75 standard errors low there, so it runs at 4000.
 POWER_CHECKS = [
     ("gamma", (2.0, 1.0), (10.0,), 16000, 200),
     ("weibull", (1.0, 1.0), (12.0,), 16000, 200),
     ("epd", (2.0, 0.0, 1.0), (1.5, 6.0), 4000, 300),
+    ("exponential-in-gamma", (1.0,), (3.4,), 1000, 400),
+    ("exponential-in-weibull", (1.0,), (2.1,), 1000, 400),
+    ("normal-in-epd", (0.0, 1.0), (9.6,), 4000, 400),
 ]
 
 

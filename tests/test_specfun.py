@@ -4,8 +4,8 @@ The family callables call ``scipy.special`` directly (log-gamma, digamma,
 the regularized incomplete gamma and beta, Phi); they are checked here at
 frozen oracles through the families that read them.  A single point is
 checked by the family's theta check, and a theta row outside a function's
-domain reads NaN.  ``specfun`` holds the normal quantile and the noncentral
-chi-square tail.
+domain reads NaN.  The normal quantile is checked through the ellipse's
+thresholds, and the noncentral chi-square tail is ``power``'s.
 """
 
 import math
@@ -16,8 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trigof import families as F
-from trigof import scaling, specfun
+from trigof import gof, scaling
 from trigof.errors import DomainError
+from trigof.power import noncentral_chi2_sf
 
 # frozen oracle values (mpmath, 25 digits working precision)
 LGAMMA_7_3 = 7.1478925230222490328
@@ -150,15 +151,22 @@ class TestIncompleteBeta:
         assert F.cdf("beta", (1.0, 1.0), 1.5) == 1.0  # above the support
 
 
+# a Sigma with Sigma_11 != Sigma_22, for the ellipse's two thresholds
+SIGMA = np.array([[0.3, 0.05], [0.05, 0.2]])
+
+
 class TestNormalCdf:
-    """Phi, as the normal family's CDF, and specfun's quantile."""
+    """Phi, as the normal family's CDF, and its quantile in the ellipse's thresholds."""
 
     def test_center(self):
         assert F.cdf("normal", (0.0, 1.0), 0.0) == 0.5
 
     def test_quantile_identity(self):
         assert F.cdf("normal", (0.0, 1.0), 1.959963985) == pytest.approx(0.975, abs=1e-9)
-        assert specfun.std_normal_quantile(0.975) == pytest.approx(1.959963985, abs=1e-8)
+        geom = gof.ellipse(SIGMA, 0.95)
+        for threshold, var in ((geom.x_threshold, 0.3), (geom.y_threshold, 0.2)):
+            assert threshold == pytest.approx(1.959963985 * math.sqrt(var),
+                                              abs=1e-8 * math.sqrt(var))
 
     def test_tail_oracle(self):
         assert F.cdf("normal", (0.0, 1.0), -3.0) == pytest.approx(PHI_M3, rel=1e-13, abs=0.0)
@@ -171,20 +179,20 @@ class TestNormalCdf:
     def test_domain_error(self):
         for p in (0.0, 1.0, 1.5):
             with pytest.raises(DomainError):
-                specfun.std_normal_quantile(p)
+                gof.ellipse(SIGMA, p)
 
 
 class TestNoncentralChi2:
     @pytest.mark.parametrize("t", [0.1, 1.0, 5.991, 20.0])
     def test_central_closed_form(self, t):
-        assert specfun.noncentral_chi2_sf(2, 0.0, t) == pytest.approx(
+        assert noncentral_chi2_sf(2, 0.0, t) == pytest.approx(
             math.exp(-0.5 * t), abs=1e-12)
 
     def test_at_zero(self):
-        assert specfun.noncentral_chi2_sf(2, 5.0, 0.0) == 1.0
+        assert noncentral_chi2_sf(2, 5.0, 0.0) == 1.0
 
     def test_oracle_value(self):
-        assert specfun.noncentral_chi2_sf(2, 5.0, 5.991) == pytest.approx(
+        assert noncentral_chi2_sf(2, 5.0, 5.991) == pytest.approx(
             NCX2_SF_5_5991, rel=1e-10, abs=0.0)
 
     def test_monte_carlo_oracle(self):
@@ -195,26 +203,26 @@ class TestNoncentralChi2:
             + rng.standard_normal(n) ** 2
         p_hat = np.mean(draws > 5.991)
         se = math.sqrt(p_hat * (1.0 - p_hat) / n)
-        assert abs(specfun.noncentral_chi2_sf(2, 5.0, 5.991) - p_hat) < 3.0 * se
+        assert abs(noncentral_chi2_sf(2, 5.0, 5.991) - p_hat) < 3.0 * se
 
     @settings(max_examples=30, deadline=None)
     @given(ncp=st.floats(0.0, 80.0), t=st.floats(0.01, 80.0))
     def test_within_unit_interval_and_monotone_in_ncp(self, ncp, t):
-        p0 = specfun.noncentral_chi2_sf(2, ncp, t)
-        p1 = specfun.noncentral_chi2_sf(2, ncp + 1.0, t)
+        p0 = noncentral_chi2_sf(2, ncp, t)
+        p1 = noncentral_chi2_sf(2, ncp + 1.0, t)
         assert 0.0 <= p0 <= 1.0
         assert p1 >= p0 - 1e-12
 
     def test_large_ncp_against_scipy(self):
         from scipy.stats import ncx2
         for ncp, t in [(50.0, 30.0), (200.0, 180.0), (5.0, 0.5)]:
-            assert specfun.noncentral_chi2_sf(2, ncp, t) == pytest.approx(
+            assert noncentral_chi2_sf(2, ncp, t) == pytest.approx(
                 ncx2.sf(t, 2, ncp), rel=1e-9, abs=0.0)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            specfun.noncentral_chi2_sf(2, -1.0, 1.0)
+            noncentral_chi2_sf(2, -1.0, 1.0)
         with pytest.raises(DomainError):
-            specfun.noncentral_chi2_sf(2, 1.0, -1.0)
+            noncentral_chi2_sf(2, 1.0, -1.0)
         with pytest.raises(DomainError):
-            specfun.noncentral_chi2_sf(0, 1.0, 1.0)
+            noncentral_chi2_sf(0, 1.0, 1.0)
