@@ -7,10 +7,10 @@ on a single row, so each row gets the bits ``fit`` would return, and a row
 whose fit fails, or that ``fit`` rejects, comes back as NaN.  ``statistic``
 takes theta rows of shape (rows, p) and samples of shape (rows, n) and
 returns C_n, S_n, the Sigma rows and T_n = n [C_n, S_n] Sigma^-1 [C_n, S_n]^T;
-the PIT is the family's own ``cdf_fn``, called once on the block, and the
-Sigma rows are ``scaling.sigma_from``'s, which takes each row's at its
-shapes alone, so a row's T_n has the same bits whichever rows share its
-block.
+the PIT is the family's own ``cdf_fn``, called once on each thread's part of
+the block, and the Sigma rows are ``scaling.sigma_from``'s, which takes each
+row's at its shapes alone, so a row's T_n has the same bits whichever rows
+share its block or its part.  The fits run on the calling thread.
 ``batch_tn`` feeds it the block's fits and ``gof._single_test`` a single
 fit.  Failed replications and the loop over blocks are ``gof.replicate``'s.
 
@@ -30,7 +30,7 @@ import numpy as np
 from . import scaling
 from .errors import ConfigurationError, DomainError
 from .estimate import EstimatorKind, KnownMask, rejected_rows, rows_estimator
-from .families import get_family
+from .families import _in_parts, get_family
 
 _TWO_PI = 2.0 * math.pi
 
@@ -62,18 +62,23 @@ def batch_fit(fam, kind, mask: KnownMask | None, X) -> np.ndarray:
 
 def moment_rows(fam, thetas: np.ndarray, X: np.ndarray):
     """C_n and S_n of each row of X under its theta row; NaN where theta is not
-    finite.  The family's ``cdf_fn`` runs once, on the finite rows, with the
-    theta columns of shape (rows, 1), and is clipped to [0, 1] as
+    finite.  The finite rows are split into one part per thread
+    (``families._in_parts``); on each, the family's ``cdf_fn`` runs once,
+    with the theta columns of shape (rows, 1), and is clipped to [0, 1] as
     ``families.cdf`` does."""
     fam = get_family(fam)
     fitted = np.flatnonzero(np.all(np.isfinite(thetas), axis=1))
     cn, sn = np.full(len(X), np.nan), np.full(len(X), np.nan)
-    if fitted.size:
-        cols = tuple(thetas[fitted, j, None] for j in range(thetas.shape[1]))
+
+    def trig(rows):
+        cols = tuple(thetas[rows, j, None] for j in range(thetas.shape[1]))
         with np.errstate(over="ignore", under="ignore"):
-            u = np.clip(fam.cdf_fn(cols, X[fitted]), 0.0, 1.0)
+            u = np.clip(fam.cdf_fn(cols, X[rows]), 0.0, 1.0)
         u *= _TWO_PI
-        cn[fitted], sn[fitted] = np.cos(u).mean(axis=1), np.sin(u).mean(axis=1)
+        return np.cos(u).mean(axis=1), np.sin(u).mean(axis=1)
+
+    if fitted.size:
+        cn[fitted], sn[fitted] = np.concatenate(_in_parts(trig, fitted), axis=1)
     return cn, sn
 
 

@@ -3,8 +3,9 @@
 Each family carries its parameter names (in canonical order), parameter-space
 validation, support, density, CDF, quantile, per-observation score function,
 and an inverse-CDF sampler: ``_draws`` fills a block of samples, each row
-from its own seed, with one quantile call per chunk of rows, and ``sample``
-is its one-row case.  Families are looked up by lowercase hyphenated
+from its own seed, with one quantile call per chunk of rows, the chunks
+spread over the process's cores (``_in_parts``), and ``sample`` is its
+one-row case.  Families are looked up by lowercase hyphenated
 name, e.g. ``get_family("inverse-gaussian")``.  Every ``logpdf``,
 ``cdf_fn``, ``quantile_fn`` and ``score_fn`` broadcasts over theta components
 given as columns of shape (rows, 1) (the score then has shape (p, rows, n)),
@@ -42,7 +43,10 @@ the score ``apd_score`` by which it embeds the EPD.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -58,9 +62,16 @@ __all__ = [
 ]
 
 _TINY_U = 1e-15
-# values per call of an inverse CDF in a block of draws: its temporaries stay
-# at 64 KiB, under glibc's 128 KiB threshold for serving them by mmap
+# values per call of an inverse CDF in a block of draws, summed over the
+# threads: its temporaries stay at 64 KiB, under glibc's 128 KiB threshold
+# for serving them by mmap
 _CHUNK = 2 ** 13
+# threads over which a block's row-wise stages run (``_in_parts``): the cores
+# this process may run on, 1 in a forked child
+_THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_POOL = None
+_POOL_LOCK = threading.Lock()
 
 
 # ---------------------------------------------------------------------------
@@ -328,27 +339,70 @@ def score(fam, theta, x):
     return np.asarray(fam.score_fn(t, x), dtype=float)
 
 
+def _in_parts(fn, rows) -> list:
+    """[fn(part) for part in parts], ``rows`` (an array) split along its
+    first axis into one contiguous part per thread, at most one per row.
+
+    Two or more parts run on a pool of _THREADS threads, created on the first
+    such call, each in a copy of the caller's context (numpy's ``errstate``
+    is a context variable); one part is a plain call.  numpy and
+    scipy.special release the GIL inside their ufuncs, so ``fn`` gains where
+    it spends its time there.  ``fn`` must read and write its own part
+    alone, so that every part has the bits it would have in a block of its
+    own, and must call no public function of the package: a tracer that
+    wraps those (the benchmark's) keeps one span stack, for the calling
+    thread.  A forked child runs serially: it inherits the pool but not its
+    threads."""
+    global _POOL
+    parts = np.array_split(rows, max(1, min(_THREADS, len(rows))))
+    if len(parts) == 1:
+        return [fn(parts[0])]
+    with _POOL_LOCK:
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _POOL = ThreadPoolExecutor(_THREADS, thread_name_prefix="trigof")
+        futures = [_POOL.submit(contextvars.copy_context().run, fn, part) for part in parts]
+    for f in futures:  # every part ends before an error of one is raised
+        f.exception()
+    return [f.result() for f in futures]
+
+
+def _run_serially():
+    global _POOL, _THREADS
+    _POOL, _THREADS = None, 1
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_run_serially)
+
+
 def _draws(inverse, n: int, seeds) -> np.ndarray:
     """The (len(seeds), n) block of inverse-CDF draws whose row r maps the
     uniforms np.random.default_rng(seeds[r]).random(n), clipped to
     [1e-15, 1 - 1e-15] as ``quantile`` clips them, through ``inverse``.
 
     ``inverse`` maps a (rows, n) array of u elementwise, each row on its
-    own; it runs on chunks of whole rows of at most _CHUNK values (one row
-    where n is larger), written back into the block, so a row's draws are
-    the same bits in any block.  ``sample`` and ``sample_apd`` are its
-    one-row case."""
+    own.  The block is split into one part of rows per thread
+    (``_in_parts``), and each part is mapped in chunks of whole rows of at
+    most _CHUNK / _THREADS values (one row where n is larger), written back
+    into the block, so the threads hold one _CHUNK of values between them
+    and a row's draws are the same bits in any block and on any number of
+    threads.  ``sample`` and ``sample_apd`` are its one-row case."""
     if n < 1:
         raise DomainError("n must be >= 1")
     block = np.empty((len(seeds), n))
     for row, seed in zip(block, seeds):
         np.random.default_rng(seed).random(n, out=row)
     np.clip(block, _TINY_U, 1.0 - _TINY_U, out=block)
-    step = max(1, _CHUNK // n)
-    with np.errstate(over="ignore", under="ignore"):
-        for lo in range(0, len(block), step):
-            chunk = block[lo:lo + step]
+    step = max(1, _CHUNK // (n * _THREADS))
+
+    def fill(part):
+        for lo in range(0, len(part), step):
+            chunk = part[lo:lo + step]
             chunk[...] = inverse(chunk)
+
+    with np.errstate(over="ignore", under="ignore"):
+        _in_parts(fill, block)
     return block
 
 
@@ -416,7 +470,7 @@ def _epd_logpdf(t, x):
 def _epd_cdf(t, x):
     lam, mu, sigma = t
     y = (x - mu) / sigma
-    g = sp.gammainc(1.0 / lam, np.power(np.abs(y), lam) / lam)
+    g = sp.gammainc(1.0 / lam, _pow(np.abs(y), lam) / lam)
     return 0.5 * (1.0 + np.sign(y) * g)
 
 
@@ -695,7 +749,7 @@ _register(Family(
     check=_pos(0, 1),
     support=_POSLINE,
     logpdf=_halfepd_logpdf,
-    cdf_fn=lambda t, x: sp.gammainc(1.0 / t[0], np.power(x / t[1], t[0]) / t[0]),
+    cdf_fn=lambda t, x: sp.gammainc(1.0 / t[0], _pow(x / t[1], t[0]) / t[0]),
     quantile_fn=lambda t, u: t[1] * np.power(t[0] * sp.gammaincinv(1.0 / t[0], u), 1.0 / t[0]),
     score_fn=_halfepd_score,
     mm=MomentEq("mean", lambda lam: (1.0, _halfepd_c2(lam)), ("lambda",)),
@@ -718,7 +772,7 @@ _register(Family(
     check=_pos(0, 1),
     support=_POSLINE,
     logpdf=lambda t, x: _REGISTRY["gg"].logpdf((1.0,) + t, x),
-    cdf_fn=lambda t, x: -np.expm1(-np.power(x / t[0], t[1])),
+    cdf_fn=lambda t, x: -np.expm1(-_pow(x / t[0], t[1])),
     quantile_fn=lambda t, u: t[0] * np.power(-np.log1p(-u), 1.0 / t[1]),
     score_fn=lambda t, x: _REGISTRY["gg"].score_fn((1.0,) + t, x)[1:],
 ))

@@ -64,7 +64,7 @@ import numpy as np
 from . import quadrature
 from .errors import ConfigurationError, DomainError, SingularityError
 from .estimate import EstimatorKind, KnownMask
-from .families import _MAPS, _theta, get_family
+from .families import _MAPS, _in_parts, _theta, get_family
 
 __all__ = ["MatrixSet", "matrices", "sigma", "sigma_from", "drift", "COND_LIMIT"]
 
@@ -287,7 +287,9 @@ def sigma_from(fam, kind, theta, mask: KnownMask | None = None) -> np.ndarray:
     """Sigma at theta, a point (p,) or theta rows (rows, p), taken with every
     component but ``fam.shapes`` at 1: once where the mask knows every shape
     (or there is none), else on each fitted row alone, so that no row
-    depends on the others.  A point is checked as given and raises as
+    depends on the others.  These unit rows are split into one part per
+    thread (``families._in_parts``), and ``matrices`` and ``sigma`` run on
+    each part.  A point is checked as given and raises as
     ``matrices`` and ``sigma`` do; a row that is not finite or whose Sigma
     fails reads NaN."""
     fam = get_family(fam)
@@ -299,10 +301,10 @@ def sigma_from(fam, kind, theta, mask: KnownMask | None = None) -> np.ndarray:
         shared = all(mask is not None and mask.is_known(fam, s) for s in fam.shapes)
         unit = rows[fitted[:1] if shared else fitted]
         unit[:, [p not in fam.shapes for p in fam.param_names]] = 1.0
-        ms = matrices(fam, kind, unit)
         if theta.ndim == 1:
-            return sigma(_point(fam, ms, rows[0]), mask, kind, fam)
-        sig[fitted] = sigma(ms, mask, kind, fam)
+            return sigma(_point(fam, matrices(fam, kind, unit), rows[0]), mask, kind, fam)
+        sig[fitted] = np.concatenate(_in_parts(
+            lambda part: sigma(matrices(fam, kind, part), mask, kind, fam), unit))
     return sig
 
 

@@ -7,9 +7,13 @@ data.  Every replication draws its own generator from the key
 reruns.  A cell's replications run through ``gof.replicate``, in one call
 or, with ``workers > 1``, in runs of at least 256 spread over a process
 pool; either way ``gof.replicate`` draws each of its blocks of samples with
-one call of ``_draw``.  A failed replication counts toward ``failed``, and a cell with more
-than 1% failures, or whose run raised, is not ``ok`` (one whose run raised
-has no rate: ``rate`` and ``se`` are NaN).
+one call of ``_draw``.  In a single process a block's draws, PIT and Sigma
+rows run on one thread per core (``families._in_parts``); the pool's forked
+workers run theirs serially, so ``workers`` processes keep ``workers``
+cores busy.  The report has the same bits either way.  A failed replication
+counts toward ``failed``, and a cell with more than 1% failures, or whose
+run raised, is not ``ok`` (one whose run raised has no rate: ``rate`` and
+``se`` are NaN).
 """
 
 from __future__ import annotations

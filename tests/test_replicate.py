@@ -1,6 +1,15 @@
+import concurrent.futures
 import dataclasses
 import itertools
+import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +98,15 @@ for name in sorted(FAMILY_THETAS):
     if (name, "ml", None, FAMILY_THETAS[name]) not in BATCH_ROWS:
         BATCH_ROWS.append((name, "ml", None, FAMILY_THETAS[name]))
         BATCH_IDS.append(f"{name}-ml-free")
+# and a known shape at which numpy squares or roots a one-row block but calls
+# pow on a larger one, unless the PIT spreads it over the row (``families._pow``)
+for name, shape in [("weibull", "rho"), ("epd", "lambda"), ("log-epd", "lambda"),
+                    ("half-epd", "lambda")]:
+    for value in (2.0, 0.5):
+        names = F.get_family(name).param_names
+        theta = tuple(value if p == shape else v for p, v in zip(names, FAMILY_THETAS[name]))
+        BATCH_ROWS.append((name, "ml", KnownMask.from_names(name, {shape: value}), theta))
+        BATCH_IDS.append(f"{name}-ml-{shape}-{value:g}-known")
 
 
 class TestBatchAgainstScalar:
@@ -406,7 +424,9 @@ class TestEpdLambdaBelowOne:
 
 def test_a_study_calls_the_quantile_once_per_chunk(monkeypatch):
     # 1000 replications at n = 200: blocks of 256, 256, 256 and 232 rows, each
-    # drawn in chunks of _CHUNK // 200 = 40 rows, one quantile call apiece
+    # split into one part per thread and drawn in chunks of
+    # _CHUNK // (200 * threads) rows, one quantile call apiece: 40 rows on one
+    # thread; 20 on two, over parts of 128, 128, 128 and 116 rows
     fam = F.get_family("normal")
     shapes = []
 
@@ -416,14 +436,25 @@ def test_a_study_calls_the_quantile_once_per_chunk(monkeypatch):
 
     monkeypatch.setitem(F._REGISTRY, "normal", dataclasses.replace(fam, quantile_fn=counting))
     cell = CellConfig("normal", "normal", "ml", (0.0, 1.0), 200)
-    report = run_study(StudyConfig((cell,), reps=1000, seed=4)).cells[0]
-    assert report.ok
-    chunk = F._CHUNK // 200
-    # Sigma reads the quantile at the rule's nodes, a vector of u
-    assert [s for s in shapes if len(s) == 2] == [
-        (min(chunk, rows - lo), 200) for rows in (256, 256, 256, 232)
-        for lo in range(0, rows, chunk)]
-    assert chunk == 40
+    reports = []
+    for threads, chunk, parts in [(1, 40, [256, 256, 256, 232]),
+                                  (2, 20, [128] * 6 + [116, 116])]:
+        monkeypatch.setattr(F, "_THREADS", threads)
+        shapes.clear()
+        reports.append(run_study(StudyConfig((cell,), reps=1000, seed=4)).cells[0])
+        assert reports[-1].ok
+        assert F._CHUNK // (200 * threads) == chunk
+        # Sigma reads the quantile at the rule's nodes, a vector of u; the
+        # threads' calls interleave, so they are compared in sorted order
+        assert sorted(s for s in shapes if len(s) == 2) == sorted(
+            (min(chunk, rows - lo), 200) for rows in parts for lo in range(0, rows, chunk))
+    assert reports[0] == reports[1]  # a report compares without its wall time
+
+
+def _report(cfg):
+    """The study's report rows without their wall times."""
+    return [{k: v for k, v in row.items() if k != "wall_time"}
+            for row in report_rows(run_study(cfg))]
 
 
 class TestStudyDeterminism:
@@ -437,11 +468,8 @@ class TestStudyDeterminism:
 
     @staticmethod
     def _rows(workers, seed=9):
-        cfg = StudyConfig(TestStudyDeterminism.CELLS, reps=512, seed=seed, workers=workers)
-        rows = report_rows(run_study(cfg))
-        for row in rows:
-            del row["wall_time"]
-        return rows
+        return _report(StudyConfig(TestStudyDeterminism.CELLS, reps=512, seed=seed,
+                                   workers=workers))
 
     def test_same_seed_same_report_and_workers_do_not_matter(self):
         serial = self._rows(1)
@@ -449,6 +477,129 @@ class TestStudyDeterminism:
         assert serial == self._rows(2)
         assert all(row["ok"] for row in serial)
         assert serial != self._rows(1, seed=10)
+
+
+def _on_threads(monkeypatch, run):
+    """run() with the row-wise stages on one thread, then on two."""
+    out = []
+    for threads in (1, 2):
+        monkeypatch.setattr(F, "_THREADS", threads)
+        out.append(run())
+    return out
+
+
+class TestThreadsGiveTheSameBits:
+    def test_draws_pit_and_sigma_rows(self, monkeypatch):
+        seeds = [np.random.SeedSequence([31, r]) for r in range(57)]
+        for fam, theta in [("inverse-gaussian", (1.0, 2.0)), ("epd", (0.7, 0.3, 2.0)),
+                           ("student-t", (4.0, 0.1, 1.5))]:
+            one, two = _on_threads(monkeypatch, lambda: F._draws(
+                F._quantile_of(fam, theta), 150, seeds))
+            np.testing.assert_array_equal(one, two)
+        X = _seeded("gamma", (2.3, 1.4), 90, seed=32)(range(41))
+        thetas = _batch.batch_fit("gamma", "ml", None, X)
+        thetas[5] = np.nan
+        one, two = _on_threads(monkeypatch, lambda: _batch.moment_rows("gamma", thetas, X))
+        np.testing.assert_array_equal(np.array(one), np.array(two))
+        one, two = _on_threads(monkeypatch, lambda: scaling.sigma_from("gamma", "ml", thetas))
+        np.testing.assert_array_equal(one, two)
+        assert np.isnan(one[5]).all() and np.isfinite(np.delete(one, 5, axis=0)).all()
+
+    @pytest.mark.parametrize("fam,known", [("epd", {"lambda": 2.0}), ("weibull", {"rho": 2.0})])
+    def test_a_block_of_three_rows_splits_into_two_and_one(self, monkeypatch, fam, known):
+        names = F.get_family(fam).param_names
+        theta = tuple(known.get(p, v) for p, v in zip(names, FAMILY_THETAS[fam]))
+        mask = KnownMask.from_names(fam, known)
+        one, two = _on_threads(monkeypatch, lambda: replicate(
+            fam, "ml", mask, 70, _seeded(fam, theta, 70, seed=33), range(3)))
+        np.testing.assert_array_equal(one, two)
+        assert np.isfinite(one).all()
+
+    def test_a_bootstrap_p_value(self, monkeypatch):
+        x = F.sample("gamma", (2.3, 1.4), 100, 34)
+        one, two = _on_threads(monkeypatch, lambda: run_test(
+            "gamma", "ml", None, x, mc={"reps": 120, "seed": 35}))
+        assert (one.mc_exceed, one.mc_failed, one.p_mc) == (two.mc_exceed, two.mc_failed, two.p_mc)
+
+    def test_a_study_report(self, monkeypatch):
+        cfg = StudyConfig(TestStudyDeterminism.CELLS[1:], reps=300, seed=36)
+        one, two = _on_threads(monkeypatch, lambda: _report(cfg))
+        assert one == two and all(row["ok"] for row in one)
+
+
+def test_more_threads_than_cores_and_callers_starting_the_pool_at_once(monkeypatch):
+    # seven threads, a switch every microsecond and four callers that find no
+    # pool: each caller's rows keep their serial bits, and one pool is made
+    # (making it sleeps, so that a caller that did not wait for it would make
+    # its own)
+    made = []
+
+    class Counting(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(1)
+            time.sleep(0.05)
+            super().__init__(*args, **kwargs)
+
+    seeds = [np.random.SeedSequence([38, r]) for r in range(61)]
+    inverse = F._quantile_of("gamma", (2.3, 1.4))
+    monkeypatch.setattr(F, "_THREADS", 1)
+    want = F._draws(inverse, 90, seeds)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counting)
+    monkeypatch.setattr(F, "_POOL", None)
+    monkeypatch.setattr(F, "_THREADS", 7)
+    got = [None] * 4
+    start = threading.Barrier(4)
+
+    def call(i):
+        start.wait(timeout=60)
+        got[i] = F._draws(inverse, 90, seeds)
+
+    callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        if F._POOL is not None:
+            F._POOL.shutdown()
+    assert not any(t.is_alive() for t in callers)
+    assert made == [1]
+    for block in got:
+        np.testing.assert_array_equal(block, want)
+
+
+def test_a_study_forked_after_the_threads_started_runs_serially():
+    # a forked child inherits the thread pool without its threads; it must
+    # not hand its parts to them, or it waits on them for ever
+    cfg = StudyConfig(TestStudyDeterminism.CELLS[:2], reps=512, seed=37, workers=2)
+    script = f"""
+import json
+from trigof import families as F, gof
+from trigof.simharness import CellConfig, StudyConfig, report_rows, run_study
+F._THREADS = 2
+gof.replicate("gamma", "ml", None, 60, lambda rs: F._draws(
+    F._quantile_of("gamma", (2.0, 1.0)), 60, list(rs)), range(8))
+assert F._POOL is not None
+cfg = {cfg!r}
+rows = report_rows(run_study(cfg))
+print(json.dumps([{{k: v for k, v in row.items() if k != "wall_time"}} for row in rows]))
+"""
+    src = str(Path(F.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the study and its forked workers
+        proc.communicate()
+        pytest.fail("the forked study did not end within 120 s")
+    assert proc.returncode == 0, err
+    assert json.loads(out) == _report(dataclasses.replace(cfg, workers=1))
 
 
 class TestStudyConfigFile:

@@ -278,21 +278,32 @@ def test_sigma_at_an_extreme_shape_is_spd_or_a_typed_failure(name, kind, shape, 
 
 
 def test_block_sigma_is_one_call_of_the_rule(monkeypatch):
-    # on every fitted row, or on one row where the mask knows the shapes
+    # on every fitted row, or on one row where the mask knows the shapes, in
+    # one call per thread's part of those rows: 39 rows on one thread, parts
+    # of 20 and 19 on two
     fam = F.get_family("gamma")
     X = np.stack([F.sample(fam, (2.3, 1.4), 200, np.random.SeedSequence([29, r])) for r in range(40)])
     gram = quadrature.gram
-    for mask, rows in [(None, 39), (KnownMask.from_names(fam, {"lambda": 2.3}), 1)]:
-        thetas = _batch.batch_fit(fam, "ml", mask, X)
-        thetas[3] = np.nan  # a failed fit
-        calls = []
-        monkeypatch.setattr(quadrature, "gram", lambda f: calls.append(gram(f)) or calls[-1])
-        sig = scaling.sigma_from(fam, "ml", thetas, mask)
-        monkeypatch.setattr(quadrature, "gram", gram)
-        assert [len(M) for M in calls] == [rows]
-        assert np.all(np.isnan(sig[3]))
-        for i in [0, 1, 2, 39]:
-            np.testing.assert_array_equal(sig[i], scaling.sigma_from(fam, "ml", thetas[i], mask))
+    calls = []
+
+    def recording(f):
+        M = gram(f)
+        calls.append(len(M))
+        return M
+
+    for threads, free_parts in [(1, [39]), (2, [19, 20])]:
+        monkeypatch.setattr(F, "_THREADS", threads)
+        for mask, parts in [(None, free_parts), (KnownMask.from_names(fam, {"lambda": 2.3}), [1])]:
+            thetas = _batch.batch_fit(fam, "ml", mask, X)
+            thetas[3] = np.nan  # a failed fit
+            calls.clear()
+            monkeypatch.setattr(quadrature, "gram", recording)
+            sig = scaling.sigma_from(fam, "ml", thetas, mask)
+            monkeypatch.setattr(quadrature, "gram", gram)
+            assert sorted(calls) == parts
+            assert np.all(np.isnan(sig[3]))
+            for i in [0, 1, 2, 39]:
+                np.testing.assert_array_equal(sig[i], scaling.sigma_from(fam, "ml", thetas[i], mask))
 
 
 def test_a_point_call_raises_where_its_row_reads_nan():
