@@ -344,15 +344,16 @@ def _in_parts(fn, rows) -> list:
     first axis into one contiguous part per thread, at most one per row.
 
     Two or more parts run on a pool of _THREADS threads, created on the first
-    such call, each in a copy of the caller's context (numpy's ``errstate``
-    is a context variable); one part is a plain call.  numpy and
+    such call, each in a copy of the caller's context; one part is a plain
+    call.  numpy >= 2 keeps ``errstate`` in the context, numpy 1 per thread,
+    so ``fn`` sets the ``errstate`` its own work needs.  numpy and
     scipy.special release the GIL inside their ufuncs, so ``fn`` gains where
     it spends its time there.  ``fn`` must read and write its own part
     alone, so that every part has the bits it would have in a block of its
     own, and must call no public function of the package: a tracer that
     wraps those (the benchmark's) keeps one span stack, for the calling
     thread.  A forked child runs serially: it inherits the pool but not its
-    threads."""
+    threads.  Its gain and CPU cost were measured on 2 cores only."""
     global _POOL
     parts = np.array_split(rows, max(1, min(_THREADS, len(rows))))
     if len(parts) == 1:
@@ -397,12 +398,12 @@ def _draws(inverse, n: int, seeds) -> np.ndarray:
     step = max(1, _CHUNK // (n * _THREADS))
 
     def fill(part):
-        for lo in range(0, len(part), step):
-            chunk = part[lo:lo + step]
-            chunk[...] = inverse(chunk)
+        with np.errstate(over="ignore", under="ignore"):
+            for lo in range(0, len(part), step):
+                chunk = part[lo:lo + step]
+                chunk[...] = inverse(chunk)
 
-    with np.errstate(over="ignore", under="ignore"):
-        _in_parts(fill, block)
+    _in_parts(fill, block)
     return block
 
 

@@ -428,10 +428,11 @@ def test_a_study_calls_the_quantile_once_per_chunk(monkeypatch):
     # _CHUNK // (200 * threads) rows, one quantile call apiece: 40 rows on one
     # thread; 20 on two, over parts of 128, 128, 128 and 116 rows
     fam = F.get_family("normal")
-    shapes = []
+    calls = {}  # thread: shapes of its block calls, in order
 
     def counting(t, u):
-        shapes.append(np.shape(u))
+        if np.ndim(u) == 2:  # Sigma reads the quantile at the rule's nodes, a vector
+            calls.setdefault(threading.get_ident(), []).append(np.shape(u))
         return fam.quantile_fn(t, u)
 
     monkeypatch.setitem(F._REGISTRY, "normal", dataclasses.replace(fam, quantile_fn=counting))
@@ -440,14 +441,25 @@ def test_a_study_calls_the_quantile_once_per_chunk(monkeypatch):
     for threads, chunk, parts in [(1, 40, [256, 256, 256, 232]),
                                   (2, 20, [128] * 6 + [116, 116])]:
         monkeypatch.setattr(F, "_THREADS", threads)
-        shapes.clear()
+        calls.clear()
         reports.append(run_study(StudyConfig((cell,), reps=1000, seed=4)).cells[0])
         assert reports[-1].ok
         assert F._CHUNK // (200 * threads) == chunk
-        # Sigma reads the quantile at the rule's nodes, a vector of u; the
-        # threads' calls interleave, so they are compared in sorted order
-        assert sorted(s for s in shapes if len(s) == 2) == sorted(
-            (min(chunk, rows - lo), 200) for rows in parts for lo in range(0, rows, chunk))
+        want = [[(min(chunk, rows - lo), 200) for lo in range(0, rows, chunk)] for rows in parts]
+        if threads == 1:
+            assert list(calls) == [threading.get_ident()]
+            assert calls[threading.get_ident()] == [s for part in want for s in part]
+        else:
+            # on the pool's threads, each running whole parts in order: every
+            # part here ends on a short chunk, so a thread's calls cut after
+            # each short one are its parts
+            assert threading.get_ident() not in calls
+            got = []
+            for seq in calls.values():
+                ends = [i + 1 for i, s in enumerate(seq) if s[0] < chunk]
+                assert ends[-1] == len(seq)
+                got += [seq[lo:hi] for lo, hi in zip([0] + ends, ends)]
+            assert sorted(got) == sorted(want)
     assert reports[0] == reports[1]  # a report compares without its wall time
 
 
