@@ -1,4 +1,5 @@
 import concurrent.futures
+import contextvars
 import dataclasses
 import itertools
 import json
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -457,7 +459,7 @@ def test_a_study_calls_the_quantile_once_per_chunk(monkeypatch):
             got = []
             for seq in calls.values():
                 ends = [i + 1 for i, s in enumerate(seq) if s[0] < chunk]
-                assert ends[-1] == len(seq)
+                assert ends and ends[-1] == len(seq)
                 got += [seq[lo:hi] for lo, hi in zip([0] + ends, ends)]
             assert sorted(got) == sorted(want)
     assert reports[0] == reports[1]  # a report compares without its wall time
@@ -582,6 +584,17 @@ def test_more_threads_than_cores_and_callers_starting_the_pool_at_once(monkeypat
     assert made == [1]
     for block in got:
         np.testing.assert_array_equal(block, want)
+
+
+def test_a_part_ignores_overflow_on_a_thread_that_has_not_the_callers_errstate(monkeypatch):
+    # numpy 1 keeps errstate per thread, not in the context: each part sets
+    # its own, or an overflowing quantile warns on the pool's threads (and
+    # pytest makes the warning an error)
+    monkeypatch.setattr(F, "contextvars", types.SimpleNamespace(copy_context=contextvars.Context))
+    monkeypatch.setattr(F, "_THREADS", 2)
+    seeds = [np.random.SeedSequence([39, r]) for r in range(4)]
+    block = F._draws(lambda u: np.exp(1e3 * u), 50, seeds)
+    assert np.isinf(block).any() and not np.isnan(block).any()
 
 
 def test_a_study_forked_after_the_threads_started_runs_serially():
