@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from . import scaling
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 from .estimate import EstimatorKind, KnownMask, rejected_rows, rows_estimator
 from .families import _in_parts, get_family
 
@@ -37,8 +37,9 @@ _TWO_PI = 2.0 * math.pi
 
 def batch_fit(fam, kind, mask: KnownMask | None, X) -> np.ndarray:
     """theta rows fitted to the rows of X; NaN rows where the fit fails or
-    its theta fails ``fam.check``, as ``fit`` would raise.  A row whose root
-    search did not converge keeps its theta, as ``fit`` does."""
+    its theta is outside the family's space (``fam.outside``), as ``fit``
+    would raise.  A row whose root search did not converge keeps its theta,
+    as ``fit`` does."""
     fam = get_family(fam)
     kind = EstimatorKind(kind)
     mask = mask or KnownMask.none(fam.n_params)
@@ -52,11 +53,7 @@ def batch_fit(fam, kind, mask: KnownMask | None, X) -> np.ndarray:
         thetas = np.full((len(X), fam.n_params), np.nan)
         if not bad.all():
             thetas[~bad] = est(X[~bad])[0]
-    for j, row in enumerate(thetas.tolist()):  # a NaN row passes the check
-        try:
-            fam.check(row)
-        except DomainError:
-            thetas[j] = np.nan
+    thetas[fam.outside(thetas)] = np.nan
     return thetas
 
 

@@ -40,23 +40,23 @@ class _UsageError(Exception):
 
 def _resolve_family(name, theta_text=None):
     """The family and the theta of ``theta_text`` (comma-separated; None
-    without it).  An unknown family, or a theta of the wrong arity or that is
-    not a number, is a usage error, not a data error."""
+    without it).  An unknown family, or a theta of the wrong arity, that is
+    not a number or that is outside the family's space, is a usage error,
+    not a data error."""
     try:
         fam = families.get_family(name)
     except TrigofError as exc:
         raise _UsageError(str(exc))
     if theta_text is None:
         return fam, None
-    values = [v for v in theta_text.split(",") if v.strip()]
-    if len(values) != fam.n_params:
-        raise _UsageError(
-            f"{fam.name} takes {fam.n_params} parameter(s) "
-            f"{fam.param_names}, got {len(values)}")
     try:
-        return fam, [float(v) for v in values]
+        theta = [float(v) for v in theta_text.split(",") if v.strip()]
+        families._theta(fam, theta)
+    except TrigofError as exc:
+        raise _UsageError(f"--theta: {exc}")
     except ValueError:
         raise _UsageError(f"--theta expects numbers, got {theta_text!r}")
+    return fam, theta
 
 
 def _ranged(convert, ok, expects):
@@ -118,7 +118,8 @@ def read_data(path) -> np.ndarray:
 
 def _parse_known(fam, pairs):
     """The --known bindings and their mask (None without any); a malformed
-    pair or a name the family does not have is a usage error."""
+    pair, a name the family does not have or a value outside its space is a
+    usage error."""
     out = {}
     for chunk in pairs or []:
         name, _, value = chunk.partition("=")

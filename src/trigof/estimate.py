@@ -85,6 +85,7 @@ class KnownMask:
             i = fam.param_names.index(name)
             known[i] = True
             vals[i] = float(value)
+            fam.check_value(name, vals[i])
         return cls(tuple(known), tuple(vals))
 
     @property
@@ -859,12 +860,13 @@ def rows_estimator(fam, kind, mask: KnownMask):
 
 def rejected_rows(fam: Family, mask: KnownMask, X):
     """Rows of X that ``fit`` rejects: (data outside the support, no spread
-    to fit).  Uniform's support is closed between its known ends (NaN if free)."""
+    to fit).  A support end named by a parameter is closed, at its known
+    value (NaN, which no point is outside, if free); a constant end is open."""
     lo, hi = fam.support([v if k else math.nan for k, v in zip(mask.known, mask.fixed_values)])
-    if fam.name == "uniform":
-        outside = np.any((X < lo) | (X > hi), axis=1)
-    else:
-        outside = np.any((X <= lo) | (X >= hi), axis=1)
+    closed_lo, closed_hi = (isinstance(e, str) for e in fam.ends)
+    below = X < lo if closed_lo else X <= lo
+    above = X > hi if closed_hi else X >= hi
+    outside = np.any(below | above, axis=1)
     spread = fam.n_params > 1 and mask.n_known < fam.n_params
     return outside, spread & (np.ptp(X, axis=1) == 0.0)
 

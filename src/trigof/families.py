@@ -1,12 +1,13 @@
 """Registry of the 32 null distribution families.
 
-Each family carries its parameter names (in canonical order), parameter-space
-validation, support, density, CDF, quantile, per-observation score function,
-and an inverse-CDF sampler: ``_draws`` fills a block of samples, each row
-from its own seed, with one quantile call per chunk of rows, the chunks
-spread over the process's cores (``_in_parts``), and ``sample`` is its
-one-row case.  Families are looked up by lowercase hyphenated
-name, e.g. ``get_family("inverse-gaussian")``.  Every ``logpdf``,
+Each family carries its parameter names (in canonical order), its parameter
+space and support as data (its positive parameters and its two support ends,
+which ``Family.check`` and ``Family.support`` read), density, CDF, quantile,
+per-observation score function, and an inverse-CDF sampler: ``_draws`` fills
+a block of samples, each row from its own seed, with one quantile call per
+chunk of rows, the chunks spread over the process's cores (``_in_parts``),
+and ``sample`` is its one-row case.  Families are looked up by lowercase
+hyphenated name, e.g. ``get_family("inverse-gaussian")``.  Every ``logpdf``,
 ``cdf_fn``, ``quantile_fn`` and ``score_fn`` broadcasts over theta components
 given as columns of shape (rows, 1) (the score then has shape (p, rows, n)),
 which is how the batch PIT and the scaling matrices evaluate a block of
@@ -34,6 +35,10 @@ base component each parameter stands for through a shared table of maps
 with lambda = 1 and mu -> -mu.  Their density, CDF, quantile and score, ML fit,
 Sigma, matrices, ``shapes`` and, unless they declare their own moment
 equation, their MM rows come from the base; a base has no base of its own.
+So do their parameter space and support: a parameter is positive where its
+map requires it (log, 2sq) or keeps the sign of a positive base component
+(same, half, inv), and the support ends are the base's mapped through
+data.back, swapped where data decreases.
 A derived family shares its transform's range: its callables fail where
 data(x) does (x / (1 + x) rounds to 1 above 2**53, x**2 underflows below
 about 1e-162).  The asymmetric power distribution used for local-alternative
@@ -62,6 +67,8 @@ __all__ = [
 ]
 
 _TINY_U = 1e-15
+_POSLINE = (0.0, math.inf)
+_UNIT = (0.0, 1.0)
 # values per call of an inverse CDF in a block of draws, summed over the
 # threads: its temporaries stay at 64 KiB, under glibc's 128 KiB threshold
 # for serving them by mmap
@@ -97,13 +104,18 @@ class MomentEq:
 
 @dataclass(frozen=True)
 class Family:
-    """One null family: parameter metadata plus distribution callables (a
-    derived family's four are set by ``_register``)."""
+    """One null family: parameter metadata, its parameter space and support
+    as data, plus distribution callables.
+
+    ``positive`` names the parameters that must be > 0, and ``ends`` are the
+    support's two ends, each a constant or the name of a parameter (uniform's
+    are ("a", "b")).  A derived family declares neither, nor its four
+    callables: ``_register`` sets them from its base."""
 
     name: str
     param_names: tuple[str, ...]
-    check: Callable[[tuple], None]
-    support: Callable[[tuple], tuple[float, float]]
+    positive: tuple[str, ...] = ()
+    ends: tuple = (-math.inf, math.inf)
     logpdf: Optional[Callable[[tuple, np.ndarray], np.ndarray]] = None
     cdf_fn: Optional[Callable[[tuple, np.ndarray], np.ndarray]] = None
     quantile_fn: Optional[Callable[[tuple, np.ndarray], np.ndarray]] = None
@@ -116,6 +128,32 @@ class Family:
     @property
     def n_params(self) -> int:
         return len(self.param_names)
+
+    def support(self, t) -> tuple:
+        """The support's (low, high) ends at theta ``t``."""
+        return tuple(t[self.param_names.index(e)] if isinstance(e, str) else e for e in self.ends)
+
+    def check_value(self, name: str, value: float) -> None:
+        """DomainError unless parameter ``name`` may take ``value`` on its own."""
+        if name in self.positive and value <= 0.0:
+            raise DomainError(f"{self.name} needs {name} > 0, got {value}")
+
+    def check(self, t) -> None:
+        """DomainError unless theta ``t`` is in the parameter space: every
+        positive parameter > 0 and the support's low end below its high."""
+        for p in self.positive:
+            self.check_value(p, t[self.param_names.index(p)])
+        lo, hi = self.support(t)
+        if not lo < hi:
+            raise DomainError(f"{self.name} needs {self.ends[0]} < {self.ends[1]}, got {tuple(t)}")
+
+    def outside(self, thetas) -> np.ndarray:
+        """The rows of ``thetas`` (rows, p) that ``check`` refuses; a NaN
+        fails only a support end it enters."""
+        cols = np.asarray(thetas, dtype=float).T
+        lo, hi = self.support(cols)
+        low = cols[[self.param_names.index(p) for p in self.positive]] <= 0.0
+        return np.any(low, axis=0) | ~np.less(lo, hi)
 
     def through(self, kind) -> Optional["Derived"]:
         """The declaration an (estimator ``kind``) row is taken through: every
@@ -135,19 +173,22 @@ class Family:
         return tuple(p for p, (b, _) in zip(self.param_names, d.params) if b in d.base.mm_known)
 
 
-# a parameter -> the base component it stands for, its inverse and its derivative
-ComponentMap = namedtuple("ComponentMap", "to back slope")
+# a parameter -> the base component it stands for, its inverse, its derivative
+# and when the parameter must be > 0: "always", "as base" (where the component
+# must) or "never"
+ComponentMap = namedtuple("ComponentMap", "to back slope positive")
 # data -> the base's data, its inverse, its sign and ln|d to / dx| in closed form
 Transform = namedtuple("Transform", "to back sign log_slope")
 
 
 _MAPS = {
-    "same": ComponentMap(lambda t: t, lambda u: u, lambda t: 1.0),
-    "neg": ComponentMap(lambda t: -t, lambda u: -u, lambda t: -1.0),
-    "log": ComponentMap(np.log, np.exp, lambda t: 1.0 / t),
-    "inv": ComponentMap(lambda t: 1.0 / t, lambda u: 1.0 / u, lambda t: -1.0 / t ** 2),
-    "half": ComponentMap(lambda t: 0.5 * t, lambda u: 2.0 * u, lambda t: 0.5),
-    "2sq": ComponentMap(lambda t: 2.0 * t ** 2, lambda u: np.sqrt(0.5 * u), lambda t: 4.0 * t),
+    "same": ComponentMap(lambda t: t, lambda u: u, lambda t: 1.0, "as base"),
+    "neg": ComponentMap(lambda t: -t, lambda u: -u, lambda t: -1.0, "never"),
+    "log": ComponentMap(np.log, np.exp, lambda t: 1.0 / t, "always"),
+    "inv": ComponentMap(lambda t: 1.0 / t, lambda u: 1.0 / u, lambda t: -1.0 / t ** 2, "as base"),
+    "half": ComponentMap(lambda t: 0.5 * t, lambda u: 2.0 * u, lambda t: 0.5, "as base"),
+    "2sq": ComponentMap(lambda t: 2.0 * t ** 2, lambda u: np.sqrt(0.5 * u), lambda t: 4.0 * t,
+                        "always"),
 }
 
 _DATA = {
@@ -254,9 +295,15 @@ _REGISTRY: dict[str, Family] = {}
 
 def _register(fam: Family) -> Family:
     d = fam.derived
-    if d is not None:  # its shapes stand for the base's, its callables are the base's
-        fam = replace(fam, shapes=tuple(
-            p for p, (b, _) in zip(fam.param_names, d.params) if b in d.base.shapes), **_through(d))
+    if d is not None:  # its space and shapes stand for the base's, its callables are the base's
+        with np.errstate(divide="ignore"):  # the 1/0 ends of 1/x and x/(1+x)
+            ends = tuple(float(d.data.back(np.float64(e))) for e in d.base.ends)
+        maps = [(p, b, _MAPS[m].positive) for p, (b, m) in zip(fam.param_names, d.params)]
+        fam = replace(
+            fam, ends=ends if d.data.sign > 0 else ends[::-1],
+            positive=tuple(p for p, b, pos in maps
+                           if pos == "always" or pos == "as base" and b in d.base.positive),
+            shapes=tuple(p for p, b, _ in maps if b in d.base.shapes), **_through(d))
     _REGISTRY[fam.name] = fam
     return fam
 
@@ -432,28 +479,6 @@ def sample(fam, theta, n: int, seed) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Parameter-space checks
-# ---------------------------------------------------------------------------
-
-def _pos(*idx):
-    def check(t):
-        for i in idx:
-            if t[i] <= 0.0:
-                raise DomainError(f"parameter {i} must be > 0, got {t[i]}")
-    return check
-
-
-def _check_uniform(t):
-    if not t[0] < t[1]:
-        raise DomainError(f"uniform needs a < b, got {t}")
-
-
-_REAL = lambda t: (-math.inf, math.inf)
-_POSLINE = lambda t: (0.0, math.inf)
-_UNIT = lambda t: (0.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
 # EPD core (shared by epd / laplace / normal / half-epd / log-epd)
 # ---------------------------------------------------------------------------
 
@@ -525,8 +550,7 @@ def _epd_score(t, x):
 _register(Family(
     name="epd",
     param_names=("lambda", "mu", "sigma"),
-    check=_pos(0, 2),
-    support=_REAL,
+    positive=("lambda", "sigma"),
     logpdf=_epd_logpdf,
     cdf_fn=_epd_cdf,
     quantile_fn=_symmetric_quantile(_epd_offset),
@@ -539,8 +563,7 @@ _register(Family(
 _register(Family(
     name="laplace",
     param_names=("mu", "sigma"),
-    check=_pos(1),
-    support=_REAL,
+    positive=("sigma",),
     logpdf=lambda t, x: -np.abs(x - t[0]) / t[1] - np.log(2.0 * t[1]),
     cdf_fn=lambda t, x: (lambda y: 0.5 * (1.0 + np.sign(y) * -np.expm1(-np.abs(y))))(
         (x - t[0]) / t[1]),
@@ -555,8 +578,7 @@ _register(Family(
 _register(Family(
     name="normal",
     param_names=("mu", "sigma"),
-    check=_pos(1),
-    support=_REAL,
+    positive=("sigma",),
     logpdf=lambda t, x: -0.5 * ((x - t[0]) / t[1]) ** 2 - np.log(
         t[1] * math.sqrt(2.0 * math.pi)),
     cdf_fn=lambda t, x: sp.ndtr((x - t[0]) / t[1]),
@@ -592,8 +614,7 @@ def _expgamma_score(t, x):
 _register(Family(
     name="exp-gamma",
     param_names=("lambda", "mu", "sigma"),
-    check=_pos(0, 2),
-    support=_REAL,
+    positive=("lambda", "sigma"),
     logpdf=_expgamma_logpdf,
     cdf_fn=lambda t, x: sp.gammainc(t[0], np.exp((x - t[1]) / t[2])),
     quantile_fn=lambda t, u: t[1] + t[2] * np.log(sp.gammaincinv(t[0], u)),
@@ -604,8 +625,6 @@ _register(Family(
 _register(Family(
     name="exp-weibull",
     param_names=("mu", "sigma"),
-    check=_pos(1),
-    support=_REAL,
     derived=Derived(_REGISTRY["exp-gamma"], _DATA["x"], (("mu", "same"), ("sigma", "same")),
                     (("lambda", 1.0),)),
 ))
@@ -613,8 +632,6 @@ _register(Family(
 _register(Family(
     name="gumbel",
     param_names=("mu", "sigma"),
-    check=_pos(1),
-    support=_REAL,
     derived=Derived(_REGISTRY["exp-gamma"], _DATA["-x"], (("mu", "neg"), ("sigma", "same")),
                     (("lambda", 1.0),)),
 ))
@@ -627,8 +644,7 @@ _register(Family(
 _register(Family(
     name="logistic",
     param_names=("mu", "sigma"),
-    check=_pos(1),
-    support=_REAL,
+    positive=("sigma",),
     logpdf=lambda t, x: (lambda y: -y - 2.0 * np.log1p(np.exp(-y)) - np.log(t[1]))(
         (x - t[0]) / t[1]),
     cdf_fn=lambda t, x: sp.expit((x - t[0]) / t[1]),
@@ -693,8 +709,7 @@ def _student_score(t, x):
 _register(Family(
     name="student-t",
     param_names=("lambda", "mu", "sigma"),
-    check=_pos(0, 2),
-    support=_REAL,
+    positive=("lambda", "sigma"),
     logpdf=_student_logpdf,
     cdf_fn=_student_cdf,
     quantile_fn=_symmetric_quantile(_student_offset),
@@ -713,8 +728,6 @@ for _base in map(_REGISTRY.get, ("epd", "laplace", "normal")):
     _register(Family(
         name="log-" + _base.name,
         param_names=_base.param_names,
-        check=_base.check,
-        support=_POSLINE,
         derived=Derived(_base, _DATA["ln x"], tuple((p, "same") for p in _base.param_names)),
     ))
 
@@ -747,8 +760,8 @@ def _halfepd_score(t, x):
 _register(Family(
     name="half-epd",
     param_names=("lambda", "sigma"),
-    check=_pos(0, 1),
-    support=_POSLINE,
+    positive=("lambda", "sigma"),
+    ends=_POSLINE,
     logpdf=_halfepd_logpdf,
     cdf_fn=lambda t, x: sp.gammainc(1.0 / t[0], _pow(x / t[1], t[0]) / t[0]),
     quantile_fn=lambda t, u: t[1] * np.power(t[0] * sp.gammaincinv(1.0 / t[0], u), 1.0 / t[0]),
@@ -761,8 +774,6 @@ _register(Family(
 _register(Family(
     name="gg",
     param_names=("lambda", "beta", "rho"),
-    check=_pos(0, 1, 2),
-    support=_POSLINE,
     derived=Derived(_REGISTRY["exp-gamma"], _DATA["ln x"],
                     (("lambda", "same"), ("mu", "log"), ("sigma", "inv"))),
 ))
@@ -770,8 +781,8 @@ _register(Family(
 _register(Family(
     name="weibull",
     param_names=("beta", "rho"),
-    check=_pos(0, 1),
-    support=_POSLINE,
+    positive=("beta", "rho"),
+    ends=_POSLINE,
     logpdf=lambda t, x: _REGISTRY["gg"].logpdf((1.0,) + t, x),
     cdf_fn=lambda t, x: -np.expm1(-_pow(x / t[0], t[1])),
     quantile_fn=lambda t, u: t[0] * np.power(-np.log1p(-u), 1.0 / t[1]),
@@ -781,16 +792,14 @@ _register(Family(
 _register(Family(
     name="frechet",
     param_names=("beta", "rho"),
-    check=_pos(0, 1),
-    support=_POSLINE,
     derived=Derived(_REGISTRY["weibull"], _DATA["1/x"], (("beta", "inv"), ("rho", "same"))),
 ))
 
 _register(Family(
     name="gompertz",
     param_names=("beta", "rho"),
-    check=_pos(0, 1),
-    support=_POSLINE,
+    positive=("beta", "rho"),
+    ends=_POSLINE,
     logpdf=lambda t, x: np.log(t[0] * t[1]) + t[1] + t[0] * x - t[1] * np.exp(t[0] * x),
     cdf_fn=lambda t, x: -np.expm1(-t[1] * np.expm1(t[0] * x)),
     quantile_fn=lambda t, u: np.log1p(-np.log1p(-u) / t[1]) / t[0],
@@ -803,8 +812,6 @@ _register(Family(
 _register(Family(
     name="log-logistic",
     param_names=("beta", "rho"),
-    check=_pos(0, 1),
-    support=_POSLINE,
     derived=Derived(_REGISTRY["logistic"], _DATA["ln x"], (("mu", "log"), ("sigma", "inv"))),
 ))
 
@@ -816,8 +823,8 @@ _register(Family(
 _register(Family(
     name="gamma",
     param_names=("lambda", "beta"),
-    check=_pos(0, 1),
-    support=_POSLINE,
+    positive=("lambda", "beta"),
+    ends=_POSLINE,
     logpdf=lambda t, x: ((t[0] - 1.0) * np.log(x) - x / t[1]
                          - sp.gammaln(t[0]) - t[0] * np.log(t[1])),
     cdf_fn=lambda t, x: sp.gammainc(t[0], x / t[1]),
@@ -831,8 +838,6 @@ _register(Family(
 _register(Family(
     name="inverse-gamma",
     param_names=("lambda", "beta"),
-    check=_pos(0, 1),
-    support=_POSLINE,
     derived=Derived(_REGISTRY["gamma"], _DATA["1/x"], (("lambda", "same"), ("beta", "inv"))),
 ))
 
@@ -840,8 +845,8 @@ _register(Family(
 _register(Family(
     name="lomax",
     param_names=("alpha", "sigma"),
-    check=_pos(0, 1),
-    support=_POSLINE,
+    positive=("alpha", "sigma"),
+    ends=_POSLINE,
     logpdf=lambda t, x: np.log(t[0] / t[1]) - (t[0] + 1.0) * np.log1p(x / t[1]),
     cdf_fn=lambda t, x: -np.expm1(-t[0] * np.log1p(x / t[1])),
     quantile_fn=lambda t, u: t[1] * np.expm1(-np.log1p(-u) / t[0]),
@@ -854,8 +859,8 @@ _register(Family(
 _register(Family(
     name="nakagami",
     param_names=("lambda", "omega"),
-    check=_pos(0, 1),
-    support=_POSLINE,
+    positive=("lambda", "omega"),
+    ends=_POSLINE,
     logpdf=lambda t, x: (math.log(2.0) - sp.gammaln(t[0])
                          + t[0] * np.log(t[0] / t[1]) + (2.0 * t[0] - 1.0) * np.log(x)
                          - t[0] * x ** 2 / t[1]),
@@ -945,8 +950,8 @@ def _ig_quantile(t, u):
 _register(Family(
     name="inverse-gaussian",
     param_names=("mu", "lambda"),
-    check=_pos(0, 1),
-    support=_POSLINE,
+    positive=("mu", "lambda"),
+    ends=_POSLINE,
     logpdf=_ig_logpdf,
     cdf_fn=_ig_cdf_fn,
     quantile_fn=_ig_quantile,
@@ -964,8 +969,6 @@ _register(Family(
 _register(Family(
     name="exponential",
     param_names=("beta",),
-    check=_pos(0),
-    support=_POSLINE,
     mm=MomentEq("mean", lambda: (1.0, 1.0)),
     derived=Derived(_REGISTRY["gamma"], _DATA["x"], (("beta", "same"),), (("lambda", 1.0),)),
 ))
@@ -973,8 +976,6 @@ _register(Family(
 _register(Family(
     name="half-normal",
     param_names=("delta",),
-    check=_pos(0),
-    support=_POSLINE,
     mm=MomentEq("mean", lambda: (1.0, math.sqrt(math.pi / 2.0))),
     derived=Derived(_REGISTRY["gamma"], _DATA["x^2"], (("beta", "2sq"),), (("lambda", 0.5),)),
 ))
@@ -982,8 +983,6 @@ _register(Family(
 _register(Family(
     name="rayleigh",
     param_names=("delta",),
-    check=_pos(0),
-    support=_POSLINE,
     mm=MomentEq("mean", lambda: (1.0, math.sqrt(2.0 / math.pi))),
     derived=Derived(_REGISTRY["gamma"], _DATA["x^2"], (("beta", "2sq"),), (("lambda", 1.0),)),
 ))
@@ -991,8 +990,6 @@ _register(Family(
 _register(Family(
     name="maxwell-boltzmann",
     param_names=("delta",),
-    check=_pos(0),
-    support=_POSLINE,
     mm=MomentEq("mean", lambda: (1.0, math.sqrt(math.pi / 8.0))),
     derived=Derived(_REGISTRY["gamma"], _DATA["x^2"], (("beta", "2sq"),), (("lambda", 1.5),)),
 ))
@@ -1000,8 +997,6 @@ _register(Family(
 _register(Family(
     name="chi-squared",
     param_names=("k",),
-    check=_pos(0),
-    support=_POSLINE,
     mm=MomentEq("mean", lambda: (1.0, 1.0)),
     derived=Derived(_REGISTRY["gamma"], _DATA["x"], (("lambda", "half"),), (("beta", 2.0),)),
 ))
@@ -1015,8 +1010,6 @@ _register(Family(
 _register(Family(
     name="pareto",
     param_names=("alpha",),
-    check=_pos(0),
-    support=lambda t: (1.0, math.inf),
     derived=Derived(_REGISTRY["gamma"], _DATA["ln x"], (("beta", "inv"),), (("lambda", 1.0),)),
 ))
 
@@ -1057,8 +1050,8 @@ def _kumaraswamy_node(t, p, q, upper):
 _register(Family(
     name="beta",
     param_names=("alpha", "beta"),
-    check=_pos(0, 1),
-    support=_UNIT,
+    positive=("alpha", "beta"),
+    ends=_UNIT,
     logpdf=_beta_logpdf,
     cdf_fn=lambda t, x: sp.betainc(t[0], t[1], x),
     quantile_fn=lambda t, u: sp.betaincinv(t[0], t[1], u),
@@ -1070,16 +1063,14 @@ _register(Family(
 _register(Family(
     name="beta-prime",
     param_names=("alpha", "beta"),
-    check=_pos(0, 1),
-    support=_POSLINE,
     derived=Derived(_REGISTRY["beta"], _DATA["x/(1+x)"], (("alpha", "same"), ("beta", "same"))),
 ))
 
 _register(Family(
     name="kumaraswamy",
     param_names=("alpha", "beta"),
-    check=_pos(0, 1),
-    support=_UNIT,
+    positive=("alpha", "beta"),
+    ends=_UNIT,
     # x**alpha as exp(alpha ln x), as the score has it: numpy's power rounds
     # a per-row exponent of 2 apart from a scalar one
     logpdf=lambda t, x: (np.log(t[0] * t[1]) + (t[0] - 1.0) * np.log(x)
@@ -1095,8 +1086,7 @@ _register(Family(
 _register(Family(
     name="uniform",
     param_names=("a", "b"),
-    check=_check_uniform,
-    support=lambda t: (t[0], t[1]),
+    ends=("a", "b"),
     logpdf=lambda t, x: np.zeros_like(x) - np.log(t[1] - t[0]),
     cdf_fn=lambda t, x: (x - t[0]) / (t[1] - t[0]),
     quantile_fn=lambda t, u: t[0] + (t[1] - t[0]) * u,

@@ -170,7 +170,8 @@ def _parse_known(text: str) -> tuple:
 def _checked(cell: CellConfig) -> CellConfig:
     """A cell read from a file, checked before it runs: its family and
     estimator, the arity and parameter space of theta (which an alternative
-    cell may leave out) and data_theta, the names in ``known`` and n >= 1."""
+    cell may leave out) and data_theta, the names in ``known`` and each of
+    its values on its own against the family's space, and n >= 1."""
     fam = families.get_family(cell.family)
     kind = EstimatorKind(cell.kind)
     if cell.theta or not cell.is_alternative:

@@ -548,8 +548,7 @@ def _generic_ml(fam: Family, x, mask: KnownMask):
         if k:
             start[i] = mask.fixed_values[i]
     # positive components are searched on the log scale
-    # the indices families._pos checks (its closure); uniform's check has none
-    positive = fam.check.__closure__[0].cell_contents if fam.check.__closure__ else ()
+    positive = [fam.param_names.index(p) for p in fam.positive]
     logflag = [i in positive for i in range(fam.n_params)]
 
     def unpack(z):

@@ -124,12 +124,18 @@ def test_seed_default_is_read_at_each_call(tmp_path, monkeypatch, capsys):
     ["matrices", "--family", "normal", "--theta", "a,b"],
     ["ellipse", "--family", "normal", "--theta", "0,b"],
     ["power", "--case", "gamma", "--delta2", "0,1"],
+    ["matrices", "--family", "gg", "--theta", "1,-1,1"],
+    ["ellipse", "--family", "uniform", "--theta", "2,1"],
+    ["test", "data.txt", "--family", "normal", "--known", "sigma=-1"],
 ], ids=["ellipse-no-theta-or-input", "known-without-value", "known-not-a-number",
         "known-unknown-name", "matrices-known-unknown-name", "grid-zero-step",
         "grid-empty-range", "grid-empty-list", "grid-malformed", "empirical-one-value",
         "empirical-not-a-number", "matrices-theta-not-a-number", "ellipse-theta-not-a-number",
-        "delta2-on-a-scalar-drift"])
-def test_usage_mistakes_are_64(argv, capsys):
+        "delta2-on-a-scalar-drift", "matrices-theta-outside-the-space",
+        "ellipse-theta-outside-the-space", "test-known-outside-the-space"])
+def test_usage_mistakes_are_64(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.txt").write_text("0.5\n1.5\n2.5\n")
     assert cli.main(argv) == cli.USAGE_EXIT
     assert "usage error" in capsys.readouterr().err
 

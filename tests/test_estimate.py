@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -258,6 +259,23 @@ class TestMasks:
         mask = KnownMask((False, True), (0.0, 4.0))  # a held, b = 4 known
         outside, flat = E.rejected_rows(F.get_family("uniform"), mask, x)
         assert outside.tolist() == [False, True] and not flat.any()
+
+    def test_an_end_named_by_a_parameter_is_closed_and_a_constant_end_open(self):
+        known = KnownMask.from_names("uniform", {"a": 0.0, "b": 1.0})
+        outside = E.rejected_rows(F.get_family("uniform"), known, np.array([[0.0, 0.5, 1.0]]))[0]
+        assert outside.tolist() == [False]
+        for name, x in (("beta", [0.0, 0.5]), ("beta", [0.5, 1.0]), ("pareto", [1.0, 2.0])):
+            fam = F.get_family(name)
+            outside = E.rejected_rows(fam, KnownMask.none(fam.n_params), np.array([x]))[0]
+            assert outside.tolist() == [True], (name, x)
+
+    def test_a_known_value_outside_the_space_is_refused(self):
+        with pytest.raises(DomainError, match=re.escape("gamma needs beta > 0, got -1.0")):
+            KnownMask.from_names("gamma", {"beta": -1.0})
+        with pytest.raises(DomainError, match="half-normal needs delta > 0"):
+            KnownMask.from_names("half-normal", {"delta": 0.0})
+        # each value on its own: uniform's ends are not checked against each other
+        KnownMask.from_names("uniform", {"a": 2.0, "b": 1.0})
 
     @pytest.mark.parametrize("name", sorted(MM_REQUIRED_KNOWN))
     def test_every_mm_known_parameter_is_enforced(self, name):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -481,3 +482,98 @@ def test_parameter_space_validation():
         F.pdf("uniform", (2.0, 1.0), 0.0)
     with pytest.raises(DomainError):
         F.pdf("normal", (0.0,), 0.0)
+
+
+# every family's positive parameters and support ends, written out by hand
+# for the derived families too
+PARAMETER_SPACES = {
+    "epd": (("lambda", "sigma"), (-math.inf, math.inf)),
+    "laplace": (("sigma",), (-math.inf, math.inf)),
+    "normal": (("sigma",), (-math.inf, math.inf)),
+    "exp-gamma": (("lambda", "sigma"), (-math.inf, math.inf)),
+    "exp-weibull": (("sigma",), (-math.inf, math.inf)),
+    "gumbel": (("sigma",), (-math.inf, math.inf)),
+    "logistic": (("sigma",), (-math.inf, math.inf)),
+    "student-t": (("lambda", "sigma"), (-math.inf, math.inf)),
+    "log-epd": (("lambda", "sigma"), (0.0, math.inf)),
+    "log-laplace": (("sigma",), (0.0, math.inf)),
+    "log-normal": (("sigma",), (0.0, math.inf)),
+    "half-epd": (("lambda", "sigma"), (0.0, math.inf)),
+    "gg": (("lambda", "beta", "rho"), (0.0, math.inf)),
+    "weibull": (("beta", "rho"), (0.0, math.inf)),
+    "frechet": (("beta", "rho"), (0.0, math.inf)),
+    "gompertz": (("beta", "rho"), (0.0, math.inf)),
+    "log-logistic": (("beta", "rho"), (0.0, math.inf)),
+    "gamma": (("lambda", "beta"), (0.0, math.inf)),
+    "inverse-gamma": (("lambda", "beta"), (0.0, math.inf)),
+    "lomax": (("alpha", "sigma"), (0.0, math.inf)),
+    "nakagami": (("lambda", "omega"), (0.0, math.inf)),
+    "inverse-gaussian": (("mu", "lambda"), (0.0, math.inf)),
+    "exponential": (("beta",), (0.0, math.inf)),
+    "half-normal": (("delta",), (0.0, math.inf)),
+    "rayleigh": (("delta",), (0.0, math.inf)),
+    "maxwell-boltzmann": (("delta",), (0.0, math.inf)),
+    "chi-squared": (("k",), (0.0, math.inf)),
+    "pareto": (("alpha",), (1.0, math.inf)),
+    "beta": (("alpha", "beta"), (0.0, 1.0)),
+    "beta-prime": (("alpha", "beta"), (0.0, math.inf)),
+    "kumaraswamy": (("alpha", "beta"), (0.0, 1.0)),
+    "uniform": ((), ("a", "b")),
+}
+
+
+def test_every_parameter_space_is_the_declared_one():
+    assert sorted(PARAMETER_SPACES) == sorted(F.family_names())
+    for name, (positive, ends) in PARAMETER_SPACES.items():
+        fam = F.get_family(name)
+        assert (fam.positive, fam.ends) == (positive, ends), name
+        if name != "uniform":
+            assert fam.support(FAMILY_THETAS[name]) == ends
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(PARAMETER_SPACES) if PARAMETER_SPACES[n][0]])
+@pytest.mark.parametrize("value", [-1.0, 0.0])
+def test_a_positive_parameter_at_or_below_zero_is_refused(name, value):
+    fam = F.get_family(name)
+    for p in fam.positive:
+        t = list(FAMILY_THETAS[name])
+        t[fam.param_names.index(p)] = value
+        message = f"{name} needs {p} > 0, got {value}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            F.cdf(name, t, 1.0)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            fam.check_value(p, value)
+        assert fam.outside([t, FAMILY_THETAS[name]]).tolist() == [True, False]
+
+
+@pytest.mark.parametrize("t", [(2.0, 1.0), (1.0, 1.0)])
+def test_uniform_needs_a_below_b(t):
+    with pytest.raises(DomainError, match=re.escape(f"uniform needs a < b, got {t}")):
+        F.get_family("uniform").check(t)
+    assert F.get_family("uniform").outside([t]).tolist() == [True]
+
+
+def test_half_normal_refuses_a_negative_delta_that_its_base_would_take():
+    # 2 delta**2 is a valid gamma scale for delta < 0
+    F.get_family("gamma").check((0.5, 2.0 * (-1.2) ** 2))
+    with pytest.raises(DomainError, match="half-normal needs delta > 0"):
+        F.cdf("half-normal", (-1.2,), 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(PARAMETER_SPACES))
+def test_rows_outside_the_space_are_the_rows_check_refuses(name):
+    fam = F.get_family(name)
+    rows = []
+    for i in range(fam.n_params):
+        for v in (-1.0, 0.0, math.nan, 0.5):
+            t = list(FAMILY_THETAS[name])
+            t[i] = v
+            rows.append(t)
+
+    def refused(t):
+        try:
+            fam.check(t)
+        except DomainError:
+            return True
+        return False
+    assert fam.outside(rows).tolist() == [refused(t) for t in rows]

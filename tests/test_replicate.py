@@ -650,10 +650,10 @@ class TestStudyConfigFile:
         {"theta": "-2.0, 1.0"}, {"known": "shape=2.0"}, {"known": "beta"}, {"n": "0"},
         {"data_family": "weibul", "data_theta": "1.0, 1.3"},
         {"data_family": "weibull", "data_theta": "1.0"},
-        {"data_family": "weibull", "data_theta": "1.0, -1.3"}],
+        {"data_family": "weibull", "data_theta": "1.0, -1.3"}, {"known": "beta=-1.0"}],
         ids=["family", "estimator", "no-mm-estimator", "theta-arity", "theta-space",
              "known-name", "known-value", "n", "data-family", "data-theta-arity",
-             "data-theta-space"])
+             "data-theta-space", "known-space"])
     def test_a_mistake_is_an_error_naming_its_section(self, tmp_path, change):
         with pytest.raises(DomainError, match=r"section \[cell:c\]"):
             load_config(self._write(tmp_path, **{**self.GOOD, **change}))
