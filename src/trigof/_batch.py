@@ -18,7 +18,9 @@ Each row fails alone: whatever goes wrong on one row (its fit, its
 parameter check, its PIT, its integrand or its Sigma) makes that row's
 values NaN and leaves the others' bits as they would be without it.  Only a
 cause common to every row raises: an unsupported (family, estimator, mask)
-row, or a known shape at which a constant cannot be formed.
+row, a known shape at which a constant cannot be formed (both refused by
+``estimate.rows_estimator``), or samples too short to fit
+(``estimate.check_size``).
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ import math
 import numpy as np
 
 from . import scaling
-from .errors import ConfigurationError
-from .estimate import EstimatorKind, KnownMask, rejected_rows, rows_estimator
+from .estimate import EstimatorKind, KnownMask, check_size, rejected_rows, rows_estimator
 from .families import _in_parts, get_family
 
 _TWO_PI = 2.0 * math.pi
@@ -39,13 +40,13 @@ def batch_fit(fam, kind, mask: KnownMask | None, X) -> np.ndarray:
     """theta rows fitted to the rows of X; NaN rows where the fit fails or
     its theta is outside the family's space (``fam.outside``), as ``fit``
     would raise.  A row whose root search did not converge keeps its theta,
-    as ``fit`` does."""
+    as ``fit`` does.  Raises, as ``fit`` does, for an unsupported row and
+    for rows too short to fit."""
     fam = get_family(fam)
     kind = EstimatorKind(kind)
     mask = mask or KnownMask.none(fam.n_params)
     est = rows_estimator(fam, kind, mask)
-    if est is None:
-        raise ConfigurationError(f"no estimator for ({fam.name}, {kind.value})")
+    check_size(fam, mask, X.shape[1])
     bad = np.logical_or(*rejected_rows(fam, mask, X))
     if not bad.any():
         thetas = est(X)[0]

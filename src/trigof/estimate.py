@@ -1,16 +1,20 @@
 """ML and moment (MM) nuisance-parameter estimators for every family,
 written once over sample rows.
 
-``rows_estimator(fam, kind, mask)`` maps sample rows X (rows, n) to theta
-rows with per-row iteration counts and converged flags; ``fit`` runs it on a
-single row and ``_batch.batch_fit`` on a block, so both return the same bits.
-A derived family (``Family.derived``) is fitted as its base on the
+``rows_estimator(fam, kind, mask)`` decides each (family, estimator, mask)
+row once: it refuses a row without an estimator, and otherwise maps sample
+rows X (rows, n) to theta rows with per-row iteration counts and converged
+flags.  ``fit`` runs it and ``check_size`` on a single row and
+``_batch.batch_fit`` on a block, so both raise the same errors and return the
+same bits.  A derived family (``Family.derived``) is fitted as its base on the
 transformed data, under a mask of its mapped known values and the fixed base
 components, and the base's theta is mapped back (an MM row on the family's
-own moment equation excepted); its ML residual is its own mean score.
+own moment equation excepted).  A fit's residual is the largest |mean
+estimating function| over the free components: the score for ML, and for MM
+``moment_fns``, which ``scaling`` integrates for Sigma.
 
-Every MM row (the declared moment equation ``Family.mm``) and the ML rows of
-``_ML_ROWS`` are closed forms.  Every other ML row solves its family's score
+Every MM row (the moment equation ``Family.mm``, read only here) and the ML
+rows of ``_ML_ROWS`` are closed forms.  Every other ML row solves its score
 equations through the family's profile (``_ML_PROFILES``): a shape root with
 location and scale profiled out in closed form, by an inner root or by EM,
 and the known components held at their values.  Shape roots are bracketed on
@@ -745,41 +749,52 @@ def _known_rows(mask: KnownMask, rows: int) -> np.ndarray:
     return np.tile(np.asarray(mask.fixed_values, dtype=float), (rows, 1))
 
 
-def _deviation(stat: str, X, loc) -> np.ndarray:
-    """Mean squared ("msd") or absolute ("mad") deviation of each row about loc."""
-    d = X - loc[:, None]
-    return (d ** 2).mean(axis=1) if stat == "msd" else np.abs(d).mean(axis=1)
+def _names(fam: Family, kind) -> tuple[str, ...]:
+    """The parameters an estimator row estimates (MM: not those it requires known)."""
+    if kind is EstimatorKind.ML:
+        return fam.param_names
+    return tuple(p for p in fam.param_names if p not in fam.mm_known)
 
 
-def _mm_rows(fam: Family, mask: KnownMask, X) -> np.ndarray:
-    """Solve the family's moment equation ``fam.mm`` on each row of X."""
+def _matched(stat: str, x, loc):
+    """The values whose mean a moment equation matches: x ("mean"), or the
+    squared ("msd") or absolute ("mad") deviation about loc."""
+    if stat == "mean":
+        return x
+    return (x - loc) ** 2 if stat == "msd" else np.abs(x - loc)
+
+
+def _mm_rows(fam: Family, mask: KnownMask, num: float, den: float, X) -> np.ndarray:
+    """Solve the family's moment equation ``fam.mm``, whose constant at the
+    mask's shapes is (num, den), on each row of X."""
     eq, p = fam.mm, fam.n_params
     theta = _known_rows(mask, len(X))
-    num, den = eq.unit(*(mask.value(fam, g) for g in eq.given))
-    stat = X.mean(axis=1)
+    loc = None
     if eq.stat != "mean":
         if not mask.known[p - 2]:
-            theta[:, p - 2] = stat
-        stat = _deviation(eq.stat, X, theta[:, p - 2])
+            theta[:, p - 2] = X.mean(axis=1)
+        loc = theta[:, p - 2, None]
     if not mask.known[p - 1]:
-        s = stat * den / num
+        s = _matched(eq.stat, X, loc).mean(axis=1) * den / num
         theta[:, p - 1] = np.sqrt(s) if eq.stat == "msd" else s
     return theta
 
 
-def _mm_gap(fam: Family, theta, x, mask: KnownMask) -> float:
-    """The MM residual: the largest mismatch between a matched sample
-    statistic and its model value at theta, over the free components."""
+def moment_fns(fam: Family, thetas):
+    """psi(x) of the MM row at each theta row (rows, p): one moment function
+    per parameter the row estimates, in ``_names`` order, each zero in mean
+    at its theta: x - loc for the location, and the matched values
+    (``_matched``) less their model value s**q * num / den for the scale s."""
     eq, p = fam.mm, fam.n_params
-    num, den = eq.unit(*(mask.value(fam, g) for g in eq.given))
-    t = np.asarray(theta, dtype=float)
-    stat, gaps = float(np.mean(x)), [0.0]
-    if eq.stat != "mean":
-        gaps.append(0.0 if mask.known[p - 2] else abs(stat - t[p - 2]))
-        stat = float(_deviation(eq.stat, x[None, :], t[p - 2:p - 1])[0])
-    if not mask.known[p - 1]:
-        gaps.append(abs(stat - t[p - 1] ** (2 if eq.stat == "msd" else 1) * num / den))
-    return max(gaps)
+    given = [fam.param_names.index(g) for g in eq.given]
+    ratio = np.array([[num / den] for num, den in
+                      (eq.unit(*(row[i] for i in given)) for row in thetas)])
+    scale = thetas[:, p - 1, None]
+    model = scale ** 2 * ratio if eq.stat == "msd" else scale * ratio
+    if eq.stat == "mean":
+        return lambda x: [x - model]
+    loc = thetas[:, p - 2, None]
+    return lambda x: [x - loc, _matched(eq.stat, x, loc) - model]
 
 
 def _columns(exprs, mask: KnownMask, X) -> np.ndarray:
@@ -794,7 +809,7 @@ def _columns(exprs, mask: KnownMask, X) -> np.ndarray:
 # ML estimators as column expressions; None where a column has no closed form
 _ML_ROWS = {
     "normal": (lambda X, t: X.mean(axis=1),
-               lambda X, t: np.sqrt(_deviation("msd", X, t[:, 0]))),
+               lambda X, t: np.sqrt(((X - t[:, :1]) ** 2).mean(axis=1))),
     "laplace": (lambda X, t: np.median(X, axis=1),
                 lambda X, t: np.abs(X - t[:, :1]).mean(axis=1)),
     "uniform": (lambda X, t: X.min(axis=1), lambda X, t: X.max(axis=1)),
@@ -825,22 +840,28 @@ def _closed(theta_rows):
 
 def rows_estimator(fam, kind, mask: KnownMask):
     """The estimator of a (family, estimator, mask) row as a map from sample
-    rows X to (theta rows, iterations, converged), or None where it has none
-    (an MM row the family does not declare, or whose required shapes are
-    free).  A row whose fit fails has NaN theta.  Rows that ``rejected_rows``
-    flags must be screened out first.
-    """
+    rows X to (theta rows, iterations, converged); a row whose fit fails has
+    NaN theta.  Rows that ``rejected_rows`` flags must be screened out first.
+    Raises DomainError for a mask of the wrong arity and ConfigurationError
+    for a row without an estimator: an MM row the family does not declare,
+    whose required shapes are free, or whose constant (formed here, once)
+    cannot be formed at their known values."""
+    if kind is EstimatorKind.MM and not fam.has_mm:
+        raise ConfigurationError(f"family {fam.name!r} has no MM estimator")
+    if len(mask.known) != fam.n_params:
+        raise DomainError(f"mask arity {len(mask.known)} != {fam.n_params}")
+    if kind is EstimatorKind.MM:
+        unknown = [p for p in fam.mm_known if not mask.is_known(fam, p)]
+        if unknown:
+            raise ConfigurationError(f"{fam.name} MM requires {', '.join(unknown)} to be known")
     d = fam.through(kind)
     exprs = _ML_ROWS.get(fam.name)
     if d is not None:
         base_rows = rows_estimator(d.base, kind, base_mask(d, mask))
-        if base_rows is None:
-            return None
         est = lambda X: (lambda t, i, c: (d.from_base(t), i, c))(*base_rows(d.data.to(X)))  # noqa: E731
     elif kind is EstimatorKind.MM:
-        if not (fam.has_mm and all(mask.is_known(fam, g) for g in fam.mm_known)):
-            return None
-        est = _closed(lambda X: _mm_rows(fam, mask, X))
+        num, den = fam.mm.unit(*(mask.value(fam, g) for g in fam.mm.given))
+        est = _closed(lambda X: _mm_rows(fam, mask, num, den, X))
     elif exprs is not None and all(k or e is not None for k, e in zip(mask.known, exprs)):
         est = _closed(lambda X: _columns(exprs, mask, X))
     else:
@@ -856,6 +877,14 @@ def rows_estimator(fam, kind, mask: KnownMask):
         theta[:, known] = np.asarray(mask.fixed_values)[known]
         return theta, np.maximum(iterations, 1), converged
     return rows
+
+
+def check_size(fam: Family, mask: KnownMask, n: int) -> None:
+    """DomainError unless samples of n observations can fit the row: n must
+    exceed the number of free parameters."""
+    need = fam.n_params - mask.n_known + 1
+    if n < need:
+        raise DomainError(f"need at least {need} observations, got {n}")
 
 
 def rejected_rows(fam: Family, mask: KnownMask, X):
@@ -876,64 +905,54 @@ def rejected_rows(fam: Family, mask: KnownMask, X):
 # ---------------------------------------------------------------------------
 
 def _residual(fam: Family, theta, x, mask: KnownMask, kind: EstimatorKind) -> float:
-    free = [i for i, k in enumerate(mask.known) if not k]
-    if fam.score_fn is None or not free:
-        return 0.0
-    if kind is EstimatorKind.MM:
-        d = fam.through(kind)
-        if d is not None:
-            return _mm_gap(d.base, d.to_base(theta), d.data.to(x), base_mask(d, mask))
-        return _mm_gap(fam, theta, x, mask)
-    if (fam.derived.base if fam.derived else fam).name == "epd" and theta[0] < 1.0:
+    """The largest |mean estimating function| at theta over the free
+    components: the score for ML, the moment functions (``moment_fns``) for
+    MM, the latter through the base for a derived family's MM row."""
+    d = fam.through(kind)
+    if kind is EstimatorKind.MM and d is not None:
+        return _residual(d.base, d.to_base(theta), d.data.to(x), base_mask(d, mask), kind)
+    free = [j for j, p in enumerate(_names(fam, kind)) if not mask.is_known(fam, p)]
+    if kind is EstimatorKind.ML and (d.base if d else fam).name == "epd" and theta[0] < 1.0:
         # the location score is unbounded at the cusp optimum; judge the
         # remaining components only
         free = [i for i in free if i != 1]
-        if not free:
-            return 0.0
+    if fam.score_fn is None or not free:
+        return 0.0
     with np.errstate(all="ignore"):
-        s = score(fam, theta, x)
-    return float(np.max(np.abs(np.mean(s[free], axis=1))))
+        if kind is EstimatorKind.ML:
+            psi = score(fam, theta, x)
+        else:
+            psi = np.concatenate(moment_fns(fam, np.array([theta], dtype=float))(x))
+    return float(np.max(np.abs(np.mean(psi[free], axis=1))))
 
 
 def fit(fam, kind, mask: Optional[KnownMask], x) -> FitResult:
     """Fit the family's nuisance parameters on the sample: ``rows_estimator``
-    on it as a single row, with its checks and residual.
-
-    Raises EstimationError when the estimating equations have no finite
-    solution, DegenerateSampleError for samples without usable spread, and
-    ConfigurationError for unsupported (family, estimator, mask) combinations.
-    """
+    on it as a single row, with its checks and residual.  Raises as
+    ``rows_estimator`` and ``check_size`` do, DomainError for data outside
+    the support, DegenerateSampleError for a sample without usable spread,
+    and EstimationError when the estimating equations have no finite solution."""
     fam = get_family(fam)
     kind = EstimatorKind(kind)
-    if kind is EstimatorKind.MM and not fam.has_mm:
-        raise ConfigurationError(f"family {fam.name!r} has no MM estimator")
-    if mask is None:
-        mask = KnownMask.none(fam.n_params)
-    if len(mask.known) != fam.n_params:
-        raise DomainError(f"mask arity {len(mask.known)} != {fam.n_params}")
-    if kind is EstimatorKind.MM:
-        unknown = [p for p in fam.mm_known if not mask.is_known(fam, p)]
-        if unknown:
-            raise ConfigurationError(f"{fam.name} MM requires {', '.join(unknown)} to be known")
+    mask = mask or KnownMask.none(fam.n_params)
+    est = rows_estimator(fam, kind, mask)
 
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or len(x) < 1:
         raise DomainError("sample must be a nonempty 1-D array")
-    n_free = fam.n_params - mask.n_known
-    if len(x) < n_free + 1:
-        raise DomainError(f"need at least {n_free + 1} observations, got {len(x)}")
+    check_size(fam, mask, len(x))
     outside, flat = rejected_rows(fam, mask, x[None, :])
     if outside[0]:
         raise DomainError(f"data outside the support of {fam.name}")
     if flat[0]:
         raise DegenerateSampleError("all observations are equal")
 
-    if n_free == 0:
+    if mask.n_known == fam.n_params:
         theta = np.array(mask.fixed_values, dtype=float)
         fam.check(tuple(theta))
         return FitResult(theta, 0, True, 0.0)
 
-    thetas, iterations, converged = rows_estimator(fam, kind, mask)(x[None, :])
+    thetas, iterations, converged = est(x[None, :])
     theta = thetas[0]
     if not np.all(np.isfinite(theta)):
         raise EstimationError(f"the {fam.name} {kind.value} estimating equations have no "

@@ -20,8 +20,9 @@ x = Q(u) its quantile, s its score at x and tau = (cos 2 pi u, sin 2 pi u):
 
     G = E[tau s^T].
 
-With psi the row's estimating function (the score for ML; for MM the moment
-functions that ``Family.mm`` declares, one per moment-estimated parameter),
+With psi the row's estimating function (the score for ML; for MM
+``estimate.moment_fns``, the moment functions the fit solves, one per
+parameter the row estimates, ``estimate._names``),
 theta_hat - theta ~ C^-1 mean(psi), and
 
     C = E[psi s^T],  B = E[psi psi^T],  K = E[tau psi^T],
@@ -63,7 +64,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import ConfigurationError, DomainError, SingularityError
-from .estimate import EstimatorKind, KnownMask
+from .estimate import EstimatorKind, KnownMask, _names, moment_fns
 from .families import _MAPS, _in_parts, _theta, get_family
 
 __all__ = ["MatrixSet", "matrices", "sigma", "sigma_from", "drift", "COND_LIMIT"]
@@ -90,32 +91,9 @@ class MatrixSet:
         return len(self.param_names)
 
 
-def _names(fam, kind) -> tuple[str, ...]:
-    """The parameters an estimator row estimates (MM: not those it requires known)."""
-    if kind is EstimatorKind.ML:
-        return fam.param_names
-    return tuple(p for p in fam.param_names if p not in fam.mm_known)
-
-
-def _moment_fns(fam, thetas):
-    """psi(x) of the MM row at each theta row: one moment function per
-    moment-estimated parameter, in ``_names`` order, each zero in mean."""
-    eq, p = fam.mm, fam.n_params
-    given = [fam.param_names.index(g) for g in eq.given]
-    ratio = np.array([[num / den] for num, den in
-                      (eq.unit(*(row[i] for i in given)) for row in thetas)])
-    scale = thetas[:, p - 1, None]
-    if eq.stat == "mean":
-        return lambda x: [x - scale * ratio]
-    loc = thetas[:, p - 2, None]
-    if eq.stat == "msd":
-        return lambda x: [x - loc, (x - loc) ** 2 - scale ** 2 * ratio]
-    return lambda x: [x - loc, np.abs(x - loc) - scale * ratio]
-
-
 def _gram(fam, kind, thetas, extra=None) -> np.ndarray:
     """E[f f^T] at each theta row, f = (tau, s, psi, e): tau the trig pair,
-    s the score over ``_names``, psi the MM moment functions (absent for ML,
+    s the score over ``_names``, psi ``moment_fns`` (absent for ML,
     whose psi is s) and e = extra(theta, x) when given.  Shape (rows, k, k)."""
     t = tuple(thetas[:, j, None] for j in range(fam.n_params))
     cols = [fam.param_names.index(p) for p in _names(fam, kind)]
@@ -137,7 +115,7 @@ def _gram(fam, kind, thetas, extra=None) -> np.ndarray:
         return np.stack(np.broadcast_arrays(*parts))
 
     try:
-        psi = _moment_fns(fam, thetas) if kind is EstimatorKind.MM else None
+        psi = moment_fns(fam, thetas) if kind is EstimatorKind.MM else None
         return quadrature.gram(f)
     except _NUMERIC as exc:
         raise DomainError(f"{fam.name} matrices are not representable at these "

@@ -31,8 +31,8 @@ from typing import Optional
 import numpy as np
 
 from . import families
-from .errors import ConfigurationError, DomainError, TrigofError
-from .estimate import EstimatorKind, KnownMask, rows_estimator
+from .errors import DomainError, TrigofError
+from .estimate import EstimatorKind, KnownMask, check_size, rows_estimator
 from .gof import rejection_rate, replicate
 
 __all__ = ["CellConfig", "StudyConfig", "CellReport", "StudyReport",
@@ -171,18 +171,18 @@ def _checked(cell: CellConfig) -> CellConfig:
     """A cell read from a file, checked before it runs: its family and
     estimator, the arity and parameter space of theta (which an alternative
     cell may leave out) and data_theta, the names in ``known`` and each of
-    its values on its own against the family's space, and n >= 1."""
+    its values on its own against the family's space, that the row has an
+    estimator (``estimate.rows_estimator``) and that n exceeds the number of
+    free parameters (``estimate.check_size``)."""
     fam = families.get_family(cell.family)
     kind = EstimatorKind(cell.kind)
     if cell.theta or not cell.is_alternative:
         families._theta(fam, cell.theta)
-    if rows_estimator(fam, kind, cell.mask() or KnownMask.none(fam.n_params)) is None:
-        raise ConfigurationError(f"{fam.name} has no {kind.value} estimator with "
-                                 f"{dict(cell.known) or 'nothing'} known")
+    mask = cell.mask() or KnownMask.none(fam.n_params)
+    rows_estimator(fam, kind, mask)
     if cell.is_alternative:
         families._theta(families.get_family(cell.data_family), cell.data_theta)
-    if cell.n < 1:
-        raise DomainError(f"n must be >= 1, got {cell.n}")
+    check_size(fam, mask, cell.n)
     return cell
 
 

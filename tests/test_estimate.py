@@ -215,6 +215,22 @@ def test_mm_estimator_matches_the_per_family_formulas(name):
                 assert np.array_equal(got, want), (known, seed)
 
 
+@pytest.mark.parametrize("name", MM_ROWS)
+def test_mm_residual_is_the_largest_mean_moment_function(name):
+    # the ML rule with psi for the score: over the free components of the
+    # row's own moment equation, or of its base's on the transformed data
+    fam, known = F.get_family(name), MM_REQUIRED_KNOWN.get(name, {})
+    mask = KnownMask.from_names(name, known) if known else KnownMask.none(fam.n_params)
+    x = F.sample(name, FAMILY_THETAS[name], 200, np.random.SeedSequence([62, 0]))
+    res = fit(name, "mm", mask, x)
+    theta, d = res.theta, fam.through("mm")
+    if d is not None:
+        fam, theta, x, mask = d.base, d.to_base(theta), d.data.to(x), E.base_mask(d, mask)
+    psi = E.moment_fns(fam, np.array([theta]))(x)
+    free = [j for j, p in enumerate(E._names(fam, EstimatorKind.MM)) if not mask.is_known(fam, p)]
+    assert free and res.residual == max(abs(float(np.mean(psi[j][0]))) for j in free)
+
+
 class TestMasks:
     def test_masked_components_bit_identical(self):
         x = F.sample("normal", (0.0, 1.0), 400, 1)

@@ -650,10 +650,55 @@ class TestStudyConfigFile:
         {"theta": "-2.0, 1.0"}, {"known": "shape=2.0"}, {"known": "beta"}, {"n": "0"},
         {"data_family": "weibul", "data_theta": "1.0, 1.3"},
         {"data_family": "weibull", "data_theta": "1.0"},
-        {"data_family": "weibull", "data_theta": "1.0, -1.3"}, {"known": "beta=-1.0"}],
+        {"data_family": "weibull", "data_theta": "1.0, -1.3"}, {"known": "beta=-1.0"},
+        {"n": "2"},
+        {"family": "student-t", "estimator": "mm", "theta": "4.0, 0.0, 1.0",
+         "known": "lambda=1.5"}],
         ids=["family", "estimator", "no-mm-estimator", "theta-arity", "theta-space",
              "known-name", "known-value", "n", "data-family", "data-theta-arity",
-             "data-theta-space", "known-space"])
+             "data-theta-space", "known-space", "n-below-free", "mm-constant"])
     def test_a_mistake_is_an_error_naming_its_section(self, tmp_path, change):
         with pytest.raises(DomainError, match=r"section \[cell:c\]"):
             load_config(self._write(tmp_path, **{**self.GOOD, **change}))
+
+
+@pytest.mark.parametrize("fam,known,text", [
+    ("uniform", {}, "family 'uniform' has no MM estimator"),
+    ("gumbel", {}, "family 'gumbel' has no MM estimator"),
+    ("epd", {}, "epd MM requires lambda to be known"),
+    ("student-t", {"lambda": 1.5}, "Student-t MM requires lambda > 2")],
+    ids=["uniform", "gumbel", "epd-no-mask", "student-t-constant"])
+def test_a_row_without_an_estimator_has_one_error_text_at_every_entry_point(
+        tmp_path, fam, known, text):
+    mask = KnownMask.from_names(fam, known) if known else None
+    X = _seeded(fam, FAMILY_THETAS[fam], 30)(range(3))
+    for call in (lambda: fit(fam, "mm", mask, X[0]),
+                 lambda: _batch.batch_fit(fam, "mm", mask, X),
+                 lambda: replicate(fam, "mm", mask, 30, lambda rs: X[rs], range(3))):
+        with pytest.raises(ConfigurationError) as err:
+            call()
+        assert str(err.value) == text
+    path = TestStudyConfigFile._write(
+        tmp_path, family=fam, estimator="mm", theta=", ".join(map(str, FAMILY_THETAS[fam])),
+        known=", ".join(f"{p}={v}" for p, v in known.items()))
+    with pytest.raises(DomainError) as err:
+        load_config(path)
+    assert str(err.value) == f"section [cell:c]: {text}"
+
+
+@pytest.mark.parametrize("fam,n", [("epd", 3), ("normal", 2), ("normal", 1), ("exponential", 1)])
+def test_a_block_too_short_to_fit_fails_as_a_whole(fam, n):
+    # n must exceed the number of free parameters, in a block as in one sample
+    need = F.get_family(fam).n_params + 1
+    text = f"need at least {need} observations, got {n}"
+    X = _seeded(fam, FAMILY_THETAS[fam], n, seed=15)(range(4))
+    with pytest.raises(DomainError, match=text):
+        _batch.batch_fit(fam, "ml", None, X)
+    with pytest.raises(DomainError, match=text):
+        fit(fam, "ml", None, X[0])
+    tn = replicate(fam, "ml", None, n, lambda rs: X[rs], range(4))
+    assert np.isnan(tn).all()
+    with pytest.raises(EstimationError, match="replications failed"):
+        replicate(fam, "ml", None, n, lambda rs: X[rs], range(4), max_failed=3)
+    longer = _seeded(fam, FAMILY_THETAS[fam], need, seed=15)(range(4))
+    assert np.isfinite(_batch.batch_fit(fam, "ml", None, longer)).all()
