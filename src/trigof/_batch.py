@@ -2,8 +2,8 @@
 to T_n.
 
 X has one replication per row.  ``batch_fit`` runs the row's estimator,
-``estimate.rows_estimator``, on the block: the same estimator ``fit`` runs
-on a single row, so each row gets the bits ``fit`` would return, and a row
+``estimate.Row.estimator``, on the block: the same estimator ``fit`` runs on
+a single row, so each row gets the bits ``fit`` would return, and a row
 whose fit fails, or that ``fit`` rejects, comes back as NaN.  ``statistic``
 takes theta rows of shape (rows, p) and samples of shape (rows, n) and
 returns C_n, S_n, the Sigma rows and T_n = n [C_n, S_n] Sigma^-1 [C_n, S_n]^T;
@@ -17,9 +17,8 @@ fit.  Failed replications and the loop over blocks are ``gof.replicate``'s.
 Each row fails alone: whatever goes wrong on one row (its fit, its
 parameter check, its PIT, its integrand or its Sigma) makes that row's
 values NaN and leaves the others' bits as they would be without it.  Only a
-cause common to every row raises: an unsupported (family, estimator, mask)
-row, a known shape at which a constant cannot be formed (both refused by
-``estimate.rows_estimator``), or samples too short to fit
+cause common to every row raises: a row that ``estimate.row`` or
+``Row.estimator`` refuses, or samples too short to fit
 (``estimate.check_size``).
 """
 
@@ -30,7 +29,7 @@ import math
 import numpy as np
 
 from . import scaling
-from .estimate import EstimatorKind, KnownMask, check_size, rejected_rows, rows_estimator
+from .estimate import KnownMask, check_size, rejected_rows, row
 from .families import _in_parts, get_family
 
 _TWO_PI = 2.0 * math.pi
@@ -42,19 +41,14 @@ def batch_fit(fam, kind, mask: KnownMask | None, X) -> np.ndarray:
     would raise.  A row whose root search did not converge keeps its theta,
     as ``fit`` does.  Raises, as ``fit`` does, for an unsupported row and
     for rows too short to fit."""
-    fam = get_family(fam)
-    kind = EstimatorKind(kind)
-    mask = mask or KnownMask.none(fam.n_params)
-    est = rows_estimator(fam, kind, mask)
-    check_size(fam, mask, X.shape[1])
-    bad = np.logical_or(*rejected_rows(fam, mask, X))
-    if not bad.any():
-        thetas = est(X)[0]
-    else:
-        thetas = np.full((len(X), fam.n_params), np.nan)
-        if not bad.all():
-            thetas[~bad] = est(X[~bad])[0]
-    thetas[fam.outside(thetas)] = np.nan
+    r = row(fam, kind, mask)
+    est = r.estimator
+    check_size(r, X.shape[1])
+    bad = np.logical_or(*rejected_rows(r, X))
+    thetas = np.full((len(X), r.fam.n_params), np.nan)
+    if not bad.all():  # X itself where no row is bad: no copy of the block
+        thetas[~bad] = est(X[~bad] if bad.any() else X)[0]
+    thetas[r.fam.outside(thetas)] = np.nan
     return thetas
 
 
@@ -83,8 +77,9 @@ def moment_rows(fam, thetas: np.ndarray, X: np.ndarray):
 def statistic(fam, kind, mask: KnownMask | None, thetas: np.ndarray, X: np.ndarray):
     """C_n, S_n, the Sigma rows (``scaling.sigma_from``) and T_n of each row
     of X under its theta row."""
-    cn, sn = moment_rows(fam, thetas, X)
-    sig = scaling.sigma_from(fam, kind, thetas, mask)
+    r = row(fam, kind, mask)
+    cn, sn = moment_rows(r.fam, thetas, X)
+    sig = scaling.sigma_from(r, r.kind, thetas, r.mask)
     a, b, c = sig[:, 0, 0], sig[:, 0, 1], sig[:, 1, 1]
     tn = X.shape[1] * (c * cn ** 2 - 2.0 * b * cn * sn + a * sn ** 2) / (a * c - b * b)
     return cn, sn, sig, tn
@@ -92,4 +87,5 @@ def statistic(fam, kind, mask: KnownMask | None, thetas: np.ndarray, X: np.ndarr
 
 def batch_tn(fam, kind, mask: KnownMask | None, X: np.ndarray):
     """Vector of test statistics for each replication row of X."""
-    return statistic(fam, kind, mask, batch_fit(fam, kind, mask, X), X)[3]
+    r = row(fam, kind, mask)
+    return statistic(r, r.kind, r.mask, batch_fit(r, r.kind, r.mask, X), X)[3]

@@ -1,17 +1,18 @@
 """ML and moment (MM) nuisance-parameter estimators for every family,
 written once over sample rows.
 
-``rows_estimator(fam, kind, mask)`` decides each (family, estimator, mask)
-row once: it refuses a row without an estimator, and otherwise maps sample
-rows X (rows, n) to theta rows with per-row iteration counts and converged
-flags.  ``fit`` runs it and ``check_size`` on a single row and
-``_batch.batch_fit`` on a block, so both raise the same errors and return the
-same bits.  A derived family (``Family.derived``) is fitted as its base on the
-transformed data, under a mask of its mapped known values and the fixed base
-components, and the base's theta is mapped back (an MM row on the family's
-own moment equation excepted).  A fit's residual is the largest |mean
-estimating function| over the free components: the score for ML, and for MM
-``moment_fns``, which ``scaling`` integrates for Sigma.
+``row(fam, kind, mask)`` resolves each (family, estimator, mask) row once,
+as a ``Row`` that every layer reads, refusing a row the family does not
+have, a mask of the wrong arity and a known value outside the family's
+space.  ``Row.estimator`` maps sample rows X (rows, n) to theta rows with
+per-row iteration counts and converged flags; ``fit`` runs it and
+``check_size`` on a single row and ``_batch.batch_fit`` on a block, so both
+raise the same errors and return the same bits.  A derived family is fitted
+as its base on the transformed data, under ``Row.base``, and the base's
+theta is mapped back (an MM row on the family's own moment equation
+excepted).  A fit's residual is the largest |mean estimating function| over
+the free components: the score for ML, and for MM ``moment_fns``, which
+``scaling`` integrates for Sigma.
 
 Every MM row (the moment equation ``Family.mm``, read only here) and the ML
 rows of ``_ML_ROWS`` are closed forms.  Every other ML row solves its score
@@ -39,9 +40,9 @@ from scipy import special as sp
 
 from .errors import (ConfigurationError, DegenerateSampleError, DomainError,
                      EstimationError)
-from .families import Derived, Family, _epd_c1, _pow, get_family, score
+from .families import Family, _epd_c1, _pow, get_family, score
 
-__all__ = ["EstimatorKind", "KnownMask", "FitResult", "fit"]
+__all__ = ["EstimatorKind", "KnownMask", "FitResult", "Row", "row", "fit"]
 
 _STEP_TOL = 1e-10
 _SCORE_TOL = 1e-8
@@ -749,13 +750,6 @@ def _known_rows(mask: KnownMask, rows: int) -> np.ndarray:
     return np.tile(np.asarray(mask.fixed_values, dtype=float), (rows, 1))
 
 
-def _names(fam: Family, kind) -> tuple[str, ...]:
-    """The parameters an estimator row estimates (MM: not those it requires known)."""
-    if kind is EstimatorKind.ML:
-        return fam.param_names
-    return tuple(p for p in fam.param_names if p not in fam.mm_known)
-
-
 def _matched(stat: str, x, loc):
     """The values whose mean a moment equation matches: x ("mean"), or the
     squared ("msd") or absolute ("mad") deviation about loc."""
@@ -782,13 +776,13 @@ def _mm_rows(fam: Family, mask: KnownMask, num: float, den: float, X) -> np.ndar
 
 def moment_fns(fam: Family, thetas):
     """psi(x) of the MM row at each theta row (rows, p): one moment function
-    per parameter the row estimates, in ``_names`` order, each zero in mean
+    per parameter the row estimates, in ``Row.names`` order, each zero in mean
     at its theta: x - loc for the location, and the matched values
     (``_matched``) less their model value s**q * num / den for the scale s."""
     eq, p = fam.mm, fam.n_params
     given = [fam.param_names.index(g) for g in eq.given]
     ratio = np.array([[num / den] for num, den in
-                      (eq.unit(*(row[i] for i in given)) for row in thetas)])
+                      (eq.unit(*(t[i] for i in given)) for t in thetas)])
     scale = thetas[:, p - 1, None]
     model = scale ** 2 * ratio if eq.stat == "msd" else scale * ratio
     if eq.stat == "mean":
@@ -824,74 +818,122 @@ def _ig_lambda(X, mu):
     return np.where(lam > 0.0, lam, np.nan)
 
 
-def base_mask(d: Derived, mask: Optional[KnownMask]) -> KnownMask:
-    """The base's mask of a derived family's row: its mapped known values and
-    the fixed base components."""
-    mask = mask or KnownMask.none(len(d.params))
-    if len(mask.known) != len(d.params):
-        raise DomainError("mask arity does not match the family")
-    return KnownMask.from_names(d.base, d.base_values(mask.fixed_values, mask.known))
-
-
 def _closed(theta_rows):
     """A closed-form estimator: one iteration, converged, on every row."""
     return lambda X: (theta_rows(X), np.ones(len(X), dtype=int), np.ones(len(X), dtype=bool))
 
 
-def rows_estimator(fam, kind, mask: KnownMask):
-    """The estimator of a (family, estimator, mask) row as a map from sample
-    rows X to (theta rows, iterations, converged); a row whose fit fails has
-    NaN theta.  Rows that ``rejected_rows`` flags must be screened out first.
-    Raises DomainError for a mask of the wrong arity and ConfigurationError
-    for a row without an estimator: an MM row the family does not declare,
-    whose required shapes are free, or whose constant (formed here, once)
-    cannot be formed at their known values."""
+# ---------------------------------------------------------------------------
+# the (family, estimator, mask) row, resolved once
+# ---------------------------------------------------------------------------
+
+_ROW_CACHE = 1024  # the rows ``row`` keeps, the most recently used
+
+
+@dataclass(frozen=True, eq=False)
+class Row:
+    """A (family, estimator, mask) row, resolved by ``row``: the ``names`` it
+    estimates (MM: not those it requires known), the indices into them its
+    mask (NaN where free) leaves ``free``, its ``base`` family's row where it
+    is taken through it, and the ``unit`` point of its constant Sigma, the
+    known shapes and every other component 1 (None where a shape is free)."""
+
+    fam: Family
+    kind: EstimatorKind
+    mask: KnownMask
+    base: Optional["Row"]
+    names: tuple[str, ...]
+    free: tuple[int, ...]
+    unit: Optional[tuple[float, ...]]
+
+    @functools.cached_property
+    def estimator(self):
+        """X (rows, n) -> (theta rows, iterations, converged), NaN theta where
+        a row's fit fails, on rows ``rejected_rows`` passes.  ConfigurationError
+        for an MM row whose required shapes are free or give no constant."""
+        fam, mask = self.fam, self.mask
+        if self.kind is EstimatorKind.MM:
+            unknown = [p for p in fam.mm_known if not mask.is_known(fam, p)]
+            if unknown:
+                raise ConfigurationError(f"{fam.name} MM requires {', '.join(unknown)} to be known")
+        exprs = _ML_ROWS.get(fam.name)
+        if self.base is not None:
+            d, base_rows = fam.derived, self.base.estimator
+            est = lambda X: (lambda t, i, c: (d.from_base(t), i, c))(*base_rows(d.data.to(X)))  # noqa: E731
+        elif self.kind is EstimatorKind.MM:
+            num, den = fam.mm.unit(*(mask.value(fam, g) for g in fam.mm.given))
+            est = _closed(lambda X: _mm_rows(fam, mask, num, den, X))
+        elif exprs is not None and all(k or e is not None for k, e in zip(mask.known, exprs)):
+            est = _closed(lambda X: _columns(exprs, mask, X))
+        else:
+            def est(X):
+                iters = np.zeros(len(X), dtype=int)
+                theta, converged = _ML_PROFILES[fam.name](mask.known, mask.fixed_values, X, iters)
+                return theta, iters, converged
+        known = list(mask.known)
+
+        def rows(X):
+            with np.errstate(all="ignore"):
+                theta, iterations, converged = est(X)
+            theta[:, known] = np.asarray(mask.fixed_values)[known]
+            return theta, np.maximum(iterations, 1), converged
+        return rows
+
+    @functools.cached_property
+    def unit_sigma(self) -> np.ndarray:
+        """``scaling.sigma`` at ``unit`` as one row (1, 2, 2), NaN where it fails."""
+        from . import scaling  # which imports this module
+        return scaling.sigma(scaling.matrices(self, self.kind, np.array([self.unit])),
+                             self.mask, self.kind, self)
+
+
+def row(fam, kind=EstimatorKind.ML, mask: Optional[KnownMask] = None) -> Row:
+    """The Row of a family, an estimator kind and a mask (None: all free),
+    kept on the name, the kind and the known flags and values; a Row given
+    as ``fam`` is returned.  ConfigurationError for an MM row the family does
+    not declare, DomainError for a wrong mask arity or known value."""
+    if isinstance(fam, Row):
+        return fam
+    fam = get_family(fam)
+    mask = mask or KnownMask.none(fam.n_params)
+    known = tuple(map(bool, mask.known))
+    return _row(fam.name, EstimatorKind(kind), known,  # the values in hex: -0.0 is not 0.0
+                tuple(float(v).hex() for k, v in zip(known, mask.fixed_values) if k))
+
+
+@functools.lru_cache(maxsize=_ROW_CACHE)
+def _row(name: str, kind: EstimatorKind, known: tuple, values: tuple) -> Row:
+    fam = get_family(name)
     if kind is EstimatorKind.MM and not fam.has_mm:
         raise ConfigurationError(f"family {fam.name!r} has no MM estimator")
-    if len(mask.known) != fam.n_params:
-        raise DomainError(f"mask arity {len(mask.known)} != {fam.n_params}")
-    if kind is EstimatorKind.MM:
-        unknown = [p for p in fam.mm_known if not mask.is_known(fam, p)]
-        if unknown:
-            raise ConfigurationError(f"{fam.name} MM requires {', '.join(unknown)} to be known")
+    if len(known) != fam.n_params:
+        raise DomainError(f"mask arity {len(known)} != {fam.n_params}")
+    mask = KnownMask.from_names(fam, dict(zip([p for p, k in zip(fam.param_names, known) if k],
+                                              map(float.fromhex, values))))
     d = fam.through(kind)
-    exprs = _ML_ROWS.get(fam.name)
-    if d is not None:
-        base_rows = rows_estimator(d.base, kind, base_mask(d, mask))
-        est = lambda X: (lambda t, i, c: (d.from_base(t), i, c))(*base_rows(d.data.to(X)))  # noqa: E731
-    elif kind is EstimatorKind.MM:
-        num, den = fam.mm.unit(*(mask.value(fam, g) for g in fam.mm.given))
-        est = _closed(lambda X: _mm_rows(fam, mask, num, den, X))
-    elif exprs is not None and all(k or e is not None for k, e in zip(mask.known, exprs)):
-        est = _closed(lambda X: _columns(exprs, mask, X))
-    else:
-        def est(X):
-            iters = np.zeros(len(X), dtype=int)
-            theta, converged = _ML_PROFILES[fam.name](mask.known, mask.fixed_values, X, iters)
-            return theta, iters, converged
-    known = list(mask.known)
-
-    def rows(X):
-        with np.errstate(all="ignore"):
-            theta, iterations, converged = est(X)
-        theta[:, known] = np.asarray(mask.fixed_values)[known]
-        return theta, np.maximum(iterations, 1), converged
-    return rows
+    base = None if d is None else row(d.base, kind, KnownMask.from_names(
+        d.base, d.base_values(mask.fixed_values, known)))
+    names = tuple(p for p in fam.param_names if kind is EstimatorKind.ML or p not in fam.mm_known)
+    unit = tuple(v if p in fam.shapes else 1.0 for p, v in zip(fam.param_names, mask.fixed_values))
+    return Row(fam, kind, mask, base, names,
+               tuple(j for j, p in enumerate(names) if not mask.is_known(fam, p)),
+               None if any(map(math.isnan, unit)) else unit)
 
 
-def check_size(fam: Family, mask: KnownMask, n: int) -> None:
+def check_size(r: Row, n: int) -> None:
     """DomainError unless samples of n observations can fit the row: n must
     exceed the number of free parameters."""
-    need = fam.n_params - mask.n_known + 1
+    need = r.fam.n_params - r.mask.n_known + 1
     if n < need:
         raise DomainError(f"need at least {need} observations, got {n}")
 
 
-def rejected_rows(fam: Family, mask: KnownMask, X):
+def rejected_rows(r: Row, X):
     """Rows of X that ``fit`` rejects: (data outside the support, no spread
     to fit).  A support end named by a parameter is closed, at its known
     value (NaN, which no point is outside, if free); a constant end is open."""
-    lo, hi = fam.support([v if k else math.nan for k, v in zip(mask.known, mask.fixed_values)])
+    fam, mask = r.fam, r.mask
+    lo, hi = fam.support(mask.fixed_values)
     closed_lo, closed_hi = (isinstance(e, str) for e in fam.ends)
     below = X < lo if closed_lo else X <= lo
     above = X > hi if closed_hi else X >= hi
@@ -904,15 +946,15 @@ def rejected_rows(fam: Family, mask: KnownMask, X):
 # public entry point
 # ---------------------------------------------------------------------------
 
-def _residual(fam: Family, theta, x, mask: KnownMask, kind: EstimatorKind) -> float:
+def _residual(r: Row, theta, x) -> float:
     """The largest |mean estimating function| at theta over the free
     components: the score for ML, the moment functions (``moment_fns``) for
     MM, the latter through the base for a derived family's MM row."""
-    d = fam.through(kind)
-    if kind is EstimatorKind.MM and d is not None:
-        return _residual(d.base, d.to_base(theta), d.data.to(x), base_mask(d, mask), kind)
-    free = [j for j, p in enumerate(_names(fam, kind)) if not mask.is_known(fam, p)]
-    if kind is EstimatorKind.ML and (d.base if d else fam).name == "epd" and theta[0] < 1.0:
+    fam, kind, d = r.fam, r.kind, r.fam.derived
+    if kind is EstimatorKind.MM and r.base is not None:
+        return _residual(r.base, d.to_base(theta), d.data.to(x))
+    free = list(r.free)
+    if kind is EstimatorKind.ML and (r.base or r).fam.name == "epd" and theta[0] < 1.0:
         # the location score is unbounded at the cusp optimum; judge the
         # remaining components only
         free = [i for i in free if i != 1]
@@ -927,21 +969,19 @@ def _residual(fam: Family, theta, x, mask: KnownMask, kind: EstimatorKind) -> fl
 
 
 def fit(fam, kind, mask: Optional[KnownMask], x) -> FitResult:
-    """Fit the family's nuisance parameters on the sample: ``rows_estimator``
-    on it as a single row, with its checks and residual.  Raises as
-    ``rows_estimator`` and ``check_size`` do, DomainError for data outside
-    the support, DegenerateSampleError for a sample without usable spread,
-    and EstimationError when the estimating equations have no finite solution."""
-    fam = get_family(fam)
-    kind = EstimatorKind(kind)
-    mask = mask or KnownMask.none(fam.n_params)
-    est = rows_estimator(fam, kind, mask)
+    """Fit the family's nuisance parameters on the sample: ``Row.estimator``
+    on it as a single row, with its checks and residual.  Raises as ``row``,
+    ``Row.estimator`` and ``check_size`` do, DomainError for data outside the
+    support, DegenerateSampleError for a sample without usable spread, and
+    EstimationError when the estimating equations have no finite solution."""
+    r = row(fam, kind, mask)
+    est, fam, mask = r.estimator, r.fam, r.mask
 
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or len(x) < 1:
         raise DomainError("sample must be a nonempty 1-D array")
-    check_size(fam, mask, len(x))
-    outside, flat = rejected_rows(fam, mask, x[None, :])
+    check_size(r, len(x))
+    outside, flat = rejected_rows(r, x[None, :])
     if outside[0]:
         raise DomainError(f"data outside the support of {fam.name}")
     if flat[0]:
@@ -955,11 +995,11 @@ def fit(fam, kind, mask: Optional[KnownMask], x) -> FitResult:
     thetas, iterations, converged = est(x[None, :])
     theta = thetas[0]
     if not np.all(np.isfinite(theta)):
-        raise EstimationError(f"the {fam.name} {kind.value} estimating equations have no "
+        raise EstimationError(f"the {fam.name} {r.kind.value} estimating equations have no "
                               "finite solution on this sample")
     fam.check(tuple(theta))
-    resid = _residual(fam, theta, x, mask, kind)
+    resid = _residual(r, theta, x)
     # ML contract: |sum_i score| <= 1e-8 n, i.e. the mean score <= 1e-8
     converged = bool(converged[0]) and not (
-        kind is EstimatorKind.ML and resid > _SCORE_TOL * max(1.0, float(np.max(np.abs(x)))))
+        r.kind is EstimatorKind.ML and resid > _SCORE_TOL * max(1.0, float(np.max(np.abs(x)))))
     return FitResult(theta, int(iterations[0]), converged, resid)

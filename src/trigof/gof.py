@@ -3,7 +3,8 @@ component Z-scores and confidence-ellipse geometry.
 
 The statistic is T_n = n [C_n, S_n] Sigma^-1 [C_n, S_n]^T with C_n, S_n the
 sample means of cos/sin(2 pi U_i) over the fitted probability integral
-transform U_i = F(x_i | theta_hat).  ``_single_test`` fits the sample and
+transform U_i = F(x_i | theta_hat), under the (family, estimator, mask) row
+that ``estimate.row`` resolves once.  ``_single_test`` fits the sample and
 hands theta_hat to ``_batch.statistic`` as a single row, the path the batch
 replications take after their block fit, so the PIT, Sigma and T_n are
 computed in one place; where that row comes back NaN it raises the typed
@@ -27,7 +28,7 @@ from scipy import special as sp
 
 from . import _batch, families, scaling
 from .errors import DomainError, EstimationError, SamplingError, SingularityError
-from .estimate import EstimatorKind, FitResult, KnownMask, fit
+from .estimate import EstimatorKind, FitResult, KnownMask, fit, row
 from .scaling import _check_pd, _eig2
 
 __all__ = ["TrigMoments", "TestResult", "Ellipse", "trig_moments", "run_test",
@@ -98,13 +99,14 @@ def _single_test(fam, kind, mask, x):
     """Fit, moments, Sigma and T_n of one sample; DomainError where its PIT or
     an integrand of Sigma's matrices is not finite, SingularityError where
     Sigma does not hold."""
-    res = fit(fam, kind, mask, x)
-    thetas, X = _one_row(fam, res.theta, x)
-    cn, sn, sig, tn = _batch.statistic(fam, kind, mask, thetas, X)
+    r = row(fam, kind, mask)
+    res = fit(r, r.kind, r.mask, x)
+    thetas, X = _one_row(r.fam, res.theta, x)
+    cn, sn, sig, tn = _batch.statistic(r, r.kind, r.mask, thetas, X)
     if np.isnan(cn[0]):
-        raise DomainError(f"the {fam.name} PIT is not finite on this sample")
+        raise DomainError(f"the {r.fam.name} PIT is not finite on this sample")
     if np.isnan(sig[0]).any():  # the point call raises the row's cause
-        scaling.sigma_from(fam, kind, res.theta, mask)
+        scaling.sigma_from(r, r.kind, res.theta, r.mask)
     return res, TrigMoments(float(cn[0]), float(sn[0]), X.shape[1]), sig[0], float(tn[0])
 
 
@@ -120,10 +122,9 @@ def run_test(fam, kind=EstimatorKind.ML, mask: Optional[KnownMask] = None, x=Non
     Replications whose refit fails are skipped and counted; more than 1%
     failures (and more than one) aborts with EstimationError.
     """
-    fam = families.get_family(fam)
-    kind = EstimatorKind(kind)
+    r = row(fam, kind, mask)
     x = np.asarray(x, dtype=float)
-    res, m, sig, tn = _single_test(fam, kind, mask, x)
+    res, m, sig, tn = _single_test(r, r.kind, r.mask, x)
     sqrt_n = math.sqrt(m.n)
     zc = sqrt_n * m.cn / math.sqrt(sig[0, 0])
     zs = sqrt_n * m.sn / math.sqrt(sig[1, 1])
@@ -135,17 +136,17 @@ def run_test(fam, kind=EstimatorKind.ML, mask: Optional[KnownMask] = None, x=Non
         seed = mc.get("seed", 0)
         if reps < 1:
             raise DomainError("mc reps must be >= 1")
-        fitted = families._quantile_of(fam, res.theta)
+        fitted = families._quantile_of(r.fam, res.theta)
         tn_r = replicate(
-            fam, kind, mask, len(x),
+            r, r.kind, r.mask, len(x),
             lambda rs: families._draws(fitted, len(x),
-                                       [np.random.SeedSequence([seed, r]) for r in rs]),
+                                       [np.random.SeedSequence([seed, i]) for i in rs]),
             range(reps), max_failed=max(1, 0.01 * reps))
         failed = int(np.count_nonzero(np.isnan(tn_r)))
         exceed = int(np.count_nonzero(tn_r >= tn))
         p_mc = (exceed + 1) / (reps - failed + 1)
 
-    return TestResult(fam.name, kind.value, res, m, sig, tn, p_chi2, zc, zs,
+    return TestResult(r.fam.name, r.kind.value, res, m, sig, tn, p_chi2, zc, zs,
                       p_mc, reps, exceed, failed)
 
 
@@ -160,11 +161,10 @@ def replicate(fam, kind, mask: Optional[KnownMask], n: int, sample, indices,
     row fails alone.  A replication whose fit, PIT, Sigma or statistic fails, or
     whose T_n is not finite, reads NaN; a block that raises one of
     ``REPLICATION_FAILURES`` (a cause common to all its rows) reads NaN
-    throughout.  Errors from ``sample`` propagate.  More than ``max_failed``
-    failures abort with EstimationError.
+    throughout.  Errors from ``sample`` and ``estimate.row`` propagate.  More
+    than ``max_failed`` failures abort with EstimationError.
     """
-    fam = families.get_family(fam)
-    kind = EstimatorKind(kind)
+    r = row(fam, kind, mask)
     indices = list(indices)
     tn = np.empty(len(indices))
     rows = min(256, max(1, 2 ** 18 // max(1, n)))  # n < 1: the sampler raises
@@ -173,7 +173,7 @@ def replicate(fam, kind, mask: Optional[KnownMask], n: int, sample, indices,
         stop = min(done + rows, len(indices))
         X = sample(indices[done:stop])
         try:
-            tn_b = _batch.batch_tn(fam, kind, mask, X)
+            tn_b = _batch.batch_tn(r, r.kind, r.mask, X)
         except REPLICATION_FAILURES:
             tn_b = np.full(len(X), np.nan)
         tn_b[~np.isfinite(tn_b)] = np.nan

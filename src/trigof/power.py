@@ -27,7 +27,7 @@ from scipy import special as sp
 
 from . import families, scaling
 from .errors import ConfigurationError, DomainError
-from .estimate import EstimatorKind, KnownMask
+from .estimate import EstimatorKind, KnownMask, row
 from .gof import rejection_rate, replicate
 
 __all__ = ["EMBEDDINGS", "Embedding", "AltCase", "LocalAlternative", "PowerPoint",
@@ -132,9 +132,9 @@ def sigma_and_drift(case, theta0, kind=EstimatorKind.ML):
     """Sigma of the null row at theta0 and the drift M, 2 x dim.  Both depend
     on theta0 only through the null's shapes; M is taken at ``at_shapes``."""
     e, at = _entry(case), at_shapes(case, theta0)
-    mask = _mask(e, at)
-    return (scaling.sigma_from(e.null, kind, theta0, mask),
-            scaling.drift(e.null, kind, at, mask, lambda _, x: e.score(at, x)))
+    r = row(e.null, kind, _mask(e, at))
+    return (scaling.sigma_from(r, r.kind, theta0, r.mask),
+            scaling.drift(r, r.kind, at, r.mask, lambda _, x: e.score(at, x)))
 
 
 def _ncp(sig, m, delta) -> float:

@@ -10,19 +10,14 @@ of R), inverts the reduced R in closed form, and assembles
 
 which collapses to 1/2 I - G R^-1 G^T for ML and to exactly (1/2) I when
 every parameter is known.  The uniform family carries no matrices (its
-extreme-order estimators are super-efficient), which the same reduction
-handles as an empty parameter block.
+extreme-order estimators are super-efficient), an empty parameter block.
 
 Every entry is an expectation under the null at theta, and by the identity
 d/dtheta E[g(F(X | theta))] = -E[g(U) s] (Pierce 1982, Ann. Statist. 10)
 each one is an integral over the PIT u of the family's own callables, with
 x = Q(u) its quantile, s its score at x and tau = (cos 2 pi u, sin 2 pi u):
-
-    G = E[tau s^T].
-
-With psi the row's estimating function (the score for ML; for MM
-``estimate.moment_fns``, the moment functions the fit solves, one per
-parameter the row estimates, ``estimate._names``),
+G = E[tau s^T].  With psi the row's estimating function (the score for ML;
+for MM ``estimate.moment_fns``, one per parameter in ``Row.names``),
 theta_hat - theta ~ C^-1 mean(psi), and
 
     C = E[psi s^T],  B = E[psi psi^T],  K = E[tau psi^T],
@@ -41,18 +36,18 @@ singular or Sigma is not positive definite.  A call over theta rows (shape
 G, R and J are NaN where its integrand is not finite, and its Sigma is NaN
 where either happens.
 
-On PIT values Sigma depends on theta only through ``Family.shapes``, though
-G, R and J scale with the rest.  ``matrices`` and ``sigma`` read them at the
-theta given; ``sigma_from``, the one path from fitted theta to Sigma, reads
-them with every component but the shapes at 1, so R's condition is free of
-the data's units.
-
-A derived family (``Family.derived``) takes its base's G, R and J at the
-mapped point: a monotone transform of the data leaves the PIT as it is or
+Each public function reads its (family, estimator, mask) row as an
+``estimate.Row``.  On PIT values Sigma depends on theta only through
+``Family.shapes``: ``sigma_from``, the one path from fitted theta to Sigma,
+reads the matrices with every other component at 1, so R's condition is
+free of the data's units, and where the mask knows every shape that Sigma
+is a constant of the row, computed once and kept on it (``Row.unit_sigma``).
+A derived family takes its base's G, R and J at the mapped point
+(``Row.base``): a monotone transform of the data leaves the PIT as it is or
 maps U to 1 - U, which negates S_n, so they are carried into the family's
-own parameters through the slopes of the maps, with the sine row negated for
-a decreasing transform.  An MM row on the family's own moment equation is
-summed directly.
+own parameters through the slopes of the maps, with the sine row negated
+for a decreasing transform.  An MM row on the family's own moment equation
+is summed directly.
 """
 
 from __future__ import annotations
@@ -63,9 +58,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .errors import ConfigurationError, DomainError, SingularityError
-from .estimate import EstimatorKind, KnownMask, _names, moment_fns
-from .families import _MAPS, _in_parts, _theta, get_family
+from .errors import DomainError, SingularityError
+from .estimate import EstimatorKind, KnownMask, Row, moment_fns, row
+from .families import _MAPS, _in_parts, _theta
 
 __all__ = ["MatrixSet", "matrices", "sigma", "sigma_from", "drift", "COND_LIMIT"]
 
@@ -91,12 +86,13 @@ class MatrixSet:
         return len(self.param_names)
 
 
-def _gram(fam, kind, thetas, extra=None) -> np.ndarray:
+def _gram(r: Row, thetas, extra=None) -> np.ndarray:
     """E[f f^T] at each theta row, f = (tau, s, psi, e): tau the trig pair,
-    s the score over ``_names``, psi ``moment_fns`` (absent for ML,
+    s the score over ``r.names``, psi ``moment_fns`` (absent for ML,
     whose psi is s) and e = extra(theta, x) when given.  Shape (rows, k, k)."""
+    fam = r.fam
     t = tuple(thetas[:, j, None] for j in range(fam.n_params))
-    cols = [fam.param_names.index(p) for p in _names(fam, kind)]
+    cols = [fam.param_names.index(p) for p in r.names]
 
     def f(p, q, upper):
         if fam.node is not None:
@@ -115,25 +111,18 @@ def _gram(fam, kind, thetas, extra=None) -> np.ndarray:
         return np.stack(np.broadcast_arrays(*parts))
 
     try:
-        psi = moment_fns(fam, thetas) if kind is EstimatorKind.MM else None
+        psi = moment_fns(fam, thetas) if r.kind is EstimatorKind.MM else None
         return quadrature.gram(f)
     except _NUMERIC as exc:
         raise DomainError(f"{fam.name} matrices are not representable at these "
                           f"parameters ({type(exc).__name__}: {exc})") from None
 
 
-def _base_rows(d, thetas) -> np.ndarray:
-    """The base's theta rows of a derived family's rows."""
-    values = d.to_base(tuple(thetas.T))
-    return np.column_stack([np.broadcast_to(v, len(thetas)) for v in values])
-
-
-def _matrices(fam, kind, thetas) -> MatrixSet:
-    if kind is EstimatorKind.MM and not fam.has_mm:
-        raise ConfigurationError(f"no MM matrices for {fam.name!r}")
-    d = fam.through(kind)
-    if d is not None:
-        ms = _matrices(d.base, kind, _base_rows(d, thetas))
+def _matrices(r: Row, thetas) -> MatrixSet:
+    fam, d = r.fam, r.fam.derived
+    if r.base is not None:  # the base's, at the base's theta rows
+        ms = _matrices(r.base, np.column_stack([np.broadcast_to(v, len(thetas))
+                                                for v in d.to_base(tuple(thetas.T))]))
         own = [i for i, (b, _) in enumerate(d.params) if b in ms.param_names]
         cols = [ms.param_names.index(d.params[i][0]) for i in own]
         # the Jacobian of the maps, (rows, 1, p)
@@ -143,14 +132,13 @@ def _matrices(fam, kind, thetas) -> MatrixSet:
         return MatrixSet(sign * ms.G[..., cols] * D,
                          ms.R[:, cols][..., cols] * D * D.transpose(0, 2, 1),
                          sign * ms.J[..., cols] * D, tuple(fam.param_names[i] for i in own))
-    names = _names(fam, kind)
-    p = len(names)
+    names, p = r.names, len(r.names)
     if fam.score_fn is None:  # uniform: no estimating-equation matrices
         return MatrixSet(np.zeros((len(thetas), 2, 0)), np.zeros((len(thetas), 0, 0)),
                          np.zeros((len(thetas), 2, 0)), ())
-    M = _gram(fam, kind, thetas)
+    M = _gram(r, thetas)
     G = M[:, :2, 2:2 + p]
-    if kind is EstimatorKind.ML:
+    if r.kind is EstimatorKind.ML:
         return MatrixSet(G, M[:, 2:2 + p, 2:2 + p], G.copy(), names)
     C, B, K = M[:, 2 + p:, 2:2 + p], M[:, 2 + p:, 2 + p:], M[:, :2, 2 + p:]
     BC = _inverse(B)[0] @ C
@@ -159,23 +147,15 @@ def _matrices(fam, kind, thetas) -> MatrixSet:
 
 def matrices(fam, kind, theta) -> MatrixSet:
     """Evaluate G, R, J for the family/estimator at theta, a point (p,) or
-    theta rows (rows, p) of finite fitted values.  A point whose integrand
-    is not finite raises DomainError; such a row of theta rows is NaN.
-
-    For MM estimators the matrices cover only the moment-estimated
-    components (shape parameters the MM row requires known are excluded);
-    ``param_names`` records the column layout.  A derived family's are its
-    base's at the mapped point, in its own parameters: columns scaled by the
-    slopes of the maps (R on both sides), without the fixed base components,
-    and the sine row of G and J negated for a decreasing transform.
-    """
-    fam = get_family(fam)
-    kind = EstimatorKind(kind)
+    theta rows (rows, p) of finite fitted values, over the parameters the row
+    estimates (``Row.names``), as ``param_names`` records.  A point whose
+    integrand is not finite raises DomainError; such a row of theta rows is NaN."""
+    r = row(fam, kind)
     theta = np.asarray(theta, dtype=float)
-    rows = theta if theta.ndim == 2 else np.array([_theta(fam, theta)])
+    rows = theta if theta.ndim == 2 else np.array([_theta(r.fam, theta)])
     with np.errstate(all="ignore"):
-        ms = _matrices(fam, kind, rows)
-    return ms if theta.ndim == 2 else _point(fam, ms, rows[0])
+        ms = _matrices(r, rows)
+    return ms if theta.ndim == 2 else _point(r.fam, ms, rows[0])
 
 
 def _point(fam, ms: MatrixSet, theta) -> MatrixSet:
@@ -227,28 +207,18 @@ def _inv_small(A: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _reduce(ms: MatrixSet, mask: KnownMask, fam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    fam = get_family(fam)
-    if mask is None:
-        keep = list(range(ms.p))
-    else:
-        if len(mask.known) != fam.n_params:
-            raise DomainError("mask arity does not match the family")
-        keep = [j for j, name in enumerate(ms.param_names)
-                if not mask.known[fam.param_names.index(name)]]
-    return ms.G[..., keep], ms.R[..., keep, :][..., keep], ms.J[..., keep]
-
-
 def sigma(ms: MatrixSet, mask: KnownMask | None, kind, fam) -> np.ndarray:
     """Assemble the 2x2 scaling covariance after the known-parameter reduction
     (exactly I/2 where no parameter is left).  Where R reads singular or
     Sigma is not finite and positive definite, a point raises
     SingularityError and a theta row of ``ms`` reads NaN."""
-    G, R, J = _reduce(ms, mask, fam)
+    r = row(fam, kind, mask)
+    keep = [j for j, name in enumerate(ms.param_names) if not r.mask.is_known(r.fam, name)]
+    G, R, J = ms.G[..., keep], ms.R[..., keep, :][..., keep], ms.J[..., keep]
     Rinv, cond = _inverse(R)
     Gt, Jt = np.swapaxes(G, -1, -2), np.swapaxes(J, -1, -2)
     with np.errstate(all="ignore"):
-        if EstimatorKind(kind) is EstimatorKind.ML:
+        if r.kind is EstimatorKind.ML:
             S = 0.5 * np.eye(2) - G @ Rinv @ Gt
         else:
             S = 0.5 * np.eye(2) - G @ Rinv @ Jt - J @ Rinv @ Gt + G @ Rinv @ Gt
@@ -264,26 +234,26 @@ def sigma(ms: MatrixSet, mask: KnownMask | None, kind, fam) -> np.ndarray:
 def sigma_from(fam, kind, theta, mask: KnownMask | None = None) -> np.ndarray:
     """Sigma at theta, a point (p,) or theta rows (rows, p), taken with every
     component but ``fam.shapes`` at 1: once where the mask knows every shape
-    (or there is none), else on each fitted row alone, so that no row
-    depends on the others.  These unit rows are split into one part per
-    thread (``families._in_parts``), and ``matrices`` and ``sigma`` run on
-    each part.  A point is checked as given and raises as
-    ``matrices`` and ``sigma`` do; a row that is not finite or whose Sigma
-    fails reads NaN."""
-    fam = get_family(fam)
+    (at ``Row.unit``, which a fitted theta reaches, a copy of the row's
+    ``Row.unit_sigma``), else on each fitted row alone, one part of them per
+    thread (``families._in_parts``).  A point is checked as given and raises
+    as ``matrices`` and ``sigma`` do; a row not finite or failing reads NaN."""
+    r = row(fam, kind, mask)
     theta = np.asarray(theta, dtype=float)
-    rows = theta if theta.ndim == 2 else np.array([_theta(fam, theta)])
+    rows = theta if theta.ndim == 2 else np.array([_theta(r.fam, theta)])
     fitted = np.flatnonzero(np.all(np.isfinite(rows), axis=1))
     sig = np.full((len(rows), 2, 2), np.nan)
     if fitted.size:
-        shared = all(mask is not None and mask.is_known(fam, s) for s in fam.shapes)
-        unit = rows[fitted[:1] if shared else fitted]
-        unit[:, [p not in fam.shapes for p in fam.param_names]] = 1.0
-        if theta.ndim == 1:
-            return sigma(_point(fam, matrices(fam, kind, unit), rows[0]), mask, kind, fam)
-        sig[fitted] = np.concatenate(_in_parts(
-            lambda part: sigma(matrices(fam, kind, part), mask, kind, fam), unit))
-    return sig
+        unit = rows[fitted[:1] if r.unit is not None else fitted]
+        unit[:, [p not in r.fam.shapes for p in r.fam.param_names]] = 1.0
+        if r.unit is not None and unit[0].tolist() == list(r.unit):
+            sig[fitted] = r.unit_sigma
+        else:
+            sig[fitted] = np.concatenate(_in_parts(
+                lambda part: sigma(matrices(r, r.kind, part), r.mask, r.kind, r), unit))
+    if theta.ndim == 1 and np.isnan(sig[0]).any():  # the point's own call raises the cause
+        return sigma(_point(r.fam, matrices(r, r.kind, unit), rows[0]), r.mask, r.kind, r)
+    return sig if theta.ndim == 2 else sig[0]
 
 
 def drift(fam, kind, theta, mask: KnownMask | None, extra) -> np.ndarray:
@@ -292,21 +262,17 @@ def drift(fam, kind, theta, mask: KnownMask | None, extra) -> np.ndarray:
     whose extra score at the null is e = extra(theta, x) (rows, like a
     family's ``score_fn``).  G, C and psi are cut to the parameters the row
     estimates and ``mask`` leaves free; M is 2 x len(e)."""
-    fam = get_family(fam)
-    kind = EstimatorKind(kind)
-    t = np.array([_theta(fam, theta)])
-    names = _names(fam, kind)
-    free = [i for i, name in enumerate(names)
-            if mask is None or not mask.is_known(fam, name)]
-    p = len(names)
+    r = row(fam, kind, mask)
+    t = np.array([_theta(r.fam, theta)])
+    p = len(r.names)
     with np.errstate(all="ignore"):
-        M = _gram(fam, kind, t, extra)[0]
+        M = _gram(r, t, extra)[0]
     if np.isnan(M[0, 0]):  # E[cos^2 2 pi U] itself is finite unless gram failed the row
-        raise DomainError(f"the integrand of the {fam.name} drift is not finite "
+        raise DomainError(f"the integrand of the {r.fam.name} drift is not finite "
                           f"inside (0, 1) at {t[0].tolist()}")
-    s = [2 + i for i in free]
-    psi = s if kind is EstimatorKind.ML else [2 + p + i for i in free]
-    e = list(range(2 + p if kind is EstimatorKind.ML else 2 + 2 * p, len(M)))
+    s = [2 + i for i in r.free]
+    psi = s if r.kind is EstimatorKind.ML else [2 + p + i for i in r.free]
+    e = list(range(2 + p if r.kind is EstimatorKind.ML else 2 + 2 * p, len(M)))
     return M[:2, e] - M[:2, s] @ _inv_small(M[np.ix_(psi, s)]) @ M[np.ix_(psi, e)]
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import families
 from .errors import DomainError, TrigofError
-from .estimate import EstimatorKind, KnownMask, check_size, rows_estimator
+from .estimate import KnownMask, check_size, row
 from .gof import rejection_rate, replicate
 
 __all__ = ["CellConfig", "StudyConfig", "CellReport", "StudyReport",
@@ -168,21 +168,18 @@ def _parse_known(text: str) -> tuple:
 
 
 def _checked(cell: CellConfig) -> CellConfig:
-    """A cell read from a file, checked before it runs: its family and
-    estimator, the arity and parameter space of theta (which an alternative
-    cell may leave out) and data_theta, the names in ``known`` and each of
-    its values on its own against the family's space, that the row has an
-    estimator (``estimate.rows_estimator``) and that n exceeds the number of
-    free parameters (``estimate.check_size``)."""
-    fam = families.get_family(cell.family)
-    kind = EstimatorKind(cell.kind)
+    """A cell read from a file, checked before it runs: its row
+    (``estimate.row``, and the names in ``known``), the arity and parameter
+    space of theta (which an alternative cell may leave out) and data_theta,
+    that the row has an estimator (``Row.estimator``) and that n exceeds the
+    number of free parameters (``estimate.check_size``)."""
+    r = row(cell.family, cell.kind, cell.mask())
     if cell.theta or not cell.is_alternative:
-        families._theta(fam, cell.theta)
-    mask = cell.mask() or KnownMask.none(fam.n_params)
-    rows_estimator(fam, kind, mask)
+        families._theta(r.fam, cell.theta)
+    r.estimator  # refuses an MM row whose required shapes are free or give no constant
     if cell.is_alternative:
         families._theta(families.get_family(cell.data_family), cell.data_theta)
-    check_size(fam, mask, cell.n)
+    check_size(r, cell.n)
     return cell
 
 

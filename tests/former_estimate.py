@@ -23,7 +23,7 @@ from scipy.special import logsumexp
 
 from trigof.errors import DomainError, EstimationError
 from trigof.estimate import (_ML_ROWS, _SCORE_TOL, EstimatorKind, FitResult, KnownMask,
-                             _columns, _residual, base_mask, rejected_rows)
+                             _columns, _residual, rejected_rows, row)
 from trigof.families import Family, get_family
 
 _STEP_TOL = 1e-10
@@ -532,7 +532,7 @@ def _dedicated(fam: Family, x, mask: KnownMask):
     if d is None:
         fitter = _FITTERS.get(fam.name)
         return None if fitter is None else fitter(fam, x, mask)
-    out = _dedicated(d.base, d.data.to(x), base_mask(d, mask))
+    out = _dedicated(d.base, d.data.to(x), row(fam, EstimatorKind.ML, mask).base.mask)
     return None if out is None else (tuple(d.from_base(out[0])),) + out[1:]
 
 
@@ -578,12 +578,13 @@ def former_fit(fam, mask, x) -> FitResult:
     fam = get_family(fam)
     mask = mask or KnownMask.none(fam.n_params)
     x = np.asarray(x, dtype=float)
-    outside, flat = rejected_rows(fam, mask, x[None, :])
+    r = row(fam, EstimatorKind.ML, mask)
+    outside, flat = rejected_rows(r, x[None, :])
     if outside[0] or flat[0]:
         raise DomainError("sample rejected")
     base = fam.derived.base if fam.derived else fam
     exprs = _ML_ROWS.get(base.name) if base.name != "inverse-gaussian" else None
-    bmask = base_mask(fam.derived, mask) if fam.derived else mask
+    bmask = r.base.mask if fam.derived else mask
     if exprs is not None and all(k or e is not None for k, e in zip(bmask.known, exprs)):
         theta_b = _columns(exprs, bmask, (fam.derived.data.to(x) if fam.derived else x)[None, :])[0]
         theta, iterations, converged = (fam.derived.from_base(theta_b) if fam.derived
@@ -596,7 +597,7 @@ def former_fit(fam, mask, x) -> FitResult:
         if k:
             theta[i] = mask.fixed_values[i]
     fam.check(tuple(theta))
-    resid = _residual(fam, theta, x, mask, EstimatorKind.ML)
+    resid = _residual(r, theta, x)
     if resid > _SCORE_TOL * max(1.0, float(np.max(np.abs(x)))):
         converged = False
     return FitResult(theta, iterations, bool(converged), resid)

@@ -609,7 +609,8 @@ def test_sigma_is_the_sign_flipped_base_sigma(name, kind):
             np.testing.assert_allclose(sig, scaling.sigma(former, mask, kind, name),
                                        rtol=0.0, atol=1e-10)
             if not own:  # an MM row on the family's own moment equation has no base
-                base = scaling.sigma_from(d.base, kind, d.to_base(theta), E.base_mask(d, mask))
+                base = scaling.sigma_from(d.base, kind, d.to_base(theta),
+                                          E.row(name, kind, mask).base.mask)
                 np.testing.assert_allclose(sig, flip * base, rtol=0.0, atol=1e-13)
 
 
@@ -638,8 +639,7 @@ def test_fit_matches_the_former_fit(name, kind, known, monkeypatch):
         if _FORMER_FITTERS[name](fam, x, mask or KnownMask.none(fam.n_params)) is None:
             ll = _loglik(name, want, x)
             assert _loglik(name, res.theta, x) >= ll - 1e-12 * abs(ll)
-            assert res.residual <= E._residual(fam, want, x, mask or KnownMask.none(fam.n_params),
-                                               E.EstimatorKind.ML)
+            assert res.residual <= E._residual(E.row(fam, "ml", mask), want, x)
         else:
             np.testing.assert_allclose(res.theta, want, rtol=1e-10, atol=0.0)
 

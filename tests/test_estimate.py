@@ -223,11 +223,11 @@ def test_mm_residual_is_the_largest_mean_moment_function(name):
     mask = KnownMask.from_names(name, known) if known else KnownMask.none(fam.n_params)
     x = F.sample(name, FAMILY_THETAS[name], 200, np.random.SeedSequence([62, 0]))
     res = fit(name, "mm", mask, x)
-    theta, d = res.theta, fam.through("mm")
+    theta, d, r = res.theta, fam.through("mm"), E.row(name, "mm", mask)
     if d is not None:
-        fam, theta, x, mask = d.base, d.to_base(theta), d.data.to(x), E.base_mask(d, mask)
+        fam, theta, x, r = d.base, d.to_base(theta), d.data.to(x), r.base
     psi = E.moment_fns(fam, np.array([theta]))(x)
-    free = [j for j, p in enumerate(E._names(fam, EstimatorKind.MM)) if not mask.is_known(fam, p)]
+    free = [j for j, p in enumerate(r.names) if not r.mask.is_known(fam, p)]
     assert free and res.residual == max(abs(float(np.mean(psi[j][0]))) for j in free)
 
 
@@ -273,16 +273,15 @@ class TestMasks:
     def test_value_at_a_free_uniform_end_is_ignored(self):
         x = np.array([[-3.0, 0.5, 2.0], [0.5, 1.0, 5.0]])
         mask = KnownMask((False, True), (0.0, 4.0))  # a held, b = 4 known
-        outside, flat = E.rejected_rows(F.get_family("uniform"), mask, x)
+        outside, flat = E.rejected_rows(E.row("uniform", "ml", mask), x)
         assert outside.tolist() == [False, True] and not flat.any()
 
     def test_an_end_named_by_a_parameter_is_closed_and_a_constant_end_open(self):
         known = KnownMask.from_names("uniform", {"a": 0.0, "b": 1.0})
-        outside = E.rejected_rows(F.get_family("uniform"), known, np.array([[0.0, 0.5, 1.0]]))[0]
+        outside = E.rejected_rows(E.row("uniform", "ml", known), np.array([[0.0, 0.5, 1.0]]))[0]
         assert outside.tolist() == [False]
         for name, x in (("beta", [0.0, 0.5]), ("beta", [0.5, 1.0]), ("pareto", [1.0, 2.0])):
-            fam = F.get_family(name)
-            outside = E.rejected_rows(fam, KnownMask.none(fam.n_params), np.array([x]))[0]
+            outside = E.rejected_rows(E.row(name), np.array([x]))[0]
             assert outside.tolist() == [True], (name, x)
 
     def test_a_known_value_outside_the_space_is_refused(self):
@@ -603,7 +602,7 @@ class TestEpdGap:
         theta = (lam0,) + FAMILY_THETAS[name][1:]
         x = F.sample(name, theta, n, 17)
         X = np.stack([x, F.sample(name, theta, n, 18)])
-        est = E.rows_estimator(F.get_family(name), EstimatorKind.ML, KnownMask.none(3))
+        est = E.row(name, EstimatorKind.ML, KnownMask.none(3)).estimator
         res, rows = fit(name, "ml", None, x), est(X)
         calls = self._scanning(monkeypatch)
         ref, ref_rows = fit(name, "ml", None, x), est(X)
@@ -618,7 +617,7 @@ class TestEpdGap:
         mask = KnownMask.from_names("epd", {"lambda": 0.8})
         X = np.stack([F.sample("epd", (0.8, 0.3, 2.0), 60, np.random.SeedSequence([12, r]))
                       for r in range(5)])
-        est = E.rows_estimator(F.get_family("epd"), EstimatorKind.ML, mask)
+        est = E.row("epd", EstimatorKind.ML, mask).estimator
         rows, thetas = est(X), batch_fit("epd", "ml", mask, X)
         calls = self._scanning(monkeypatch)
         ref_rows, ref_thetas = est(X), batch_fit("epd", "ml", mask, X)

@@ -20,7 +20,7 @@ from trigof import _batch, gof, scaling
 from trigof import families as F
 from trigof.errors import (ConfigurationError, DomainError, EstimationError,
                            SamplingError, SingularityError)
-from trigof.estimate import EstimatorKind, KnownMask, fit, rows_estimator
+from trigof.estimate import EstimatorKind, KnownMask, fit, row
 from trigof.gof import _single_test, replicate, run_test
 from trigof.power import EMBEDDINGS, AltCase, LocalAlternative, empirical_power
 from trigof.simharness import CellConfig, StudyConfig, load_config, report_rows, run_study
@@ -72,7 +72,7 @@ def _supported_rows():
                              if p in required + extra}
                     mask = KnownMask.from_names(name, known) if known else KnownMask.none(
                         fam.n_params)
-                    assert rows_estimator(fam, EstimatorKind(kind), mask) is not None
+                    assert row(fam, EstimatorKind(kind), mask).estimator is not None
                     yield name, kind, tuple(known)
 
 

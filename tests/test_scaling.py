@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad as scipy_quad
 
 import former_scaling as former
-from trigof import _batch, quadrature, scaling
+from trigof import _batch, estimate, quadrature, scaling
 from trigof import families as F
 from trigof.errors import ConfigurationError, DomainError, SingularityError
 from trigof.estimate import EstimatorKind, KnownMask, fit
@@ -160,7 +160,7 @@ def _integrand(name, kind, theta, monkeypatch):
     caught = []
     with monkeypatch.context() as m:
         m.setattr(quadrature, "gram", lambda f: caught.append(f) or np.zeros((1, 0, 0)))
-        scaling._gram(F.get_family(name), EstimatorKind(kind), np.array([theta]))
+        scaling._gram(estimate.row(name, kind), np.array([theta]))
     return caught[0]
 
 
@@ -210,7 +210,7 @@ def test_rule_matches_the_former_builders(name, kind, monkeypatch):
                 tight = _tight(f, i, 2 + j)
                 assert abs(ms.G[i, j] - tight) < abs(G[i, j] - tight), (theta, i, j)
         else:  # J = K B^-1 C, with K tight and B, C the rule's
-            M = scaling._gram(F.get_family(name), EstimatorKind(kind), np.array([theta]))[0]
+            M = scaling._gram(estimate.row(name, kind), np.array([theta]))[0]
             K = np.array([[_tight(f, i, 2 + p + m) for m in range(p)] for i in range(2)])
             tight_J = K @ np.linalg.solve(M[2 + p:, 2 + p:], M[2 + p:, 2:2 + p])
             for i, j in parted:
@@ -281,7 +281,9 @@ def test_sigma_at_an_extreme_shape_is_spd_or_a_typed_failure(name, kind, shape, 
 def test_block_sigma_is_one_call_of_the_rule(monkeypatch):
     # on every fitted row, or on one row where the mask knows the shapes, in
     # one call per thread's part of those rows: 39 rows on the calling thread
-    # with one thread; parts of 20 and 19 rows on the pool's two threads
+    # with one thread; parts of 20 and 19 rows on the pool's two threads.
+    # A row whose mask knows the shapes keeps that Sigma: a repeat call
+    # makes no call of the rule, until the rows are built anew
     fam = F.get_family("gamma")
     X = np.stack([F.sample(fam, (2.3, 1.4), 200, np.random.SeedSequence([29, r])) for r in range(40)])
     gram = quadrature.gram
@@ -299,12 +301,16 @@ def test_block_sigma_is_one_call_of_the_rule(monkeypatch):
                            (KnownMask.from_names(fam, {"lambda": 2.3}), [(True, 1)])]:
             thetas = _batch.batch_fit(fam, "ml", mask, X)
             thetas[3] = np.nan  # a failed fit
+            estimate._row.cache_clear()
             calls.clear()
             monkeypatch.setattr(quadrature, "gram", recording)
             sig = scaling.sigma_from(fam, "ml", thetas, mask)
-            monkeypatch.setattr(quadrature, "gram", gram)
             # the pool's two calls run at once, so their order is not fixed
             assert (calls if len(want) == 1 else sorted(calls)) == want
+            calls.clear()
+            np.testing.assert_array_equal(scaling.sigma_from(fam, "ml", thetas, mask), sig)
+            assert sorted(calls) == (sorted(want) if mask is None else [])
+            monkeypatch.setattr(quadrature, "gram", gram)
             assert np.all(np.isnan(sig[3]))
             for i in [0, 1, 2, 39]:
                 np.testing.assert_array_equal(sig[i], scaling.sigma_from(fam, "ml", thetas[i], mask))
