@@ -166,11 +166,31 @@ POWER_CSV = [
     (["--case", "epd", "--lambda0", "2", "--delta", "1.5", "--empirical", "50,20"],
      ["delta1,delta2,ncp,power,empirical,asymptotic,failed",
       "1.5,0.0,2.88248192938341,0.3102672344886932,0.35,0.3102672344886932,0"]),
+    (["--case", "exponential-in-weibull", "--delta", "0,2,4"],
+     ["delta,ncp,power",
+      "0.0,0.0,0.05000000000000002",
+      "2.0,3.7343091460781643,0.3909094876004695",
+      "4.0,14.937236584312657,0.9431131158307211"]),
+    (["--case", "exponential-in-weibull", "--delta", "3", "--empirical", "50,20"],
+     ["delta,ncp,power,empirical,asymptotic,failed",
+      "3.0,8.402195578675869,0.7399822358684385,0.6,0.7399822358684385,0"]),
+    (["--case", "exponential-in-gamma", "--delta", "0,3,6"],
+     ["delta,ncp,power",
+      "0.0,0.0,0.05000000000000002",
+      "3.0,3.150530940013964,0.33589749311362554",
+      "6.0,12.602123760055855,0.8987491108234263"]),
+    (["--case", "normal-in-epd", "--delta", "0,10,20"],
+     ["delta,ncp,power",
+      "0.0,0.0,0.05000000000000002",
+      "10.0,4.398436630982747,0.4514143144992836",
+      "20.0,17.59374652393099,0.9715265855527475"]),
 ]
 
 
 @pytest.mark.parametrize("argv,lines", POWER_CSV, ids=[
-    "gamma", "weibull", "epd-ml", "epd-mm", "epd-delta2-ml", "epd-delta2-mm", "epd-empirical"])
+    "gamma", "weibull", "epd-ml", "epd-mm", "epd-delta2-ml", "epd-delta2-mm", "epd-empirical",
+    "exponential-in-weibull", "exponential-in-weibull-empirical", "exponential-in-gamma",
+    "normal-in-epd"])
 def test_power_csv_is_frozen(argv, lines, capsys):
     assert cli.main(["power", *argv, "--seed", "0"]) == 0
     assert capsys.readouterr().out.splitlines() == lines
