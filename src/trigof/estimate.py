@@ -889,21 +889,20 @@ class Row:
 
 def row(fam, kind=EstimatorKind.ML, mask: Optional[KnownMask] = None) -> Row:
     """The Row of a family, an estimator kind and a mask (None: all free),
-    kept on the name, the kind and the known flags and values; a Row given
-    as ``fam`` is returned.  ConfigurationError for an MM row the family does
-    not declare, DomainError for a wrong mask arity or known value."""
+    kept on the family object, the kind and the known flags and values; a
+    Row given as ``fam`` is returned.  ConfigurationError for an MM row the
+    family does not declare, DomainError for a wrong mask arity or known value."""
     if isinstance(fam, Row):
         return fam
     fam = get_family(fam)
     mask = mask or KnownMask.none(fam.n_params)
     known = tuple(map(bool, mask.known))
-    return _row(fam.name, EstimatorKind(kind), known,  # the values in hex: -0.0 is not 0.0
+    return _row(fam, EstimatorKind(kind), known,  # the values in hex: -0.0 is not 0.0
                 tuple(float(v).hex() for k, v in zip(known, mask.fixed_values) if k))
 
 
 @functools.lru_cache(maxsize=_ROW_CACHE)
-def _row(name: str, kind: EstimatorKind, known: tuple, values: tuple) -> Row:
-    fam = get_family(name)
+def _row(fam: Family, kind: EstimatorKind, known: tuple, values: tuple) -> Row:
     if kind is EstimatorKind.MM and not fam.has_mm:
         raise ConfigurationError(f"family {fam.name!r} has no MM estimator")
     if len(known) != fam.n_params:

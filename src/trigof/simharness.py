@@ -184,8 +184,9 @@ def _checked(cell: CellConfig) -> CellConfig:
 
 
 def load_config(path) -> StudyConfig:
-    """The study an INI file declares; DomainError, naming the section, for a
-    cell that ``_checked`` refuses."""
+    """The study an INI file declares.  A cell that ``_checked`` refuses
+    raises its cause's own error, its text prefixed with the section; a
+    malformed number raises DomainError, naming the section."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -209,8 +210,9 @@ def load_config(path) -> StudyConfig:
                 data_family=(raw.get("data_family") or None),
                 data_theta=_parse_theta(raw.get("data_theta", "")),
             )))
-        except (TrigofError, ValueError) as exc:
-            raise DomainError(f"section [{section}]: {exc}") from None
+        except (TrigofError, ValueError) as exc:  # a malformed number is a DomainError
+            cause = type(exc) if isinstance(exc, TrigofError) else DomainError
+            raise cause(f"section [{section}]: {exc}") from None
     if not cells:
         raise DomainError("study config defines no cells")
     return StudyConfig(

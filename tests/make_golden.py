@@ -14,14 +14,16 @@ file records the Python, numpy and scipy versions that wrote it.
 component, Sigma within 1e-12 of its largest entry, and the iterations, the
 flag and the error type exactly.
 
-    PYTHONPATH=src python tests/make_golden.py
+    PYTHONPATH=src python tests/make_golden.py [--check]
 
 rewrites the file and prints, row by row, what moved against the file it
-replaces and by how much.
+replaces and by how much.  With ``--check`` it prints the same lines but
+leaves the file as it is, and exits 1 if anything moved.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import json
 import platform
@@ -110,24 +112,33 @@ def versions() -> dict:
             "scipy": scipy.__version__}
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate or check golden/run_test.json.")
+    parser.add_argument("--check", action="store_true",
+                        help="compare without rewriting the file; exit 1 if anything moved")
+    check = parser.parse_args(argv).check
     old = json.loads(PATH.read_text())["rows"] if PATH.exists() else {}
-    rows = {}
+    rows, moved = {}, []
+    note = lambda line: moved.append(line) or print(line)  # noqa: E731
     for name, kind, known in supported_rows():
         rid = row_id(name, kind, known)
         rows[rid] = outcomes(name, kind, known)
         for key, entry in rows[rid].items():
             if rid not in old or key not in old[rid]:
-                print(f"{rid} {key}: new")
+                note(f"{rid} {key}: new")
                 continue
             for line in compare(old[rid][key], entry):
-                print(f"{rid} {key}: {line}")
+                note(f"{rid} {key}: {line}")
     for rid in sorted(set(old) - set(rows)):
-        print(f"{rid}: gone")
-    PATH.parent.mkdir(exist_ok=True)
-    PATH.write_text(json.dumps({"versions": versions(), "rows": rows}, indent=1) + "\n")
+        note(f"{rid}: gone")
     entries = [e for r in rows.values() for e in r.values()]
     errors = sum("error" in e for e in entries)
+    if check:
+        print(f"{len(rows)} rows, {len(entries)} entries ({errors} errors) checked against "
+              f"{PATH.name}: {len(moved)} moved")
+        return 1 if moved else 0
+    PATH.parent.mkdir(exist_ok=True)
+    PATH.write_text(json.dumps({"versions": versions(), "rows": rows}, indent=1) + "\n")
     print(f"{len(rows)} rows, {len(entries)} entries ({errors} errors) written to {PATH.name}")
     return 0
 

@@ -1,13 +1,17 @@
 import math
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special as sp
 
+from trigof import power
 from trigof.errors import ConfigurationError, DomainError
 from trigof.estimate import EstimatorKind
 from trigof.families import _epd_c1
-from trigof.power import (EMBEDDINGS, AltCase, LocalAlternative, empirical_power,
+from trigof.power import (EMBEDDINGS, AltCase, LocalAlternative, empirical_power, nest,
                           noncentrality, power_curve, sigma_and_drift)
 from former_scaling import h
 
@@ -167,6 +171,31 @@ def test_an_alternative_is_checked_against_its_entry():
         LocalAlternative(AltCase.EPD, (2.0, 0.0, 1.0), (1.0,))
     with pytest.raises(ConfigurationError, match="ML-only"):
         LocalAlternative("exponential-in-gamma", (1.0,), (1.0,), EstimatorKind.MM)
+
+
+@pytest.mark.parametrize("null,larger,name", [
+    ("gamma", "gg", "lambda"),  # gamma's (lambda, beta) against gg's (beta, rho)
+    ("weibull", "gg", "rho"),  # weibull's (beta, rho) against gg's (lambda, beta)
+    ("normal", "epd", "sigma"),  # epd's (lambda, mu): the wrong parameter held
+    ("exponential", "gamma", "shape"),  # gamma has no such parameter
+    ("gamma", "gamma", "shape"),
+], ids=["gamma-lambda", "weibull-rho", "normal-sigma", "no-parameter", "itself"])
+def test_nest_refuses_a_null_that_is_not_the_larger_family_with_one_parameter_held(
+        null, larger, name):
+    with pytest.raises(ConfigurationError, match=f"^{null} is not {larger} .* with '{name}' held$"):
+        nest(null, larger, name, 1.0, (1.0,), "0:1:0.5")
+
+
+def test_a_wrong_nesting_in_the_registry_stops_the_import(monkeypatch):
+    source = Path(power.__file__).read_text()
+    wrong = source.replace('nest("gamma", "gg", "rho"', 'nest("gamma", "gg", "lambda"')
+    assert wrong != source
+    module = types.ModuleType("trigof.wrong_power")
+    module.__package__ = "trigof"
+    monkeypatch.setitem(sys.modules, module.__name__, module)  # dataclasses look it up
+    with pytest.raises(ConfigurationError, match="gamma is not gg"):
+        exec(compile(wrong, power.__file__, "exec"), module.__dict__)
+    assert "EMBEDDINGS" not in vars(module)
 
 
 def test_power_is_alpha_at_zero_drift_and_grows():

@@ -658,8 +658,11 @@ class TestStudyConfigFile:
              "known-name", "known-value", "n", "data-family", "data-theta-arity",
              "data-theta-space", "known-space", "n-below-free", "mm-constant"])
     def test_a_mistake_is_an_error_naming_its_section(self, tmp_path, change):
-        with pytest.raises(DomainError, match=r"section \[cell:c\]"):
+        # a row without an MM estimator keeps the type it has at every entry point
+        error = ConfigurationError if change.get("estimator") == "mm" else DomainError
+        with pytest.raises(error, match=r"section \[cell:c\]") as err:
             load_config(self._write(tmp_path, **{**self.GOOD, **change}))
+        assert type(err.value) is error
 
 
 @pytest.mark.parametrize("fam,known,text", [
@@ -681,7 +684,7 @@ def test_a_row_without_an_estimator_has_one_error_text_at_every_entry_point(
     path = TestStudyConfigFile._write(
         tmp_path, family=fam, estimator="mm", theta=", ".join(map(str, FAMILY_THETAS[fam])),
         known=", ".join(f"{p}={v}" for p, v in known.items()))
-    with pytest.raises(DomainError) as err:
+    with pytest.raises(ConfigurationError) as err:
         load_config(path)
     assert str(err.value) == f"section [cell:c]: {text}"
 

@@ -2,6 +2,7 @@
 one error type and text per cause at every entry point, and the constant
 Sigma a row keeps where its mask knows every shape."""
 
+import dataclasses
 import json
 import math
 import os
@@ -80,15 +81,17 @@ def test_each_cause_has_one_type_and_text_at_every_entry_point(cause, entry):
 
 @pytest.mark.parametrize("cause", [c for c in CAUSES if CAUSES[c][3] is not None])
 def test_a_study_file_names_the_section_of_each_cause(tmp_path, cause):
-    # load_config raises DomainError, naming the section, whatever the cause
-    fam, kind, _, known, _, text = CAUSES[cause]
+    # load_config raises the cause's own type, naming the section
+    fam, kind, _, known, error, text = CAUSES[cause]
     path = tmp_path / "study.ini"
     path.write_text(f"[study]\nreps = 100\n\n[cell:c]\nfamily = {fam}\nestimator = {kind}\n"
                     f"theta = {', '.join(map(str, FAMILY_THETAS[fam]))}\nn = 30\n"
                     f"known = {known}\n")
-    with pytest.raises(DomainError) as err:
+    with pytest.raises(error) as err:
         load_config(str(path))
-    assert str(err.value) == f"section [cell:c]: {text}"
+    assert type(err.value) is error and str(err.value) == f"section [cell:c]: {text}"
+    out = str(tmp_path / "out")
+    assert cli.main(["study", "--config", str(path), "--output-prefix", out]) == cli.DATA_EXIT
 
 
 @pytest.mark.parametrize("cause", ["no-mm-gamma", "no-mm-uniform"])
@@ -135,6 +138,21 @@ def test_equal_masks_share_one_row():
     zero, negative = (row("normal", "ml", KnownMask.from_names("normal", {"mu": v}))
                       for v in (0.0, -0.0))
     assert zero is not negative and math.copysign(1.0, negative.mask.fixed_values[0]) == -1.0
+
+
+def test_a_replaced_family_is_fitted_and_tested_as_itself():
+    # the row is kept on the family object, not on its name
+    normal = F.get_family("normal")
+    x = F.sample("normal", (0.0, 1.0), 200, 5)
+    want = run_test("normal", "ml", None, x).tn
+    calls = []
+    counted = dataclasses.replace(normal, cdf_fn=lambda t, y: calls.append(1) or normal.cdf_fn(t, y))
+    assert row(counted).fam is counted and row("normal").fam is normal
+    assert run_test(counted, "ml", None, x).tn == want and calls
+    half = dataclasses.replace(normal, cdf_fn=lambda t, y: 0.5 * normal.cdf_fn(t, y))
+    assert run_test(half, "ml", None, x).tn != want
+    with pytest.raises(DomainError, match="outside the support of normal"):
+        fit(dataclasses.replace(normal, ends=(0.0, math.inf)), "ml", None, x)
 
 
 def test_the_row_cache_is_bounded_and_nothing_is_built_at_import():
