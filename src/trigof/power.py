@@ -34,7 +34,7 @@ from .gof import rejection_rate, replicate
 
 __all__ = ["EMBEDDINGS", "Embedding", "AltCase", "LocalAlternative", "PowerPoint",
            "at_shapes", "sigma_and_drift", "noncentrality", "noncentral_chi2_sf",
-           "power_curve", "empirical_power"]
+           "power_curve", "empirical_power", "nest"]
 
 _REL_TOL = 1e-12  # noncentral_chi2_sf's share of dropped mass at which the series stops
 

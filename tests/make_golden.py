@@ -119,18 +119,17 @@ def main(argv=None) -> int:
     check = parser.parse_args(argv).check
     old = json.loads(PATH.read_text())["rows"] if PATH.exists() else {}
     rows, moved = {}, []
-    note = lambda line: moved.append(line) or print(line)  # noqa: E731
     for name, kind, known in supported_rows():
         rid = row_id(name, kind, known)
         rows[rid] = outcomes(name, kind, known)
         for key, entry in rows[rid].items():
             if rid not in old or key not in old[rid]:
-                note(f"{rid} {key}: new")
+                moved.append(f"{rid} {key}: new")
                 continue
-            for line in compare(old[rid][key], entry):
-                note(f"{rid} {key}: {line}")
-    for rid in sorted(set(old) - set(rows)):
-        note(f"{rid}: gone")
+            moved += [f"{rid} {key}: {line}" for line in compare(old[rid][key], entry)]
+    moved += [f"{rid}: gone" for rid in sorted(set(old) - set(rows))]
+    for line in moved:
+        print(line)
     entries = [e for r in rows.values() for e in r.values()]
     errors = sum("error" in e for e in entries)
     if check:

@@ -658,7 +658,7 @@ class TestStudyConfigFile:
              "known-name", "known-value", "n", "data-family", "data-theta-arity",
              "data-theta-space", "known-space", "n-below-free", "mm-constant"])
     def test_a_mistake_is_an_error_naming_its_section(self, tmp_path, change):
-        # a row without an MM estimator keeps the type it has at every entry point
+        # a refused MM row keeps its ConfigurationError, as at every other entry point
         error = ConfigurationError if change.get("estimator") == "mm" else DomainError
         with pytest.raises(error, match=r"section \[cell:c\]") as err:
             load_config(self._write(tmp_path, **{**self.GOOD, **change}))
