@@ -1,5 +1,9 @@
-"""Golden outputs of ``gof.run_test`` on every supported (family, estimator,
-mask) row, kept in ``golden/run_test.json`` and checked by ``test_golden.py``.
+"""Golden outputs of the test, its bootstrap and a study, kept in
+``golden/`` and checked by ``test_golden.py``: ``run_test.json``,
+``bootstrap.json`` and ``study.json``.
+
+``run_test.json`` holds ``gof.run_test`` on every supported (family,
+estimator, mask) row.
 
 A supported row is a family of ``conftest.FAMILY_THETAS`` with an estimator
 it has, under a mask of its FAMILY_THETAS values that leaves a parameter
@@ -7,18 +11,27 @@ free; an MM row keeps the shapes it requires known (``MM_REQUIRED_KNOWN``).
 That makes 137 rows.  Each runs at n in {30, 200} on seeds {1, 2}, on the
 sample drawn at the row's FAMILY_THETAS point from the key (seed, n).  An
 entry holds theta-hat, the iterations, the converged flag, T_n and Sigma,
-every float as hex, or the type of the error that ``run_test`` raised.  The
-file records the Python, numpy and scipy versions that wrote it.
+every float as hex, or the type of the error that ``run_test`` raised.
 
-``compare`` is the check: theta-hat and T_n within 1e-12 relative in each
-component, Sigma within 1e-12 of its largest entry, and the iterations, the
-flag and the error type exactly.
+``bootstrap.json`` holds the bootstrap p-value of six ML families
+(``BOOTSTRAP``) on the sample of n = 200 drawn at FAMILY_THETAS from the key
+(3, 200): the fit and T_n of that sample (a one-row fit), the exceed and
+failed counts and the p-value, and the T_n of every replication, which
+``gof.replicate`` fits as blocks.  ``study.json`` holds the report of the
+five-cell ``STUDY``: each cell's rejections, failed count, ok flag, rate and
+standard error.  Every file records the Python, numpy and scipy versions
+that wrote it.
+
+``compare`` is the check: theta-hat, T_n, the p-value, the replications' T_n,
+the rate and its error within 1e-12 relative in each component, Sigma within
+1e-12 of its largest entry, NaN only where NaN was, and every count, flag and
+error type exactly.
 
     PYTHONPATH=src python tests/make_golden.py [--check]
 
-rewrites the file and prints, row by row, what moved against the file it
+rewrites the files and prints, row by row, what moved against the files it
 replaces and by how much.  With ``--check`` it prints the same lines but
-leaves the file as it is, and exits 1 if anything moved.
+leaves the files as they are, and exits 1 if anything moved.
 """
 
 from __future__ import annotations
@@ -39,12 +52,25 @@ from conftest import FAMILY_THETAS, MM_REQUIRED_KNOWN  # noqa: E402
 from trigof import families as F  # noqa: E402
 from trigof.errors import TrigofError  # noqa: E402
 from trigof.estimate import KnownMask  # noqa: E402
-from trigof.gof import run_test  # noqa: E402
+from trigof.gof import replicate, run_test  # noqa: E402
+from trigof.simharness import CellConfig, StudyConfig, run_study  # noqa: E402
 
-PATH = Path(__file__).resolve().parent / "golden" / "run_test.json"
+DIR = Path(__file__).resolve().parent / "golden"
 SIZES = (30, 200)
 SEEDS = (1, 2)
 RTOL = 1e-12
+FLOATS = ("theta", "tn", "sigma", "p_mc", "replications", "rate", "se")  # hex; all else exact
+
+BOOTSTRAP = ("epd", "gamma", "inverse-gaussian", "normal", "student-t", "weibull")
+BOOT_N, BOOT_SEED, BOOT_MC = 200, 3, {"reps": 64, "seed": 5}
+STUDY = StudyConfig((
+    CellConfig("normal", "normal", theta=FAMILY_THETAS["normal"], n=30),
+    CellConfig("gamma", "gamma", theta=FAMILY_THETAS["gamma"], n=50),
+    CellConfig("weibull-on-gamma", "weibull", theta=FAMILY_THETAS["weibull"], n=40,
+               data_family="gamma", data_theta=FAMILY_THETAS["gamma"]),
+    CellConfig("epd", "epd", theta=FAMILY_THETAS["epd"], n=50),
+    CellConfig("logistic-mm", "logistic", "mm", theta=FAMILY_THETAS["logistic"], n=30)),
+    reps=128, seed=3)
 
 
 def supported_rows():
@@ -63,6 +89,10 @@ def row_id(name, kind, known) -> str:
     return f"{name}-{kind}" + "".join(f"-{p}" for p in known)
 
 
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
 def outcomes(name, kind, known) -> dict:
     """The row's entries, keyed 'n=<n>,seed=<seed>'."""
     theta = FAMILY_THETAS[name]
@@ -77,13 +107,56 @@ def outcomes(name, kind, known) -> dict:
             out[f"n={n},seed={seed}"] = {"error": type(exc).__name__}
             continue
         out[f"n={n},seed={seed}"] = {
-            "theta": [float(v).hex() for v in res.fit.theta],
+            "theta": _hex(res.fit.theta),
             "iterations": res.fit.iterations,
             "converged": res.fit.converged,
             "tn": float(res.tn).hex(),
-            "sigma": [float(v).hex() for v in res.sigma.ravel()],
+            "sigma": _hex(res.sigma.ravel()),
         }
     return out
+
+
+def bootstrap_outcome(name) -> dict:
+    """The bootstrap entry of an all-free ML family, keyed like run_test's."""
+    theta, n = FAMILY_THETAS[name], BOOT_N
+    x = F.sample(name, theta, n, np.random.SeedSequence([BOOT_SEED, n]))
+    key = f"n={n},seed={BOOT_SEED}"
+    try:
+        res = run_test(name, "ml", None, x, mc=BOOT_MC)
+    except TrigofError as exc:
+        return {key: {"error": type(exc).__name__}}
+    # the replications run_test counts, drawn from the fitted model as it draws them
+    fitted = F._quantile_of(name, res.fit.theta)
+    tn_r = replicate(name, "ml", None, n, lambda rs: F._draws(
+        fitted, n, [np.random.SeedSequence([BOOT_MC["seed"], i]) for i in rs]),
+        range(BOOT_MC["reps"]))
+    return {key: {"theta": _hex(res.fit.theta), "tn": float(res.tn).hex(),
+                  "p_mc": float(res.p_mc).hex(), "exceed": res.mc_exceed,
+                  "failed": res.mc_failed, "replications": _hex(tn_r)}}
+
+
+def study_outcome() -> dict:
+    """The report of ``STUDY``, keyed by cell name."""
+    return {c.name: {"rejections": c.rejections, "failed": c.failed, "ok": c.ok,
+                     "rate": float(c.rate).hex(), "se": float(c.se).hex()}
+            for c in run_study(STUDY).cells}
+
+
+def run_test_groups():
+    return ((row_id(*r), outcomes(*r)) for r in supported_rows())
+
+
+def bootstrap_groups():
+    return ((name, bootstrap_outcome(name)) for name in BOOTSTRAP)
+
+
+def study_groups():
+    return iter([(f"reps={STUDY.reps},seed={STUDY.seed}", study_outcome())])
+
+
+# each golden file and the (group id, {key: entry}) pairs it holds
+LAYERS = {"run_test.json": run_test_groups, "bootstrap.json": bootstrap_groups,
+          "study.json": study_groups}
 
 
 def _floats(values):
@@ -96,12 +169,17 @@ def compare(want: dict, got: dict) -> list[str]:
     if "error" in want or "error" in got:
         same = want.get("error") == got.get("error")
         return [] if same else [f"outcome {want.get('error', 'ok')} -> {got.get('error', 'ok')}"]
-    moved = [f"{k} {want[k]} -> {got[k]}" for k in ("iterations", "converged") if want[k] != got[k]]
-    for k in ("theta", "tn", "sigma"):
-        w, g = _floats(np.atleast_1d(want[k])), _floats(np.atleast_1d(got[k]))
+    moved = [f"{k} {want[k]} -> {got.get(k)}" for k in want
+             if k not in FLOATS and want[k] != got.get(k)]
+    for k in (k for k in FLOATS if k in want):
+        w, g = _floats(np.atleast_1d(want[k])), _floats(np.atleast_1d(got.get(k, [])))
+        if w.shape != g.shape:
+            moved.append(f"{k} has {g.size} values, not {w.size}")
+            continue
         scale = np.max(np.abs(w)) if k == "sigma" else np.abs(w)
         with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.where(g == w, 0.0, np.abs(g - w) / scale)
+            rel = np.where((g == w) | (np.isnan(g) & np.isnan(w)), 0.0, np.abs(g - w) / scale)
+        rel[np.isnan(rel)] = np.inf  # NaN on one side only
         if np.max(rel) > RTOL:
             moved.append(f"{k} by {np.max(rel):.3g} relative")
     return moved
@@ -112,34 +190,41 @@ def versions() -> dict:
             "scipy": scipy.__version__}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Regenerate or check golden/run_test.json.")
-    parser.add_argument("--check", action="store_true",
-                        help="compare without rewriting the file; exit 1 if anything moved")
-    check = parser.parse_args(argv).check
-    old = json.loads(PATH.read_text())["rows"] if PATH.exists() else {}
+def check_layer(name: str, groups, check: bool) -> int:
+    """Rebuild one golden file from ``groups``, print what moved against the
+    file and a summary, and write it unless ``check``; the number moved."""
+    path = DIR / name
+    old = json.loads(path.read_text())["rows"] if path.exists() else {}
     rows, moved = {}, []
-    for name, kind, known in supported_rows():
-        rid = row_id(name, kind, known)
-        rows[rid] = outcomes(name, kind, known)
-        for key, entry in rows[rid].items():
-            if rid not in old or key not in old[rid]:
-                moved.append(f"{rid} {key}: new")
+    for gid, entries in groups:
+        rows[gid] = entries
+        for key, entry in entries.items():
+            if gid not in old or key not in old[gid]:
+                moved.append(f"{gid} {key}: new")
                 continue
-            moved += [f"{rid} {key}: {line}" for line in compare(old[rid][key], entry)]
-    moved += [f"{rid}: gone" for rid in sorted(set(old) - set(rows))]
+            moved += [f"{gid} {key}: {line}" for line in compare(old[gid][key], entry)]
+    moved += [f"{gid}: gone" for gid in sorted(set(old) - set(rows))]
     for line in moved:
         print(line)
     entries = [e for r in rows.values() for e in r.values()]
     errors = sum("error" in e for e in entries)
     if check:
         print(f"{len(rows)} rows, {len(entries)} entries ({errors} errors) checked against "
-              f"{PATH.name}: {len(moved)} moved")
-        return 1 if moved else 0
-    PATH.parent.mkdir(exist_ok=True)
-    PATH.write_text(json.dumps({"versions": versions(), "rows": rows}, indent=1) + "\n")
-    print(f"{len(rows)} rows, {len(entries)} entries ({errors} errors) written to {PATH.name}")
-    return 0
+              f"{path.name}: {len(moved)} moved")
+        return len(moved)
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps({"versions": versions(), "rows": rows}, indent=1) + "\n")
+    print(f"{len(rows)} rows, {len(entries)} entries ({errors} errors) written to {path.name}")
+    return len(moved)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate or check the golden files.")
+    parser.add_argument("--check", action="store_true",
+                        help="compare without rewriting the files; exit 1 if anything moved")
+    check = parser.parse_args(argv).check
+    moved = sum([check_layer(name, groups(), check) for name, groups in LAYERS.items()])
+    return 1 if check and moved else 0
 
 
 if __name__ == "__main__":
