@@ -100,17 +100,39 @@ def _round_obj(obj, digits):
 
 
 def read_data(path) -> np.ndarray:
-    """One numeric value per line; '#' starts a comment; no header."""
-    values = []
+    """One numeric value per line; '#' starts a comment; no header.  A value
+    that is not a finite number is an error that names its line.  A file
+    without '#' is parsed in one pass, its lines read by ``np.array`` (which
+    parses each as ``float`` does); one that pass refuses, and a file with
+    comments, goes through ``_read_lines``."""
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            try:
-                values.append(float(body))
-            except ValueError:
-                raise TrigofError(f"{path}:{lineno}: not a number: {body!r}")
+        text = fh.read()
+    if "#" not in text:
+        try:
+            values = np.array(text.removesuffix("\n").split("\n"), dtype=float)
+        except ValueError:  # a blank line or a bad value
+            pass
+        else:
+            if np.isfinite(values).all():
+                return values
+    return _read_lines(path, text)
+
+
+def _read_lines(path, text) -> np.ndarray:
+    """``read_data`` line by line: blank lines and comments skipped, and an
+    error that names the first line whose value is not a finite number."""
+    values = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        try:
+            value = float(body)
+        except ValueError:
+            raise TrigofError(f"{path}:{lineno}: not a number: {body!r}")
+        if not math.isfinite(value):
+            raise TrigofError(f"{path}:{lineno}: not a finite number: {body!r}")
+        values.append(value)
     if not values:
         raise TrigofError(f"{path}: no data values found")
     return np.asarray(values)

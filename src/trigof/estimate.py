@@ -115,11 +115,41 @@ class FitResult:
 # ---------------------------------------------------------------------------
 # the root solver over rows.  phi(z, j) takes trial values z for the rows j
 # (sorted indices into the rows of the problem) and returns phi there.
+#
+# One row takes a scalar path: ``_brent``, ``_newton`` and ``_student_em``
+# given exactly one row run ``_brent_one``, ``_newton_one`` and
+# ``_student_em_one``, the same steps over numpy float64 scalars, with the
+# row's callbacks still given 1-element arrays.  Every one-sample ``fit`` is
+# one row, and numpy's per-call cost on a 1-element array exceeds a step's
+# own arithmetic; blocks keep the row path.  The row count alone chooses,
+# and test_replicate's test_every_supported_row pins both paths equal, bit
+# for bit, on all 137 supported rows.  The scalars stay np.float64, so that
+# under errstate a zero slope divides to inf or NaN instead of raising, and
+# ``_min``/``_max`` give NaN where np.minimum/np.maximum would.
 # ---------------------------------------------------------------------------
+
+_ROW = np.zeros(1, dtype=np.intp)  # the row indices j of a one-row problem
+_ROW.flags.writeable = False
+
 
 def _take(a, j):
     """a[j] for sorted, distinct row indices j; a itself where j covers it."""
     return a if len(j) == len(a) else a[j]
+
+
+def _negative(v) -> bool:
+    """np.signbit of a scalar."""
+    return math.copysign(1.0, v) < 0.0
+
+
+def _min(a, b):
+    """np.minimum of two scalars: NaN where either is NaN."""
+    return a if a <= b or a != a else b
+
+
+def _max(a, b):
+    """np.maximum of two scalars: NaN where either is NaN."""
+    return a if a >= b or a != a else b
 
 
 def _brent(phi, a, b, fa, fb, xtol=_XTOL, rtol=_RTOL):
@@ -129,6 +159,10 @@ def _brent(phi, a, b, fa, fb, xtol=_XTOL, rtol=_RTOL):
     change."""
     m, hr = len(a), 0.5 * rtol
     htol = np.broadcast_to(0.5 * np.asarray(xtol, dtype=float), (m,))
+    if m == 1:
+        with np.errstate(all="ignore"):
+            out = _brent_one(phi, a[0], b[0], fa[0], fb[0], htol[0], hr)
+        return tuple(np.array([v]) for v in out)
     root, iters, conv = np.where(fa == 0.0, a, b), np.zeros(m, dtype=int), (fa == 0.0) | (fb == 0.0)
     signed = np.isfinite(fa) & np.isfinite(fb) & (np.signbit(fa) != np.signbit(fb))
     root[~(conv | signed)] = np.nan
@@ -178,6 +212,42 @@ def _brent(phi, a, b, fa, fb, xtol=_XTOL, rtol=_RTOL):
             fcur = phi(xcur, live)
     root[live], iters[live] = xcur, _MAX_ITER
     return root, iters, conv
+
+
+def _brent_one(phi, a, b, fa, fb, htol, hr):
+    """``_brent``'s steps on one row, over scalars: (root, iterations,
+    converged), with htol = xtol / 2 and hr = rtol / 2."""
+    if fa == 0.0 or fb == 0.0:
+        return (a if fa == 0.0 else b), 0, True
+    if not (math.isfinite(fa) and math.isfinite(fb)) or _negative(fa) == _negative(fb):
+        return math.nan, 0, False
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    xblk = fblk = spre = scur = np.float64(0.0)
+    for k in range(1, _MAX_ITER + 1):
+        if _negative(fpre) != _negative(fcur):
+            xblk, fblk, spre = xpre, fpre, xcur - xpre
+            scur = spre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta = htol + hr * abs(xcur)
+        sbis = (xblk - xcur) * 0.5
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, k, True
+        if xpre == xblk:
+            stry = -fcur * (xcur - xpre) / (fcur - fpre)
+        else:
+            dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+            stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        aspre = abs(spre)
+        if (aspre > delta and abs(fcur) < abs(fpre)
+                and 2.0 * abs(stry) < _min(aspre, 3.0 * abs(sbis) - delta)):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur = xcur + (scur if abs(scur) > delta else np.copysign(delta, sbis))
+        fcur = phi(np.array([xcur]), _ROW)[0]
+    return xcur, _MAX_ITER, False
 
 
 @functools.lru_cache(maxsize=None)
@@ -242,6 +312,11 @@ def _newton(fd, x, lo, hi, xtol, rtol=_RTOL):
     so far, or whose slope is not finite, bisects it instead, and a row stops
     once its step is below xtol + rtol |x|.  fd(z, j) returns f and f' at z
     for the rows j.  Returns (root, iterations)."""
+    if len(x) == 1:
+        with np.errstate(all="ignore"):
+            root, iters = _newton_one(fd, x[0], lo[0], hi[0],
+                                      np.broadcast_to(xtol, x.shape)[0], rtol)
+        return np.array([root]), np.array([iters])
     root, iters = x.copy(), np.full(len(x), _MAX_ITER)
     lo, hi, tol = lo.copy(), hi.copy(), np.broadcast_to(xtol, x.shape)
     live = np.arange(len(x))
@@ -263,6 +338,25 @@ def _newton(fd, x, lo, hi, xtol, rtol=_RTOL):
                     break
             x = new
     return root, iters
+
+
+def _newton_one(fd, x, lo, hi, tol, rtol):
+    """``_newton``'s steps on one row, over scalars: (root, iterations)."""
+    for k in range(1, _MAX_ITER + 1):
+        f, d = (v[0] for v in fd(np.array([x]), _ROW))
+        if f > 0.0:
+            hi = x
+        else:
+            lo = x
+        new = x - f / d
+        if f == 0.0:
+            new = x
+        elif not (new >= lo and new <= hi and math.isfinite(d)):
+            new = 0.5 * (lo + hi)
+        if abs(new - x) <= tol + rtol * abs(new):
+            return new, k
+        x = new
+    return x, _MAX_ITER
 
 
 def _mean(A):
@@ -522,6 +616,10 @@ def _logistic_rows(kn, kv, X, iters):
 def _student_em(X, lam, mu, sigma, mu_known: bool, sigma_known: bool):
     """EM for (mu, sigma) on each row at its lam, from (mu, sigma), the known
     one held; each row stops on its own step.  Returns (mu, sigma, iterations)."""
+    if len(X) == 1:
+        with np.errstate(all="ignore"):
+            out = _student_em_one(X[0], lam[0], mu[0], sigma[0], mu_known, sigma_known)
+        return tuple(np.array([v]) for v in out)
     mu, sigma, iters = mu.copy(), sigma.copy(), np.full(len(X), 500)
     live, lam_c, ratio, m, s = np.arange(len(X)), _col(lam), (lam + 1.0) / lam, mu, sigma
     for it in range(1, 501):
@@ -539,6 +637,20 @@ def _student_em(X, lam, mu, sigma, mu_known: bool, sigma_known: bool):
                 break
     mu[live], sigma[live] = m, s
     return mu, sigma, iters
+
+
+def _student_em_one(x, lam, m, s, mu_known: bool, sigma_known: bool):
+    """``_student_em``'s steps on one row x, over scalars: (mu, sigma, iterations)."""
+    n, ratio = len(x), (lam + 1.0) / lam
+    for it in range(1, 501):
+        w = lam / (lam + ((x - m) / s) ** 2)
+        m_new = m if mu_known else np.add.reduce(w * x) / np.add.reduce(w)
+        s_new = s if sigma_known else np.sqrt(ratio * (np.add.reduce(w * (x - m_new) ** 2) / n))
+        stop = _max(abs(m_new - m), abs(s_new - s)) <= _STEP_TOL * _max(abs(m_new), s_new)
+        m, s = m_new, s_new
+        if stop:
+            return m, s, it
+    return m, s, 500
 
 
 def _student_rows(kn, kv, X, iters):

@@ -249,6 +249,19 @@ class TestReadData:
         assert cli.main(["test", str(path), "--family", "gamma"]) == cli.DATA_EXIT
         assert f"{path}:5: not a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", ["1.5\n2.5\nnan\n4.0\n", "# values\n1.5\nnan\n4.0\n",
+                                      "1.5\n2.5\n -inf \n4.0", "1.5\n\ninf\n"],
+                             ids=["nan", "nan-after-a-comment", "inf", "inf-after-a-blank"])
+    def test_a_non_finite_value_names_its_line(self, tmp_path, capsys, body):
+        path = tmp_path / "data.txt"
+        path.write_text(body)
+        value = "nan" if "nan" in body else "-inf" if "-inf" in body else "inf"
+        expect = f"{path}:3: not a finite number: {value!r}"
+        with pytest.raises(TrigofError, match=f"^{re.escape(expect)}$"):
+            cli.read_data(path)
+        assert cli.main(["test", str(path), "--family", "normal"]) == cli.DATA_EXIT
+        assert expect in capsys.readouterr().err
+
     @pytest.mark.parametrize("body", ["", "# only a comment\n\n   \n"], ids=["empty", "comments"])
     def test_a_file_without_values_is_an_error(self, tmp_path, capsys, body):
         path = tmp_path / "data.txt"
@@ -257,3 +270,59 @@ class TestReadData:
             cli.read_data(path)
         assert cli.main(["test", str(path), "--family", "gamma"]) == cli.DATA_EXIT
         assert "no data values found" in capsys.readouterr().err
+
+
+def _both_reads(path, monkeypatch, one_pass: bool):
+    """read_data's result (or error text) and _read_lines's on the same text;
+    ``one_pass`` asserts whether read_data settles the file in its one pass."""
+    text = open(path).read()
+    outs = []
+    for read in (cli.read_data, lambda p: cli._read_lines(p, text)):
+        if one_pass and read is cli.read_data:
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_read_lines", lambda *a: pytest.fail("the one pass fell back"))
+                outs.append(read(path))
+            continue
+        try:
+            outs.append(read(path))
+        except TrigofError as exc:
+            outs.append(str(exc))
+    return outs
+
+
+class TestOnePassRead:
+    """``read_data``'s one-pass parse and its line loop agree: the same
+    values, bit for bit, and the same error texts."""
+
+    @pytest.mark.parametrize("raw", [
+        b"1.5\r\n-2.25\r\n3e-3\r\n",
+        b"1.5\n-2.25\n3e-3",
+        b" 1.5\t\n\t-2.25  \n  3e-3\n",
+        b"1_000\n1e-320\n2.2250738585072011e-308\n",
+        b"\x0c1.5\n2.5\x0c\n\x0c3e-3\x0c",
+    ], ids=["crlf", "no-final-newline", "spaces-and-tabs", "underscore-subnormal-hard",
+            "form-feed-at-the-ends"])
+    def test_same_bits(self, tmp_path, monkeypatch, raw):
+        path = tmp_path / "data.txt"
+        path.write_bytes(raw)
+        fast, loop = _both_reads(path, monkeypatch, one_pass=True)
+        assert fast.dtype == loop.dtype == np.float64
+        assert fast.tobytes() == loop.tobytes() and len(fast) == 3
+        if raw.startswith(b"1_000"):
+            assert fast.tolist() == [1000.0, 1e-320, 2.2250738585072011e-308]
+            assert fast[2].hex() == "0x0.fffffffffffffp-1022"
+
+    @pytest.mark.parametrize("raw,expect", [
+        (b"1.5\n2\x0c5\n3.5\n", ":2: not a number: '2\\x0c5'"),
+        (b"1.5\n2.5\n3.5 4.5\n", ":3: not a number: '3.5 4.5'"),
+        (b"1.5\n\n2.5\n", None),
+        (b"1.5\n2.5\n\n", None),
+    ], ids=["form-feed-inside", "two-values", "blank-in-the-middle", "two-final-newlines"])
+    def test_the_loop_settles_what_the_pass_refuses(self, tmp_path, monkeypatch, raw, expect):
+        path = tmp_path / "data.txt"
+        path.write_bytes(raw)
+        fast, loop = _both_reads(path, monkeypatch, one_pass=False)
+        if expect is None:
+            assert fast.tobytes() == loop.tobytes() and fast.tolist() == [1.5, 2.5]
+        else:
+            assert fast == loop == f"{path}{expect}"

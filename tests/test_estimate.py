@@ -636,3 +636,178 @@ class TestEpdGap:
             tracemalloc.stop()
         assert np.isfinite(mu[0]) and iters[0] >= 19_999
         assert peak < 8 * 2**20
+
+
+def _rows_phi(*fs):
+    """phi(z, j) over rows, row r evaluated by the scalar function fs[r]."""
+    return lambda z, j: np.array([fs[r](v) for r, v in zip(j, z)], dtype=float)
+
+
+def _rows_fd(*fds):
+    """fd(z, j) over rows, row r's (f, f') from the scalar function fds[r]."""
+    def fd(z, j):
+        f, d = zip(*(fds[r](v) for r, v in zip(j, z)))
+        return np.array(f, dtype=float), np.array(d, dtype=float)
+    return fd
+
+
+def _same_bits(one, block, r=1):
+    """Each output of a one-row call is row r of the block call, bit for bit."""
+    for got, want in zip(one, block):
+        assert got.shape == (1,) and got.dtype == want.dtype
+        assert got.tobytes() == want[r:r + 1].tobytes(), (got, want[r])
+
+
+class TestOneRowPaths:
+    """A solver given one row takes its scalar path (``_brent_one``,
+    ``_newton_one``, ``_student_em_one``); each case here runs a row on it and
+    as the middle row of a three-row block, on the row path, and asserts the
+    same bits: root, iterations and flag."""
+
+    @staticmethod
+    def _brent_both(f, a, b, fa=None, fb=None, **tol):
+        fa = f(np.float64(a)) if fa is None else fa
+        fb = f(np.float64(b)) if fb is None else fb
+        others = (lambda z: z - 0.25, lambda z: z ** 3 - 0.5)  # roots in (0, 1)
+        one = E._brent(_rows_phi(f), np.array([a]), np.array([b]), np.array([fa]),
+                       np.array([fb]), **tol)
+        block = E._brent(_rows_phi(others[0], f, others[1]), np.array([0.0, a, 0.0]),
+                         np.array([1.0, b, 1.0]), np.array([-0.25, fa, -0.5]),
+                         np.array([0.75, fb, 0.5]), **tol)
+        _same_bits(one, block)
+        return one
+
+    def test_brent_phi_turning_nan_partway(self):
+        seen = []
+
+        def f(z):
+            v = np.nan if 0.55 < z < 0.95 else z ** 3 - 0.2
+            seen.append(v)
+            return v
+
+        root, iters, conv = self._brent_both(f, 0.0, 1.0)
+        # a NaN reads as neither sign, so the steps close on the NaN region's edge
+        assert np.isnan(seen).any() and conv[0] and root[0] == pytest.approx(0.55)
+
+    @pytest.mark.parametrize("a,b,expect", [(0.0, 1.0, 0.0), (-1.0, 0.0, 0.0)],
+                             ids=["at-a", "at-b"])
+    def test_brent_exact_zero_at_an_end(self, a, b, expect):
+        root, iters, conv = self._brent_both(lambda z: z, a, b)
+        assert (root[0], iters[0], conv[0]) == (expect, 0, True)
+
+    def test_brent_exact_zero_on_a_step(self):
+        root, iters, conv = self._brent_both(lambda z: z - 0.5, 0.0, 1.0)
+        assert (root[0], conv[0]) == (0.5, True) and iters[0] >= 1
+
+    @pytest.mark.parametrize("fa,fb", [(1.0, 2.0), (-1.0, np.inf), (np.nan, 1.0), (-0.0, -1.0)],
+                             ids=["no-sign-change", "infinite-end", "nan-end", "signed-zero"])
+    def test_brent_without_a_bracket(self, fa, fb):
+        root, iters, conv = self._brent_both(lambda z: z, 0.0, 1.0, fa=fa, fb=fb)
+        if fa == 0.0:  # -0.0 is an exact zero
+            assert (root[0], conv[0]) == (0.0, True)
+        else:
+            assert np.isnan(root[0]) and (iters[0], conv[0]) == (0, False)
+
+    def test_brent_runs_to_the_iteration_cap(self):
+        # a sign step between two doubles and no tolerance: never done
+        root, iters, conv = self._brent_both(lambda z: 1.0 if z > 1.0 / 3.0 else -1.0,
+                                             0.0, 1.0, xtol=0.0, rtol=0.0)
+        assert (iters[0], conv[0]) == (E._MAX_ITER, False)
+        assert root[0] == pytest.approx(1.0 / 3.0, rel=1e-15)
+
+    @staticmethod
+    def _newton_both(fd, x, lo, hi, xtol=1e-14):
+        others = (lambda z: (z - 0.3, 1.0), lambda z: (z ** 3 - 0.5, 3.0 * z ** 2))
+        one = E._newton(_rows_fd(fd), np.array([x]), np.array([lo]), np.array([hi]), xtol)
+        block = E._newton(_rows_fd(others[0], fd, others[1]), np.array([0.5, x, 0.5]),
+                          np.array([0.0, lo, 0.0]), np.array([1.0, hi, 1.0]), xtol)
+        _same_bits(one, block)
+        return one
+
+    def test_newton_zero_slope_divides_to_inf_not_raises(self):
+        # f'(0) = 0: the step -f/f' is inf, outside the bracket, so it bisects
+        with np.errstate(all="raise"):
+            root, iters = self._newton_both(lambda z: (z ** 3 - 0.2, 3.0 * z ** 2),
+                                            0.0, -1.0, 1.0)
+        assert root[0] == pytest.approx(0.2 ** (1 / 3), rel=1e-13) and iters[0] > 2
+
+    @pytest.mark.parametrize("start", [0.5, 0.25], ids=["at-start", "on-a-step"])
+    def test_newton_f_exactly_zero(self, start):
+        root, iters = self._newton_both(lambda z: (2.0 * (z - 0.5), 2.0), start, 0.0, 1.0)
+        assert root[0] == 0.5 and iters[0] == (1 if start == 0.5 else 2)
+
+    def test_newton_step_leaving_the_bracket_bisects(self):
+        # from 1.5 Newton's step on arctan lands at -1.69, below the bracket
+        x = np.float64(1.5)
+        assert x - math.atan(x) * (1.0 + x * x) < -1.0
+        root, iters = self._newton_both(lambda z: (math.atan(z), 1.0 / (1.0 + z * z)),
+                                        1.5, -1.0, 2.0)
+        assert abs(root[0]) < 1e-14 and iters[0] > 2
+
+    def test_newton_nan_f_moves_the_lower_end(self):
+        # a NaN f is not above 0, so each step moves the lower end up to x
+        root, iters = self._newton_both(
+            lambda z: (np.nan if z > 0.9 else z - 0.4, 1.0), 0.95, 0.0, 1.0)
+        assert root[0] == pytest.approx(1.0) and iters[0] > 2
+
+    def test_newton_non_finite_slope_at_tied_epd_data(self):
+        # the EPD location equation's slope (lam-1) sum |d|^(lam-2) is not
+        # finite where the trial location sits on an observation
+        base = np.round(F.sample("normal", (0.0, 2.0), 40, 5))
+        X = np.stack([base + 0.3, base, base * 1.5])
+        lam, start = np.array([1.7, 1.5, 1.3]), np.array([0.3, 0.0, 0.0])
+        d = start[1] - X[1]
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(0.5 * np.sum(np.sign(d) * np.abs(d) ** 0.5 / d))
+        one = E._epd_mu_hat(X[1:2], lam[1:2], start[1:2])
+        _same_bits(one, E._epd_mu_hat(X, lam, start))
+        assert one[1][0] > 1
+
+    @pytest.mark.parametrize("mu_known,sigma_known", [(False, False), (True, False),
+                                                      (False, True)],
+                             ids=["free", "mu-known", "sigma-known"])
+    def test_student_em(self, mu_known, sigma_known):
+        X = np.stack([F.sample("student-t", (lam, 0.1, 1.5), 60, np.random.SeedSequence([4, r]))
+                      for r, lam in enumerate((3.0, 5.0, 8.0))])
+        lam, mu, sigma = np.array([3.0, 5.0, 8.0]), np.median(X, axis=1), X.std(axis=1)
+        if mu_known:
+            mu = np.full(3, 0.1)
+        if sigma_known:
+            sigma = np.full(3, 1.5)
+        one = E._student_em(X[1:2], lam[1:2], mu[1:2], sigma[1:2], mu_known, sigma_known)
+        _same_bits(one, E._student_em(X, lam, mu, sigma, mu_known, sigma_known))
+        assert 1 < one[2][0] < 500
+        assert (one[0][0] == 0.1) == mu_known and (one[1][0] == 1.5) == sigma_known
+
+    def test_scalar_paths_keep_numpy_float64(self):
+        root, _, _ = E._brent_one(lambda z, j: z - 0.5, np.float64(0.0), np.float64(1.0),
+                                  np.float64(-0.5), np.float64(0.5), np.float64(1e-14), 1e-16)
+        assert type(root) is np.float64
+        root, _ = E._newton_one(lambda z, j: (z - 0.5, np.ones(1)), np.float64(0.2),
+                                np.float64(0.0), np.float64(1.0), np.float64(0.0), 1e-15)
+        assert type(root) is np.float64
+
+    @pytest.mark.parametrize("a,b", [(np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan),
+                                     (1.0, 2.0), (2.0, 1.0), (-np.inf, np.inf), (3.0, 3.0)])
+    def test_min_and_max_give_nan_as_numpy_does(self, a, b):
+        a, b = np.float64(a), np.float64(b)
+        for mine, ref in ((E._min, np.minimum), (E._max, np.maximum)):
+            got, want = mine(a, b), ref(a, b)
+            assert got == want or (np.isnan(got) and np.isnan(want))
+
+    def test_the_row_count_alone_chooses_the_path(self, monkeypatch):
+        calls = []
+        for name in ("_brent_one", "_newton_one", "_student_em_one"):
+            real = getattr(E, name)
+            monkeypatch.setattr(E, name, lambda *a, _real=real, _name=name: (
+                calls.append(_name), _real(*a))[1])
+        X = np.stack([F.sample("student-t", (4.0, 0.1, 1.5), 50, np.random.SeedSequence([6, r]))
+                      for r in range(3)])
+        lam, mu, sigma = np.full(3, 4.0), np.median(X, axis=1), X.std(axis=1)
+        for rows in (slice(0, 3), slice(1, 2)):
+            calls.clear()
+            E._student_em(X[rows], lam[rows], mu[rows], sigma[rows], False, False)
+            self._brent_both(lambda z: z - 0.3, 0.0, 1.0)  # one row, then three
+            self._newton_both(lambda z: (z - 0.3, 1.0), 0.5, 0.0, 1.0)
+            assert sorted(calls) == ["_brent_one", "_newton_one"] + (
+                ["_student_em_one"] if X[rows].shape[0] == 1 else [])
