@@ -617,8 +617,7 @@ def _student_em(X, lam, mu, sigma, mu_known: bool, sigma_known: bool):
     """EM for (mu, sigma) on each row at its lam, from (mu, sigma), the known
     one held; each row stops on its own step.  Returns (mu, sigma, iterations)."""
     if len(X) == 1:
-        with np.errstate(all="ignore"):
-            out = _student_em_one(X[0], lam[0], mu[0], sigma[0], mu_known, sigma_known)
+        out = _student_em_one(X[0], lam[0], mu[0], sigma[0], mu_known, sigma_known)
         return tuple(np.array([v]) for v in out)
     mu, sigma, iters = mu.copy(), sigma.copy(), np.full(len(X), 500)
     live, lam_c, ratio, m, s = np.arange(len(X)), _col(lam), (lam + 1.0) / lam, mu, sigma

@@ -16,8 +16,8 @@ every float as hex, or the type of the error that ``run_test`` raised.
 ``bootstrap.json`` holds the bootstrap p-value of six ML families
 (``BOOTSTRAP``) on the sample of n = 200 drawn at FAMILY_THETAS from the key
 (3, 200): the fit and T_n of that sample (a one-row fit), the exceed and
-failed counts and the p-value, and the T_n of every replication, which
-``gof.replicate`` fits as blocks.  ``study.json`` holds the report of the
+failed counts and the p-value, and the T_n of every replication as
+``gof.replicate``, which fits them as blocks, returns them to ``run_test``.  ``study.json`` holds the report of the
 five-cell ``STUDY``: each cell's rejections, failed count, ok flag, rate and
 standard error.  Every file records the Python, numpy and scipy versions
 that wrote it.
@@ -42,6 +42,7 @@ import json
 import platform
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import scipy
@@ -50,9 +51,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from conftest import FAMILY_THETAS, MM_REQUIRED_KNOWN  # noqa: E402
 from trigof import families as F  # noqa: E402
+from trigof import gof  # noqa: E402
 from trigof.errors import TrigofError  # noqa: E402
 from trigof.estimate import KnownMask  # noqa: E402
-from trigof.gof import replicate, run_test  # noqa: E402
+from trigof.gof import run_test  # noqa: E402
 from trigof.simharness import CellConfig, StudyConfig, run_study  # noqa: E402
 
 DIR = Path(__file__).resolve().parent / "golden"
@@ -121,18 +123,21 @@ def bootstrap_outcome(name) -> dict:
     theta, n = FAMILY_THETAS[name], BOOT_N
     x = F.sample(name, theta, n, np.random.SeedSequence([BOOT_SEED, n]))
     key = f"n={n},seed={BOOT_SEED}"
+    seen = []  # what replicate returns to run_test: the T_n of its replications
+
+    def replicate(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    real = gof.replicate
     try:
-        res = run_test(name, "ml", None, x, mc=BOOT_MC)
+        with mock.patch.object(gof, "replicate", replicate):
+            res = run_test(name, "ml", None, x, mc=BOOT_MC)
     except TrigofError as exc:
         return {key: {"error": type(exc).__name__}}
-    # the replications run_test counts, drawn from the fitted model as it draws them
-    fitted = F._quantile_of(name, res.fit.theta)
-    tn_r = replicate(name, "ml", None, n, lambda rs: F._draws(
-        fitted, n, [np.random.SeedSequence([BOOT_MC["seed"], i]) for i in rs]),
-        range(BOOT_MC["reps"]))
     return {key: {"theta": _hex(res.fit.theta), "tn": float(res.tn).hex(),
                   "p_mc": float(res.p_mc).hex(), "exceed": res.mc_exceed,
-                  "failed": res.mc_failed, "replications": _hex(tn_r)}}
+                  "failed": res.mc_failed, "replications": _hex(seen[0])}}
 
 
 def study_outcome() -> dict:

@@ -677,17 +677,20 @@ class TestOneRowPaths:
         _same_bits(one, block)
         return one
 
-    def test_brent_phi_turning_nan_partway(self):
+    @pytest.mark.parametrize("nan", [np.nan, -np.nan], ids=["nan", "negative-nan"])
+    def test_brent_phi_turning_nan_partway(self, nan):
         seen = []
 
         def f(z):
-            v = np.nan if 0.55 < z < 0.95 else z ** 3 - 0.2
+            v = nan if 0.55 < z < 0.95 else z ** 3 - 0.2
             seen.append(v)
             return v
 
         root, iters, conv = self._brent_both(f, 0.0, 1.0)
-        # a NaN reads as neither sign, so the steps close on the NaN region's edge
-        assert np.isnan(seen).any() and conv[0] and root[0] == pytest.approx(0.55)
+        # a NaN takes the sign of its sign bit, as np.signbit reads it, so the
+        # steps close on an edge of the NaN region
+        assert np.isnan(seen).any() and conv[0]
+        assert root[0] == pytest.approx(0.95 if np.signbit(nan) else 0.55)
 
     @pytest.mark.parametrize("a,b,expect", [(0.0, 1.0, 0.0), (-1.0, 0.0, 0.0)],
                              ids=["at-a", "at-b"])
@@ -744,6 +747,12 @@ class TestOneRowPaths:
                                         1.5, -1.0, 2.0)
         assert abs(root[0]) < 1e-14 and iters[0] > 2
 
+    def test_newton_infinite_slope_bisects(self):
+        # a step of f/inf = 0 would stop at the start; the row path bisects
+        root, iters = self._newton_both(lambda z: (z - 0.3, np.inf if z == 0.8 else 1.0),
+                                        0.8, 0.0, 1.0)
+        assert root[0] == pytest.approx(0.3) and iters[0] > 1
+
     def test_newton_nan_f_moves_the_lower_end(self):
         # a NaN f is not above 0, so each step moves the lower end up to x
         root, iters = self._newton_both(
@@ -778,6 +787,17 @@ class TestOneRowPaths:
         _same_bits(one, E._student_em(X, lam, mu, sigma, mu_known, sigma_known))
         assert 1 < one[2][0] < 500
         assert (one[0][0] == 0.1) == mu_known and (one[1][0] == 1.5) == sigma_known
+
+    def test_student_em_nan_sigma_runs_to_the_cap(self):
+        # sigma from 0 with mu known at an observation: 0/0 there makes sigma
+        # NaN, and np.maximum's NaN keeps the stopping rule false
+        X = np.stack([F.sample("student-t", (4.0, 0.1, 1.5), 30, np.random.SeedSequence([5, r]))
+                      for r in range(3)])
+        lam, mu, sigma = np.full(3, 4.0), X[:, 0].copy(), np.array([1.0, 0.0, 1.0])
+        with np.errstate(all="ignore"):  # as Row.estimator runs it
+            one = E._student_em(X[1:2], lam[1:2], mu[1:2], sigma[1:2], True, False)
+            _same_bits(one, E._student_em(X, lam, mu, sigma, True, False))
+        assert np.isnan(one[1][0]) and one[2][0] == 500
 
     def test_scalar_paths_keep_numpy_float64(self):
         root, _, _ = E._brent_one(lambda z, j: z - 0.5, np.float64(0.0), np.float64(1.0),
