@@ -17,10 +17,10 @@ every float as hex, or the type of the error that ``run_test`` raised.
 (``BOOTSTRAP``) on the sample of n = 200 drawn at FAMILY_THETAS from the key
 (3, 200): the fit and T_n of that sample (a one-row fit), the exceed and
 failed counts and the p-value, and the T_n of every replication as
-``gof.replicate``, which fits them as blocks, returns them to ``run_test``.  ``study.json`` holds the report of the
-five-cell ``STUDY``: each cell's rejections, failed count, ok flag, rate and
-standard error.  Every file records the Python, numpy and scipy versions
-that wrote it.
+``gof.replicate``, which fits them as blocks, returns them to ``run_test``.
+``study.json`` holds the report of the five-cell ``STUDY``: each cell's
+rejections, failed count, ok flag, rate and standard error.  Every file
+records the Python, numpy and scipy versions that wrote it.
 
 ``compare`` is the check: theta-hat, T_n, the p-value, the replications' T_n,
 the rate and its error within 1e-12 relative in each component, Sigma within
@@ -147,21 +147,12 @@ def study_outcome() -> dict:
             for c in run_study(STUDY).cells}
 
 
-def run_test_groups():
-    return ((row_id(*r), outcomes(*r)) for r in supported_rows())
-
-
-def bootstrap_groups():
-    return ((name, bootstrap_outcome(name)) for name in BOOTSTRAP)
-
-
-def study_groups():
-    return iter([(f"reps={STUDY.reps},seed={STUDY.seed}", study_outcome())])
-
-
-# each golden file and the (group id, {key: entry}) pairs it holds
-LAYERS = {"run_test.json": run_test_groups, "bootstrap.json": bootstrap_groups,
-          "study.json": study_groups}
+# each golden file and what builds its rows, {row id: {key: entry}}
+LAYERS = {
+    "run_test.json": lambda: {row_id(*r): outcomes(*r) for r in supported_rows()},
+    "bootstrap.json": lambda: {name: bootstrap_outcome(name) for name in BOOTSTRAP},
+    "study.json": lambda: {f"reps={STUDY.reps},seed={STUDY.seed}": study_outcome()},
+}
 
 
 def _floats(values):
@@ -195,20 +186,19 @@ def versions() -> dict:
             "scipy": scipy.__version__}
 
 
-def check_layer(name: str, groups, check: bool) -> int:
-    """Rebuild one golden file from ``groups``, print what moved against the
-    file and a summary, and write it unless ``check``; the number moved."""
+def check_layer(name: str, rows: dict, check: bool) -> int:
+    """Print what moved from golden file ``name`` to ``rows`` and a summary,
+    and write ``rows`` to it unless ``check``; the number moved."""
     path = DIR / name
     old = json.loads(path.read_text())["rows"] if path.exists() else {}
-    rows, moved = {}, []
-    for gid, entries in groups:
-        rows[gid] = entries
+    moved = []
+    for rid, entries in rows.items():
         for key, entry in entries.items():
-            if gid not in old or key not in old[gid]:
-                moved.append(f"{gid} {key}: new")
+            if rid not in old or key not in old[rid]:
+                moved.append(f"{rid} {key}: new")
                 continue
-            moved += [f"{gid} {key}: {line}" for line in compare(old[gid][key], entry)]
-    moved += [f"{gid}: gone" for gid in sorted(set(old) - set(rows))]
+            moved += [f"{rid} {key}: {line}" for line in compare(old[rid][key], entry)]
+    moved += [f"{rid}: gone" for rid in sorted(set(old) - set(rows))]
     for line in moved:
         print(line)
     entries = [e for r in rows.values() for e in r.values()]
@@ -228,7 +218,7 @@ def main(argv=None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="compare without rewriting the files; exit 1 if anything moved")
     check = parser.parse_args(argv).check
-    moved = sum([check_layer(name, groups(), check) for name, groups in LAYERS.items()])
+    moved = sum([check_layer(name, build(), check) for name, build in LAYERS.items()])
     return 1 if check and moved else 0
 
 

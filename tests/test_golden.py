@@ -40,9 +40,9 @@ def test_the_bootstrap_keeps_its_p_value_and_replications(name):
 
 
 def test_the_study_keeps_its_report():
-    (gid, want), = GOLDEN["study.json"]["rows"].items()
-    (gid_now, got), = golden.study_groups()
-    assert gid_now == gid and len(want) == len(golden.STUDY.cells)
+    (rid, want), = GOLDEN["study.json"]["rows"].items()
+    (rid_now, got), = golden.LAYERS["study.json"]().items()
+    assert rid_now == rid and len(want) == len(golden.STUDY.cells)
     moved = _moved(want, got)
     assert not moved, (moved, GOLDEN["study.json"]["versions"])
 
@@ -52,7 +52,7 @@ def test_check_mode_reports_what_moved_and_leaves_the_file(tmp_path, monkeypatch
     rid = golden.row_id(*one)
     path = tmp_path / "run_test.json"
     monkeypatch.setattr(golden, "DIR", tmp_path)
-    monkeypatch.setattr(golden, "LAYERS", {"run_test.json": golden.run_test_groups})
+    monkeypatch.setattr(golden, "LAYERS", {"run_test.json": golden.LAYERS["run_test.json"]})
     monkeypatch.setattr(golden, "supported_rows", lambda: iter([one]))
     rows = {rid: GOLDEN["run_test.json"]["rows"][rid]}
     versions = GOLDEN["run_test.json"]["versions"]
