@@ -12,7 +12,7 @@ declarative Monte-Carlo study).
 
 Exit codes: 0 success, 2 data or numeric failure, 64 usage error (an
 unknown option, family or parameter, or an option value out of its range).  The
-environment variable TRIGOF_SEED supplies the default seed.
+environment variable TRIGOF_SEED supplies the default seed of ``test`` and ``power``.
 """
 
 from __future__ import annotations
@@ -100,12 +100,12 @@ def _round_obj(obj, digits):
 
 
 def read_data(path) -> np.ndarray:
-    """One numeric value per line; '#' starts a comment; no header.  A value
-    that is not a finite number is an error that names its line.  A file
-    without '#' is parsed in one pass, its lines read by ``np.array`` (which
-    parses each as ``float`` does); one that pass refuses, and a file with
-    comments, goes through ``_read_lines``."""
-    with open(path) as fh:
+    """One numeric value per line; '#' starts a comment; no header; a UTF-8
+    byte-order mark is dropped.  A value that is not a finite number is an
+    error that names its line.  A file without '#' is parsed in one pass, its
+    lines read by ``np.array`` (which parses each as ``float`` does); one
+    that pass refuses, and a file with comments, goes through ``_read_lines``."""
+    with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     if "#" not in text:
         try:
@@ -347,6 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--digits", type=_count, default=17,
                        help="significant digits in numeric output (default 17)")
         p.add_argument("--output", help="write output to this file instead of stdout")
+
+    def add_seed(p):
         p.add_argument("--seed", type=int,
                        help="RNG seed (default: TRIGOF_SEED or 0)")
 
@@ -361,6 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bootstrap replications for the Monte-Carlo p-value "
                         "(0 = asymptotic only; 10000 is a desk-scale choice)")
     add_common(p)
+    add_seed(p)
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("matrices", help="dump G/R/J and the scaling covariance")
@@ -386,6 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--empirical", metavar="N,REPS",
                    help="append finite-n empirical power at each grid point")
     add_common(p)
+    add_seed(p)
     p.set_defaults(func=cmd_power)
 
     p = sub.add_parser("ellipse", help="confidence-ellipse boundary as CSV")
@@ -417,7 +421,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_EXIT if exc.code not in (0, None) else 0
     try:
-        if args.seed is None and args.command != "study":  # a study keeps its config's seed
+        if args.command in ("test", "power") and args.seed is None:  # a study keeps its config's seed
             args.seed = _default_seed()
         return args.func(args)
     except _UsageError as exc:

@@ -173,7 +173,7 @@ def _brent(phi, a, b, fa, fb, xtol=_XTOL, rtol=_RTOL):
         for k in range(1, _MAX_ITER + 1):
             if not live.size:
                 break
-            # each step skips the selections that no row takes (one row: all but one)
+            # each step skips the selections that no row takes
             flip = np.signbit(fpre) != np.signbit(fcur)
             if np.count_nonzero(flip):
                 xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
@@ -945,9 +945,7 @@ _ROW_CACHE = 1024  # the rows ``row`` keeps, the most recently used
 class Row:
     """A (family, estimator, mask) row, resolved by ``row``: the ``names`` it
     estimates (MM: not those it requires known), the indices into them its
-    mask (NaN where free) leaves ``free``, its ``base`` family's row where it
-    is taken through it, and the ``unit`` point of its constant Sigma, the
-    known shapes and every other component 1 (None where a shape is free)."""
+    mask (NaN where free) leaves ``free``, and any ``base`` row it is taken through."""
 
     fam: Family
     kind: EstimatorKind
@@ -955,7 +953,6 @@ class Row:
     base: Optional["Row"]
     names: tuple[str, ...]
     free: tuple[int, ...]
-    unit: Optional[tuple[float, ...]]
 
     @functools.cached_property
     def estimator(self):
@@ -990,13 +987,6 @@ class Row:
             return theta, np.maximum(iterations, 1), converged
         return rows
 
-    @functools.cached_property
-    def unit_sigma(self) -> np.ndarray:
-        """``scaling.sigma`` at ``unit`` as one row (1, 2, 2), NaN where it fails."""
-        from . import scaling  # which imports this module
-        return scaling.sigma(scaling.matrices(self, self.kind, np.array([self.unit])),
-                             self.mask, self.kind, self)
-
 
 def row(fam, kind=EstimatorKind.ML, mask: Optional[KnownMask] = None) -> Row:
     """The Row of a family, an estimator kind and a mask (None: all free),
@@ -1024,10 +1014,8 @@ def _row(fam: Family, kind: EstimatorKind, known: tuple, values: tuple) -> Row:
     base = None if d is None else row(d.base, kind, KnownMask.from_names(
         d.base, d.base_values(mask.fixed_values, known)))
     names = tuple(p for p in fam.param_names if kind is EstimatorKind.ML or p not in fam.mm_known)
-    unit = tuple(v if p in fam.shapes else 1.0 for p, v in zip(fam.param_names, mask.fixed_values))
     return Row(fam, kind, mask, base, names,
-               tuple(j for j, p in enumerate(names) if not mask.is_known(fam, p)),
-               None if any(map(math.isnan, unit)) else unit)
+               tuple(j for j, p in enumerate(names) if not mask.is_known(fam, p)))
 
 
 def check_size(r: Row, n: int) -> None:

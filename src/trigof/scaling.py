@@ -40,8 +40,8 @@ Each public function reads its (family, estimator, mask) row as an
 ``estimate.Row``.  On PIT values Sigma depends on theta only through
 ``Family.shapes``: ``sigma_from``, the one path from fitted theta to Sigma,
 reads the matrices with every other component at 1, so R's condition is
-free of the data's units, and where the mask knows every shape that Sigma
-is a constant of the row, computed once and kept on it (``Row.unit_sigma``).
+free of the data's units; where the fitted rows share that point, Sigma is
+computed once and cached (``_unit_sigma``).
 A derived family takes its base's G, R and J at the mapped point
 (``Row.base``): a monotone transform of the data leaves the PIT as it is or
 maps U to 1 - U, which negates S_n, so they are carried into the family's
@@ -52,6 +52,7 @@ is summed directly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -231,23 +232,29 @@ def sigma(ms: MatrixSet, mask: KnownMask | None, kind, fam) -> np.ndarray:
     return S
 
 
+@functools.lru_cache(maxsize=1024)  # the most recently used (row, unit point) pairs
+def _unit_sigma(r: Row, unit: bytes) -> np.ndarray:
+    """Sigma (1, 2, 2) of the row at the point of float64 bytes ``unit``."""
+    return sigma(matrices(r, r.kind, np.frombuffer(unit)[None]), r.mask, r.kind, r)
+
+
 def sigma_from(fam, kind, theta, mask: KnownMask | None = None) -> np.ndarray:
     """Sigma at theta, a point (p,) or theta rows (rows, p), taken with every
-    component but ``fam.shapes`` at 1: once where the mask knows every shape
-    (at ``Row.unit``, which a fitted theta reaches, a copy of the row's
-    ``Row.unit_sigma``), else on each fitted row alone, one part of them per
-    thread (``families._in_parts``).  A point is checked as given and raises
-    as ``matrices`` and ``sigma`` do; a row not finite or failing reads NaN."""
+    component but ``fam.shapes`` at 1: once where every fitted row reaches the
+    same unit point, bit for bit (``_unit_sigma``'s, copied), else on each
+    fitted row alone, one part of them per thread (``families._in_parts``).
+    A point is checked as given and raises as ``matrices`` and ``sigma`` do;
+    a row not finite or failing reads NaN."""
     r = row(fam, kind, mask)
     theta = np.asarray(theta, dtype=float)
     rows = theta if theta.ndim == 2 else np.array([_theta(r.fam, theta)])
     fitted = np.flatnonzero(np.all(np.isfinite(rows), axis=1))
     sig = np.full((len(rows), 2, 2), np.nan)
     if fitted.size:
-        unit = rows[fitted[:1] if r.unit is not None else fitted]
+        unit = rows[fitted]
         unit[:, [p not in r.fam.shapes for p in r.fam.param_names]] = 1.0
-        if r.unit is not None and unit[0].tolist() == list(r.unit):
-            sig[fitted] = r.unit_sigma
+        if (unit.view(np.int64) == unit[:1].view(np.int64)).all():
+            sig[fitted] = _unit_sigma(r, unit[0].tobytes())
         else:
             sig[fitted] = np.concatenate(_in_parts(
                 lambda part: sigma(matrices(r, r.kind, part), r.mask, r.kind, r), unit))

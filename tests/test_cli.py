@@ -1,4 +1,7 @@
+import csv
+import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trigof import cli
+from trigof import cli, simharness
 from trigof import families as F
 from trigof.errors import TrigofError
 
@@ -107,6 +110,18 @@ def test_seed_default_is_read_at_each_call(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert cli.main(["test", path, "--family", "gamma"]) == cli.USAGE_EXIT
     assert "TRIGOF_SEED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["matrices", "--family", "normal", "--theta", "0,1"],
+    ["ellipse", "--family", "normal", "--theta", "0,1"],
+], ids=["matrices", "ellipse"])
+def test_commands_that_draw_nothing_take_no_seed(argv, monkeypatch, capsys):
+    monkeypatch.setenv("TRIGOF_SEED", "abc")
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert cli.main([*argv, "--seed", "3"]) == cli.USAGE_EXIT
+    assert "--seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -229,6 +244,44 @@ def test_study_config_with_a_misspelled_family_is_2(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_study_writes_its_report_with_the_seed_given(tmp_path, capsys):
+    path = tmp_path / "study.ini"
+    path.write_text("[study]\nreps = 100\nseed = 4\n\n"
+                    "[cell:null]\nfamily = gamma\ntheta = 2.0, 1.0\nn = 40\n\n"
+                    "[cell:alt]\nfamily = normal\ntheta = 0, 1\nn = 40\n"
+                    "data_family = logistic\ndata_theta = 0, 1\n")
+    prefix = str(tmp_path / "out")
+    assert cli.main(["study", "--config", str(path), "--output-prefix", prefix,
+                     "--seed", "9"]) == 0
+    cfg = simharness.load_config(str(path))
+    want = simharness.run_study(dataclasses.replace(cfg, seed=9)).cells
+    assert capsys.readouterr().out.splitlines() == [
+        f"{c.name}: rate={c.rate:.4f} se={c.se:.4f} failed={c.failed} "
+        f"[{'ok' if c.ok else 'FLAGGED'}]" for c in want]
+    rows = [{k: v for k, v in dataclasses.asdict(c).items() if k != "wall_time"} for c in want]
+    with open(prefix + ".csv", newline="") as fh:
+        got = list(csv.DictReader(fh))
+    assert [{k: v for k, v in r.items() if k != "wall_time"} for r in got] == \
+        [{k: str(v) for k, v in r.items()} for r in rows]
+    with open(prefix + ".json") as fh:
+        report = json.load(fh)
+    assert (report["reps"], report["alpha"], report["seed"]) == (100, 0.05, 9)
+    assert [{k: v for k, v in r.items() if k != "wall_time"} for r in report["cells"]] == rows
+    assert [c.rejections for c in want] != \
+        [c.rejections for c in simharness.run_study(cfg).cells]
+
+
+def test_ellipse_input_marks_the_observed_point_of_the_test(tmp_path, capsys):
+    path = _data_file(tmp_path, F.sample("gamma", (2.3, 1.4), 60, 5))
+    assert cli.main(["ellipse", "--family", "gamma", "--input", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    observed = [line for line in lines if line.startswith("observed,")]
+    res = cli.gof.run_test("gamma", "ml", None, cli.read_data(path))
+    root_n = math.sqrt(res.moments.n)
+    assert observed == [f"observed,{root_n * res.moments.cn!r},{root_n * res.moments.sn!r}"]
+    assert lines[0] == "kind,x,y" and lines[1].startswith("boundary,")
+
+
 class TestReadData:
     def test_comments_and_blank_lines_are_skipped(self, tmp_path, capsys):
         path = tmp_path / "data.txt"
@@ -261,6 +314,15 @@ class TestReadData:
             cli.read_data(path)
         assert cli.main(["test", str(path), "--family", "normal"]) == cli.DATA_EXIT
         assert expect in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", ["1.5\n2.5\n3.0\n", "# values\n1.5\n2.5\n3.0\n"],
+                             ids=["one-pass", "with-a-comment"])
+    def test_a_byte_order_mark_is_dropped(self, tmp_path, capsys, body):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + body.encode())
+        assert cli.read_data(path).tolist() == [1.5, 2.5, 3.0]
+        assert cli.main(["test", str(path), "--family", "normal"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 3
 
     @pytest.mark.parametrize("body", ["", "# only a comment\n\n   \n"], ids=["empty", "comments"])
     def test_a_file_without_values_is_an_error(self, tmp_path, capsys, body):

@@ -1,6 +1,6 @@
 """The (family, estimator, mask) row, ``estimate.row``: resolved once and kept,
 one error type and text per cause at every entry point, and the constant
-Sigma a row keeps where its mask knows every shape."""
+Sigma that ``scaling`` keeps where a row's fitted thetas share their shapes."""
 
 import dataclasses
 import json
@@ -157,12 +157,14 @@ def test_a_replaced_family_is_fitted_and_tested_as_itself():
 
 def test_the_row_cache_is_bounded_and_nothing_is_built_at_import():
     assert estimate._row.cache_info().maxsize == estimate._ROW_CACHE
+    assert scaling._unit_sigma.cache_info().maxsize == 1024
     env = dict(os.environ, PYTHONPATH=str(Path(estimate.__file__).resolve().parents[1]))
     out = subprocess.run(
-        [sys.executable, "-c", "import trigof.cli, trigof.estimate as E; "
-                               "print(E._row.cache_info().currsize)"],
+        [sys.executable, "-c", "import trigof.cli, trigof.estimate as E, trigof.scaling as S; "
+                               "print(E._row.cache_info().currsize, "
+                               "S._unit_sigma.cache_info().currsize)"],
         env=env, capture_output=True, text=True, check=True).stdout
-    assert out == "0\n"
+    assert out == "0 0\n"
 
 
 def _gram_calls(monkeypatch):
@@ -181,6 +183,16 @@ def test_a_second_run_test_of_a_shape_free_row_does_no_sigma_quadrature(fam, mon
     second = run_test(fam, "ml", None, y)
     assert len(calls) == 1
     np.testing.assert_array_equal(second.sigma, first.sigma)
+
+
+def test_a_second_point_at_the_same_free_shape_does_no_sigma_quadrature(monkeypatch):
+    estimate._row.cache_clear()
+    calls = _gram_calls(monkeypatch)
+    first = scaling.sigma_from("gamma", "ml", (2.3, 1.4))
+    np.testing.assert_array_equal(scaling.sigma_from("gamma", "ml", (2.3, 5.0)), first)
+    assert len(calls) == 1
+    assert not np.array_equal(scaling.sigma_from("gamma", "ml", (2.4, 1.4)), first)
+    assert len(calls) == 2
 
 
 def test_a_second_replicate_block_whose_mask_knows_the_shapes_does_no_sigma_quadrature(
