@@ -12,7 +12,8 @@ declarative Monte-Carlo study).
 
 Exit codes: 0 success, 2 data or numeric failure, 64 usage error (an
 unknown option, family or parameter, or an option value out of its range).  The
-environment variable TRIGOF_SEED supplies the default seed of ``test`` and ``power``.
+environment variable TRIGOF_SEED supplies the default seed of ``test --mc-reps``
+and ``power --empirical``, and is read only there.
 """
 
 from __future__ import annotations
@@ -421,7 +422,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_EXIT if exc.code not in (0, None) else 0
     try:
-        if args.command in ("test", "power") and args.seed is None:  # a study keeps its config's seed
+        # a seed is read only where one is drawn from; a study keeps its config's seed
+        draws = (args.command == "test" and args.mc_reps
+                 or args.command == "power" and args.empirical)
+        if draws and args.seed is None:
             args.seed = _default_seed()
         return args.func(args)
     except _UsageError as exc:

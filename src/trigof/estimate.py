@@ -17,8 +17,9 @@ the free components: the score for ML, and for MM ``moment_fns``, which
 Every MM row (the moment equation ``Family.mm``, read only here) and the ML
 rows of ``_ML_ROWS`` are closed forms.  Every other ML row solves its score
 equations through the family's profile (``_ML_PROFILES``): a shape root with
-location and scale profiled out in closed form, by an inner root or by EM,
-and the known components held at their values.  Shape roots are bracketed on
+location and scale profiled out in closed form, by an inner root or, for the
+student-t, by a safeguarded Newton solve of both (``_student_newton``), and
+the known components held at their values.  Shape roots are bracketed on
 a geometric grid searched outward from its centre, so the bracket nearest the
 centre wins, and refined by Brent's method (``_roots``).  Roots that rise
 monotonically with a cheap slope take safeguarded Newton steps (``_newton``)
@@ -116,9 +117,9 @@ class FitResult:
 # the root solver over rows.  phi(z, j) takes trial values z for the rows j
 # (sorted indices into the rows of the problem) and returns phi there.
 #
-# One row takes a scalar path: ``_brent``, ``_newton`` and ``_student_em``
+# One row takes a scalar path: ``_brent``, ``_newton`` and ``_student_newton``
 # given exactly one row run ``_brent_one``, ``_newton_one`` and
-# ``_student_em_one``, the same steps over numpy float64 scalars, with the
+# ``_student_newton_one``, the same steps over numpy float64 scalars, with the
 # row's callbacks still given 1-element arrays.  Every one-sample ``fit`` is
 # one row, and numpy's per-call cost on a 1-element array exceeds a step's
 # own arithmetic; blocks keep the row path.  The row count alone chooses,
@@ -156,7 +157,8 @@ def _brent(phi, a, b, fa, fb, xtol=_XTOL, rtol=_RTOL):
     """Brent's method on each row's bracket [a, b], with phi(a) = fa and
     phi(b) = fb: scipy's brentq step for step, over the rows still running.
     Returns (root, iterations, converged); NaN where [a, b] brackets no sign
-    change."""
+    change.  A row whose phi turns NaN stops, unconverged, at the last point
+    where phi was finite."""
     m, hr = len(a), 0.5 * rtol
     htol = np.broadcast_to(0.5 * np.asarray(xtol, dtype=float), (m,))
     if m == 1:
@@ -173,6 +175,7 @@ def _brent(phi, a, b, fa, fb, xtol=_XTOL, rtol=_RTOL):
         for k in range(1, _MAX_ITER + 1):
             if not live.size:
                 break
+            lost = np.isnan(fcur)  # the newest phi; xpre holds the last finite one
             # each step skips the selections that no row takes
             flip = np.signbit(fpre) != np.signbit(fcur)
             if np.count_nonzero(flip):
@@ -186,10 +189,11 @@ def _brent(phi, a, b, fa, fb, xtol=_XTOL, rtol=_RTOL):
                                     np.where(swap, fcur, fblk))
             delta = htol + hr * np.abs(xcur)
             sbis = (xblk - xcur) * 0.5
-            done = (fcur == 0.0) | (np.abs(sbis) < delta)
-            if np.count_nonzero(done):
+            done = ~lost & ((fcur == 0.0) | (np.abs(sbis) < delta))
+            if np.count_nonzero(done | lost):
                 root[live[done]], iters[live[done]], conv[live[done]] = xcur[done], k, True
-                keep = ~done
+                root[live[lost]], iters[live[lost]] = xpre[lost], k - 1
+                keep = ~(done | lost)
                 live = live[keep]
                 xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, htol, delta, sbis = (
                     v[keep] for v in (xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, htol,
@@ -210,7 +214,7 @@ def _brent(phi, a, b, fa, fb, xtol=_XTOL, rtol=_RTOL):
             xpre, fpre = xcur, fcur
             xcur = xcur + np.where(np.abs(scur) > delta, scur, np.copysign(delta, sbis))
             fcur = phi(xcur, live)
-    root[live], iters[live] = xcur, _MAX_ITER
+    root[live], iters[live] = np.where(np.isnan(fcur), xpre, xcur), _MAX_ITER
     return root, iters, conv
 
 
@@ -247,6 +251,8 @@ def _brent_one(phi, a, b, fa, fb, htol, hr):
         xpre, fpre = xcur, fcur
         xcur = xcur + (scur if abs(scur) > delta else np.copysign(delta, sbis))
         fcur = phi(np.array([xcur]), _ROW)[0]
+        if fcur != fcur:
+            return xpre, k, False
     return xcur, _MAX_ITER, False
 
 
@@ -310,40 +316,45 @@ def _newton(fd, x, lo, hi, xtol, rtol=_RTOL):
     """The root of each row's increasing f inside its bracket (lo, hi), by
     Newton's method from x: a step that leaves the bracket of the points seen
     so far, or whose slope is not finite, bisects it instead, and a row stops
-    once its step is below xtol + rtol |x|.  fd(z, j) returns f and f' at z
-    for the rows j.  Returns (root, iterations)."""
+    once its step is below xtol + rtol |x|.  A row whose f turns NaN stops,
+    unconverged, at the last point where f was finite (NaN if f was NaN at
+    x).  fd(z, j) returns f and f' at z for the rows j.  Returns (root,
+    iterations, converged)."""
     if len(x) == 1:
         with np.errstate(all="ignore"):
-            root, iters = _newton_one(fd, x[0], lo[0], hi[0],
-                                      np.broadcast_to(xtol, x.shape)[0], rtol)
-        return np.array([root]), np.array([iters])
-    root, iters = x.copy(), np.full(len(x), _MAX_ITER)
+            out = _newton_one(fd, x[0], lo[0], hi[0], np.broadcast_to(xtol, x.shape)[0], rtol)
+        return tuple(np.array([v]) for v in out)
+    root, iters, conv = x.copy(), np.full(len(x), _MAX_ITER), np.zeros(len(x), dtype=bool)
     lo, hi, tol = lo.copy(), hi.copy(), np.broadcast_to(xtol, x.shape)
-    live = np.arange(len(x))
+    live, last = np.arange(len(x)), np.full(len(x), np.nan)  # last: the last x of finite f
     with np.errstate(all="ignore"):
         for k in range(1, _MAX_ITER + 1):
             f, d = fd(x, live)
+            lost = np.isnan(f)
             above = f > 0.0
             hi, lo = np.where(above, x, hi), np.where(above, lo, x)
             new = x - f / d
             inside = (new >= lo) & (new <= hi) & np.isfinite(d)
             new = np.where(f == 0.0, x, np.where(inside, new, 0.5 * (lo + hi)))
-            done = np.abs(new - x) <= tol + rtol * np.abs(new)
-            root[live] = new
-            if np.count_nonzero(done):
-                iters[live[done]] = k
-                keep = ~done
-                live, new, lo, hi, tol = live[keep], new[keep], lo[keep], hi[keep], tol[keep]
+            done = ~lost & (np.abs(new - x) <= tol + rtol * np.abs(new))
+            root[live] = np.where(lost, last, new)
+            if np.count_nonzero(done | lost):
+                iters[live[done | lost]], conv[live[done]] = k, True
+                keep = ~(done | lost)
+                live, x, new, lo, hi, tol = (v[keep] for v in (live, x, new, lo, hi, tol))
                 if not live.size:
                     break
-            x = new
-    return root, iters
+            x, last = new, x
+    return root, iters, conv
 
 
 def _newton_one(fd, x, lo, hi, tol, rtol):
-    """``_newton``'s steps on one row, over scalars: (root, iterations)."""
+    """``_newton``'s steps on one row, over scalars: (root, iterations, converged)."""
+    last = np.float64(np.nan)
     for k in range(1, _MAX_ITER + 1):
         f, d = (v[0] for v in fd(np.array([x]), _ROW))
+        if f != f:
+            return last, k, False
         if f > 0.0:
             hi = x
         else:
@@ -354,9 +365,9 @@ def _newton_one(fd, x, lo, hi, tol, rtol):
         elif not (new >= lo and new <= hi and math.isfinite(d)):
             new = 0.5 * (lo + hi)
         if abs(new - x) <= tol + rtol * abs(new):
-            return new, k
-        x = new
-    return x, _MAX_ITER
+            return new, k, True
+        x, last = new, x
+    return x, _MAX_ITER, False
 
 
 def _mean(A):
@@ -490,8 +501,8 @@ def _epd_mu_hat(X, lam, start):
             q = np.sign(d) * _pow(np.abs(d), lam[up[j]] - 1.0)
             return np.add.reduce(q, axis=1), (lam[up[j]] - 1.0) * np.add.reduce(q / d, axis=1)
 
-        mu[up], iters[up] = _newton(fd, start[up], lo[up], hi[up],
-                                    1e-12 * np.maximum(1.0, hi[up] - lo[up]))
+        mu[up], iters[up], _ = _newton(fd, start[up], lo[up], hi[up],
+                                       1e-12 * np.maximum(1.0, hi[up] - lo[up]))
     # lam < 1: the equation blows up at every observation, with one root per
     # gap; take the consistent root in the gap with the smallest profiled
     # objective at its midpoint (``_epd_gap``; global maximization is
@@ -570,7 +581,8 @@ def _expgamma_rows(kn, kv, X, iters):
                 v = (w * (Dk - _col(m1)) ** 2).sum(axis=1) / sw
                 return s - lam[k] * m1, 1.0 + lam[k] * v / s ** 2
 
-            sigma, it = _newton(fd, np.minimum(last_sigma[j], hi), np.zeros(len(j)), hi, _XTOL)
+            sigma, it, _ = _newton(fd, np.minimum(last_sigma[j], hi), np.zeros(len(j)), hi,
+                                   _XTOL)
         last_sigma[j], iters[j] = sigma, iters[j] + it
         return sigma
 
@@ -601,7 +613,7 @@ def _logistic_rows(kn, kv, X, iters):
             t = 2.0 / (1.0 + np.exp((_take(Xj, k) - _col(z)) / _col(sigma[k])))
             return _mean(t) - 1.0, _mean(t * (2.0 - t)) / (2.0 * sigma[k])
 
-        mu, it = _newton(fd, last_mu[j], lo[j], hi[j], _XTOL * (hi[j] - lo[j]))
+        mu, it, _ = _newton(fd, last_mu[j], lo[j], hi[j], _XTOL * (hi[j] - lo[j]))
         last_mu[j], iters[j] = mu, iters[j] + it
         return mu
 
@@ -613,55 +625,114 @@ def _logistic_rows(kn, kv, X, iters):
     return np.column_stack([mu_hat(sigma, np.arange(len(X))), sigma]), conv
 
 
-def _student_em(X, lam, mu, sigma, mu_known: bool, sigma_known: bool):
-    """EM for (mu, sigma) on each row at its lam, from (mu, sigma), the known
-    one held; each row stops on its own step.  Returns (mu, sigma, iterations)."""
+def _student_steps(lam, c, mq, my, mh, mqq, myq, mhq, mu_known: bool, sigma_known: bool):
+    """The Newton and EM steps of the t log-likelihood at lam in (mu, ln sigma)
+    for rows at (mu, sigma), from the row means mq, my, mh of q, yq, y^2 q and
+    mqq, myq, mhq of q^2, yq^2, y^2 q^2, where y = (x - mu) / sigma, q = 1 /
+    (lam + y^2) and c = lam + 1.  Returns (a, t, newton, em_a, em_f): the
+    Newton step a = (mu' - mu) / sigma, t = ln(sigma' / sigma), whether the
+    Hessian is negative definite (so the step can be taken), and EM's step
+    mu' = mu + em_a sigma, sigma' = em_f sigma.  A held component's score and
+    cross term read 0 and its curvature -1, so its Newton step is 0."""
+    g_a, g_t = c * my, c * mh - 1.0  # the mean score in (mu / sigma, ln sigma)
+    h_aa, h_at, h_tt = c * (mhq - lam * mqq), -2.0 * lam * c * myq, -2.0 * lam * c * mhq
+    if mu_known:
+        g_a, h_aa, h_at = 0.0, -1.0, 0.0
+    if sigma_known:
+        g_t, h_tt, h_at = 0.0, -1.0, 0.0
+    det = h_aa * h_tt - h_at * h_at
+    em_a = my / mq
+    return (-(h_tt * g_a - h_at * g_t) / det, -(h_aa * g_t - h_at * g_a) / det,
+            (h_aa < 0.0) & (det > 0.0), em_a, np.sqrt(c * (mh if mu_known else mh - em_a * my)))
+
+
+def _student_newton(X, lam, mu, sigma, mu_known: bool, sigma_known: bool):
+    """The maximum of each row's t likelihood at its lam over (mu, sigma), the
+    known one held, by Newton's method in (mu, ln sigma) from (mu, sigma).  A
+    row takes EM's step instead where the Hessian is not negative definite or
+    the Newton step does not raise the likelihood.  Each row stops on its own
+    step, once mu moves by at most _STEP_TOL max(|mu|, sigma) and sigma by at
+    most _STEP_TOL sigma: against max(|mu|, sigma) alone, a sigma collapsing
+    far below |mu| would stop at once.  Returns (mu, sigma, iterations)."""
+    if mu_known and sigma_known:
+        return mu.copy(), sigma.copy(), np.ones(len(X), dtype=int)
     if len(X) == 1:
-        out = _student_em_one(X[0], lam[0], mu[0], sigma[0], mu_known, sigma_known)
+        with np.errstate(all="ignore"):
+            out = _student_newton_one(X[0], lam[0], mu[0], sigma[0], mu_known, sigma_known)
         return tuple(np.array([v]) for v in out)
-    mu, sigma, iters = mu.copy(), sigma.copy(), np.full(len(X), 500)
-    live, lam_c, ratio, m, s = np.arange(len(X)), _col(lam), (lam + 1.0) / lam, mu, sigma
-    for it in range(1, 501):
-        w = lam_c / (lam_c + ((X - _col(m)) / _col(s)) ** 2)
-        m_new = m if mu_known else np.add.reduce(w * X, axis=1) / np.add.reduce(w, axis=1)
-        s_new = s if sigma_known else np.sqrt(ratio * _mean(w * (X - _col(m_new)) ** 2))
-        stop = (np.maximum(np.abs(m_new - m), np.abs(s_new - s))
-                <= _STEP_TOL * np.maximum(np.abs(m_new), s_new))
+    mu, sigma, iters = mu.copy(), sigma.copy(), np.full(len(X), _MAX_ITER)
+    live, c, m, s = np.arange(len(X)), lam + 1.0, mu, sigma
+    Y = (X - _col(m)) / _col(s)
+    for it in range(1, _MAX_ITER + 1):
+        H = Y * Y
+        Q = 1.0 / (_col(lam) + H)
+        YQ, HQ = Y * Q, H * Q
+        a, t, newton, step_a, step_f = _student_steps(
+            lam, c, _mean(Q), _mean(YQ), _mean(HQ), _mean(Q * Q), _mean(YQ * Q), _mean(HQ * Q),
+            mu_known, sigma_known)
+        if np.count_nonzero(newton):
+            # the rise of the mean log-likelihood, with y - y' = D taken from
+            # the step itself: y' - y from y' would round to eps |y|, not
+            # eps |y - y'|
+            e = np.exp(t)
+            D = (Y * _col(np.expm1(t)) + _col(a)) / _col(e)
+            take = newton & (-t - 0.5 * c * _mean(np.log1p(-D * (Y + Y - D) * Q)) > 0.0)
+            step_a, step_f = np.where(take, a, step_a), np.where(take, e, step_f)
+        m_new = m if mu_known else m + s * step_a
+        s_new = s if sigma_known else s * step_f
+        stop = ((np.abs(m_new - m) <= _STEP_TOL * np.maximum(np.abs(m_new), s_new))
+                & (np.abs(s_new - s) <= _STEP_TOL * s_new))
         m, s = m_new, s_new
         if np.count_nonzero(stop):  # rows that stop leave the loop
             mu[live[stop]], sigma[live[stop]], iters[live[stop]] = m[stop], s[stop], it
             keep = ~stop
-            live, X, lam_c, ratio, m, s = (v[keep] for v in (live, X, lam_c, ratio, m, s))
+            live, X, lam, c, m, s = (v[keep] for v in (live, X, lam, c, m, s))
             if not live.size:
                 break
+        Y = (X - _col(m)) / _col(s)
     mu[live], sigma[live] = m, s
     return mu, sigma, iters
 
 
-def _student_em_one(x, lam, m, s, mu_known: bool, sigma_known: bool):
-    """``_student_em``'s steps on one row x, over scalars: (mu, sigma, iterations)."""
-    n, ratio = len(x), (lam + 1.0) / lam
-    for it in range(1, 501):
-        w = lam / (lam + ((x - m) / s) ** 2)
-        m_new = m if mu_known else np.add.reduce(w * x) / np.add.reduce(w)
-        s_new = s if sigma_known else np.sqrt(ratio * (np.add.reduce(w * (x - m_new) ** 2) / n))
-        stop = _max(abs(m_new - m), abs(s_new - s)) <= _STEP_TOL * _max(abs(m_new), s_new)
+def _student_newton_one(x, lam, m, s, mu_known: bool, sigma_known: bool):
+    """``_student_newton``'s steps on one row x, over scalars: (mu, sigma, iterations)."""
+    n, c = len(x), lam + 1.0
+    y = (x - m) / s
+    for it in range(1, _MAX_ITER + 1):
+        h = y * y
+        q = 1.0 / (lam + h)
+        yq, hq = y * q, h * q
+        a, t, newton, em_a, em_f = _student_steps(
+            lam, c, *(np.add.reduce(v) / n for v in (q, yq, hq, q * q, yq * q, hq * q)),
+            mu_known, sigma_known)
+        if newton:
+            e = np.exp(t)
+            d = (y * np.expm1(t) + a) / e
+            newton = -t - 0.5 * c * (np.add.reduce(np.log1p(-d * (y + y - d) * q)) / n) > 0.0
+        m_new = m if mu_known else m + s * (a if newton else em_a)
+        s_new = s if sigma_known else s * (e if newton else em_f)
+        stop = (abs(m_new - m) <= _STEP_TOL * _max(abs(m_new), s_new)
+                and abs(s_new - s) <= _STEP_TOL * s_new)
         m, s = m_new, s_new
         if stop:
             return m, s, it
-    return m, s, 500
+        y = (x - m) / s
+    return m, s, _MAX_ITER
 
 
 def _student_rows(kn, kv, X, iters):
-    # every EM starts from the median and the standard deviation: a start
-    # carried over from the last lam would move theta by the EM's own
-    # stopping error, about 1e-10
-    mu0 = np.full(len(X), kv[1]) if kn[1] else np.median(X, axis=1)
-    s0 = np.full(len(X), kv[2]) if kn[2] else X.std(axis=1)
+    # a row's (mu, sigma) at the last trial lam starts its solve at the next:
+    # Newton's method ends within rounding of the maximum whatever its start,
+    # and a start near it saves steps.  A solve that ran to its cap is not
+    # carried over: below lam = 1/(n-1) the likelihood grows without bound as
+    # sigma -> 0 at an observation, and a start there sends Newton astray.
+    last_mu = np.full(len(X), kv[1]) if kn[1] else np.median(X, axis=1)
+    last_sigma = np.full(len(X), kv[2]) if kn[2] else X.std(axis=1)
 
     def inner(lam, j):
-        mu, sigma, it = _student_em(_take(X, j), lam, mu0[j], s0[j], kn[1], kn[2])
-        iters[j] += it
+        mu, sigma, it = _student_newton(_take(X, j), lam, last_mu[j], last_sigma[j], kn[1], kn[2])
+        ok = it < _MAX_ITER
+        last_mu[j[ok]], last_sigma[j[ok]], iters[j] = mu[ok], sigma[ok], iters[j] + it
         return mu, sigma
 
     def lam_eq(lam, j):
@@ -714,9 +785,10 @@ def _weibull_rows(kn, kv, X, iters):
 
         # from the moment estimate, s = sd(ln x) sqrt(6) / pi
         s0 = np.sqrt(np.maximum(np.einsum("ij,ij->i", D, D) / D.shape[1] - mean_d ** 2, 0.0))
-        s, it = _newton(fd, s0 * (math.sqrt(6.0) / math.pi), np.zeros(len(X)), -mean_d, 0.0, 1e-13)
+        s, it, conv = _newton(fd, s0 * (math.sqrt(6.0) / math.pi), np.zeros(len(X)), -mean_d,
+                              0.0, 1e-13)
         iters += it
-        rho, conv = 1.0 / s, it < _MAX_ITER
+        rho = 1.0 / s
     w = _col(rho) * D
     np.exp(w, out=w)
     return np.column_stack([np.exp(top + np.log(_mean(w)) / rho), rho]), conv
@@ -774,15 +846,16 @@ def _digamma_root(t, minus_log: bool, iters):
     if minus_log:
         s = np.where(t < 0.0, -t, 1.0)
         lo, x = 0.5 / s, (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
-        lam, it = _newton(lambda z, j: (sp.digamma(z) - np.log(z) + s[j],
-                                        sp.zeta(2.0, z) - 1.0 / z), x, lo, 2.0 * lo, 0.0, 1e-13)
+        lam, it, conv = _newton(lambda z, j: (sp.digamma(z) - np.log(z) + s[j],
+                                              sp.zeta(2.0, z) - 1.0 / z),
+                                x, lo, 2.0 * lo, 0.0, 1e-13)
         lam = np.where(t < 0.0, lam, _SHAPE_CAP)
     else:
         lo, x = np.exp(t), np.where(t >= -2.22, np.exp(t) + 0.5, -1.0 / (t + np.euler_gamma))
-        lam, it = _newton(lambda z, j: (sp.digamma(z) - t[j], sp.zeta(2.0, z)),
-                          x, lo, lo + 1.0, 0.0, 1e-13)
+        lam, it, conv = _newton(lambda z, j: (sp.digamma(z) - t[j], sp.zeta(2.0, z)),
+                                x, lo, lo + 1.0, 0.0, 1e-13)
     iters += it
-    return lam, it < _MAX_ITER
+    return lam, conv
 
 
 def _gamma_rows(kn, kv, X, iters):  # lambda free; lambda known is a closed form

@@ -30,7 +30,10 @@ error type exactly.
     PYTHONPATH=src python tests/make_golden.py [--check]
 
 rewrites the files and prints, row by row, what moved against the files it
-replaces and by how much.  With ``--check`` it prints the same lines but
+replaces and by how much.  It ends with one line per golden file and family
+that moved: how many of the family's entries moved, and the largest relative
+move of theta-hat and of T_n among them; then one line per file for the
+families that did not.  With ``--check`` it prints the same lines but
 leaves the files as they are, and exits 1 if anything moved.
 """
 
@@ -39,6 +42,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import platform
 import sys
 from pathlib import Path
@@ -153,6 +157,15 @@ LAYERS = {
     "bootstrap.json": lambda: {name: bootstrap_outcome(name) for name in BOOTSTRAP},
     "study.json": lambda: {f"reps={STUDY.reps},seed={STUDY.seed}": study_outcome()},
 }
+ROW_FAMILY = {row_id(*r): r[0] for r in supported_rows()}
+
+
+def family_of(layer: str, rid: str, key: str) -> str:
+    """The family of an entry of golden file ``layer``: its run_test row's,
+    its bootstrap row's (the row id), its study cell's."""
+    if layer == "study.json":
+        return next(c.family for c in STUDY.cells if c.name == key)
+    return rid if layer == "bootstrap.json" else ROW_FAMILY[rid]
 
 
 def _floats(values):
@@ -168,17 +181,50 @@ def compare(want: dict, got: dict) -> list[str]:
     moved = [f"{k} {want[k]} -> {got.get(k)}" for k in want
              if k not in FLOATS and want[k] != got.get(k)]
     for k in (k for k in FLOATS if k in want):
-        w, g = _floats(np.atleast_1d(want[k])), _floats(np.atleast_1d(got.get(k, [])))
+        w, g = (np.atleast_1d(e.get(k, [])) for e in (want, got))
         if w.shape != g.shape:
             moved.append(f"{k} has {g.size} values, not {w.size}")
-            continue
-        scale = np.max(np.abs(w)) if k == "sigma" else np.abs(w)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.where((g == w) | (np.isnan(g) & np.isnan(w)), 0.0, np.abs(g - w) / scale)
-        rel[np.isnan(rel)] = np.inf  # NaN on one side only
-        if np.max(rel) > RTOL:
-            moved.append(f"{k} by {np.max(rel):.3g} relative")
+        elif (rel := relative_move(want, got, k)) > RTOL:
+            moved.append(f"{k} by {rel:.3g} relative")
     return moved
+
+
+def relative_move(want: dict, got: dict, k: str) -> float:
+    """The largest relative move of the float quantity k from entry ``want``
+    to ``got``, each value against itself and Sigma against its largest
+    entry: inf where a value turned NaN on one side only or the number of
+    values changed, 0 where either entry has no k (an error)."""
+    if k not in want or k not in got:
+        return 0.0
+    w, g = _floats(np.atleast_1d(want[k])), _floats(np.atleast_1d(got[k]))
+    if w.shape != g.shape:
+        return math.inf
+    scale = np.max(np.abs(w)) if k == "sigma" else np.abs(w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where((g == w) | (np.isnan(g) & np.isnan(w)), 0.0, np.abs(g - w) / scale)
+    rel[np.isnan(rel)] = np.inf  # NaN on one side only
+    return float(np.max(rel))
+
+
+def family_summary(layer: str, old: dict, rows: dict) -> list[str]:
+    """One line per family of golden file ``layer`` with an entry that moved
+    from ``old`` to ``rows``: how many of its entries moved, and the largest
+    relative move of theta-hat and T_n among them; then one line for the rest."""
+    total, moved = {}, {}
+    for rid, entries in rows.items():
+        for key, entry in entries.items():
+            fam = family_of(layer, rid, key)
+            total[fam] = total.get(fam, 0) + 1
+            want = old.get(rid, {}).get(key, {})  # {}: a new entry
+            if want and not compare(want, entry):
+                continue
+            count, theta, tn = moved.get(fam, (0, 0.0, 0.0))
+            moved[fam] = (count + 1, max(theta, relative_move(want, entry, "theta")),
+                          max(tn, relative_move(want, entry, "tn")))
+    lines = [f"{layer} {fam}: {count} of {total[fam]} entries moved, theta by at most "
+             f"{theta:.3g} and T_n by at most {tn:.3g} relative"
+             for fam, (count, theta, tn) in sorted(moved.items())]
+    return lines + [f"{layer}: no {'other ' if moved else ''}family moved"]
 
 
 def versions() -> dict:
@@ -186,9 +232,10 @@ def versions() -> dict:
             "scipy": scipy.__version__}
 
 
-def check_layer(name: str, rows: dict, check: bool) -> int:
-    """Print what moved from golden file ``name`` to ``rows`` and a summary,
-    and write ``rows`` to it unless ``check``; the number moved."""
+def check_layer(name: str, rows: dict, check: bool) -> tuple[int, list[str]]:
+    """Print what moved from golden file ``name`` to ``rows`` and a count,
+    and write ``rows`` to it unless ``check``; the number moved and the
+    file's lines of ``family_summary``."""
     path = DIR / name
     old = json.loads(path.read_text())["rows"] if path.exists() else {}
     moved = []
@@ -203,14 +250,15 @@ def check_layer(name: str, rows: dict, check: bool) -> int:
         print(line)
     entries = [e for r in rows.values() for e in r.values()]
     errors = sum("error" in e for e in entries)
+    summary = family_summary(name, old, rows)
     if check:
         print(f"{len(rows)} rows, {len(entries)} entries ({errors} errors) checked against "
               f"{path.name}: {len(moved)} moved")
-        return len(moved)
+        return len(moved), summary
     path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps({"versions": versions(), "rows": rows}, indent=1) + "\n")
     print(f"{len(rows)} rows, {len(entries)} entries ({errors} errors) written to {path.name}")
-    return len(moved)
+    return len(moved), summary
 
 
 def main(argv=None) -> int:
@@ -218,8 +266,10 @@ def main(argv=None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="compare without rewriting the files; exit 1 if anything moved")
     check = parser.parse_args(argv).check
-    moved = sum([check_layer(name, build(), check) for name, build in LAYERS.items()])
-    return 1 if check and moved else 0
+    counts, summaries = zip(*(check_layer(name, build(), check) for name, build in LAYERS.items()))
+    for line in (line for summary in summaries for line in summary):
+        print(line)
+    return 1 if check and sum(counts) else 0
 
 
 if __name__ == "__main__":

@@ -94,7 +94,8 @@ def test_seed_default_is_read_at_each_call(tmp_path, monkeypatch, capsys):
     run_test = cli.gof.run_test
 
     def recording(*args, mc=None, **kw):
-        seeds.append(mc["seed"])
+        if mc:
+            seeds.append(mc["seed"])
         return run_test(*args, mc=mc, **kw)
 
     monkeypatch.setattr(cli.gof, "run_test", recording)
@@ -106,10 +107,15 @@ def test_seed_default_is_read_at_each_call(tmp_path, monkeypatch, capsys):
     assert cli.main(["test", path, "--family", "gamma", "--mc-reps", "5"]) == 0
     assert seeds == [3, 7, 11, 0]
     assert cli._parser() is cli._parser()
+    # a bad TRIGOF_SEED fails only a call that draws: a bootstrap or empirical power
     monkeypatch.setenv("TRIGOF_SEED", "abc")
-    capsys.readouterr()
-    assert cli.main(["test", path, "--family", "gamma"]) == cli.USAGE_EXIT
-    assert "TRIGOF_SEED" in capsys.readouterr().err
+    power = ["power", "--case", "weibull", "--delta", "0,5"]
+    for argv, draws in ((["test", path, "--family", "gamma"], False),
+                        (["test", path, "--family", "gamma", "--mc-reps", "5"], True),
+                        (power, False), ([*power, "--empirical", "20,5"], True)):
+        capsys.readouterr()
+        assert cli.main(argv) == (cli.USAGE_EXIT if draws else 0)
+        assert ("TRIGOF_SEED" in capsys.readouterr().err) == draws
 
 
 @pytest.mark.parametrize("argv", [

@@ -484,10 +484,16 @@ class TestScanRootInFitters:
                                       "weibull", "gompertz", "lomax",
                                       "kumaraswamy", "half-epd"])
     def test_fit_unchanged_against_reference_scan(self, name):
-        # the former scalar fitter, whose scan and brentq _roots replaced
+        # the former scalar fitter, whose scan and brentq _roots replaced.  Its
+        # student-t EM stops on a 1e-10 step and so ends up to about 1e-8 short
+        # of the maximum that the Newton solve reaches: there theta is held to
+        # 1e-8 and the likelihood may not be lower
         x = F.sample(name, FAMILY_THETAS[name], 200, 31)
-        np.testing.assert_allclose(fit(name, "ml", None, x).theta,
-                                   FE.former_fit(name, None, x).theta, rtol=1e-10, atol=0.0)
+        theta, ref = fit(name, "ml", None, x).theta, FE.former_fit(name, None, x).theta
+        np.testing.assert_allclose(theta, ref, rtol=1e-8 if name == "student-t" else 1e-10,
+                                   atol=0.0)
+        ll, ll_ref = _loglik(name, theta, x), _loglik(name, ref, x)
+        assert ll >= ll_ref - 1e-12 * abs(ll_ref)
 
     @pytest.mark.parametrize("name", ["exp-gamma", "gg"])
     @pytest.mark.parametrize("n", [50, 200])
@@ -660,7 +666,7 @@ def _same_bits(one, block, r=1):
 
 class TestOneRowPaths:
     """A solver given one row takes its scalar path (``_brent_one``,
-    ``_newton_one``, ``_student_em_one``); each case here runs a row on it and
+    ``_newton_one``, ``_student_newton_one``); each case here runs a row on it and
     as the middle row of a three-row block, on the row path, and asserts the
     same bits: root, iterations and flag."""
 
@@ -683,14 +689,15 @@ class TestOneRowPaths:
 
         def f(z):
             v = nan if 0.55 < z < 0.95 else z ** 3 - 0.2
-            seen.append(v)
+            seen.append((z, v))
             return v
 
         root, iters, conv = self._brent_both(f, 0.0, 1.0)
-        # a NaN takes the sign of its sign bit, as np.signbit reads it, so the
-        # steps close on an edge of the NaN region
-        assert np.isnan(seen).any() and conv[0]
-        assert root[0] == pytest.approx(0.95 if np.signbit(nan) else 0.55)
+        # the row stops at its last point of finite phi, unconverged, whatever
+        # the NaN's sign bit; it used to close on an edge of the NaN region
+        first_nan = next(i for i, (z, v) in enumerate(seen) if np.isnan(v))
+        assert not conv[0] and root[0] == seen[first_nan - 1][0]
+        assert iters[0] == first_nan - 1  # the steps taken; the ends were given
 
     @pytest.mark.parametrize("a,b,expect", [(0.0, 1.0, 0.0), (-1.0, 0.0, 0.0)],
                              ids=["at-a", "at-b"])
@@ -730,34 +737,40 @@ class TestOneRowPaths:
     def test_newton_zero_slope_divides_to_inf_not_raises(self):
         # f'(0) = 0: the step -f/f' is inf, outside the bracket, so it bisects
         with np.errstate(all="raise"):
-            root, iters = self._newton_both(lambda z: (z ** 3 - 0.2, 3.0 * z ** 2),
-                                            0.0, -1.0, 1.0)
-        assert root[0] == pytest.approx(0.2 ** (1 / 3), rel=1e-13) and iters[0] > 2
+            root, iters, conv = self._newton_both(lambda z: (z ** 3 - 0.2, 3.0 * z ** 2),
+                                                  0.0, -1.0, 1.0)
+        assert root[0] == pytest.approx(0.2 ** (1 / 3), rel=1e-13) and iters[0] > 2 and conv[0]
 
     @pytest.mark.parametrize("start", [0.5, 0.25], ids=["at-start", "on-a-step"])
     def test_newton_f_exactly_zero(self, start):
-        root, iters = self._newton_both(lambda z: (2.0 * (z - 0.5), 2.0), start, 0.0, 1.0)
-        assert root[0] == 0.5 and iters[0] == (1 if start == 0.5 else 2)
+        root, iters, conv = self._newton_both(lambda z: (2.0 * (z - 0.5), 2.0), start, 0.0, 1.0)
+        assert root[0] == 0.5 and iters[0] == (1 if start == 0.5 else 2) and conv[0]
 
     def test_newton_step_leaving_the_bracket_bisects(self):
         # from 1.5 Newton's step on arctan lands at -1.69, below the bracket
         x = np.float64(1.5)
         assert x - math.atan(x) * (1.0 + x * x) < -1.0
-        root, iters = self._newton_both(lambda z: (math.atan(z), 1.0 / (1.0 + z * z)),
-                                        1.5, -1.0, 2.0)
+        root, iters, _ = self._newton_both(lambda z: (math.atan(z), 1.0 / (1.0 + z * z)),
+                                           1.5, -1.0, 2.0)
         assert abs(root[0]) < 1e-14 and iters[0] > 2
 
     def test_newton_infinite_slope_bisects(self):
         # a step of f/inf = 0 would stop at the start; the row path bisects
-        root, iters = self._newton_both(lambda z: (z - 0.3, np.inf if z == 0.8 else 1.0),
-                                        0.8, 0.0, 1.0)
+        root, iters, _ = self._newton_both(lambda z: (z - 0.3, np.inf if z == 0.8 else 1.0),
+                                           0.8, 0.0, 1.0)
         assert root[0] == pytest.approx(0.3) and iters[0] > 1
 
-    def test_newton_nan_f_moves_the_lower_end(self):
-        # a NaN f is not above 0, so each step moves the lower end up to x
-        root, iters = self._newton_both(
+    def test_newton_nan_f_stops_the_row(self):
+        # a NaN f stops the row, unconverged, at its last point of finite f:
+        # here the slope 1/4 steps from 0.3 to 0.7, where f is NaN (it used to
+        # read as not above 0 and move the lower end on to the NaN region's edge)
+        root, iters, conv = self._newton_both(
+            lambda z: (np.nan if 0.6 < z < 0.9 else z - 0.4, 0.25), 0.3, 0.0, 1.0)
+        assert (root[0], iters[0], conv[0]) == (0.3, 2, False)
+        # NaN at the start: no point of finite f
+        root, iters, conv = self._newton_both(
             lambda z: (np.nan if z > 0.9 else z - 0.4, 1.0), 0.95, 0.0, 1.0)
-        assert root[0] == pytest.approx(1.0) and iters[0] > 2
+        assert np.isnan(root[0]) and (iters[0], conv[0]) == (1, False)
 
     def test_newton_non_finite_slope_at_tied_epd_data(self):
         # the EPD location equation's slope (lam-1) sum |d|^(lam-2) is not
@@ -783,9 +796,9 @@ class TestOneRowPaths:
             mu = np.full(3, 0.1)
         if sigma_known:
             sigma = np.full(3, 1.5)
-        one = E._student_em(X[1:2], lam[1:2], mu[1:2], sigma[1:2], mu_known, sigma_known)
-        _same_bits(one, E._student_em(X, lam, mu, sigma, mu_known, sigma_known))
-        assert 1 < one[2][0] < 500
+        one = E._student_newton(X[1:2], lam[1:2], mu[1:2], sigma[1:2], mu_known, sigma_known)
+        _same_bits(one, E._student_newton(X, lam, mu, sigma, mu_known, sigma_known))
+        assert 1 < one[2][0] < E._MAX_ITER
         assert (one[0][0] == 0.1) == mu_known and (one[1][0] == 1.5) == sigma_known
 
     def test_student_em_nan_sigma_runs_to_the_cap(self):
@@ -795,15 +808,15 @@ class TestOneRowPaths:
                       for r in range(3)])
         lam, mu, sigma = np.full(3, 4.0), X[:, 0].copy(), np.array([1.0, 0.0, 1.0])
         with np.errstate(all="ignore"):  # as Row.estimator runs it
-            one = E._student_em(X[1:2], lam[1:2], mu[1:2], sigma[1:2], True, False)
-            _same_bits(one, E._student_em(X, lam, mu, sigma, True, False))
-        assert np.isnan(one[1][0]) and one[2][0] == 500
+            one = E._student_newton(X[1:2], lam[1:2], mu[1:2], sigma[1:2], True, False)
+            _same_bits(one, E._student_newton(X, lam, mu, sigma, True, False))
+        assert np.isnan(one[1][0]) and one[2][0] == E._MAX_ITER
 
     def test_scalar_paths_keep_numpy_float64(self):
         root, _, _ = E._brent_one(lambda z, j: z - 0.5, np.float64(0.0), np.float64(1.0),
                                   np.float64(-0.5), np.float64(0.5), np.float64(1e-14), 1e-16)
         assert type(root) is np.float64
-        root, _ = E._newton_one(lambda z, j: (z - 0.5, np.ones(1)), np.float64(0.2),
+        root, _, _ = E._newton_one(lambda z, j: (z - 0.5, np.ones(1)), np.float64(0.2),
                                 np.float64(0.0), np.float64(1.0), np.float64(0.0), 1e-15)
         assert type(root) is np.float64
 
@@ -817,7 +830,7 @@ class TestOneRowPaths:
 
     def test_the_row_count_alone_chooses_the_path(self, monkeypatch):
         calls = []
-        for name in ("_brent_one", "_newton_one", "_student_em_one"):
+        for name in ("_brent_one", "_newton_one", "_student_newton_one"):
             real = getattr(E, name)
             monkeypatch.setattr(E, name, lambda *a, _real=real, _name=name: (
                 calls.append(_name), _real(*a))[1])
@@ -826,8 +839,53 @@ class TestOneRowPaths:
         lam, mu, sigma = np.full(3, 4.0), np.median(X, axis=1), X.std(axis=1)
         for rows in (slice(0, 3), slice(1, 2)):
             calls.clear()
-            E._student_em(X[rows], lam[rows], mu[rows], sigma[rows], False, False)
+            E._student_newton(X[rows], lam[rows], mu[rows], sigma[rows], False, False)
             self._brent_both(lambda z: z - 0.3, 0.0, 1.0)  # one row, then three
             self._newton_both(lambda z: (z - 0.3, 1.0), 0.5, 0.0, 1.0)
             assert sorted(calls) == ["_brent_one", "_newton_one"] + (
-                ["_student_em_one"] if X[rows].shape[0] == 1 else [])
+                ["_student_newton_one"] if X[rows].shape[0] == 1 else [])
+
+
+class TestStudentSolve:
+    """The student-t (mu, sigma) solve on 40 seeded samples of n = 30 under
+    the masks that leave it two components (all free, lambda known), sigma
+    alone (mu known) and mu alone (sigma known)."""
+
+    MASKS = {"free": (), "lambda": ("lambda",), "mu": ("mu",), "sigma": ("sigma",)}
+
+    @classmethod
+    def _fitted(cls, name):
+        truth = dict(zip(("lambda", "mu", "sigma"), FAMILY_THETAS["student-t"]))
+        X = np.stack([F.sample("student-t", tuple(truth.values()), 30,
+                               np.random.SeedSequence([17, r])) for r in range(40)])
+        known = {p: truth[p] for p in cls.MASKS[name]}
+        mask = KnownMask.from_names("student-t", known) if known else None
+        theta = E.row("student-t", "ml", mask).estimator(X)[0]
+        mu0 = np.full(len(X), truth["mu"]) if "mu" in known else np.median(X, axis=1)
+        s0 = np.full(len(X), truth["sigma"]) if "sigma" in known else X.std(axis=1)
+        return X, theta, mu0, s0, "mu" in known, "sigma" in known
+
+    @pytest.mark.parametrize("name", MASKS)
+    def test_no_lower_likelihood_than_an_em_fixed_point(self, name):
+        X, theta, mu, sigma, mu_known, sigma_known = self._fitted(name)
+        lam = theta[:, 0]
+        for _ in range(5_000):  # plain EM from the median and SD at the fitted lam
+            w = E._col(lam) / (E._col(lam) + ((X - E._col(mu)) / E._col(sigma)) ** 2)
+            if not mu_known:
+                mu = (w * X).sum(axis=1) / w.sum(axis=1)
+            if not sigma_known:
+                sigma = np.sqrt((lam + 1.0) / lam * (w * (X - E._col(mu)) ** 2).mean(axis=1))
+        for x, t, m, s in zip(X, theta, mu, sigma):
+            ll, ll_em = _loglik("student-t", t, x), _loglik("student-t", (t[0], m, s), x)
+            assert ll >= ll_em - 1e-14 * abs(ll_em), (t, m, s)
+
+    @pytest.mark.parametrize("name", MASKS)
+    def test_a_cold_start_gives_the_same_solution(self, name):
+        # the fit's (mu, sigma) was solved from the last trial lam's; solved
+        # again at its lam from the median and SD, it agrees to rounding
+        X, theta, mu0, s0, mu_known, sigma_known = self._fitted(name)
+        mu, sigma, iters = E._student_newton(X, theta[:, 0], mu0, s0, mu_known, sigma_known)
+        assert np.all(iters < E._MAX_ITER)
+        scale = np.maximum(np.abs(theta[:, 1]), theta[:, 2])  # as the step rule's
+        assert np.max(np.abs(mu - theta[:, 1]) / scale) <= 1e-12
+        assert np.max(np.abs(sigma / theta[:, 2] - 1.0)) <= 1e-12

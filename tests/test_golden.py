@@ -59,7 +59,7 @@ def test_check_mode_reports_what_moved_and_leaves_the_file(tmp_path, monkeypatch
     path.write_text(json.dumps({"versions": versions, "rows": rows}))
     assert golden.main(["--check"]) == 0
     assert capsys.readouterr().out == "1 rows, 4 entries (0 errors) checked against " \
-                                      "run_test.json: 0 moved\n"
+                                      "run_test.json: 0 moved\nrun_test.json: no family moved\n"
     entry = rows[rid]["n=30,seed=1"]
     entry["tn"] = (float.fromhex(entry["tn"]) * (1 + 1e-9)).hex()
     text = json.dumps({"versions": versions, "rows": rows})
@@ -67,7 +67,10 @@ def test_check_mode_reports_what_moved_and_leaves_the_file(tmp_path, monkeypatch
     assert golden.main(["--check"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith(f"{rid} n=30,seed=1: tn by 1e-09 relative")
-    assert out[-1].endswith(": 1 moved") and path.read_text() == text
+    assert out[-3].endswith(": 1 moved") and path.read_text() == text
+    # the file's summary: the family that moved, by how much, and the rest
+    assert out[-2:] == ["run_test.json gamma: 1 of 4 entries moved, theta by at most 0 and "
+                        "T_n by at most 1e-09 relative", "run_test.json: no other family moved"]
 
 
 def test_a_replication_that_turns_nan_is_a_move():
