@@ -13,7 +13,6 @@ from .errors import (
     DegenerateSampleError,
     DomainError,
     EstimationError,
-    SamplingError,
     SingularityError,
     TrigofError,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "ConfigurationError",
     "EstimationError",
     "DegenerateSampleError",
-    "SamplingError",
     "SingularityError",
     "__version__",
 ]

@@ -18,8 +18,9 @@ Each row fails alone: whatever goes wrong on one row (its fit, its
 parameter check, its PIT, its integrand or its Sigma) makes that row's
 values NaN and leaves the others' bits as they would be without it.  Only a
 cause common to every row raises: a row that ``estimate.row`` or
-``Row.estimator`` refuses, or samples too short to fit
-(``estimate.check_size``).
+``Row.estimator`` refuses, samples too short to fit
+(``estimate.check_size``), or a Sigma that every fitted row shares and that
+does not hold (``scaling.sigma_from``).
 """
 
 from __future__ import annotations

@@ -217,10 +217,10 @@ def cmd_test(args) -> int:
     return 0
 
 
-def _matrix_payload(fam, kind, theta, known, digits):
-    bindings, mask = _parse_known(fam, known)
+def _matrix_payload(fam, kind, theta, bindings, mask, digits):
+    """The ``matrices`` dump: G, R and J at theta, and Sigma from ``scaling.sigma_from``."""
     ms = scaling.matrices(fam, kind, theta)
-    sig = scaling.sigma(ms, mask, kind, fam)
+    sig = scaling.sigma_from(fam, kind, theta, mask)
     return {
         "family": families.get_family(fam).name,
         "estimator": EstimatorKind(kind).value,
@@ -238,19 +238,19 @@ def cmd_matrices(args) -> int:
     if args.verify:
         with open(args.verify) as fh:
             stored = json.load(fh)
-        ms = scaling.MatrixSet(np.asarray(stored["G"]), np.asarray(stored["R"]),
-                               np.asarray(stored["J"]), tuple(stored["matrix_params"]))
-        mask = (KnownMask.from_names(stored["family"], stored["known"])
-                if stored["known"] else None)
-        sig = scaling.sigma(ms, mask, stored["estimator"], stored["family"])
-        same = np.array_equal(np.asarray(stored["sigma"], dtype=float), sig)
-        _emit(json.dumps({"sigma": sig.tolist(), "matches_stored": bool(same)},
-                         indent=2), args.output)
+        fam, known = stored["family"], stored["known"]
+        mask = KnownMask.from_names(fam, known) if known else None
+        payload = _matrix_payload(fam, stored["estimator"], stored["theta"], known, mask,
+                                  args.digits)
+        same = payload == stored
+        _emit(json.dumps({"sigma": payload["sigma"], "matches_stored": same}, indent=2),
+              args.output)
         return 0 if same else DATA_EXIT
     if not args.family or not args.theta:
         raise _UsageError("matrices needs --family and --theta")
     fam, theta = _resolve_family(args.family, args.theta)
-    payload = _matrix_payload(fam, args.estimator, theta, args.known, args.digits)
+    bindings, mask = _parse_known(fam, args.known)
+    payload = _matrix_payload(fam, args.estimator, theta, bindings, mask, args.digits)
     _emit(json.dumps(payload, indent=2), args.output)
     return 0
 
@@ -373,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimator", choices=["ml", "mm"], default="ml")
     p.add_argument("--known", action="append", metavar="NAME=VALUE")
     p.add_argument("--verify", metavar="JSON",
-                   help="re-ingest a matrices JSON dump and reproduce sigma")
+                   help="recompute a matrices JSON dump from its family, estimator, "
+                        "theta and known values at --digits, and compare every field")
     add_common(p)
     p.set_defaults(func=cmd_matrices)
 

@@ -31,9 +31,5 @@ class DegenerateSampleError(EstimationError):
     """The sample carries no information for the fit (e.g. all values equal)."""
 
 
-class SamplingError(TrigofError, RuntimeError):
-    """Random-variate generation failed (numeric CDF inversion did not bracket)."""
-
-
 class SingularityError(TrigofError, RuntimeError):
     """A matrix required to be invertible / positive definite is not."""

@@ -838,6 +838,21 @@ def _kumaraswamy_rows(kn, kv, X, iters):
     return np.column_stack([alpha, beta_hat(alpha, X)]), conv
 
 
+def _psi_minus_log(z, c):
+    """psi(z) - ln z + c and its slope zeta(2, z) - 1/z.  From z = 50 on they are
+    read from their asymptotic series to five terms, within 2.2e-16 relative
+    there, where scipy's difference has lost digits to the cancellation
+    (4e-14 relative at z = 50, 3e-13 at 1e3, 1.3e-10 at 1e5)."""
+    w = 1.0 / z
+    w2 = w * w
+    big = z >= 50.0
+    f = np.where(big, -0.5 * w - w2 * (1 / 12 - w2 * (1 / 120 - w2 * (1 / 252 - w2 / 240))),
+                 sp.digamma(z) - np.log(z))
+    d = np.where(big, w2 * (0.5 + w * (1 / 6 - w2 * (1 / 30 - w2 * (1 / 42 - w2 / 30)))),
+                 sp.zeta(2.0, z) - w)
+    return f + c, d
+
+
 def _digamma_root(t, minus_log: bool, iters):
     """(lam, converged): the root of psi(lam) - ln lam = t if minus_log (none
     where t >= 0, which gives _SHAPE_CAP), or else of psi(lam) = t, by
@@ -846,9 +861,7 @@ def _digamma_root(t, minus_log: bool, iters):
     if minus_log:
         s = np.where(t < 0.0, -t, 1.0)
         lo, x = 0.5 / s, (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
-        lam, it, conv = _newton(lambda z, j: (sp.digamma(z) - np.log(z) + s[j],
-                                              sp.zeta(2.0, z) - 1.0 / z),
-                                x, lo, 2.0 * lo, 0.0, 1e-13)
+        lam, it, conv = _newton(lambda z, j: _psi_minus_log(z, s[j]), x, lo, 2.0 * lo, 0.0, 1e-13)
         lam = np.where(t < 0.0, lam, _SHAPE_CAP)
     else:
         lo, x = np.exp(t), np.where(t >= -2.22, np.exp(t) + 0.5, -1.0 / (t + np.euler_gamma))
@@ -858,14 +871,23 @@ def _digamma_root(t, minus_log: bool, iters):
     return lam, conv
 
 
+def _log_gap(Y, c):
+    """mean ln(y / c) - (mean y / c - 1) on each row, summed as mean log1p(e)
+    - mean e with e = (y - c) / c, so that neither term is a difference of
+    nearly equal means.  Where c is the row mean, mean e is its rounding, and
+    this is mean ln y - ln mean y at the exact mean."""
+    e = (Y - c[:, None]) / c[:, None]
+    return _mean(np.log1p(e)) - _mean(e)
+
+
 def _gamma_rows(kn, kv, X, iters):  # lambda free; lambda known is a closed form
-    mean_lx, xbar = _mean(np.log(X)), _mean(X)
+    xbar = _mean(X)
     # the lambda score psi(lambda) - ln beta = mean ln x, at the known beta
     # or with beta = xbar / lambda profiled out
     if kn[1]:
-        lam, conv = _digamma_root(mean_lx - math.log(kv[1]), False, iters)
+        lam, conv = _digamma_root(_mean(np.log(X)) - math.log(kv[1]), False, iters)
     else:
-        lam, conv = _digamma_root(mean_lx - np.log(xbar), True, iters)
+        lam, conv = _digamma_root(_log_gap(X, xbar), True, iters)
         conv &= lam < _SHAPE_CAP
     return np.column_stack([lam, xbar / lam]), conv
 
@@ -874,11 +896,10 @@ def _nakagami_rows(kn, kv, X, iters):
     """Nakagami is gamma(lambda, omega / lambda) in x**2: the lambda score
     psi(lambda) - ln lambda = mean ln x**2 - ln omega + 1 - mean x**2 / omega."""
     x2 = X ** 2
-    m2 = _mean(x2)
-    omega = np.full(len(X), kv[1]) if kn[1] else m2
+    omega = np.full(len(X), kv[1]) if kn[1] else _mean(x2)
     if kn[0]:
         return np.column_stack([np.full(len(X), kv[0]), omega]), np.ones(len(X), dtype=bool)
-    lam, conv = _digamma_root((_mean(np.log(x2)) - np.log(omega)) + (1.0 - m2 / omega), True, iters)
+    lam, conv = _digamma_root(_log_gap(x2, omega), True, iters)
     return np.column_stack([lam, omega]), conv & (lam < _SHAPE_CAP)
 
 

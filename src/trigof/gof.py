@@ -7,8 +7,8 @@ transform U_i = F(x_i | theta_hat), under the (family, estimator, mask) row
 that ``estimate.row`` resolves once.  ``_single_test`` fits the sample and
 hands theta_hat to ``_batch.statistic`` as a single row, the path the batch
 replications take after their block fit, so the PIT, Sigma and T_n are
-computed in one place; where that row comes back NaN it raises the typed
-error of its cause.  Under the null it is asymptotically
+computed in one place; Sigma raises its own cause there, and a PIT that
+comes back NaN raises DomainError.  Under the null it is asymptotically
 chi-square with 2 degrees of freedom, so the asymptotic p-value has the
 closed form exp(-T_n / 2).  A parametric-bootstrap p-value (refit inside
 each replication) is available with add-one smoothing (r+1)/(R+1);
@@ -26,10 +26,10 @@ from typing import Optional
 import numpy as np
 from scipy import special as sp
 
-from . import _batch, families, scaling
-from .errors import DomainError, EstimationError, SamplingError, SingularityError
+from . import _batch, families
+from .errors import DomainError, EstimationError, SingularityError
 from .estimate import EstimatorKind, FitResult, KnownMask, fit, row
-from .scaling import _check_pd, _eig2
+from .scaling import _eig2, _holds
 
 __all__ = ["TrigMoments", "TestResult", "Ellipse", "trig_moments", "run_test",
            "replicate", "rejection_rate", "ellipse"]
@@ -38,7 +38,7 @@ TWO_PI = 2.0 * math.pi
 
 # what a block raises for a cause common to its rows, which fails them all;
 # anything else propagates
-REPLICATION_FAILURES = (EstimationError, SingularityError, SamplingError, DomainError)
+REPLICATION_FAILURES = (EstimationError, SingularityError, DomainError)
 
 
 @dataclass(frozen=True)
@@ -77,36 +77,29 @@ class Ellipse:
     boundary: np.ndarray  # (n_points, 2)
 
 
-def _one_row(fam, theta, x):
-    """theta and x as a (1, p) and a (1, n) row, with x finite and inside the support."""
+def trig_moments(fam, theta, x) -> TrigMoments:
+    """Sample means of cos and sin of 2 pi times the PIT values; DomainError
+    where x is not finite or outside the support."""
     fam = families.get_family(fam)
     t = families._theta(fam, theta)
     x = np.asarray(x, dtype=float)
     lo, hi = fam.support(t)
     if not np.all((x >= lo) & (x <= hi) & np.isfinite(x)):
         raise DomainError(f"data outside the support of {fam.name}")
-    return np.array([t]), x[None, :]
-
-
-def trig_moments(fam, theta, x) -> TrigMoments:
-    """Sample means of cos and sin of 2 pi times the PIT values."""
-    thetas, X = _one_row(fam, theta, x)
-    cn, sn = _batch.moment_rows(fam, thetas, X)
-    return TrigMoments(float(cn[0]), float(sn[0]), X.shape[1])
+    cn, sn = _batch.moment_rows(fam, np.array([t]), x[None, :])
+    return TrigMoments(float(cn[0]), float(sn[0]), len(x))
 
 
 def _single_test(fam, kind, mask, x):
-    """Fit, moments, Sigma and T_n of one sample; DomainError where its PIT or
-    an integrand of Sigma's matrices is not finite, SingularityError where
-    Sigma does not hold."""
+    """Fit, moments, Sigma and T_n of one sample, the sample checked by ``fit``;
+    DomainError where its PIT or an integrand of Sigma's matrices is not
+    finite, SingularityError where Sigma does not hold."""
     r = row(fam, kind, mask)
     res = fit(r, r.kind, r.mask, x)
-    thetas, X = _one_row(r.fam, res.theta, x)
-    cn, sn, sig, tn = _batch.statistic(r, r.kind, r.mask, thetas, X)
+    X = np.asarray(x, dtype=float)[None, :]
+    cn, sn, sig, tn = _batch.statistic(r, r.kind, r.mask, res.theta[None, :], X)
     if np.isnan(cn[0]):
         raise DomainError(f"the {r.fam.name} PIT is not finite on this sample")
-    if np.isnan(sig[0]).any():  # the point call raises the row's cause
-        scaling.sigma_from(r, r.kind, res.theta, r.mask)
     return res, TrigMoments(float(cn[0]), float(sn[0]), X.shape[1]), sig[0], float(tn[0])
 
 
@@ -204,7 +197,8 @@ def ellipse(sig: np.ndarray, level: float, n_points: int = 256) -> Ellipse:
         raise DomainError("level must lie in (0, 1)")
     sig = np.asarray(sig, dtype=float)
     q = -2.0 * math.log1p(-level)
-    _check_pd(sig)
+    if not _holds(sig):
+        raise SingularityError(f"Sigma is not finite and positive definite: {sig.tolist()}")
     a, b, c = sig[0, 0], sig[0, 1], sig[1, 1]
     l1, l2 = _eig2(sig)
     rotation = 0.5 * math.atan2(2.0 * b, a - c) if b != 0.0 else (0.0 if a >= c else 0.5 * math.pi)

@@ -34,14 +34,15 @@ integrand is not finite inside (0, 1), SingularityError where R reads
 singular or Sigma is not positive definite.  A call over theta rows (shape
 (rows, p), a batch block) does not raise for what one row does: that row's
 G, R and J are NaN where its integrand is not finite, and its Sigma is NaN
-where either happens.
+where either happens (but see ``sigma_from``).
 
 Each public function reads its (family, estimator, mask) row as an
 ``estimate.Row``.  On PIT values Sigma depends on theta only through
-``Family.shapes``: ``sigma_from``, the one path from fitted theta to Sigma,
-reads the matrices with every other component at 1, so R's condition is
-free of the data's units; where the fitted rows share that point, Sigma is
-computed once and cached (``_unit_sigma``).
+``Family.shapes``: ``sigma_from``, the one path from a theta to Sigma for a
+command, a single test and a block alike, reads the matrices with every
+other component at 1, so R's condition is free of the data's units.  A
+point's Sigma and its refusal come from one call (``_unit_sigma``, cached),
+which also serves a block whose fitted rows share that point.
 A derived family takes its base's G, R and J at the mapped point
 (``Row.base``): a monotone transform of the data leaves the PIT as it is or
 maps U to 1 - U, which negates S_n, so they are carried into the family's
@@ -198,16 +199,6 @@ def _inverse(A: np.ndarray):
     return inv, np.where((det != 0.0) & np.isfinite(cond), cond, np.inf)
 
 
-def _inv_small(A: np.ndarray) -> np.ndarray:
-    """``_inverse`` that raises SingularityError where the condition estimate
-    is not finite or exceeds COND_LIMIT."""
-    inv, cond = _inverse(A)
-    if np.any(cond > COND_LIMIT):
-        raise SingularityError(f"matrix is numerically singular "
-                               f"(condition estimate {np.max(cond):.3e})")
-    return inv
-
-
 def sigma(ms: MatrixSet, mask: KnownMask | None, kind, fam) -> np.ndarray:
     """Assemble the 2x2 scaling covariance after the known-parameter reduction
     (exactly I/2 where no parameter is left).  Where R reads singular or
@@ -224,7 +215,7 @@ def sigma(ms: MatrixSet, mask: KnownMask | None, kind, fam) -> np.ndarray:
         else:
             S = 0.5 * np.eye(2) - G @ Rinv @ Jt - J @ Rinv @ Gt + G @ Rinv @ Gt
         S = 0.5 * (S + np.swapaxes(S, -1, -2))
-        ok = (cond <= COND_LIMIT) & np.all(np.isfinite(S), axis=(-2, -1)) & (_eig2(S)[1] > 0.0)
+        ok = (cond <= COND_LIMIT) & _holds(S)
     if ok.ndim:
         S[~ok] = np.nan
     elif not ok:
@@ -234,8 +225,13 @@ def sigma(ms: MatrixSet, mask: KnownMask | None, kind, fam) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1024)  # the most recently used (row, unit point) pairs
 def _unit_sigma(r: Row, unit: bytes) -> np.ndarray:
-    """Sigma (1, 2, 2) of the row at the point of float64 bytes ``unit``."""
-    return sigma(matrices(r, r.kind, np.frombuffer(unit)[None]), r.mask, r.kind, r)
+    """Sigma (2, 2) of the row at the point of float64 bytes ``unit``, by the
+    point path, which raises its cause as ``_point`` and ``sigma`` do.  The
+    point is not checked as a theta: uniform's unit point has a = b."""
+    theta = np.frombuffer(unit)
+    with np.errstate(all="ignore"):
+        ms = _matrices(r, theta[None])
+    return sigma(_point(r.fam, ms, theta), r.mask, r.kind, r)
 
 
 def sigma_from(fam, kind, theta, mask: KnownMask | None = None) -> np.ndarray:
@@ -243,8 +239,9 @@ def sigma_from(fam, kind, theta, mask: KnownMask | None = None) -> np.ndarray:
     component but ``fam.shapes`` at 1: once where every fitted row reaches the
     same unit point, bit for bit (``_unit_sigma``'s, copied), else on each
     fitted row alone, one part of them per thread (``families._in_parts``).
-    A point is checked as given and raises as ``matrices`` and ``sigma`` do;
-    a row not finite or failing reads NaN."""
+    A point is checked as given; it, and theta rows that share one unit point,
+    take Sigma and its refusal from one ``_unit_sigma`` call, so a DomainError
+    names the unit point.  Elsewhere a row not finite or failing reads NaN."""
     r = row(fam, kind, mask)
     theta = np.asarray(theta, dtype=float)
     rows = theta if theta.ndim == 2 else np.array([_theta(r.fam, theta)])
@@ -258,8 +255,6 @@ def sigma_from(fam, kind, theta, mask: KnownMask | None = None) -> np.ndarray:
         else:
             sig[fitted] = np.concatenate(_in_parts(
                 lambda part: sigma(matrices(r, r.kind, part), r.mask, r.kind, r), unit))
-    if theta.ndim == 1 and np.isnan(sig[0]).any():  # the point's own call raises the cause
-        return sigma(_point(r.fam, matrices(r, r.kind, unit), rows[0]), r.mask, r.kind, r)
     return sig if theta.ndim == 2 else sig[0]
 
 
@@ -280,7 +275,11 @@ def drift(fam, kind, theta, mask: KnownMask | None, extra) -> np.ndarray:
     s = [2 + i for i in r.free]
     psi = s if r.kind is EstimatorKind.ML else [2 + p + i for i in r.free]
     e = list(range(2 + p if r.kind is EstimatorKind.ML else 2 + 2 * p, len(M)))
-    return M[:2, e] - M[:2, s] @ _inv_small(M[np.ix_(psi, s)]) @ M[np.ix_(psi, e)]
+    Cinv, cond = _inverse(M[np.ix_(psi, s)])
+    if cond > COND_LIMIT:
+        raise SingularityError(f"the {r.fam.name} drift's C is numerically singular at "
+                               f"{t[0].tolist()} (condition estimate {float(cond):.3e})")
+    return M[:2, e] - M[:2, s] @ Cinv @ M[np.ix_(psi, e)]
 
 
 def _eig2(S: np.ndarray):
@@ -290,10 +289,7 @@ def _eig2(S: np.ndarray):
     return half_tr + disc, half_tr - disc
 
 
-def _check_pd(S: np.ndarray) -> None:
-    if not np.all(np.isfinite(S)):
-        raise SingularityError("covariance contains non-finite entries")
-    l1, l2 = _eig2(S)
-    if l2 <= 0.0:
-        raise SingularityError(f"scaling covariance is not positive definite "
-                               f"(eigenvalues {l1:.3e}, {l2:.3e})")
+def _holds(S: np.ndarray) -> np.ndarray:
+    """Where the 2 x 2 Sigma on the last two axes is finite and positive definite."""
+    with np.errstate(invalid="ignore"):
+        return np.all(np.isfinite(S), axis=(-2, -1)) & (_eig2(S)[1] > 0.0)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trigof import cli, simharness
+from trigof import cli, scaling, simharness
 from trigof import families as F
 from trigof.errors import TrigofError
 
@@ -47,6 +47,14 @@ class TestExitCodes:
         assert cli.main(["matrices", "--family", "normal", "--theta", "1.0"]) == 64
         assert cli.main(["matrices", "--family", "normal", "--theta", "0,1,2"]) == 64
 
+    @pytest.mark.parametrize("argv", [
+        ["matrices"], ["matrices", "--family", "gamma"],
+        ["power", "--case", "gamma", "--empirical", "0,20"]],
+        ids=["matrices-alone", "matrices-without-theta", "empirical-n-0"])
+    def test_a_missing_or_out_of_range_option_is_64(self, argv, capsys):
+        assert cli.main(argv) == cli.USAGE_EXIT
+        assert capsys.readouterr().err.startswith("usage error: ")
+
 
 class TestMatricesVerify:
     def _dump(self, tmp_path, capsys, *extra):
@@ -75,6 +83,27 @@ class TestMatricesVerify:
         path.write_text(json.dumps(stored))
         assert cli.main(["matrices", "--verify", str(path)]) == 2
         assert json.loads(capsys.readouterr().out)["matches_stored"] is False
+
+    @pytest.mark.parametrize("field", ["theta", "G", "matrix_params"])
+    def test_every_field_is_recomputed(self, tmp_path, capsys, field):
+        path = self._dump(tmp_path, capsys, "--family", "gamma", "--theta", "2.3,1.4")
+        stored = json.loads(path.read_text())
+        stored[field] = {"theta": [2.3, 1.5], "G": [[0.0, 0.0], [0.0, 0.0]],
+                         "matrix_params": ["beta", "lambda"]}[field]
+        path.write_text(json.dumps(stored))
+        assert cli.main(["matrices", "--verify", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out)["matches_stored"] is False
+
+    @pytest.mark.parametrize("fam,theta", [
+        ("gamma", "2.3,1e-7"), ("weibull", "1e-7,1.5"), ("lomax", "2.5,1e-7"),
+        ("gompertz", "1e7,0.4"), ("log-logistic", "1e-7,2.5"), ("inverse-gamma", "2.5,1e-7")])
+    def test_sigma_at_extreme_units_is_sigma_froms(self, tmp_path, capsys, fam, theta):
+        # R at this theta reads singular, but Sigma is taken at its shapes alone
+        path = self._dump(tmp_path, capsys, "--family", fam, "--theta", theta)
+        want = scaling.sigma_from(fam, "ml", [float(v) for v in theta.split(",")])
+        np.testing.assert_array_equal(json.loads(path.read_text())["sigma"], want)
+        assert cli.main(["matrices", "--verify", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["matches_stored"] is True
 
 
 def test_importing_the_cli_leaves_scipy_optimize_out():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
+from scipy import special as sp
 
 from trigof import estimate as E
 from trigof import families as F
@@ -79,9 +80,9 @@ class TestConsistency:
         x = F.sample("gamma", (lam0, beta0), n, 99)
         res = fit("gamma", "ml", None, x)
         # Fisher information from the information matrix of the family
-        from trigof.scaling import matrices, _inv_small
+        from trigof.scaling import matrices
         R = matrices("gamma", "ml", (lam0, beta0)).R
-        se = np.sqrt(np.diag(_inv_small(R)) / n)
+        se = np.sqrt(np.diag(np.linalg.inv(R)) / n)
         assert abs(res.theta[0] - lam0) < 3.0 * se[0]
         assert abs(res.theta[1] - beta0) < 3.0 * se[1]
 
@@ -95,6 +96,36 @@ class TestConsistency:
                      / np.maximum(np.abs(th), 0.2))
         # 3-parameter ridges (exp-gamma, gg, epd, student) are noisy in finite n
         assert rel < (0.45 if len(th) == 3 else 0.12)
+
+
+# lambda-hat of the gamma ML fit (beta free) on x and of the nakagami fit
+# (omega free) on x**2: the root of psi(lam) - ln lam = mean ln y - ln mean y
+# on these doubles y, by mpmath at 50 digits.  Each sample is 30 exact doubles
+# 1 + k step, k = 2**(i + 7 seed) mod 61 - 30, times 1.4 for gamma; nakagami
+# reads them as they are, so that x**2 is exact.
+LARGE_SHAPE = {
+    ("gamma", 15 * 2.0 ** -13): [1253.9718401508956, 1012.3241154279326, 1136.4074790389936,
+                                 1061.7905273111903, 1224.8316255035734],
+    ("gamma", 12 * 2.0 ** -16): [127913.75267812135, 100435.99896297885, 111890.43382218314,
+                                 104908.77205642273, 120044.76735243904],
+    ("nakagami", 15 * 2.0 ** -14): [1266.1742832445689, 1007.8913036166562, 1128.4528045809263,
+                                    1055.674483164651, 1213.14509573009],
+    ("nakagami", 12 * 2.0 ** -17): [128028.75879758569, 100384.41822546473, 111803.7142844373,
+                                    104840.46055612934, 119921.40937661665],
+}
+
+
+@pytest.mark.parametrize("fam,step", list(LARGE_SHAPE),
+                         ids=[f"{f}-{s:.1e}" for f, s in LARGE_SHAPE])
+def test_a_large_shape_is_fitted_to_the_digits_of_its_equation(fam, step):
+    # near lambda = 1e5 the equation's difference of means holds about 5 of
+    # its 16 digits, and scipy's psi(lam) - ln lam about 6
+    k = np.array([[pow(2, i + 7 * seed, 61) - 30 for i in range(30)] for seed in range(5)])
+    X = (1.4 if fam == "gamma" else 1.0) * (1.0 + k * step)
+    want = np.array(LARGE_SHAPE[fam, step])
+    got = np.array([fit(fam, "ml", None, x).theta[0] for x in X])
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    np.testing.assert_array_equal(batch_fit(fam, "ml", None, X)[:, 0], got)
 
 
 class TestScoreResidual:
@@ -307,6 +338,28 @@ class TestMasks:
 
 
 class TestErrors:
+    def test_a_mask_needs_a_finite_value_for_each_known_component(self):
+        with pytest.raises(DomainError, match="must have equal length"):
+            KnownMask((False, True), (math.nan,))
+        with pytest.raises(DomainError, match="must be finite"):
+            KnownMask((False, True), (math.nan, math.inf))
+
+    @pytest.mark.parametrize("x", [np.ones((2, 5)), np.array([])], ids=["2-d", "empty"])
+    def test_fit_needs_a_nonempty_1d_sample(self, x):
+        with pytest.raises(DomainError, match="sample must be a nonempty 1-D array"):
+            fit("normal", "ml", None, x)
+
+    def test_beta_newton_halves_a_step_that_leaves_the_space(self):
+        # a Newton step of this sample's fit from its moment estimates would
+        # take a shape to 0 or below, so _beta_rows halves it
+        x = F.sample("beta", (1.0, 5.0), 10, 7)
+        res = fit("beta", "ml", None, x)
+        assert res.converged and np.all(res.theta > 0.0)
+        a, b = res.theta
+        score = [sp.digamma(a) - sp.digamma(a + b) - np.mean(np.log(x)),
+                 sp.digamma(b) - sp.digamma(a + b) - np.mean(np.log1p(-x))]
+        np.testing.assert_allclose(score, 0.0, rtol=0.0, atol=1e-14)
+
     def test_mm_unsupported_family(self):
         x = F.sample("gamma", (2.0, 1.0), 100, 1)
         with pytest.raises(ConfigurationError):
@@ -527,11 +580,18 @@ class TestScanRootInFitters:
     @pytest.mark.parametrize("mask", [None, KnownMask((False, True), (math.nan, 1e-10))])
     def test_gamma_shape_far_beyond_the_grid(self, mask):
         # the digamma equations have analytic brackets: a shape of 1e10 is
-        # reached, and one past the cap of 1e6 is flagged with beta free only
+        # reached, and one past the cap of 1e6 is flagged with beta free only.
+        # With beta free the former fit read ln xbar - mean ln x as <= 0 and
+        # returned the cap; the root itself is 8.385385179375538e17 (mpmath,
+        # 60 digits, on these doubles)
         x = 1.0 + 1e-9 * np.random.default_rng(3).standard_normal(50)
         res, ref = fit("gamma", "ml", mask, x), FE.former_fit("gamma", mask, x)
         assert res.converged == ref.converged == (mask is not None)
-        np.testing.assert_allclose(res.theta, ref.theta, rtol=1e-10, atol=0.0)
+        if mask is None:
+            assert res.theta[0] == pytest.approx(8.385385179375538e17, rel=1e-7, abs=0.0)
+            assert res.theta[1] == np.mean(x) / res.theta[0]
+        else:
+            np.testing.assert_allclose(res.theta, ref.theta, rtol=1e-10, atol=0.0)
 
     def test_epd_fit_makes_at_most_one_cusp_search(self, monkeypatch):
         x = F.sample("epd", (1.5, 0.3, 2.0), 2_000, 41)

@@ -553,6 +553,12 @@ def test_uniform_needs_a_below_b(t):
     assert F.get_family("uniform").outside([t]).tolist() == [True]
 
 
+@pytest.mark.parametrize("x", [0.0, math.inf], ids=["lower", "upper"])
+def test_score_refuses_an_end_of_the_support(x):
+    with pytest.raises(DomainError, match="outside the open support of gamma"):
+        F.score("gamma", (2.0, 1.0), [1.0, x])
+
+
 def test_half_normal_refuses_a_negative_delta_that_its_base_would_take():
     # 2 delta**2 is a valid gamma scale for delta < 0
     F.get_family("gamma").check((0.5, 2.0 * (-1.2) ** 2))

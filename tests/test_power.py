@@ -171,6 +171,9 @@ def test_an_alternative_is_checked_against_its_entry():
         LocalAlternative(AltCase.EPD, (2.0, 0.0, 1.0), (1.0,))
     with pytest.raises(ConfigurationError, match="ML-only"):
         LocalAlternative("exponential-in-gamma", (1.0,), (1.0,), EstimatorKind.MM)
+    for alpha in (0.0, 1.0):
+        with pytest.raises(DomainError, match=r"alpha must lie in \(0, 1\)"):
+            LocalAlternative(AltCase.EPD, (2.0, 0.0, 1.0), (1.0, 0.0), alpha=alpha)
 
 
 @pytest.mark.parametrize("null,larger,name", [

@@ -18,8 +18,7 @@ import pytest
 
 from trigof import _batch, gof, scaling
 from trigof import families as F
-from trigof.errors import (ConfigurationError, DomainError, EstimationError,
-                           SamplingError, SingularityError)
+from trigof.errors import ConfigurationError, DomainError, EstimationError, SingularityError
 from trigof.estimate import EstimatorKind, KnownMask, fit, row
 from trigof.gof import _single_test, replicate, run_test
 from trigof.power import EMBEDDINGS, AltCase, LocalAlternative, empirical_power
@@ -45,7 +44,7 @@ def _bootstrap_reference(fam, kind, mask, x, reps, seed):
         xr = F.sample(fam, res.theta, len(x), np.random.SeedSequence([seed, r]))
         try:
             tn_r = _single_test(fam, kind, mask, xr)[3]
-        except (EstimationError, SingularityError, SamplingError, DomainError):
+        except (EstimationError, SingularityError, DomainError):
             failed += 1
             if failed > max(1, 0.01 * reps):
                 raise EstimationError("more than 1% of bootstrap refits failed")
@@ -224,6 +223,20 @@ class TestRowsThatFail:
         np.testing.assert_array_equal(replicate(fam, "ml", None, 30, lambda rs: X[rs], range(7)),
                                       tn)
 
+    def test_a_block_whose_rows_share_one_failing_sigma_raises(self):
+        # every row is the sample whose nu-hat is 1e8, so all share that unit point
+        x = _seeded("student-t", FAMILY_THETAS["student-t"], 30, seed=777)([0])
+        X = np.repeat(x, 3, axis=0)
+        with pytest.raises(SingularityError):
+            _batch.batch_tn("student-t", "ml", None, X)
+        assert np.isnan(replicate("student-t", "ml", None, 30, lambda rs: X[rs], range(3))).all()
+
+    def test_a_single_test_whose_pit_is_not_finite_raises(self):
+        normal = F.get_family("normal")
+        blank = dataclasses.replace(normal, cdf_fn=lambda t, y: np.full(np.shape(y), np.nan))
+        with pytest.raises(DomainError, match="the normal PIT is not finite on this sample"):
+            run_test(blank, "ml", None, F.sample("normal", (0.0, 1.0), 50, 5))
+
     def test_row_with_a_nonfinite_pit(self):
         X = _seeded("gamma", (2.3, 1.4), 50, seed=6)(range(4))
         thetas = _batch.batch_fit("gamma", "ml", None, X)
@@ -320,10 +333,10 @@ class TestReplicate:
         np.testing.assert_array_equal(whole, np.concatenate(halves))
 
     def test_sampler_errors_propagate(self):
-        def sample(rs):
-            raise SamplingError("inversion did not bracket")
-
-        with pytest.raises(SamplingError):
+        # the sampler's DomainError (n = 0), a type that the block's own catch
+        # would read as NaN throughout
+        sample = _seeded("normal", (0.0, 1.0), 0)
+        with pytest.raises(DomainError):
             replicate("normal", "ml", None, 30, sample, range(3))
 
     def test_configuration_errors_propagate(self):
@@ -383,6 +396,10 @@ class TestBootstrap:
         sample = _seeded(fam, res.fit.theta, 150, seed)
         np.testing.assert_allclose(replicate(fam, "ml", None, 150, sample, range(120)), tn_rows,
                                    rtol=1e-10, atol=0.0)
+
+    def test_a_bootstrap_needs_a_replication(self):
+        with pytest.raises(DomainError, match="mc reps must be >= 1"):
+            run_test("normal", "ml", None, F.sample("normal", (0.0, 1.0), 30, 1), mc={"reps": 0})
 
     def test_more_than_one_percent_failures_abort(self, monkeypatch):
         x = F.sample("logistic", (0.2, 0.9), 60, 5)
@@ -636,6 +653,24 @@ class TestStudyConfigFile:
         path = tmp_path / "study.ini"
         path.write_text(f"[study]\nreps = 100\nseed = 3\n\n[cell:c]\n{body}")
         return str(path)
+
+    @pytest.mark.parametrize("text,match", [
+        ("[study]\nreps = 100\n", "study config defines no cells"),
+        ("[study]\nreps = 100\n\n[cell:c]\nn = 60\n", r"section \[cell:c\] needs a family"),
+        ("[study]\nreps = 99\n\n[cell:c]\nfamily = gamma\ntheta = 2.0, 1.0\n",
+         "a study needs reps >= 100"),
+        ("[study]\nreps = 100\nalpha = 1.0\n\n[cell:c]\nfamily = gamma\ntheta = 2.0, 1.0\n",
+         r"alpha must lie in \(0, 1\)")],
+        ids=["no-cells", "no-family", "reps", "alpha"])
+    def test_a_study_mistake_is_a_domain_error(self, tmp_path, text, match):
+        path = tmp_path / "study.ini"
+        path.write_text(text)
+        with pytest.raises(DomainError, match=match):
+            load_config(str(path))
+
+    def test_an_unreadable_config_is_a_domain_error(self, tmp_path):
+        with pytest.raises(DomainError, match="could not read study config"):
+            load_config(str(tmp_path / "absent.ini"))
 
     def test_a_good_cell_loads(self, tmp_path):
         cfg = load_config(self._write(tmp_path, **self.GOOD, known="beta=1.0"))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import threading
 import warnings
 
@@ -7,7 +8,7 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad as scipy_quad
 
 import former_scaling as former
-from trigof import _batch, estimate, quadrature, scaling
+from trigof import _batch, estimate, gof, quadrature, scaling
 from trigof import families as F
 from trigof.errors import ConfigurationError, DomainError, SingularityError
 from trigof.estimate import EstimatorKind, KnownMask, fit
@@ -314,6 +315,23 @@ def test_block_sigma_is_one_call_of_the_rule(monkeypatch):
             assert np.all(np.isnan(sig[3]))
             for i in [0, 1, 2, 39]:
                 np.testing.assert_array_equal(sig[i], scaling.sigma_from(fam, "ml", thetas[i], mask))
+
+
+def test_the_drift_refuses_a_singular_information():
+    # unlike Sigma, the drift is taken at theta as given: at beta = 1e-7 the
+    # gamma information's condition estimate is far past COND_LIMIT
+    with pytest.raises(SingularityError, match="drift's C is numerically singular"):
+        scaling.drift("gamma", "ml", (2.3, 1e-7), None, lambda t, x: [np.ones_like(x)])
+
+
+@pytest.mark.parametrize("sig", [[[math.nan, 0.0], [0.0, 0.2]], [[math.inf, 0.0], [0.0, 0.2]],
+                                 [[0.2, 0.3], [0.3, 0.2]], [[0.0, 0.0], [0.0, 0.2]]],
+                         ids=["nan", "inf", "indefinite", "semidefinite"])
+def test_sigma_and_the_ellipse_share_what_holds(sig):
+    sig = np.array(sig)
+    assert not scaling._holds(sig) and scaling._holds(np.array([[0.3, 0.05], [0.05, 0.2]]))
+    with pytest.raises(SingularityError, match="Sigma is not finite and positive definite"):
+        gof.ellipse(sig, 0.95)
 
 
 def test_a_point_call_raises_where_its_row_reads_nan():
