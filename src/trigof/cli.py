@@ -217,9 +217,10 @@ def cmd_test(args) -> int:
     return 0
 
 
-def _matrix_payload(fam, kind, theta, bindings, mask, digits):
+def _matrix_payload(fam, kind, theta, bindings, digits):
     """The ``matrices`` dump: G, R and J at theta, and Sigma from ``scaling.sigma_from``."""
     ms = scaling.matrices(fam, kind, theta)
+    mask = KnownMask.from_names(fam, bindings) if bindings else None
     sig = scaling.sigma_from(fam, kind, theta, mask)
     return {
         "family": families.get_family(fam).name,
@@ -238,10 +239,10 @@ def cmd_matrices(args) -> int:
     if args.verify:
         with open(args.verify) as fh:
             stored = json.load(fh)
-        fam, known = stored["family"], stored["known"]
-        mask = KnownMask.from_names(fam, known) if known else None
-        payload = _matrix_payload(fam, stored["estimator"], stored["theta"], known, mask,
-                                  args.digits)
+        keys = ("family", "estimator", "theta", "known")
+        if not (isinstance(stored, dict) and all(k in stored for k in keys)):
+            raise ValueError(f"{args.verify} is not a matrices dump: it needs {', '.join(keys)}")
+        payload = _matrix_payload(*(stored[k] for k in keys), args.digits)
         same = payload == stored
         _emit(json.dumps({"sigma": payload["sigma"], "matches_stored": same}, indent=2),
               args.output)
@@ -249,8 +250,8 @@ def cmd_matrices(args) -> int:
     if not args.family or not args.theta:
         raise _UsageError("matrices needs --family and --theta")
     fam, theta = _resolve_family(args.family, args.theta)
-    bindings, mask = _parse_known(fam, args.known)
-    payload = _matrix_payload(fam, args.estimator, theta, bindings, mask, args.digits)
+    bindings = _parse_known(fam, args.known)[0]
+    payload = _matrix_payload(fam, args.estimator, theta, bindings, args.digits)
     _emit(json.dumps(payload, indent=2), args.output)
     return 0
 

@@ -872,12 +872,15 @@ def _digamma_root(t, minus_log: bool, iters):
 
 
 def _log_gap(Y, c):
-    """mean ln(y / c) - (mean y / c - 1) on each row, summed as mean log1p(e)
+    """mean ln(y / c) - (mean y / c - 1) on each row, summed as mean ln(y / c)
     - mean e with e = (y - c) / c, so that neither term is a difference of
-    nearly equal means.  Where c is the row mean, mean e is its rounding, and
-    this is mean ln y - ln mean y at the exact mean."""
+    nearly equal means; ln(y / c) is log1p(e) where |e| < 1/2, and ln y - ln c
+    where e has lost the digits of y / c (e reads -1 below y / c = 2**-53).
+    Where c is the row mean, mean e is its rounding, and this is mean ln y -
+    ln mean y at the exact mean."""
     e = (Y - c[:, None]) / c[:, None]
-    return _mean(np.log1p(e)) - _mean(e)
+    ln = np.log1p(e, where=np.abs(e) < 0.5, out=np.log(Y) - np.log(c)[:, None])
+    return _mean(ln) - _mean(e)
 
 
 def _gamma_rows(kn, kv, X, iters):  # lambda free; lambda known is a closed form

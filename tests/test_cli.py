@@ -94,6 +94,15 @@ class TestMatricesVerify:
         assert cli.main(["matrices", "--verify", str(path)]) == 2
         assert json.loads(capsys.readouterr().out)["matches_stored"] is False
 
+    @pytest.mark.parametrize("key", ["family", "estimator", "theta", "known"])
+    def test_a_dump_without_a_key_is_2(self, tmp_path, capsys, key):
+        path = self._dump(tmp_path, capsys, "--family", "gamma", "--theta", "2.3,1.4")
+        stored = json.loads(path.read_text())
+        del stored[key]
+        path.write_text(json.dumps(stored))
+        assert cli.main(["matrices", "--verify", str(path)]) == cli.DATA_EXIT
+        assert "is not a matrices dump" in capsys.readouterr().err
+
     @pytest.mark.parametrize("fam,theta", [
         ("gamma", "2.3,1e-7"), ("weibull", "1e-7,1.5"), ("lomax", "2.5,1e-7"),
         ("gompertz", "1e7,0.4"), ("log-logistic", "1e-7,2.5"), ("inverse-gamma", "2.5,1e-7")])

@@ -128,6 +128,37 @@ def test_a_large_shape_is_fitted_to_the_digits_of_its_equation(fam, step):
     np.testing.assert_array_equal(batch_fit(fam, "ml", None, X)[:, 0], got)
 
 
+# lambda-hat at small shapes, by mpmath at 50 digits on these doubles: the
+# root of psi(lam) - ln lam = mean ln y - ln mean y, or, for nakagami with
+# omega = 1/4 known, = mean ln(y / omega) + 1 - mean y / omega, with y = x for
+# gamma, 1/x for inverse-gamma and x**2 for nakagami.  x_i = (1 + m/16) 2**-k,
+# m = 5i mod 16, k = 5i mod 12 on 17 of each 20 points and far + 7i mod 30 on
+# the rest: at far = 60 some points lie below mean y 2**-53, where (y - c) / c
+# reads -1, and at far = 14 below mean y 2**-14.
+SMALL_SHAPE = {
+    ("gamma", 60): 0.09257850763321508, ("nakagami", 60): 0.045741116007030236,
+    ("nakagami-omega", 60): 0.04561009818919095,
+    ("gamma", 14): 0.18312975879766996, ("nakagami", 14): 0.08522463106379999,
+    ("nakagami-omega", 14): 0.08475533912237711,
+}
+
+
+@pytest.mark.parametrize("far", [60, 14])
+@pytest.mark.parametrize("fam", ["gamma", "inverse-gamma", "nakagami", "nakagami-omega"])
+def test_a_small_shape_is_fitted_to_the_digits_of_its_equation(fam, far):
+    i = np.arange(200)
+    k = np.where(i % 20 >= 3, i * 5 % 12, far + i * 7 % 30)
+    x = (1.0 + i * 5 % 16 / 16.0) * 2.0 ** -k.astype(float)
+    x = 1.0 / x if fam == "inverse-gamma" else x
+    mask = KnownMask((False, True), (math.nan, 0.25)) if fam == "nakagami-omega" else None
+    name = fam.partition("-omega")[0]
+    res = fit(name, "ml", mask, x)
+    assert res.converged
+    want = SMALL_SHAPE["gamma" if fam == "inverse-gamma" else fam, far]
+    assert res.theta[0] == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert batch_fit(name, "ml", mask, x[None, :])[0, 0] == res.theta[0]
+
+
 class TestScoreResidual:
     # families whose score is Lipschitz at the optimum (all but cusp cases)
     SMOOTH = [n for n in FAMILY_THETAS if n != "uniform"]
