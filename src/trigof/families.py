@@ -26,7 +26,9 @@ A family with an MM estimator declares its moment equation once, as
 residual, ``has_mm`` and ``mm_known`` all derive from it.  ``Family.shapes``
 names the parameters the scaling covariance Sigma depends on; it is invariant
 under the others, so ``scaling.sigma_from`` takes it with every other
-parameter at 1, and a block whose shapes are all known shares one Sigma.
+parameter at 1, or at the point ``Family.unit`` declares (the inverse
+Gaussian's (1, lambda / mu)), and a block whose shapes are all known shares
+one Sigma.
 
 Sixteen families are a fixed monotone transform of another, their base, and
 declare it as ``Family.derived``: the data transform (one of ``_DATA``), the
@@ -122,6 +124,9 @@ class Family:
     score_fn: Optional[Callable[[tuple, np.ndarray], np.ndarray]] = None
     mm: Optional[MomentEq] = None
     shapes: tuple[str, ...] = ()  # all Sigma depends on; derived: set by _register
+    # theta rows -> the points ``scaling.sigma_from`` takes Sigma at; None:
+    # the shapes with every other parameter at 1
+    unit: Optional[Callable[[np.ndarray], np.ndarray]] = None
     node: Optional[Callable[..., tuple]] = None  # see "Nodes of the rule"
     derived: Optional["Derived"] = None  # the family this one transforms
 
@@ -958,7 +963,9 @@ _register(Family(
     score_fn=lambda t, x: np.stack([
         t[1] * (x - t[0]) / t[0] ** 3,
         0.5 / t[1] - (x - t[0]) ** 2 / (2.0 * t[0] ** 2 * x)]),
-    shapes=("mu", "lambda"),  # through lambda / mu
+    shapes=("mu", "lambda"),
+    # mu is a scale: Sigma depends on lambda / mu alone, taken at (1, lambda / mu)
+    unit=lambda t: np.column_stack([np.ones(len(t)), t[:, 1] / t[:, 0]]),
 ))
 
 

@@ -162,9 +162,10 @@ def test_the_row_cache_is_bounded_and_nothing_is_built_at_import():
     out = subprocess.run(
         [sys.executable, "-c", "import trigof.cli, trigof.estimate as E, trigof.scaling as S; "
                                "print(E._row.cache_info().currsize, "
-                               "S._unit_sigma.cache_info().currsize)"],
+                               "S._unit_sigma.cache_info().currsize, "
+                               "S._coefficients.cache_info().currsize)"],
         env=env, capture_output=True, text=True, check=True).stdout
-    assert out == "0 0\n"
+    assert out == "0 0 0\n"
 
 
 def _gram_calls(monkeypatch):
@@ -188,10 +189,11 @@ def test_a_second_run_test_of_a_shape_free_row_does_no_sigma_quadrature(fam, mon
 def test_a_second_point_at_the_same_free_shape_does_no_sigma_quadrature(monkeypatch):
     estimate._row.cache_clear()
     calls = _gram_calls(monkeypatch)
-    first = scaling.sigma_from("gamma", "ml", (2.3, 1.4))
-    np.testing.assert_array_equal(scaling.sigma_from("gamma", "ml", (2.3, 5.0)), first)
+    # lomax: one shape, and no table
+    first = scaling.sigma_from("lomax", "ml", (2.5, 1.5))
+    np.testing.assert_array_equal(scaling.sigma_from("lomax", "ml", (2.5, 5.0)), first)
     assert len(calls) == 1
-    assert not np.array_equal(scaling.sigma_from("gamma", "ml", (2.4, 1.4)), first)
+    assert not np.array_equal(scaling.sigma_from("lomax", "ml", (2.6, 1.5)), first)
     assert len(calls) == 2
 
 

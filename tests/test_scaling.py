@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import threading
@@ -82,18 +83,29 @@ def test_matrix_columns_follow_the_family(name, kind):
 
 
 UNIT_ROWS = [(n, k) for n, k in ROWS if n != "uniform"]  # (1, 1) is no uniform
+# the rows whose Sigma comes from a table in their one shape, the unit
+# point's component that varies there
+TABLED = {("gamma", "ml", None): 0, ("inverse-gaussian", "ml", None): 1}
 
 
 @pytest.mark.parametrize("name,kind", UNIT_ROWS, ids=[f"{n}-{k}" for n, k in UNIT_ROWS])
 def test_sigma_at_the_shapes_with_the_rest_at_one(name, kind):
-    # sigma_from takes Sigma there, for a point and for every row of a block
+    # sigma_from takes Sigma there (or at the family's declared unit point),
+    # for a point and for every row of a block: the rule's bits, and on a
+    # tabled row the table's, the same for both and within 1e-13 of the rule
     fam, theta = F.get_family(name), FAMILY_THETAS[name]
-    unit = [v if p in fam.shapes else 1.0 for p, v in zip(fam.param_names, theta)]
+    unit = (fam.unit(np.array([theta]))[0] if fam.unit is not None else
+            [v if p in fam.shapes else 1.0 for p, v in zip(fam.param_names, theta)])
     for mask in _all_masks(name, kind, theta):
         sig = _raw_sigma(name, kind, unit, mask)
         np.testing.assert_allclose(sig, _raw_sigma(name, kind, theta, mask), rtol=0.0, atol=1e-12)
-        np.testing.assert_array_equal(scaling.sigma_from(name, kind, theta, mask), sig)
-        np.testing.assert_array_equal(scaling.sigma_from(name, kind, np.array([theta]), mask)[0], sig)
+        point = scaling.sigma_from(name, kind, theta, mask)
+        np.testing.assert_array_equal(scaling.sigma_from(name, kind, np.array([theta]), mask)[0],
+                                      point)
+        if (name, kind, mask) in TABLED:
+            np.testing.assert_allclose(point, sig, rtol=0.0, atol=1e-13 * np.abs(sig).max())
+        else:
+            np.testing.assert_array_equal(point, sig)
 
 
 @pytest.mark.parametrize("scale", [1e-7, 1e7])
@@ -284,9 +296,10 @@ def test_block_sigma_is_one_call_of_the_rule(monkeypatch):
     # one call per thread's part of those rows: 39 rows on the calling thread
     # with one thread; parts of 20 and 19 rows on the pool's two threads.
     # A row whose mask knows the shapes keeps that Sigma: a repeat call
-    # makes no call of the rule, until the rows are built anew
-    fam = F.get_family("gamma")
-    X = np.stack([F.sample(fam, (2.3, 1.4), 200, np.random.SeedSequence([29, r])) for r in range(40)])
+    # makes no call of the rule, until the rows are built anew.  Lomax has
+    # one shape and no table
+    fam = F.get_family("lomax")
+    X = np.stack([F.sample(fam, (2.5, 1.5), 200, np.random.SeedSequence([29, r])) for r in range(40)])
     gram = quadrature.gram
     calls = []
 
@@ -296,10 +309,16 @@ def test_block_sigma_is_one_call_of_the_rule(monkeypatch):
         return M
 
     caller = threading.get_ident()
+    # nothing public runs on the pool's threads, whose calls a tracer that
+    # keeps one span stack would misplace
+    public = []
+    for name in ("matrices", "sigma"):
+        monkeypatch.setattr(scaling, name, (lambda f: lambda *a: public.append(
+            threading.get_ident()) or f(*a))(getattr(scaling, name)))
     for threads, free_calls in [(1, [(True, 39)]), (2, [(False, 19), (False, 20)])]:
         monkeypatch.setattr(F, "_THREADS", threads)
         for mask, want in [(None, free_calls),
-                           (KnownMask.from_names(fam, {"lambda": 2.3}), [(True, 1)])]:
+                           (KnownMask.from_names(fam, {"alpha": 2.5}), [(True, 1)])]:
             thetas = _batch.batch_fit(fam, "ml", mask, X)
             thetas[3] = np.nan  # a failed fit
             estimate._row.cache_clear()
@@ -315,6 +334,97 @@ def test_block_sigma_is_one_call_of_the_rule(monkeypatch):
             assert np.all(np.isnan(sig[3]))
             for i in [0, 1, 2, 39]:
                 np.testing.assert_array_equal(sig[i], scaling.sigma_from(fam, "ml", thetas[i], mask))
+    assert set(public) <= {caller}
+
+
+def _tabled_units(name, count=256):
+    """count unit points of a tabled row at random shapes in [0.2, 50]."""
+    units = np.ones((count, 2))
+    units[:, TABLED[name, "ml", None]] = np.exp(np.random.default_rng(33).uniform(
+        math.log(0.2), math.log(50.0), count))
+    return units
+
+
+@pytest.mark.parametrize("name", ["gamma", "inverse-gaussian"])
+def test_a_tabled_sigma_is_the_rule_within_1e_13_and_one_value_per_shape(name):
+    units = _tabled_units(name)
+    want = _raw_sigma(name, "ml", units, None)
+    got = scaling.sigma_from(name, "ml", units)
+    scale = np.abs(want).max(axis=(1, 2))
+    assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-13 * scale)
+    block = scaling.sigma_from(name, "ml", units[:200])
+    for i in [0, 1, 2, 199]:  # a point and a 1-row block read the 200-row block's bits
+        np.testing.assert_array_equal(block[i], got[i])
+        np.testing.assert_array_equal(scaling.sigma_from(name, "ml", units[i]), got[i])
+        np.testing.assert_array_equal(scaling.sigma_from(name, "ml", units[i:i + 1])[0], got[i])
+
+
+@pytest.mark.parametrize("name", ["gamma", "inverse-gaussian"])
+def test_a_shape_outside_the_table_is_the_rules(name):
+    units = _tabled_units(name, 4)
+    units[:2, TABLED[name, "ml", None]] = [0.19, 51.0]
+    rows = scaling.sigma_from(name, "ml", units)
+    want = _raw_sigma(name, "ml", units[:2], None)
+    np.testing.assert_array_equal(rows[:2], want)
+    for i in range(2):
+        np.testing.assert_array_equal(scaling.sigma_from(name, "ml", units[i]), want[i])
+    assert not np.array_equal(rows[2:], _raw_sigma(name, "ml", units[2:], None))
+
+
+def test_a_row_with_a_failed_node_keeps_the_rule():
+    # a gamma whose score is NaN above lambda = 45: its top node fails, so
+    # no table, every point is the rule's, and one above 45 raises
+    gamma = F.get_family("gamma")
+    failing = dataclasses.replace(gamma, score_fn=lambda t, x: np.where(
+        t[0] > 45.0, np.nan, gamma.score_fn(t, x)))
+    units = np.array([[2.3, 1.0], [0.7, 1.0]])
+    np.testing.assert_array_equal(scaling.sigma_from(failing, "ml", units),
+                                  _raw_sigma(failing, "ml", units, None))
+    np.testing.assert_array_equal(scaling.sigma_from(failing, "ml", units[0]),
+                                  _raw_sigma(failing, "ml", units[0], None))
+    assert scaling._coefficients(estimate.row(failing)) is None
+    with pytest.raises(DomainError, match="not finite"):
+        scaling.sigma_from(failing, "ml", (47.0, 1.0))
+
+
+def test_a_tabled_sigma_that_fails_is_refused(monkeypatch):
+    # a table whose Sigma is diag(0, -0.1): a point raises, a block row is NaN
+    estimate._row.cache_clear()
+    c = np.zeros((scaling._NODES, 3))
+    c[0, 2] = -0.1
+    monkeypatch.setattr(scaling, "_coefficients", lambda r: c)
+    with pytest.raises(SingularityError, match="tabled gamma Sigma is not positive definite"):
+        scaling.sigma_from("gamma", "ml", (2.3, 1.4))
+    assert np.isnan(scaling.sigma_from("gamma", "ml", np.array([[2.3, 1.4], [0.1, 1.0]]))[0]).all()
+
+
+def test_a_table_is_built_once_on_its_first_shape_in_range(monkeypatch):
+    # by one call of the rule on the 48 nodes, on any number of threads
+    gram, calls = quadrature.gram, []
+    monkeypatch.setattr(quadrature, "gram", lambda f: (lambda M: calls.append(len(M)) or M)(gram(f)))
+    for threads in (1, 2):
+        monkeypatch.setattr(F, "_THREADS", threads)
+        estimate._row.cache_clear()
+        calls.clear()
+        scaling.sigma_from("gamma", "ml", (60.0, 1.4))  # out of range: the rule on one row
+        assert calls == [1]
+        first = scaling.sigma_from("gamma", "ml", (2.3, 1.4))
+        assert calls[1:] == [48]
+        calls.clear()
+        scaling.sigma_from("gamma", "ml", (3.1, 1.4))
+        scaling.sigma_from("gamma", "ml", _tabled_units("gamma", 50))
+        assert calls == []
+        np.testing.assert_array_equal(scaling.sigma_from("gamma", "ml", (2.3, 5.0)), first)
+
+
+@pytest.mark.parametrize("c", [0.37, 2.0, 55.0])
+def test_the_inverse_gaussian_sigma_is_taken_at_lambda_over_mu(c):
+    theta = (c, 3.0 * c)
+    for kind in ["ml"] + ["mm"] * F.get_family("inverse-gaussian").has_mm:
+        for mask in _all_masks("inverse-gaussian", kind, theta):
+            want = _raw_sigma("inverse-gaussian", kind, theta, mask)
+            np.testing.assert_allclose(scaling.sigma_from("inverse-gaussian", kind, theta, mask),
+                                       want, rtol=0.0, atol=1e-13 * np.abs(want).max())
 
 
 def test_the_drift_refuses_a_singular_information():
