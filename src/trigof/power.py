@@ -13,8 +13,9 @@ covariance (``scaling.sigma_from`` at theta0), and the drift direction
 
 (Le Cam's third lemma) sums, by ``scaling.drift``, the embedding's extra
 score e at the null against the null row's G, C and psi: the first term
-moves the PIT, the second the fitted theta.  A curve takes Sigma and M once;
-an empirical power draws every replication from one drifted quantile.
+moves the PIT, the second the fitted theta.  A curve takes Sigma and M once
+and sums each tail as one Poisson mixture (``noncentral_chi2_sf``); an
+empirical power draws every replication from one drifted quantile.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from .gof import rejection_rate, replicate
 __all__ = ["EMBEDDINGS", "Embedding", "AltCase", "LocalAlternative", "PowerPoint",
            "at_shapes", "sigma_and_drift", "noncentrality", "noncentral_chi2_sf",
            "power_curve", "empirical_power", "nest"]
-
-_REL_TOL = 1e-12  # noncentral_chi2_sf's share of dropped mass at which the series stops
 
 
 @dataclass(frozen=True)
@@ -150,12 +149,21 @@ def noncentrality(alt: LocalAlternative) -> float:
 
 
 def noncentral_chi2_sf(df: int, ncp: float, t: float) -> float:
-    """Survival function P(X > t) of X ~ chi2_df(ncp): the Poisson mixture
-    sum_k pois(k; ncp/2) Q(df/2 + k, t/2), Q the regularized upper incomplete
-    gamma, summed outward from the Poisson mode (no underflow at large ncp)
-    until the mass it drops is within ``_REL_TOL`` of the sum.  So it reads
-    below the exact tail (mpmath, 40 digits): by 4.5e-13 relative at the gamma
-    case's delta = 5 point (lambda0 = 2), by 1.1e-12 at ncp = 400, t = 5.99."""
+    """Survival function P(X > t) of X ~ chi2_df(ncp), summed at once as the
+    Poisson mixture sum_k w_k Q(df/2 + k, x): x = t/2, w_k the Poisson(h)
+    weights at h = ncp/2, Q the regularized upper incomplete gamma.  k runs
+    from h - 9 sqrt h (or 0) to the lesser of 2h + sqrt(2hx) + 46 and
+    h + 39 sqrt h + 500, ends floored.  Below it the Poisson mass is under
+    exp(-81/2) = 3e-18 (Chernoff) and Q grows with k, so the terms it drops
+    weigh under 3e-18 of the sum.  A tiny tail (x >> h) has its terms peak
+    near sqrt(hx), above the mode; as Q(b + 1, x) <= (1 + x/b) Q(b, x) for
+    b >= 1, from 2h + sqrt(2hx) on each term is at most half the one before,
+    so the 46 kept past it leave under 2^-45 of the sum.  Past h + 39 sqrt h
+    + 500 the Poisson mass is under e^-745 (Chernoff), below the least double.
+    The weights, scaled by the largest, are divided by their own sum, which
+    cancels the rounding common to every term.  Against mpmath (60 digits) at
+    df 1-4, ncp 0.01-2000 and tails 0.5-1e-250 it reads within 2.4e-13
+    relative, at worst where the tail is tiny."""
     if not (isinstance(df, (int, np.integer)) and df >= 1):
         raise DomainError(f"df must be a positive integer, got {df!r}")
     if not (np.isfinite(ncp) and ncp >= 0.0):
@@ -164,48 +172,15 @@ def noncentral_chi2_sf(df: int, ncp: float, t: float) -> float:
         raise DomainError(f"t must be finite and >= 0, got {t!r}")
     if t == 0.0:
         return 1.0
-    half_t = 0.5 * t
-    half_ncp = 0.5 * ncp
-    if half_ncp == 0.0:
-        return float(sp.gammaincc(0.5 * df, half_t))
-
-    k0 = int(half_ncp)  # Poisson mode (floor)
-    log_w0 = k0 * math.log(half_ncp) - half_ncp - math.lgamma(k0 + 1)
-    w0 = math.exp(log_w0)
-    a0 = 0.5 * df + k0
-    q0 = float(sp.gammaincc(a0, half_t))
-    total = w0 * q0
-
-    # Upward sweep: w_{k+1} = w_k * half_ncp/(k+1); Q(a+1,x) = Q(a,x) + x^a e^-x / Gamma(a+1).
-    w, q, a = w0, q0, a0
-    k = k0
-    while True:
-        delta = math.exp(a * math.log(half_t) - half_t - math.lgamma(a + 1.0))
-        q = min(q + delta, 1.0)
-        w = w * half_ncp / (k + 1)
-        total += w * q
-        k += 1
-        a += 1.0
-        if k > half_ncp:
-            # Weights now decay at least geometrically with ratio < 1 and q <= 1,
-            # so the remaining sum is bounded by w * ratio / (1 - ratio).
-            ratio = half_ncp / (k + 1)
-            if w * ratio / (1.0 - ratio) <= _REL_TOL * total:
-                break
-
-    # Downward sweep from the mode.
-    w, q, a = w0, q0, a0
-    for k in range(k0, 0, -1):
-        delta = math.exp((a - 1.0) * math.log(half_t) - half_t - math.lgamma(a))
-        q = max(q - delta, 0.0)
-        w = w * k / half_ncp
-        a -= 1.0
-        term = w * q
-        total += term
-        if term <= _REL_TOL * total:
-            break
-
-    return float(min(max(total, 0.0), 1.0))
+    x, h = 0.5 * t, 0.5 * ncp
+    if h == 0.0:
+        return float(sp.gammaincc(0.5 * df, x))
+    k = np.arange(max(0, math.floor(h - 9.0 * math.sqrt(h))),
+                  min(math.floor(2.0 * h + math.sqrt(2.0 * h * x)) + 47,
+                      math.floor(h + 39.0 * math.sqrt(h)) + 501))
+    log_w = k * math.log(h) - sp.gammaln(k + 1.0)
+    w = np.exp(log_w - log_w.max())
+    return float(min(max(w @ sp.gammaincc(0.5 * df + k, x) / w.sum(), 0.0), 1.0))
 
 
 def power_curve(case, theta0, deltas: Sequence, alpha: float = 0.05,

@@ -5,15 +5,15 @@ sample size and (for power snapshots) the family actually generating the
 data.  Every replication draws its own generator from the key
 (seed, cell index, replication index), so results are bit-identical across
 reruns.  A cell's replications run through ``gof.replicate``, in one call
-or, with ``workers > 1``, in runs of at least 256 spread over a process
-pool; either way ``gof.replicate`` draws each of its blocks of samples with
-one call of ``_draw``.  In a single process a block's draws, PIT and Sigma
-rows run on one thread per core (``families._in_parts``); the pool's forked
-workers run theirs serially, so ``workers`` processes keep ``workers``
-cores busy.  The report has the same bits either way.  A failed replication
-counts toward ``failed``, and a cell with more than 1% failures, or whose
-run raised, is not ``ok`` (one whose run raised has no rate: ``rate`` and
-``se`` are NaN).
+or, with ``workers > 1``, in runs of at least 256 spread over a pool of at
+most one process per run; either way ``gof.replicate`` draws each of its
+blocks of samples with one call of ``_draw``.  In a single process a block's
+draws, PIT and Sigma rows run on one thread per core (``families._in_parts``);
+the pool's forked workers run theirs serially, so ``workers`` processes keep
+``workers`` cores busy.  The report has the same bits either way.  A failed
+replication counts toward ``failed``, and a cell with more than 1% failures,
+or whose run raised, is not ``ok`` (one whose run raised has no rate:
+``rate`` and ``se`` are NaN).
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def _run_cell(cell: CellConfig, cfg: StudyConfig, cell_index: int) -> CellReport
     try:
         blocks = [range(lo, hi) for lo, hi in _split(cfg.reps, cfg.workers)]
         if len(blocks) > 1:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            with ProcessPoolExecutor(max_workers=min(cfg.workers, len(blocks))) as pool:
                 tn = np.concatenate(list(pool.map(run, blocks)))
         else:
             tn = run(blocks[0])
@@ -183,10 +183,20 @@ def _checked(cell: CellConfig) -> CellConfig:
     return cell
 
 
+def _in_section(section: str, build):
+    """build(), any refusal it raises prefixed with the section: a TrigofError
+    keeps its type, and a malformed number (ValueError) is a DomainError."""
+    try:
+        return build()
+    except (TrigofError, ValueError) as exc:
+        cause = type(exc) if isinstance(exc, TrigofError) else DomainError
+        raise cause(f"section [{section}]: {exc}") from None
+
+
 def load_config(path) -> StudyConfig:
-    """The study an INI file declares.  A cell that ``_checked`` refuses
-    raises its cause's own error, its text prefixed with the section; a
-    malformed number raises DomainError, naming the section."""
+    """The study an INI file declares.  A cell that ``_checked`` refuses, or a
+    malformed number in any section, raises its cause's own error (DomainError
+    for the number), its text prefixed with the section."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -199,29 +209,25 @@ def load_config(path) -> StudyConfig:
         raw = parser[section]
         if "family" not in raw:
             raise DomainError(f"section [{section}] needs a family")
-        try:
-            cells.append(_checked(CellConfig(
-                name=section.split(":", 1)[1],
-                family=raw["family"].strip(),
-                kind=raw.get("estimator", "ml").strip().lower(),
-                theta=_parse_theta(raw.get("theta", "")),
-                n=int(raw.get("n", 100)),
-                known=_parse_known(raw.get("known", "")),
-                data_family=(raw.get("data_family") or None),
-                data_theta=_parse_theta(raw.get("data_theta", "")),
-            )))
-        except (TrigofError, ValueError) as exc:  # a malformed number is a DomainError
-            cause = type(exc) if isinstance(exc, TrigofError) else DomainError
-            raise cause(f"section [{section}]: {exc}") from None
+        cells.append(_in_section(section, lambda: _checked(CellConfig(
+            name=section.split(":", 1)[1],
+            family=raw["family"].strip(),
+            kind=raw.get("estimator", "ml").strip().lower(),
+            theta=_parse_theta(raw.get("theta", "")),
+            n=int(raw.get("n", 100)),
+            known=_parse_known(raw.get("known", "")),
+            data_family=(raw.get("data_family") or None),
+            data_theta=_parse_theta(raw.get("data_theta", "")),
+        ))))
     if not cells:
         raise DomainError("study config defines no cells")
-    return StudyConfig(
+    return _in_section("study", lambda: StudyConfig(
         cells=tuple(cells),
         reps=int(study.get("reps", 1000)),
         alpha=float(study.get("alpha", 0.05)),
         seed=int(study.get("seed", 0)),
         workers=int(study.get("workers", 1)),
-    )
+    ))
 
 
 def report_rows(report: StudyReport) -> list[dict]:

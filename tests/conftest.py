@@ -1,5 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
+
+from trigof import families as F
+from trigof.estimate import KnownMask
 
 # representative interior parameter points, one per family
 FAMILY_THETAS = {
@@ -44,6 +49,35 @@ MM_REQUIRED_KNOWN = {
     "student-t": {"lambda": 4.0},
     "half-epd": {"lambda": 1.8},
 }
+
+
+def known_names(name, kind, every=False):
+    """Known-name tuples of the row (name, kind), each in parameter order: the
+    MM row's required shapes plus every choice of the others that leaves one
+    to fit (and all of them, with ``every``), fewest first."""
+    names = F.get_family(name).param_names
+    required = tuple(MM_REQUIRED_KNOWN.get(name, {})) if kind == "mm" else ()
+    others = [p for p in names if p not in required]
+    for r in range(len(others) + every):
+        for extra in itertools.combinations(others, r):
+            yield tuple(p for p in names if p in required + extra)
+
+
+def supported_rows():
+    """(family, kind, known names) of every supported row: the families of
+    FAMILY_THETAS by name, ML before MM, each under ``known_names``."""
+    for name in sorted(FAMILY_THETAS):
+        for kind in ("ml", "mm") if F.get_family(name).has_mm else ("ml",):
+            for known in known_names(name, kind):
+                yield name, kind, known
+
+
+def known_mask(name, known, theta=None):
+    """The mask holding the parameters ``known`` at theta's values (the
+    FAMILY_THETAS point's by default), or None when none is known."""
+    values = dict(zip(F.get_family(name).param_names,
+                      FAMILY_THETAS[name] if theta is None else theta))
+    return KnownMask.from_names(name, {p: values[p] for p in known}) if known else None
 
 
 @pytest.fixture

@@ -5,9 +5,10 @@
 ``run_test.json`` holds ``gof.run_test`` on every supported (family,
 estimator, mask) row.
 
-A supported row is a family of ``conftest.FAMILY_THETAS`` with an estimator
-it has, under a mask of its FAMILY_THETAS values that leaves a parameter
-free; an MM row keeps the shapes it requires known (``MM_REQUIRED_KNOWN``).
+A supported row (``conftest.supported_rows``) is a family of
+``conftest.FAMILY_THETAS`` with an estimator it has, under a mask of its
+FAMILY_THETAS values that leaves a parameter free; an MM row keeps the shapes
+it requires known (``MM_REQUIRED_KNOWN``).
 That makes 137 rows.  Each runs at n in {30, 200} on seeds {1, 2}, on the
 sample drawn at the row's FAMILY_THETAS point from the key (seed, n).  An
 entry holds theta-hat, the iterations, the converged flag, T_n and Sigma,
@@ -53,11 +54,10 @@ import scipy
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from conftest import FAMILY_THETAS, MM_REQUIRED_KNOWN  # noqa: E402
+from conftest import FAMILY_THETAS, known_mask, supported_rows  # noqa: E402
 from trigof import families as F  # noqa: E402
 from trigof import gof  # noqa: E402
 from trigof.errors import TrigofError  # noqa: E402
-from trigof.estimate import KnownMask  # noqa: E402
 from trigof.gof import run_test  # noqa: E402
 from trigof.simharness import CellConfig, StudyConfig, run_study  # noqa: E402
 
@@ -79,18 +79,6 @@ STUDY = StudyConfig((
     reps=128, seed=3)
 
 
-def supported_rows():
-    """(family, kind, known names) of every supported row, in a fixed order."""
-    for name in sorted(FAMILY_THETAS):
-        fam = F.get_family(name)
-        for kind in ("ml", "mm") if fam.has_mm else ("ml",):
-            required = tuple(MM_REQUIRED_KNOWN.get(name, {})) if kind == "mm" else ()
-            others = [p for p in fam.param_names if p not in required]
-            for r in range(len(others)):
-                for extra in itertools.combinations(others, r):
-                    yield name, kind, tuple(p for p in fam.param_names if p in required + extra)
-
-
 def row_id(name, kind, known) -> str:
     return f"{name}-{kind}" + "".join(f"-{p}" for p in known)
 
@@ -101,9 +89,7 @@ def _hex(values):
 
 def outcomes(name, kind, known) -> dict:
     """The row's entries, keyed 'n=<n>,seed=<seed>'."""
-    theta = FAMILY_THETAS[name]
-    values = dict(zip(F.get_family(name).param_names, theta))
-    mask = KnownMask.from_names(name, {p: values[p] for p in known}) if known else None
+    theta, mask = FAMILY_THETAS[name], known_mask(name, known)
     out = {}
     for n, seed in itertools.product(SIZES, SEEDS):
         x = F.sample(name, theta, n, np.random.SeedSequence([seed, n]))

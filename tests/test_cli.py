@@ -116,11 +116,15 @@ class TestMatricesVerify:
 
 
 def test_importing_the_cli_leaves_scipy_optimize_out():
-    # every fit runs on the package's own root solver over rows
+    # every fit runs on the package's own root solver over rows, and a power
+    # curve reads its tail from scipy.special alone: scipy.stats would double
+    # the peak memory of a run
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", "import sys, trigof.cli; "
-                          "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"],
+                          "trigof.cli.power.power_curve('gamma', (2.0, 1.0), [0.0, 5.0]); "
+                          "print(sorted(m for m in sys.modules if m.startswith("
+                          "('scipy.optimize', 'scipy.stats', 'scipy.integrate'))))"],
                          env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
@@ -200,50 +204,51 @@ def test_usage_mistakes_are_64(argv, capsys, tmp_path, monkeypatch):
 
 
 # the CSV of `trigof power` as the hand-coded cases wrote it, frozen bit for bit
-# (gamma's lines since its Sigma comes from a table)
+# (gamma's lines since its Sigma comes from a table; every power at ncp > 0
+# since noncentral_chi2_sf sums its mixture at once, each within 3e-16 of mpmath)
 POWER_CSV = [
     (["--case", "gamma", "--lambda0", "2", "--delta", "0,5,10"],
      ["delta,ncp,power",
       "0.0,0.0,0.05000000000000002",
-      "5.0,0.8567896337028051,0.12005880637755424",
-      "10.0,3.4271585348112206,0.36213316913952476"]),
+      "5.0,0.8567896337028051,0.12005880637760792",
+      "10.0,3.4271585348112206,0.3621331691395698"]),
     (["--case", "weibull", "--delta", "0,12"],
      ["delta,ncp,power",
       "0.0,0.0,0.05000000000000002",
-      "12.0,2.9794409186247703,0.319556731193408"]),
+      "12.0,2.9794409186247703,0.31955673119345784"]),
     *[(["--case", "epd", "--lambda0", "2", "--delta", "0,1.5", "--estimator", kind],
        ["delta1,delta2,ncp,power",
         "0.0,0.0,0.0,0.05000000000000002",
-        "1.5,0.0,2.88248192938341,0.3102672344886932"]) for kind in ("ml", "mm")],
+        "1.5,0.0,2.88248192938341,0.31026723448872184"]) for kind in ("ml", "mm")],
     (["--case", "epd", "--lambda0", "2", "--delta2", "0,2", "--estimator", "ml"],
      ["delta1,delta2,ncp,power",
       "0.0,0.0,0.0,0.05000000000000002",
-      "0.0,2.0,0.17593746523934328,0.06345663397386764"]),
+      "0.0,2.0,0.17593746523934328,0.06345663397386841"]),
     (["--case", "epd", "--lambda0", "2", "--delta2", "0,2", "--estimator", "mm"],
      ["delta1,delta2,ncp,power",
       "0.0,0.0,0.0,0.05000000000000002",
-      "0.0,2.0,0.17593746523934367,0.06345663397386767"]),
+      "0.0,2.0,0.17593746523934367,0.06345663397386844"]),
     (["--case", "epd", "--lambda0", "2", "--delta", "1.5", "--empirical", "50,20"],
      ["delta1,delta2,ncp,power,empirical,asymptotic,failed",
-      "1.5,0.0,2.88248192938341,0.3102672344886932,0.35,0.3102672344886932,0"]),
+      "1.5,0.0,2.88248192938341,0.31026723448872184,0.35,0.31026723448872184,0"]),
     (["--case", "exponential-in-weibull", "--delta", "0,2,4"],
      ["delta,ncp,power",
       "0.0,0.0,0.05000000000000002",
-      "2.0,3.7343091460781643,0.3909094876004695",
-      "4.0,14.937236584312657,0.9431131158307211"]),
+      "2.0,3.7343091460781643,0.3909094876006684",
+      "4.0,14.937236584312657,0.9431131158309768"]),
     (["--case", "exponential-in-weibull", "--delta", "3", "--empirical", "50,20"],
      ["delta,ncp,power,empirical,asymptotic,failed",
-      "3.0,8.402195578675869,0.7399822358684385,0.6,0.7399822358684385,0"]),
+      "3.0,8.402195578675869,0.7399822358685476,0.6,0.7399822358685476,0"]),
     (["--case", "exponential-in-gamma", "--delta", "0,3,6"],
      ["delta,ncp,power",
       "0.0,0.0,0.05000000000000002",
-      "3.0,3.150530940013964,0.33589749311362554",
-      "6.0,12.602123760055855,0.8987491108234263"]),
+      "3.0,3.150530940013964,0.3358974931137513",
+      "6.0,12.602123760055855,0.8987491108237544"]),
     (["--case", "normal-in-epd", "--delta", "0,10,20"],
      ["delta,ncp,power",
       "0.0,0.0,0.05000000000000002",
-      "10.0,4.398436630982747,0.4514143144992836",
-      "20.0,17.59374652393099,0.9715265855527475"]),
+      "10.0,4.398436630982747,0.45141431449964",
+      "20.0,17.59374652393099,0.9715265855530315"]),
 ]
 
 
@@ -287,6 +292,14 @@ def test_study_config_with_a_misspelled_family_is_2(tmp_path, capsys):
                      str(tmp_path / "out")]) == cli.DATA_EXIT
     assert "section [cell:c]" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_study_config_with_a_malformed_study_number_is_2(tmp_path, capsys):
+    path = tmp_path / "study.ini"
+    path.write_text("[study]\nreps = abc\n\n[cell:c]\nfamily = gamma\ntheta = 2.0, 1.0\n")
+    assert cli.main(["study", "--config", str(path), "--output-prefix",
+                     str(tmp_path / "out")]) == cli.DATA_EXIT
+    assert "section [study]: " in capsys.readouterr().err
 
 
 def test_study_writes_its_report_with_the_seed_given(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -10,7 +9,7 @@ from trigof import estimate as E
 from trigof import families as F
 from trigof import scaling
 from trigof.estimate import KnownMask, fit
-from conftest import FAMILY_THETAS, MM_REQUIRED_KNOWN
+from conftest import FAMILY_THETAS, known_mask, known_names
 import former_estimate as FE
 from former_scaling import h as _h, logistic_constants
 
@@ -481,22 +480,6 @@ ROWS = [(name, kind) for name in DERIVED for kind in ("ml", "mm")
         if kind == "ml" or F.get_family(name).has_mm]
 
 
-def _masks(name, kind, every=False):
-    """Known-name tuples: the MM row's required shape plus every choice of the
-    other parameters that leaves one to fit (or all of them, with ``every``)."""
-    fam = F.get_family(name)
-    required = tuple(MM_REQUIRED_KNOWN.get(name, {})) if kind == "mm" else ()
-    others = [p for p in fam.param_names if p not in required]
-    for r in range(len(others) + every):
-        for extra in itertools.combinations(others, r):
-            yield tuple(p for p in fam.param_names if p in required + extra)
-
-
-def _mask(name, known):
-    values = dict(zip(F.get_family(name).param_names, FAMILY_THETAS[name]))
-    return KnownMask.from_names(name, {p: values[p] for p in known}) if known else None
-
-
 def test_sixteen_families_are_derived_from_a_base_without_one():
     assert len(DERIVED) == 16
     for name in DERIVED:
@@ -588,9 +571,8 @@ def test_matrices_match_the_former_builders_at_random_points(name, kind):
         np.testing.assert_allclose(ms.R, R, rtol=0.0, atol=1e-10 * max(1.0, float(np.max(np.abs(R)))))
         np.testing.assert_allclose(ms.J, J, rtol=0.0, atol=1e-10)
         former = scaling.MatrixSet(G, R, J, ms.param_names)
-        values = dict(zip(F.get_family(name).param_names, theta))
-        for known in _masks(name, kind):
-            mask = KnownMask.from_names(name, {p: values[p] for p in known}) if known else None
+        for known in known_names(name, kind):
+            mask = known_mask(name, known, theta)
             np.testing.assert_allclose(scaling.sigma(ms, mask, kind, name),
                                        scaling.sigma(former, mask, kind, name), rtol=0.0, atol=1e-10)
 
@@ -601,8 +583,8 @@ def test_sigma_is_the_sign_flipped_base_sigma(name, kind):
     flip = np.array([[1.0, float(d.data.sign)], [float(d.data.sign), 1.0]])
     own = kind == "mm" and F.get_family(name).mm is not None
     for theta in POINTS[name]:
-        for known in _masks(name, kind, every=True):
-            mask = _mask(name, known)
+        for known in known_names(name, kind, every=True):
+            mask = known_mask(name, known)
             sig = scaling.sigma_from(name, kind, theta, mask)
             former = scaling.MatrixSet(*_former_matrices(name, kind, theta),
                                        scaling.matrices(name, kind, theta).param_names)
@@ -614,9 +596,9 @@ def test_sigma_is_the_sign_flipped_base_sigma(name, kind):
                 np.testing.assert_allclose(sig, flip * base, rtol=0.0, atol=1e-13)
 
 
-FITS = [(name, "ml", known) for name in DERIVED for known in _masks(name, "ml")
+FITS = [(name, "ml", known) for name in DERIVED for known in known_names(name, "ml")
         if (name, known) != ("gg", ("lambda",))] + [
-    (name, "mm", known) for name in LOG for known in _masks(name, "mm")]
+    (name, "mm", known) for name in LOG for known in known_names(name, "mm")]
 
 
 @pytest.mark.parametrize("name,kind,known", FITS,
@@ -625,7 +607,7 @@ def test_fit_matches_the_former_fit(name, kind, known, monkeypatch):
     # the former fit: the former fitter of the family, or Nelder-Mead where
     # it had none; the profiles over rows solve the same estimating
     # equations, to within 1e-10, and beat Nelder-Mead's likelihood
-    mask = _mask(name, known)
+    mask = known_mask(name, known)
     for n, seed in ((30, 0), (200, 1)):
         x = F.sample(name, FAMILY_THETAS[name], n, np.random.SeedSequence([71, seed]))
         res = fit(name, kind, mask, x)
@@ -654,7 +636,7 @@ def test_known_shape_takes_the_profiled_scale_root(name, n, seed, monkeypatch):
     # exp-gamma with lambda known (gg through it) solves its scale equation:
     # checked against the generic likelihood maximization it replaced
     theta = FAMILY_THETAS[name]
-    mask = _mask(name, ("lambda",))
+    mask = known_mask(name, ("lambda",))
     x = F.sample(name, theta, n, np.random.SeedSequence([73, seed]))
     res = fit(name, "ml", mask, x)
     assert res.converged and res.residual <= 1e-12

@@ -1,7 +1,6 @@
 import concurrent.futures
 import contextvars
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -16,15 +15,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trigof import _batch, gof, scaling
+from trigof import _batch, gof, scaling, simharness
 from trigof import families as F
 from trigof.errors import ConfigurationError, DomainError, EstimationError, SingularityError
-from trigof.estimate import EstimatorKind, KnownMask, fit, row
+from trigof.estimate import KnownMask, fit, row
 from trigof.gof import _single_test, replicate, run_test
 from trigof.power import EMBEDDINGS, AltCase, LocalAlternative, empirical_power
 from trigof.simharness import CellConfig, StudyConfig, load_config, report_rows, run_study
 import former_estimate as FE
-from conftest import FAMILY_THETAS, MM_REQUIRED_KNOWN
+from conftest import FAMILY_THETAS, MM_REQUIRED_KNOWN, known_mask, supported_rows
 
 
 def _seeded(fam, theta, n, seed=0):
@@ -56,26 +55,7 @@ def _bootstrap_reference(fam, kind, mask, x, reps, seed):
     return exceed, failed, np.array(tn_rows)
 
 
-def _supported_rows():
-    """(family, kind, known names) for every mask that leaves a parameter to
-    fit, on every FAMILY_THETAS row (MM rows keep the shape they require
-    known): every one has an estimator over rows."""
-    for name in sorted(FAMILY_THETAS):
-        fam = F.get_family(name)
-        for kind in ("ml", "mm") if fam.has_mm else ("ml",):
-            required = tuple(MM_REQUIRED_KNOWN.get(name, {})) if kind == "mm" else ()
-            others = [p for p in fam.param_names if p not in required]
-            for r in range(len(others)):
-                for extra in itertools.combinations(others, r):
-                    known = {p: v for p, v in zip(fam.param_names, FAMILY_THETAS[name])
-                             if p in required + extra}
-                    mask = KnownMask.from_names(name, known) if known else KnownMask.none(
-                        fam.n_params)
-                    assert row(fam, EstimatorKind(kind), mask).estimator is not None
-                    yield name, kind, tuple(known)
-
-
-SUPPORTED = list(_supported_rows())
+SUPPORTED = list(supported_rows())
 EPD_15 = KnownMask.from_names("epd", {"lambda": 1.5})
 EPD_08 = KnownMask.from_names("epd", {"lambda": 0.8})
 
@@ -129,8 +109,7 @@ class TestBatchAgainstScalar:
     @pytest.mark.parametrize("fam,kind,known", SUPPORTED,
                              ids=[f"{f}-{k}-{'-'.join(kn) or 'free'}" for f, k, kn in SUPPORTED])
     def test_every_supported_row(self, fam, kind, known):
-        values = dict(zip(F.get_family(fam).param_names, FAMILY_THETAS[fam]))
-        mask = KnownMask.from_names(fam, {p: values[p] for p in known}) if known else None
+        mask = known_mask(fam, known)
         X = _seeded(fam, FAMILY_THETAS[fam], 80, seed=13)(range(12))
         thetas = _batch.batch_fit(fam, kind, mask, X)
         fits = [_single_test(fam, kind, mask, x) for x in X]
@@ -153,6 +132,8 @@ class TestBatchAgainstScalar:
         mm = {(f, "mm", tuple(MM_REQUIRED_KNOWN.get(f, {}))) for f in FAMILY_THETAS
               if F.get_family(f).has_mm}
         assert len(mm) == 15 and mm <= rows
+        # and every one has an estimator over rows
+        assert all(row(f, k, known_mask(f, kn)).estimator is not None for f, k, kn in SUPPORTED)
         # every ML row with a free parameter, all-free and masked, batches
         assert sum(k == "ml" for _, k, _ in SUPPORTED) == 104
         with pytest.raises(ConfigurationError):  # uniform has no MM estimator
@@ -509,6 +490,29 @@ class TestStudyDeterminism:
         assert all(row["ok"] for row in serial)
         assert serial != self._rows(1, seed=10)
 
+    def test_a_study_forks_no_more_workers_than_it_has_blocks(self, monkeypatch):
+        # 1000 replications split into 4 blocks of at most 256: a pool of 8
+        # would fork 8 processes on its first submit
+        made = []
+
+        class Serial:  # the pool's interface, mapped in this process
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, blocks):
+                return map(fn, blocks)
+
+        monkeypatch.setattr(simharness, "ProcessPoolExecutor", Serial)
+        cfg = StudyConfig(self.CELLS[:2], reps=1000, seed=9, workers=8)
+        assert _report(cfg) == _report(dataclasses.replace(cfg, workers=1))
+        assert made == [4, 4]
+
 
 def _on_threads(monkeypatch, run):
     """run() with the row-wise stages on one thread, then on two."""
@@ -667,6 +671,15 @@ class TestStudyConfigFile:
         path.write_text(text)
         with pytest.raises(DomainError, match=match):
             load_config(str(path))
+
+    @pytest.mark.parametrize("line", ["reps = abc", "workers = 2.5", "alpha = half",
+                                      "seed = 1e3"])
+    def test_a_malformed_study_number_names_its_section(self, tmp_path, line):
+        path = tmp_path / "study.ini"
+        path.write_text(f"[study]\n{line}\n\n[cell:c]\nfamily = gamma\ntheta = 2.0, 1.0\n")
+        with pytest.raises(DomainError, match=r"^section \[study\]: ") as err:
+            load_config(str(path))
+        assert type(err.value) is DomainError
 
     def test_an_unreadable_config_is_a_domain_error(self, tmp_path):
         with pytest.raises(DomainError, match="could not read study config"):

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 import threading
 import warnings
@@ -14,7 +13,7 @@ from trigof import families as F
 from trigof.errors import ConfigurationError, DomainError, SingularityError
 from trigof.estimate import EstimatorKind, KnownMask, fit
 from trigof.gof import REPLICATION_FAILURES, run_test
-from conftest import FAMILY_THETAS, MM_REQUIRED_KNOWN
+from conftest import FAMILY_THETAS, MM_REQUIRED_KNOWN, known_mask, known_names
 
 # every (family, estimator) row; MM rows with the shape they require known
 ROWS = [(name, kind) for name in sorted(FAMILY_THETAS) for kind in ("ml", "mm")
@@ -96,7 +95,8 @@ def test_sigma_at_the_shapes_with_the_rest_at_one(name, kind):
     fam, theta = F.get_family(name), FAMILY_THETAS[name]
     unit = (fam.unit(np.array([theta]))[0] if fam.unit is not None else
             [v if p in fam.shapes else 1.0 for p, v in zip(fam.param_names, theta)])
-    for mask in _all_masks(name, kind, theta):
+    for known in known_names(name, kind):
+        mask = known_mask(name, known, theta)
         sig = _raw_sigma(name, kind, unit, mask)
         np.testing.assert_allclose(sig, _raw_sigma(name, kind, theta, mask), rtol=0.0, atol=1e-12)
         point = scaling.sigma_from(name, kind, theta, mask)
@@ -157,17 +157,6 @@ def _random_thetas(name, count=20):
                   for lo, hi in RANGES[name]) for _ in range(count)]
 
 
-def _all_masks(name, kind, theta):
-    """None and every mask of known values that leaves the row a parameter to fit."""
-    fam = F.get_family(name)
-    required = [p for p in fam.param_names if p in fam.mm_known] if kind == "mm" else []
-    others = [p for p in fam.param_names if p not in required]
-    for r in range(len(others)):
-        for extra in itertools.combinations(others, r):
-            known = {p: theta[fam.param_names.index(p)] for p in required + list(extra)}
-            yield KnownMask.from_names(name, known) if known else None
-
-
 def _integrand(name, kind, theta, monkeypatch):
     """The rule's f(p, q, upper) for one theta, caught on its way to quadrature.gram."""
     caught = []
@@ -211,7 +200,8 @@ def test_rule_matches_the_former_builders(name, kind, monkeypatch):
         np.testing.assert_allclose(ms.R, R, rtol=0.0, atol=1e-10 * max(1.0, np.max(np.abs(R))))
         np.testing.assert_allclose(ms.J, J, rtol=0.0, atol=1e-10)
         former_ms = scaling.MatrixSet(G, R, J, ms.param_names)
-        for mask in _all_masks(name, kind, theta):
+        for known in known_names(name, kind):
+            mask = known_mask(name, known, theta)
             np.testing.assert_allclose(scaling.sigma(ms, mask, kind, name),
                                        scaling.sigma(former_ms, mask, kind, name), rtol=0.0, atol=1e-10)
         parted = np.argwhere(np.maximum(np.abs(ms.G - G), np.abs(ms.J - J)) > 1e-12)
@@ -421,7 +411,8 @@ def test_a_table_is_built_once_on_its_first_shape_in_range(monkeypatch):
 def test_the_inverse_gaussian_sigma_is_taken_at_lambda_over_mu(c):
     theta = (c, 3.0 * c)
     for kind in ["ml"] + ["mm"] * F.get_family("inverse-gaussian").has_mm:
-        for mask in _all_masks("inverse-gaussian", kind, theta):
+        for known in known_names("inverse-gaussian", kind):
+            mask = known_mask("inverse-gaussian", known, theta)
             want = _raw_sigma("inverse-gaussian", kind, theta, mask)
             np.testing.assert_allclose(scaling.sigma_from("inverse-gaussian", kind, theta, mask),
                                        want, rtol=0.0, atol=1e-13 * np.abs(want).max())
